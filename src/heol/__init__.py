@@ -25,21 +25,16 @@ from .errors import (
     SingularGainError,
     StabilityError,
     TimeOrderError,
-    WarmUpError,
 )
 from .signals import (
     ReferenceTrajectory,
-    SampledSeries,
     Segment,
     TimeGrid,
     Window,
-    eval_trajectory,
     make_constant,
     make_smoothstep,
-    window_slice,
 )
 from .homeostat import (
-    FlatIoProfile,
     HomeostatChannel,
     ImplicitFlatRelation,
     build_reference_table,
@@ -47,15 +42,12 @@ from .homeostat import (
     finite_diff_partial,
     nominal_u1,
     nominal_u2,
-    perturbed_nominal_u2,
-    validate_flat_io,
 )
 from .estimators import (
     EstimatorConfig,
     FEstimate,
     estimate_f_nu1,
     estimate_f_nu2,
-    quadrature,
 )
 from .controllers import (
     ChannelController,
@@ -73,7 +65,6 @@ from .controllers import (
 from .plant import (
     MismatchSpec,
     PlantModel,
-    SimState,
     benchmark_relations,
     example_plant,
     initial_state,

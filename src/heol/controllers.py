@@ -175,12 +175,6 @@ class ChannelHistory:
         self.dy = np.zeros(grid.n_points)
         self.adu = np.zeros(grid.n_points)
 
-    def set_dy(self, k: int, value: float):
-        self.dy[k] = value
-
-    def set_adu(self, k: int, value: float):
-        self.adu[k] = value
-
 
 @dataclass(frozen=True)
 class ChannelRecord:
@@ -245,12 +239,11 @@ class ChannelController:
             raise ConfigurationError("order-2 channel needs k_d (iPD law)")
         if self.channel.order == 1 and self.gains.k_d is not None:
             raise ConfigurationError("order-1 channel takes no k_d (iP law)")
-        if self.saturation is not None:
-            lo, hi = self.saturation
-            if not lo < hi:
-                raise ConfigurationError(f"saturation needs u_min < u_max, got ({lo}, {hi})")
-        if self.tau_f is not None and self.tau_f < 0.0:
-            raise ConfigurationError(f"tau_f must be non-negative, got {self.tau_f}")
+        sat = self.saturation
+        if sat is not None and not (len(sat) == 2 and sat[0] < sat[1]):
+            raise ConfigurationError(f"saturation needs (u_min, u_max) with u_min < u_max, got {sat}")
+        if self.tau_f is not None and not (math.isfinite(self.tau_f) and self.tau_f >= 0.0):
+            raise ConfigurationError(f"tau_f must be finite and non-negative, got {self.tau_f}")
 
     def bind_grid(self, grid: TimeGrid):
         """Resolve grid-dependent pieces (window size, filter constant)."""
@@ -284,7 +277,7 @@ def channel_step(
 
     ref = chan.references[chan.output_index]
     dy = y_meas - ref.eval(t, 0)
-    history.set_dy(k, dy)
+    history.dy[k] = dy
 
     ddy = derivative_estimate(controller.state, dy, t) if chan.order == 2 else 0.0
 
@@ -321,7 +314,7 @@ def channel_step(
         elif u > hi:
             u, clamped = hi, True
     du_applied = u - u_nom
-    history.set_adu(k, alpha * du_applied)
+    history.adu[k] = alpha * du_applied
 
     return u, ChannelRecord(
         dy=dy,

@@ -1,9 +1,7 @@
 """Exception types shared across the package.
 
 Every error raised by the library derives from :class:`HeolError`, so callers
-can catch one base class at the loop or CLI level.  The warm-up signal
-:class:`WarmUpError` is deliberately part of the same hierarchy: controllers
-catch it and fall back to their warm-up policy instead of aborting.
+can catch one base class at the loop or CLI level.
 """
 
 
@@ -27,10 +25,6 @@ class IntervalError(HeolError):
     """An interval was given with non-increasing endpoints."""
 
 
-class WarmUpError(HeolError):
-    """Not enough logged history yet to fill an estimation window."""
-
-
 class TimeOrderError(HeolError):
     """Samples were supplied with non-increasing time stamps."""
 
@@ -40,7 +34,7 @@ class AlignmentError(HeolError):
 
 
 class InsufficientDataError(HeolError):
-    """A quadrature or estimate was requested on fewer samples than it needs."""
+    """An estimate was requested on a window with fewer samples than it needs."""
 
 
 class DegenerateRelationError(HeolError):

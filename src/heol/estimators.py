@@ -16,6 +16,10 @@ measured output is ever needed.  Integrals are evaluated with composite
 Simpson weights; an odd interval count falls back to Simpson on all but the
 last interval plus a trapezoid on it.
 
+:class:`FusedEstimator` is the single place that builds the weight vectors
+(kernel times quadrature coefficients); :func:`estimate_f_nu1` and
+:func:`estimate_f_nu2` check their windows and delegate to it.
+
 The ``Du`` kernels vanish at s = T, so the estimate at time t never needs
 the control applied *at* t — the loop can estimate first and act second.
 """
@@ -24,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -34,7 +37,6 @@ from .signals import Window
 __all__ = [
     "EstimatorConfig",
     "FEstimate",
-    "quadrature",
     "estimate_f_nu1",
     "estimate_f_nu2",
 ]
@@ -103,32 +105,15 @@ def _quad_coeffs(n_intervals: int, h: float, rule: str) -> np.ndarray:
     return c
 
 
-_coeff_cache: dict[tuple[int, float, str], np.ndarray] = {}
-
-
-def _cached_coeffs(n_intervals: int, h: float, rule: str) -> np.ndarray:
-    key = (n_intervals, h, rule)
-    c = _coeff_cache.get(key)
-    if c is None:
-        c = _quad_coeffs(n_intervals, h, rule)
-        c.setflags(write=False)
-        _coeff_cache[key] = c
-    return c
-
-
-def quadrature(window: Window, weight: Callable[[np.ndarray], np.ndarray], rule: str = "simpson") -> float:
-    """Integrate ``weight(sigma) * values`` over the window."""
-    if rule not in _RULES:
-        raise ConfigurationError(f"unknown quadrature rule {rule!r}, expected one of {_RULES}")
-    n = len(window) - 1
-    if n < 2:
-        raise InsufficientDataError(f"quadrature needs at least 3 samples, got {len(window)}")
-    h = window.T / n
-    c = _cached_coeffs(n, h, rule)
-    return float(np.dot(c, weight(window.sigma) * window.values))
-
-
-def _check_aligned(dy_window: Window, adu_window: Window):
+def _estimate(
+    order: int,
+    dy_window: Window | None,
+    adu_window: Window | None,
+    at_time: float | None,
+    rule: str,
+) -> FEstimate:
+    if dy_window is None or adu_window is None:
+        return FEstimate(0.0, at_time, valid=False)
     if len(dy_window) != len(adu_window) or dy_window.T != adu_window.T:
         raise AlignmentError(
             f"windows differ in geometry: {len(dy_window)} samples over T={dy_window.T} vs "
@@ -136,6 +121,8 @@ def _check_aligned(dy_window: Window, adu_window: Window):
         )
     if np.max(np.abs(dy_window.sigma - adu_window.sigma)) > 1e-12 * dy_window.T:
         raise AlignmentError("windows are not sampled on the same sigma grid")
+    fused = FusedEstimator(order, dy_window.T, len(dy_window) - 1, rule)
+    return fused.estimate(dy_window.values, adu_window.values, at_time)
 
 
 def estimate_f_nu1(
@@ -149,13 +136,7 @@ def estimate_f_nu1(
     Passing ``None`` windows marks warm-up: the estimate is 0 and flagged
     invalid.  Constant offsets on ``dy`` are annihilated by the kernel.
     """
-    if dy_window is None or adu_window is None:
-        return FEstimate(0.0, at_time, valid=False)
-    _check_aligned(dy_window, adu_window)
-    T = dy_window.T
-    iy = quadrature(dy_window, lambda s: T - 2.0 * s, rule)
-    iu = quadrature(adu_window, lambda s: s * (T - s), rule)
-    return FEstimate(-6.0 / T**3 * (iy + iu), at_time, valid=True)
+    return _estimate(1, dy_window, adu_window, at_time, rule)
 
 
 def estimate_f_nu2(
@@ -169,35 +150,24 @@ def estimate_f_nu2(
     Affine components of ``dy`` (initial value and slope) are annihilated by
     the kernel.  ``None`` windows mark warm-up as in :func:`estimate_f_nu1`.
     """
-    if dy_window is None or adu_window is None:
-        return FEstimate(0.0, at_time, valid=False)
-    _check_aligned(dy_window, adu_window)
-    T = dy_window.T
-    iy = quadrature(dy_window, lambda s: (T - s) ** 2 - 4.0 * (T - s) * s + s**2, rule)
-    iu = quadrature(adu_window, lambda s: (T - s) ** 2 * s**2, rule)
-    return FEstimate(60.0 / T**5 * (iy - 0.5 * iu), at_time, valid=True)
-
-
-## Fused kernels for the simulation hot path: weight * quadrature coefficients
-## collapse each estimate into two dot products.  Same coefficient vectors as
-## the public functions, so the two paths agree to accumulation round-off.
+    return _estimate(2, dy_window, adu_window, at_time, rule)
 
 
 class FusedEstimator:
-    """Precomputed estimator for fixed window geometry (order, T, n, rule)."""
+    """Estimator for a fixed window geometry (order, T, n, rule): two dot products."""
 
     def __init__(self, order: int, T: float, n_intervals: int, rule: str = "simpson"):
         if order not in (1, 2):
             raise ConfigurationError(f"estimator order must be 1 or 2, got {order}")
-        if n_intervals + 1 < 5:
-            raise ConfigurationError(
-                f"estimator window needs at least 5 samples, got {n_intervals + 1}"
+        if rule not in _RULES:
+            raise ConfigurationError(f"unknown quadrature rule {rule!r}, expected one of {_RULES}")
+        if n_intervals < 2:
+            raise InsufficientDataError(
+                f"estimator window needs at least 3 samples, got {n_intervals + 1}"
             )
-        self.order = order
-        self.T = T
         h = T / n_intervals
         s = h * np.arange(n_intervals + 1)
-        c = _cached_coeffs(n_intervals, h, rule)
+        c = _quad_coeffs(n_intervals, h, rule)
         if order == 1:
             self._wy = -6.0 / T**3 * c * (T - 2.0 * s)
             self._wu = -6.0 / T**3 * c * (s * (T - s))

@@ -36,37 +36,15 @@ from .signals import ReferenceTrajectory
 __all__ = [
     "ImplicitFlatRelation",
     "HomeostatChannel",
-    "FlatIoProfile",
     "build_reference_table",
     "finite_diff_partial",
     "derive_channel",
     "nominal_u1",
     "nominal_u2",
-    "perturbed_nominal_u2",
-    "validate_flat_io",
 ]
 
 #: magnitudes below this count as zero when probing partials and gains
 ZERO_THRESHOLD = 1e-9
-
-
-@dataclass(frozen=True)
-class FlatIoProfile:
-    """Counts of flat outputs and controls; the library assumes square systems."""
-
-    n_outputs: int
-    n_controls: int
-
-
-def validate_flat_io(profile: FlatIoProfile) -> None:
-    """Enforce the square-system assumption (one channel per control)."""
-    if profile.n_outputs != profile.n_controls:
-        raise ConfigurationError(
-            f"need as many flat outputs as controls: got {profile.n_outputs} outputs "
-            f"vs {profile.n_controls} controls"
-        )
-    if profile.n_outputs < 1:
-        raise ConfigurationError("need at least one output/control pair")
 
 
 @dataclass(frozen=True)
@@ -190,7 +168,6 @@ def derive_channel(
     order_override: int | None = None,
     output_index: int | None = None,
     nominal_control: Callable[[float], float] | None = None,
-    n_probe: int = 32,
 ) -> HomeostatChannel:
     """Derive the homeostat order and gain of one channel along a reference.
 
@@ -221,7 +198,7 @@ def derive_channel(
 
     refs = tuple(references)
     u_of_t = nominal_control if nominal_control is not None else (lambda t: 0.0)
-    probes = np.linspace(t_lo, t_hi, max(int(n_probe), 32))
+    probes = np.linspace(t_lo, t_hi, 32)
     tables = [build_reference_table(refs, t, relation.orders) for t in probes]
     u_vals = [u_of_t(t) for t in probes]
 
@@ -280,28 +257,20 @@ def nominal_u1(y1_ref: ReferenceTrajectory, t: float) -> float:
     return (y1_ref.eval(t, 1) - y1) / (y1 * y1)
 
 
-def nominal_u2(y1_ref: ReferenceTrajectory, y2_ref: ReferenceTrajectory, t: float) -> float:
+def nominal_u2(
+    y1_ref: ReferenceTrajectory,
+    y2_ref: ReferenceTrajectory,
+    t: float,
+    c1: float = 1.0,
+    c0: float = 1.0,
+) -> float:
     """Feedforward control of the benchmark's second channel.
 
-    Inverts  y2''' + y2'' - y2' - y2 = y1 u1 u2  along the references; needs
-    the third derivative of y2* and degenerates where ``y1* u1*`` vanishes
-    (i.e. where dy1*/dt = y1*).
-    """
-    beta = y1_ref.eval(t, 0) * nominal_u1(y1_ref, t)
-    if abs(beta) <= ZERO_THRESHOLD:
-        raise FlatnessSingularityError(
-            f"y1*·u1* = {beta!r} at t={t:.6g}: second-channel inversion degenerates there"
-        )
-    num = y2_ref.eval(t, 3) + y2_ref.eval(t, 2) - y2_ref.eval(t, 1) - y2_ref.eval(t, 0)
-    return num / beta
-
-
-def perturbed_nominal_u2(y1_ref: ReferenceTrajectory, y2_ref: ReferenceTrajectory, t: float) -> float:
-    """Deliberately mis-weighted variant of :func:`nominal_u2`.
-
-    The first- and zeroth-order reference terms carry coefficients 1.1 and
-    0.9 instead of 1, modelling a plant/controller coefficient mismatch the
-    closed loop has to absorb.
+    Inverts  y2''' + y2'' - c1 y2' - c0 y2 = y1 u1 u2  along the references;
+    needs the third derivative of y2* and degenerates where ``y1* u1*``
+    vanishes (i.e. where dy1*/dt = y1*).  The plant has ``c1 = c0 = 1``;
+    other coefficients model a plant/controller mismatch the closed loop has
+    to absorb.
     """
     beta = y1_ref.eval(t, 0) * nominal_u1(y1_ref, t)
     if abs(beta) <= ZERO_THRESHOLD:
@@ -311,7 +280,7 @@ def perturbed_nominal_u2(y1_ref: ReferenceTrajectory, y2_ref: ReferenceTrajector
     num = (
         y2_ref.eval(t, 3)
         + y2_ref.eval(t, 2)
-        - 1.1 * y2_ref.eval(t, 1)
-        - 0.9 * y2_ref.eval(t, 0)
+        - c1 * y2_ref.eval(t, 1)
+        - c0 * y2_ref.eval(t, 0)
     )
     return num / beta

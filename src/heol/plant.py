@@ -22,18 +22,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError
-from .homeostat import ImplicitFlatRelation, perturbed_nominal_u2  # noqa: F401  (re-export)
+from .homeostat import ImplicitFlatRelation
 from .signals import ReferenceTrajectory
 
 __all__ = [
     "PlantModel",
     "MismatchSpec",
-    "SimState",
     "rk4_step",
     "example_plant",
     "benchmark_relations",
     "initial_state",
-    "perturbed_nominal_u2",
 ]
 
 #: state magnitude beyond which a run is declared divergent
@@ -72,15 +70,6 @@ class MismatchSpec:
         for s in self.output_scaling:
             if not (math.isfinite(s) and s > 0.0):
                 raise ConfigurationError(f"initial scaling factors must be positive, got {s}")
-
-
-@dataclass
-class SimState:
-    """Integrator state: current time, state vector, last applied control."""
-
-    t: float
-    x: np.ndarray
-    u: np.ndarray | None = None
 
 
 def rk4_step(

@@ -42,9 +42,6 @@ from .homeostat import (
     derive_channel,
     nominal_u1,
     nominal_u2,
-    perturbed_nominal_u2,
-    validate_flat_io,
-    FlatIoProfile,
 )
 from .plant import (
     MismatchSpec,
@@ -134,8 +131,10 @@ class ChannelSpec:
             raise ConfigurationError(f"unknown alpha source {self.alpha_source!r}")
         if self.alpha_source == "formula" and self.alpha_tag is None:
             raise ConfigurationError("alpha source 'formula' needs an alpha tag")
-        if self.alpha_source == "constant" and self.alpha_value is None:
-            raise ConfigurationError("alpha source 'constant' needs a value")
+        if self.alpha_source == "constant" and not (
+            self.alpha_value is not None and math.isfinite(self.alpha_value)
+        ):
+            raise ConfigurationError(f"alpha source 'constant' needs a finite value, got {self.alpha_value}")
         if self.alpha_source != "derived" and self.order is None:
             raise ConfigurationError(
                 "channel order must be given explicitly unless alpha is derived"
@@ -164,8 +163,8 @@ class Scenario:
     def __post_init__(self):
         if self.control_mode not in ("closed-loop", "feedforward"):
             raise ConfigurationError(f"unknown control mode {self.control_mode!r}")
-        if self.noise_std < 0.0:
-            raise ConfigurationError(f"noise std must be non-negative, got {self.noise_std}")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):
+            raise ConfigurationError(f"noise std must be finite and non-negative, got {self.noise_std}")
         if not 0.0 < self.rms_fraction <= 1.0:
             raise ConfigurationError(
                 f"rms threshold fraction must be in (0, 1], got {self.rms_fraction}"
@@ -248,7 +247,7 @@ NOMINAL_CONTROLS: dict[str, Callable] = {
     "zero": lambda refs: (lambda t: 0.0),
     "flat-u1": lambda refs: (lambda t: nominal_u1(refs[0], t)),
     "flat-u2": lambda refs: (lambda t: nominal_u2(refs[0], refs[1], t)),
-    "flat-u2-miscoeff": lambda refs: (lambda t: perturbed_nominal_u2(refs[0], refs[1], t)),
+    "flat-u2-miscoeff": lambda refs: (lambda t: nominal_u2(refs[0], refs[1], t, 1.1, 0.9)),
 }
 
 #: mismatch tag -> nominal-tag replacements it induces
@@ -303,7 +302,6 @@ def _build(scenario: Scenario) -> _Built:
         )
     model, init_fn, relations = PLANTS[scenario.plant](scenario.plant_params)
 
-    validate_flat_io(FlatIoProfile(n_outputs=len(scenario.references), n_controls=len(scenario.channels)))
     if len(scenario.references) != model.n_outputs:
         raise ConfigurationError(
             f"plant has {model.n_outputs} outputs but {len(scenario.references)} references given"
@@ -652,11 +650,18 @@ def _strip_comments(obj):
     return obj
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 def _channel_from_dict(d: dict) -> ChannelSpec:
-    alpha = d.get("alpha", {"source": "derived"})
-    gains = d.get("gains")
-    pole = d.get("pole")
-    est = d.get("estimator", {})
+    d = _object(d, "channel entry")
+    alpha = _object(d.get("alpha", {"source": "derived"}), "channel alpha")
+    gains = None if d.get("gains") is None else _object(d["gains"], "channel gains")
+    pole = None if d.get("pole") is None else _object(d["pole"], "channel pole")
+    est = _object(d.get("estimator", {}), "channel estimator")
     sat = d.get("saturation")
     return ChannelSpec(
         output=int(d["output"]),
@@ -671,7 +676,7 @@ def _channel_from_dict(d: dict) -> ChannelSpec:
         pole=None if pole is None else float(pole["value"]),
         pole_multiplicity=1 if pole is None else int(pole.get("multiplicity", 1)),
         nominal=d.get("nominal", "zero"),
-        saturation=None if sat is None else (float(sat[0]), float(sat[1])),
+        saturation=None if sat is None else tuple(float(v) for v in sat),
         tau_f=None if d.get("tau_f") is None else float(d["tau_f"]),
     )
 
@@ -702,11 +707,11 @@ def _channel_to_dict(c: ChannelSpec) -> dict:
 def scenario_from_dict(data: dict) -> Scenario:
     d = _strip_comments(data)
     try:
-        timing_d = d.get("timing", {})
-        mism_d = d.get("mismatch", {})
-        noise_d = d.get("noise") or {}
+        timing_d = _object(d.get("timing", {}), "timing")
+        mism_d = _object(d.get("mismatch", {}), "mismatch")
+        noise_d = _object(d.get("noise") or {}, "noise")
         refs = tuple(dict(r) for r in d["references"])
-        plant_d = d["plant"]
+        plant_d = _object(d["plant"], "plant")
         return Scenario(
             name=str(d["name"]),
             plant=str(plant_d["name"]),
@@ -729,7 +734,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             allow_shared_outputs=bool(d.get("allow_shared_outputs", False)),
             noise_std=float(noise_d.get("std", 0.0)),
             noise_seed=int(noise_d.get("seed", 0)),
-            rms_fraction=float(d.get("metrics", {}).get("rms_fraction", 0.01)),
+            rms_fraction=float(_object(d.get("metrics", {}), "metrics").get("rms_fraction", 0.01)),
         )
     except KeyError as exc:
         raise ConfigurationError(f"scenario config missing key {exc}") from None

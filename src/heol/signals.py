@@ -22,19 +22,15 @@ from .errors import (
     HorizonError,
     IntervalError,
     TimeOrderError,
-    WarmUpError,
 )
 
 __all__ = [
     "TimeGrid",
-    "SampledSeries",
     "Segment",
     "ReferenceTrajectory",
     "Window",
-    "eval_trajectory",
     "make_constant",
     "make_smoothstep",
-    "window_slice",
 ]
 
 
@@ -81,33 +77,6 @@ class TimeGrid:
         if abs(self.t(k) - t) > 1e-3 * self.h:
             raise TimeOrderError(f"t={t!r} is not a grid point of {self!r}")
         return k
-
-
-@dataclass(frozen=True)
-class SampledSeries:
-    """A partially or fully filled signal log on a :class:`TimeGrid`.
-
-    ``values[k]`` is the sample at ``grid.t(k)``.  The array may be shorter
-    than the grid while a simulation is still filling it.
-    """
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 1:
-            raise ConfigurationError("sampled series values must be one-dimensional")
-        if len(v) > self.grid.n_points:
-            raise ConfigurationError(
-                f"series holds {len(v)} samples but the grid has only {self.grid.n_points} points"
-            )
-        if len(v) and not np.all(np.isfinite(v)):
-            raise ConfigurationError("sampled series contains non-finite values")
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def _polyder(coeffs: tuple[float, ...]) -> tuple[float, ...]:
@@ -224,11 +193,6 @@ class ReferenceTrajectory:
         return self._eval_segment(self._segment_index(t), t, order)
 
 
-def eval_trajectory(trajectory: ReferenceTrajectory, t: float, order: int = 0) -> float:
-    """Evaluate a reference trajectory derivative; see :meth:`ReferenceTrajectory.eval`."""
-    return trajectory.eval(t, order)
-
-
 def make_constant(value: float, max_order: int = 3) -> ReferenceTrajectory:
     """Trajectory identically equal to ``value`` on the whole real line."""
     return ReferenceTrajectory(
@@ -303,28 +267,3 @@ class Window:
 
     def __len__(self) -> int:
         return len(self.sigma)
-
-
-def window_slice(series: SampledSeries, t: float, T: float) -> Window:
-    """Slice the most recent ``T`` seconds of ``series`` ending at grid time ``t``.
-
-    Raises :class:`WarmUpError` while ``t - T`` precedes the grid origin or
-    the series has not yet been filled up to ``t``; callers treat that as the
-    warm-up signal.  Slicing the same ``(t, T)`` twice returns bit-identical
-    windows.
-    """
-    grid = series.grid
-    if T <= 0.0:
-        raise ConfigurationError(f"window length must be positive, got T={T}")
-    w = int(round(T / grid.h))
-    if w < 1 or abs(w * grid.h - T) > 1e-9 * max(T, grid.h):
-        raise ConfigurationError(
-            f"window length T={T} is not a positive multiple of the sampling period h={grid.h}"
-        )
-    k = grid.index_of(t)
-    if k - w < 0:
-        raise WarmUpError(f"window [{t - T}, {t}] starts before the grid origin {grid.t0}")
-    if len(series) < k + 1:
-        raise WarmUpError(f"series holds {len(series)} samples, need {k + 1} to slice at t={t}")
-    sigma = grid.h * np.arange(w + 1)
-    return Window(T=w * grid.h, sigma=sigma, values=series.values[k - w : k + 1])

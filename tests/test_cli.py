@@ -80,6 +80,27 @@ def test_channel_count_mismatch_exits_3(tmp_path, capsys):
     assert cli_main(["run", "--config", str(path), "--out", str(tmp_path)]) == 3
 
 
+def test_non_object_channel_entries_exit_3(tmp_path, capsys):
+    good = scenario_to_dict(ultralocal_scenario(1.0))
+    bad = dict(good, channels=[1, 1])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    proc = subprocess.run(
+        [sys.executable, "-m", "heol.cli", "validate", "--config", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert "invalid scenario" in proc.stderr and "Traceback" not in proc.stderr
+
+    for key in ("alpha", "estimator", "gains", "pole"):
+        bad = json.loads(json.dumps(good))
+        bad["channels"][0][key] = 1
+        path.write_text(json.dumps(bad))
+        assert cli_main(["validate", "--config", str(path)]) == 3
+        assert f"channel {key} must be a JSON object" in capsys.readouterr().err
+
+
 def test_unreadable_configs_exit_3(tmp_path, capsys):
     assert cli_main(["validate", "--config", str(tmp_path / "missing.json")]) == 3
     bad = tmp_path / "bad.json"

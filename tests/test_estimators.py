@@ -9,7 +9,6 @@ from heol.estimators import (
     FusedEstimator,
     estimate_f_nu1,
     estimate_f_nu2,
-    quadrature,
 )
 from heol.signals import Window
 
@@ -25,51 +24,71 @@ def sigma_of(n, T=1.0):
     return (T / n) * np.arange(n + 1)
 
 
-# --------------------------------------------------------------- quadrature
+# ------------------------------------------------------- quadrature accuracy
+
+F_TRUE, ADU = -4.0, 3.0
+
+# Relative error of (order 1, order 2) on the polynomial signals of
+# ``polynomial_windows``, by rule and interval count; None means exact to
+# round-off.  Simpson needs an even count; an odd count puts a trapezoid on
+# the last panel, and trapezoid errors shrink only with h^2.
+MEASURED_REL_ERROR = {
+    ("simpson", 30): (None, 1.111e-5),
+    ("simpson", 31): (8.392e-6, 1.810e-3),
+    ("simpson", 100): (None, 9.000e-8),
+    ("simpson", 101): (2.426e-7, 5.373e-5),
+    ("trapezoid", 30): (2.778e-4, 4.719e-3),
+    ("trapezoid", 31): (2.601e-4, 4.420e-3),
+    ("trapezoid", 100): (2.500e-5, 4.250e-4),
+    ("trapezoid", 101): (2.451e-5, 4.166e-4),
+}
 
 
-def test_quadrature_constant_is_exact():
-    w = make_window(np.ones(101))
-    assert quadrature(w, lambda s: np.ones_like(s)) == pytest.approx(1.0, abs=1e-14)
+def polynomial_windows(n):
+    """Windows of d^nu(dy)/dt^nu = F + a*du with constant right side, T = 1."""
+    s = sigma_of(n)
+    adu = make_window(np.full(n + 1, ADU))
+    dy1 = 0.7 + (F_TRUE + ADU) * s
+    dy2 = 0.7 - 1.3 * s + 0.5 * (F_TRUE + ADU) * s**2
+    return make_window(dy1), make_window(dy2), adu
 
 
-def test_quadrature_cubic_is_simpson_exact():
-    s = sigma_of(100)
-    w = make_window(s**3)
-    assert quadrature(w, lambda s: np.ones_like(s)) == pytest.approx(0.25, abs=1e-12)
-
-
-def test_quadrature_quartic_error_is_fourth_order():
-    s = sigma_of(100)
-    w = make_window(s**4)
-    assert quadrature(w, lambda s: np.ones_like(s)) == pytest.approx(0.2, abs=1e-8)
-
-
-def test_quadrature_trapezoid_rule():
-    s = sigma_of(100)
-    w = make_window(s)
-    assert quadrature(w, lambda s: np.ones_like(s), rule="trapezoid") == pytest.approx(
-        0.5, abs=1e-12
-    )
+@pytest.mark.parametrize("n", (30, 31, 100, 101))
+@pytest.mark.parametrize("rule", ("simpson", "trapezoid"))
+def test_polynomial_signal_error_matches_quadrature_rule(rule, n):
+    dy1, dy2, adu = polynomial_windows(n)
+    for fn, dy, measured in zip(
+        (estimate_f_nu1, estimate_f_nu2), (dy1, dy2), MEASURED_REL_ERROR[rule, n]
+    ):
+        rel = abs(fn(dy, adu, rule=rule).value - F_TRUE) / abs(F_TRUE)
+        if measured is None:
+            assert rel <= 1e-14
+        else:
+            assert rel == pytest.approx(measured, rel=1e-3)
 
 
 def test_quadrature_odd_interval_count_still_integrates_constants():
-    # odd interval counts use Simpson plus one trapezoid panel
-    for n in (3, 5, 99):
-        w = make_window(np.ones(n + 1))
-        assert quadrature(w, lambda s: np.ones_like(s)) == pytest.approx(1.0, abs=1e-12)
+    # both rules integrate the linear order-1 kernel exactly for any count,
+    # so a constant offset on dy is annihilated even with odd counts
+    for rule in ("simpson", "trapezoid"):
+        for n in (2, 3, 5, 31, 99):
+            z = make_window(np.zeros(n + 1))
+            offset = make_window(np.full(n + 1, 5.0))
+            assert abs(estimate_f_nu1(offset, z, rule=rule).value) <= 1e-12
 
 
 def test_quadrature_needs_three_samples():
     w = make_window([0.0, 1.0])
-    with pytest.raises(InsufficientDataError):
-        quadrature(w, lambda s: np.ones_like(s))
+    for fn in (estimate_f_nu1, estimate_f_nu2):
+        with pytest.raises(InsufficientDataError):
+            fn(w, w)
 
 
 def test_quadrature_unknown_rule():
     w = make_window(np.ones(11))
-    with pytest.raises(ConfigurationError):
-        quadrature(w, lambda s: np.ones_like(s), rule="midpoint")
+    for fn in (estimate_f_nu1, estimate_f_nu2):
+        with pytest.raises(ConfigurationError):
+            fn(w, w, rule="midpoint")
 
 
 # ---------------------------------------------------------- order-1 formula

@@ -1,0 +1,49 @@
+"""Golden digests: the exported CSV of fixed runs, pinned byte for byte.
+
+A refactor or speed-up of the loop must leave these logs bit-identical (the
+determinism contract in the README).  A change that alters the numbers on
+purpose updates the digest here and says why.
+"""
+
+import hashlib
+
+import pytest
+
+from heol.scenarios import builtin_scenario, export_csv, run_scenario
+
+from conftest import ultralocal_scenario
+
+ULTRALOCAL_ORDER2 = dict(k_d=4.0, order=2, drift=0.5, noise_std=1e-3, noise_seed=3)
+
+GOLDEN = {
+    "paper-sec4": (
+        lambda: builtin_scenario("paper-sec4"),
+        "fb3f57cd54e051cdfe22b6680b57b30525f33caa5f8d12433410f7e03b6c3cf3",
+    ),
+    "paper-sec4-nominal": (
+        lambda: builtin_scenario("paper-sec4-nominal"),
+        "3054454a50262f4868bba451392a0ee078aa321effdd2c93a15242e657c62fd1",
+    ),
+    "ultralocal-order2-simpson": (
+        lambda: ultralocal_scenario(4.0, estimator_T=0.25, **ULTRALOCAL_ORDER2),
+        "7192a682c12ef56fa55c6bec91f26c47897b1031decee328c9dc3c7d61f34022",
+    ),
+    # 33 intervals: exercises an odd window under the trapezoid rule
+    "ultralocal-order2-trapezoid-odd": (
+        lambda: ultralocal_scenario(
+            4.0, estimator_T=0.33, estimator_rule="trapezoid", **ULTRALOCAL_ORDER2
+        ),
+        "198492ca3ac71022530679c29ee2af8432ae3369005d2dbfaecf452a137776db",
+    ),
+    "ultralocal-order1": (
+        lambda: ultralocal_scenario(2.0, order=1, drift=-0.3, estimator_T=0.07),
+        "0421c5d002acd8b8adf7c8952e349ce96c02877f39ee7189e2e39864c55fe91f",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_exported_csv_matches_golden_digest(name, tmp_path):
+    make, digest = GOLDEN[name]
+    path = export_csv(run_scenario(make()), tmp_path / f"{name}.csv")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -12,15 +12,12 @@ from heol.errors import (
     SingularChannelError,
 )
 from heol.homeostat import (
-    FlatIoProfile,
     ImplicitFlatRelation,
     build_reference_table,
     derive_channel,
     finite_diff_partial,
     nominal_u1,
     nominal_u2,
-    perturbed_nominal_u2,
-    validate_flat_io,
 )
 from heol.plant import benchmark_relations
 from heol.signals import ReferenceTrajectory, Segment, make_constant, make_smoothstep
@@ -41,20 +38,6 @@ def bench_refs():
         make_smoothstep(1.0, 2.0, 1.0, 4.0),
         make_smoothstep(1.0, 2.0, 5.0, 8.0),
     )
-
-
-# ------------------------------------------------------------ square systems
-
-
-def test_validate_flat_io_accepts_square():
-    validate_flat_io(FlatIoProfile(n_outputs=2, n_controls=2))
-    validate_flat_io(FlatIoProfile(n_outputs=1, n_controls=1))
-
-
-def test_validate_flat_io_rejects_rectangular_with_counts():
-    with pytest.raises(ConfigurationError) as err:
-        validate_flat_io(FlatIoProfile(n_outputs=1, n_controls=2))
-    assert "1" in str(err.value) and "2" in str(err.value)
 
 
 # ------------------------------------------------------------ finite diffs
@@ -225,9 +208,9 @@ def test_nominal_u2_singular_where_u1_vanishes():
 def test_perturbed_u2_scales_constant_reference():
     # constant y2* = c: nominal gives c, the mis-weighted variant 0.9 c
     for c in (3.0, -1.5):
-        got = perturbed_nominal_u2(make_constant(1.0), make_constant(c), 0.0)
+        got = nominal_u2(make_constant(1.0), make_constant(c), 0.0, 1.1, 0.9)
         assert got == pytest.approx(0.9 * c, rel=1e-12)
-    assert perturbed_nominal_u2(make_constant(1.0), make_constant(0.0), 0.0) == 0.0
+    assert nominal_u2(make_constant(1.0), make_constant(0.0), 0.0, 1.1, 0.9) == 0.0
 
 
 def test_perturbed_u2_matches_nominal_when_low_order_terms_vanish():
@@ -235,7 +218,7 @@ def test_perturbed_u2_matches_nominal_when_low_order_terms_vanish():
     # two formulas agree wherever y2* and its first derivative vanish
     y1 = make_constant(2.0)
     y2 = ReferenceTrajectory((Segment(0.0, 10.0, (1.0, -2.0, 1.0)),))  # (t-1)^2
-    got = perturbed_nominal_u2(y1, y2, 1.0)
+    got = nominal_u2(y1, y2, 1.0, 1.1, 0.9)
     assert got == nominal_u2(y1, y2, 1.0)
     assert got == pytest.approx(-2.0, rel=1e-12)  # numerator 2, beta -1
 

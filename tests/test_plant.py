@@ -8,7 +8,6 @@ from heol.plant import (
     TRUST_REGION,
     MismatchSpec,
     PlantModel,
-    SimState,
     benchmark_relations,
     example_plant,
     initial_state,
@@ -60,13 +59,6 @@ def test_mismatch_defaults_and_validation():
         MismatchSpec(output_scaling=(1.0, 0.0))
     with pytest.raises(ConfigurationError):
         MismatchSpec(output_scaling=(-1.0,))
-
-
-def test_sim_state_carries_last_applied_control():
-    s = SimState(t=0.0, x=np.zeros(4))
-    assert s.u is None
-    s2 = SimState(t=0.1, x=np.zeros(4), u=np.array([1.0, -0.5]))
-    assert s2.u[1] == -0.5
 
 
 # ------------------------------------------------------------- initial state

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -377,6 +378,23 @@ def test_missing_and_malformed_keys_are_configuration_errors():
     mangled["timing"]["duration"] = "hundred and fifty"
     with pytest.raises(ConfigurationError):
         scenario_from_dict(mangled)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("noise", {"std": math.nan}),
+        ("tau_f", math.nan),
+        ("alpha", {"source": "constant", "value": math.nan}),
+        ("saturation", [-5.0, 5.0, 9.0]),
+    ],
+    ids=["noise-std-nan", "tau_f-nan", "alpha-value-nan", "saturation-three-entries"],
+)
+def test_non_finite_numbers_and_bad_saturation_are_rejected(key, value):
+    d = scenario_to_dict(ultralocal_scenario(1.0))
+    (d if key == "noise" else d["channels"][0])[key] = value
+    with pytest.raises(ConfigurationError):
+        validate_scenario(scenario_from_dict(d))
 
 
 def test_load_scenario_from_file(tmp_path):

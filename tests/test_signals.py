@@ -1,4 +1,4 @@
-"""Grids, reference trajectories, and window slicing."""
+"""Grids, reference trajectories, and estimation windows."""
 
 import math
 
@@ -11,18 +11,14 @@ from heol.errors import (
     HorizonError,
     IntervalError,
     TimeOrderError,
-    WarmUpError,
 )
 from heol.signals import (
     ReferenceTrajectory,
-    SampledSeries,
     Segment,
     TimeGrid,
     Window,
-    eval_trajectory,
     make_constant,
     make_smoothstep,
-    window_slice,
 )
 
 
@@ -55,30 +51,13 @@ def test_grid_rejects_degenerate_construction(bad):
         TimeGrid(**kw)
 
 
-# ------------------------------------------------------------ SampledSeries
-
-
-def test_series_length_bounded_by_grid():
-    g = TimeGrid(0.0, 0.1, 4)
-    s = SampledSeries(g, np.arange(3.0))
-    assert len(s) == 3
-    with pytest.raises(ConfigurationError):
-        SampledSeries(g, np.arange(6.0))
-
-
-def test_series_rejects_non_finite_values():
-    g = TimeGrid(0.0, 0.1, 4)
-    with pytest.raises(ConfigurationError):
-        SampledSeries(g, np.array([0.0, np.inf]))
-
-
 # ------------------------------------------------------------- trajectories
 
 
 def test_constant_trajectory_value_and_derivative():
     traj = make_constant(5.0)
-    assert eval_trajectory(traj, 3.0, 0) == 5.0
-    assert eval_trajectory(traj, 3.0, 1) == 0.0
+    assert traj.eval(3.0, 0) == 5.0
+    assert traj.eval(3.0, 1) == 0.0
 
 
 def test_polynomial_segment_derivative():
@@ -160,54 +139,7 @@ def test_smoothstep_rejects_empty_interval():
         make_smoothstep(0.0, 1.0, 5.0, 4.0)
 
 
-# ------------------------------------------------------------ window slicing
-
-
-def _series(n_steps=100, h=0.01):
-    g = TimeGrid(0.0, h, n_steps)
-    return SampledSeries(g, np.arange(n_steps + 1, dtype=float))
-
-
-def test_window_slice_takes_most_recent_samples():
-    s = _series()
-    t_last = s.grid.t(100)
-    w = window_slice(s, t_last, 2 * s.grid.h)
-    assert len(w) == 3
-    np.testing.assert_array_equal(w.values, [98.0, 99.0, 100.0])
-    assert w.sigma[0] == 0.0
-    assert w.sigma[-1] == w.T
-
-
-def test_window_slice_warm_up_signals():
-    s = _series()
-    with pytest.raises(WarmUpError):
-        window_slice(s, s.grid.t(1), 0.05)  # t - T before the origin
-    short = SampledSeries(s.grid, np.arange(10.0))
-    with pytest.raises(WarmUpError):
-        window_slice(short, s.grid.t(50), 0.05)  # series not filled up to t
-
-
-def test_window_slice_constant_series():
-    g = TimeGrid(0.0, 0.1, 20)
-    s = SampledSeries(g, np.full(21, 7.5))
-    w = window_slice(s, g.t(20), 0.5)
-    assert np.all(w.values == 7.5)
-    assert w.sigma[0] == 0.0 and w.sigma[-1] == pytest.approx(0.5, abs=1e-12)
-
-
-def test_window_slice_is_idempotent_bitwise():
-    s = _series()
-    a = window_slice(s, s.grid.t(80), 0.3)
-    b = window_slice(s, s.grid.t(80), 0.3)
-    assert a.T == b.T
-    np.testing.assert_array_equal(a.sigma, b.sigma)
-    np.testing.assert_array_equal(a.values, b.values)
-
-
-def test_window_slice_rejects_non_multiple_length():
-    s = _series()
-    with pytest.raises(ConfigurationError):
-        window_slice(s, s.grid.t(50), 0.015)
+# ---------------------------------------------------------------- windows
 
 
 def test_window_validates_uniform_sigma():
