@@ -24,7 +24,6 @@ from .errors import (
     SingularChannelError,
     SingularGainError,
     StabilityError,
-    TimeOrderError,
 )
 from .signals import (
     ReferenceTrajectory,
@@ -51,12 +50,8 @@ from .estimators import (
 )
 from .controllers import (
     ChannelController,
-    ChannelHistory,
-    ChannelRecord,
-    ControllerState,
     Gains,
     channel_step,
-    derivative_estimate,
     gains_from_poles,
     ip_control,
     ipd_control,

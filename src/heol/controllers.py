@@ -15,36 +15,33 @@ unmodelled dynamics.
 During warm-up (no full estimation window yet) the estimate is pinned to 0,
 so the channel applies pure feedforward plus the proportional(-derivative)
 correction only.
+
+:func:`channel_step` is the law at one sample and holds no state.  The
+simulation loop (:func:`heol.scenarios.run_scenario`) owns everything that
+persists between samples: the time-only signals (reference, feedforward,
+``alpha``), tabulated on the grid before the first step, and the
+measurement-driven history (deviations, applied ``alpha*Du``, the filtered
+derivative) that feeds the estimator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    SingularGainError,
-    StabilityError,
-    TimeOrderError,
-)
-from .estimators import EstimatorConfig, FEstimate, FusedEstimator
+from .errors import ConfigurationError, SingularGainError, StabilityError
+from .estimators import EstimatorConfig
 from .homeostat import HomeostatChannel
-from .signals import TimeGrid
 
 __all__ = [
     "Gains",
-    "ControllerState",
     "ChannelController",
-    "ChannelHistory",
-    "ChannelRecord",
     "ip_control",
     "ipd_control",
     "gains_from_poles",
     "poles_from_gains",
-    "derivative_estimate",
     "channel_step",
 ]
 
@@ -125,71 +122,6 @@ def ipd_control(f_est: float, dy: float, ddy: float, gains: Gains, alpha: float)
 
 
 @dataclass
-class ControllerState:
-    """Mutable per-run state: previous sample and the filtered derivative."""
-
-    tau_f: float = 0.0
-    prev_dy: float | None = None
-    prev_t: float | None = None
-    deriv: float = 0.0
-
-    def reset(self):
-        self.prev_dy = None
-        self.prev_t = None
-        self.deriv = 0.0
-
-
-def derivative_estimate(state: ControllerState, dy: float, t: float) -> float:
-    """Low-pass-filtered backward difference of ``dy``.
-
-    The first call only seeds the state and returns 0.  ``state.tau_f`` is
-    the filter time constant; 0 disables filtering.  Non-increasing time
-    stamps raise :class:`TimeOrderError`.
-    """
-    if state.prev_t is None:
-        state.prev_dy = dy
-        state.prev_t = t
-        state.deriv = 0.0
-        return 0.0
-    dt = t - state.prev_t
-    if dt <= 0.0:
-        raise TimeOrderError(f"derivative estimate needs increasing times, got {state.prev_t} -> {t}")
-    raw = (dy - state.prev_dy) / dt
-    state.deriv += dt / (state.tau_f + dt) * (raw - state.deriv)
-    state.prev_dy = dy
-    state.prev_t = t
-    return state.deriv
-
-
-class ChannelHistory:
-    """Per-channel ``Dy`` and ``alpha*Du`` logs on the simulation grid.
-
-    Arrays are preallocated and zero-filled.  ``adu[k]`` is written only
-    after the control at step k is known; reading it earlier yields the zero
-    pad, which is harmless because both estimator kernels carry zero weight
-    at the window's trailing edge.
-    """
-
-    def __init__(self, grid: TimeGrid):
-        self.grid = grid
-        self.dy = np.zeros(grid.n_points)
-        self.adu = np.zeros(grid.n_points)
-
-
-@dataclass(frozen=True)
-class ChannelRecord:
-    """What one channel logs at one grid point."""
-
-    dy: float
-    du: float
-    f_est: float
-    f_valid: bool
-    clamped: bool
-    u_nominal: float
-    u_total: float
-
-
-@dataclass
 class ChannelController:
     """One homeostat channel closed by an iP (order 1) or iPD (order 2) law.
 
@@ -203,11 +135,6 @@ class ChannelController:
         Window length and quadrature rule of the F estimator.
     nominal_control : callable(t) -> float
         Feedforward along the reference.
-    ff_lead : float
-        Evaluation lead for the feedforward sample.  The loop applies the
-        control over ``[t, t + h)`` under zero-order hold, so sampling the
-        (analytically known) feedforward at ``t + h/2`` removes the hold's
-        first-order phase bias; 0 samples at ``t`` exactly.
     saturation : (float, float), optional
         Clamp on the total control; the clamped deviation is what enters the
         estimator history.
@@ -222,13 +149,9 @@ class ChannelController:
     gains: Gains
     estimator: EstimatorConfig
     nominal_control: object
-    ff_lead: float = 0.0
     saturation: tuple[float, float] | None = None
     tau_f: float | None = None
     feedback: bool = True
-    state: ControllerState = field(default_factory=ControllerState)
-    _fused: FusedEstimator | None = field(default=None, repr=False)
-    _w: int = field(default=0, repr=False)
 
     def __post_init__(self):
         if self.channel.order not in (1, 2):
@@ -245,83 +168,35 @@ class ChannelController:
         if self.tau_f is not None and not (math.isfinite(self.tau_f) and self.tau_f >= 0.0):
             raise ConfigurationError(f"tau_f must be finite and non-negative, got {self.tau_f}")
 
-    def bind_grid(self, grid: TimeGrid):
-        """Resolve grid-dependent pieces (window size, filter constant)."""
-        self._w = self.estimator.validate_against(grid.h)
-        self._fused = FusedEstimator(
-            self.channel.order, self._w * grid.h, self._w, self.estimator.rule
-        )
-        self.state.tau_f = self.tau_f if self.tau_f is not None else 5.0 * grid.h
-        self.state.reset()
-
 
 def channel_step(
     controller: ChannelController,
-    y_meas: float,
-    t: float,
-    history: ChannelHistory,
-) -> tuple[float, ChannelRecord]:
-    """Advance one channel by one sample: measure, estimate, correct.
+    f_est: float,
+    dy: float,
+    ddy: float,
+    u_nom: float,
+    alpha: float,
+) -> tuple[float, bool]:
+    """The channel law at one sample: total control and whether it was clamped.
 
-    Returns the total control to hold over the next sampling interval and
-    the log record.  The measured deviation enters the history before the
-    estimator window is read, and the (possibly clamped) applied deviation
-    is appended afterwards, so the estimate at ``t`` uses data up to and
-    including ``t`` but never the control applied at ``t``.
+    ``f_est`` is the disturbance estimate (0 during warm-up), ``dy`` the
+    measured deviation, ``ddy`` its filtered derivative (read by order-2
+    channels only), ``u_nom`` the feedforward sample and ``alpha`` the
+    channel gain.  The iP/iPD correction is added to the feedforward and the
+    sum clamped to the saturation; the applied correction is the returned
+    control minus ``u_nom``.
     """
-    if controller._fused is None:
-        controller.bind_grid(history.grid)
-    chan = controller.channel
-    grid = history.grid
-    k = grid.index_of(t)
-
-    ref = chan.references[chan.output_index]
-    dy = y_meas - ref.eval(t, 0)
-    history.dy[k] = dy
-
-    ddy = derivative_estimate(controller.state, dy, t) if chan.order == 2 else 0.0
-
-    w = controller._w
-    if k - w < 0:
-        fest = FEstimate(0.0, t, valid=False)
-    else:
-        fest = controller._fused.estimate(
-            history.dy[k - w : k + 1], history.adu[k - w : k + 1], t
-        )
-
-    # Probe the feedforward at the sample time itself before anything is
-    # divided by alpha: a flatness singularity at t should surface as such,
-    # naming t, not as a downstream zero-gain error.
-    u_nom = controller.nominal_control(t)
-    if controller.ff_lead != 0.0:
-        u_nom = controller.nominal_control(t + controller.ff_lead)
-
-    alpha = chan.alpha(t)
+    du = 0.0
     if controller.feedback:
-        if chan.order == 1:
-            du = ip_control(fest.value, dy, controller.gains, alpha)
+        if controller.channel.order == 1:
+            du = ip_control(f_est, dy, controller.gains, alpha)
         else:
-            du = ipd_control(fest.value, dy, ddy, controller.gains, alpha)
-    else:
-        du = 0.0
-
+            du = ipd_control(f_est, dy, ddy, controller.gains, alpha)
     u = u_nom + du
-    clamped = False
     if controller.saturation is not None:
         lo, hi = controller.saturation
         if u < lo:
-            u, clamped = lo, True
-        elif u > hi:
-            u, clamped = hi, True
-    du_applied = u - u_nom
-    history.adu[k] = alpha * du_applied
-
-    return u, ChannelRecord(
-        dy=dy,
-        du=du_applied,
-        f_est=fest.value,
-        f_valid=fest.valid,
-        clamped=clamped,
-        u_nominal=u_nom,
-        u_total=u,
-    )
+            return lo, True
+        if u > hi:
+            return hi, True
+    return u, False

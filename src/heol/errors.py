@@ -25,10 +25,6 @@ class IntervalError(HeolError):
     """An interval was given with non-increasing endpoints."""
 
 
-class TimeOrderError(HeolError):
-    """Samples were supplied with non-increasing time stamps."""
-
-
 class AlignmentError(HeolError):
     """Two windows that must share a sample grid do not."""
 

@@ -102,7 +102,6 @@ class HomeostatChannel:
     output_index: int
     order: int
     alpha: Callable[[float], float]
-    references: tuple[ReferenceTrajectory, ...]
 
 
 def build_reference_table(
@@ -240,7 +239,7 @@ def derive_channel(
     for t in probes:  # fail at derivation time, naming the first bad instant
         alpha(float(t))
 
-    return HomeostatChannel(output_index=out, order=order, alpha=alpha, references=refs)
+    return HomeostatChannel(output_index=out, order=order, alpha=alpha)
 
 
 def nominal_u1(y1_ref: ReferenceTrajectory, t: float) -> float:

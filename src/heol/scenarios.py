@@ -5,7 +5,10 @@ controller channel per control, the deliberate mismatches, and the timing.
 Scenarios serialise to a JSON document (keys starting with ``#`` are treated
 as comments and ignored), so runs are reproducible from a single file.
 
-The driver samples every ``h`` seconds: read outputs, step every channel
+A run tabulates what depends on time alone (reference, feedforward, channel
+gain ``alpha``) on the whole grid before the first step, so a flatness
+singularity anywhere on the horizon fails the run before the plant moves.
+The loop then samples every ``h`` seconds: read outputs, step every channel
 (measure deviation, estimate F, apply the iP/iPD correction on top of the
 feedforward), log one record, then integrate the plant to the next sample
 under zero-order hold.  Runs are bit-deterministic: repeating a run, or
@@ -24,8 +27,8 @@ import numpy as np
 
 from .controllers import (
     ChannelController,
-    ChannelHistory,
     Gains,
+    _check_alpha,
     channel_step,
     gains_from_poles,
 )
@@ -36,7 +39,7 @@ from .errors import (
     ExportError,
     HeolError,
 )
-from .estimators import EstimatorConfig
+from .estimators import EstimatorConfig, FusedEstimator
 from .homeostat import (
     HomeostatChannel,
     derive_channel,
@@ -76,6 +79,10 @@ __all__ = [
 # --------------------------------------------------------------------------
 # configuration types
 
+#: Largest grid a run may have: the logs are preallocated, so 10**7 points
+#: already take about a gigabyte; more is almost surely a mistyped ``h``.
+MAX_GRID_POINTS = 10**7
+
 
 @dataclass(frozen=True)
 class Timing:
@@ -96,6 +103,11 @@ class Timing:
 
     def grid(self) -> TimeGrid:
         n = int(round(self.duration / self.h))
+        if n + 1 > MAX_GRID_POINTS:
+            raise ConfigurationError(
+                f"duration {self.duration} at h={self.h} gives {n + 1} grid points; "
+                f"at most {MAX_GRID_POINTS} are allowed"
+            )
         if n < 1 or abs(n * self.h - self.duration) > 1e-9 * max(self.duration, self.h):
             raise ConfigurationError(
                 f"duration {self.duration} is not a multiple of the sampling period {self.h}"
@@ -165,6 +177,8 @@ class Scenario:
             raise ConfigurationError(f"unknown control mode {self.control_mode!r}")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):
             raise ConfigurationError(f"noise std must be finite and non-negative, got {self.noise_std}")
+        if self.noise_seed < 0:
+            raise ConfigurationError(f"noise seed must be non-negative, got {self.noise_seed}")
         if not 0.0 < self.rms_fraction <= 1.0:
             raise ConfigurationError(
                 f"rms threshold fraction must be in (0, 1], got {self.rms_fraction}"
@@ -375,9 +389,7 @@ def _build(scenario: Scenario) -> _Built:
             else:
                 value = float(spec.alpha_value)
                 alpha = lambda t, _v=value: _v
-            channel = HomeostatChannel(
-                output_index=spec.output, order=int(spec.order), alpha=alpha, references=refs
-            )
+            channel = HomeostatChannel(output_index=spec.output, order=int(spec.order), alpha=alpha)
 
         if spec.k_p is not None:
             gains = Gains(k_p=spec.k_p, k_d=spec.k_d)
@@ -395,7 +407,6 @@ def _build(scenario: Scenario) -> _Built:
                 gains=gains,
                 estimator=estimator,
                 nominal_control=nominal,
-                ff_lead=0.5 * grid.h,
                 saturation=spec.saturation,
                 tau_f=spec.tau_f,
                 feedback=scenario.control_mode == "closed-loop",
@@ -458,10 +469,6 @@ def run_scenario(scenario: Scenario) -> SimLog:
     model, refs, controllers, grid = built.model, built.references, built.controllers, built.grid
     n_pts, p, m = grid.n_points, model.n_outputs, model.n_controls
 
-    histories = [ChannelHistory(grid) for _ in controllers]
-    for ctrl in controllers:
-        ctrl.bind_grid(grid)
-
     noise = None
     if scenario.noise_std > 0.0:
         rng = np.random.default_rng(scenario.noise_seed)
@@ -476,36 +483,75 @@ def run_scenario(scenario: Scenario) -> SimLog:
     log_fvalid = np.zeros((n_pts, m), dtype=bool)
     log_clamp = np.zeros((n_pts, m), dtype=bool)
 
+    # Time-only signals, once per grid point.  The feedforward is sampled at
+    # t + h/2, mid-hold, which removes the hold's first-order phase bias,
+    # after a probe at t itself: a flatness singularity at t then surfaces as
+    # such, naming t, and not as a zero-gain error.
+    alpha = np.empty((n_pts, m))
+    for k in range(n_pts):
+        t = grid.t(k)
+        for i, ref in enumerate(refs):
+            log_yref[k, i] = ref.eval(t, 0)
+        for j, ctrl in enumerate(controllers):
+            try:
+                ctrl.nominal_control(t)
+                log_unom[k, j] = ctrl.nominal_control(t + 0.5 * grid.h)
+                alpha[k, j] = a = ctrl.channel.alpha(t)
+                if ctrl.feedback:
+                    _check_alpha(a)
+            except HeolError as exc:
+                raise type(exc)(f"channel {j + 1} at t={t:.6g}: {exc}") from None
+
+    # Measurement-driven state per channel.  adus[j, k] is written only after
+    # the control at step k is known, so the estimate at t_k reads the zero
+    # pad there and never the control applied at t_k (both kernels weigh
+    # that sample by zero up to round-off anyway).
+    windows = [ctrl.estimator.validate_against(grid.h) for ctrl in controllers]
+    estimators = [
+        FusedEstimator(ctrl.channel.order, w * grid.h, w, ctrl.estimator.rule)
+        for ctrl, w in zip(controllers, windows)
+    ]
+    tau_f = [5.0 * grid.h if ctrl.tau_f is None else ctrl.tau_f for ctrl in controllers]
+    dys = np.zeros((m, n_pts))
+    adus = np.zeros((m, n_pts))
+    ddys = [0.0] * m
+
     h_sub = grid.h / scenario.timing.substeps
     x = built.x0.copy()
-    u_vec = np.zeros(m)
 
     for k in range(n_pts):
         t = grid.t(k)
         y = model.output(x)
         if noise is not None:
             y = y + noise[k]
-
-        for j, (ctrl, hist) in enumerate(zip(controllers, histories)):
-            try:
-                u_j, rec = channel_step(ctrl, float(y[ctrl.channel.output_index]), t, hist)
-            except HeolError as exc:
-                raise type(exc)(f"channel {j + 1} at t={t:.6g}: {exc}") from None
-            u_vec[j] = u_j
-            log_unom[k, j] = rec.u_nominal
-            log_du[k, j] = rec.du
-            log_fest[k, j] = rec.f_est
-            log_fvalid[k, j] = rec.f_valid
-            log_clamp[k, j] = rec.clamped
-
         log_y[k] = y
-        for i, ref in enumerate(refs):
-            log_yref[k, i] = ref.eval(t, 0)
-        log_u[k] = u_vec
+        y_k, ref_k, unom_k, alpha_k = (
+            y.tolist(), log_yref[k].tolist(), log_unom[k].tolist(), alpha[k].tolist()
+        )
+
+        for j, ctrl in enumerate(controllers):
+            out = ctrl.channel.output_index
+            dy = y_k[out] - ref_k[out]
+            dys[j, k] = dy
+            if ctrl.channel.order == 2 and k > 0:
+                # low-pass-filtered backward difference
+                dt = t - grid.t(k - 1)
+                ddys[j] += dt / (tau_f[j] + dt) * ((dy - dys[j, k - 1]) / dt - ddys[j])
+            w = windows[j]
+            f_est = 0.0  # warm-up: no full window yet
+            if k >= w:
+                f_est = estimators[j].estimate(dys[j, k - w : k + 1], adus[j, k - w : k + 1], t).value
+                log_fvalid[k, j] = True
+            u_j, log_clamp[k, j] = channel_step(ctrl, f_est, dy, ddys[j], unom_k[j], alpha_k[j])
+            du = u_j - unom_k[j]
+            adus[j, k] = alpha_k[j] * du
+            log_u[k, j] = u_j
+            log_du[k, j] = du
+            log_fest[k, j] = f_est
 
         if k < grid.n_steps:
             for s in range(scenario.timing.substeps):
-                x = rk4_step(model, t + s * h_sub, x, u_vec, h_sub)
+                x = rk4_step(model, t + s * h_sub, x, log_u[k], h_sub)
             if np.max(np.abs(x)) > TRUST_REGION:
                 raise DivergenceError(
                     f"state left the trust region (|x| > {TRUST_REGION:g}) by t={grid.t(k + 1):.6g}"
@@ -515,7 +561,7 @@ def run_scenario(scenario: Scenario) -> SimLog:
         scenario_name=scenario.name,
         grid=grid,
         channel_outputs=tuple(c.channel.output_index for c in controllers),
-        channel_T=tuple(c._w * grid.h for c in controllers),
+        channel_T=tuple(w * grid.h for w in windows),
         t=grid.times(),
         y=log_y,
         y_ref=log_yref,
@@ -656,6 +702,15 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; booleans and non-integral numbers are rejected."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _channel_from_dict(d: dict) -> ChannelSpec:
     d = _object(d, "channel entry")
     alpha = _object(d.get("alpha", {"source": "derived"}), "channel alpha")
@@ -664,8 +719,8 @@ def _channel_from_dict(d: dict) -> ChannelSpec:
     est = _object(d.get("estimator", {}), "channel estimator")
     sat = d.get("saturation")
     return ChannelSpec(
-        output=int(d["output"]),
-        order=None if d.get("order") is None else int(d["order"]),
+        output=_integer(d["output"], "channel output"),
+        order=None if d.get("order") is None else _integer(d["order"], "channel order"),
         alpha_source=alpha.get("source", "derived"),
         alpha_tag=alpha.get("tag"),
         alpha_value=None if alpha.get("value") is None else float(alpha["value"]),
@@ -674,7 +729,7 @@ def _channel_from_dict(d: dict) -> ChannelSpec:
         k_p=None if gains is None else float(gains["kp"]),
         k_d=None if gains is None or gains.get("kd") is None else float(gains["kd"]),
         pole=None if pole is None else float(pole["value"]),
-        pole_multiplicity=1 if pole is None else int(pole.get("multiplicity", 1)),
+        pole_multiplicity=1 if pole is None else _integer(pole.get("multiplicity", 1), "pole multiplicity"),
         nominal=d.get("nominal", "zero"),
         saturation=None if sat is None else tuple(float(v) for v in sat),
         tau_f=None if d.get("tau_f") is None else float(d["tau_f"]),
@@ -712,6 +767,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         noise_d = _object(d.get("noise") or {}, "noise")
         refs = tuple(dict(r) for r in d["references"])
         plant_d = _object(d["plant"], "plant")
+        shared = d.get("allow_shared_outputs", False)
+        if not isinstance(shared, bool):
+            raise ConfigurationError(f"allow_shared_outputs must be true or false, got {shared!r}")
         return Scenario(
             name=str(d["name"]),
             plant=str(plant_d["name"]),
@@ -720,7 +778,7 @@ def scenario_from_dict(data: dict) -> Scenario:
                 duration=float(timing_d["duration"]),
                 h=float(timing_d["h"]),
                 t0=float(timing_d.get("t0", 0.0)),
-                substeps=int(timing_d.get("substeps", 1)),
+                substeps=_integer(timing_d.get("substeps", 1), "timing substeps"),
             ),
             references=refs,
             channels=tuple(_channel_from_dict(c) for c in d["channels"]),
@@ -731,9 +789,9 @@ def scenario_from_dict(data: dict) -> Scenario:
                 control_perturbation=mism_d.get("control_perturbation"),
             ),
             control_mode=d.get("control_mode", "closed-loop"),
-            allow_shared_outputs=bool(d.get("allow_shared_outputs", False)),
+            allow_shared_outputs=shared,
             noise_std=float(noise_d.get("std", 0.0)),
-            noise_seed=int(noise_d.get("seed", 0)),
+            noise_seed=_integer(noise_d.get("seed", 0), "noise seed"),
             rms_fraction=float(_object(d.get("metrics", {}), "metrics").get("rms_fraction", 0.01)),
         )
     except KeyError as exc:

@@ -21,7 +21,6 @@ from .errors import (
     ConfigurationError,
     HorizonError,
     IntervalError,
-    TimeOrderError,
 )
 
 __all__ = [
@@ -67,17 +66,6 @@ class TimeGrid:
     def n_points(self) -> int:
         return self.n_steps + 1
 
-    def index_of(self, t: float) -> int:
-        """Index of the grid point nearest to ``t``.
-
-        ``t`` must sit on the grid up to round-off; anything farther than a
-        thousandth of a step away is rejected rather than silently snapped.
-        """
-        k = int(round((t - self.t0) / self.h))
-        if abs(self.t(k) - t) > 1e-3 * self.h:
-            raise TimeOrderError(f"t={t!r} is not a grid point of {self!r}")
-        return k
-
 
 def _polyder(coeffs: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(coeffs[i] * i for i in range(1, len(coeffs)))
@@ -106,6 +94,8 @@ class Segment:
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
         if not self.coeffs:
             raise ConfigurationError("polynomial segment needs at least one coefficient")
+        if not all(math.isfinite(c) for c in self.coeffs):
+            raise ConfigurationError(f"polynomial segment needs finite coefficients, got {self.coeffs}")
         if not self.stop > self.start:
             raise IntervalError(f"segment needs stop > start, got [{self.start}, {self.stop}]")
         if math.isinf(self.start) and len(self.coeffs) > 1:

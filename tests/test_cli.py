@@ -2,16 +2,29 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import heol
 from heol.cli import cli_main
 from heol.plant import MismatchSpec
 from heol.scenarios import Timing, builtin_scenario, scenario_to_dict
 
 from conftest import ultralocal_scenario
+
+
+def heol_cli(*args):
+    """``python -m heol.cli *args`` in a subprocess importing the heol under test."""
+    src = str(Path(heol.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-m", "heol.cli", *args], capture_output=True, text=True, env=env
+    )
 
 
 def write_config(tmp_path, scenario, name="scenario.json"):
@@ -85,11 +98,7 @@ def test_non_object_channel_entries_exit_3(tmp_path, capsys):
     bad = dict(good, channels=[1, 1])
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
-    proc = subprocess.run(
-        [sys.executable, "-m", "heol.cli", "validate", "--config", str(path)],
-        capture_output=True,
-        text=True,
-    )
+    proc = heol_cli("validate", "--config", str(path))
     assert proc.returncode == 3
     assert "invalid scenario" in proc.stderr and "Traceback" not in proc.stderr
 
@@ -99,6 +108,17 @@ def test_non_object_channel_entries_exit_3(tmp_path, capsys):
         path.write_text(json.dumps(bad))
         assert cli_main(["validate", "--config", str(path)]) == 3
         assert f"channel {key} must be a JSON object" in capsys.readouterr().err
+
+
+def test_oversized_grid_exits_3_before_allocating(tmp_path):
+    bad = scenario_to_dict(ultralocal_scenario(1.0))
+    bad["timing"]["duration"] = 1e15
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(bad))
+    for command in (["validate"], ["run", "--out", str(tmp_path)]):
+        proc = heol_cli(*command, "--config", str(path))
+        assert proc.returncode == 3
+        assert "grid points" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_unreadable_configs_exit_3(tmp_path, capsys):
@@ -137,8 +157,6 @@ def test_export_failure_exits_1(tmp_path, capsys):
 
 
 def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "heol.cli", "list"], capture_output=True, text=True
-    )
+    proc = heol_cli("list")
     assert proc.returncode == 0
     assert "paper-sec4" in proc.stdout

@@ -1,50 +1,97 @@
-"""Feedback laws, pole placement, derivative filtering, channel stepping."""
+"""Feedback laws, pole placement, the channel law, and the loop that drives it.
+
+The loop itself lives in :func:`heol.scenarios.run_scenario`; its per-sample
+behaviour (warm-up, estimator windows, derivative filter, saturation,
+feedforward sampling) is checked here against run logs, replaying the
+documented arithmetic bit for bit where the loop is exact.
+"""
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heol.controllers import (
     ChannelController,
-    ChannelHistory,
-    ControllerState,
     Gains,
     channel_step,
-    derivative_estimate,
     gains_from_poles,
     ip_control,
     ipd_control,
     poles_from_gains,
 )
-from heol.errors import (
-    ConfigurationError,
-    SingularGainError,
-    StabilityError,
-    TimeOrderError,
-)
-from heol.estimators import EstimatorConfig
-from heol.homeostat import HomeostatChannel
-from heol.signals import TimeGrid, make_constant
+from heol.errors import ConfigurationError, SingularGainError, StabilityError
+from heol.estimators import EstimatorConfig, FusedEstimator
+from heol.homeostat import HomeostatChannel, nominal_u1, nominal_u2
+from heol.scenarios import Timing, builtin_scenario, run_scenario
+from heol.signals import make_smoothstep
+
+from conftest import ultralocal_scenario
+
+LOG_FIELDS = ("t", "y", "y_ref", "u", "u_nom", "dy", "du", "f_est", "f_valid", "clamped")
 
 
-def make_channel(order=1, alpha=2.0, ref_value=1.0):
-    return HomeostatChannel(
-        output_index=0,
-        order=order,
-        alpha=lambda t: alpha,
-        references=(make_constant(ref_value),),
-    )
+def make_channel(order=1, alpha=2.0):
+    return HomeostatChannel(output_index=0, order=order, alpha=lambda t: alpha)
 
 
-def make_controller(order=1, alpha=2.0, k_p=1.0, k_d=None, nominal=0.0, **kw):
+def make_controller(order=1, alpha=2.0, k_p=1.0, k_d=None, **kw):
     if order == 2 and k_d is None:
         k_d = 1.0
     return ChannelController(
         channel=make_channel(order=order, alpha=alpha),
         gains=Gains(k_p=k_p, k_d=k_d),
         estimator=EstimatorConfig(T=0.3),
-        nominal_control=lambda t: nominal,
+        nominal_control=lambda t: 0.0,
         **kw,
     )
+
+
+def with_channel(scenario, **changes):
+    """``scenario`` with its single channel spec changed."""
+    return dataclasses.replace(
+        scenario, channels=(dataclasses.replace(scenario.channels[0], **changes),)
+    )
+
+
+def order2_run(**kw):
+    """Order-2 loop with k_p = k_d = 4 and alpha = 1, starting 0.5 off the reference."""
+    return ultralocal_scenario(4.0, order=2, k_d=4.0, drift=0.5, duration=2.0, **kw)
+
+
+def filtered_derivative(dy, t, tau):
+    """The loop's derivative filter replayed on a logged deviation column."""
+    out = np.zeros(len(dy))
+    d = 0.0
+    for k in range(1, len(dy)):
+        dt = t[k] - t[k - 1]
+        d += dt / (tau + dt) * ((dy[k] - dy[k - 1]) / dt - d)
+        out[k] = d
+    return out
+
+
+def implied_derivative(log):
+    """The derivative term an ``order2_run`` log implies, solved from the iPD law."""
+    return (-log.du[:, 0] - log.f_est[:, 0] - 4.0 * log.dy[:, 0]) / 4.0
+
+
+def estimator_replay(log, j, order, rule, alpha):
+    """F_est of channel ``j`` recomputed from its own logged columns.
+
+    The window ends at dy[k]; its last alpha*Du entry is the zero pad the
+    loop reads before the control at t_k is known.
+    """
+    w = int(round(log.channel_T[j] / log.grid.h))
+    fused = FusedEstimator(order, log.channel_T[j], w, rule)
+    dy = np.ascontiguousarray(log.dy[:, j])  # np.dot may sum strided data differently
+    adu = alpha * log.du[:, j]
+    out = np.zeros(len(log.t))
+    for k in range(w, len(log.t)):
+        window = np.append(adu[k - w : k], 0.0)
+        out[k] = fused.estimate(dy[k - w : k + 1], window, log.t[k]).value
+    return w, out
 
 
 # -------------------------------------------------------------------- gains
@@ -138,53 +185,6 @@ def test_controls_are_homogeneous_in_alpha(rng):
         assert ipd_control(f, dy, ddy, g2, 2.0 * a) == ipd_control(f, dy, ddy, g2, a) / 2.0
 
 
-# --------------------------------------------------------- derivative filter
-
-
-def test_derivative_estimate_first_call_returns_zero():
-    st = ControllerState(tau_f=0.0)
-    assert derivative_estimate(st, 1.7, 0.0) == 0.0
-
-
-def test_derivative_estimate_constant_signal():
-    st = ControllerState(tau_f=0.0)
-    for k in range(5):
-        d = derivative_estimate(st, 3.0, 0.01 * k)
-    assert d == 0.0
-
-
-def test_derivative_estimate_linear_signal_unfiltered():
-    st = ControllerState(tau_f=0.0)
-    derivative_estimate(st, 0.0, 0.0)
-    for k in range(1, 6):
-        t = 0.01 * k
-        assert derivative_estimate(st, t, t) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_derivative_estimate_filter_converges_to_slope():
-    st = ControllerState(tau_f=0.05)
-    d = derivative_estimate(st, 0.0, 0.0)
-    for k in range(1, 200):
-        t = 0.01 * k
-        d = derivative_estimate(st, 2.0 * t, t)
-    assert d == pytest.approx(2.0, rel=1e-6)
-
-
-def test_derivative_estimate_rejects_time_reversal():
-    st = ControllerState(tau_f=0.0)
-    derivative_estimate(st, 0.0, 1.0)
-    with pytest.raises(TimeOrderError):
-        derivative_estimate(st, 1.0, 1.0)
-
-
-def test_state_reset_clears_history():
-    st = ControllerState(tau_f=0.0)
-    derivative_estimate(st, 5.0, 0.0)
-    st.reset()
-    assert st.prev_t is None and st.deriv == 0.0
-    assert derivative_estimate(st, 9.0, 1.0) == 0.0
-
-
 # ----------------------------------------------------- controller assembly
 
 
@@ -218,111 +218,188 @@ def test_controller_rejects_bad_saturation_and_order():
         )
 
 
-def test_bind_grid_defaults_filter_constant_to_five_steps():
-    grid = TimeGrid(0.0, 0.01, 100)
-    ctrl = make_controller(order=2)
-    ctrl.bind_grid(grid)
-    assert ctrl.state.tau_f == pytest.approx(0.05)
-    assert ctrl._w == 30
-
-
-# -------------------------------------------------------------- channel_step
+# ------------------------------------------------------------ channel law
 
 
 def test_channel_step_on_trajectory_applies_feedforward():
-    grid = TimeGrid(0.0, 0.01, 100)
-    ctrl = make_controller(nominal=5.0)
-    hist = ChannelHistory(grid)
-    u, rec = channel_step(ctrl, 1.0, 0.0, hist)  # measurement equals reference
-    assert u == 5.0
-    assert rec.dy == 0.0 and rec.du == 0.0
-    assert rec.f_est == 0.0 and not rec.f_valid  # still warming up
-    assert not rec.clamped
-
-
-def test_channel_step_warm_up_is_proportional_only():
-    grid = TimeGrid(0.0, 0.01, 100)
-    ctrl = make_controller(k_p=2.0, alpha=4.0)
-    hist = ChannelHistory(grid)
-    u, rec = channel_step(ctrl, 1.5, 0.0, hist)  # dy = 0.5 during warm-up
-    assert not rec.f_valid
-    assert u == pytest.approx(-(2.0 * 0.5) / 4.0)
-    assert hist.dy[0] == 0.5
-    assert hist.adu[0] == pytest.approx(4.0 * rec.du)
-
-
-def test_channel_step_clamps_and_flags_saturation():
-    grid = TimeGrid(0.0, 0.01, 100)
-    ctrl = make_controller(k_p=1.0, alpha=1.0, saturation=(-1.0, 1.0))
-    hist = ChannelHistory(grid)
-    u, rec = channel_step(ctrl, -4.0, 0.0, hist)  # dy = -5 wants du = +5
-    assert u == 1.0
-    assert rec.clamped
-    assert rec.du == 1.0  # the *applied* correction is logged
-    assert hist.adu[0] == 1.0  # alpha * du with alpha = 1
-
-
-def test_channel_step_estimate_matches_fused_kernel_after_warm_up(rng):
-    grid = TimeGrid(0.0, 0.01, 200)
-    ctrl = make_controller(k_p=1.0, alpha=1.0)
-    ctrl.bind_grid(grid)
-    hist = ChannelHistory(grid)
-    hist.dy[:] = rng.standard_normal(grid.n_points)
-    hist.adu[:] = rng.standard_normal(grid.n_points)
-    k = 60
-    y_meas = 1.0 + 0.25  # forces dy[k] = 0.25 before the window is read
-    u, rec = channel_step(ctrl, y_meas, grid.t(k), hist)
-    assert hist.dy[k] == 0.25
-    want = ctrl._fused.estimate(hist.dy[k - 30 : k + 1], hist.adu[k - 30 : k + 1], grid.t(k))
-    assert rec.f_valid
-    assert rec.f_est == want.value
+    assert channel_step(make_controller(), 0.0, 0.0, 0.0, 5.0, 2.0) == (5.0, False)
 
 
 def test_channel_step_order_two_uses_filtered_derivative():
-    grid = TimeGrid(0.0, 0.01, 100)
-    ctrl = make_controller(order=2, k_p=0.0225, k_d=0.3, alpha=-1.0)
-    ctrl.bind_grid(grid)
-    shadow = ControllerState(tau_f=ctrl.state.tau_f)
-    hist = ChannelHistory(grid)
-    for k, dy in enumerate((0.5, 0.4, 0.35)):
-        t = grid.t(k)
-        u, rec = channel_step(ctrl, 1.0 + dy, t, hist)
-        ddy = derivative_estimate(shadow, dy, t)
-        want = -(0.0 + 0.0225 * dy + 0.3 * ddy) / -1.0
-        assert u == pytest.approx(want, rel=1e-12)
+    g = Gains(k_p=0.0225, k_d=0.3)
+    ipd = make_controller(order=2, k_p=g.k_p, k_d=g.k_d, alpha=-1.0)
+    u, clamped = channel_step(ipd, 0.1, 0.5, 0.25, 2.0, -1.0)
+    assert u == 2.0 + ipd_control(0.1, 0.5, 0.25, g, -1.0) and not clamped
+    ip = make_controller(order=1, k_p=1.0)
+    assert channel_step(ip, 0.1, 0.5, 99.0, 2.0, 2.0) == channel_step(ip, 0.1, 0.5, 0.0, 2.0, 2.0)
+
+
+# ------------------------------------------------------- the loop, by its logs
+
+
+def test_channel_step_warm_up_is_proportional_only():
+    log = run_scenario(with_channel(ultralocal_scenario(2.0, duration=1.0), alpha_value=4.0))
+    w = 30
+    assert not log.f_valid[:w].any() and log.f_valid[w:].all()
+    assert not log.f_est[:w].any()
+    np.testing.assert_array_equal(log.u[:w, 0], -(0.0 + 2.0 * log.dy[:w, 0]) / 4.0)
+    assert log.dy[0, 0] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_channel_step_clamps_and_flags_saturation():
+    clamp = make_controller(alpha=1.0, saturation=(-1.0, 1.0))
+    assert channel_step(clamp, 0.0, -5.0, 0.0, 0.0, 1.0) == (1.0, True)  # wants du = +5
+    log = run_scenario(
+        with_channel(ultralocal_scenario(2.0, duration=1.0), alpha_value=2.0, saturation=(-0.2, 0.2))
+    )
+    clamped = log.clamped[:, 0]
+    assert clamped[0] and clamped.sum() > 30  # clamped beyond the warm-up window
+    np.testing.assert_array_equal(log.u[clamped, 0], -0.2)
+    np.testing.assert_array_equal(log.du[:, 0], log.u[:, 0] - log.u_nom[:, 0])
+    # the applied (clamped) correction, not the requested one, enters the history
+    w, f_est = estimator_replay(log, 0, 1, "simpson", 2.0)
+    np.testing.assert_array_equal(log.f_est[w:, 0], f_est[w:])
+
+
+def test_channel_step_estimate_matches_fused_kernel_after_warm_up():
+    s = order2_run(noise_std=1e-3, noise_seed=3, estimator_T=0.25)
+    log = run_scenario(s)
+    w, f_est = estimator_replay(log, 0, 2, "simpson", 1.0)
+    assert w == 25 and log.f_valid[w:, 0].all()
+    np.testing.assert_array_equal(log.f_est[:, 0], f_est)
 
 
 def test_channel_step_feedforward_mode_never_corrects():
-    grid = TimeGrid(0.0, 0.01, 100)
-    ctrl = make_controller(nominal=2.5, feedback=False)
-    hist = ChannelHistory(grid)
-    u, rec = channel_step(ctrl, 9.0, 0.0, hist)  # far off reference
-    assert u == 2.5
-    assert rec.du == 0.0
+    assert channel_step(make_controller(feedback=False), 3.0, 9.0, 1.0, 2.5, 2.0) == (2.5, False)
+    log = run_scenario(ultralocal_scenario(1.0, drift=0.3, duration=1.0, control_mode="feedforward"))
+    assert abs(log.dy[-1, 0]) > 0.5  # the deviation is left alone
+    assert not log.du.any()
+    np.testing.assert_array_equal(log.u, log.u_nom)
+    assert log.f_valid[30:].all()  # estimates are still logged
 
 
 def test_channel_step_midpoint_lead_shifts_feedforward_sample():
-    grid = TimeGrid(0.0, 0.01, 100)
-    ctrl = make_controller(nominal=0.0, ff_lead=0.005)
-    ctrl.nominal_control = lambda t: t  # identity makes the lead visible
-    hist = ChannelHistory(grid)
-    u, rec = channel_step(ctrl, 1.0, grid.t(3), hist)
-    assert rec.u_nominal == pytest.approx(grid.t(3) + 0.005, rel=1e-12)
+    base = builtin_scenario("paper-sec4")
+    moving = dataclasses.replace(
+        base,
+        timing=Timing(duration=1.0, h=0.01),
+        references=(
+            {"type": "smoothstep", "from": 1.0, "to": 2.0, "t_start": 0.0, "t_end": 30.0},
+            {"type": "smoothstep", "from": 1.0, "to": 2.0, "t_start": 0.0, "t_end": 30.0},
+        ),
+    )
+    log = run_scenario(moving)
+    r1 = r2 = make_smoothstep(1.0, 2.0, 0.0, 30.0)
+    mid = [t + 0.005 for t in log.t]
+    np.testing.assert_array_equal(log.u_nom[:, 0], [nominal_u1(r1, t) for t in mid])
+    # paper-sec4 mis-weights the second feedforward (mismatch u2-coeff-1.1-0.9)
+    np.testing.assert_array_equal(log.u_nom[:, 1], [nominal_u2(r1, r2, t, 1.1, 0.9) for t in mid])
+    assert log.u_nom[50, 0] != nominal_u1(r1, log.t[50])
 
 
-def test_channel_independence_at_fixed_histories(rng):
-    # a channel's output depends only on its own history arrays
-    grid = TimeGrid(0.0, 0.01, 100)
-    hist_a = ChannelHistory(grid)
-    hist_a.dy[:50] = rng.standard_normal(50)
-    hist_b = ChannelHistory(grid)
+def test_channel_independence_at_fixed_histories():
+    # Each channel's estimate reads its own deviation and alpha*Du columns
+    # only, and each order-2 channel filters its own deviation.
+    base = builtin_scenario("paper-sec4")
+    ch1, ch2 = base.channels
+    s = dataclasses.replace(
+        base,
+        timing=Timing(duration=2.0, h=0.01),
+        channels=(
+            dataclasses.replace(ch1, alpha_source="constant", alpha_value=1.0),
+            dataclasses.replace(ch2, alpha_source="constant", alpha_value=-1.0),
+        ),
+    )
+    log = run_scenario(s)
+    for j, (order, alpha) in enumerate(((1, 1.0), (2, -1.0))):
+        _, f_est = estimator_replay(log, j, order, "simpson", alpha)
+        np.testing.assert_array_equal(log.f_est[:, j], f_est)
+    g = gains_from_poles(2, -0.15)
+    ddy = filtered_derivative(log.dy[:, 1], log.t, 0.05)
+    du = -(log.f_est[:, 1] + g.k_p * log.dy[:, 1] + g.k_d * ddy) / -1.0
+    np.testing.assert_array_equal(log.u[:, 1], log.u_nom[:, 1] + du)
 
-    ctrl = make_controller(k_p=1.0)
-    ctrl.bind_grid(grid)
-    u_before, _ = channel_step(ctrl, 1.3, grid.t(40), hist_a)
 
-    hist_b.dy[:] = 99.0  # mutate the *other* channel's history
-    ctrl2 = make_controller(k_p=1.0)
-    ctrl2.bind_grid(grid)
-    u_after, _ = channel_step(ctrl2, 1.3, grid.t(40), hist_a)
-    assert u_after == u_before
+# ------------------------------------------------------- derivative filter
+
+
+def test_derivative_estimate_first_call_returns_zero():
+    log = run_scenario(order2_run())
+    assert log.dy[0, 0] != 0.0
+    assert log.u[0, 0] == -(0.0 + 4.0 * log.dy[0, 0] + 4.0 * 0.0) / 1.0
+
+
+def test_derivative_estimate_constant_signal():
+    # started on the reference with nothing pushing it off, the deviation
+    # stays 0: no derivative term, no estimate, no correction
+    log = run_scenario(ultralocal_scenario(4.0, order=2, k_d=4.0, dy0=0.0, duration=2.0))
+    assert not log.dy.any() and not log.du.any()
+
+
+def test_derivative_estimate_linear_signal_unfiltered():
+    # tau_f = 0: the derivative term is the plain backward difference
+    log = run_scenario(with_channel(order2_run(), tau_f=0.0))
+    ddy = implied_derivative(log)
+    assert ddy[0] == pytest.approx(0.0, abs=1e-12)
+    np.testing.assert_allclose(ddy[1:], np.diff(log.dy[:, 0]) / 0.01, rtol=0.0, atol=1e-9)
+
+
+def test_derivative_estimate_filter_converges_to_slope():
+    # tau_f > 0: the backward difference passes a first-order low-pass with
+    # that time constant, which settles on the slope of the deviation
+    log = run_scenario(with_channel(order2_run(), tau_f=0.05))
+    ddy = implied_derivative(log)
+    np.testing.assert_allclose(ddy, filtered_derivative(log.dy[:, 0], log.t, 0.05), rtol=0.0, atol=1e-9)
+    steps = np.diff(log.dy[:, 0]) / 0.01
+    assert np.max(np.abs(ddy[1:] - steps)) > 1e-2  # filtered, not raw
+
+
+def test_bind_grid_defaults_filter_constant_to_five_steps():
+    log = run_scenario(order2_run())
+    assert log.channel_T == (pytest.approx(0.3),)
+    ddy = filtered_derivative(log.dy[:, 0], log.t, 5 * 0.01)
+    du = -(log.f_est[:, 0] + 4.0 * log.dy[:, 0] + 4.0 * ddy) / 1.0
+    np.testing.assert_array_equal(log.u[:, 0], log.u_nom[:, 0] + du)
+
+
+def test_state_reset_clears_history():
+    # no derivative or estimator state survives from one run into the next
+    s = order2_run()
+    first = run_scenario(s)
+    run_scenario(with_channel(s, tau_f=0.0))
+    again = run_scenario(s)
+    for name in LOG_FIELDS:
+        np.testing.assert_array_equal(getattr(first, name), getattr(again, name))
+
+
+# ------------------------------------------------------- prefix determinism
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    order=st.sampled_from((1, 2)),
+    rule=st.sampled_from(("simpson", "trapezoid")),
+    w=st.integers(4, 40),
+    seed=st.integers(0, 2**32 - 1),
+    n_short=st.integers(1, 150),
+    n_extra=st.integers(1, 150),
+)
+def test_shorter_run_is_bit_exact_prefix_of_longer_run(order, rule, w, seed, n_short, n_extra):
+    def run(n):
+        return run_scenario(
+            ultralocal_scenario(
+                4.0,
+                order=order,
+                k_d=4.0 if order == 2 else None,
+                drift=0.5,
+                duration=n * 0.01,
+                estimator_T=w * 0.01,
+                estimator_rule=rule,
+                noise_std=1e-3,
+                noise_seed=seed,
+            )
+        )
+
+    short, long = run(n_short), run(n_short + n_extra)
+    for name in LOG_FIELDS:
+        np.testing.assert_array_equal(getattr(long, name)[: n_short + 1], getattr(short, name))

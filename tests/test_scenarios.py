@@ -374,10 +374,30 @@ def test_missing_and_malformed_keys_are_configuration_errors():
         bad = {k: v for k, v in good.items() if k != key}
         with pytest.raises(ConfigurationError):
             scenario_from_dict(bad)
-    mangled = json.loads(json.dumps(good))
-    mangled["timing"]["duration"] = "hundred and fifty"
-    with pytest.raises(ConfigurationError):
-        scenario_from_dict(mangled)
+    # integers must be integral JSON numbers, flags JSON booleans
+    for path, value in [
+        (("timing", "duration"), "hundred and fifty"),
+        (("timing", "substeps"), 1.5),
+        (("timing", "substeps"), True),
+        (("channels", 0, "output"), 1.7),
+        (("channels", 0, "order"), True),
+        (("channels", 1, "pole", "multiplicity"), 2.5),
+        (("noise",), {"std": 1e-3, "seed": 0.5}),
+        (("noise",), {"std": 1e-3, "seed": False}),
+        (("noise",), {"std": 1e-3, "seed": -1}),
+        (("allow_shared_outputs",), "false"),
+    ]:
+        mangled = json.loads(json.dumps(good))
+        *parents, key = path
+        target = mangled
+        for part in parents:
+            target = target[part]
+        target[key] = value
+        with pytest.raises(ConfigurationError):
+            scenario_from_dict(mangled)
+    integral = json.loads(json.dumps(good))
+    integral["channels"][0]["output"] = 0.0
+    assert scenario_from_dict(integral) == builtin_scenario("paper-sec4")
 
 
 @pytest.mark.parametrize(
@@ -387,12 +407,24 @@ def test_missing_and_malformed_keys_are_configuration_errors():
         ("tau_f", math.nan),
         ("alpha", {"source": "constant", "value": math.nan}),
         ("saturation", [-5.0, 5.0, 9.0]),
+        ("references", [{"type": "constant", "value": math.nan}]),
+        (
+            "references",
+            [{"type": "smoothstep", "from": 1.0, "to": math.inf, "t_start": 1.0, "t_end": 2.0}],
+        ),
     ],
-    ids=["noise-std-nan", "tau_f-nan", "alpha-value-nan", "saturation-three-entries"],
+    ids=[
+        "noise-std-nan",
+        "tau_f-nan",
+        "alpha-value-nan",
+        "saturation-three-entries",
+        "constant-reference-nan",
+        "smoothstep-reference-infinity",
+    ],
 )
 def test_non_finite_numbers_and_bad_saturation_are_rejected(key, value):
     d = scenario_to_dict(ultralocal_scenario(1.0))
-    (d if key == "noise" else d["channels"][0])[key] = value
+    (d if key in ("noise", "references") else d["channels"][0])[key] = value
     with pytest.raises(ConfigurationError):
         validate_scenario(scenario_from_dict(d))
 

@@ -10,7 +10,6 @@ from heol.errors import (
     ConfigurationError,
     HorizonError,
     IntervalError,
-    TimeOrderError,
 )
 from heol.signals import (
     ReferenceTrajectory,
@@ -33,14 +32,6 @@ def test_grid_points_are_t0_plus_k_h_exactly():
     times = g.times()
     assert times.shape == (15001,)
     assert times[0] == 2.5 and times[-1] == g.t(15000)
-
-
-def test_grid_index_of_round_trips_and_rejects_off_grid():
-    g = TimeGrid(t0=0.0, h=0.01, n_steps=100)
-    for k in (0, 3, 100):
-        assert g.index_of(g.t(k)) == k
-    with pytest.raises(TimeOrderError):
-        g.index_of(0.505)  # half a step off the grid
 
 
 @pytest.mark.parametrize("bad", [dict(h=0.0), dict(h=-1.0), dict(n_steps=0)])
