@@ -55,7 +55,6 @@ from .controllers import (
     gains_from_poles,
     ip_control,
     ipd_control,
-    poles_from_gains,
 )
 from .plant import (
     MismatchSpec,

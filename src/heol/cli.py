@@ -11,7 +11,7 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import ConfigurationError, ExportError, HeolError
+from .errors import ExportError, HeolError
 from .scenarios import (
     Scenario,
     builtin_names,
@@ -77,26 +77,17 @@ def cli_main(argv: list[str] | None = None) -> int:
 
     try:
         scenario = _load(args.config)
-    except ConfigurationError as exc:
+        validate_scenario(scenario)
+    except HeolError as exc:
         print(f"heol: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
     if args.command == "validate":
-        try:
-            validate_scenario(scenario)
-        except HeolError as exc:
-            print(f"heol: invalid scenario: {exc}", file=sys.stderr)
-            return EXIT_INVALID
         print(f"{scenario.name}: ok")
         return EXIT_OK
 
     # run
     out_dir = Path(args.out if args.out is not None else os.environ.get("HEOL_OUT_DIR", "."))
-    try:
-        validate_scenario(scenario)
-    except HeolError as exc:
-        print(f"heol: invalid scenario: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     try:
         log = run_scenario(scenario)
     except HeolError as exc:

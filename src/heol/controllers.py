@@ -29,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigurationError, SingularGainError, StabilityError
 from .estimators import EstimatorConfig
 from .homeostat import HomeostatChannel
@@ -41,7 +39,6 @@ __all__ = [
     "ip_control",
     "ipd_control",
     "gains_from_poles",
-    "poles_from_gains",
     "channel_step",
 ]
 
@@ -79,27 +76,6 @@ def gains_from_poles(order: int, pole: float) -> Gains:
     if order == 2:
         return Gains(k_p=pole * pole, k_d=-2.0 * pole)
     raise ConfigurationError(f"pole placement supports orders 1 and 2, got {order}")
-
-
-def poles_from_gains(gains: Gains) -> tuple:
-    """Roots of the placed characteristic polynomial.
-
-    A discriminant within round-off of zero is reported as an exact double
-    root, so ``poles_from_gains(gains_from_poles(2, p))`` recovers ``p``
-    without square-root noise.
-    """
-    if gains.k_d is None:
-        return (-gains.k_p,)
-    disc = gains.k_d * gains.k_d - 4.0 * gains.k_p
-    tol = 64.0 * np.finfo(float).eps * max(gains.k_d * gains.k_d, abs(4.0 * gains.k_p))
-    if abs(disc) <= tol:
-        r = -0.5 * gains.k_d
-        return (r, r)
-    if disc > 0.0:
-        s = math.sqrt(disc)
-        return (0.5 * (-gains.k_d - s), 0.5 * (-gains.k_d + s))
-    s = math.sqrt(-disc)
-    return (complex(-0.5 * gains.k_d, -0.5 * s), complex(-0.5 * gains.k_d, 0.5 * s))
 
 
 def _check_alpha(alpha: float) -> None:

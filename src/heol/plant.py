@@ -58,12 +58,11 @@ class MismatchSpec:
     """Deliberate plant/controller discrepancies for robustness runs.
 
     ``output_scaling[i]`` scales output i's contribution to the initial
-    state; ``control_perturbation`` names a registered replacement for a
-    nominal-control formula (None leaves feedforward exact).
+    state.  A mis-weighted feedforward is a nominal-control tag of its own
+    (``flat-u2-miscoeff``), not a mismatch.
     """
 
     output_scaling: tuple[float, ...] = (1.0, 1.0)
-    control_perturbation: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "output_scaling", tuple(float(s) for s in self.output_scaling))

@@ -38,10 +38,12 @@ from .errors import (
     EmptyLogError,
     ExportError,
     HeolError,
+    SingularChannelError,
 )
 from .estimators import EstimatorConfig, FusedEstimator
 from .homeostat import (
     HomeostatChannel,
+    ImplicitFlatRelation,
     derive_channel,
     nominal_u1,
     nominal_u2,
@@ -91,23 +93,21 @@ class Timing:
     duration: float
     h: float
     t0: float = 0.0
-    substeps: int = 1
 
     def __post_init__(self):
         if not (math.isfinite(self.duration) and self.duration > 0.0):
             raise ConfigurationError(f"duration must be positive, got {self.duration}")
         if not (math.isfinite(self.h) and self.h > 0.0):
             raise ConfigurationError(f"sampling period must be positive, got {self.h}")
-        if self.substeps < 1:
-            raise ConfigurationError(f"substep divisor must be >= 1, got {self.substeps}")
 
     def grid(self) -> TimeGrid:
-        n = int(round(self.duration / self.h))
-        if n + 1 > MAX_GRID_POINTS:
+        steps = self.duration / self.h  # may overflow to inf for a tiny h
+        if not steps + 1 <= MAX_GRID_POINTS:
             raise ConfigurationError(
-                f"duration {self.duration} at h={self.h} gives {n + 1} grid points; "
+                f"duration {self.duration} at h={self.h} gives {steps + 1:.6g} grid points; "
                 f"at most {MAX_GRID_POINTS} are allowed"
             )
+        n = int(round(steps))
         if n < 1 or abs(n * self.h - self.duration) > 1e-9 * max(self.duration, self.h):
             raise ConfigurationError(
                 f"duration {self.duration} is not a multiple of the sampling period {self.h}"
@@ -164,7 +164,7 @@ class Scenario:
     timing: Timing
     references: tuple[dict, ...]
     channels: tuple[ChannelSpec, ...]
-    mismatch: MismatchSpec = MismatchSpec()
+    mismatch: MismatchSpec | None = None  # None: every output starts unscaled
     plant_params: dict = field(default_factory=dict)
     control_mode: str = "closed-loop"
     allow_shared_outputs: bool = False
@@ -173,6 +173,8 @@ class Scenario:
     rms_fraction: float = 0.01
 
     def __post_init__(self):
+        if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
+            raise ConfigurationError(f"scenario name {self.name!r} is not a plain file name")
         if self.control_mode not in ("closed-loop", "feedforward"):
             raise ConfigurationError(f"unknown control mode {self.control_mode!r}")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):
@@ -186,24 +188,167 @@ class Scenario:
 
 
 # --------------------------------------------------------------------------
+# scenario-file schema
+#
+# Each JSON object declares its keys once as ``(key, attribute, kind,
+# default)``, walked by both ``scenario_from_dict`` and ``scenario_to_dict``.
+# The default is the value an absent key stands for, ``None`` (left unset)
+# or ``_REQUIRED``.  A group (attribute ``None``) is a sub-object whose
+# keys are attributes of the enclosing dataclass.  ``#`` keys are comments at
+# every depth; any other unknown key is an error.
+
+_REQUIRED = object()
+
+
+def _at(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
+def _get(value, attr):
+    return value.get(attr) if isinstance(value, dict) else getattr(value, attr)
+
+
+class _Leaf:
+    """A JSON scalar checked by ``load(value, path)``."""
+
+    dump = staticmethod(lambda value: value)
+
+    def __init__(self, load):
+        self.load = load
+
+
+@_Leaf
+def _number(value, path: str) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ConfigurationError(f"{path} must be a finite number, got {value!r}")
+
+
+@_Leaf
+def _count(value, path: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigurationError(f"{path} must be an integer, got {value!r}")
+
+
+def _typed(kind: type, what: str) -> _Leaf:
+    def load(value, path: str):
+        if not isinstance(value, kind):
+            raise ConfigurationError(f"{path} must be {what}, got {value!r}")
+        return value
+
+    return _Leaf(load)
+
+
+_tag = _typed(str, "a string")
+_flag = _typed(bool, "true or false")
+
+
+class _List:
+    """A JSON array of one kind, loaded as a tuple."""
+
+    def __init__(self, item):
+        self.item = item
+
+    def load(self, value, path: str) -> tuple:
+        if not isinstance(value, list):
+            raise ConfigurationError(f"{path} must be a JSON array, got {value!r}")
+        return tuple(self.item.load(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+    def dump(self, value) -> list:
+        return [self.item.dump(v) for v in value]
+
+
+class _Object:
+    """A JSON object: its declared keys, built with ``make`` (``None`` for a group)."""
+
+    def __init__(self, make, fields):
+        self.make = make
+        self.fields = fields
+        self.keys = frozenset(key for key, *_ in fields)
+
+    def load(self, value, path: str):
+        if not isinstance(value, dict):
+            raise ConfigurationError(f"{path or 'scenario'} must be a JSON object, got {value!r}")
+        for key in value:
+            if key not in self.keys and not (isinstance(key, str) and key.startswith("#")):
+                raise ConfigurationError(f"unknown key {_at(path, key)}")
+        kwargs = {}
+        for key, attr, kind, default in self.fields:
+            if key in value:
+                loaded = kind.load(value[key], _at(path, key))
+            elif default is _REQUIRED:
+                raise ConfigurationError(f"missing key {_at(path, key)}")
+            elif default is None:
+                continue
+            else:
+                loaded = default
+            if attr is None:
+                kwargs.update(loaded)
+            else:
+                kwargs[attr] = loaded
+        return kwargs if self.make is None else self.make(**kwargs)
+
+    def dump(self, value) -> dict:
+        out = {}
+        for key, attr, kind, default in self.fields:
+            v = value if attr is None else _get(value, attr)
+            if v is not None and (v := kind.dump(v)) not in (default, {}):
+                out[key] = v
+        return out
+
+
+class _Union:
+    """One of several objects, picked by the string under ``key`` (``attr`` once loaded)."""
+
+    def __init__(self, key: str, attr: str, what: str, options: dict):
+        self.key, self.attr, self.what, self.options = key, attr, what, options
+
+    def load(self, value, path: str):
+        if not isinstance(value, dict):
+            raise ConfigurationError(f"{path} must be a JSON object, got {value!r}")
+        if self.key not in value:
+            raise ConfigurationError(f"missing key {_at(path, self.key)}")
+        tag = value[self.key]
+        if not (isinstance(tag, str) and tag in self.options):
+            raise ConfigurationError(
+                f"{_at(path, self.key)}: unknown {self.what} {tag!r}; registered: {sorted(self.options)}"
+            )
+        return self.options[tag].load(value, path)
+
+    def dump(self, value) -> dict:
+        tag = _get(value, self.attr)
+        if tag not in self.options:
+            raise ConfigurationError(f"unknown {self.what} {tag!r}")
+        return self.options[tag].dump(value)
+
+
+def _plain(*keys, kind=_number, default=_REQUIRED):
+    """Fields whose attribute is the JSON key itself."""
+    return [(key, key, kind, default) for key in keys]
+
+
+# --------------------------------------------------------------------------
 # registries
 
 
-def _build_reference(spec: dict) -> ReferenceTrajectory:
-    kind = spec.get("type")
-    if kind == "constant":
-        return make_constant(float(spec["value"]))
-    if kind == "smoothstep":
-        return make_smoothstep(
-            float(spec["from"]), float(spec["to"]), float(spec["t_start"]), float(spec["t_end"])
-        )
-    raise ConfigurationError(f"unknown reference type {kind!r}")
+def _build_reference(spec: dict, path: str) -> ReferenceTrajectory:
+    spec = _REFERENCE.load(spec, path)
+    if spec["type"] == "constant":
+        return make_constant(spec["value"])
+    return make_smoothstep(spec["from"], spec["to"], spec["t_start"], spec["t_end"])
 
 
 def _ultralocal_plant(params: dict):
-    order = int(params.get("order", 1))
-    drift = float(params.get("f", 0.0))
-    gain = float(params.get("gain", 1.0))
+    order = params.get("order", 1)
+    drift = params.get("f", 0.0)
+    gain = params.get("gain", 1.0)
     if order not in (1, 2):
         raise ConfigurationError(f"ultralocal plant order must be 1 or 2, got {order}")
     if gain == 0.0:
@@ -214,46 +359,40 @@ def _ultralocal_plant(params: dict):
         def f(t, x, u):
             return np.array([drift + gain * u[0]])
 
-        def output(x):
-            return np.array([x[0]])
-
-        def init(refs, mismatch, t0):
-            return np.array([mismatch.output_scaling[0] * refs[0].eval(t0, 0)])
-
-        model = PlantModel(1, 1, 1, f, output)
     else:
 
         def f(t, x, u):
             return np.array([x[1], drift + gain * u[0]])
 
-        def output(x):
-            return np.array([x[0]])
+    def output(x):
+        return np.array([x[0]])
 
-        def init(refs, mismatch, t0):
-            return np.array([mismatch.output_scaling[0] * refs[0].eval(t0, 0), refs[0].eval(t0, 1)])
+    def init(refs, mismatch, t0):
+        y0 = (mismatch.output_scaling[0] * refs[0].eval(t0, 0), refs[0].eval(t0, 1))
+        return np.array(y0[:order])
 
-        model = PlantModel(2, 1, 1, f, output)
-
-    from .homeostat import ImplicitFlatRelation
-
-    relation = ImplicitFlatRelation(
-        n_outputs=1,
-        orders=(order,),
-        control_index=0,
-        residual=lambda table, u: table[0, order] - gain * u,
-    )
+    model = PlantModel(order, 1, 1, f, output)
+    residual = lambda table, u: table[0, order] - gain * u
+    relation = ImplicitFlatRelation(n_outputs=1, orders=(order,), control_index=0, residual=residual)
     return model, init, (relation,)
 
 
 def _benchmark_plant(params: dict):
-    relations = benchmark_relations(analytic_partials=bool(params.get("analytic_partials", False)))
+    relations = benchmark_relations(analytic_partials=params.get("analytic_partials", False))
     return example_plant(), initial_state, relations
 
 
-#: plant name -> factory(params) -> (model, init_state(refs, mismatch, t0), relations)
-PLANTS: dict[str, Callable] = {
-    "flat-benchmark-2x2": _benchmark_plant,
-    "ultralocal": _ultralocal_plant,
+#: plant name -> (factory(params) -> (model, init_state(refs, mismatch, t0), relations),
+#: the ``params`` object, whose absent keys take the factory's defaults)
+PLANTS: dict[str, tuple[Callable, _Object]] = {
+    "flat-benchmark-2x2": (
+        _benchmark_plant,
+        _Object(dict, _plain("analytic_partials", kind=_flag, default=None)),
+    ),
+    "ultralocal": (
+        _ultralocal_plant,
+        _Object(dict, _plain("order", kind=_count, default=None) + _plain("f", "gain", default=None)),
+    ),
 }
 
 #: feedforward formula tags
@@ -262,11 +401,6 @@ NOMINAL_CONTROLS: dict[str, Callable] = {
     "flat-u1": lambda refs: (lambda t: nominal_u1(refs[0], t)),
     "flat-u2": lambda refs: (lambda t: nominal_u2(refs[0], refs[1], t)),
     "flat-u2-miscoeff": lambda refs: (lambda t: nominal_u2(refs[0], refs[1], t, 1.1, 0.9)),
-}
-
-#: mismatch tag -> nominal-tag replacements it induces
-CONTROL_PERTURBATIONS: dict[str, dict[str, str]] = {
-    "u2-coeff-1.1-0.9": {"flat-u2": "flat-u2-miscoeff"},
 }
 
 
@@ -281,8 +415,6 @@ def _alpha_ref0_rate_ratio(refs):
     def alpha(t):
         y = ref.eval(t, 0)
         if abs(y) <= 1e-9:
-            from .errors import SingularChannelError
-
             raise SingularChannelError(f"alpha formula divides by y1*={y!r} at t={t:.6g}")
         return ref.eval(t, 1) / y - 1.0
 
@@ -311,10 +443,10 @@ class _Built:
 
 def _build(scenario: Scenario) -> _Built:
     if scenario.plant not in PLANTS:
-        raise ConfigurationError(
-            f"unknown plant {scenario.plant!r}; registered: {sorted(PLANTS)}"
-        )
-    model, init_fn, relations = PLANTS[scenario.plant](scenario.plant_params)
+        raise ConfigurationError(f"unknown plant {scenario.plant!r}; registered: {sorted(PLANTS)}")
+    factory, params = PLANTS[scenario.plant]
+    model, init_fn, relations = factory(params.load(scenario.plant_params, "plant.params"))
+    mismatch = scenario.mismatch or MismatchSpec(output_scaling=(1.0,) * model.n_outputs)
 
     if len(scenario.references) != model.n_outputs:
         raise ConfigurationError(
@@ -324,14 +456,14 @@ def _build(scenario: Scenario) -> _Built:
         raise ConfigurationError(
             f"plant has {model.n_controls} controls but {len(scenario.channels)} channels given"
         )
-    if len(scenario.mismatch.output_scaling) != model.n_outputs:
+    if len(mismatch.output_scaling) != model.n_outputs:
         raise ConfigurationError(
-            f"mismatch carries {len(scenario.mismatch.output_scaling)} scaling factors "
+            f"mismatch carries {len(mismatch.output_scaling)} scaling factors "
             f"for {model.n_outputs} outputs"
         )
 
     grid = scenario.timing.grid()
-    refs = tuple(_build_reference(spec) for spec in scenario.references)
+    refs = tuple(_build_reference(spec, f"references[{i}]") for i, spec in enumerate(scenario.references))
     horizon = (grid.t0, grid.t(grid.n_steps))
 
     seen_outputs: set[int] = set()
@@ -348,23 +480,13 @@ def _build(scenario: Scenario) -> _Built:
             )
         seen_outputs.add(spec.output)
 
-    perturb = {}
-    if scenario.mismatch.control_perturbation is not None:
-        tag = scenario.mismatch.control_perturbation
-        if tag not in CONTROL_PERTURBATIONS:
-            raise ConfigurationError(
-                f"unknown control perturbation {tag!r}; registered: {sorted(CONTROL_PERTURBATIONS)}"
-            )
-        perturb = CONTROL_PERTURBATIONS[tag]
-
     controllers = []
     for j, spec in enumerate(scenario.channels):
-        nominal_tag = perturb.get(spec.nominal, spec.nominal)
-        if nominal_tag not in NOMINAL_CONTROLS:
+        if spec.nominal not in NOMINAL_CONTROLS:
             raise ConfigurationError(
-                f"unknown nominal control {nominal_tag!r}; registered: {sorted(NOMINAL_CONTROLS)}"
+                f"unknown nominal control {spec.nominal!r}; registered: {sorted(NOMINAL_CONTROLS)}"
             )
-        nominal = NOMINAL_CONTROLS[nominal_tag](refs)
+        nominal = NOMINAL_CONTROLS[spec.nominal](refs)
 
         if spec.alpha_source == "derived":
             if relations is None or j >= len(relations):
@@ -387,16 +509,14 @@ def _build(scenario: Scenario) -> _Built:
                     )
                 alpha = ALPHA_FORMULAS[spec.alpha_tag](refs)
             else:
-                value = float(spec.alpha_value)
-                alpha = lambda t, _v=value: _v
-            channel = HomeostatChannel(output_index=spec.output, order=int(spec.order), alpha=alpha)
+                alpha = lambda t, _v=spec.alpha_value: _v
+            channel = HomeostatChannel(output_index=spec.output, order=spec.order, alpha=alpha)
 
         if spec.k_p is not None:
             gains = Gains(k_p=spec.k_p, k_d=spec.k_d)
-        elif spec.pole_multiplicity == 2 or channel.order == 2:
-            gains = gains_from_poles(2, spec.pole)
         else:
-            gains = gains_from_poles(1, spec.pole)
+            double = spec.pole_multiplicity == 2 or channel.order == 2
+            gains = gains_from_poles(2 if double else 1, spec.pole)
 
         estimator = EstimatorConfig(T=spec.estimator_T, rule=spec.estimator_rule)
         estimator.validate_against(grid.h)
@@ -413,8 +533,7 @@ def _build(scenario: Scenario) -> _Built:
             )
         )
 
-    x0 = init_fn(refs, scenario.mismatch, grid.t0)
-    x0 = np.asarray(x0, dtype=float)
+    x0 = np.asarray(init_fn(refs, mismatch, grid.t0), dtype=float)
     if x0.shape != (model.n_states,):
         raise ConfigurationError(
             f"initial state has shape {x0.shape}, plant needs ({model.n_states},)"
@@ -516,7 +635,6 @@ def run_scenario(scenario: Scenario) -> SimLog:
     adus = np.zeros((m, n_pts))
     ddys = [0.0] * m
 
-    h_sub = grid.h / scenario.timing.substeps
     x = built.x0.copy()
 
     for k in range(n_pts):
@@ -550,8 +668,7 @@ def run_scenario(scenario: Scenario) -> SimLog:
             log_fest[k, j] = f_est
 
         if k < grid.n_steps:
-            for s in range(scenario.timing.substeps):
-                x = rk4_step(model, t + s * h_sub, x, log_u[k], h_sub)
+            x = rk4_step(model, t, x, log_u[k], grid.h)
             if np.max(np.abs(x)) > TRUST_REGION:
                 raise DivergenceError(
                     f"state left the trust region (|x| > {TRUST_REGION:g}) by t={grid.t(k + 1):.6g}"
@@ -667,16 +784,8 @@ def export_metrics(metrics: Metrics, destination) -> Path:
         f"tail_records = {metrics.tail_records}",
         f"rms_fraction = {_fmt(metrics.rms_fraction)}",
     ]
-    for i, v in enumerate(metrics.rms_tail_dy):
-        lines.append(f"rms_tail_dy{i + 1} = {_fmt(v)}")
-    for i, v in enumerate(metrics.max_abs_dy):
-        lines.append(f"max_abs_dy{i + 1} = {_fmt(v)}")
-    for j, v in enumerate(metrics.max_abs_du):
-        lines.append(f"max_abs_du{j + 1} = {_fmt(v)}")
-    for i, v in enumerate(metrics.ref_range):
-        lines.append(f"ref_range{i + 1} = {_fmt(v)}")
-    for j, v in enumerate(metrics.warmup_T):
-        lines.append(f"warmup_T{j + 1} = {_fmt(v)}")
+    for key in ("rms_tail_dy", "max_abs_dy", "max_abs_du", "ref_range", "warmup_T"):
+        lines += [f"{key}{i + 1} = {_fmt(v)}" for i, v in enumerate(getattr(metrics, key))]
     try:
         path.write_text("\n".join(lines) + "\n")
     except OSError as exc:
@@ -688,142 +797,69 @@ def export_metrics(metrics: Metrics, destination) -> Path:
 # (de)serialisation
 
 
-def _strip_comments(obj):
-    if isinstance(obj, dict):
-        return {k: _strip_comments(v) for k, v in obj.items() if not str(k).startswith("#")}
-    if isinstance(obj, list):
-        return [_strip_comments(v) for v in obj]
-    return obj
+_REFERENCE = _Union("type", "type", "reference type", {
+    "constant": _Object(dict, _plain("type", kind=_tag) + _plain("value")),
+    "smoothstep": _Object(dict, _plain("type", kind=_tag) + _plain("from", "to", "t_start", "t_end")),
+})
 
+_PLANT = _Union("name", "plant", "plant", {
+    name: _Object(None, [
+        ("name", "plant", _tag, _REQUIRED),
+        ("params", "plant_params", params, None),
+    ])
+    for name, (_, params) in PLANTS.items()
+})
 
-def _object(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigurationError(f"{what} must be a JSON object, got {value!r}")
-    return value
+_CHANNEL = _Object(ChannelSpec, [
+    ("output", "output", _count, _REQUIRED),
+    ("order", "order", _count, None),
+    ("alpha", None, _Object(None, [
+        ("source", "alpha_source", _tag, "derived"),
+        ("tag", "alpha_tag", _tag, None),
+        ("value", "alpha_value", _number, None),
+    ]), None),
+    ("estimator", None, _Object(None, [
+        ("T", "estimator_T", _number, 0.3),
+        ("rule", "estimator_rule", _tag, "simpson"),
+    ]), None),
+    ("gains", None, _Object(None, [
+        ("kp", "k_p", _number, _REQUIRED),
+        ("kd", "k_d", _number, None),
+    ]), None),
+    ("pole", None, _Object(None, [
+        ("value", "pole", _number, _REQUIRED),
+        ("multiplicity", "pole_multiplicity", _count, 1),
+    ]), None),
+    ("nominal", "nominal", _tag, "zero"),
+    ("saturation", "saturation", _List(_number), None),
+    ("tau_f", "tau_f", _number, None),
+])
 
-
-def _integer(value, what: str) -> int:
-    """``value`` as an int; booleans and non-integral numbers are rejected."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _channel_from_dict(d: dict) -> ChannelSpec:
-    d = _object(d, "channel entry")
-    alpha = _object(d.get("alpha", {"source": "derived"}), "channel alpha")
-    gains = None if d.get("gains") is None else _object(d["gains"], "channel gains")
-    pole = None if d.get("pole") is None else _object(d["pole"], "channel pole")
-    est = _object(d.get("estimator", {}), "channel estimator")
-    sat = d.get("saturation")
-    return ChannelSpec(
-        output=_integer(d["output"], "channel output"),
-        order=None if d.get("order") is None else _integer(d["order"], "channel order"),
-        alpha_source=alpha.get("source", "derived"),
-        alpha_tag=alpha.get("tag"),
-        alpha_value=None if alpha.get("value") is None else float(alpha["value"]),
-        estimator_T=float(est.get("T", 0.3)),
-        estimator_rule=est.get("rule", "simpson"),
-        k_p=None if gains is None else float(gains["kp"]),
-        k_d=None if gains is None or gains.get("kd") is None else float(gains["kd"]),
-        pole=None if pole is None else float(pole["value"]),
-        pole_multiplicity=1 if pole is None else _integer(pole.get("multiplicity", 1), "pole multiplicity"),
-        nominal=d.get("nominal", "zero"),
-        saturation=None if sat is None else tuple(float(v) for v in sat),
-        tau_f=None if d.get("tau_f") is None else float(d["tau_f"]),
-    )
-
-
-def _channel_to_dict(c: ChannelSpec) -> dict:
-    d: dict = {"output": c.output}
-    if c.order is not None:
-        d["order"] = c.order
-    alpha: dict = {"source": c.alpha_source}
-    if c.alpha_tag is not None:
-        alpha["tag"] = c.alpha_tag
-    if c.alpha_value is not None:
-        alpha["value"] = c.alpha_value
-    d["alpha"] = alpha
-    d["estimator"] = {"T": c.estimator_T, "rule": c.estimator_rule}
-    if c.k_p is not None:
-        d["gains"] = {"kp": c.k_p, **({"kd": c.k_d} if c.k_d is not None else {})}
-    else:
-        d["pole"] = {"value": c.pole, "multiplicity": c.pole_multiplicity}
-    d["nominal"] = c.nominal
-    if c.saturation is not None:
-        d["saturation"] = list(c.saturation)
-    if c.tau_f is not None:
-        d["tau_f"] = c.tau_f
-    return d
+_SCENARIO = _Object(Scenario, [
+    ("name", "name", _tag, _REQUIRED),
+    ("plant", None, _PLANT, _REQUIRED),
+    ("timing", "timing", _Object(Timing, _plain("t0", default=0.0) + _plain("duration", "h")), _REQUIRED),
+    ("references", "references", _List(_REFERENCE), _REQUIRED),
+    ("channels", "channels", _List(_CHANNEL), _REQUIRED),
+    ("mismatch", "mismatch", _Object(MismatchSpec, _plain("output_scaling", kind=_List(_number))), None),
+    ("control_mode", "control_mode", _tag, "closed-loop"),
+    ("allow_shared_outputs", "allow_shared_outputs", _flag, False),
+    ("noise", None, _Object(None, [
+        ("std", "noise_std", _number, 0.0),
+        ("seed", "noise_seed", _count, 0),
+    ]), None),
+    ("metrics", None, _Object(None, [("rms_fraction", "rms_fraction", _number, 0.01)]), None),
+])
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    d = _strip_comments(data)
-    try:
-        timing_d = _object(d.get("timing", {}), "timing")
-        mism_d = _object(d.get("mismatch", {}), "mismatch")
-        noise_d = _object(d.get("noise") or {}, "noise")
-        refs = tuple(dict(r) for r in d["references"])
-        plant_d = _object(d["plant"], "plant")
-        shared = d.get("allow_shared_outputs", False)
-        if not isinstance(shared, bool):
-            raise ConfigurationError(f"allow_shared_outputs must be true or false, got {shared!r}")
-        return Scenario(
-            name=str(d["name"]),
-            plant=str(plant_d["name"]),
-            plant_params=dict(plant_d.get("params", {})),
-            timing=Timing(
-                duration=float(timing_d["duration"]),
-                h=float(timing_d["h"]),
-                t0=float(timing_d.get("t0", 0.0)),
-                substeps=_integer(timing_d.get("substeps", 1), "timing substeps"),
-            ),
-            references=refs,
-            channels=tuple(_channel_from_dict(c) for c in d["channels"]),
-            mismatch=MismatchSpec(
-                output_scaling=tuple(
-                    float(s) for s in mism_d.get("output_scaling", [1.0] * len(refs))
-                ),
-                control_perturbation=mism_d.get("control_perturbation"),
-            ),
-            control_mode=d.get("control_mode", "closed-loop"),
-            allow_shared_outputs=shared,
-            noise_std=float(noise_d.get("std", 0.0)),
-            noise_seed=_integer(noise_d.get("seed", 0), "noise seed"),
-            rms_fraction=float(_object(d.get("metrics", {}), "metrics").get("rms_fraction", 0.01)),
-        )
-    except KeyError as exc:
-        raise ConfigurationError(f"scenario config missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"malformed scenario config: {exc}") from None
+    """Scenario of a parsed JSON document; any deviation from the schema raises ConfigurationError."""
+    return _SCENARIO.load(data, "")
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    d: dict = {
-        "name": s.name,
-        "plant": {"name": s.plant, **({"params": s.plant_params} if s.plant_params else {})},
-        "timing": {
-            "t0": s.timing.t0,
-            "duration": s.timing.duration,
-            "h": s.timing.h,
-            "substeps": s.timing.substeps,
-        },
-        "references": [dict(r) for r in s.references],
-        "channels": [_channel_to_dict(c) for c in s.channels],
-        "mismatch": {
-            "output_scaling": list(s.mismatch.output_scaling),
-            "control_perturbation": s.mismatch.control_perturbation,
-        },
-        "control_mode": s.control_mode,
-        "metrics": {"rms_fraction": s.rms_fraction},
-    }
-    if s.allow_shared_outputs:
-        d["allow_shared_outputs"] = True
-    if s.noise_std > 0.0:
-        d["noise"] = {"std": s.noise_std, "seed": s.noise_seed}
-    return d
+    """JSON document of ``s``, leaving out keys at their default."""
+    return _SCENARIO.dump(s)
 
 
 def load_scenario(path) -> Scenario:
@@ -833,7 +869,7 @@ def load_scenario(path) -> Scenario:
         data = json.loads(p.read_text())
     except OSError as exc:
         raise ConfigurationError(f"cannot read scenario file {p}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # undecodable, malformed or too deep
         raise ConfigurationError(f"scenario file {p} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigurationError(f"scenario file {p} must hold a JSON object")
@@ -844,16 +880,14 @@ def load_scenario(path) -> Scenario:
 # built-in scenarios
 
 
-def _sec4_channels() -> tuple[ChannelSpec, ChannelSpec]:
+def _sec4_channels(nominal_u2: str) -> tuple[ChannelSpec, ChannelSpec]:
     return (
         ChannelSpec(
             output=0,
             order=1,
             alpha_source="formula",
             alpha_tag="ref0-squared",
-            estimator_T=0.3,
             pole=-1.0,
-            pole_multiplicity=1,
             nominal="flat-u1",
         ),
         ChannelSpec(
@@ -861,10 +895,9 @@ def _sec4_channels() -> tuple[ChannelSpec, ChannelSpec]:
             order=2,
             alpha_source="formula",
             alpha_tag="ref0-rate-ratio-minus-1",
-            estimator_T=0.3,
             pole=-0.15,
             pole_multiplicity=2,
-            nominal="flat-u2",
+            nominal=nominal_u2,
         ),
     )
 
@@ -882,10 +915,8 @@ def builtin_scenario(name: str) -> Scenario:
                 {"type": "smoothstep", "from": 1.0, "to": 2.0, "t_start": 10.0, "t_end": 40.0},
                 {"type": "smoothstep", "from": 1.0, "to": 2.0, "t_start": 50.0, "t_end": 80.0},
             ),
-            channels=_sec4_channels(),
-            mismatch=MismatchSpec(
-                output_scaling=(1.1, 1.0), control_perturbation="u2-coeff-1.1-0.9"
-            ),
+            channels=_sec4_channels("flat-u2-miscoeff"),
+            mismatch=MismatchSpec(output_scaling=(1.1, 1.0)),
         )
     if name == "paper-sec4-nominal":
         # Pure-feedforward companion with zero mismatch.  References are held
@@ -901,8 +932,7 @@ def builtin_scenario(name: str) -> Scenario:
                 {"type": "constant", "value": 1.0},
                 {"type": "constant", "value": 1.0},
             ),
-            channels=_sec4_channels(),
-            mismatch=MismatchSpec(output_scaling=(1.0, 1.0), control_perturbation=None),
+            channels=_sec4_channels("flat-u2"),
             control_mode="feedforward",
         )
     raise ConfigurationError(f"unknown built-in scenario {name!r}; available: {builtin_names()}")

@@ -213,7 +213,10 @@ def make_smoothstep(
     duration = t_end - t_start
     amp = y_to - y_from
     # rescale s(tau) coefficients to the local variable (t - t_start)
-    coeffs = [amp * c / duration**k for k, c in enumerate(_SMOOTHSTEP7)]
+    try:
+        coeffs = [amp * c / duration**k for k, c in enumerate(_SMOOTHSTEP7)]
+    except (OverflowError, ZeroDivisionError):  # duration**7 leaves the float range
+        raise IntervalError(f"smoothstep span {duration!r} is out of range") from None
     coeffs[0] = y_from
     return ReferenceTrajectory(
         (

@@ -2,8 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from heol import ChannelSpec, MismatchSpec, Scenario, Timing
+
+# Property tests draw the same examples on every run, so the suite is repeatable.
+settings.register_profile("repeatable", derandomize=True, database=None)
+settings.load_profile("repeatable")
 
 
 def ultralocal_scenario(

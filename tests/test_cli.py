@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import heol
 from heol.cli import cli_main
@@ -107,18 +109,81 @@ def test_non_object_channel_entries_exit_3(tmp_path, capsys):
         bad["channels"][0][key] = 1
         path.write_text(json.dumps(bad))
         assert cli_main(["validate", "--config", str(path)]) == 3
-        assert f"channel {key} must be a JSON object" in capsys.readouterr().err
+        assert f"channels[0].{key} must be a JSON object" in capsys.readouterr().err
 
 
 def test_oversized_grid_exits_3_before_allocating(tmp_path):
-    bad = scenario_to_dict(ultralocal_scenario(1.0))
-    bad["timing"]["duration"] = 1e15
     path = tmp_path / "huge.json"
+    for key, value in (("duration", 1e15), ("h", 5e-324)):  # duration/h overflows to inf
+        bad = scenario_to_dict(ultralocal_scenario(1.0))
+        bad["timing"][key] = value
+        path.write_text(json.dumps(bad))
+        for command in (["validate"], ["run", "--out", str(tmp_path)]):
+            proc = heol_cli(*command, "--config", str(path))
+            assert proc.returncode == 3
+            assert "grid points" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_reference_without_value_exits_3(tmp_path):
+    bad = scenario_to_dict(ultralocal_scenario(1.0))
+    del bad["references"][0]["value"]
+    path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
-    for command in (["validate"], ["run", "--out", str(tmp_path)]):
-        proc = heol_cli(*command, "--config", str(path))
-        assert proc.returncode == 3
-        assert "grid points" in proc.stderr and "Traceback" not in proc.stderr
+    proc = heol_cli("validate", "--config", str(path))
+    assert proc.returncode == 3
+    assert "missing key references[0].value" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_name_outside_out_dir_exits_3(tmp_path, capsys):
+    bad = scenario_to_dict(ultralocal_scenario(1.0, duration=1.0))
+    path = tmp_path / "escape.json"
+    out = tmp_path / "out"
+    for name in ("../escape", "sub/run", "sub\\run", "", ".", ".."):
+        path.write_text(json.dumps(dict(bad, name=name)))
+        assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 3
+        assert "not a plain file name" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["escape.json"]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _locations(node, where=()):
+    """Path of every value below ``node``, as key/index tuples."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield where + (key,)
+        yield from _locations(value, where + (key,))
+
+
+def _lookup(node, where):
+    for key in where:
+        node = node[key]
+    return node
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_sec4_config_validates_or_exits_3(tmp_path_factory, data):
+    config = json.loads((Path(__file__).parents[1] / "demos" / "paper_sec4.json").read_text())
+    op = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+    if op == "insert":
+        objects = [()] + [w for w in _locations(config) if isinstance(_lookup(config, w), dict)]
+        target = _lookup(config, data.draw(st.sampled_from(objects)))
+        target[data.draw(st.text(max_size=8))] = data.draw(JSON_VALUES)
+    else:
+        *parent, key = data.draw(st.sampled_from(list(_locations(config))))
+        if op == "replace":
+            _lookup(config, parent)[key] = data.draw(JSON_VALUES)
+        else:
+            del _lookup(config, parent)[key]
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(config))
+    assert cli_main(["validate", "--config", str(path)]) in (0, 3)
 
 
 def test_unreadable_configs_exit_3(tmp_path, capsys):
@@ -139,7 +204,8 @@ def test_runtime_singularity_exits_4(tmp_path, capsys):
             {"type": "smoothstep", "from": 1.0, "to": -1.0, "t_start": 1.0, "t_end": 3.0},
             {"type": "constant", "value": 1.0},
         ),
-        mismatch=MismatchSpec(output_scaling=(1.0, 1.0), control_perturbation=None),
+        channels=(base.channels[0], dataclasses.replace(base.channels[1], nominal="flat-u2")),
+        mismatch=MismatchSpec(output_scaling=(1.0, 1.0)),
     )
     path = write_config(tmp_path, crossing)
     assert cli_main(["run", "--config", str(path), "--out", str(tmp_path)]) == 4

@@ -20,7 +20,6 @@ from heol.controllers import (
     gains_from_poles,
     ip_control,
     ipd_control,
-    poles_from_gains,
 )
 from heol.errors import ConfigurationError, SingularGainError, StabilityError
 from heol.estimators import EstimatorConfig, FusedEstimator
@@ -131,17 +130,9 @@ def test_pole_placement_rejects_unstable_and_odd_orders():
 def test_poles_round_trip_through_gains(rng):
     for _ in range(50):
         p = -float(rng.uniform(0.01, 10.0))
-        assert poles_from_gains(gains_from_poles(1, p)) == (-gains_from_poles(1, p).k_p,)
-        assert abs(poles_from_gains(gains_from_poles(1, p))[0] - p) <= 1e-12 * abs(p)
-        r = poles_from_gains(gains_from_poles(2, p))
-        assert r == (p, p)  # the double root is recovered without sqrt noise
-
-
-def test_poles_from_gains_distinct_and_complex():
-    assert poles_from_gains(Gains(k_p=2.0, k_d=3.0)) == (-2.0, -1.0)
-    r1, r2 = poles_from_gains(Gains(k_p=1.0, k_d=1.0))
-    assert r1.real == pytest.approx(-0.5) and r1.imag == pytest.approx(-np.sqrt(3) / 2)
-    assert r2 == r1.conjugate()
+        g1, g2 = gains_from_poles(1, p), gains_from_poles(2, p)
+        assert (g1.k_p, g1.k_d) == (-p, None)
+        assert (g2.k_p, g2.k_d) == (p * p, -2.0 * p)
 
 
 # --------------------------------------------------------------- iP and iPD

@@ -54,7 +54,6 @@ def test_plant_model_rejects_zero_dimensions():
 def test_mismatch_defaults_and_validation():
     m = MismatchSpec()
     assert m.output_scaling == (1.0, 1.0)
-    assert m.control_perturbation is None
     with pytest.raises(ConfigurationError):
         MismatchSpec(output_scaling=(1.0, 0.0))
     with pytest.raises(ConfigurationError):

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heol.errors import (
     ConfigurationError,
@@ -73,8 +75,6 @@ def test_timing_grid_requires_integer_step_count():
         Timing(duration=1.0, h=0.3).grid()
     with pytest.raises(ConfigurationError):
         Timing(duration=-1.0, h=0.01)
-    with pytest.raises(ConfigurationError):
-        Timing(duration=1.0, h=0.01, substeps=0)
 
 
 def test_channel_spec_requires_exactly_one_gain_source():
@@ -145,12 +145,6 @@ def test_validate_scenario_checks_registry_tags():
     with pytest.raises(ConfigurationError):
         validate_scenario(bad_nominal)
 
-    bad_perturb = dataclasses.replace(
-        base, mismatch=MismatchSpec(output_scaling=(1.1, 1.0), control_perturbation="nope")
-    )
-    with pytest.raises(ConfigurationError):
-        validate_scenario(bad_perturb)
-
 
 def test_shared_outputs_need_explicit_opt_in():
     base = builtin_scenario("paper-sec4")
@@ -218,23 +212,13 @@ def test_noise_is_seeded_and_reproducible():
     np.testing.assert_array_equal(run_scenario(half).y, a.y[:101])
 
 
-def test_substep_refinement_changes_little_on_smooth_dynamics():
-    coarse = run_scenario(ultralocal_scenario(1.0, duration=2.0, drift=1.0))
-    fine = run_scenario(
-        dataclasses.replace(
-            ultralocal_scenario(1.0, duration=2.0, drift=1.0),
-            timing=Timing(duration=2.0, h=0.01, substeps=4),
-        )
-    )
-    assert np.max(np.abs(coarse.y - fine.y)) < 1e-8
-
-
 def test_zero_mismatch_benchmark_tracks_to_integration_error():
     base = builtin_scenario("paper-sec4")
     clean = dataclasses.replace(
         base,
         name="paper-sec4-clean",
-        mismatch=MismatchSpec(output_scaling=(1.0, 1.0), control_perturbation=None),
+        channels=(base.channels[0], dataclasses.replace(base.channels[1], nominal="flat-u2")),
+        mismatch=MismatchSpec(output_scaling=(1.0, 1.0)),
     )
     log = run_scenario(clean)
     assert np.max(np.abs(log.dy)) <= 1e-4
@@ -250,7 +234,8 @@ def test_reference_crossing_zero_names_channel_and_time():
             {"type": "smoothstep", "from": 1.0, "to": -1.0, "t_start": 1.0, "t_end": 3.0},
             {"type": "constant", "value": 1.0},
         ),
-        mismatch=MismatchSpec(output_scaling=(1.0, 1.0), control_perturbation=None),
+        channels=(base.channels[0], dataclasses.replace(base.channels[1], nominal="flat-u2")),
+        mismatch=MismatchSpec(output_scaling=(1.0, 1.0)),
     )
     with pytest.raises(FlatnessSingularityError) as err:
         run_scenario(crossing)
@@ -368,17 +353,118 @@ def test_comment_keys_are_ignored():
     assert scenario_from_dict(d) == builtin_scenario("paper-sec4")
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
+TAGS = st.text(max_size=12)
+
+
+def _or_default(default, values):
+    return st.just(default) | values
+
+
+@st.composite
+def channel_specs(draw, output):
+    source = draw(st.sampled_from(["derived", "formula", "constant"]))
+    pole = draw(st.none() | st.floats(min_value=-10.0, max_value=-0.01))
+    return ChannelSpec(
+        output=output,
+        order=draw((st.none() if source == "derived" else st.nothing()) | st.sampled_from([1, 2])),
+        alpha_source=source,
+        alpha_tag=draw((st.none() if source != "formula" else st.nothing()) | TAGS),
+        alpha_value=draw((st.none() if source != "constant" else st.nothing()) | FINITE),
+        estimator_T=draw(_or_default(0.3, POSITIVE)),
+        estimator_rule=draw(_or_default("simpson", TAGS)),
+        k_p=None if pole is not None else draw(POSITIVE),
+        k_d=None if pole is not None else draw(st.none() | POSITIVE),
+        pole=pole,
+        pole_multiplicity=1 if pole is None else draw(st.sampled_from([1, 2])),
+        nominal=draw(_or_default("zero", TAGS)),
+        saturation=draw(st.none() | st.tuples(FINITE, FINITE)),
+        tau_f=draw(st.none() | POSITIVE),
+    )
+
+
+REFERENCES = st.fixed_dictionaries({"type": st.just("constant"), "value": FINITE}) | st.fixed_dictionaries(
+    {"type": st.just("smoothstep"), "from": FINITE, "to": FINITE, "t_start": FINITE, "t_end": FINITE}
+)
+PLANT_PARAMS = {
+    "flat-benchmark-2x2": st.fixed_dictionaries({}, optional={"analytic_partials": st.booleans()}),
+    "ultralocal": st.fixed_dictionaries(
+        {}, optional={"order": st.sampled_from([1, 2]), "f": FINITE, "gain": FINITE}
+    ),
+}
+
+
+NAMES = st.text(max_size=12).map(lambda s: "".join(c for c in s if c not in "/\\\0")).filter(
+    lambda s: s not in ("", ".", "..")
+)
+
+
+@st.composite
+def scenarios(draw):
+    plant = draw(st.sampled_from(sorted(PLANT_PARAMS)))
+    n = 2 if plant == "flat-benchmark-2x2" else 1
+    return Scenario(
+        name=draw(NAMES),
+        plant=plant,
+        plant_params=draw(PLANT_PARAMS[plant]),
+        timing=Timing(duration=draw(POSITIVE), h=draw(POSITIVE), t0=draw(_or_default(0.0, FINITE))),
+        references=tuple(draw(st.lists(REFERENCES, min_size=n, max_size=n))),
+        channels=tuple(draw(channel_specs(i)) for i in range(n)),
+        mismatch=draw(st.none() | st.builds(MismatchSpec, st.tuples(*[POSITIVE] * n))),
+        control_mode=draw(st.sampled_from(["closed-loop", "feedforward"])),
+        allow_shared_outputs=draw(st.booleans()),
+        noise_std=draw(_or_default(0.0, POSITIVE)),
+        noise_seed=draw(_or_default(0, st.integers(min_value=0, max_value=2**64))),
+        rms_fraction=draw(_or_default(0.01, st.floats(min_value=1e-6, max_value=1.0))),
+    )
+
+
+def _sprinkle(node, rnd):
+    """Add ``#`` comment keys and explicit defaults at random depths."""
+    if isinstance(node, list):
+        for item in node:
+            _sprinkle(item, rnd)
+    elif isinstance(node, dict):
+        for value in list(node.values()):
+            _sprinkle(value, rnd)
+        if rnd.random() < 0.5:
+            node[f"# {rnd.randrange(10)}"] = rnd.choice([None, "note", [1, {"unknown": 2}]])
+        if "timing" in node and rnd.random() < 0.5:
+            node.setdefault("control_mode", "closed-loop")
+            node.setdefault("metrics", {"rms_fraction": 0.01})
+            node["timing"].setdefault("t0", 0.0)
+        if "output" in node and rnd.random() < 0.5:
+            node.setdefault("estimator", {}).setdefault("T", 0.3)
+            node.setdefault("nominal", "zero")
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenarios(), st.randoms(use_true_random=False))
+def test_scenario_round_trips_through_json(s, rnd):
+    d = json.loads(json.dumps(scenario_to_dict(s)))
+    _sprinkle(d, rnd)
+    assert scenario_from_dict(d) == s
+
+
 def test_missing_and_malformed_keys_are_configuration_errors():
     good = scenario_to_dict(builtin_scenario("paper-sec4"))
     for key in ("name", "plant", "timing", "references", "channels"):
         bad = {k: v for k, v in good.items() if k != key}
         with pytest.raises(ConfigurationError):
             scenario_from_dict(bad)
-    # integers must be integral JSON numbers, flags JSON booleans
+    # integers must be integral JSON numbers, flags JSON booleans, tags
+    # strings; unknown keys and names leaving the output directory fail too
     for path, value in [
         (("timing", "duration"), "hundred and fifty"),
-        (("timing", "substeps"), 1.5),
-        (("timing", "substeps"), True),
+        (("timing", "t0"), True),
+        (("timing", "dt"), 0.01),
+        (("timing", "substeps"), 1),
+        (("mismatch", "control_perturbation"), "u2-coeff-1.1-0.9"),
+        (("channels", 0, "estimator"), {"T": "0.3"}),
+        (("plant",), {"name": "flat-benchmark-2x2", "params": {"analytic_partials": "yes"}}),
+        (("name",), {"first": "paper"}),
+        (("name",), "../escape"),
         (("channels", 0, "output"), 1.7),
         (("channels", 0, "order"), True),
         (("channels", 1, "pole", "multiplicity"), 2.5),
@@ -412,6 +498,10 @@ def test_missing_and_malformed_keys_are_configuration_errors():
             "references",
             [{"type": "smoothstep", "from": 1.0, "to": math.inf, "t_start": 1.0, "t_end": 2.0}],
         ),
+        ("references", [{"type": "constant"}]),
+        ("references", [{"type": "constant", "value": "abc"}]),
+        ("plant", {"name": "ultralocal", "params": {"order": "x"}}),
+        ("nominal", ["flat-u1"]),
     ],
     ids=[
         "noise-std-nan",
@@ -420,11 +510,15 @@ def test_missing_and_malformed_keys_are_configuration_errors():
         "saturation-three-entries",
         "constant-reference-nan",
         "smoothstep-reference-infinity",
+        "reference-without-value",
+        "reference-value-string",
+        "ultralocal-order-string",
+        "nominal-list",
     ],
 )
 def test_non_finite_numbers_and_bad_saturation_are_rejected(key, value):
     d = scenario_to_dict(ultralocal_scenario(1.0))
-    (d if key in ("noise", "references") else d["channels"][0])[key] = value
+    (d if key in ("noise", "references", "plant") else d["channels"][0])[key] = value
     with pytest.raises(ConfigurationError):
         validate_scenario(scenario_from_dict(d))
 

@@ -128,6 +128,9 @@ def test_smoothstep_rejects_empty_interval():
         make_smoothstep(0.0, 1.0, 5.0, 5.0)
     with pytest.raises(IntervalError):
         make_smoothstep(0.0, 1.0, 5.0, 4.0)
+    for t_start, t_end in ((-1e308, 1.0), (0.0, 1e-50)):  # duration**7 over- and underflows
+        with pytest.raises(IntervalError):
+            make_smoothstep(0.0, 1.0, t_start, t_end)
 
 
 # ---------------------------------------------------------------- windows
