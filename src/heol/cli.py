@@ -77,7 +77,7 @@ def cli_main(argv: list[str] | None = None) -> int:
 
     try:
         scenario = _load(args.config)
-        validate_scenario(scenario)
+        built = validate_scenario(scenario)
     except HeolError as exc:
         print(f"heol: invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -89,7 +89,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     # run
     out_dir = Path(args.out if args.out is not None else os.environ.get("HEOL_OUT_DIR", "."))
     try:
-        log = run_scenario(scenario)
+        log = run_scenario(built)
     except HeolError as exc:
         print(f"heol: run failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

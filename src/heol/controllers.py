@@ -109,8 +109,8 @@ class ChannelController:
         ``k_d`` is required exactly when the channel order is 2.
     estimator : EstimatorConfig
         Window length and quadrature rule of the F estimator.
-    nominal_control : callable(t) -> float
-        Feedforward along the reference.
+    nominal_control : callable(t)
+        Feedforward along the reference, at a float or an array of times.
     saturation : (float, float), optional
         Clamp on the total control; the clamped deviation is what enters the
         estimator history.

@@ -28,6 +28,7 @@ from .errors import (
     ConfigurationError,
     DegenerateRelationError,
     FlatnessSingularityError,
+    HeolError,
     IntervalError,
     SingularChannelError,
 )
@@ -60,7 +61,8 @@ class ImplicitFlatRelation:
     control_index : int
         Which control enters this relation.
     residual : callable(table, u) -> float
-        ``table[l][k]`` is the k-th derivative of output l.
+        ``table[l][k]`` is the k-th derivative of output l.  Derivation
+        passes all times at once, as a trailing axis of ``table`` and ``u``.
     partials : callable(table, u) -> (d_table, d_u), optional
         Analytic partial derivatives matching ``residual``; finite
         differences are used when absent.
@@ -95,24 +97,24 @@ class ImplicitFlatRelation:
 class HomeostatChannel:
     """Derived ultra-local model of one control channel.
 
-    ``alpha(t)`` is guaranteed finite and nonzero at the probe times used
-    during derivation; it re-checks at every evaluation.
+    ``alpha(t)``, at a float or an array of times, is guaranteed finite and
+    nonzero at the probe times used during derivation; it re-checks at every evaluation.
     """
 
     output_index: int
     order: int
-    alpha: Callable[[float], float]
+    alpha: Callable
 
 
 def build_reference_table(
-    references: Sequence[ReferenceTrajectory], t: float, orders: Sequence[int]
+    references: Sequence[ReferenceTrajectory], t, orders: Sequence[int]
 ) -> np.ndarray:
-    """Derivative table of the references at time ``t``.
+    """Derivative table of the references at ``t``, a float or an array of times.
 
     Entry ``[l, k]`` holds the k-th derivative of reference l for
-    ``k <= orders[l]``; unused entries stay zero.
+    ``k <= orders[l]`` (of ``t``'s shape); unused entries stay zero.
     """
-    table = np.zeros((len(references), max(orders) + 1))
+    table = np.zeros((len(references), max(orders) + 1) + np.shape(t))
     for l, ref in enumerate(references):
         for k in range(orders[l] + 1):
             table[l, k] = ref.eval(t, k)
@@ -123,41 +125,64 @@ def finite_diff_partial(
     relation: ImplicitFlatRelation,
     which: str | tuple[int, int],
     table: np.ndarray,
-    u: float,
-    step: float | None = None,
-) -> float:
+    u,
+):
     """Central-difference partial of the residual at ``(table, u)``.
 
     ``which`` is ``"u"`` for the control slot or a pair ``(output, order)``
-    for a derivative-table slot.  The default step is
-    ``max(1e-6, 1e-6 * |x|)`` around the current coordinate value ``x``.
+    for a derivative-table slot, with step ``max(1e-6, 1e-6 * |x|)`` around
+    the current coordinate value ``x``.  A table with a trailing time axis gives
+    the partial at every time; the slot is shifted in place and restored, not copied.
     """
     if which == "u":
-        x = u
-        d = step if step is not None else max(1e-6, 1e-6 * abs(x))
-        return (relation.residual(table, x + d) - relation.residual(table, x - d)) / (2.0 * d)
+        d = np.maximum(1e-6, 1e-6 * np.abs(u))
+        return (relation.residual(table, u + d) - relation.residual(table, u - d)) / (2.0 * d)
     l, k = which
     if not (0 <= l < relation.n_outputs and 0 <= k <= relation.orders[l]):
         raise ConfigurationError(
             f"partial ({l}, {k}) outside the relation's table of orders {relation.orders}"
         )
-    x = table[l, k]
-    d = step if step is not None else max(1e-6, 1e-6 * abs(x))
-    hi = table.copy()
-    lo = table.copy()
-    hi[l, k] = x + d
-    lo[l, k] = x - d
-    return (relation.residual(hi, u) - relation.residual(lo, u)) / (2.0 * d)
+    x = np.copy(table[l, k])
+    d = np.maximum(1e-6, 1e-6 * np.abs(x))
+    try:
+        table[l, k] = x + d
+        hi = np.copy(relation.residual(table, u))  # a residual may return a view of the table
+        table[l, k] = x - d
+        lo = relation.residual(table, u)
+    finally:
+        table[l, k] = x
+    return (hi - lo) / (2.0 * d)
 
 
 def _partial(relation, which, table, u):
     if relation.partials is not None:
         d_table, d_u = relation.partials(table, u)
-        if which == "u":
-            return float(d_u)
-        l, k = which
-        return float(np.asarray(d_table)[l, k])
+        return d_u if which == "u" else np.asarray(d_table)[which]
     return finite_diff_partial(relation, which, table, u)
+
+
+def _first(values, where) -> float:
+    """First entry of ``values`` (a float or an array) where ``where`` holds, as a float."""
+    return float(np.broadcast_to(values, np.shape(where))[where][0])
+
+
+def _at_first_failure(fn, times: np.ndarray):
+    """``fn(times)``, or what ``fn`` raises on the shortest failing prefix of ``times``,
+    whose last time is the first bad one when ``fn`` judges each time on its own."""
+    try:
+        return fn(times)
+    except HeolError as exc:
+        failure = exc
+    good, bad = 0, len(times)  # fn passes on times[:good] and fails on times[:bad]
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            fn(times[:mid])
+            good = mid
+        except HeolError:
+            bad = mid
+    fn(times[:bad])
+    raise failure
 
 
 def derive_channel(
@@ -166,15 +191,15 @@ def derive_channel(
     horizon: tuple[float, float],
     order_override: int | None = None,
     output_index: int | None = None,
-    nominal_control: Callable[[float], float] | None = None,
+    nominal_control: Callable | None = None,
 ) -> HomeostatChannel:
     """Derive the homeostat order and gain of one channel along a reference.
 
     The regulated output defaults to the output sharing the relation's
     control index.  ``order_override`` pins the model order instead of using
-    the smallest derivative the relation depends on; ``nominal_control``
-    supplies the u value at which partials are evaluated (0 when omitted,
-    which is exact for relations affine in u).
+    the smallest derivative the relation depends on; ``nominal_control(t)``,
+    called with an array of times, supplies the u at which partials are
+    evaluated (0 when omitted, which is exact for relations affine in u).
 
     Raises
     ------
@@ -198,8 +223,8 @@ def derive_channel(
     refs = tuple(references)
     u_of_t = nominal_control if nominal_control is not None else (lambda t: 0.0)
     probes = np.linspace(t_lo, t_hi, 32)
-    tables = [build_reference_table(refs, t, relation.orders) for t in probes]
-    u_vals = [u_of_t(t) for t in probes]
+    tables = build_reference_table(refs, probes, relation.orders)
+    u_vals = _at_first_failure(u_of_t, probes)
 
     if order_override is not None:
         if not 1 <= order_override <= relation.orders[out]:
@@ -209,49 +234,46 @@ def derive_channel(
             )
         order = order_override
     else:
-        order = 0
-        for k in range(1, relation.orders[out] + 1):
-            mags = [abs(_partial(relation, (out, k), tb, uv)) for tb, uv in zip(tables, u_vals)]
-            if max(mags) > ZERO_THRESHOLD:
-                order = k
-                break
+        ks = range(1, relation.orders[out] + 1)
+        mags = (np.max(np.abs(_partial(relation, (out, k), tables, u_vals))) for k in ks)
+        order = next((k for k, mag in zip(ks, mags) if mag > ZERO_THRESHOLD), 0)
         if order == 0:
             raise DegenerateRelationError(
                 f"residual does not depend on any derivative of output {out} "
                 f"up to order {relation.orders[out]} along the reference"
             )
 
-    def alpha(t: float) -> float:
+    def alpha(t):
         table = build_reference_table(refs, t, relation.orders)
         u = u_of_t(t)
         den = _partial(relation, (out, order), table, u)
-        if abs(den) <= ZERO_THRESHOLD:
+        if np.any(flat := np.abs(den) <= ZERO_THRESHOLD):
             raise SingularChannelError(
-                f"dE/dy{out + 1}^({order}) vanishes at t={t:.6g}; channel degenerated there"
+                f"dE/dy{out + 1}^({order}) vanishes at t={_first(t, flat):.6g}; channel degenerated there"
             )
         a = -_partial(relation, "u", table, u) / den
-        if abs(a) <= ZERO_THRESHOLD:
+        if np.any(zero := np.abs(a) <= ZERO_THRESHOLD):
             raise SingularChannelError(
-                f"channel gain alpha is zero at t={t:.6g}; control does not act there"
+                f"channel gain alpha is zero at t={_first(t, zero):.6g}; control does not act there"
             )
         return a
 
-    for t in probes:  # fail at derivation time, naming the first bad instant
-        alpha(float(t))
+    _at_first_failure(alpha, probes)  # fail at derivation time, naming the first bad instant
 
     return HomeostatChannel(output_index=out, order=order, alpha=alpha)
 
 
-def nominal_u1(y1_ref: ReferenceTrajectory, t: float) -> float:
-    """Feedforward control of the benchmark's first channel.
+def nominal_u1(y1_ref: ReferenceTrajectory, t):
+    """Feedforward control of the benchmark's first channel at ``t`` (a float or an array).
 
     Inverts  dy1/dt = y1 + y1^2 u1  along the reference:
     ``u1 = (dy1*/dt - y1*) / y1*^2``.  Degenerates where y1* crosses zero.
     """
     y1 = y1_ref.eval(t, 0)
-    if abs(y1) <= ZERO_THRESHOLD:
+    if np.any(zero := np.abs(y1) <= ZERO_THRESHOLD):
         raise FlatnessSingularityError(
-            f"y1* = {y1!r} at t={t:.6g}: first-channel inversion degenerates at y1 = 0"
+            f"y1* = {_first(y1, zero)!r} at t={_first(t, zero):.6g}: "
+            "first-channel inversion degenerates at y1 = 0"
         )
     return (y1_ref.eval(t, 1) - y1) / (y1 * y1)
 
@@ -259,11 +281,11 @@ def nominal_u1(y1_ref: ReferenceTrajectory, t: float) -> float:
 def nominal_u2(
     y1_ref: ReferenceTrajectory,
     y2_ref: ReferenceTrajectory,
-    t: float,
+    t,
     c1: float = 1.0,
     c0: float = 1.0,
-) -> float:
-    """Feedforward control of the benchmark's second channel.
+):
+    """Feedforward control of the benchmark's second channel at ``t`` (a float or an array).
 
     Inverts  y2''' + y2'' - c1 y2' - c0 y2 = y1 u1 u2  along the references;
     needs the third derivative of y2* and degenerates where ``y1* u1*``
@@ -272,14 +294,10 @@ def nominal_u2(
     to absorb.
     """
     beta = y1_ref.eval(t, 0) * nominal_u1(y1_ref, t)
-    if abs(beta) <= ZERO_THRESHOLD:
+    if np.any(zero := np.abs(beta) <= ZERO_THRESHOLD):
         raise FlatnessSingularityError(
-            f"y1*·u1* = {beta!r} at t={t:.6g}: second-channel inversion degenerates there"
+            f"y1*·u1* = {_first(beta, zero)!r} at t={_first(t, zero):.6g}: "
+            "second-channel inversion degenerates there"
         )
-    num = (
-        y2_ref.eval(t, 3)
-        + y2_ref.eval(t, 2)
-        - c1 * y2_ref.eval(t, 1)
-        - c0 * y2_ref.eval(t, 0)
-    )
+    num = y2_ref.eval(t, 3) + y2_ref.eval(t, 2) - c1 * y2_ref.eval(t, 1) - c0 * y2_ref.eval(t, 0)
     return num / beta

@@ -40,13 +40,13 @@ TRUST_REGION = 1e9
 
 @dataclass(frozen=True)
 class PlantModel:
-    """Continuous-time plant ``dx/dt = f(t, x, u)``, ``y = output(x)``."""
+    """Continuous-time plant ``dx/dt = f(t, x, u)``, ``y = output(x)``, on sequences of floats."""
 
     n_states: int
     n_controls: int
     n_outputs: int
-    f: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
-    output: Callable[[np.ndarray], np.ndarray]
+    f: Callable[[float, Sequence[float], Sequence[float]], Sequence[float]]
+    output: Callable[[Sequence[float]], Sequence[float]]
 
     def __post_init__(self):
         if min(self.n_states, self.n_controls, self.n_outputs) < 1:
@@ -72,23 +72,24 @@ class MismatchSpec:
 
 
 def rk4_step(
-    model: PlantModel, t: float, x: np.ndarray, u: np.ndarray, h: float
-) -> np.ndarray:
+    model: PlantModel, t: float, x: Sequence[float], u: Sequence[float], h: float
+) -> list[float]:
     """One classical Runge-Kutta step of length ``h`` with ``u`` held constant.
 
-    The same ``u`` array is passed to all four stage evaluations (zero-order
-    hold).  A non-finite result raises :class:`DivergenceError` naming ``t``.
+    The same ``u`` is passed to all four stages (zero-order hold); each entry follows
+    ``x + h/6 (((k1 + 2 k2) + 2 k3) + k4)``.  A non-finite result raises DivergenceError naming ``t``.
     """
     if h <= 0.0:
         raise ConfigurationError(f"integrator step must be positive, got h={h}")
     f = model.f
     half = 0.5 * h
     k1 = f(t, x, u)
-    k2 = f(t + half, x + half * k1, u)
-    k3 = f(t + half, x + half * k2, u)
-    k4 = f(t + h, x + h * k3, u)
-    x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(x_new)):
+    k2 = f(t + half, [a + half * b for a, b in zip(x, k1)], u)
+    k3 = f(t + half, [a + half * b for a, b in zip(x, k2)], u)
+    k4 = f(t + h, [a + h * b for a, b in zip(x, k3)], u)
+    h6 = h / 6.0
+    x_new = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, x_new)):
         raise DivergenceError(f"non-finite derivative evaluation near t={t:.6g}")
     return x_new
 
@@ -99,17 +100,10 @@ def example_plant() -> PlantModel:
     def f(t, x, u):
         x1, x2, x3, x4 = x
         u1, u2 = u
-        return np.array(
-            [
-                x1 + x1 * x1 * u1,
-                x3,
-                x4,
-                -x4 + x3 + x2 + x1 * u1 * u2,
-            ]
-        )
+        return (x1 + x1 * x1 * u1, x3, x4, -x4 + x3 + x2 + x1 * u1 * u2)
 
     def output(x):
-        return np.array([x[0], x[1]])
+        return (x[0], x[1])
 
     return PlantModel(n_states=4, n_controls=2, n_outputs=2, f=f, output=output)
 
@@ -173,7 +167,7 @@ def initial_state(
     references: Sequence[ReferenceTrajectory],
     mismatch: MismatchSpec,
     t0: float = 0.0,
-) -> np.ndarray:
+) -> list[float]:
     """Benchmark initial state seeded from the references at ``t0``.
 
     The measured outputs start at ``scaling_i * y_i*(t0)``; the hidden chain
@@ -184,11 +178,4 @@ def initial_state(
     s = mismatch.output_scaling
     if len(s) != 2:
         raise ConfigurationError(f"benchmark mismatch needs 2 scaling factors, got {len(s)}")
-    return np.array(
-        [
-            s[0] * y1_ref.eval(t0, 0),
-            s[1] * y2_ref.eval(t0, 0),
-            y2_ref.eval(t0, 1),
-            y2_ref.eval(t0, 2),
-        ]
-    )
+    return [s[0] * y1_ref.eval(t0, 0), s[1] * y2_ref.eval(t0, 0), y2_ref.eval(t0, 1), y2_ref.eval(t0, 2)]

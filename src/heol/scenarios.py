@@ -26,6 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .controllers import (
+    _ALPHA_FLOOR,
     ChannelController,
     Gains,
     _check_alpha,
@@ -44,6 +45,8 @@ from .estimators import EstimatorConfig, FusedEstimator
 from .homeostat import (
     HomeostatChannel,
     ImplicitFlatRelation,
+    _at_first_failure,
+    _first,
     derive_channel,
     nominal_u1,
     nominal_u2,
@@ -354,18 +357,11 @@ def _ultralocal_plant(params: dict):
     if gain == 0.0:
         raise ConfigurationError("ultralocal plant gain must be nonzero")
 
-    if order == 1:
-
-        def f(t, x, u):
-            return np.array([drift + gain * u[0]])
-
-    else:
-
-        def f(t, x, u):
-            return np.array([x[1], drift + gain * u[0]])
+    def f(t, x, u):  # a chain of integrators: x' = (x[1], ..., drift + gain * u)
+        return (*x[1:], drift + gain * u[0])
 
     def output(x):
-        return np.array([x[0]])
+        return (x[0],)
 
     def init(refs, mismatch, t0):
         y0 = (mismatch.output_scaling[0] * refs[0].eval(t0, 0), refs[0].eval(t0, 1))
@@ -395,7 +391,7 @@ PLANTS: dict[str, tuple[Callable, _Object]] = {
     ),
 }
 
-#: feedforward formula tags
+#: feedforward formula tags; each closure takes a float or an array of times
 NOMINAL_CONTROLS: dict[str, Callable] = {
     "zero": lambda refs: (lambda t: 0.0),
     "flat-u1": lambda refs: (lambda t: nominal_u1(refs[0], t)),
@@ -406,7 +402,8 @@ NOMINAL_CONTROLS: dict[str, Callable] = {
 
 def _alpha_ref0_squared(refs):
     ref = refs[0]
-    return lambda t: ref.eval(t, 0) ** 2
+    # float_power rounds as float ** 2 does; y * y and np.power differ in the last bit
+    return lambda t: np.float_power(ref.eval(t, 0), 2.0)
 
 
 def _alpha_ref0_rate_ratio(refs):
@@ -414,14 +411,16 @@ def _alpha_ref0_rate_ratio(refs):
 
     def alpha(t):
         y = ref.eval(t, 0)
-        if abs(y) <= 1e-9:
-            raise SingularChannelError(f"alpha formula divides by y1*={y!r} at t={t:.6g}")
+        if np.any(zero := np.abs(y) <= 1e-9):
+            raise SingularChannelError(
+                f"alpha formula divides by y1*={_first(y, zero)!r} at t={_first(t, zero):.6g}"
+            )
         return ref.eval(t, 1) / y - 1.0
 
     return alpha
 
 
-#: closed-form channel gain tags
+#: closed-form channel gain tags; each gain takes a float or an array of times
 ALPHA_FORMULAS: dict[str, Callable] = {
     "ref0-squared": _alpha_ref0_squared,
     "ref0-rate-ratio-minus-1": _alpha_ref0_rate_ratio,
@@ -434,6 +433,7 @@ ALPHA_FORMULAS: dict[str, Callable] = {
 
 @dataclass
 class _Built:
+    scenario: Scenario
     model: PlantModel
     references: tuple[ReferenceTrajectory, ...]
     controllers: list[ChannelController]
@@ -509,7 +509,7 @@ def _build(scenario: Scenario) -> _Built:
                     )
                 alpha = ALPHA_FORMULAS[spec.alpha_tag](refs)
             else:
-                alpha = lambda t, _v=spec.alpha_value: _v
+                alpha = lambda t, _v=spec.alpha_value: np.full(np.shape(t), _v)
             channel = HomeostatChannel(output_index=spec.output, order=spec.order, alpha=alpha)
 
         if spec.k_p is not None:
@@ -538,12 +538,12 @@ def _build(scenario: Scenario) -> _Built:
         raise ConfigurationError(
             f"initial state has shape {x0.shape}, plant needs ({model.n_states},)"
         )
-    return _Built(model=model, references=refs, controllers=controllers, x0=x0, grid=grid)
+    return _Built(scenario, model, refs, controllers, x0, grid)
 
 
-def validate_scenario(scenario: Scenario) -> None:
-    """Build every part of the scenario without running it."""
-    _build(scenario)
+def validate_scenario(scenario: Scenario) -> _Built:
+    """Build every part of the scenario without running it; :func:`run_scenario` takes the result."""
+    return _build(scenario)
 
 
 # --------------------------------------------------------------------------
@@ -578,48 +578,50 @@ class SimLog:
         return self.u.shape[1]
 
 
-def run_scenario(scenario: Scenario) -> SimLog:
-    """Simulate one scenario and return its log.
+def _tabulate(controllers: list[ChannelController], times: np.ndarray, h: float):
+    """Feedforward at ``times + h/2`` (mid-hold, removing the hold's phase bias) and alpha at
+    ``times``, per channel.  The feedforward is probed at ``times`` first, so a flatness
+    singularity at t surfaces as such, not as a zero gain.  Errors name ``times[-1]``."""
+    u_nom = np.empty((len(times), len(controllers)))
+    alpha = np.empty_like(u_nom)
+    for j, ctrl in enumerate(controllers):
+        try:
+            ctrl.nominal_control(times)
+            u_nom[:, j] = ctrl.nominal_control(times + 0.5 * h)
+            alpha[:, j] = a = ctrl.channel.alpha(times)
+            if ctrl.feedback and np.any(singular := ~np.isfinite(a) | (np.abs(a) <= _ALPHA_FLOOR)):
+                _check_alpha(_first(a, singular))
+        except HeolError as exc:
+            raise type(exc)(f"channel {j + 1} at t={times[-1]:.6g}: {exc}") from None
+    return u_nom, alpha
+
+
+def run_scenario(scenario: Scenario | _Built) -> SimLog:
+    """Simulate one scenario, or the run :func:`validate_scenario` built, and return its log.
 
     Deterministic: identical inputs produce bit-identical logs, and a run
     over a shorter horizon reproduces the corresponding prefix exactly.
     """
-    built = _build(scenario)
+    built = scenario if isinstance(scenario, _Built) else _build(scenario)
     model, refs, controllers, grid = built.model, built.references, built.controllers, built.grid
     n_pts, p, m = grid.n_points, model.n_outputs, model.n_controls
 
+    # Time-only signals on the whole grid: the lowest channel at the first bad t fails the run.
+    times = grid.times()
+    log_yref = np.column_stack([ref.eval(times, 0) for ref in refs])
+    log_unom, alpha = _at_first_failure(lambda ts: _tabulate(controllers, ts, grid.h), times)
+
     noise = None
-    if scenario.noise_std > 0.0:
-        rng = np.random.default_rng(scenario.noise_seed)
-        noise = scenario.noise_std * rng.standard_normal((n_pts, p))
+    if built.scenario.noise_std > 0.0:
+        rng = np.random.default_rng(built.scenario.noise_seed)
+        noise = built.scenario.noise_std * rng.standard_normal((n_pts, p))
 
     log_y = np.empty((n_pts, p))
-    log_yref = np.empty((n_pts, p))
     log_u = np.empty((n_pts, m))
-    log_unom = np.empty((n_pts, m))
     log_du = np.empty((n_pts, m))
     log_fest = np.empty((n_pts, m))
     log_fvalid = np.zeros((n_pts, m), dtype=bool)
     log_clamp = np.zeros((n_pts, m), dtype=bool)
-
-    # Time-only signals, once per grid point.  The feedforward is sampled at
-    # t + h/2, mid-hold, which removes the hold's first-order phase bias,
-    # after a probe at t itself: a flatness singularity at t then surfaces as
-    # such, naming t, and not as a zero-gain error.
-    alpha = np.empty((n_pts, m))
-    for k in range(n_pts):
-        t = grid.t(k)
-        for i, ref in enumerate(refs):
-            log_yref[k, i] = ref.eval(t, 0)
-        for j, ctrl in enumerate(controllers):
-            try:
-                ctrl.nominal_control(t)
-                log_unom[k, j] = ctrl.nominal_control(t + 0.5 * grid.h)
-                alpha[k, j] = a = ctrl.channel.alpha(t)
-                if ctrl.feedback:
-                    _check_alpha(a)
-            except HeolError as exc:
-                raise type(exc)(f"channel {j + 1} at t={t:.6g}: {exc}") from None
 
     # Measurement-driven state per channel.  adus[j, k] is written only after
     # the control at step k is known, so the estimate at t_k reads the zero
@@ -635,26 +637,24 @@ def run_scenario(scenario: Scenario) -> SimLog:
     adus = np.zeros((m, n_pts))
     ddys = [0.0] * m
 
-    x = built.x0.copy()
+    x = built.x0.tolist()
 
     for k in range(n_pts):
         t = grid.t(k)
         y = model.output(x)
         if noise is not None:
-            y = y + noise[k]
+            y = [a + b for a, b in zip(y, noise[k].tolist())]
         log_y[k] = y
-        y_k, ref_k, unom_k, alpha_k = (
-            y.tolist(), log_yref[k].tolist(), log_unom[k].tolist(), alpha[k].tolist()
-        )
+        ref_k, unom_k, alpha_k = log_yref[k].tolist(), log_unom[k].tolist(), alpha[k].tolist()
 
         for j, ctrl in enumerate(controllers):
             out = ctrl.channel.output_index
-            dy = y_k[out] - ref_k[out]
+            dy = y[out] - ref_k[out]
             dys[j, k] = dy
             if ctrl.channel.order == 2 and k > 0:
                 # low-pass-filtered backward difference
                 dt = t - grid.t(k - 1)
-                ddys[j] += dt / (tau_f[j] + dt) * ((dy - dys[j, k - 1]) / dt - ddys[j])
+                ddys[j] += dt / (tau_f[j] + dt) * ((dy - float(dys[j, k - 1])) / dt - ddys[j])
             w = windows[j]
             f_est = 0.0  # warm-up: no full window yet
             if k >= w:
@@ -668,14 +668,14 @@ def run_scenario(scenario: Scenario) -> SimLog:
             log_fest[k, j] = f_est
 
         if k < grid.n_steps:
-            x = rk4_step(model, t, x, log_u[k], grid.h)
-            if np.max(np.abs(x)) > TRUST_REGION:
+            x = rk4_step(model, t, x, log_u[k].tolist(), grid.h)
+            if max(map(abs, x)) > TRUST_REGION:
                 raise DivergenceError(
                     f"state left the trust region (|x| > {TRUST_REGION:g}) by t={grid.t(k + 1):.6g}"
                 )
 
     return SimLog(
-        scenario_name=scenario.name,
+        scenario_name=built.scenario.name,
         grid=grid,
         channel_outputs=tuple(c.channel.output_index for c in controllers),
         channel_T=tuple(w * grid.h for w in windows),

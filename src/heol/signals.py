@@ -10,7 +10,6 @@ third output derivative continuous across segment joins.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -67,11 +66,13 @@ class TimeGrid:
         return self.n_steps + 1
 
 
-def _polyder(coeffs: tuple[float, ...]) -> tuple[float, ...]:
-    return tuple(coeffs[i] * i for i in range(1, len(coeffs)))
+def _polyder(coeffs: tuple[float, ...], order: int = 1) -> tuple[float, ...]:
+    for _ in range(order):
+        coeffs = tuple(coeffs[i] * i for i in range(1, len(coeffs)))
+    return coeffs
 
 
-def _horner(coeffs: tuple[float, ...], x: float) -> float:
+def _horner(coeffs: tuple[float, ...], x):  # x a float or an array
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -119,8 +120,7 @@ class ReferenceTrajectory:
 
     segments: tuple[Segment, ...]
     max_order: int = 3
-    # per-segment derivative coefficient tables, built once at construction
-    _dtables: tuple[tuple[tuple[float, ...], ...], ...] = field(repr=False, default=())
+    _starts: np.ndarray = field(repr=False, compare=False, default=None)  # set at construction
 
     def __post_init__(self):
         segs = tuple(self.segments)
@@ -135,52 +135,47 @@ class ReferenceTrajectory:
                     f"segments must be contiguous: piece ending at {a.stop} "
                     f"followed by piece starting at {b.start}"
                 )
-        tables = []
-        for seg in segs:
-            derivs = [seg.coeffs]
-            for _ in range(self.max_order):
-                derivs.append(_polyder(derivs[-1]))
-            tables.append(tuple(derivs))
-        object.__setattr__(self, "_dtables", tuple(tables))
-        self._check_joins()
-
-    def _check_joins(self):
-        for i in range(len(self.segments) - 1):
-            t_join = self.segments[i].stop
+        object.__setattr__(self, "_starts", np.array([seg.start for seg in segs]))
+        for a, b in zip(segs, segs[1:]):
+            tau = 0.0 if math.isinf(a.start) else a.stop - a.start
+            ca, cb = a.coeffs, b.coeffs
             for order in range(self.max_order):
-                left = self._eval_segment(i, t_join, order)
-                right = self._eval_segment(i + 1, t_join, order)
+                left, right = _horner(ca, tau), _horner(cb, 0.0)
                 if abs(left - right) > 1e-9 * max(1.0, abs(left), abs(right)):
                     raise ConfigurationError(
-                        f"segments disagree at t={t_join} in derivative {order}: "
+                        f"segments disagree at t={a.stop} in derivative {order}: "
                         f"{left!r} vs {right!r}"
                     )
+                ca, cb = _polyder(ca), _polyder(cb)
 
     @property
     def span(self) -> tuple[float, float]:
         """Interval covered by the segments (may reach +-inf)."""
         return self.segments[0].start, self.segments[-1].stop
 
-    def _segment_index(self, t: float) -> int:
-        lo, hi = self.span
-        if t < lo or t > hi:
-            raise HorizonError(f"t={t} outside trajectory span [{lo}, {hi}]")
-        starts = [s.start for s in self.segments]
-        i = bisect.bisect_right(starts, t) - 1
-        return max(i, 0)
-
-    def _eval_segment(self, i: int, t: float, order: int) -> float:
-        seg = self.segments[i]
-        tau = 0.0 if math.isinf(seg.start) else t - seg.start
-        return _horner(self._dtables[i][order], tau)
-
-    def eval(self, t: float, order: int = 0) -> float:
-        """Value of the ``order``-th derivative at time ``t``."""
+    def eval(self, t, order: int = 0):
+        """Value of the ``order``-th derivative at ``t``: a float at a float, an array at an array."""
         if order < 0 or order > self.max_order:
             raise CapabilityError(
                 f"derivative order {order} not available (max_order={self.max_order})"
             )
-        return self._eval_segment(self._segment_index(t), t, order)
+        tt = np.asarray(t, dtype=float)
+        lo, hi = self.span  # constants and smoothsteps span the whole line: nothing to check
+        if (lo > -math.inf or hi < math.inf) and (outside := (tt < lo) | (tt > hi)).any():
+            raise HorizonError(f"t={float(tt[outside][0])} outside trajectory span [{lo}, {hi}]")
+        seg_of = self._starts.searchsorted(tt, side="right") - 1  # last start at or before t
+
+        def piece(i, at):  # Horner in tau = at - start, with tau = 0 on a -inf head
+            seg = self.segments[i]
+            return _horner(_polyder(seg.coeffs, order), 0.0 if math.isinf(seg.start) else at - seg.start)
+
+        if tt.ndim == 0:  # one time on one segment: no mask, Python floats
+            return float(piece(int(seg_of), float(tt)))
+        out = np.empty(tt.shape)
+        for i in range(len(self.segments)):
+            on = seg_of == i
+            out[on] = piece(i, tt[on])
+        return out
 
 
 def make_constant(value: float, max_order: int = 3) -> ReferenceTrajectory:

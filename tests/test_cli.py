@@ -213,6 +213,25 @@ def test_runtime_singularity_exits_4(tmp_path, capsys):
     assert "run failed" in err and "channel 1 at t=2" in err
 
 
+def test_run_builds_the_scenario_once(tmp_path, monkeypatch):
+    derived = scenario_to_dict(builtin_scenario("paper-sec4"))
+    derived["timing"]["duration"] = 1.0
+    for channel in derived["channels"]:
+        channel["alpha"] = {"source": "derived"}
+    path = tmp_path / "derived.json"
+    path.write_text(json.dumps(derived))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return derive(*args, **kwargs)
+
+    derive = heol.scenarios.derive_channel
+    monkeypatch.setattr(heol.scenarios, "derive_channel", counted)
+    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 2  # one derivation per channel
+
+
 def test_export_failure_exits_1(tmp_path, capsys):
     s = ultralocal_scenario(1.0, name="blocked", duration=1.0)
     path = write_config(tmp_path, s)

@@ -15,6 +15,7 @@ from heol.errors import (
     DivergenceError,
     EmptyLogError,
     FlatnessSingularityError,
+    SingularGainError,
 )
 from heol.plant import MismatchSpec
 from heol.scenarios import (
@@ -241,6 +242,25 @@ def test_reference_crossing_zero_names_channel_and_time():
         run_scenario(crossing)
     msg = str(err.value)
     assert msg.startswith("channel 1 at t=2")
+    assert "np." not in msg  # values print as Python floats
+
+    # Channel 2 singular from t=0, earlier than channel 1: channel 2 is named.
+    tiny = dataclasses.replace(crossing.channels[1], alpha_source="constant", alpha_value=1e-12)
+    with pytest.raises(SingularGainError) as err:
+        run_scenario(dataclasses.replace(crossing, channels=(crossing.channels[0], tiny)))
+    assert str(err.value) == "channel 2 at t=0: cannot divide by channel gain alpha=1e-12"
+
+    # Both singular at t=2 (channel 1's gain y1*^2, channel 2's feedforward
+    # probe): channel 1 is named.
+    both = (
+        dataclasses.replace(base.channels[0], nominal="zero"),
+        dataclasses.replace(base.channels[1], nominal="flat-u1"),
+    )
+    with pytest.raises(SingularGainError) as err:
+        run_scenario(dataclasses.replace(crossing, channels=both))
+    msg = str(err.value)
+    assert msg.startswith("channel 1 at t=2: cannot divide by channel gain alpha=")
+    assert "np." not in msg
 
 
 def test_literal_shared_output_reading_diverges():

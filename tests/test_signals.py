@@ -1,9 +1,12 @@
 """Grids, reference trajectories, and estimation windows."""
 
+import bisect
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heol.errors import (
     CapabilityError,
@@ -143,3 +146,52 @@ def test_window_validates_uniform_sigma():
         Window(T=1.0, sigma=np.array([0.1, 0.5, 1.0]), values=np.zeros(3))
     with pytest.raises(ConfigurationError):
         Window(T=1.0, sigma=np.array([0.0]), values=np.zeros(1))
+
+
+# ------------------------------------------------------- array evaluation
+
+
+def _oracle_eval(traj, t, order):
+    """``traj``'s ``order``-th derivative at ``t``: bisect for the segment, Horner on floats."""
+    starts = [seg.start for seg in traj.segments]
+    seg = traj.segments[max(bisect.bisect_right(starts, t) - 1, 0)]
+    coeffs = list(seg.coeffs)
+    for _ in range(order):
+        coeffs = [c * i for i, c in enumerate(coeffs)][1:]
+    tau = 0.0 if math.isinf(seg.start) else t - seg.start
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * tau + c
+    return acc
+
+
+_finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _reference_and_times(draw):
+    # Spans of at least 1 s: much shorter, steep steps fail their own join check.
+    y_from = draw(st.floats(-10.0, 10.0, **_finite))
+    if draw(st.booleans()):
+        traj, edges = make_constant(y_from), [0.0]
+    else:
+        t_start = draw(st.floats(-100.0, 200.0, **_finite))
+        t_end = t_start + draw(st.floats(1.0, 100.0, **_finite))
+        traj = make_smoothstep(y_from, draw(st.floats(-10.0, 10.0, **_finite)), t_start, t_end)
+        edges = [t_start, t_end]
+    anywhere = st.floats(min(edges) - 10.0, max(edges) + 10.0, **_finite)
+    times = draw(st.lists(st.one_of(st.sampled_from(edges), anywhere), min_size=1, max_size=40))
+    return traj, times
+
+
+@settings(max_examples=150)
+@given(case=_reference_and_times(), order=st.integers(0, 3))
+def test_array_eval_equals_bisect_horner_oracle_bit_for_bit(case, order):
+    traj, times = case
+    want = np.array([_oracle_eval(traj, t, order) for t in times])
+    got = traj.eval(np.array(times), order)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # bit for bit, sign of zero included
+    scalar = traj.eval(times[0], order)
+    assert type(scalar) is float
+    assert np.float64(scalar).tobytes() == want[:1].tobytes()
