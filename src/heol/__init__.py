@@ -22,7 +22,6 @@ from .errors import (
     InsufficientDataError,
     IntervalError,
     SingularChannelError,
-    SingularGainError,
     StabilityError,
 )
 from .signals import (
@@ -53,8 +52,6 @@ from .controllers import (
     Gains,
     channel_step,
     gains_from_poles,
-    ip_control,
-    ipd_control,
 )
 from .plant import (
     MismatchSpec,

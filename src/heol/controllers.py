@@ -1,4 +1,4 @@
-"""Intelligent proportional (iP) and proportional-derivative (iPD) channel laws.
+"""The intelligent proportional (iP) and proportional-derivative (iPD) channel law.
 
 Each channel closes its loop on the homeostat model
 ``d^order(Dy)/dt^order = F + alpha * Du`` by cancelling the running estimate
@@ -16,12 +16,15 @@ During warm-up (no full estimation window yet) the estimate is pinned to 0,
 so the channel applies pure feedforward plus the proportional(-derivative)
 correction only.
 
-:func:`channel_step` is the law at one sample and holds no state.  The
-simulation loop (:func:`heol.scenarios.run_scenario`) owns everything that
-persists between samples: the time-only signals (reference, feedforward,
-``alpha``), tabulated on the grid before the first step, and the
-measurement-driven history (deviations, applied ``alpha*Du``, the filtered
-derivative) that feeds the estimator.
+:func:`channel_step` is the law at one sample, for either order, and holds
+no state.  It refuses a singular ``alpha`` (non-finite or within
+:data:`heol.homeostat.ZERO_THRESHOLD` of zero) with
+:class:`~heol.errors.SingularChannelError`.  The simulation loop
+(:func:`heol.scenarios.run_scenario`) owns everything that persists between
+samples: the time-only signals (reference, feedforward, ``alpha``),
+tabulated on the grid before the first step, and the measurement-driven
+history (deviations, applied ``alpha*Du``, the filtered derivative) that
+feeds the estimator.
 """
 
 from __future__ import annotations
@@ -29,20 +32,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, SingularGainError, StabilityError
+from .errors import ConfigurationError, SingularChannelError, StabilityError
 from .estimators import EstimatorConfig
-from .homeostat import HomeostatChannel
+from .homeostat import ZERO_THRESHOLD, HomeostatChannel
 
 __all__ = [
     "Gains",
     "ChannelController",
-    "ip_control",
-    "ipd_control",
     "gains_from_poles",
     "channel_step",
 ]
-
-_ALPHA_FLOOR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -79,22 +78,8 @@ def gains_from_poles(order: int, pole: float) -> Gains:
 
 
 def _check_alpha(alpha: float) -> None:
-    if not math.isfinite(alpha) or abs(alpha) <= _ALPHA_FLOOR:
-        raise SingularGainError(f"cannot divide by channel gain alpha={alpha!r}")
-
-
-def ip_control(f_est: float, dy: float, gains: Gains, alpha: float) -> float:
-    """Order-1 correction ``-(F_est + k_p Dy) / alpha``."""
-    _check_alpha(alpha)
-    return -(f_est + gains.k_p * dy) / alpha
-
-
-def ipd_control(f_est: float, dy: float, ddy: float, gains: Gains, alpha: float) -> float:
-    """Order-2 correction ``-(F_est + k_p Dy + k_d dDy/dt) / alpha``."""
-    _check_alpha(alpha)
-    if gains.k_d is None:
-        raise ConfigurationError("ipd_control needs k_d")
-    return -(f_est + gains.k_p * dy + gains.k_d * ddy) / alpha
+    if not math.isfinite(alpha) or abs(alpha) <= ZERO_THRESHOLD:
+        raise SingularChannelError(f"cannot divide by channel gain alpha={alpha!r}")
 
 
 @dataclass
@@ -160,14 +145,17 @@ def channel_step(
     channels only), ``u_nom`` the feedforward sample and ``alpha`` the
     channel gain.  The iP/iPD correction is added to the feedforward and the
     sum clamped to the saturation; the applied correction is the returned
-    control minus ``u_nom``.
+    control minus ``u_nom``.  A feedback channel raises SingularChannelError
+    on a singular ``alpha``.
     """
     du = 0.0
     if controller.feedback:
+        _check_alpha(alpha)
+        g = controller.gains
         if controller.channel.order == 1:
-            du = ip_control(f_est, dy, controller.gains, alpha)
+            du = -(f_est + g.k_p * dy) / alpha
         else:
-            du = ipd_control(f_est, dy, ddy, controller.gains, alpha)
+            du = -(f_est + g.k_p * dy + g.k_d * ddy) / alpha
     u = u_nom + du
     if controller.saturation is not None:
         lo, hi = controller.saturation

@@ -38,15 +38,11 @@ class DegenerateRelationError(HeolError):
 
 
 class SingularChannelError(HeolError):
-    """The channel gain alpha(t) vanishes or blows up somewhere on the horizon."""
+    """The channel gain alpha(t) vanishes or blows up, so the law cannot divide by it."""
 
 
 class FlatnessSingularityError(HeolError):
     """A nominal-control formula hit a point where the flat inversion degenerates."""
-
-
-class SingularGainError(HeolError):
-    """A feedback correction was requested with |alpha| too small to divide by."""
 
 
 class StabilityError(HeolError):

@@ -17,8 +17,10 @@ Simpson weights; an odd interval count falls back to Simpson on all but the
 last interval plus a trapezoid on it.
 
 :class:`FusedEstimator` is the single place that builds the weight vectors
-(kernel times quadrature coefficients); :func:`estimate_f_nu1` and
-:func:`estimate_f_nu2` check their windows and delegate to it.
+(kernel times quadrature coefficients); its ``estimate`` returns the bare
+float the simulation loop logs.  :func:`estimate_f_nu1` and
+:func:`estimate_f_nu2` check their windows, delegate to it, and wrap the
+value in an :class:`FEstimate` that also flags warm-up.
 
 The ``Du`` kernels vanish at s = T, so the estimate at time t never needs
 the control applied *at* t — the loop can estimate first and act second.
@@ -73,14 +75,13 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class FEstimate:
-    """One disturbance estimate: value, the time it refers to, and validity.
+    """One disturbance estimate and its validity.
 
     ``valid`` is False during warm-up, when no full window exists yet and the
     value is pinned to 0 by policy.
     """
 
     value: float
-    at_time: float | None
     valid: bool = True
 
 
@@ -109,11 +110,10 @@ def _estimate(
     order: int,
     dy_window: Window | None,
     adu_window: Window | None,
-    at_time: float | None,
     rule: str,
 ) -> FEstimate:
     if dy_window is None or adu_window is None:
-        return FEstimate(0.0, at_time, valid=False)
+        return FEstimate(0.0, valid=False)
     if len(dy_window) != len(adu_window) or dy_window.T != adu_window.T:
         raise AlignmentError(
             f"windows differ in geometry: {len(dy_window)} samples over T={dy_window.T} vs "
@@ -122,13 +122,12 @@ def _estimate(
     if np.max(np.abs(dy_window.sigma - adu_window.sigma)) > 1e-12 * dy_window.T:
         raise AlignmentError("windows are not sampled on the same sigma grid")
     fused = FusedEstimator(order, dy_window.T, len(dy_window) - 1, rule)
-    return fused.estimate(dy_window.values, adu_window.values, at_time)
+    return FEstimate(fused.estimate(dy_window.values, adu_window.values))
 
 
 def estimate_f_nu1(
     dy_window: Window | None,
     adu_window: Window | None,
-    at_time: float | None = None,
     rule: str = "simpson",
 ) -> FEstimate:
     """Disturbance estimate for a first-order channel.
@@ -136,13 +135,12 @@ def estimate_f_nu1(
     Passing ``None`` windows marks warm-up: the estimate is 0 and flagged
     invalid.  Constant offsets on ``dy`` are annihilated by the kernel.
     """
-    return _estimate(1, dy_window, adu_window, at_time, rule)
+    return _estimate(1, dy_window, adu_window, rule)
 
 
 def estimate_f_nu2(
     dy_window: Window | None,
     adu_window: Window | None,
-    at_time: float | None = None,
     rule: str = "simpson",
 ) -> FEstimate:
     """Disturbance estimate for a second-order channel.
@@ -150,7 +148,7 @@ def estimate_f_nu2(
     Affine components of ``dy`` (initial value and slope) are annihilated by
     the kernel.  ``None`` windows mark warm-up as in :func:`estimate_f_nu1`.
     """
-    return _estimate(2, dy_window, adu_window, at_time, rule)
+    return _estimate(2, dy_window, adu_window, rule)
 
 
 class FusedEstimator:
@@ -177,6 +175,6 @@ class FusedEstimator:
         self._wy.setflags(write=False)
         self._wu.setflags(write=False)
 
-    def estimate(self, dy_values: np.ndarray, adu_values: np.ndarray, at_time: float) -> FEstimate:
-        value = float(np.dot(self._wy, dy_values) + np.dot(self._wu, adu_values))
-        return FEstimate(value, at_time, valid=True)
+    def estimate(self, dy_values: np.ndarray, adu_values: np.ndarray) -> float:
+        """F over one window of ``dy`` and ``alpha*Du`` samples, oldest first."""
+        return float(np.dot(self._wy, dy_values) + np.dot(self._wu, adu_values))

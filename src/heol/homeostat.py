@@ -154,11 +154,21 @@ def finite_diff_partial(
     return (hi - lo) / (2.0 * d)
 
 
-def _partial(relation, which, table, u):
-    if relation.partials is not None:
-        d_table, d_u = relation.partials(table, u)
-        return d_u if which == "u" else np.asarray(d_table)[which]
-    return finite_diff_partial(relation, which, table, u)
+def _partial(relation, which, table, u, t):
+    """Partial ``which`` at times ``t``, evaluated quietly; a non-finite value (a 0/0 in
+    the relation, say) makes the channel singular there, naming the first such time."""
+    with np.errstate(all="ignore"):
+        if relation.partials is not None:
+            d_table, d_u = relation.partials(table, u)
+            d = d_u if which == "u" else np.asarray(d_table)[which]
+        else:
+            d = finite_diff_partial(relation, which, table, u)
+    if not np.all(finite := np.isfinite(d)):
+        slot = "u" if which == "u" else f"y{which[0] + 1}^({which[1]})"
+        raise SingularChannelError(
+            f"dE/d{slot} is not finite at t={_first(t, ~finite):.6g}; channel degenerated there"
+        )
+    return d
 
 
 def _first(values, where) -> float:
@@ -206,8 +216,9 @@ def derive_channel(
     DegenerateRelationError
         if no output derivative up to the relation's declared order matters.
     SingularChannelError
-        if ``dE/dy^(order)`` vanishes or alpha is (numerically) zero at a
-        probe time, naming that time.
+        if a partial the derivation reads is not finite, or ``dE/dy^(order)``
+        vanishes, or alpha is (numerically) zero at a probe time, naming the
+        first such time.
     """
     t_lo, t_hi = horizon
     if not t_hi > t_lo:
@@ -235,7 +246,7 @@ def derive_channel(
         order = order_override
     else:
         ks = range(1, relation.orders[out] + 1)
-        mags = (np.max(np.abs(_partial(relation, (out, k), tables, u_vals))) for k in ks)
+        mags = (np.max(np.abs(_partial(relation, (out, k), tables, u_vals, probes))) for k in ks)
         order = next((k for k, mag in zip(ks, mags) if mag > ZERO_THRESHOLD), 0)
         if order == 0:
             raise DegenerateRelationError(
@@ -246,12 +257,12 @@ def derive_channel(
     def alpha(t):
         table = build_reference_table(refs, t, relation.orders)
         u = u_of_t(t)
-        den = _partial(relation, (out, order), table, u)
+        den = _partial(relation, (out, order), table, u, t)
         if np.any(flat := np.abs(den) <= ZERO_THRESHOLD):
             raise SingularChannelError(
                 f"dE/dy{out + 1}^({order}) vanishes at t={_first(t, flat):.6g}; channel degenerated there"
             )
-        a = -_partial(relation, "u", table, u) / den
+        a = -_partial(relation, "u", table, u, t) / den
         if np.any(zero := np.abs(a) <= ZERO_THRESHOLD):
             raise SingularChannelError(
                 f"channel gain alpha is zero at t={_first(t, zero):.6g}; control does not act there"

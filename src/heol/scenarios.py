@@ -26,7 +26,6 @@ from typing import Callable
 import numpy as np
 
 from .controllers import (
-    _ALPHA_FLOOR,
     ChannelController,
     Gains,
     _check_alpha,
@@ -43,6 +42,7 @@ from .errors import (
 )
 from .estimators import EstimatorConfig, FusedEstimator
 from .homeostat import (
+    ZERO_THRESHOLD,
     HomeostatChannel,
     ImplicitFlatRelation,
     _at_first_failure,
@@ -589,7 +589,7 @@ def _tabulate(controllers: list[ChannelController], times: np.ndarray, h: float)
             ctrl.nominal_control(times)
             u_nom[:, j] = ctrl.nominal_control(times + 0.5 * h)
             alpha[:, j] = a = ctrl.channel.alpha(times)
-            if ctrl.feedback and np.any(singular := ~np.isfinite(a) | (np.abs(a) <= _ALPHA_FLOOR)):
+            if ctrl.feedback and np.any(singular := ~np.isfinite(a) | (np.abs(a) <= ZERO_THRESHOLD)):
                 _check_alpha(_first(a, singular))
         except HeolError as exc:
             raise type(exc)(f"channel {j + 1} at t={times[-1]:.6g}: {exc}") from None
@@ -620,8 +620,7 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
     log_u = np.empty((n_pts, m))
     log_du = np.empty((n_pts, m))
     log_fest = np.empty((n_pts, m))
-    log_fvalid = np.zeros((n_pts, m), dtype=bool)
-    log_clamp = np.zeros((n_pts, m), dtype=bool)
+    log_clamp = np.empty((n_pts, m), dtype=bool)
 
     # Measurement-driven state per channel.  adus[j, k] is written only after
     # the control at step k is known, so the estimate at t_k reads the zero
@@ -647,6 +646,7 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
         log_y[k] = y
         ref_k, unom_k, alpha_k = log_yref[k].tolist(), log_unom[k].tolist(), alpha[k].tolist()
 
+        rows = []  # (u, du, F_est, clamped) per channel
         for j, ctrl in enumerate(controllers):
             out = ctrl.channel.output_index
             dy = y[out] - ref_k[out]
@@ -658,17 +658,19 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
             w = windows[j]
             f_est = 0.0  # warm-up: no full window yet
             if k >= w:
-                f_est = estimators[j].estimate(dys[j, k - w : k + 1], adus[j, k - w : k + 1], t).value
-                log_fvalid[k, j] = True
-            u_j, log_clamp[k, j] = channel_step(ctrl, f_est, dy, ddys[j], unom_k[j], alpha_k[j])
+                f_est = estimators[j].estimate(dys[j, k - w : k + 1], adus[j, k - w : k + 1])
+            u_j, clamped = channel_step(ctrl, f_est, dy, ddys[j], unom_k[j], alpha_k[j])
             du = u_j - unom_k[j]
             adus[j, k] = alpha_k[j] * du
-            log_u[k, j] = u_j
-            log_du[k, j] = du
-            log_fest[k, j] = f_est
+            rows.append((u_j, du, f_est, clamped))
+        u_row, du_row, fest_row, clamp_row = zip(*rows)
+        log_u[k] = u_row
+        log_du[k] = du_row
+        log_fest[k] = fest_row
+        log_clamp[k] = clamp_row
 
         if k < grid.n_steps:
-            x = rk4_step(model, t, x, log_u[k].tolist(), grid.h)
+            x = rk4_step(model, t, x, u_row, grid.h)
             if max(map(abs, x)) > TRUST_REGION:
                 raise DivergenceError(
                     f"state left the trust region (|x| > {TRUST_REGION:g}) by t={grid.t(k + 1):.6g}"
@@ -687,7 +689,7 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
         dy=log_y - log_yref,
         du=log_du,
         f_est=log_fest,
-        f_valid=log_fvalid,
+        f_valid=np.arange(n_pts)[:, None] >= np.array(windows),
         clamped=log_clamp,
     )
 
@@ -738,39 +740,44 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+#: rows converted and written at once; bounds the export's extra memory
+_CSV_CHUNK = 256
+
+
+def _csv_layout(n_outputs: int, n_controls: int) -> list[tuple[str, str, int | None]]:
+    """(column name, log field, column index) of every CSV column, in file order."""
+
+    def block(n, *fields):  # (log field, name pattern) pairs, interleaved per index
+        return [(name.format(i + 1), f, i) for i in range(n) for f, name in fields]
+
+    return (
+        [("t", "t", None)]
+        + block(n_outputs, ("y", "y{}"), ("y_ref", "y{}_ref"))
+        + block(n_controls, ("u", "u{}"), ("u_nom", "u{}_nom"))
+        + block(n_outputs, ("dy", "dy{}"))
+        + block(n_controls, ("du", "du{}"))
+        + block(n_controls, ("f_est", "F{}_est"))
+        + block(n_controls, ("f_valid", "F{}_valid"))
+        + block(n_controls, ("clamped", "clamp{}"))
+    )
+
+
 def csv_header(n_outputs: int, n_controls: int) -> list[str]:
-    cols = ["t"]
-    for i in range(n_outputs):
-        cols += [f"y{i + 1}", f"y{i + 1}_ref"]
-    for j in range(n_controls):
-        cols += [f"u{j + 1}", f"u{j + 1}_nom"]
-    cols += [f"dy{i + 1}" for i in range(n_outputs)]
-    cols += [f"du{j + 1}" for j in range(n_controls)]
-    cols += [f"F{j + 1}_est" for j in range(n_controls)]
-    cols += [f"F{j + 1}_valid" for j in range(n_controls)]
-    cols += [f"clamp{j + 1}" for j in range(n_controls)]
-    return cols
+    return [name for name, _, _ in _csv_layout(n_outputs, n_controls)]
 
 
 def export_csv(log: SimLog, destination) -> Path:
     """Write the run log as CSV with full float precision (17 significant digits)."""
     path = Path(destination)
-    p, m = log.n_outputs, log.n_controls
+    layout = _csv_layout(log.n_outputs, log.n_controls)
+    columns = [getattr(log, f) if i is None else getattr(log, f)[:, i] for _, f, i in layout]
+    row = ",".join("%d" if c.dtype == bool else "%.17g" for c in columns) + "\n"
     try:
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(csv_header(p, m)) + "\n")
-            for k in range(len(log.t)):
-                row = [_fmt(log.t[k])]
-                for i in range(p):
-                    row += [_fmt(log.y[k, i]), _fmt(log.y_ref[k, i])]
-                for j in range(m):
-                    row += [_fmt(log.u[k, j]), _fmt(log.u_nom[k, j])]
-                row += [_fmt(log.dy[k, i]) for i in range(p)]
-                row += [_fmt(log.du[k, j]) for j in range(m)]
-                row += [_fmt(log.f_est[k, j]) for j in range(m)]
-                row += ["1" if log.f_valid[k, j] else "0" for j in range(m)]
-                row += ["1" if log.clamped[k, j] else "0" for j in range(m)]
-                fh.write(",".join(row) + "\n")
+            fh.write(",".join(name for name, _, _ in layout) + "\n")
+            for k in range(0, len(log.t), _CSV_CHUNK):
+                chunk = np.column_stack([c[k : k + _CSV_CHUNK] for c in columns])
+                fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
     except OSError as exc:
         raise ExportError(f"failed to write {path}: {exc}") from exc
     return path

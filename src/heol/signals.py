@@ -79,6 +79,11 @@ def _horner(coeffs: tuple[float, ...], x):  # x a float or an array
     return acc
 
 
+def _horner_bound(coeffs: tuple[float, ...], x: float) -> float:
+    """``sum |c_i| |x|^i``: the scale of Horner's round-off at ``x``, and a bound on ``|p(x)|``."""
+    return _horner([abs(c) for c in coeffs], abs(x))
+
+
 @dataclass(frozen=True)
 class Segment:
     """One polynomial piece: ascending coefficients in ``t - start``.
@@ -111,8 +116,11 @@ class ReferenceTrajectory:
     ----------
     segments : sequence of Segment
         Contiguous, increasing pieces.  Adjacent pieces must agree in value
-        and in every derivative up to ``max_order - 1`` (relative 1e-9), so
-        the trajectory is C^(max_order-1) at joins.
+        and in every derivative up to ``max_order - 1``, so the trajectory is
+        C^(max_order-1) at joins.  The tolerance is 1e-9 relative to the
+        larger of 1 and each side's Horner round-off scale (its
+        ``|coefficients|`` evaluated at ``|tau|``): a steep, short step
+        cancels large terms at its ends.
     max_order : int
         Highest derivative order callers may request (at least 3: nominal
         controls of the bundled benchmark consume the third derivative).
@@ -141,7 +149,8 @@ class ReferenceTrajectory:
             ca, cb = a.coeffs, b.coeffs
             for order in range(self.max_order):
                 left, right = _horner(ca, tau), _horner(cb, 0.0)
-                if abs(left - right) > 1e-9 * max(1.0, abs(left), abs(right)):
+                scale = max(1.0, _horner_bound(ca, tau), _horner_bound(cb, 0.0))
+                if abs(left - right) > 1e-9 * scale:
                     raise ConfigurationError(
                         f"segments disagree at t={a.stop} in derivative {order}: "
                         f"{left!r} vs {right!r}"

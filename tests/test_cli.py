@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -166,9 +167,8 @@ def _lookup(node, where):
     return node
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_fuzzed_sec4_config_validates_or_exits_3(tmp_path_factory, data):
+def _fuzzed_sec4(data) -> dict:
+    """``demos/paper_sec4.json`` with one value replaced by arbitrary JSON, or a key inserted or deleted."""
     config = json.loads((Path(__file__).parents[1] / "demos" / "paper_sec4.json").read_text())
     op = data.draw(st.sampled_from(["replace", "insert", "delete"]))
     if op == "insert":
@@ -181,9 +181,57 @@ def test_fuzzed_sec4_config_validates_or_exits_3(tmp_path_factory, data):
             _lookup(config, parent)[key] = data.draw(JSON_VALUES)
         else:
             del _lookup(config, parent)[key]
+    return config
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_sec4_config_validates_or_exits_3(tmp_path_factory, data):
     path = tmp_path_factory.getbasetemp() / "fuzzed.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps(_fuzzed_sec4(data)))
     assert cli_main(["validate", "--config", str(path)]) in (0, 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_sec4_config_runs_or_exits_3_or_4(tmp_path_factory, data):
+    config = _fuzzed_sec4(data)
+    timing = config.get("timing")
+    if isinstance(timing, dict):  # keep runs short: at most 1 s, at steps of at least 1 ms
+        number = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)  # noqa: E731
+        if number(timing.get("duration")) and timing["duration"] > 1.0:
+            timing["duration"] = 1.0
+        if number(timing.get("h")) and 0.0 < timing["h"] < 1e-3:
+            timing["h"] = 1e-3
+    base = tmp_path_factory.getbasetemp()
+    path = base / "fuzzed-run.json"
+    path.write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning fails the run loudly
+        code = cli_main(["run", "--config", str(path), "--out", str(base / "fuzzed-out")])
+    assert code in (0, 3, 4)
+
+
+def test_nan_partials_are_singular_at_derivation(tmp_path):
+    # y1* = 0 makes E2's partials 0/0; the derivation must call the channel
+    # singular (exit 3), whether or not it searches for the order, and keep
+    # numpy quiet.
+    config = json.loads((Path(__file__).parents[1] / "demos" / "paper_sec4.json").read_text())
+    config["references"][0] = {"type": "constant", "value": 0.0}
+    first, second = config["channels"]
+    first.update(alpha={"source": "constant", "value": 1.0}, nominal="zero")
+    second.update(alpha={"source": "derived"}, nominal="zero")
+    for searched in (False, True):
+        if searched:
+            del second["order"]
+        path = tmp_path / f"nan-{searched}.json"
+        path.write_text(json.dumps(config))
+        for command in (["validate"], ["run", "--out", str(tmp_path)]):
+            result = heol_cli(command[0], "--config", str(path), *command[1:])
+            assert result.returncode == 3, result.stderr
+            assert result.stderr.startswith("heol: invalid scenario: dE/dy2^(")
+            assert "is not finite at t=0;" in result.stderr
+            assert "Warning" not in result.stderr and "Traceback" not in result.stderr
 
 
 def test_unreadable_configs_exit_3(tmp_path, capsys):

@@ -18,10 +18,8 @@ from heol.controllers import (
     Gains,
     channel_step,
     gains_from_poles,
-    ip_control,
-    ipd_control,
 )
-from heol.errors import ConfigurationError, SingularGainError, StabilityError
+from heol.errors import ConfigurationError, SingularChannelError, StabilityError
 from heol.estimators import EstimatorConfig, FusedEstimator
 from heol.homeostat import HomeostatChannel, nominal_u1, nominal_u2
 from heol.scenarios import Timing, builtin_scenario, run_scenario
@@ -89,7 +87,7 @@ def estimator_replay(log, j, order, rule, alpha):
     out = np.zeros(len(log.t))
     for k in range(w, len(log.t)):
         window = np.append(adu[k - w : k], 0.0)
-        out[k] = fused.estimate(dy[k - w : k + 1], window, log.t[k]).value
+        out[k] = fused.estimate(dy[k - w : k + 1], window)
     return w, out
 
 
@@ -139,41 +137,40 @@ def test_poles_round_trip_through_gains(rng):
 
 
 def test_ip_control_at_rest_is_zero():
-    assert ip_control(0.0, 0.0, Gains(k_p=3.0), 1.0) == 0.0
+    assert channel_step(make_controller(k_p=3.0), 0.0, 0.0, 0.0, 0.0, 1.0) == (0.0, False)
 
 
 def test_ip_control_hand_value():
     # -(F + kp dy)/alpha = -(-3 + 0.5)/2 = 1.25
-    assert ip_control(-3.0, 0.5, Gains(k_p=1.0), 2.0) == 1.25
+    assert channel_step(make_controller(k_p=1.0), -3.0, 0.5, 0.0, 0.0, 2.0) == (1.25, False)
 
 
 def test_ip_control_singular_alpha():
-    with pytest.raises(SingularGainError):
-        ip_control(0.0, 1.0, Gains(k_p=2.0), 1e-12)
-    with pytest.raises(SingularGainError):
-        ip_control(0.0, 1.0, Gains(k_p=2.0), 0.0)
+    ip = make_controller(k_p=2.0)
+    for alpha in (1e-12, 0.0, float("nan"), float("inf")):
+        with pytest.raises(SingularChannelError, match="cannot divide by channel gain"):
+            channel_step(ip, 0.0, 1.0, 0.0, 0.0, alpha)
 
 
 def test_ipd_control_hand_value():
-    g = Gains(k_p=0.0225, k_d=0.3)
-    assert ipd_control(0.0, 0.0, 0.0, g, 1.0) == 0.0
-    assert ipd_control(1.0, 1.0, 1.0, g, -1.0) == pytest.approx(1.3225, abs=1e-12)
-    with pytest.raises(SingularGainError):
-        ipd_control(1.0, 1.0, 1.0, g, 0.0)
-
-
-def test_ipd_control_requires_kd():
-    with pytest.raises(ConfigurationError):
-        ipd_control(0.0, 0.0, 0.0, Gains(k_p=1.0), 1.0)
+    ipd = make_controller(order=2, k_p=0.0225, k_d=0.3)
+    assert channel_step(ipd, 0.0, 0.0, 0.0, 0.0, 1.0) == (0.0, False)
+    u, clamped = channel_step(ipd, 1.0, 1.0, 1.0, 0.0, -1.0)
+    assert u == pytest.approx(1.3225, abs=1e-12) and not clamped
+    with pytest.raises(SingularChannelError):
+        channel_step(ipd, 1.0, 1.0, 1.0, 0.0, 0.0)
 
 
 def test_controls_are_homogeneous_in_alpha(rng):
-    g1, g2 = Gains(k_p=1.7), Gains(k_p=0.4, k_d=2.2)
+    ip = make_controller(k_p=1.7)
+    ipd = make_controller(order=2, k_p=0.4, k_d=2.2)
     for _ in range(200):
         f, dy, ddy = rng.standard_normal(3)
         a = float(rng.uniform(0.1, 5.0)) * (1 if rng.uniform() < 0.5 else -1)
-        assert ip_control(f, dy, g1, 2.0 * a) == ip_control(f, dy, g1, a) / 2.0
-        assert ipd_control(f, dy, ddy, g2, 2.0 * a) == ipd_control(f, dy, ddy, g2, a) / 2.0
+        for ctrl in (ip, ipd):
+            u2, _ = channel_step(ctrl, f, dy, ddy, 0.0, 2.0 * a)
+            u1, _ = channel_step(ctrl, f, dy, ddy, 0.0, a)
+            assert u2 == u1 / 2.0
 
 
 # ----------------------------------------------------- controller assembly
@@ -220,7 +217,7 @@ def test_channel_step_order_two_uses_filtered_derivative():
     g = Gains(k_p=0.0225, k_d=0.3)
     ipd = make_controller(order=2, k_p=g.k_p, k_d=g.k_d, alpha=-1.0)
     u, clamped = channel_step(ipd, 0.1, 0.5, 0.25, 2.0, -1.0)
-    assert u == 2.0 + ipd_control(0.1, 0.5, 0.25, g, -1.0) and not clamped
+    assert u == 2.0 + -(0.1 + g.k_p * 0.5 + g.k_d * 0.25) / -1.0 and not clamped
     ip = make_controller(order=1, k_p=1.0)
     assert channel_step(ip, 0.1, 0.5, 99.0, 2.0, 2.0) == channel_step(ip, 0.1, 0.5, 0.0, 2.0, 2.0)
 

@@ -15,7 +15,7 @@ from heol.errors import (
     DivergenceError,
     EmptyLogError,
     FlatnessSingularityError,
-    SingularGainError,
+    SingularChannelError,
 )
 from heol.plant import MismatchSpec
 from heol.scenarios import (
@@ -246,7 +246,7 @@ def test_reference_crossing_zero_names_channel_and_time():
 
     # Channel 2 singular from t=0, earlier than channel 1: channel 2 is named.
     tiny = dataclasses.replace(crossing.channels[1], alpha_source="constant", alpha_value=1e-12)
-    with pytest.raises(SingularGainError) as err:
+    with pytest.raises(SingularChannelError) as err:
         run_scenario(dataclasses.replace(crossing, channels=(crossing.channels[0], tiny)))
     assert str(err.value) == "channel 2 at t=0: cannot divide by channel gain alpha=1e-12"
 
@@ -256,7 +256,7 @@ def test_reference_crossing_zero_names_channel_and_time():
         dataclasses.replace(base.channels[0], nominal="zero"),
         dataclasses.replace(base.channels[1], nominal="flat-u1"),
     )
-    with pytest.raises(SingularGainError) as err:
+    with pytest.raises(SingularChannelError) as err:
         run_scenario(dataclasses.replace(crossing, channels=both))
     msg = str(err.value)
     assert msg.startswith("channel 1 at t=2: cannot divide by channel gain alpha=")
@@ -346,6 +346,66 @@ def test_csv_round_trips_at_full_precision(tmp_path):
     # spot-check a value against the in-memory log
     k = len(lines) // 2
     assert float(lines[k].split(",")[1]) == log.y[k - 1, 0]
+
+
+def _oracle_csv(log) -> bytes:
+    """The log as CSV, one ``format(x, ".17g")`` per field, columns spelled out in order."""
+    p, m = log.n_outputs, log.n_controls
+    fmt = lambda x: format(float(x), ".17g")  # noqa: E731
+    lines = [",".join(csv_header(p, m))]
+    for k in range(len(log.t)):
+        row = [fmt(log.t[k])]
+        for i in range(p):
+            row += [fmt(log.y[k, i]), fmt(log.y_ref[k, i])]
+        for j in range(m):
+            row += [fmt(log.u[k, j]), fmt(log.u_nom[k, j])]
+        row += [fmt(log.dy[k, i]) for i in range(p)]
+        row += [fmt(log.du[k, j]) for j in range(m)]
+        row += [fmt(log.f_est[k, j]) for j in range(m)]
+        row += ["1" if log.f_valid[k, j] else "0" for j in range(m)]
+        row += ["1" if log.clamped[k, j] else "0" for j in range(m)]
+        lines.append(",".join(row))
+    return "".join(line + "\n" for line in lines).encode()
+
+
+_AWKWARD_FLOATS = [0.0, -0.0, 5e-324, -2.5e-310, 1e308, -1e308, np.inf, -np.inf, np.nan, 0.1, 1 / 3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.integers(1, 2),
+    m=st.integers(1, 2),
+    n=st.integers(0, 600),
+    drawn=st.lists(st.floats(), max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_csv_bytes_equal_per_field_oracle(tmp_path_factory, p, m, n, drawn, seed):
+    # 0-600 records cross the export's row-chunk boundaries.
+    rng = np.random.default_rng(seed)
+    pool = np.array(_AWKWARD_FLOATS + drawn)
+
+    def floats(cols):
+        values = rng.standard_normal((n, cols)) * 10.0 ** rng.integers(-300, 300, (n, cols))
+        return np.where(rng.random((n, cols)) < 0.3, rng.choice(pool, (n, cols)), values)
+
+    log = SimLog(
+        scenario_name="oracle",
+        grid=TimeGrid(0.0, 0.01, max(n - 1, 1)),
+        channel_outputs=tuple(range(m)),
+        channel_T=(0.3,) * m,
+        t=floats(1)[:, 0],
+        y=floats(p),
+        y_ref=floats(p),
+        u=floats(m),
+        u_nom=floats(m),
+        dy=floats(p),
+        du=floats(m),
+        f_est=floats(m),
+        f_valid=rng.random((n, m)) < 0.5,
+        clamped=rng.random((n, m)) < 0.5,
+    )
+    path = export_csv(log, tmp_path_factory.getbasetemp() / "oracle.csv")
+    assert path.read_bytes() == _oracle_csv(log)
 
 
 def test_metrics_file_is_flat_key_value_text(tmp_path):

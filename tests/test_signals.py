@@ -126,6 +126,13 @@ def test_smoothstep_plateaus_and_monotone_rise():
     assert all(b >= a for a, b in zip(samples, samples[1:]))
 
 
+def test_short_smoothsteps_build_and_reach_their_plateaus():
+    for duration in (0.01, 1e-3):
+        traj = make_smoothstep(0.0, 1.0, 0.0, duration)
+        assert traj.eval(duration, 0) == 1.0
+        assert traj.eval(0.5 * duration, 0) == pytest.approx(0.5, abs=1e-12)
+
+
 def test_smoothstep_rejects_empty_interval():
     with pytest.raises(IntervalError):
         make_smoothstep(0.0, 1.0, 5.0, 5.0)
@@ -170,13 +177,12 @@ _finite = dict(allow_nan=False, allow_infinity=False)
 
 @st.composite
 def _reference_and_times(draw):
-    # Spans of at least 1 s: much shorter, steep steps fail their own join check.
     y_from = draw(st.floats(-10.0, 10.0, **_finite))
     if draw(st.booleans()):
         traj, edges = make_constant(y_from), [0.0]
     else:
         t_start = draw(st.floats(-100.0, 200.0, **_finite))
-        t_end = t_start + draw(st.floats(1.0, 100.0, **_finite))
+        t_end = t_start + draw(st.floats(1e-3, 100.0, **_finite))
         traj = make_smoothstep(y_from, draw(st.floats(-10.0, 10.0, **_finite)), t_start, t_end)
         edges = [t_start, t_end]
     anywhere = st.floats(min(edges) - 10.0, max(edges) + 10.0, **_finite)
