@@ -9,25 +9,16 @@ a two-input flat benchmark plant.
 """
 
 from .errors import (
-    AlignmentError,
-    CapabilityError,
     ConfigurationError,
-    DegenerateRelationError,
     DivergenceError,
-    EmptyLogError,
     ExportError,
     FlatnessSingularityError,
     HeolError,
-    HorizonError,
-    InsufficientDataError,
-    IntervalError,
     SingularChannelError,
-    StabilityError,
 )
 from .signals import (
     ReferenceTrajectory,
     Segment,
-    TimeGrid,
     Window,
     make_constant,
     make_smoothstep,
@@ -42,7 +33,6 @@ from .homeostat import (
     nominal_u2,
 )
 from .estimators import (
-    EstimatorConfig,
     FEstimate,
     estimate_f_nu1,
     estimate_f_nu2,

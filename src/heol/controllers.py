@@ -32,8 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, SingularChannelError, StabilityError
-from .estimators import EstimatorConfig
+from .errors import ConfigurationError, SingularChannelError
 from .homeostat import ZERO_THRESHOLD, HomeostatChannel
 
 __all__ = [
@@ -57,9 +56,9 @@ class Gains:
 
     def __post_init__(self):
         if not (math.isfinite(self.k_p) and self.k_p > 0.0):
-            raise StabilityError(f"k_p must be positive and finite, got {self.k_p}")
+            raise ConfigurationError(f"k_p must be positive and finite, got {self.k_p}")
         if self.k_d is not None and not (math.isfinite(self.k_d) and self.k_d > 0.0):
-            raise StabilityError(f"k_d must be positive and finite when present, got {self.k_d}")
+            raise ConfigurationError(f"k_d must be positive and finite when present, got {self.k_d}")
 
 
 def gains_from_poles(order: int, pole: float) -> Gains:
@@ -69,7 +68,7 @@ def gains_from_poles(order: int, pole: float) -> Gains:
     order 2:  s^2 + k_d s + k_p  has double root p ->  k_d = -2p, k_p = p^2
     """
     if not (math.isfinite(pole) and pole < 0.0):
-        raise StabilityError(f"pole must be a strictly negative real, got {pole}")
+        raise ConfigurationError(f"pole must be a strictly negative real, got {pole}")
     if order == 1:
         return Gains(k_p=-pole)
     if order == 2:
@@ -92,8 +91,6 @@ class ChannelController:
         Regulated output, model order, and gain ``alpha(t)``.
     gains : Gains
         ``k_d`` is required exactly when the channel order is 2.
-    estimator : EstimatorConfig
-        Window length and quadrature rule of the F estimator.
     nominal_control : callable(t)
         Feedforward along the reference, at a float or an array of times.
     saturation : (float, float), optional
@@ -108,7 +105,6 @@ class ChannelController:
 
     channel: HomeostatChannel
     gains: Gains
-    estimator: EstimatorConfig
     nominal_control: object
     saturation: tuple[float, float] | None = None
     tau_f: float | None = None

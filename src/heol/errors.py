@@ -1,7 +1,10 @@
 """Exception types shared across the package.
 
 Every error raised by the library derives from :class:`HeolError`, so callers
-can catch one base class at the loop or CLI level.
+can catch one base class at the loop or CLI level.  A bad input of any kind
+(a scenario, trajectory, window, interval, gain or derivative order that
+breaks its contract) raises :class:`ConfigurationError`; the other types name
+what can go wrong while a run is built or stepped.
 """
 
 
@@ -10,31 +13,7 @@ class HeolError(Exception):
 
 
 class ConfigurationError(HeolError):
-    """A scenario, channel, or estimator description violates its contract."""
-
-
-class HorizonError(HeolError):
-    """A trajectory was evaluated outside the interval its segments cover."""
-
-
-class CapabilityError(HeolError):
-    """A derivative order beyond the trajectory's declared maximum was requested."""
-
-
-class IntervalError(HeolError):
-    """An interval was given with non-increasing endpoints."""
-
-
-class AlignmentError(HeolError):
-    """Two windows that must share a sample grid do not."""
-
-
-class InsufficientDataError(HeolError):
-    """An estimate was requested on a window with fewer samples than it needs."""
-
-
-class DegenerateRelationError(HeolError):
-    """An implicit input/output relation has no usable output-derivative dependence."""
+    """An input violates its contract: a scenario, channel, trajectory, window, or argument."""
 
 
 class SingularChannelError(HeolError):
@@ -45,16 +24,8 @@ class FlatnessSingularityError(HeolError):
     """A nominal-control formula hit a point where the flat inversion degenerates."""
 
 
-class StabilityError(HeolError):
-    """Requested closed-loop poles are not strictly in the open left half plane."""
-
-
 class DivergenceError(HeolError):
     """The integrated state left the trust region or produced non-finite values."""
-
-
-class EmptyLogError(HeolError):
-    """Metrics were requested on a log with no records."""
 
 
 class ExportError(HeolError):

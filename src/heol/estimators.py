@@ -28,49 +28,20 @@ the control applied *at* t — the loop can estimate first and act second.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, ConfigurationError, InsufficientDataError
+from .errors import ConfigurationError
 from .signals import Window
 
 __all__ = [
-    "EstimatorConfig",
     "FEstimate",
     "estimate_f_nu1",
     "estimate_f_nu2",
 ]
 
 _RULES = ("simpson", "trapezoid")
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Window length and quadrature rule for a channel's F estimator."""
-
-    T: float
-    rule: str = "simpson"
-
-    def __post_init__(self):
-        if not (math.isfinite(self.T) and self.T > 0.0):
-            raise ConfigurationError(f"estimator window length must be positive, got T={self.T}")
-        if self.rule not in _RULES:
-            raise ConfigurationError(f"unknown quadrature rule {self.rule!r}, expected one of {_RULES}")
-
-    def validate_against(self, h: float) -> int:
-        """Check T against a sampling period; returns the interval count."""
-        w = int(round(self.T / h))
-        if w < 1 or abs(w * h - self.T) > 1e-9 * max(self.T, h):
-            raise ConfigurationError(
-                f"estimator window T={self.T} must be an integer multiple of the sampling period h={h}"
-            )
-        if w + 1 < 5:
-            raise ConfigurationError(
-                f"estimator window T={self.T} at h={h} holds {w + 1} samples; need at least 5"
-            )
-        return w
 
 
 @dataclass(frozen=True)
@@ -115,12 +86,10 @@ def _estimate(
     if dy_window is None or adu_window is None:
         return FEstimate(0.0, valid=False)
     if len(dy_window) != len(adu_window) or dy_window.T != adu_window.T:
-        raise AlignmentError(
+        raise ConfigurationError(
             f"windows differ in geometry: {len(dy_window)} samples over T={dy_window.T} vs "
             f"{len(adu_window)} over T={adu_window.T}"
         )
-    if np.max(np.abs(dy_window.sigma - adu_window.sigma)) > 1e-12 * dy_window.T:
-        raise AlignmentError("windows are not sampled on the same sigma grid")
     fused = FusedEstimator(order, dy_window.T, len(dy_window) - 1, rule)
     return FEstimate(fused.estimate(dy_window.values, adu_window.values))
 
@@ -160,7 +129,7 @@ class FusedEstimator:
         if rule not in _RULES:
             raise ConfigurationError(f"unknown quadrature rule {rule!r}, expected one of {_RULES}")
         if n_intervals < 2:
-            raise InsufficientDataError(
+            raise ConfigurationError(
                 f"estimator window needs at least 3 samples, got {n_intervals + 1}"
             )
         h = T / n_intervals

@@ -26,10 +26,8 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
-    DegenerateRelationError,
     FlatnessSingularityError,
     HeolError,
-    IntervalError,
     SingularChannelError,
 )
 from .signals import ReferenceTrajectory
@@ -213,7 +211,7 @@ def derive_channel(
 
     Raises
     ------
-    DegenerateRelationError
+    ConfigurationError
         if no output derivative up to the relation's declared order matters.
     SingularChannelError
         if a partial the derivation reads is not finite, or ``dE/dy^(order)``
@@ -222,7 +220,7 @@ def derive_channel(
     """
     t_lo, t_hi = horizon
     if not t_hi > t_lo:
-        raise IntervalError(f"horizon needs t_hi > t_lo, got [{t_lo}, {t_hi}]")
+        raise ConfigurationError(f"horizon needs t_hi > t_lo, got [{t_lo}, {t_hi}]")
     if len(references) != relation.n_outputs:
         raise ConfigurationError(
             f"relation expects {relation.n_outputs} references, got {len(references)}"
@@ -249,7 +247,7 @@ def derive_channel(
         mags = (np.max(np.abs(_partial(relation, (out, k), tables, u_vals, probes))) for k in ks)
         order = next((k for k, mag in zip(ks, mags) if mag > ZERO_THRESHOLD), 0)
         if order == 0:
-            raise DegenerateRelationError(
+            raise ConfigurationError(
                 f"residual does not depend on any derivative of output {out} "
                 f"up to order {relation.orders[out]} along the reference"
             )

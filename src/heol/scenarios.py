@@ -35,12 +35,11 @@ from .controllers import (
 from .errors import (
     ConfigurationError,
     DivergenceError,
-    EmptyLogError,
     ExportError,
     HeolError,
     SingularChannelError,
 )
-from .estimators import EstimatorConfig, FusedEstimator
+from .estimators import _RULES, FusedEstimator
 from .homeostat import (
     ZERO_THRESHOLD,
     HomeostatChannel,
@@ -60,7 +59,7 @@ from .plant import (
     initial_state,
     rk4_step,
 )
-from .signals import ReferenceTrajectory, TimeGrid, make_constant, make_smoothstep
+from .signals import ReferenceTrajectory, make_constant, make_smoothstep
 
 __all__ = [
     "Scenario",
@@ -91,19 +90,25 @@ MAX_GRID_POINTS = 10**7
 
 @dataclass(frozen=True)
 class Timing:
-    """Horizon and sampling of a run."""
+    """Horizon and sampling of a run: the grid ``t0 + k*h`` for ``k = 0..n_steps``.
+
+    Grid points are always produced as ``t0 + k*h`` (one multiply, one add)
+    rather than by accumulation, so point ``k`` is bit-reproducible and free
+    of drift regardless of the horizon length.
+    """
 
     duration: float
     h: float
     t0: float = 0.0
+    n_steps: int = field(init=False, repr=False, compare=False)  # duration / h, set at construction
 
     def __post_init__(self):
         if not (math.isfinite(self.duration) and self.duration > 0.0):
             raise ConfigurationError(f"duration must be positive, got {self.duration}")
         if not (math.isfinite(self.h) and self.h > 0.0):
             raise ConfigurationError(f"sampling period must be positive, got {self.h}")
-
-    def grid(self) -> TimeGrid:
+        if not math.isfinite(self.t0):
+            raise ConfigurationError(f"time grid origin must be finite, got t0={self.t0}")
         steps = self.duration / self.h  # may overflow to inf for a tiny h
         if not steps + 1 <= MAX_GRID_POINTS:
             raise ConfigurationError(
@@ -115,7 +120,19 @@ class Timing:
             raise ConfigurationError(
                 f"duration {self.duration} is not a multiple of the sampling period {self.h}"
             )
-        return TimeGrid(t0=self.t0, h=self.h, n_steps=n)
+        object.__setattr__(self, "n_steps", n)
+
+    def t(self, k: int) -> float:
+        """Time of grid point ``k``, exactly ``t0 + k*h``."""
+        return self.t0 + k * self.h
+
+    def times(self) -> np.ndarray:
+        """All ``n_steps + 1`` grid points as an array."""
+        return self.t0 + self.h * np.arange(self.n_steps + 1)
+
+    @property
+    def n_points(self) -> int:
+        return self.n_steps + 1
 
 
 @dataclass(frozen=True)
@@ -146,6 +163,16 @@ class ChannelSpec:
             raise ConfigurationError(f"unknown alpha source {self.alpha_source!r}")
         if self.alpha_source == "formula" and self.alpha_tag is None:
             raise ConfigurationError("alpha source 'formula' needs an alpha tag")
+        if self.alpha_source != "formula" and self.alpha_tag is not None:
+            raise ConfigurationError(
+                f"alpha.tag is read by source 'formula' only, got tag {self.alpha_tag!r} "
+                f"with source {self.alpha_source!r}"
+            )
+        if self.alpha_source != "constant" and self.alpha_value is not None:
+            raise ConfigurationError(
+                f"alpha.value is read by source 'constant' only, got value {self.alpha_value!r} "
+                f"with source {self.alpha_source!r}"
+            )
         if self.alpha_source == "constant" and not (
             self.alpha_value is not None and math.isfinite(self.alpha_value)
         ):
@@ -156,6 +183,12 @@ class ChannelSpec:
             )
         if self.pole is not None and self.pole_multiplicity not in (1, 2):
             raise ConfigurationError("pole multiplicity must be 1 or 2")
+        if not (math.isfinite(self.estimator_T) and self.estimator_T > 0.0):
+            raise ConfigurationError(f"estimator window length must be positive, got T={self.estimator_T}")
+        if self.estimator_rule not in _RULES:
+            raise ConfigurationError(
+                f"unknown quadrature rule {self.estimator_rule!r}, expected one of {_RULES}"
+            )
 
 
 @dataclass(frozen=True)
@@ -178,6 +211,15 @@ class Scenario:
     def __post_init__(self):
         if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
             raise ConfigurationError(f"scenario name {self.name!r} is not a plain file name")
+        try:
+            size = len(f"{self.name}.metrics.txt".encode())
+        except UnicodeEncodeError:  # a lone surrogate, as a "\ud800" JSON escape gives
+            size = math.inf
+        if size > 255:  # the longest file name most file systems take
+            raise ConfigurationError(
+                "scenario name is not a plain file name: <name>.metrics.txt must be "
+                "at most 255 bytes of UTF-8"
+            )
         if self.control_mode not in ("closed-loop", "feedforward"):
             raise ConfigurationError(f"unknown control mode {self.control_mode!r}")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):
@@ -437,8 +479,8 @@ class _Built:
     model: PlantModel
     references: tuple[ReferenceTrajectory, ...]
     controllers: list[ChannelController]
+    windows: list[int]  # estimator interval count per channel
     x0: np.ndarray
-    grid: TimeGrid
 
 
 def _build(scenario: Scenario) -> _Built:
@@ -462,9 +504,9 @@ def _build(scenario: Scenario) -> _Built:
             f"for {model.n_outputs} outputs"
         )
 
-    grid = scenario.timing.grid()
+    timing = scenario.timing
     refs = tuple(_build_reference(spec, f"references[{i}]") for i, spec in enumerate(scenario.references))
-    horizon = (grid.t0, grid.t(grid.n_steps))
+    horizon = (timing.t0, timing.t(timing.n_steps))
 
     seen_outputs: set[int] = set()
     for spec in scenario.channels:
@@ -480,7 +522,7 @@ def _build(scenario: Scenario) -> _Built:
             )
         seen_outputs.add(spec.output)
 
-    controllers = []
+    controllers, windows = [], []
     for j, spec in enumerate(scenario.channels):
         if spec.nominal not in NOMINAL_CONTROLS:
             raise ConfigurationError(
@@ -514,18 +556,28 @@ def _build(scenario: Scenario) -> _Built:
 
         if spec.k_p is not None:
             gains = Gains(k_p=spec.k_p, k_d=spec.k_d)
-        else:
-            double = spec.pole_multiplicity == 2 or channel.order == 2
-            gains = gains_from_poles(2 if double else 1, spec.pole)
+        elif spec.pole_multiplicity == 2 and channel.order == 1:
+            raise ConfigurationError(
+                f"channel {j + 1}: pole.multiplicity 2 needs an order-2 channel, "
+                f"but the channel has order {channel.order}"
+            )
+        else:  # a double pole for order 2; a higher order fails in ChannelController
+            gains = gains_from_poles(min(channel.order, 2), spec.pole)
 
-        estimator = EstimatorConfig(T=spec.estimator_T, rule=spec.estimator_rule)
-        estimator.validate_against(grid.h)
+        T, h = spec.estimator_T, timing.h
+        w = int(round(T / h))
+        if w < 1 or abs(w * h - T) > 1e-9 * max(T, h):
+            raise ConfigurationError(
+                f"estimator window T={T} must be an integer multiple of the sampling period h={h}"
+            )
+        if w + 1 < 5:
+            raise ConfigurationError(f"estimator window T={T} at h={h} holds {w + 1} samples; need at least 5")
+        windows.append(w)
 
         controllers.append(
             ChannelController(
                 channel=channel,
                 gains=gains,
-                estimator=estimator,
                 nominal_control=nominal,
                 saturation=spec.saturation,
                 tau_f=spec.tau_f,
@@ -533,12 +585,12 @@ def _build(scenario: Scenario) -> _Built:
             )
         )
 
-    x0 = np.asarray(init_fn(refs, mismatch, grid.t0), dtype=float)
+    x0 = np.asarray(init_fn(refs, mismatch, timing.t0), dtype=float)
     if x0.shape != (model.n_states,):
         raise ConfigurationError(
             f"initial state has shape {x0.shape}, plant needs ({model.n_states},)"
         )
-    return _Built(scenario, model, refs, controllers, x0, grid)
+    return _Built(scenario, model, refs, controllers, windows, x0)
 
 
 def validate_scenario(scenario: Scenario) -> _Built:
@@ -555,7 +607,7 @@ class SimLog:
     """Per-grid-point record arrays of one run."""
 
     scenario_name: str
-    grid: TimeGrid
+    grid: Timing
     channel_outputs: tuple[int, ...]
     channel_T: tuple[float, ...]
     t: np.ndarray
@@ -603,7 +655,8 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
     over a shorter horizon reproduces the corresponding prefix exactly.
     """
     built = scenario if isinstance(scenario, _Built) else _build(scenario)
-    model, refs, controllers, grid = built.model, built.references, built.controllers, built.grid
+    model, refs, controllers, windows = built.model, built.references, built.controllers, built.windows
+    grid = built.scenario.timing
     n_pts, p, m = grid.n_points, model.n_outputs, model.n_controls
 
     # Time-only signals on the whole grid: the lowest channel at the first bad t fails the run.
@@ -626,10 +679,9 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
     # the control at step k is known, so the estimate at t_k reads the zero
     # pad there and never the control applied at t_k (both kernels weigh
     # that sample by zero up to round-off anyway).
-    windows = [ctrl.estimator.validate_against(grid.h) for ctrl in controllers]
     estimators = [
-        FusedEstimator(ctrl.channel.order, w * grid.h, w, ctrl.estimator.rule)
-        for ctrl, w in zip(controllers, windows)
+        FusedEstimator(ctrl.channel.order, w * grid.h, w, spec.estimator_rule)
+        for ctrl, w, spec in zip(controllers, windows, built.scenario.channels)
     ]
     tau_f = [5.0 * grid.h if ctrl.tau_f is None else ctrl.tau_f for ctrl in controllers]
     dys = np.zeros((m, n_pts))
@@ -721,7 +773,7 @@ class Metrics:
 def compute_metrics(log: SimLog, rms_fraction: float = 0.01) -> Metrics:
     n = len(log.t)
     if n == 0:
-        raise EmptyLogError("cannot compute metrics of an empty log")
+        raise ConfigurationError("cannot compute metrics of an empty log")
     tail = max(1, int(round(0.2 * n)))
     dy_tail = log.dy[n - tail :]
     return Metrics(

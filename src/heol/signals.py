@@ -1,4 +1,4 @@
-"""Time grids, reference trajectories, and sliding estimation windows.
+"""Reference trajectories and sliding estimation windows.
 
 Trajectories are piecewise polynomials with analytic derivatives: each segment
 stores ascending coefficients in the local variable ``t - start`` so that long
@@ -15,55 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    CapabilityError,
-    ConfigurationError,
-    HorizonError,
-    IntervalError,
-)
+from .errors import ConfigurationError
 
 __all__ = [
-    "TimeGrid",
     "Segment",
     "ReferenceTrajectory",
     "Window",
     "make_constant",
     "make_smoothstep",
 ]
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform sampling grid ``t0 + k*h`` for ``k = 0..n_steps``.
-
-    Grid points are always produced as ``t0 + k*h`` (one multiply, one add)
-    rather than by accumulation, so point ``k`` is bit-reproducible and free
-    of drift regardless of the horizon length.
-    """
-
-    t0: float
-    h: float
-    n_steps: int
-
-    def __post_init__(self):
-        if not (math.isfinite(self.t0) and math.isfinite(self.h)):
-            raise ConfigurationError("time grid origin and step must be finite")
-        if self.h <= 0.0:
-            raise ConfigurationError(f"sampling period must be positive, got h={self.h}")
-        if self.n_steps < 1:
-            raise ConfigurationError(f"grid needs at least one step, got n_steps={self.n_steps}")
-
-    def t(self, k: int) -> float:
-        """Time of grid point ``k``, exactly ``t0 + k*h``."""
-        return self.t0 + k * self.h
-
-    def times(self) -> np.ndarray:
-        """All ``n_steps + 1`` grid points as an array."""
-        return self.t0 + self.h * np.arange(self.n_steps + 1)
-
-    @property
-    def n_points(self) -> int:
-        return self.n_steps + 1
 
 
 def _polyder(coeffs: tuple[float, ...], order: int = 1) -> tuple[float, ...]:
@@ -103,7 +63,7 @@ class Segment:
         if not all(math.isfinite(c) for c in self.coeffs):
             raise ConfigurationError(f"polynomial segment needs finite coefficients, got {self.coeffs}")
         if not self.stop > self.start:
-            raise IntervalError(f"segment needs stop > start, got [{self.start}, {self.stop}]")
+            raise ConfigurationError(f"segment needs stop > start, got [{self.start}, {self.stop}]")
         if math.isinf(self.start) and len(self.coeffs) > 1:
             raise ConfigurationError("a segment starting at -inf must be constant")
 
@@ -165,13 +125,13 @@ class ReferenceTrajectory:
     def eval(self, t, order: int = 0):
         """Value of the ``order``-th derivative at ``t``: a float at a float, an array at an array."""
         if order < 0 or order > self.max_order:
-            raise CapabilityError(
+            raise ConfigurationError(
                 f"derivative order {order} not available (max_order={self.max_order})"
             )
         tt = np.asarray(t, dtype=float)
         lo, hi = self.span  # constants and smoothsteps span the whole line: nothing to check
         if (lo > -math.inf or hi < math.inf) and (outside := (tt < lo) | (tt > hi)).any():
-            raise HorizonError(f"t={float(tt[outside][0])} outside trajectory span [{lo}, {hi}]")
+            raise ConfigurationError(f"t={float(tt[outside][0])} outside trajectory span [{lo}, {hi}]")
         seg_of = self._starts.searchsorted(tt, side="right") - 1  # last start at or before t
 
         def piece(i, at):  # Horner in tau = at - start, with tau = 0 on a -inf head
@@ -209,7 +169,7 @@ def make_smoothstep(
     simply the constant trajectory.
     """
     if not t_end > t_start:
-        raise IntervalError(f"need t_end > t_start, got [{t_start}, {t_end}]")
+        raise ConfigurationError(f"need t_end > t_start, got [{t_start}, {t_end}]")
     y_from = float(y_from)
     y_to = float(y_to)
     if y_from == y_to:
@@ -220,7 +180,7 @@ def make_smoothstep(
     try:
         coeffs = [amp * c / duration**k for k, c in enumerate(_SMOOTHSTEP7)]
     except (OverflowError, ZeroDivisionError):  # duration**7 leaves the float range
-        raise IntervalError(f"smoothstep span {duration!r} is out of range") from None
+        raise ConfigurationError(f"smoothstep span {duration!r} is out of range") from None
     coeffs[0] = y_from
     return ReferenceTrajectory(
         (

@@ -139,7 +139,8 @@ def test_name_outside_out_dir_exits_3(tmp_path, capsys):
     bad = scenario_to_dict(ultralocal_scenario(1.0, duration=1.0))
     path = tmp_path / "escape.json"
     out = tmp_path / "out"
-    for name in ("../escape", "sub/run", "sub\\run", "", ".", ".."):
+    # nor can a name whose <name>.metrics.txt exceeds 255 bytes or is not UTF-8
+    for name in ("../escape", "sub/run", "sub\\run", "", ".", "..", "x" * 250, "é" * 122, "a\ud800b"):
         path.write_text(json.dumps(dict(bad, name=name)))
         assert cli_main(["run", "--config", str(path), "--out", str(out)]) == 3
         assert "not a plain file name" in capsys.readouterr().err

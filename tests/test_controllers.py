@@ -19,8 +19,8 @@ from heol.controllers import (
     channel_step,
     gains_from_poles,
 )
-from heol.errors import ConfigurationError, SingularChannelError, StabilityError
-from heol.estimators import EstimatorConfig, FusedEstimator
+from heol.errors import ConfigurationError, SingularChannelError
+from heol.estimators import FusedEstimator
 from heol.homeostat import HomeostatChannel, nominal_u1, nominal_u2
 from heol.scenarios import Timing, builtin_scenario, run_scenario
 from heol.signals import make_smoothstep
@@ -40,7 +40,6 @@ def make_controller(order=1, alpha=2.0, k_p=1.0, k_d=None, **kw):
     return ChannelController(
         channel=make_channel(order=order, alpha=alpha),
         gains=Gains(k_p=k_p, k_d=k_d),
-        estimator=EstimatorConfig(T=0.3),
         nominal_control=lambda t: 0.0,
         **kw,
     )
@@ -97,11 +96,11 @@ def estimator_replay(log, j, order, rule, alpha):
 def test_gains_enforce_hurwitz_conditions():
     Gains(k_p=1.0)
     Gains(k_p=0.0225, k_d=0.3)
-    with pytest.raises(StabilityError):
+    with pytest.raises(ConfigurationError, match="k_p must be positive and finite, got 0.0"):
         Gains(k_p=0.0)
-    with pytest.raises(StabilityError):
+    with pytest.raises(ConfigurationError, match="k_p must be positive and finite, got -1.0"):
         Gains(k_p=-1.0)
-    with pytest.raises(StabilityError):
+    with pytest.raises(ConfigurationError, match="k_d must be positive and finite when present, got 0.0"):
         Gains(k_p=1.0, k_d=0.0)
 
 
@@ -117,9 +116,9 @@ def test_pole_placement_double_root():
 
 
 def test_pole_placement_rejects_unstable_and_odd_orders():
-    with pytest.raises(StabilityError):
+    with pytest.raises(ConfigurationError, match="pole must be a strictly negative real, got 1.0"):
         gains_from_poles(1, 1.0)
-    with pytest.raises(StabilityError):
+    with pytest.raises(ConfigurationError, match="pole must be a strictly negative real, got 0.0"):
         gains_from_poles(2, 0.0)
     with pytest.raises(ConfigurationError):
         gains_from_poles(3, -1.0)
@@ -181,7 +180,6 @@ def test_controller_gain_shape_must_match_order():
         ChannelController(
             channel=make_channel(order=2),
             gains=Gains(k_p=1.0),  # iPD needs k_d
-            estimator=EstimatorConfig(T=0.3),
             nominal_control=lambda t: 0.0,
         )
 
@@ -189,7 +187,6 @@ def test_controller_gain_shape_must_match_order():
         ChannelController(
             channel=make_channel(order=1),
             gains=Gains(k_p=1.0, k_d=0.5),  # iP takes no k_d
-            estimator=EstimatorConfig(T=0.3),
             nominal_control=lambda t: 0.0,
         )
 
@@ -201,7 +198,6 @@ def test_controller_rejects_bad_saturation_and_order():
         ChannelController(
             channel=make_channel(order=3),
             gains=Gains(k_p=1.0),
-            estimator=EstimatorConfig(T=0.3),
             nominal_control=lambda t: 0.0,
         )
 
@@ -294,8 +290,8 @@ def test_channel_independence_at_fixed_histories():
         base,
         timing=Timing(duration=2.0, h=0.01),
         channels=(
-            dataclasses.replace(ch1, alpha_source="constant", alpha_value=1.0),
-            dataclasses.replace(ch2, alpha_source="constant", alpha_value=-1.0),
+            dataclasses.replace(ch1, alpha_source="constant", alpha_tag=None, alpha_value=1.0),
+            dataclasses.replace(ch2, alpha_source="constant", alpha_tag=None, alpha_value=-1.0),
         ),
     )
     log = run_scenario(s)

@@ -1,16 +1,22 @@
 """Windowed integral estimators of the lumped disturbance."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from heol.errors import AlignmentError, ConfigurationError, InsufficientDataError
+from heol.errors import ConfigurationError
 from heol.estimators import (
-    EstimatorConfig,
     FusedEstimator,
     estimate_f_nu1,
     estimate_f_nu2,
 )
+from heol.scenarios import ChannelSpec, validate_scenario
 from heol.signals import Window
+
+from conftest import ultralocal_scenario
 
 
 def make_window(values, T=1.0):
@@ -44,27 +50,68 @@ MEASURED_REL_ERROR = {
 }
 
 
-def polynomial_windows(n):
-    """Windows of d^nu(dy)/dt^nu = F + a*du with constant right side, T = 1."""
-    s = sigma_of(n)
-    adu = make_window(np.full(n + 1, ADU))
-    dy1 = 0.7 + (F_TRUE + ADU) * s
-    dy2 = 0.7 - 1.3 * s + 0.5 * (F_TRUE + ADU) * s**2
-    return make_window(dy1), make_window(dy2), adu
+# The same errors as a law c * n**-p per rule, order and parity of n (None:
+# exact to round-off).  The law holds for every window length, because
+# ``polynomial_windows`` scales the initial conditions with T.  For Simpson
+# at order 2 with an odd count, n**3 times the error rises from 43.4 at
+# n = 5 towards 56.25.
+ERROR_LAW = {
+    ("simpson", 1, 0): None,
+    ("simpson", 1, 1): (0.25, 3),
+    ("simpson", 2, 0): (9.0, 4),
+    ("simpson", 2, 1): (56.25, 3),
+    ("trapezoid", 1, 0): (0.25, 2),
+    ("trapezoid", 1, 1): (0.25, 2),
+    ("trapezoid", 2, 0): (4.25, 2),
+    ("trapezoid", 2, 1): (4.25, 2),
+}
+
+
+def polynomial_windows(n, T=1.0):
+    """Windows of d^nu(dy)/dt^nu = F + a*du with constant right side over [0, T]."""
+    s = sigma_of(n, T)
+    adu = make_window(np.full(n + 1, ADU), T)
+    dy1 = 0.7 * T + (F_TRUE + ADU) * s
+    dy2 = 0.7 * T**2 - 1.3 * T * s + 0.5 * (F_TRUE + ADU) * s**2
+    return make_window(dy1, T), make_window(dy2, T), adu
+
+
+def within_error_law(rel, rule, order, n):
+    """Whether ``rel`` lies between 0.75 and 1 times the law, up to 1e-13 of round-off."""
+    law = ERROR_LAW[rule, order, n % 2]
+    if law is None:
+        return rel <= 1e-13
+    c, p = law
+    return 0.75 * c * n**-p <= rel <= c * n**-p + 1e-13
 
 
 @pytest.mark.parametrize("n", (30, 31, 100, 101))
 @pytest.mark.parametrize("rule", ("simpson", "trapezoid"))
 def test_polynomial_signal_error_matches_quadrature_rule(rule, n):
     dy1, dy2, adu = polynomial_windows(n)
-    for fn, dy, measured in zip(
-        (estimate_f_nu1, estimate_f_nu2), (dy1, dy2), MEASURED_REL_ERROR[rule, n]
+    for order, fn, dy, measured in zip(
+        (1, 2), (estimate_f_nu1, estimate_f_nu2), (dy1, dy2), MEASURED_REL_ERROR[rule, n]
     ):
         rel = abs(fn(dy, adu, rule=rule).value - F_TRUE) / abs(F_TRUE)
         if measured is None:
             assert rel <= 1e-14
         else:
             assert rel == pytest.approx(measured, rel=1e-3)
+        assert within_error_law(rel, rule, order, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    T=st.floats(min_value=0.01, max_value=100.0),
+    n=st.integers(min_value=4, max_value=400),
+    order=st.sampled_from([1, 2]),
+    rule=st.sampled_from(["simpson", "trapezoid"]),
+)
+def test_relative_error_follows_the_error_law(T, n, order, rule):
+    dy1, dy2, adu = polynomial_windows(n, T)
+    fn, dy = (estimate_f_nu1, dy1) if order == 1 else (estimate_f_nu2, dy2)
+    rel = abs(fn(dy, adu, rule=rule).value - F_TRUE) / abs(F_TRUE)
+    assert within_error_law(rel, rule, order, n), rel
 
 
 def test_quadrature_odd_interval_count_still_integrates_constants():
@@ -80,7 +127,7 @@ def test_quadrature_odd_interval_count_still_integrates_constants():
 def test_quadrature_needs_three_samples():
     w = make_window([0.0, 1.0])
     for fn in (estimate_f_nu1, estimate_f_nu2):
-        with pytest.raises(InsufficientDataError):
+        with pytest.raises(ConfigurationError, match="estimator window needs at least 3 samples, got 2"):
             fn(w, w)
 
 
@@ -151,7 +198,7 @@ def test_misaligned_windows_rejected():
     a = make_window(np.zeros(101))
     b = make_window(np.zeros(51))
     for fn in (estimate_f_nu1, estimate_f_nu2):
-        with pytest.raises(AlignmentError):
+        with pytest.raises(ConfigurationError, match="windows differ in geometry: 101 samples over T=1.0 vs 51"):
             fn(a, b)
 
 
@@ -204,16 +251,18 @@ def test_estimate_is_linear_in_both_signals(rng):
 
 
 def test_estimator_config_validation():
-    with pytest.raises(ConfigurationError):
-        EstimatorConfig(T=0.0)
-    with pytest.raises(ConfigurationError):
-        EstimatorConfig(T=0.3, rule="gauss")
-    cfg = EstimatorConfig(T=0.3)
-    assert cfg.validate_against(0.01) == 30
-    with pytest.raises(ConfigurationError):
-        cfg.validate_against(0.007)  # not a divisor of T
-    with pytest.raises(ConfigurationError):
-        EstimatorConfig(T=0.03).validate_against(0.01)  # only 4 samples
+    # the channel spec checks T and the rule on their own ...
+    for T in (0.0, -0.3, math.inf, math.nan):
+        with pytest.raises(ConfigurationError, match="estimator window length must be positive"):
+            ChannelSpec(output=0, k_p=1.0, estimator_T=T)
+    with pytest.raises(ConfigurationError, match="unknown quadrature rule 'gauss'"):
+        ChannelSpec(output=0, k_p=1.0, estimator_rule="gauss")
+    # ... and the built scenario checks T against the sampling period, once
+    assert validate_scenario(ultralocal_scenario(1.0, estimator_T=0.3)).windows == [30]
+    with pytest.raises(ConfigurationError, match="must be an integer multiple of the sampling period h=0.007"):
+        validate_scenario(ultralocal_scenario(1.0, h=0.007, duration=0.7))
+    with pytest.raises(ConfigurationError, match="T=0.03 at h=0.01 holds 4 samples; need at least 5"):
+        validate_scenario(ultralocal_scenario(1.0, estimator_T=0.03))
 
 
 # ------------------------------------------------------------ fused kernels

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 from heol.errors import (
     ConfigurationError,
     DivergenceError,
-    EmptyLogError,
     FlatnessSingularityError,
     SingularChannelError,
 )
@@ -35,7 +35,6 @@ from heol.scenarios import (
     scenario_to_dict,
     validate_scenario,
 )
-from heol.signals import TimeGrid
 
 from conftest import ultralocal_scenario
 
@@ -46,7 +45,7 @@ def make_log(dy_column):
     """Synthetic single-channel SimLog with the given deviation column."""
     dy = np.asarray(dy_column, dtype=float).reshape(-1, 1)
     n = len(dy)
-    grid = TimeGrid(0.0, 0.01, max(n - 1, 1))
+    grid = Timing(duration=0.01 * max(n - 1, 1), h=0.01)
     y_ref = np.ones((n, 1))
     zeros = np.zeros((n, 1))
     return SimLog(
@@ -71,10 +70,10 @@ def make_log(dy_column):
 
 
 def test_timing_grid_requires_integer_step_count():
-    assert Timing(duration=1.5, h=0.01).grid().n_steps == 150
-    with pytest.raises(ConfigurationError):
-        Timing(duration=1.0, h=0.3).grid()
-    with pytest.raises(ConfigurationError):
+    assert Timing(duration=1.5, h=0.01).n_steps == 150
+    with pytest.raises(ConfigurationError, match="duration 1.0 is not a multiple of the sampling period 0.3"):
+        Timing(duration=1.0, h=0.3)
+    with pytest.raises(ConfigurationError, match="duration must be positive"):
         Timing(duration=-1.0, h=0.01)
 
 
@@ -96,6 +95,10 @@ def test_channel_spec_alpha_source_validation():
         ChannelSpec(output=0, k_p=1.0, alpha_source="constant", alpha_value=1.0)  # no order
     with pytest.raises(ConfigurationError):
         ChannelSpec(output=0, order=1, pole=-1.0, pole_multiplicity=3)
+    with pytest.raises(ConfigurationError, match="alpha.tag is read by source 'formula' only"):
+        ChannelSpec(output=0, k_p=1.0, alpha_tag="ref0-squared")  # derived
+    with pytest.raises(ConfigurationError, match="alpha.value is read by source 'constant' only"):
+        ChannelSpec(output=0, order=1, k_p=1.0, alpha_source="formula", alpha_tag="x", alpha_value=3.0)
 
 
 def test_scenario_field_validation():
@@ -245,7 +248,9 @@ def test_reference_crossing_zero_names_channel_and_time():
     assert "np." not in msg  # values print as Python floats
 
     # Channel 2 singular from t=0, earlier than channel 1: channel 2 is named.
-    tiny = dataclasses.replace(crossing.channels[1], alpha_source="constant", alpha_value=1e-12)
+    tiny = dataclasses.replace(
+        crossing.channels[1], alpha_source="constant", alpha_tag=None, alpha_value=1e-12
+    )
     with pytest.raises(SingularChannelError) as err:
         run_scenario(dataclasses.replace(crossing, channels=(crossing.channels[0], tiny)))
     assert str(err.value) == "channel 2 at t=0: cannot divide by channel gain alpha=1e-12"
@@ -301,7 +306,7 @@ def test_metrics_tail_spike():
 
 
 def test_metrics_reject_empty_log():
-    with pytest.raises(EmptyLogError):
+    with pytest.raises(ConfigurationError, match="cannot compute metrics of an empty log"):
         compute_metrics(make_log(np.zeros(0)))
 
 
@@ -390,7 +395,7 @@ def test_csv_bytes_equal_per_field_oracle(tmp_path_factory, p, m, n, drawn, seed
 
     log = SimLog(
         scenario_name="oracle",
-        grid=TimeGrid(0.0, 0.01, max(n - 1, 1)),
+        grid=Timing(duration=0.01 * max(n - 1, 1), h=0.01),
         channel_outputs=tuple(range(m)),
         channel_T=(0.3,) * m,
         t=floats(1)[:, 0],
@@ -450,10 +455,10 @@ def channel_specs(draw, output):
         output=output,
         order=draw((st.none() if source == "derived" else st.nothing()) | st.sampled_from([1, 2])),
         alpha_source=source,
-        alpha_tag=draw((st.none() if source != "formula" else st.nothing()) | TAGS),
-        alpha_value=draw((st.none() if source != "constant" else st.nothing()) | FINITE),
+        alpha_tag=draw(TAGS) if source == "formula" else None,
+        alpha_value=draw(FINITE) if source == "constant" else None,
         estimator_T=draw(_or_default(0.3, POSITIVE)),
-        estimator_rule=draw(_or_default("simpson", TAGS)),
+        estimator_rule=draw(st.sampled_from(["simpson", "trapezoid"])),
         k_p=None if pole is not None else draw(POSITIVE),
         k_d=None if pole is not None else draw(st.none() | POSITIVE),
         pole=pole,
@@ -484,11 +489,12 @@ NAMES = st.text(max_size=12).map(lambda s: "".join(c for c in s if c not in "/\\
 def scenarios(draw):
     plant = draw(st.sampled_from(sorted(PLANT_PARAMS)))
     n = 2 if plant == "flat-benchmark-2x2" else 1
+    h = draw(POSITIVE)
     return Scenario(
         name=draw(NAMES),
         plant=plant,
         plant_params=draw(PLANT_PARAMS[plant]),
-        timing=Timing(duration=draw(POSITIVE), h=draw(POSITIVE), t0=draw(_or_default(0.0, FINITE))),
+        timing=Timing(duration=draw(st.integers(1, 10**4)) * h, h=h, t0=draw(_or_default(0.0, FINITE))),
         references=tuple(draw(st.lists(REFERENCES, min_size=n, max_size=n))),
         channels=tuple(draw(channel_specs(i)) for i in range(n)),
         mismatch=draw(st.none() | st.builds(MismatchSpec, st.tuples(*[POSITIVE] * n))),
@@ -534,24 +540,42 @@ def test_missing_and_malformed_keys_are_configuration_errors():
         with pytest.raises(ConfigurationError):
             scenario_from_dict(bad)
     # integers must be integral JSON numbers, flags JSON booleans, tags
-    # strings; unknown keys and names leaving the output directory fail too
-    for path, value in [
-        (("timing", "duration"), "hundred and fifty"),
-        (("timing", "t0"), True),
-        (("timing", "dt"), 0.01),
-        (("timing", "substeps"), 1),
-        (("mismatch", "control_perturbation"), "u2-coeff-1.1-0.9"),
-        (("channels", 0, "estimator"), {"T": "0.3"}),
-        (("plant",), {"name": "flat-benchmark-2x2", "params": {"analytic_partials": "yes"}}),
-        (("name",), {"first": "paper"}),
-        (("name",), "../escape"),
-        (("channels", 0, "output"), 1.7),
-        (("channels", 0, "order"), True),
-        (("channels", 1, "pole", "multiplicity"), 2.5),
-        (("noise",), {"std": 1e-3, "seed": 0.5}),
-        (("noise",), {"std": 1e-3, "seed": False}),
-        (("noise",), {"std": 1e-3, "seed": -1}),
-        (("allow_shared_outputs",), "false"),
+    # strings; unknown keys, keys the alpha source does not read, a double
+    # pole on an order-1 channel and names leaving the output directory fail
+    # too.  Each message names the key at fault.
+    derived_without_order = {
+        "output": 1,
+        "alpha": {"source": "derived"},  # derives order 1
+        "pole": {"value": -0.15, "multiplicity": 2},
+        "nominal": "flat-u2-miscoeff",
+    }
+    for path, value, named in [
+        (("timing", "duration"), "hundred and fifty", "timing.duration"),
+        (("timing", "t0"), True, "timing.t0"),
+        (("timing", "dt"), 0.01, "timing.dt"),
+        (("timing", "substeps"), 1, "timing.substeps"),
+        (("mismatch", "control_perturbation"), "u2-coeff-1.1-0.9", "mismatch.control_perturbation"),
+        (("channels", 0, "estimator"), {"T": "0.3"}, "channels[0].estimator.T"),
+        (
+            ("plant",),
+            {"name": "flat-benchmark-2x2", "params": {"analytic_partials": "yes"}},
+            "plant.params.analytic_partials",
+        ),
+        (("name",), {"first": "paper"}, "name"),
+        (("name",), "../escape", "scenario name"),
+        (("channels", 0, "output"), 1.7, "channels[0].output"),
+        (("channels", 0, "order"), True, "channels[0].order"),
+        (("channels", 1, "pole", "multiplicity"), 2.5, "channels[1].pole.multiplicity"),
+        (("noise",), {"std": 1e-3, "seed": 0.5}, "noise.seed"),
+        (("noise",), {"std": 1e-3, "seed": False}, "noise.seed"),
+        (("noise",), {"std": 1e-3, "seed": -1}, "noise seed"),
+        (("allow_shared_outputs",), "false", "allow_shared_outputs"),
+        (("channels", 0, "alpha"), {"source": "formula", "tag": "ref0-squared", "value": 3}, "alpha.value"),
+        (("channels", 0, "alpha"), {"source": "constant", "value": 1, "tag": "x"}, "alpha.tag"),
+        (("channels", 0, "alpha"), {"source": "derived", "tag": "ref0-squared"}, "alpha.tag"),
+        (("channels", 0, "alpha"), {"source": "derived", "value": 3}, "alpha.value"),
+        (("channels", 0, "pole", "multiplicity"), 2, "channel 1: pole.multiplicity 2 needs an order-2 channel"),
+        (("channels", 1), derived_without_order, "channel 2: pole.multiplicity 2 needs an order-2 channel"),
     ]:
         mangled = json.loads(json.dumps(good))
         *parents, key = path
@@ -559,8 +583,8 @@ def test_missing_and_malformed_keys_are_configuration_errors():
         for part in parents:
             target = target[part]
         target[key] = value
-        with pytest.raises(ConfigurationError):
-            scenario_from_dict(mangled)
+        with pytest.raises(ConfigurationError, match=re.escape(named)):
+            validate_scenario(scenario_from_dict(mangled))
     integral = json.loads(json.dumps(good))
     integral["channels"][0]["output"] = 0.0
     assert scenario_from_dict(integral) == builtin_scenario("paper-sec4")

@@ -1,4 +1,4 @@
-"""Grids, reference trajectories, and estimation windows."""
+"""The run's time grid, reference trajectories, and estimation windows."""
 
 import bisect
 import math
@@ -8,27 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heol.errors import (
-    CapabilityError,
-    ConfigurationError,
-    HorizonError,
-    IntervalError,
-)
+from heol.errors import ConfigurationError
+from heol.scenarios import Timing
 from heol.signals import (
     ReferenceTrajectory,
     Segment,
-    TimeGrid,
     Window,
     make_constant,
     make_smoothstep,
 )
 
 
-# ---------------------------------------------------------------- TimeGrid
+# ------------------------------------------------------------------ Timing
 
 
 def test_grid_points_are_t0_plus_k_h_exactly():
-    g = TimeGrid(t0=2.5, h=0.01, n_steps=15000)
+    g = Timing(duration=150.0, h=0.01, t0=2.5)
+    assert g.n_steps == 15000
     for k in (0, 1, 7, 14999, 15000):
         assert g.t(k) == 2.5 + k * 0.01  # one multiply, one add: no drift
     assert g.n_points == 15001
@@ -37,12 +33,24 @@ def test_grid_points_are_t0_plus_k_h_exactly():
     assert times[0] == 2.5 and times[-1] == g.t(15000)
 
 
-@pytest.mark.parametrize("bad", [dict(h=0.0), dict(h=-1.0), dict(n_steps=0)])
+@pytest.mark.parametrize(
+    "bad",  # (changed argument, expected message)
+    [
+        (dict(h=0.0), "sampling period must be positive"),
+        (dict(h=-1.0), "sampling period must be positive"),
+        (dict(duration=0.0), "duration must be positive"),
+        (dict(t0=math.inf), "time grid origin must be finite"),
+        (dict(t0=math.nan), "time grid origin must be finite"),
+        (dict(h=0.3), "duration 1.0 is not a multiple of the sampling period 0.3"),
+        (dict(h=1e-7), "gives 1e\\+07 grid points; at most 10000000 are allowed"),
+    ],
+)
 def test_grid_rejects_degenerate_construction(bad):
-    kw = dict(t0=0.0, h=0.1, n_steps=10)
-    kw.update(bad)
-    with pytest.raises(ConfigurationError):
-        TimeGrid(**kw)
+    kw = dict(t0=0.0, h=0.1, duration=1.0)
+    changed, message = bad
+    kw.update(changed)
+    with pytest.raises(ConfigurationError, match=message):
+        Timing(**kw)
 
 
 # ------------------------------------------------------------- trajectories
@@ -65,13 +73,13 @@ def test_polynomial_segment_derivative():
 
 def test_trajectory_horizon_and_order_errors():
     traj = ReferenceTrajectory((Segment(0.0, 10.0, (1.0, 2.0)),))
-    with pytest.raises(HorizonError):
+    with pytest.raises(ConfigurationError, match=r"t=-0.5 outside trajectory span \[0.0, 10.0\]"):
         traj.eval(-0.5, 0)
-    with pytest.raises(HorizonError):
+    with pytest.raises(ConfigurationError, match=r"t=10.5 outside trajectory span"):
         traj.eval(10.5, 0)
-    with pytest.raises(CapabilityError):
+    with pytest.raises(ConfigurationError, match=r"derivative order 4 not available \(max_order=3\)"):
         traj.eval(5.0, 4)
-    with pytest.raises(CapabilityError):
+    with pytest.raises(ConfigurationError, match=r"derivative order -1 not available"):
         traj.eval(5.0, -1)
 
 
@@ -134,12 +142,12 @@ def test_short_smoothsteps_build_and_reach_their_plateaus():
 
 
 def test_smoothstep_rejects_empty_interval():
-    with pytest.raises(IntervalError):
+    with pytest.raises(ConfigurationError, match=r"need t_end > t_start, got \[5.0, 5.0\]"):
         make_smoothstep(0.0, 1.0, 5.0, 5.0)
-    with pytest.raises(IntervalError):
+    with pytest.raises(ConfigurationError, match=r"need t_end > t_start, got \[5.0, 4.0\]"):
         make_smoothstep(0.0, 1.0, 5.0, 4.0)
     for t_start, t_end in ((-1e308, 1.0), (0.0, 1e-50)):  # duration**7 over- and underflows
-        with pytest.raises(IntervalError):
+        with pytest.raises(ConfigurationError, match="smoothstep span .* is out of range"):
             make_smoothstep(0.0, 1.0, t_start, t_end)
 
 
