@@ -12,7 +12,6 @@ from .errors import (
     ConfigurationError,
     DivergenceError,
     ExportError,
-    FlatnessSingularityError,
     HeolError,
     SingularChannelError,
 )

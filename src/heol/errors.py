@@ -17,11 +17,7 @@ class ConfigurationError(HeolError):
 
 
 class SingularChannelError(HeolError):
-    """The channel gain alpha(t) vanishes or blows up, so the law cannot divide by it."""
-
-
-class FlatnessSingularityError(HeolError):
-    """A nominal-control formula hit a point where the flat inversion degenerates."""
+    """A channel degenerates: its gain alpha(t) vanishes or blows up, or its flat inversion does."""
 
 
 class DivergenceError(HeolError):

@@ -24,12 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    FlatnessSingularityError,
-    HeolError,
-    SingularChannelError,
-)
+from .errors import ConfigurationError, HeolError, SingularChannelError
 from .signals import ReferenceTrajectory
 
 __all__ = [
@@ -52,10 +47,9 @@ class ImplicitFlatRelation:
 
     Parameters
     ----------
-    n_outputs : int
-        Number of flat outputs the derivative table carries.
     orders : tuple of int
-        Highest derivative of each output that ``residual`` reads.
+        Highest derivative of each flat output that ``residual`` reads, one
+        entry per output.
     control_index : int
         Which control enters this relation.
     residual : callable(table, u) -> float
@@ -66,7 +60,6 @@ class ImplicitFlatRelation:
         differences are used when absent.
     """
 
-    n_outputs: int
     orders: tuple[int, ...]
     control_index: int
     residual: Callable[[np.ndarray, float], float]
@@ -75,10 +68,6 @@ class ImplicitFlatRelation:
     def __post_init__(self):
         if self.n_outputs < 1:
             raise ConfigurationError("relation needs at least one output")
-        if len(self.orders) != self.n_outputs:
-            raise ConfigurationError(
-                f"orders has {len(self.orders)} entries for {self.n_outputs} outputs"
-            )
         if any(o < 0 for o in self.orders):
             raise ConfigurationError("derivative orders must be non-negative")
         if not 0 <= self.control_index < self.n_outputs:
@@ -87,8 +76,8 @@ class ImplicitFlatRelation:
             )
 
     @property
-    def table_shape(self) -> tuple[int, int]:
-        return self.n_outputs, max(self.orders) + 1
+    def n_outputs(self) -> int:
+        return len(self.orders)
 
 
 @dataclass(frozen=True)
@@ -280,7 +269,7 @@ def nominal_u1(y1_ref: ReferenceTrajectory, t):
     """
     y1 = y1_ref.eval(t, 0)
     if np.any(zero := np.abs(y1) <= ZERO_THRESHOLD):
-        raise FlatnessSingularityError(
+        raise SingularChannelError(
             f"y1* = {_first(y1, zero)!r} at t={_first(t, zero):.6g}: "
             "first-channel inversion degenerates at y1 = 0"
         )
@@ -304,7 +293,7 @@ def nominal_u2(
     """
     beta = y1_ref.eval(t, 0) * nominal_u1(y1_ref, t)
     if np.any(zero := np.abs(beta) <= ZERO_THRESHOLD):
-        raise FlatnessSingularityError(
+        raise SingularChannelError(
             f"y1*·u1* = {_first(beta, zero)!r} at t={_first(t, zero):.6g}: "
             "second-channel inversion degenerates there"
         )

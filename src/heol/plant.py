@@ -108,15 +108,12 @@ def example_plant() -> PlantModel:
     return PlantModel(n_states=4, n_controls=2, n_outputs=2, f=f, output=output)
 
 
-def benchmark_relations(analytic_partials: bool = False) -> tuple[ImplicitFlatRelation, ImplicitFlatRelation]:
-    """Implicit input/output relations of the benchmark plant.
+def benchmark_relations() -> tuple[ImplicitFlatRelation, ImplicitFlatRelation]:
+    """Implicit input/output relations of the benchmark plant, with closed-form partials.
 
     E1(y1', y1, u1) = y1' - y1 - y1^2 u1
     E2(y2''', ..., y2, y1', y1, u2) = y2''' + y2'' - y2' - y2 - y1 u1 u2,
     with u1 eliminated through the first relation (u1 = (y1' - y1)/y1^2).
-
-    With ``analytic_partials`` the relations carry closed-form partials;
-    otherwise ``derive_channel`` falls back to finite differences.
     """
 
     def e1_residual(table, u):
@@ -146,21 +143,10 @@ def benchmark_relations(analytic_partials: bool = False) -> tuple[ImplicitFlatRe
         d[1, 3] = 1.0
         return d, -(dy1 - y1) / y1
 
-    e1 = ImplicitFlatRelation(
-        n_outputs=2,
-        orders=(1, 0),
-        control_index=0,
-        residual=e1_residual,
-        partials=e1_partials if analytic_partials else None,
+    return (
+        ImplicitFlatRelation(orders=(1, 0), control_index=0, residual=e1_residual, partials=e1_partials),
+        ImplicitFlatRelation(orders=(1, 3), control_index=1, residual=e2_residual, partials=e2_partials),
     )
-    e2 = ImplicitFlatRelation(
-        n_outputs=2,
-        orders=(1, 3),
-        control_index=1,
-        residual=e2_residual,
-        partials=e2_partials if analytic_partials else None,
-    )
-    return e1, e2
 
 
 def initial_state(

@@ -149,7 +149,7 @@ class ChannelSpec:
     k_p: float | None = None
     k_d: float | None = None
     pole: float | None = None
-    pole_multiplicity: int = 1
+    pole_multiplicity: int | None = None  # None: the channel order sets it
     nominal: str = "zero"
     saturation: tuple[float, float] | None = None
     tau_f: float | None = None
@@ -181,7 +181,7 @@ class ChannelSpec:
             raise ConfigurationError(
                 "channel order must be given explicitly unless alpha is derived"
             )
-        if self.pole is not None and self.pole_multiplicity not in (1, 2):
+        if self.pole is not None and self.pole_multiplicity not in (None, 1, 2):
             raise ConfigurationError("pole multiplicity must be 1 or 2")
         if not (math.isfinite(self.estimator_T) and self.estimator_T > 0.0):
             raise ConfigurationError(f"estimator window length must be positive, got T={self.estimator_T}")
@@ -338,7 +338,14 @@ class _Object:
                 kwargs.update(loaded)
             else:
                 kwargs[attr] = loaded
-        return kwargs if self.make is None else self.make(**kwargs)
+        if self.make is None:
+            return kwargs
+        try:
+            return self.make(**kwargs)
+        except ConfigurationError as exc:
+            if not path:
+                raise
+            raise ConfigurationError(f"{path}: {exc}") from None
 
     def dump(self, value) -> dict:
         out = {}
@@ -411,22 +418,18 @@ def _ultralocal_plant(params: dict):
 
     model = PlantModel(order, 1, 1, f, output)
     residual = lambda table, u: table[0, order] - gain * u
-    relation = ImplicitFlatRelation(n_outputs=1, orders=(order,), control_index=0, residual=residual)
+    relation = ImplicitFlatRelation(orders=(order,), control_index=0, residual=residual)
     return model, init, (relation,)
 
 
 def _benchmark_plant(params: dict):
-    relations = benchmark_relations(analytic_partials=params.get("analytic_partials", False))
-    return example_plant(), initial_state, relations
+    return example_plant(), initial_state, benchmark_relations()
 
 
 #: plant name -> (factory(params) -> (model, init_state(refs, mismatch, t0), relations),
 #: the ``params`` object, whose absent keys take the factory's defaults)
 PLANTS: dict[str, tuple[Callable, _Object]] = {
-    "flat-benchmark-2x2": (
-        _benchmark_plant,
-        _Object(dict, _plain("analytic_partials", kind=_flag, default=None)),
-    ),
+    "flat-benchmark-2x2": (_benchmark_plant, _Object(dict, [])),
     "ultralocal": (
         _ultralocal_plant,
         _Object(dict, _plain("order", kind=_count, default=None) + _plain("f", "gain", default=None)),
@@ -483,7 +486,8 @@ class _Built:
     x0: np.ndarray
 
 
-def _build(scenario: Scenario) -> _Built:
+def validate_scenario(scenario: Scenario) -> _Built:
+    """Build every part of the scenario without running it; :func:`run_scenario` takes the result."""
     if scenario.plant not in PLANTS:
         raise ConfigurationError(f"unknown plant {scenario.plant!r}; registered: {sorted(PLANTS)}")
     factory, params = PLANTS[scenario.plant]
@@ -556,10 +560,10 @@ def _build(scenario: Scenario) -> _Built:
 
         if spec.k_p is not None:
             gains = Gains(k_p=spec.k_p, k_d=spec.k_d)
-        elif spec.pole_multiplicity == 2 and channel.order == 1:
+        elif spec.pole_multiplicity not in (None, min(channel.order, 2)):
             raise ConfigurationError(
-                f"channel {j + 1}: pole.multiplicity 2 needs an order-2 channel, "
-                f"but the channel has order {channel.order}"
+                f"channel {j + 1}: pole.multiplicity {spec.pole_multiplicity} needs an "
+                f"order-{spec.pole_multiplicity} channel, but the channel has order {channel.order}"
             )
         else:  # a double pole for order 2; a higher order fails in ChannelController
             gains = gains_from_poles(min(channel.order, 2), spec.pole)
@@ -593,11 +597,6 @@ def _build(scenario: Scenario) -> _Built:
     return _Built(scenario, model, refs, controllers, windows, x0)
 
 
-def validate_scenario(scenario: Scenario) -> _Built:
-    """Build every part of the scenario without running it; :func:`run_scenario` takes the result."""
-    return _build(scenario)
-
-
 # --------------------------------------------------------------------------
 # simulation
 
@@ -606,9 +605,7 @@ def validate_scenario(scenario: Scenario) -> _Built:
 class SimLog:
     """Per-grid-point record arrays of one run."""
 
-    scenario_name: str
     grid: Timing
-    channel_outputs: tuple[int, ...]
     channel_T: tuple[float, ...]
     t: np.ndarray
     y: np.ndarray        # (N, p) measured outputs
@@ -654,7 +651,7 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
     Deterministic: identical inputs produce bit-identical logs, and a run
     over a shorter horizon reproduces the corresponding prefix exactly.
     """
-    built = scenario if isinstance(scenario, _Built) else _build(scenario)
+    built = scenario if isinstance(scenario, _Built) else validate_scenario(scenario)
     model, refs, controllers, windows = built.model, built.references, built.controllers, built.windows
     grid = built.scenario.timing
     n_pts, p, m = grid.n_points, model.n_outputs, model.n_controls
@@ -729,9 +726,7 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
                 )
 
     return SimLog(
-        scenario_name=built.scenario.name,
         grid=grid,
-        channel_outputs=tuple(c.channel.output_index for c in controllers),
         channel_T=tuple(w * grid.h for w in windows),
         t=grid.times(),
         y=log_y,
@@ -887,7 +882,7 @@ _CHANNEL = _Object(ChannelSpec, [
     ]), None),
     ("pole", None, _Object(None, [
         ("value", "pole", _number, _REQUIRED),
-        ("multiplicity", "pole_multiplicity", _count, 1),
+        ("multiplicity", "pole_multiplicity", _count, None),
     ]), None),
     ("nominal", "nominal", _tag, "zero"),
     ("saturation", "saturation", _List(_number), None),

@@ -17,6 +17,9 @@ import numpy as np
 
 from .errors import ConfigurationError
 
+#: highest derivative order a trajectory provides; the benchmark feedforward reads y2'''
+MAX_ORDER = 3
+
 __all__ = [
     "Segment",
     "ReferenceTrajectory",
@@ -76,18 +79,14 @@ class ReferenceTrajectory:
     ----------
     segments : sequence of Segment
         Contiguous, increasing pieces.  Adjacent pieces must agree in value
-        and in every derivative up to ``max_order - 1``, so the trajectory is
-        C^(max_order-1) at joins.  The tolerance is 1e-9 relative to the
+        and in every derivative up to ``MAX_ORDER - 1``, so the trajectory is
+        C^(MAX_ORDER-1) at joins.  The tolerance is 1e-9 relative to the
         larger of 1 and each side's Horner round-off scale (its
         ``|coefficients|`` evaluated at ``|tau|``): a steep, short step
         cancels large terms at its ends.
-    max_order : int
-        Highest derivative order callers may request (at least 3: nominal
-        controls of the bundled benchmark consume the third derivative).
     """
 
     segments: tuple[Segment, ...]
-    max_order: int = 3
     _starts: np.ndarray = field(repr=False, compare=False, default=None)  # set at construction
 
     def __post_init__(self):
@@ -95,8 +94,6 @@ class ReferenceTrajectory:
         object.__setattr__(self, "segments", segs)
         if not segs:
             raise ConfigurationError("trajectory needs at least one segment")
-        if self.max_order < 3:
-            raise ConfigurationError(f"max_order must be >= 3, got {self.max_order}")
         for a, b in zip(segs, segs[1:]):
             if b.start != a.stop:
                 raise ConfigurationError(
@@ -107,7 +104,7 @@ class ReferenceTrajectory:
         for a, b in zip(segs, segs[1:]):
             tau = 0.0 if math.isinf(a.start) else a.stop - a.start
             ca, cb = a.coeffs, b.coeffs
-            for order in range(self.max_order):
+            for order in range(MAX_ORDER):
                 left, right = _horner(ca, tau), _horner(cb, 0.0)
                 scale = max(1.0, _horner_bound(ca, tau), _horner_bound(cb, 0.0))
                 if abs(left - right) > 1e-9 * scale:
@@ -124,10 +121,8 @@ class ReferenceTrajectory:
 
     def eval(self, t, order: int = 0):
         """Value of the ``order``-th derivative at ``t``: a float at a float, an array at an array."""
-        if order < 0 or order > self.max_order:
-            raise ConfigurationError(
-                f"derivative order {order} not available (max_order={self.max_order})"
-            )
+        if order < 0 or order > MAX_ORDER:
+            raise ConfigurationError(f"derivative order {order} not available (max_order={MAX_ORDER})")
         tt = np.asarray(t, dtype=float)
         lo, hi = self.span  # constants and smoothsteps span the whole line: nothing to check
         if (lo > -math.inf or hi < math.inf) and (outside := (tt < lo) | (tt > hi)).any():
@@ -147,11 +142,9 @@ class ReferenceTrajectory:
         return out
 
 
-def make_constant(value: float, max_order: int = 3) -> ReferenceTrajectory:
+def make_constant(value: float) -> ReferenceTrajectory:
     """Trajectory identically equal to ``value`` on the whole real line."""
-    return ReferenceTrajectory(
-        (Segment(-math.inf, math.inf, (float(value),)),), max_order=max_order
-    )
+    return ReferenceTrajectory((Segment(-math.inf, math.inf, (float(value),)),))
 
 
 ## Degree-7 step profile s(tau) = 35 tau^4 - 84 tau^5 + 70 tau^6 - 20 tau^7:
@@ -159,9 +152,7 @@ def make_constant(value: float, max_order: int = 3) -> ReferenceTrajectory:
 _SMOOTHSTEP7 = (0.0, 0.0, 0.0, 0.0, 35.0, -84.0, 70.0, -20.0)
 
 
-def make_smoothstep(
-    y_from: float, y_to: float, t_start: float, t_end: float, max_order: int = 3
-) -> ReferenceTrajectory:
+def make_smoothstep(y_from: float, y_to: float, t_start: float, t_end: float) -> ReferenceTrajectory:
     """Reference equal to ``y_from`` before ``t_start`` and ``y_to`` after ``t_end``.
 
     The transition is the degree-7 polynomial step whose first three
@@ -173,7 +164,7 @@ def make_smoothstep(
     y_from = float(y_from)
     y_to = float(y_to)
     if y_from == y_to:
-        return make_constant(y_from, max_order=max_order)
+        return make_constant(y_from)
     duration = t_end - t_start
     amp = y_to - y_from
     # rescale s(tau) coefficients to the local variable (t - t_start)
@@ -187,8 +178,7 @@ def make_smoothstep(
             Segment(-math.inf, t_start, (y_from,)),
             Segment(t_start, t_end, tuple(coeffs)),
             Segment(t_end, math.inf, (y_to,)),
-        ),
-        max_order=max_order,
+        )
     )
 
 

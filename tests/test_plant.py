@@ -206,4 +206,4 @@ def test_relation_table_shapes():
     e1, e2 = benchmark_relations()
     assert e1.orders == (1, 0) and e1.control_index == 0
     assert e2.orders == (1, 3) and e2.control_index == 1
-    assert e2.table_shape == (2, 4)
+    assert e1.n_outputs == e2.n_outputs == 2

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from heol.errors import (
     ConfigurationError,
     DivergenceError,
-    FlatnessSingularityError,
     SingularChannelError,
 )
 from heol.plant import MismatchSpec
@@ -49,9 +48,7 @@ def make_log(dy_column):
     y_ref = np.ones((n, 1))
     zeros = np.zeros((n, 1))
     return SimLog(
-        scenario_name="synthetic",
         grid=grid,
-        channel_outputs=(0,),
         channel_T=(0.3,),
         t=grid.times()[:n],
         y=y_ref + dy,
@@ -241,7 +238,7 @@ def test_reference_crossing_zero_names_channel_and_time():
         channels=(base.channels[0], dataclasses.replace(base.channels[1], nominal="flat-u2")),
         mismatch=MismatchSpec(output_scaling=(1.0, 1.0)),
     )
-    with pytest.raises(FlatnessSingularityError) as err:
+    with pytest.raises(SingularChannelError) as err:
         run_scenario(crossing)
     msg = str(err.value)
     assert msg.startswith("channel 1 at t=2")
@@ -394,9 +391,7 @@ def test_csv_bytes_equal_per_field_oracle(tmp_path_factory, p, m, n, drawn, seed
         return np.where(rng.random((n, cols)) < 0.3, rng.choice(pool, (n, cols)), values)
 
     log = SimLog(
-        scenario_name="oracle",
         grid=Timing(duration=0.01 * max(n - 1, 1), h=0.01),
-        channel_outputs=tuple(range(m)),
         channel_T=(0.3,) * m,
         t=floats(1)[:, 0],
         y=floats(p),
@@ -462,7 +457,7 @@ def channel_specs(draw, output):
         k_p=None if pole is not None else draw(POSITIVE),
         k_d=None if pole is not None else draw(st.none() | POSITIVE),
         pole=pole,
-        pole_multiplicity=1 if pole is None else draw(st.sampled_from([1, 2])),
+        pole_multiplicity=None if pole is None else draw(st.sampled_from([None, 1, 2])),
         nominal=draw(_or_default("zero", TAGS)),
         saturation=draw(st.none() | st.tuples(FINITE, FINITE)),
         tau_f=draw(st.none() | POSITIVE),
@@ -473,7 +468,7 @@ REFERENCES = st.fixed_dictionaries({"type": st.just("constant"), "value": FINITE
     {"type": st.just("smoothstep"), "from": FINITE, "to": FINITE, "t_start": FINITE, "t_end": FINITE}
 )
 PLANT_PARAMS = {
-    "flat-benchmark-2x2": st.fixed_dictionaries({}, optional={"analytic_partials": st.booleans()}),
+    "flat-benchmark-2x2": st.just({}),
     "ultralocal": st.fixed_dictionaries(
         {}, optional={"order": st.sampled_from([1, 2]), "f": FINITE, "gain": FINITE}
     ),
@@ -540,9 +535,10 @@ def test_missing_and_malformed_keys_are_configuration_errors():
         with pytest.raises(ConfigurationError):
             scenario_from_dict(bad)
     # integers must be integral JSON numbers, flags JSON booleans, tags
-    # strings; unknown keys, keys the alpha source does not read, a double
-    # pole on an order-1 channel and names leaving the output directory fail
-    # too.  Each message names the key at fault.
+    # strings; unknown keys, keys the alpha source does not read, a pole
+    # multiplicity other than the channel order and names leaving the output
+    # directory fail too.  Each message names the key at fault, and an object's
+    # own checks are prefixed with its JSON path.
     derived_without_order = {
         "output": 1,
         "alpha": {"source": "derived"},  # derives order 1
@@ -559,13 +555,16 @@ def test_missing_and_malformed_keys_are_configuration_errors():
         (
             ("plant",),
             {"name": "flat-benchmark-2x2", "params": {"analytic_partials": "yes"}},
-            "plant.params.analytic_partials",
+            "unknown key plant.params.analytic_partials",
         ),
         (("name",), {"first": "paper"}, "name"),
         (("name",), "../escape", "scenario name"),
         (("channels", 0, "output"), 1.7, "channels[0].output"),
         (("channels", 0, "order"), True, "channels[0].order"),
         (("channels", 1, "pole", "multiplicity"), 2.5, "channels[1].pole.multiplicity"),
+        (("channels", 1, "pole", "multiplicity"), 1, "channel 2: pole.multiplicity 1 needs an order-1 channel"),
+        (("channels", 1, "estimator"), {"T": -1}, "channels[1]: estimator window length must be positive"),
+        (("timing", "duration"), 150.005, "timing: duration 150.005 is not a multiple"),
         (("noise",), {"std": 1e-3, "seed": 0.5}, "noise.seed"),
         (("noise",), {"std": 1e-3, "seed": False}, "noise.seed"),
         (("noise",), {"std": 1e-3, "seed": -1}, "noise seed"),
