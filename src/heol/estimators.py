@@ -146,4 +146,4 @@ class FusedEstimator:
 
     def estimate(self, dy_values: np.ndarray, adu_values: np.ndarray) -> float:
         """F over one window of ``dy`` and ``alpha*Du`` samples, oldest first."""
-        return float(np.dot(self._wy, dy_values) + np.dot(self._wu, adu_values))
+        return float(self._wy.dot(dy_values) + self._wu.dot(adu_values))

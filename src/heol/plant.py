@@ -79,8 +79,8 @@ def rk4_step(
     The same ``u`` is passed to all four stages (zero-order hold); each entry follows
     ``x + h/6 (((k1 + 2 k2) + 2 k3) + k4)``.  A non-finite result raises DivergenceError naming ``t``.
     """
-    if h <= 0.0:
-        raise ConfigurationError(f"integrator step must be positive, got h={h}")
+    if not 0.0 < h < math.inf:
+        raise ConfigurationError(f"integrator step must be positive and finite, got h={h}")
     f = model.f
     half = 0.5 * h
     k1 = f(t, x, u)

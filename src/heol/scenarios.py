@@ -109,6 +109,12 @@ class Timing:
             raise ConfigurationError(f"sampling period must be positive, got {self.h}")
         if not math.isfinite(self.t0):
             raise ConfigurationError(f"time grid origin must be finite, got t0={self.t0}")
+        spacing = math.ulp(max(abs(self.t0), abs(self.t0 + self.duration)))
+        if spacing >= self.h:
+            raise ConfigurationError(
+                f"sampling period h={self.h} is not above the float spacing {spacing:g} "
+                f"of the times near t0={self.t0}: grid points would collide"
+            )
         steps = self.duration / self.h  # may overflow to inf for a tiny h
         if not steps + 1 <= MAX_GRID_POINTS:
             raise ConfigurationError(
@@ -627,22 +633,20 @@ class SimLog:
         return self.u.shape[1]
 
 
-def _tabulate(controllers: list[ChannelController], times: np.ndarray, h: float):
-    """Feedforward at ``times + h/2`` (mid-hold, removing the hold's phase bias) and alpha at
-    ``times``, per channel.  The feedforward is probed at ``times`` first, so a flatness
-    singularity at t surfaces as such, not as a zero gain.  Errors name ``times[-1]``."""
-    u_nom = np.empty((len(times), len(controllers)))
-    alpha = np.empty_like(u_nom)
+def _tabulate(controllers: list[ChannelController], times: np.ndarray, h: float, out: np.ndarray):
+    """Column j of ``out``: channel j's feedforward at ``times + h/2`` (mid-hold, removing the hold's
+    phase bias); column m + j: its alpha at ``times``.  The feedforward is probed at ``times`` first,
+    so a flatness singularity at t surfaces as such, not as a zero gain.  Errors name ``times[-1]``."""
+    m = len(controllers)
     for j, ctrl in enumerate(controllers):
         try:
             ctrl.nominal_control(times)
-            u_nom[:, j] = ctrl.nominal_control(times + 0.5 * h)
-            alpha[:, j] = a = ctrl.channel.alpha(times)
+            out[:, j] = ctrl.nominal_control(times + 0.5 * h)
+            out[:, m + j] = a = ctrl.channel.alpha(times)
             if ctrl.feedback and np.any(singular := ~np.isfinite(a) | (np.abs(a) <= ZERO_THRESHOLD)):
                 _check_alpha(_first(a, singular))
         except HeolError as exc:
             raise type(exc)(f"channel {j + 1} at t={times[-1]:.6g}: {exc}") from None
-    return u_nom, alpha
 
 
 def run_scenario(scenario: Scenario | _Built) -> SimLog:
@@ -652,92 +656,93 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
     over a shorter horizon reproduces the corresponding prefix exactly.
     """
     built = scenario if isinstance(scenario, _Built) else validate_scenario(scenario)
-    model, refs, controllers, windows = built.model, built.references, built.controllers, built.windows
+    model, controllers, windows = built.model, built.controllers, built.windows
     grid = built.scenario.timing
     n_pts, p, m = grid.n_points, model.n_outputs, model.n_controls
+    t0, h = grid.t0, grid.h
 
-    # Time-only signals on the whole grid: the lowest channel at the first bad t fails the run.
+    # One time-only table on the whole grid, y_ref | u_nom | alpha, read as one list per
+    # sample; the lowest channel at the first bad t fails the run.
     times = grid.times()
-    log_yref = np.column_stack([ref.eval(times, 0) for ref in refs])
-    log_unom, alpha = _at_first_failure(lambda ts: _tabulate(controllers, ts, grid.h), times)
+    table = np.empty((n_pts, p + 2 * m))
+    for i, ref in enumerate(built.references):
+        table[:, i] = ref.eval(times, 0)
+    _at_first_failure(lambda ts: _tabulate(controllers, ts, h, table[: len(ts), p:]), times)
 
     noise = None
     if built.scenario.noise_std > 0.0:
         rng = np.random.default_rng(built.scenario.noise_seed)
         noise = built.scenario.noise_std * rng.standard_normal((n_pts, p))
 
-    log_y = np.empty((n_pts, p))
-    log_u = np.empty((n_pts, m))
-    log_du = np.empty((n_pts, m))
-    log_fest = np.empty((n_pts, m))
-    log_clamp = np.empty((n_pts, m), dtype=bool)
+    # One record row per sample, y | u | du | F_est, written as one list.  The clamp
+    # flags go to a bytearray read as the bool log after the run: as a float column
+    # of ``log`` they would stay alive behind the views at 8 bytes each.
+    log = np.empty((n_pts, p + 3 * m))
+    record = [0.0] * (p + 3 * m)
+    clamps = bytearray()
 
-    # Measurement-driven state per channel.  adus[j, k] is written only after
-    # the control at step k is known, so the estimate at t_k reads the zero
-    # pad there and never the control applied at t_k (both kernels weigh
-    # that sample by zero up to round-off anyway).
-    estimators = [
-        FusedEstimator(ctrl.channel.order, w * grid.h, w, spec.estimator_rule)
-        for ctrl, w, spec in zip(controllers, windows, built.scenario.channels)
+    # Measurement-driven state per channel.  The alpha*Du history is written at
+    # k only after the control at step k is known, so the estimate at t_k reads
+    # the zero pad there and never the control applied at t_k (both kernels
+    # weigh that sample by zero up to round-off anyway).  Column cu = p + j holds
+    # u_nom in the table and u in the record, column ca = p + m + j alpha and du.
+    ddys, last_dy = [0.0] * m, [0.0] * m
+    channels = [
+        (j, ctrl, ctrl.channel.output_index, ctrl.channel.order == 2, w,
+         5.0 * h if ctrl.tau_f is None else ctrl.tau_f, np.zeros(n_pts), np.zeros(n_pts),
+         FusedEstimator(ctrl.channel.order, w * h, w, spec.estimator_rule).estimate, p + j, p + m + j)
+        for j, (ctrl, w, spec) in enumerate(zip(controllers, windows, built.scenario.channels))
     ]
-    tau_f = [5.0 * grid.h if ctrl.tau_f is None else ctrl.tau_f for ctrl in controllers]
-    dys = np.zeros((m, n_pts))
-    adus = np.zeros((m, n_pts))
-    ddys = [0.0] * m
+    # Bound per run, not at import, so that wrappers installed before a run see every call.
+    step, rk4, output = channel_step, rk4_step, model.output
 
     x = built.x0.tolist()
-
+    t_last = t0
     for k in range(n_pts):
-        t = grid.t(k)
-        y = model.output(x)
+        t = t0 + k * h
+        y = output(x)
         if noise is not None:
             y = [a + b for a, b in zip(y, noise[k].tolist())]
-        log_y[k] = y
-        ref_k, unom_k, alpha_k = log_yref[k].tolist(), log_unom[k].tolist(), alpha[k].tolist()
-
-        rows = []  # (u, du, F_est, clamped) per channel
-        for j, ctrl in enumerate(controllers):
-            out = ctrl.channel.output_index
-            dy = y[out] - ref_k[out]
-            dys[j, k] = dy
-            if ctrl.channel.order == 2 and k > 0:
+        record[:p] = y
+        row = table[k].tolist()
+        for j, ctrl, out, order2, w, tau_f, dy_hist, adu_hist, estimate, cu, ca in channels:
+            dy = y[out] - row[out]
+            dy_hist[k] = dy
+            if order2 and k > 0:
                 # low-pass-filtered backward difference
-                dt = t - grid.t(k - 1)
-                ddys[j] += dt / (tau_f[j] + dt) * ((dy - float(dys[j, k - 1])) / dt - ddys[j])
-            w = windows[j]
-            f_est = 0.0  # warm-up: no full window yet
-            if k >= w:
-                f_est = estimators[j].estimate(dys[j, k - w : k + 1], adus[j, k - w : k + 1])
-            u_j, clamped = channel_step(ctrl, f_est, dy, ddys[j], unom_k[j], alpha_k[j])
-            du = u_j - unom_k[j]
-            adus[j, k] = alpha_k[j] * du
-            rows.append((u_j, du, f_est, clamped))
-        u_row, du_row, fest_row, clamp_row = zip(*rows)
-        log_u[k] = u_row
-        log_du[k] = du_row
-        log_fest[k] = fest_row
-        log_clamp[k] = clamp_row
+                dt = t - t_last
+                ddys[j] += dt / (tau_f + dt) * ((dy - last_dy[j]) / dt - ddys[j])
+            last_dy[j] = dy
+            # warm-up: no full window yet
+            f_est = estimate(dy_hist[k - w : k + 1], adu_hist[k - w : k + 1]) if k >= w else 0.0
+            u, clamped = step(ctrl, f_est, dy, ddys[j], row[cu], row[ca])
+            clamps.append(clamped)
+            record[cu], record[ca], record[ca + m] = u, u - row[cu], f_est
+            adu_hist[k] = row[ca] * record[ca]
+        log[k] = record
 
         if k < grid.n_steps:
-            x = rk4_step(model, t, x, u_row, grid.h)
+            x = rk4(model, t, x, record[p : p + m], h)
             if max(map(abs, x)) > TRUST_REGION:
                 raise DivergenceError(
-                    f"state left the trust region (|x| > {TRUST_REGION:g}) by t={grid.t(k + 1):.6g}"
+                    f"state left the trust region (|x| > {TRUST_REGION:g}) by t={t0 + (k + 1) * h:.6g}"
                 )
+        t_last = t
 
+    y, u, du, f_est = log[:, :p], log[:, p : p + m], log[:, p + m : p + 2 * m], log[:, p + 2 * m :]
     return SimLog(
         grid=grid,
-        channel_T=tuple(w * grid.h for w in windows),
-        t=grid.times(),
-        y=log_y,
-        y_ref=log_yref,
-        u=log_u,
-        u_nom=log_unom,
-        dy=log_y - log_yref,
-        du=log_du,
-        f_est=log_fest,
+        channel_T=tuple(w * h for w in windows),
+        t=times,
+        y=y,
+        y_ref=table[:, :p],
+        u=u,
+        u_nom=table[:, p : p + m],
+        dy=y - table[:, :p],
+        du=du,
+        f_est=f_est,
         f_valid=np.arange(n_pts)[:, None] >= np.array(windows),
-        clamped=log_clamp,
+        clamped=np.frombuffer(clamps, dtype=bool).reshape(n_pts, m),
     )
 
 

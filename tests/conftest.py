@@ -26,6 +26,7 @@ def ultralocal_scenario(
     control_mode="closed-loop",
     noise_std=0.0,
     noise_seed=0,
+    saturation=None,
 ):
     """Scenario wrapping the exact ultra-local plant d^order(y)/dt^order = f + u.
 
@@ -49,6 +50,7 @@ def ultralocal_scenario(
                 k_p=k_p,
                 k_d=k_d,
                 nominal="zero",
+                saturation=saturation,
             ),
         ),
         mismatch=MismatchSpec(output_scaling=(1.0 + dy0,)),

@@ -125,6 +125,19 @@ def test_oversized_grid_exits_3_before_allocating(tmp_path):
             assert "grid points" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("t0", [1e14, -1e15])
+def test_colliding_grid_points_exit_3(tmp_path, t0):
+    # at |t0| >= 1e14 consecutive points t0 + k*0.01 round to the same float
+    bad = scenario_to_dict(ultralocal_scenario(4.0, order=2, k_d=4.0, duration=1.0))
+    bad["timing"]["t0"] = t0
+    path = tmp_path / "collide.json"
+    path.write_text(json.dumps(bad))
+    for command in (["validate"], ["run", "--out", str(tmp_path)]):
+        proc = heol_cli(*command, "--config", str(path))
+        assert proc.returncode == 3
+        assert "grid points would collide" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_reference_without_value_exits_3(tmp_path):
     bad = scenario_to_dict(ultralocal_scenario(1.0))
     del bad["references"][0]["value"]

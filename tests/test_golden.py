@@ -5,20 +5,38 @@ determinism contract in the README).  A change that alters the numbers on
 purpose updates the digest here and says why.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
 
-from heol.scenarios import builtin_scenario, export_csv, run_scenario
+from heol.scenarios import Timing, builtin_scenario, export_csv, run_scenario
 
 from conftest import ultralocal_scenario
 
 ULTRALOCAL_ORDER2 = dict(k_d=4.0, order=2, drift=0.5, noise_std=1e-3, noise_seed=3)
 
+
+def sec4_noisy_saturated():
+    """paper-sec4 cut to 30 s, with noise on both outputs and channel 1 clamped 1,764 times."""
+    base = builtin_scenario("paper-sec4")
+    return dataclasses.replace(
+        base,
+        timing=Timing(duration=30.0, h=0.01),
+        channels=(dataclasses.replace(base.channels[0], saturation=(-0.9, 0.0)), base.channels[1]),
+        noise_std=1e-5,
+        noise_seed=7,
+    )
+
+
 GOLDEN = {
     "paper-sec4": (
         lambda: builtin_scenario("paper-sec4"),
         "fb3f57cd54e051cdfe22b6680b57b30525f33caa5f8d12433410f7e03b6c3cf3",
+    ),
+    "paper-sec4-noisy-saturated": (
+        sec4_noisy_saturated,
+        "7245d8307294a4169a4062ee8b984295932a2faf4c24be8f4de36bf596a2fa5e",
     ),
     "paper-sec4-nominal": (
         lambda: builtin_scenario("paper-sec4-nominal"),

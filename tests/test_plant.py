@@ -121,6 +121,13 @@ def test_rk4_rejects_nonpositive_step():
         rk4_step(m, 0.0, [1.0], [0.0], 0.0)
 
 
+@pytest.mark.parametrize("h", [math.nan, math.inf])
+def test_rk4_rejects_non_finite_step(h):
+    m = _scalar_model(lambda t, x, u: list(x))
+    with pytest.raises(ConfigurationError, match="positive and finite"):
+        rk4_step(m, 0.0, [1.0], [0.0], h)
+
+
 def test_rk4_flags_non_finite_derivatives():
     m = _scalar_model(lambda t, x, u: [math.inf])
     with pytest.raises(DivergenceError) as err:

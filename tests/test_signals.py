@@ -43,6 +43,8 @@ def test_grid_points_are_t0_plus_k_h_exactly():
         (dict(t0=math.nan), "time grid origin must be finite"),
         (dict(h=0.3), "duration 1.0 is not a multiple of the sampling period 0.3"),
         (dict(h=1e-7), "gives 1e\\+07 grid points; at most 10000000 are allowed"),
+        (dict(t0=1e14, h=0.01), "grid points would collide"),
+        (dict(t0=-1e15, h=0.01), "grid points would collide"),
     ],
 )
 def test_grid_rejects_degenerate_construction(bad):
@@ -51,6 +53,23 @@ def test_grid_rejects_degenerate_construction(bad):
     kw.update(changed)
     with pytest.raises(ConfigurationError, match=message):
         Timing(**kw)
+
+
+@settings(max_examples=200)
+@given(
+    mantissa=st.floats(-10.0, 10.0),
+    exponent=st.integers(0, 18),
+    h=st.floats(1e-6, 1.0),
+    n=st.integers(1, 200),
+)
+def test_accepted_grids_have_strictly_increasing_times(mantissa, exponent, h, n):
+    # origins up to 1e19 reach past the float spacing of every drawn h
+    try:
+        grid = Timing(duration=n * h, h=h, t0=mantissa * 10.0**exponent)
+    except ConfigurationError as exc:
+        assert "grid points would collide" in str(exc)
+        return
+    assert np.all(np.diff(grid.times()) > 0)
 
 
 # ------------------------------------------------------------- trajectories
