@@ -10,6 +10,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heol.controllers import (
     ChannelController,
@@ -352,3 +354,36 @@ def test_state_reset_clears_history():
     again = run_scenario(s)
     for name in LOG_FIELDS:
         np.testing.assert_array_equal(getattr(first, name), getattr(again, name))
+
+
+# ------------------------------------------------------- prefix determinism
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    order=st.sampled_from((1, 2)),
+    rule=st.sampled_from(("simpson", "trapezoid")),
+    w=st.integers(4, 40),
+    seed=st.integers(0, 2**32 - 1),
+    n_short=st.integers(1, 150),
+    n_extra=st.integers(1, 150),
+)
+def test_shorter_run_is_bit_exact_prefix_of_longer_run(order, rule, w, seed, n_short, n_extra):
+    def run(n):
+        return run_scenario(
+            ultralocal_scenario(
+                4.0,
+                order=order,
+                k_d=4.0 if order == 2 else None,
+                drift=0.5,
+                duration=n * 0.01,
+                estimator_T=w * 0.01,
+                estimator_rule=rule,
+                noise_std=1e-3,
+                noise_seed=seed,
+            )
+        )
+
+    short, long = run(n_short), run(n_short + n_extra)
+    for name in LOG_FIELDS:
+        np.testing.assert_array_equal(getattr(long, name)[: n_short + 1], getattr(short, name))

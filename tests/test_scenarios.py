@@ -187,6 +187,22 @@ def test_closed_loop_absorbs_initial_deviation():
 LOG_FIELDS = ("t", "y", "y_ref", "u", "u_nom", "dy", "du", "f_est", "f_valid", "clamped")
 
 
+def test_runs_are_bit_deterministic():
+    s = ultralocal_scenario(1.0, duration=3.0)
+    a, b = run_scenario(s), run_scenario(s)
+    for name in LOG_FIELDS:
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_prefix_truncation_reproduces_log_prefix():
+    s_full = ultralocal_scenario(1.0, duration=6.0, drift=2.0)
+    s_half = dataclasses.replace(s_full, timing=Timing(duration=3.0, h=0.01))
+    full, half = run_scenario(s_full), run_scenario(s_half)
+    n = len(half.t)
+    for name in ("t", "y", "u", "dy", "du", "f_est"):
+        np.testing.assert_array_equal(getattr(full, name)[:n], getattr(half, name))
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     order=st.sampled_from((1, 2)),
