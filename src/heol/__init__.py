@@ -17,7 +17,6 @@ from .errors import (
 )
 from .signals import (
     ReferenceTrajectory,
-    Segment,
     Window,
     make_constant,
     make_smoothstep,

@@ -109,17 +109,19 @@ class Timing:
             raise ConfigurationError(f"sampling period must be positive, got {self.h}")
         if not math.isfinite(self.t0):
             raise ConfigurationError(f"time grid origin must be finite, got t0={self.t0}")
-        spacing = math.ulp(max(abs(self.t0), abs(self.t0 + self.duration)))
-        if spacing >= self.h:
-            raise ConfigurationError(
-                f"sampling period h={self.h} is not above the float spacing {spacing:g} "
-                f"of the times near t0={self.t0}: grid points would collide"
-            )
         steps = self.duration / self.h  # may overflow to inf for a tiny h
         if not steps + 1 <= MAX_GRID_POINTS:
             raise ConfigurationError(
                 f"duration {self.duration} at h={self.h} gives {steps + 1:.6g} grid points; "
                 f"at most {MAX_GRID_POINTS} are allowed"
+            )
+        # Every t0 + k*h and every k*h stays below |t0| + 2*duration, so each rounds by at most
+        # half this spacing and a grid step differs from h by at most two spacings.
+        spacing = math.ulp(abs(self.t0) + 2.0 * self.duration)
+        if 2.0 * spacing > 1e-6 * self.h:
+            raise ConfigurationError(
+                f"sampling period h={self.h} is too fine for the float spacing {spacing:g} "
+                f"of the times near t0={self.t0}: grid steps would differ from h by more than 1e-6 h"
             )
         n = int(round(steps))
         if n < 1 or abs(n * self.h - self.duration) > 1e-9 * max(self.duration, self.h):
@@ -670,9 +672,11 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
     _at_first_failure(lambda ts: _tabulate(controllers, ts, h, table[: len(ts), p:]), times)
 
     noise = None
-    if built.scenario.noise_std > 0.0:
-        rng = np.random.default_rng(built.scenario.noise_seed)
-        noise = built.scenario.noise_std * rng.standard_normal((n_pts, p))
+    if (std := built.scenario.noise_std) > 0.0:
+        with np.errstate(over="ignore"):
+            noise = std * np.random.default_rng(built.scenario.noise_seed).standard_normal((n_pts, p))
+        if not np.isfinite(noise).all():
+            raise DivergenceError(f"measurement noise with std {std:g} overflows the float range")
 
     # One record row per sample, y | u | du | F_est, written as one list.  The clamp
     # flags go to a bytearray read as the bool log after the run: as a float column

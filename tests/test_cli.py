@@ -125,9 +125,10 @@ def test_oversized_grid_exits_3_before_allocating(tmp_path):
             assert "grid points" in proc.stderr and "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("t0", [1e14, -1e15])
+@pytest.mark.parametrize("t0", [5e13, 1e14, -1e15])
 def test_colliding_grid_points_exit_3(tmp_path, t0):
-    # at |t0| >= 1e14 consecutive points t0 + k*0.01 round to the same float
+    # at |t0| >= 1e14 consecutive points t0 + k*0.01 round to the same float; at 5e13
+    # they do not collide but step by 0.0078125 and 0.015625 only
     bad = scenario_to_dict(ultralocal_scenario(4.0, order=2, k_d=4.0, duration=1.0))
     bad["timing"]["t0"] = t0
     path = tmp_path / "collide.json"
@@ -135,7 +136,7 @@ def test_colliding_grid_points_exit_3(tmp_path, t0):
     for command in (["validate"], ["run", "--out", str(tmp_path)]):
         proc = heol_cli(*command, "--config", str(path))
         assert proc.returncode == 3
-        assert "grid points would collide" in proc.stderr and "Traceback" not in proc.stderr
+        assert "grid steps would differ from h" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_reference_without_value_exits_3(tmp_path):
@@ -273,6 +274,18 @@ def test_runtime_singularity_exits_4(tmp_path, capsys):
     assert cli_main(["run", "--config", str(path), "--out", str(tmp_path)]) == 4
     err = capsys.readouterr().err
     assert "run failed" in err and "channel 1 at t=2" in err
+
+
+def test_overflowing_noise_exits_4_without_a_warning(tmp_path, monkeypatch):
+    config = json.loads((Path(__file__).parents[1] / "demos" / "paper_sec4.json").read_text())
+    config["noise"] = {"std": 1e308, "seed": 1}  # some draws of std * N(0, 1) overflow
+    path = tmp_path / "loud.json"
+    path.write_text(json.dumps(config))
+    monkeypatch.setenv("PYTHONWARNINGS", "error")  # as -W error: a warning would end in a traceback
+    proc = heol_cli("run", "--config", str(path), "--out", str(tmp_path))
+    assert proc.returncode == 4, proc.stderr
+    assert "measurement noise" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_run_builds_the_scenario_once(tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from heol.homeostat import (
     nominal_u2,
 )
 from heol.plant import benchmark_relations
-from heol.signals import ReferenceTrajectory, Segment, make_constant, make_smoothstep
+from heol.signals import make_constant, make_smoothstep
 
 HORIZON = (0.0, 10.0)
 
@@ -162,13 +162,23 @@ def test_build_reference_table_layout():
 # --------------------------------------------------------- nominal controls
 
 
+class PolynomialReference:
+    """A reference polynomial in t with ascending ``coeffs``: the ``eval`` the nominal controls read."""
+
+    def __init__(self, *coeffs):
+        self.poly = np.polynomial.Polynomial(coeffs)
+
+    def eval(self, t, order=0):
+        return float(self.poly.deriv(order)(t))
+
+
 def test_nominal_u1_constant_reference():
     assert nominal_u1(make_constant(1.0), 3.0) == -1.0
 
 
 def test_nominal_u1_zero_numerator():
     # slope equals value (2 + 2t at t = 0): numerator dy1* - y1* vanishes
-    ref = ReferenceTrajectory((Segment(0.0, 10.0, (2.0, 2.0)),))
+    ref = PolynomialReference(2.0, 2.0)
     assert nominal_u1(ref, 0.0) == 0.0
 
 
@@ -187,7 +197,7 @@ def test_nominal_u2_zero_numerator():
 
 
 def test_nominal_u2_singular_where_u1_vanishes():
-    ref = ReferenceTrajectory((Segment(0.0, 10.0, (2.0, 2.0)),))
+    ref = PolynomialReference(2.0, 2.0)
     with pytest.raises(SingularChannelError):
         nominal_u2(ref, make_constant(1.0), 0.0)
 
@@ -204,7 +214,7 @@ def test_perturbed_u2_matches_nominal_when_low_order_terms_vanish():
     # the perturbation touches only the dy2*/dt and y2* coefficients, so the
     # two formulas agree wherever y2* and its first derivative vanish
     y1 = make_constant(2.0)
-    y2 = ReferenceTrajectory((Segment(0.0, 10.0, (1.0, -2.0, 1.0)),))  # (t-1)^2
+    y2 = PolynomialReference(1.0, -2.0, 1.0)  # (t-1)^2
     got = nominal_u2(y1, y2, 1.0, 1.1, 0.9)
     assert got == nominal_u2(y1, y2, 1.0)
     assert got == pytest.approx(-2.0, rel=1e-12)  # numerator 2, beta -1

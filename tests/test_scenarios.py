@@ -476,7 +476,7 @@ def test_comment_keys_are_ignored():
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
-# origins whose float spacing stays below every drawn h and horizon (no colliding grid points)
+# origins in steps of h: within 1e9 steps of zero, every grid step stays within 1e-6 h of h
 GRID_ORIGINS = st.floats(-1e9, 1e9)
 POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
 TAGS = st.text(max_size=12)
@@ -529,11 +529,12 @@ def scenarios(draw):
     plant = draw(st.sampled_from(sorted(PLANT_PARAMS)))
     n = 2 if plant == "flat-benchmark-2x2" else 1
     h = draw(POSITIVE)
+    t0 = draw(_or_default(0.0, GRID_ORIGINS.map(lambda steps: steps * h)))
     return Scenario(
         name=draw(NAMES),
         plant=plant,
         plant_params=draw(PLANT_PARAMS[plant]),
-        timing=Timing(duration=draw(st.integers(1, 10**4)) * h, h=h, t0=draw(_or_default(0.0, GRID_ORIGINS))),
+        timing=Timing(duration=draw(st.integers(1, 10**4)) * h, h=h, t0=t0),
         references=tuple(draw(st.lists(REFERENCES, min_size=n, max_size=n))),
         channels=tuple(draw(channel_specs(i)) for i in range(n)),
         mismatch=draw(st.none() | st.builds(MismatchSpec, st.tuples(*[POSITIVE] * n))),

@@ -10,13 +10,7 @@ from hypothesis import strategies as st
 
 from heol.errors import ConfigurationError
 from heol.scenarios import Timing
-from heol.signals import (
-    ReferenceTrajectory,
-    Segment,
-    Window,
-    make_constant,
-    make_smoothstep,
-)
+from heol.signals import Window, make_constant, make_smoothstep
 
 
 # ------------------------------------------------------------------ Timing
@@ -43,8 +37,9 @@ def test_grid_points_are_t0_plus_k_h_exactly():
         (dict(t0=math.nan), "time grid origin must be finite"),
         (dict(h=0.3), "duration 1.0 is not a multiple of the sampling period 0.3"),
         (dict(h=1e-7), "gives 1e\\+07 grid points; at most 10000000 are allowed"),
-        (dict(t0=1e14, h=0.01), "grid points would collide"),
-        (dict(t0=-1e15, h=0.01), "grid points would collide"),
+        (dict(t0=1e14, h=0.01), "grid steps would differ from h by more than 1e-6 h"),
+        (dict(t0=-1e15, h=0.01), "grid steps would differ from h by more than 1e-6 h"),
+        (dict(t0=5e13, h=0.01), "grid steps would differ from h by more than 1e-6 h"),
     ],
 )
 def test_grid_rejects_degenerate_construction(bad):
@@ -67,9 +62,9 @@ def test_accepted_grids_have_strictly_increasing_times(mantissa, exponent, h, n)
     try:
         grid = Timing(duration=n * h, h=h, t0=mantissa * 10.0**exponent)
     except ConfigurationError as exc:
-        assert "grid points would collide" in str(exc)
+        assert "grid steps would differ from h by more than 1e-6 h" in str(exc)
         return
-    assert np.all(np.diff(grid.times()) > 0)
+    assert np.max(np.abs(np.diff(grid.times()) - h)) <= 1e-6 * h
 
 
 # ------------------------------------------------------------- trajectories
@@ -81,46 +76,67 @@ def test_constant_trajectory_value_and_derivative():
     assert traj.eval(3.0, 1) == 0.0
 
 
-def test_polynomial_segment_derivative():
-    # y(t) = t^2 on [0, 10]: dy/dt at t=2 is 4
-    traj = ReferenceTrajectory((Segment(0.0, 10.0, (0.0, 0.0, 1.0)),))
-    assert traj.eval(2.0, 0) == 4.0
-    assert traj.eval(2.0, 1) == 4.0
-    assert traj.eval(2.0, 2) == 2.0
-    assert traj.eval(2.0, 3) == 0.0
+#: the degree-7 step profile s on [0, 1], as numpy.polynomial sees it
+STEP_PROFILE = np.polynomial.Polynomial([0.0, 0.0, 0.0, 0.0, 35.0, -84.0, 70.0, -20.0])
 
 
-def test_trajectory_horizon_and_order_errors():
-    traj = ReferenceTrajectory((Segment(0.0, 10.0, (1.0, 2.0)),))
-    with pytest.raises(ConfigurationError, match=r"t=-0.5 outside trajectory span \[0.0, 10.0\]"):
-        traj.eval(-0.5, 0)
-    with pytest.raises(ConfigurationError, match=r"t=10.5 outside trajectory span"):
-        traj.eval(10.5, 0)
+def test_smoothstep_derivatives_match_numpy_polynomial():
+    # y = 1 + 2 s(tau / 2) in tau = t - 2 on [2, 4)
+    traj = make_smoothstep(1.0, 3.0, 2.0, 4.0)
+    y = 1.0 + 2.0 * STEP_PROFILE(np.polynomial.Polynomial([0.0, 0.5]))
+    for t in (2.0, 2.5, 3.0, 3.7):
+        for k in range(4):
+            assert traj.eval(t, k) == pytest.approx(y.deriv(k)(t - 2.0), rel=1e-12, abs=1e-12)
+    for t, plateau in ((1.0, 1.0), (4.0, 3.0), (9.0, 3.0)):
+        assert [traj.eval(t, k) for k in range(4)] == [plateau, 0.0, 0.0, 0.0]
+
+
+def test_trajectory_order_errors():
+    traj = make_smoothstep(0.0, 1.0, 0.0, 10.0)
     with pytest.raises(ConfigurationError, match=r"derivative order 4 not available \(max_order=3\)"):
         traj.eval(5.0, 4)
     with pytest.raises(ConfigurationError, match=r"derivative order -1 not available"):
         traj.eval(5.0, -1)
 
 
-def test_trajectory_rejects_gaps_and_value_jumps():
-    with pytest.raises(ConfigurationError):
-        ReferenceTrajectory((Segment(0.0, 1.0, (0.0,)), Segment(2.0, 3.0, (0.0,))))
-    with pytest.raises(ConfigurationError):
-        # value jumps from 1 to 5 at the join
-        ReferenceTrajectory((Segment(0.0, 1.0, (0.0, 1.0)), Segment(1.0, 2.0, (5.0,))))
-
-
 def test_derivative_commutes_with_polynomial_differentiation(rng):
     # eval(., t, k+1) must equal the analytic derivative of the k-th table
     for _ in range(25):
-        coeffs = rng.standard_normal(6)
-        traj = ReferenceTrajectory((Segment(0.0, 2.0, tuple(coeffs)),))
-        t = float(rng.uniform(0.0, 2.0))
+        y_from, y_to = rng.standard_normal(2)
+        t_start = float(rng.uniform(-5.0, 5.0))
+        t_end = t_start + float(rng.uniform(0.5, 3.0))
+        traj = make_smoothstep(y_from, y_to, t_start, t_end)
+        # coefficients in tau = t - t_start, the step profile's argument being tau / duration
+        scaled = np.polynomial.Polynomial([0.0, 1.0 / (t_end - t_start)])
+        coeffs = (y_from + (y_to - y_from) * STEP_PROFILE(scaled)).coef
+        t = float(rng.uniform(t_start, t_end))
         for k in range(3):
             dk = np.polynomial.polynomial.polyder(coeffs, k + 1)
-            want = float(np.polynomial.polynomial.polyval(t, dk))
+            want = float(np.polynomial.polynomial.polyval(t - t_start, dk))
             got = traj.eval(t, k + 1)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+_NON_FINITE = (math.nan, math.inf, -math.inf)
+_STEP = (0.0, 1.0, 0.0, 1.0)  # y_from, y_to, t_start, t_end
+
+
+@pytest.mark.parametrize(
+    "make, args",
+    [
+        pytest.param(make_smoothstep, _STEP[:i] + (bad,) + _STEP[i + 1 :], id=f"smoothstep-{name}={bad}")
+        for i, name in enumerate(("y_from", "y_to", "t_start", "t_end"))
+        for bad in _NON_FINITE
+    ]
+    + [pytest.param(make_constant, (bad,), id=f"constant={bad}") for bad in _NON_FINITE]
+    + [
+        pytest.param(make_smoothstep, (0.0, 1.0, 5.0, 5.0), id="smoothstep-empty"),
+        pytest.param(make_smoothstep, (0.0, 1.0, 5.0, 4.0), id="smoothstep-reversed"),
+    ],
+)
+def test_references_reject_non_finite_values_and_empty_steps(make, args):
+    with pytest.raises(ConfigurationError):
+        make(*args)
 
 
 # --------------------------------------------------------------- smoothstep
@@ -165,7 +181,8 @@ def test_smoothstep_rejects_empty_interval():
         make_smoothstep(0.0, 1.0, 5.0, 5.0)
     with pytest.raises(ConfigurationError, match=r"need t_end > t_start, got \[5.0, 4.0\]"):
         make_smoothstep(0.0, 1.0, 5.0, 4.0)
-    for t_start, t_end in ((-1e308, 1.0), (0.0, 1e-50)):  # duration**7 over- and underflows
+    # duration**7 over- and underflows; t_end - t_start overflows
+    for t_start, t_end in ((-1e308, 1.0), (0.0, 1e-50), (-1e308, 1e308)):
         with pytest.raises(ConfigurationError, match="smoothstep span .* is out of range"):
             make_smoothstep(0.0, 1.0, t_start, t_end)
 
@@ -185,14 +202,27 @@ def test_window_validates_uniform_sigma():
 # ------------------------------------------------------- array evaluation
 
 
-def _oracle_eval(traj, t, order):
-    """``traj``'s ``order``-th derivative at ``t``: bisect for the segment, Horner on floats."""
-    starts = [seg.start for seg in traj.segments]
-    seg = traj.segments[max(bisect.bisect_right(starts, t) - 1, 0)]
-    coeffs = list(seg.coeffs)
+def _oracle_pieces(y_from, y_to, t_start, t_end):
+    """``(start, ascending coefficients in t - start)`` per piece of ``make_smoothstep(...)``.
+
+    A constant head from ``-inf``, the degree-7 step rescaled to ``t - t_start`` and a
+    constant tail; one constant piece when the levels are equal.
+    """
+    if y_from == y_to:
+        return [(-math.inf, (y_from,))]
+    duration, amp = t_end - t_start, y_to - y_from
+    step = [amp * c / duration**k for k, c in enumerate((0.0, 0.0, 0.0, 0.0, 35.0, -84.0, 70.0, -20.0))]
+    step[0] = y_from
+    return [(-math.inf, (y_from,)), (t_start, tuple(step)), (t_end, (y_to,))]
+
+
+def _oracle_eval(pieces, t, order):
+    """The ``order``-th derivative at ``t``: bisect for the piece, Horner on floats."""
+    start, coeffs = pieces[max(bisect.bisect_right([start for start, _ in pieces], t) - 1, 0)]
+    coeffs = list(coeffs)
     for _ in range(order):
         coeffs = [c * i for i, c in enumerate(coeffs)][1:]
-    tau = 0.0 if math.isinf(seg.start) else t - seg.start
+    tau = 0.0 if math.isinf(start) else t - start
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * tau + c
@@ -200,31 +230,37 @@ def _oracle_eval(traj, t, order):
 
 
 _finite = dict(allow_nan=False, allow_infinity=False)
+_levels = st.sampled_from([0.0, -0.0]) | st.floats(-10.0, 10.0, **_finite)
 
 
 @st.composite
 def _reference_and_times(draw):
-    y_from = draw(st.floats(-10.0, 10.0, **_finite))
+    y_from = draw(_levels)
     if draw(st.booleans()):
-        traj, edges = make_constant(y_from), [0.0]
+        traj, pieces, edges = make_constant(y_from), _oracle_pieces(y_from, y_from, 0.0, 1.0), [0.0]
     else:
         t_start = draw(st.floats(-100.0, 200.0, **_finite))
-        t_end = t_start + draw(st.floats(1e-3, 100.0, **_finite))
-        traj = make_smoothstep(y_from, draw(st.floats(-10.0, 10.0, **_finite)), t_start, t_end)
+        t_end = t_start + draw(st.floats(1e-6, 100.0, **_finite))
+        y_to = draw(_levels)
+        traj = make_smoothstep(y_from, y_to, t_start, t_end)
+        pieces = _oracle_pieces(y_from, y_to, t_start, t_end)
         edges = [t_start, t_end]
+    near = [u for e in edges for u in (e, math.nextafter(e, -math.inf), math.nextafter(e, math.inf))]
     anywhere = st.floats(min(edges) - 10.0, max(edges) + 10.0, **_finite)
-    times = draw(st.lists(st.one_of(st.sampled_from(edges), anywhere), min_size=1, max_size=40))
-    return traj, times
+    inside = st.floats(min(edges), max(edges), **_finite)
+    times = st.sampled_from(near + [-1e300, 1e300]) | anywhere | inside
+    return traj, pieces, draw(st.lists(times, min_size=1, max_size=40))
 
 
-@settings(max_examples=150)
+@settings(max_examples=300)
 @given(case=_reference_and_times(), order=st.integers(0, 3))
 def test_array_eval_equals_bisect_horner_oracle_bit_for_bit(case, order):
-    traj, times = case
-    want = np.array([_oracle_eval(traj, t, order) for t in times])
+    traj, pieces, times = case
+    want = np.array([_oracle_eval(pieces, t, order) for t in times])
     got = traj.eval(np.array(times), order)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()  # bit for bit, sign of zero included
-    scalar = traj.eval(times[0], order)
-    assert type(scalar) is float
-    assert np.float64(scalar).tobytes() == want[:1].tobytes()
+    for t, w in zip(times, want):
+        scalar = traj.eval(t, order)
+        assert type(scalar) is float
+        assert np.float64(scalar).tobytes() == w.tobytes()
