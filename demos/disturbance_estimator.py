@@ -39,7 +39,3 @@ print("\nsecond order shrugs off affine additions a + b*t:")
 for a, b in ((0.1, 0.0), (1000.0, -7.0)):
     shifted = estimate_f_nu2(Window(T, sigma, dy2 + a + b * sigma), adu_window)
     print(f"  a={a:6g} b={b:4g}: estimate moves by {abs(shifted.value - est2.value):.3e}")
-
-# before a full window of data exists the estimate is flagged invalid
-warmup = estimate_f_nu1(None, None)
-print(f"\nwarm-up estimate: value = {warmup.value}, valid = {warmup.valid}")

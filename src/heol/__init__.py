@@ -31,7 +31,6 @@ from .homeostat import (
     nominal_u2,
 )
 from .estimators import (
-    FEstimate,
     estimate_f_nu1,
     estimate_f_nu2,
 )

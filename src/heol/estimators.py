@@ -20,7 +20,7 @@ last interval plus a trapezoid on it.
 (kernel times quadrature coefficients); its ``estimate`` returns the bare
 float the simulation loop logs.  :func:`estimate_f_nu1` and
 :func:`estimate_f_nu2` check their windows, delegate to it, and wrap the
-value in an :class:`FEstimate` that also flags warm-up.
+value in an :class:`FEstimate`.
 
 The ``Du`` kernels vanish at s = T, so the estimate at time t never needs
 the control applied *at* t — the loop can estimate first and act second.
@@ -36,7 +36,6 @@ from .errors import ConfigurationError
 from .signals import Window
 
 __all__ = [
-    "FEstimate",
     "estimate_f_nu1",
     "estimate_f_nu2",
 ]
@@ -46,11 +45,7 @@ _RULES = ("simpson", "trapezoid")
 
 @dataclass(frozen=True)
 class FEstimate:
-    """One disturbance estimate and its validity.
-
-    ``valid`` is False during warm-up, when no full window exists yet and the
-    value is pinned to 0 by policy.
-    """
+    """One disturbance estimate over a full window, hence always ``valid``."""
 
     value: float
     valid: bool = True
@@ -79,12 +74,10 @@ def _quad_coeffs(n_intervals: int, h: float, rule: str) -> np.ndarray:
 
 def _estimate(
     order: int,
-    dy_window: Window | None,
-    adu_window: Window | None,
+    dy_window: Window,
+    adu_window: Window,
     rule: str,
 ) -> FEstimate:
-    if dy_window is None or adu_window is None:
-        return FEstimate(0.0, valid=False)
     if len(dy_window) != len(adu_window) or dy_window.T != adu_window.T:
         raise ConfigurationError(
             f"windows differ in geometry: {len(dy_window)} samples over T={dy_window.T} vs "
@@ -95,27 +88,26 @@ def _estimate(
 
 
 def estimate_f_nu1(
-    dy_window: Window | None,
-    adu_window: Window | None,
+    dy_window: Window,
+    adu_window: Window,
     rule: str = "simpson",
 ) -> FEstimate:
     """Disturbance estimate for a first-order channel.
 
-    Passing ``None`` windows marks warm-up: the estimate is 0 and flagged
-    invalid.  Constant offsets on ``dy`` are annihilated by the kernel.
+    Constant offsets on ``dy`` are annihilated by the kernel.
     """
     return _estimate(1, dy_window, adu_window, rule)
 
 
 def estimate_f_nu2(
-    dy_window: Window | None,
-    adu_window: Window | None,
+    dy_window: Window,
+    adu_window: Window,
     rule: str = "simpson",
 ) -> FEstimate:
     """Disturbance estimate for a second-order channel.
 
     Affine components of ``dy`` (initial value and slope) are annihilated by
-    the kernel.  ``None`` windows mark warm-up as in :func:`estimate_f_nu1`.
+    the kernel.
     """
     return _estimate(2, dy_window, adu_window, rule)
 

@@ -13,8 +13,9 @@ relation E(y, dy/dt, ..., u) = 0:
             actually depends along the reference,
     alpha = - (dE/du) / (dE/dy^(order))   evaluated on the reference.
 
-``derive_channel`` automates both steps with analytic partials when the
-relation provides them and central finite differences otherwise.
+``derive_channel`` automates both steps with central finite differences,
+the one way a partial is taken, on one table of the references at 32 probe
+times.
 """
 
 from __future__ import annotations
@@ -54,16 +55,13 @@ class ImplicitFlatRelation:
         Which control enters this relation.
     residual : callable(table, u) -> float
         ``table[l][k]`` is the k-th derivative of output l.  Derivation
-        passes all times at once, as a trailing axis of ``table`` and ``u``.
-    partials : callable(table, u) -> (d_table, d_u), optional
-        Analytic partial derivatives matching ``residual``; finite
-        differences are used when absent.
+        passes all times at once, as a trailing axis of ``table`` and ``u``;
+        its partials are taken by :func:`finite_diff_partial`.
     """
 
     orders: tuple[int, ...]
     control_index: int
     residual: Callable[[np.ndarray, float], float]
-    partials: Callable[[np.ndarray, float], tuple[np.ndarray, float]] | None = None
 
     def __post_init__(self):
         if self.n_outputs < 1:
@@ -145,11 +143,7 @@ def _partial(relation, which, table, u, t):
     """Partial ``which`` at times ``t``, evaluated quietly; a non-finite value (a 0/0 in
     the relation, say) makes the channel singular there, naming the first such time."""
     with np.errstate(all="ignore"):
-        if relation.partials is not None:
-            d_table, d_u = relation.partials(table, u)
-            d = d_u if which == "u" else np.asarray(d_table)[which]
-        else:
-            d = finite_diff_partial(relation, which, table, u)
+        d = finite_diff_partial(relation, which, table, u)
     if not np.all(finite := np.isfinite(d)):
         slot = "u" if which == "u" else f"y{which[0] + 1}^({which[1]})"
         raise SingularChannelError(
@@ -203,9 +197,9 @@ def derive_channel(
     ConfigurationError
         if no output derivative up to the relation's declared order matters.
     SingularChannelError
-        if a partial the derivation reads is not finite, or ``dE/dy^(order)``
-        vanishes, or alpha is (numerically) zero at a probe time, naming the
-        first such time.
+        if a partial the derivation reads is not finite (``dE/du`` is read
+        first), or ``dE/dy^(order)`` vanishes, or alpha is (numerically) zero
+        at a probe time, naming the first such time.
     """
     t_lo, t_hi = horizon
     if not t_hi > t_lo:
@@ -221,8 +215,9 @@ def derive_channel(
     refs = tuple(references)
     u_of_t = nominal_control if nominal_control is not None else (lambda t: 0.0)
     probes = np.linspace(t_lo, t_hi, 32)
-    tables = build_reference_table(refs, probes, relation.orders)
-    u_vals = _at_first_failure(u_of_t, probes)
+    table = build_reference_table(refs, probes, relation.orders)
+    u = np.broadcast_to(_at_first_failure(u_of_t, probes), probes.shape)
+    d_u = _partial(relation, "u", table, u, probes)  # before any table partial: a 0/0 names dE/du
 
     if order_override is not None:
         if not 1 <= order_override <= relation.orders[out]:
@@ -233,7 +228,7 @@ def derive_channel(
         order = order_override
     else:
         ks = range(1, relation.orders[out] + 1)
-        mags = (np.max(np.abs(_partial(relation, (out, k), tables, u_vals, probes))) for k in ks)
+        mags = (np.max(np.abs(_partial(relation, (out, k), table, u, probes))) for k in ks)
         order = next((k for k, mag in zip(ks, mags) if mag > ZERO_THRESHOLD), 0)
         if order == 0:
             raise ConfigurationError(
@@ -241,22 +236,27 @@ def derive_channel(
                 f"up to order {relation.orders[out]} along the reference"
             )
 
-    def alpha(t):
-        table = build_reference_table(refs, t, relation.orders)
-        u = u_of_t(t)
+    def gain(table, u, d_u, t):
         den = _partial(relation, (out, order), table, u, t)
         if np.any(flat := np.abs(den) <= ZERO_THRESHOLD):
             raise SingularChannelError(
                 f"dE/dy{out + 1}^({order}) vanishes at t={_first(t, flat):.6g}; channel degenerated there"
             )
-        a = -_partial(relation, "u", table, u, t) / den
+        a = -d_u / den
         if np.any(zero := np.abs(a) <= ZERO_THRESHOLD):
             raise SingularChannelError(
                 f"channel gain alpha is zero at t={_first(t, zero):.6g}; control does not act there"
             )
         return a
 
-    _at_first_failure(alpha, probes)  # fail at derivation time, naming the first bad instant
+    # fail at derivation time, naming the first bad probe: the probe table's prefixes stand
+    # in for the probe times
+    _at_first_failure(lambda t: gain(table[..., : len(t)], u[: len(t)], d_u[: len(t)], t), probes)
+
+    def alpha(t):
+        table = build_reference_table(refs, t, relation.orders)
+        u = u_of_t(t)
+        return gain(table, u, _partial(relation, "u", table, u, t), t)
 
     return HomeostatChannel(output_index=out, order=order, alpha=alpha)
 

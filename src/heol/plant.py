@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import ConfigurationError, DivergenceError
 from .homeostat import ImplicitFlatRelation
 from .signals import ReferenceTrajectory
@@ -109,7 +107,7 @@ def example_plant() -> PlantModel:
 
 
 def benchmark_relations() -> tuple[ImplicitFlatRelation, ImplicitFlatRelation]:
-    """Implicit input/output relations of the benchmark plant, with closed-form partials.
+    """Implicit input/output relations of the benchmark plant.
 
     E1(y1', y1, u1) = y1' - y1 - y1^2 u1
     E2(y2''', ..., y2, y1', y1, u2) = y2''' + y2'' - y2' - y2 - y1 u1 u2,
@@ -120,32 +118,14 @@ def benchmark_relations() -> tuple[ImplicitFlatRelation, ImplicitFlatRelation]:
         y1, dy1 = table[0, 0], table[0, 1]
         return dy1 - y1 - y1 * y1 * u
 
-    def e1_partials(table, u):
-        y1 = table[0, 0]
-        d = np.zeros_like(table)
-        d[0, 0] = -1.0 - 2.0 * y1 * u
-        d[0, 1] = 1.0
-        return d, -y1 * y1
-
     def e2_residual(table, u):
         y1, dy1 = table[0, 0], table[0, 1]
         u1 = (dy1 - y1) / (y1 * y1)
         return table[1, 3] + table[1, 2] - table[1, 1] - table[1, 0] - y1 * u1 * u
 
-    def e2_partials(table, u):
-        y1, dy1 = table[0, 0], table[0, 1]
-        d = np.zeros_like(table)
-        d[0, 0] = u * dy1 / (y1 * y1)
-        d[0, 1] = -u / y1
-        d[1, 0] = -1.0
-        d[1, 1] = -1.0
-        d[1, 2] = 1.0
-        d[1, 3] = 1.0
-        return d, -(dy1 - y1) / y1
-
     return (
-        ImplicitFlatRelation(orders=(1, 0), control_index=0, residual=e1_residual, partials=e1_partials),
-        ImplicitFlatRelation(orders=(1, 3), control_index=1, residual=e2_residual, partials=e2_partials),
+        ImplicitFlatRelation(orders=(1, 0), control_index=0, residual=e1_residual),
+        ImplicitFlatRelation(orders=(1, 3), control_index=1, residual=e2_residual),
     )
 
 

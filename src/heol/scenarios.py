@@ -543,7 +543,7 @@ def validate_scenario(scenario: Scenario) -> _Built:
         nominal = NOMINAL_CONTROLS[spec.nominal](refs)
 
         if spec.alpha_source == "derived":
-            if relations is None or j >= len(relations):
+            if j >= len(relations):
                 raise ConfigurationError(
                     f"plant {scenario.plant!r} registers no relation for channel {j + 1}"
                 )

@@ -187,13 +187,6 @@ def test_nu2_constant_control_balances_estimate():
 # ------------------------------------------------------- shared error paths
 
 
-def test_warm_up_marks_estimate_invalid():
-    for fn in (estimate_f_nu1, estimate_f_nu2):
-        est = fn(None, None)
-        assert est.value == 0.0
-        assert not est.valid
-
-
 def test_misaligned_windows_rejected():
     a = make_window(np.zeros(101))
     b = make_window(np.zeros(51))

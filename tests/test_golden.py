@@ -29,6 +29,15 @@ def sec4_noisy_saturated():
     )
 
 
+def sec4_derived():
+    """paper-sec4 with both channel gains derived from the benchmark relations."""
+    base = builtin_scenario("paper-sec4")
+    derived = dict(alpha_source="derived", alpha_tag=None)
+    return dataclasses.replace(
+        base, channels=tuple(dataclasses.replace(c, **derived) for c in base.channels)
+    )
+
+
 GOLDEN = {
     "paper-sec4": (
         lambda: builtin_scenario("paper-sec4"),
@@ -37,6 +46,10 @@ GOLDEN = {
     "paper-sec4-noisy-saturated": (
         sec4_noisy_saturated,
         "7245d8307294a4169a4062ee8b984295932a2faf4c24be8f4de36bf596a2fa5e",
+    ),
+    "paper-sec4-derived": (
+        sec4_derived,
+        "3bd4d0616def969f13c2ec428a661141d72f000f89354e2066d653988607ff5a",
     ),
     "paper-sec4-nominal": (
         lambda: builtin_scenario("paper-sec4-nominal"),

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heol.errors import ConfigurationError, SingularChannelError
 from heol.homeostat import (
@@ -95,6 +97,43 @@ def test_derive_channel_second_relation_with_override():
     for t in np.linspace(*HORIZON, 32):
         want = refs[0].eval(t, 1) / refs[0].eval(t, 0) - 1.0
         assert chan.alpha(float(t)) == pytest.approx(want, rel=1e-6)
+
+
+@st.composite
+def benchmark_reference_pairs(draw):
+    """A smoothstep pair keeping y1* >= 0.5 and y1*'/y1* - 1 <= -0.1.
+
+    The degree-7 step peaks at rate 35/16 * amplitude / duration, so a rise
+    capped at 0.9 y1*(t_start) * duration / (35/16) keeps y1*' <= 0.9 y1*; a
+    fall has y1*' <= 0.
+    """
+    y_from = draw(st.floats(0.5, 3.0))
+    t_start = draw(st.floats(-5.0, 5.0))
+    duration = draw(st.floats(0.5, 20.0))
+    y_to = draw(st.floats(0.5, y_from + 0.9 * y_from * duration / (35.0 / 16.0)))
+    y1 = make_smoothstep(y_from, y_to, t_start, t_start + duration)
+    levels = draw(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+    y2_start, y2_duration = draw(st.floats(-5.0, 5.0)), draw(st.floats(1.0, 20.0))
+    return y1, make_smoothstep(*levels, y2_start, y2_start + y2_duration)
+
+
+@settings(max_examples=60, deadline=None)
+@given(refs=benchmark_reference_pairs())
+def test_derived_benchmark_gains_match_closed_forms(refs):
+    # alpha1 = y1*^2 and, at the pinned order 2, alpha2 = y1*'/y1* - 1, at float and array times
+    horizon = (-10.0, 30.0)
+    e1, e2 = benchmark_relations()
+    u1 = lambda t: nominal_u1(refs[0], t)
+    u2 = lambda t: nominal_u2(refs[0], refs[1], t)
+    first = derive_channel(e1, refs, horizon, nominal_control=u1)
+    second = derive_channel(e2, refs, horizon, order_override=2, output_index=1, nominal_control=u2)
+    assert first.order == 1
+    times = np.linspace(*horizon, 81)
+    y1, dy1 = refs[0].eval(times, 0), refs[0].eval(times, 1)
+    for chan, want in ((first, y1 * y1), (second, dy1 / y1 - 1.0)):
+        np.testing.assert_allclose(chan.alpha(times), want, rtol=1e-6, atol=0.0)
+        for t, w in zip(times[::8], want[::8]):
+            assert chan.alpha(float(t)) == pytest.approx(w, rel=1e-6, abs=0.0)
 
 
 def test_smallest_index_rule_on_second_relation_gives_order_one():
@@ -236,6 +275,19 @@ def test_nominal_controls_invert_the_flat_relations():
         assert abs(e2.residual(table, nominal_u2(refs[0], refs[1], t))) <= 1e-8
 
 
+def benchmark_partials(table, u):
+    """Closed-form partials of E1 and E2 at ``(table, u)``: ``(d_table, d_u)`` per relation."""
+    y1, dy1 = table[0, 0], table[0, 1]
+    d1 = np.zeros_like(table)
+    d1[0, 0] = -1.0 - 2.0 * y1 * u
+    d1[0, 1] = 1.0
+    d2 = np.zeros_like(table)
+    d2[0, 0] = u * dy1 / (y1 * y1)
+    d2[0, 1] = -u / y1
+    d2[1, :] = (-1.0, -1.0, 1.0, 1.0)
+    return (d1, -y1 * y1), (d2, -(dy1 - y1) / y1)
+
+
 def test_finite_difference_partials_match_analytic(rng):
     for _ in range(20):
         table = np.zeros((2, 4))
@@ -243,8 +295,7 @@ def test_finite_difference_partials_match_analytic(rng):
         table[0, 1] = rng.standard_normal()
         table[1, :] = rng.standard_normal(4)
         u = rng.standard_normal()
-        for rel in benchmark_relations():
-            d_an, du_an = rel.partials(table, u)
+        for rel, (d_an, du_an) in zip(benchmark_relations(), benchmark_partials(table, u)):
             assert finite_diff_partial(rel, "u", table, u) == pytest.approx(
                 du_an, rel=1e-6, abs=1e-6
             )
