@@ -267,13 +267,18 @@ def nominal_u1(y1_ref: ReferenceTrajectory, t):
     Inverts  dy1/dt = y1 + y1^2 u1  along the reference:
     ``u1 = (dy1*/dt - y1*) / y1*^2``.  Degenerates where y1* crosses zero.
     """
+    return _flat_u1(y1_ref, t)[1]
+
+
+def _flat_u1(y1_ref: ReferenceTrajectory, t):
+    """``(y1*, u1*)`` at ``t``, from one evaluation of each of ``y1*`` and ``dy1*/dt``."""
     y1 = y1_ref.eval(t, 0)
     if np.any(zero := np.abs(y1) <= ZERO_THRESHOLD):
         raise SingularChannelError(
             f"y1* = {_first(y1, zero)!r} at t={_first(t, zero):.6g}: "
             "first-channel inversion degenerates at y1 = 0"
         )
-    return (y1_ref.eval(t, 1) - y1) / (y1 * y1)
+    return y1, (y1_ref.eval(t, 1) - y1) / (y1 * y1)
 
 
 def nominal_u2(
@@ -291,7 +296,8 @@ def nominal_u2(
     other coefficients model a plant/controller mismatch the closed loop has
     to absorb.
     """
-    beta = y1_ref.eval(t, 0) * nominal_u1(y1_ref, t)
+    y1, u1 = _flat_u1(y1_ref, t)
+    beta = y1 * u1
     if np.any(zero := np.abs(beta) <= ZERO_THRESHOLD):
         raise SingularChannelError(
             f"y1*·u1* = {_first(beta, zero)!r} at t={_first(t, zero):.6g}: "

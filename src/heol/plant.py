@@ -15,6 +15,7 @@ makes the closed-loop scenarios interesting.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -47,8 +48,9 @@ class PlantModel:
     output: Callable[[Sequence[float]], Sequence[float]]
 
     def __post_init__(self):
-        if min(self.n_states, self.n_controls, self.n_outputs) < 1:
-            raise ConfigurationError("plant dimensions must all be at least 1")
+        dims = (self.n_states, self.n_controls, self.n_outputs)
+        if not all(isinstance(d, int) and d >= 1 for d in dims):
+            raise ConfigurationError(f"plant dimensions must all be integers of at least 1, got {dims}")
 
 
 @dataclass(frozen=True)
@@ -74,22 +76,63 @@ def rk4_step(
 ) -> list[float]:
     """One classical Runge-Kutta step of length ``h`` with ``u`` held constant.
 
-    The same ``u`` is passed to all four stages (zero-order hold); each entry follows
-    ``x + h/6 (((k1 + 2 k2) + 2 k3) + k4)``.  A non-finite result raises DivergenceError naming ``t``.
+    The step is the straight-line body ``_rk4_body(model.n_states)``, generated on
+    first use: the same ``u`` is passed to all four stages (zero-order hold), the
+    stage states are ``x + (h/2) k`` (``x + h k3`` for the last), and each entry of
+    the result is ``x + h/6 (((k1 + 2 k2) + 2 k3) + k4)``.  A state or a derivative
+    whose length is not ``model.n_states`` raises ConfigurationError; a non-finite
+    result raises DivergenceError naming ``t``.
     """
     if not 0.0 < h < math.inf:
         raise ConfigurationError(f"integrator step must be positive and finite, got h={h}")
-    f = model.f
-    half = 0.5 * h
-    k1 = f(t, x, u)
-    k2 = f(t + half, [a + half * b for a, b in zip(x, k1)], u)
-    k3 = f(t + half, [a + half * b for a, b in zip(x, k2)], u)
-    k4 = f(t + h, [a + h * b for a, b in zip(x, k3)], u)
-    h6 = h / 6.0
-    x_new = [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+    try:
+        x_new = _rk4_body(model.n_states)(model.f, t, x, u, h)
+    except ValueError:
+        _check_lengths(model, t, x, u)
+        raise
     if not all(map(math.isfinite, x_new)):
         raise DivergenceError(f"non-finite derivative evaluation near t={t:.6g}")
     return x_new
+
+
+@functools.cache
+def _rk4_body(n: int) -> Callable:
+    """``body(f, t, x, u, h)``: one RK4 step unrolled for ``n`` states, without checks.
+
+    It unpacks ``x`` and each stage's derivative into locals, so a sequence of the
+    wrong length raises ValueError, and evaluates each entry elementwise: a state
+    and control of ``(B,)`` arrays steps B rows at once, each as its float step.
+    """
+    def terms(template):
+        return ", ".join(template.format(i=i) for i in range(n))
+
+    source = "\n".join([
+        "def body(f, t, x, u, h):",
+        f"    [{terms('x{i}')}] = x",
+        "    half = 0.5 * h",
+        f"    [{terms('a{i}')}] = f(t, x, u)",
+        f"    [{terms('b{i}')}] = f(t + half, [{terms('x{i} + half * a{i}')}], u)",
+        f"    [{terms('c{i}')}] = f(t + half, [{terms('x{i} + half * b{i}')}], u)",
+        f"    [{terms('d{i}')}] = f(t + h, [{terms('x{i} + h * c{i}')}], u)",
+        "    h6 = h / 6.0",
+        f"    return [{terms('x{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})')}]",
+    ])
+    namespace: dict = {}
+    exec(compile(source, f"<rk4 body, {n} states>", "exec"), namespace)
+    return namespace["body"]
+
+
+def _check_lengths(model: PlantModel, t: float, x: Sequence[float], u: Sequence[float]) -> None:
+    """Raise ConfigurationError if ``x`` or ``f(t, x, u)`` does not hold ``n_states`` entries."""
+    n = model.n_states
+    if len(x) != n:
+        raise ConfigurationError(f"plant has n_states={n}, but the state has {len(x)} entries") from None
+    try:
+        k = len(model.f(t, x, u))
+    except ValueError:
+        return
+    if k != n:
+        raise ConfigurationError(f"plant has n_states={n}, but f returned {k} entries at t={t:.6g}") from None
 
 
 def example_plant() -> PlantModel:

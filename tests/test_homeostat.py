@@ -241,6 +241,24 @@ def test_nominal_u2_singular_where_u1_vanishes():
         nominal_u2(ref, make_constant(1.0), 0.0)
 
 
+def test_nominal_u2_checks_y1_before_the_product():
+    with pytest.raises(SingularChannelError, match="degenerates at y1 = 0"):
+        nominal_u2(make_constant(0.0), make_constant(1.0), 0.0)
+
+
+def test_nominal_u2_evaluates_each_reference_order_once():
+    seen = []
+
+    class Counted(PolynomialReference):
+        def eval(self, t, order=0):
+            seen.append((self, order))
+            return super().eval(t, order)
+
+    y1, y2 = Counted(2.0, 0.5), Counted(1.0, -2.0, 1.0)
+    nominal_u2(y1, y2, 0.3)
+    assert sorted((ref is y2, k) for ref, k in seen) == [(False, 0), (False, 1)] + [(True, k) for k in range(4)]
+
+
 def test_perturbed_u2_scales_constant_reference():
     # constant y2* = c: nominal gives c, the mis-weighted variant 0.9 c
     for c in (3.0, -1.5):

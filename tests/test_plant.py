@@ -12,11 +12,13 @@ from heol.plant import (
     TRUST_REGION,
     MismatchSpec,
     PlantModel,
+    _rk4_body,
     benchmark_relations,
     example_plant,
     initial_state,
     rk4_step,
 )
+from heol.scenarios import PLANTS
 from heol.signals import make_constant, make_smoothstep
 
 
@@ -132,7 +134,34 @@ def test_rk4_flags_non_finite_derivatives():
     m = _scalar_model(lambda t, x, u: [math.inf])
     with pytest.raises(DivergenceError) as err:
         rk4_step(m, 2.25, [1.0], [0.0], 0.1)
-    assert "t=" in str(err.value)
+    assert "t=2.25" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "n_states, field, x, wrong",
+    [
+        (3, lambda t, x, u: (x[1], -x[0]), [1.0, 0.0, 5.0], "f returned 2 entries"),
+        (2, lambda t, x, u: (x[1], -x[0]), [1.0, 0.0, 5.0], "the state has 3 entries"),
+        (2, lambda t, x, u: (x[1], -x[0]), [1.0], "the state has 1 entries"),
+        (1, lambda t, x, u: (x[0], x[0]), [1.0], "f returned 2 entries"),
+    ],
+)
+def test_rk4_rejects_length_mismatch(n_states, field, x, wrong):
+    m = PlantModel(n_states, 1, 1, field, lambda x: x[:1])
+    with pytest.raises(ConfigurationError, match=f"n_states={n_states}, but {wrong}"):
+        rk4_step(m, 0.0, x, [0.0], 0.1)
+
+
+def test_rk4_passes_on_value_errors_raised_by_f():
+    m = _scalar_model(lambda t, x, u: [math.sqrt(x[0])])
+    with pytest.raises(ValueError, match="math domain error"):
+        rk4_step(m, 0.0, [-1.0], [0.0], 0.1)
+
+
+@pytest.mark.parametrize("n", [0, 2.0, None])
+def test_plant_model_rejects_non_integer_dimensions(n):
+    with pytest.raises(ConfigurationError, match="integers of at least 1"):
+        PlantModel(n, 1, 1, lambda t, x, u: x, lambda x: x)
 
 
 def test_rk4_order_four_under_step_halving():
@@ -162,12 +191,6 @@ def test_rk4_holds_control_bit_constant_across_stages():
     assert all(stage_u is u for stage_u in seen)
 
 
-def _numpy_benchmark_f(t, x, u):
-    x1, x2, x3, x4 = x
-    u1, u2 = u
-    return np.array([x1 + x1 * x1 * u1, x3, x4, -x4 + x3 + x2 + x1 * u1 * u2])
-
-
 def _numpy_rk4_step(f, t, x, u, h):
     """Reference: the classical step on numpy arrays."""
     half = 0.5 * h
@@ -178,6 +201,19 @@ def _numpy_rk4_step(f, t, x, u, h):
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _numpy_field(f):
+    return lambda t, x, u: np.array(f(t, x, u))
+
+
+def _assert_float_step_equals_numpy_step(model, t, x, u, h):
+    got = rk4_step(model, t, x, u, h)
+    want = _numpy_rk4_step(_numpy_field(model.f), t, np.array(x), np.array(u), h)
+    assert all(type(v) is float for v in got)
+    assert np.array_equal(np.array(got), want)
+    # a numpy state, as acceptance test 8 passes it, steps to the same values
+    assert np.array_equal(np.array(rk4_step(model, t, np.array(x), u, h)), want)
+
+
 @settings(max_examples=200)
 @given(
     x=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
@@ -186,10 +222,57 @@ def _numpy_rk4_step(f, t, x, u, h):
     h=st.sampled_from([1e-3, 0.01, 0.05]),
 )
 def test_rk4_step_on_floats_equals_numpy_array_step(x, u, t, h):
-    got = rk4_step(example_plant(), t, x, u, h)
-    want = _numpy_rk4_step(_numpy_benchmark_f, t, np.array(x), np.array(u), h)
-    assert all(type(v) is float for v in got)
-    assert np.array_equal(np.array(got), want)
+    _assert_float_step_equals_numpy_step(example_plant(), t, x, u, h)
+
+
+@st.composite
+def _polynomial_plants(draw):
+    """A plant of 1-6 states with ``dx_i/dt = c0 + c1 x_i x_(i+1) + c2 u + c3 t`` (indices mod n)."""
+    n = draw(st.integers(1, 6))
+    coeff = st.floats(-2.0, 2.0)
+    cs = draw(st.lists(st.tuples(coeff, coeff, coeff, coeff), min_size=n, max_size=n))
+
+    def f(t, x, u):
+        return [c0 + c1 * x[i] * x[(i + 1) % n] + c2 * u[0] + c3 * t for i, (c0, c1, c2, c3) in enumerate(cs)]
+
+    return PlantModel(n, 1, 1, f, lambda x: x[:1])
+
+
+@settings(max_examples=200)
+@given(
+    model=_polynomial_plants(),
+    data=st.data(),
+    t=st.floats(0.0, 10.0),
+    h=st.sampled_from([1e-3, 0.01, 0.05]),
+)
+def test_rk4_step_equals_numpy_array_step_for_any_state_count(model, data, t, h):
+    x = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=model.n_states, max_size=model.n_states))
+    _assert_float_step_equals_numpy_step(model, t, x, [data.draw(st.floats(-2.0, 2.0))], h)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@settings(max_examples=50)
+@given(
+    x=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2),
+    u=st.floats(-5.0, 5.0),
+    t=st.floats(0.0, 200.0),
+    h=st.sampled_from([1e-3, 0.01, 0.05]),
+)
+def test_rk4_step_on_ultralocal_plant_equals_numpy_array_step(order, x, u, t, h):
+    model = PLANTS["ultralocal"][0]({"order": order, "f": 0.5, "gain": 1.3})[0]
+    _assert_float_step_equals_numpy_step(model, t, x[:order], [u], h)
+
+
+def test_rk4_body_steps_a_batch_of_arrays_row_for_row():
+    # one (B,) array per state and per control: each row is its own float step,
+    # because the finiteness check lives in rk4_step, outside the arithmetic
+    plant = example_plant()
+    rng = np.random.default_rng(12)
+    x = rng.uniform(-10.0, 10.0, size=(4, 5000))
+    u = rng.uniform(-5.0, 5.0, size=(2, 5000))
+    got = _rk4_body(4)(plant.f, 1.5, list(x), list(u), 0.01)
+    want = [rk4_step(plant, 1.5, x[:, b].tolist(), u[:, b].tolist(), 0.01) for b in range(x.shape[1])]
+    assert np.array_equal(np.array(got), np.array(want).T)
 
 
 def test_trust_region_constant():
