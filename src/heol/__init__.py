@@ -24,9 +24,7 @@ from .signals import (
 from .homeostat import (
     HomeostatChannel,
     ImplicitFlatRelation,
-    build_reference_table,
     derive_channel,
-    finite_diff_partial,
     nominal_u1,
     nominal_u2,
 )

@@ -13,8 +13,8 @@ and for the second-order model  d2(Dy)/dt2 = F + a*Du
 Both kernels annihilate the window's unknown initial conditions (constants
 for order one, affine signals for order two), so no derivative of the
 measured output is ever needed.  Integrals are evaluated with composite
-Simpson weights; an odd interval count falls back to Simpson on all but the
-last interval plus a trapezoid on it.
+Simpson weights, the one quadrature rule; an odd interval count falls back
+to Simpson on all but the last interval plus a trapezoid on it.
 
 :class:`FusedEstimator` is the single place that builds the weight vectors
 (kernel times quadrature coefficients); its ``estimate`` returns the bare
@@ -40,8 +40,6 @@ __all__ = [
     "estimate_f_nu2",
 ]
 
-_RULES = ("simpson", "trapezoid")
-
 
 @dataclass(frozen=True)
 class FEstimate:
@@ -51,15 +49,11 @@ class FEstimate:
     valid: bool = True
 
 
-def _quad_coeffs(n_intervals: int, h: float, rule: str) -> np.ndarray:
-    """Quadrature weight vector for ``n_intervals + 1`` uniform samples."""
+def _quad_coeffs(n_intervals: int, h: float) -> np.ndarray:
+    """Composite Simpson weights for ``n_intervals + 1`` uniform samples."""
     n = n_intervals
     c = np.zeros(n + 1)
-    if rule == "trapezoid":
-        c[:] = h
-        c[0] = c[-1] = 0.5 * h
-        return c
-    # composite Simpson; odd interval counts get a trapezoid on the last interval
+    # an odd interval count gets a trapezoid on the last interval
     m = n if n % 2 == 0 else n - 1
     if m > 0:
         c[0] += h / 3.0
@@ -72,61 +66,46 @@ def _quad_coeffs(n_intervals: int, h: float, rule: str) -> np.ndarray:
     return c
 
 
-def _estimate(
-    order: int,
-    dy_window: Window,
-    adu_window: Window,
-    rule: str,
-) -> FEstimate:
+def _estimate(order: int, dy_window: Window, adu_window: Window) -> FEstimate:
     if len(dy_window) != len(adu_window) or dy_window.T != adu_window.T:
         raise ConfigurationError(
             f"windows differ in geometry: {len(dy_window)} samples over T={dy_window.T} vs "
             f"{len(adu_window)} over T={adu_window.T}"
         )
-    fused = FusedEstimator(order, dy_window.T, len(dy_window) - 1, rule)
+    fused = FusedEstimator(order, dy_window.T, len(dy_window) - 1)
     return FEstimate(fused.estimate(dy_window.values, adu_window.values))
 
 
-def estimate_f_nu1(
-    dy_window: Window,
-    adu_window: Window,
-    rule: str = "simpson",
-) -> FEstimate:
+def estimate_f_nu1(dy_window: Window, adu_window: Window) -> FEstimate:
     """Disturbance estimate for a first-order channel.
 
     Constant offsets on ``dy`` are annihilated by the kernel.
     """
-    return _estimate(1, dy_window, adu_window, rule)
+    return _estimate(1, dy_window, adu_window)
 
 
-def estimate_f_nu2(
-    dy_window: Window,
-    adu_window: Window,
-    rule: str = "simpson",
-) -> FEstimate:
+def estimate_f_nu2(dy_window: Window, adu_window: Window) -> FEstimate:
     """Disturbance estimate for a second-order channel.
 
     Affine components of ``dy`` (initial value and slope) are annihilated by
     the kernel.
     """
-    return _estimate(2, dy_window, adu_window, rule)
+    return _estimate(2, dy_window, adu_window)
 
 
 class FusedEstimator:
-    """Estimator for a fixed window geometry (order, T, n, rule): two dot products."""
+    """Estimator for a fixed window geometry (order, T, n): two dot products."""
 
-    def __init__(self, order: int, T: float, n_intervals: int, rule: str = "simpson"):
+    def __init__(self, order: int, T: float, n_intervals: int):
         if order not in (1, 2):
             raise ConfigurationError(f"estimator order must be 1 or 2, got {order}")
-        if rule not in _RULES:
-            raise ConfigurationError(f"unknown quadrature rule {rule!r}, expected one of {_RULES}")
         if n_intervals < 2:
             raise ConfigurationError(
                 f"estimator window needs at least 3 samples, got {n_intervals + 1}"
             )
         h = T / n_intervals
         s = h * np.arange(n_intervals + 1)
-        c = _quad_coeffs(n_intervals, h, rule)
+        c = _quad_coeffs(n_intervals, h)
         if order == 1:
             self._wy = -6.0 / T**3 * c * (T - 2.0 * s)
             self._wu = -6.0 / T**3 * c * (s * (T - s))

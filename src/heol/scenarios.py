@@ -39,7 +39,7 @@ from .errors import (
     HeolError,
     SingularChannelError,
 )
-from .estimators import _RULES, FusedEstimator
+from .estimators import FusedEstimator
 from .homeostat import (
     ZERO_THRESHOLD,
     HomeostatChannel,
@@ -150,10 +150,8 @@ class ChannelSpec:
     output: int
     order: int | None = None
     alpha_source: str = "derived"          # "derived" | "formula" | "constant"
-    alpha_tag: str | None = None
     alpha_value: float | None = None
     estimator_T: float = 0.3
-    estimator_rule: str = "simpson"
     k_p: float | None = None
     k_d: float | None = None
     pole: float | None = None
@@ -169,13 +167,6 @@ class ChannelSpec:
             )
         if self.alpha_source not in ("derived", "formula", "constant"):
             raise ConfigurationError(f"unknown alpha source {self.alpha_source!r}")
-        if self.alpha_source == "formula" and self.alpha_tag is None:
-            raise ConfigurationError("alpha source 'formula' needs an alpha tag")
-        if self.alpha_source != "formula" and self.alpha_tag is not None:
-            raise ConfigurationError(
-                f"alpha.tag is read by source 'formula' only, got tag {self.alpha_tag!r} "
-                f"with source {self.alpha_source!r}"
-            )
         if self.alpha_source != "constant" and self.alpha_value is not None:
             raise ConfigurationError(
                 f"alpha.value is read by source 'constant' only, got value {self.alpha_value!r} "
@@ -185,6 +176,10 @@ class ChannelSpec:
             self.alpha_value is not None and math.isfinite(self.alpha_value)
         ):
             raise ConfigurationError(f"alpha source 'constant' needs a finite value, got {self.alpha_value}")
+        if self.alpha_source == "constant" and abs(self.alpha_value) <= ZERO_THRESHOLD:
+            raise ConfigurationError(
+                f"alpha.value {self.alpha_value!r} is a zero channel gain (|alpha| <= {ZERO_THRESHOLD:g})"
+            )
         if self.alpha_source != "derived" and self.order is None:
             raise ConfigurationError(
                 "channel order must be given explicitly unless alpha is derived"
@@ -193,10 +188,6 @@ class ChannelSpec:
             raise ConfigurationError("pole multiplicity must be 1 or 2")
         if not (math.isfinite(self.estimator_T) and self.estimator_T > 0.0):
             raise ConfigurationError(f"estimator window length must be positive, got T={self.estimator_T}")
-        if self.estimator_rule not in _RULES:
-            raise ConfigurationError(
-                f"unknown quadrature rule {self.estimator_rule!r}, expected one of {_RULES}"
-            )
 
 
 @dataclass(frozen=True)
@@ -211,7 +202,6 @@ class Scenario:
     mismatch: MismatchSpec | None = None  # None: every output starts unscaled
     plant_params: dict = field(default_factory=dict)
     control_mode: str = "closed-loop"
-    allow_shared_outputs: bool = False
     noise_std: float = 0.0
     noise_seed: int = 0
     rms_fraction: float = 0.01
@@ -300,7 +290,6 @@ def _typed(kind: type, what: str) -> _Leaf:
 
 
 _tag = _typed(str, "a string")
-_flag = _typed(bool, "true or false")
 
 
 class _List:
@@ -427,15 +416,18 @@ def _ultralocal_plant(params: dict):
     model = PlantModel(order, 1, 1, f, output)
     residual = lambda table, u: table[0, order] - gain * u
     relation = ImplicitFlatRelation(orders=(order,), control_index=0, residual=residual)
-    return model, init, (relation,)
+    return model, init, (relation,), ()
 
 
 def _benchmark_plant(params: dict):
-    return example_plant(), initial_state, benchmark_relations()
+    formulas = (_alpha_ref0_squared, _alpha_ref0_rate_ratio)
+    return example_plant(), initial_state, benchmark_relations(), formulas
 
 
-#: plant name -> (factory(params) -> (model, init_state(refs, mismatch, t0), relations),
-#: the ``params`` object, whose absent keys take the factory's defaults)
+#: plant name -> (factory(params) -> (model, init_state(refs, mismatch, t0), relations, formulas),
+#: the ``params`` object, whose absent keys take the factory's defaults).  ``relations[j]`` is
+#: channel j's implicit relation and ``formulas[j]`` the closed form of its gain, a factory
+#: refs -> alpha(t) taking a float or an array of times.
 PLANTS: dict[str, tuple[Callable, _Object]] = {
     "flat-benchmark-2x2": (_benchmark_plant, _Object(dict, [])),
     "ultralocal": (
@@ -453,6 +445,7 @@ NOMINAL_CONTROLS: dict[str, Callable] = {
 }
 
 
+# the benchmark's closed-form gains: alpha1 = y1*^2 and, at order 2, alpha2 = y1*'/y1* - 1
 def _alpha_ref0_squared(refs):
     ref = refs[0]
     # float_power rounds as float ** 2 does; y * y and np.power differ in the last bit
@@ -473,13 +466,6 @@ def _alpha_ref0_rate_ratio(refs):
     return alpha
 
 
-#: closed-form channel gain tags; each gain takes a float or an array of times
-ALPHA_FORMULAS: dict[str, Callable] = {
-    "ref0-squared": _alpha_ref0_squared,
-    "ref0-rate-ratio-minus-1": _alpha_ref0_rate_ratio,
-}
-
-
 # --------------------------------------------------------------------------
 # build & validate
 
@@ -494,12 +480,19 @@ class _Built:
     x0: np.ndarray
 
 
+def _registered(entries: tuple, j: int, what: str, plant: str):
+    """Entry ``j`` of a plant's per-channel ``relations`` or ``formulas``."""
+    if j >= len(entries):
+        raise ConfigurationError(f"plant {plant!r} registers no {what} for channel {j + 1}")
+    return entries[j]
+
+
 def validate_scenario(scenario: Scenario) -> _Built:
     """Build every part of the scenario without running it; :func:`run_scenario` takes the result."""
     if scenario.plant not in PLANTS:
         raise ConfigurationError(f"unknown plant {scenario.plant!r}; registered: {sorted(PLANTS)}")
     factory, params = PLANTS[scenario.plant]
-    model, init_fn, relations = factory(params.load(scenario.plant_params, "plant.params"))
+    model, init_fn, relations, formulas = factory(params.load(scenario.plant_params, "plant.params"))
     mismatch = scenario.mismatch or MismatchSpec(output_scaling=(1.0,) * model.n_outputs)
 
     if len(scenario.references) != model.n_outputs:
@@ -524,14 +517,8 @@ def validate_scenario(scenario: Scenario) -> _Built:
     for spec in scenario.channels:
         if not 0 <= spec.output < model.n_outputs:
             raise ConfigurationError(f"channel output index {spec.output} out of range")
-        if spec.output in seen_outputs and not scenario.allow_shared_outputs:
-            # Sharing an output is almost always a config typo, but it can be
-            # meant: the benchmark homeostat can be read with both channels
-            # watching the first output.  ``allow_shared_outputs`` opts in.
-            raise ConfigurationError(
-                f"two channels regulate output {spec.output}; "
-                "set allow_shared_outputs if this is intended"
-            )
+        if spec.output in seen_outputs:  # leaves another output unregulated
+            raise ConfigurationError(f"two channels regulate output {spec.output}")
         seen_outputs.add(spec.output)
 
     controllers, windows = [], []
@@ -543,12 +530,8 @@ def validate_scenario(scenario: Scenario) -> _Built:
         nominal = NOMINAL_CONTROLS[spec.nominal](refs)
 
         if spec.alpha_source == "derived":
-            if j >= len(relations):
-                raise ConfigurationError(
-                    f"plant {scenario.plant!r} registers no relation for channel {j + 1}"
-                )
             channel = derive_channel(
-                relations[j],
+                _registered(relations, j, "relation", scenario.plant),
                 refs,
                 horizon,
                 order_override=spec.order,
@@ -557,11 +540,7 @@ def validate_scenario(scenario: Scenario) -> _Built:
             )
         else:
             if spec.alpha_source == "formula":
-                if spec.alpha_tag not in ALPHA_FORMULAS:
-                    raise ConfigurationError(
-                        f"unknown alpha formula {spec.alpha_tag!r}; registered: {sorted(ALPHA_FORMULAS)}"
-                    )
-                alpha = ALPHA_FORMULAS[spec.alpha_tag](refs)
+                alpha = _registered(formulas, j, "formula alpha", scenario.plant)(refs)
             else:
                 alpha = lambda t, _v=spec.alpha_value: np.full(np.shape(t), _v)
             channel = HomeostatChannel(output_index=spec.output, order=spec.order, alpha=alpha)
@@ -694,8 +673,8 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
     channels = [
         (j, ctrl, ctrl.channel.output_index, ctrl.channel.order == 2, w,
          5.0 * h if ctrl.tau_f is None else ctrl.tau_f, np.zeros(n_pts), np.zeros(n_pts),
-         FusedEstimator(ctrl.channel.order, w * h, w, spec.estimator_rule).estimate, p + j, p + m + j)
-        for j, (ctrl, w, spec) in enumerate(zip(controllers, windows, built.scenario.channels))
+         FusedEstimator(ctrl.channel.order, w * h, w).estimate, p + j, p + m + j)
+        for j, (ctrl, w) in enumerate(zip(controllers, windows))
     ]
     # Bound per run, not at import, so that wrappers installed before a run see every call.
     step, rk4, output = channel_step, rk4_step, model.output
@@ -878,13 +857,9 @@ _CHANNEL = _Object(ChannelSpec, [
     ("order", "order", _count, None),
     ("alpha", None, _Object(None, [
         ("source", "alpha_source", _tag, "derived"),
-        ("tag", "alpha_tag", _tag, None),
         ("value", "alpha_value", _number, None),
     ]), None),
-    ("estimator", None, _Object(None, [
-        ("T", "estimator_T", _number, 0.3),
-        ("rule", "estimator_rule", _tag, "simpson"),
-    ]), None),
+    ("estimator", None, _Object(None, [("T", "estimator_T", _number, 0.3)]), None),
     ("gains", None, _Object(None, [
         ("kp", "k_p", _number, _REQUIRED),
         ("kd", "k_d", _number, None),
@@ -906,7 +881,6 @@ _SCENARIO = _Object(Scenario, [
     ("channels", "channels", _List(_CHANNEL), _REQUIRED),
     ("mismatch", "mismatch", _Object(MismatchSpec, _plain("output_scaling", kind=_List(_number))), None),
     ("control_mode", "control_mode", _tag, "closed-loop"),
-    ("allow_shared_outputs", "allow_shared_outputs", _flag, False),
     ("noise", None, _Object(None, [
         ("std", "noise_std", _number, 0.0),
         ("seed", "noise_seed", _count, 0),
@@ -949,7 +923,6 @@ def _sec4_channels(nominal_u2: str) -> tuple[ChannelSpec, ChannelSpec]:
             output=0,
             order=1,
             alpha_source="formula",
-            alpha_tag="ref0-squared",
             pole=-1.0,
             nominal="flat-u1",
         ),
@@ -957,7 +930,6 @@ def _sec4_channels(nominal_u2: str) -> tuple[ChannelSpec, ChannelSpec]:
             output=1,
             order=2,
             alpha_source="formula",
-            alpha_tag="ref0-rate-ratio-minus-1",
             pole=-0.15,
             pole_multiplicity=2,
             nominal=nominal_u2,

@@ -22,7 +22,6 @@ def ultralocal_scenario(
     k_d=None,
     h=0.01,
     estimator_T=0.3,
-    estimator_rule="simpson",
     control_mode="closed-loop",
     noise_std=0.0,
     noise_seed=0,
@@ -46,7 +45,6 @@ def ultralocal_scenario(
                 alpha_source="constant",
                 alpha_value=1.0,
                 estimator_T=estimator_T,
-                estimator_rule=estimator_rule,
                 k_p=k_p,
                 k_d=k_d,
                 nominal="zero",

@@ -113,6 +113,17 @@ def test_non_object_channel_entries_exit_3(tmp_path, capsys):
         assert f"channels[0].{key} must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", (0, 1e-300))
+def test_zero_constant_alpha_exits_3_at_validate(tmp_path, capsys, value):
+    # the run would divide by it and exit 4; the file is rejected when it loads
+    config = scenario_to_dict(ultralocal_scenario(1.0))
+    config["channels"][0]["alpha"]["value"] = value
+    path = tmp_path / "zero-alpha.json"
+    path.write_text(json.dumps(config))
+    assert cli_main(["validate", "--config", str(path)]) == 3
+    assert f"channels[0]: alpha.value {float(value)!r} is a zero channel gain" in capsys.readouterr().err
+
+
 def test_oversized_grid_exits_3_before_allocating(tmp_path):
     path = tmp_path / "huge.json"
     for key, value in (("duration", 1e15), ("h", 5e-324)):  # duration/h overflows to inf

@@ -73,14 +73,14 @@ def implied_derivative(log):
     return (-log.du[:, 0] - log.f_est[:, 0] - 4.0 * log.dy[:, 0]) / 4.0
 
 
-def estimator_replay(log, j, order, rule, alpha):
+def estimator_replay(log, j, order, alpha):
     """F_est of channel ``j`` recomputed from its own logged columns.
 
     The window ends at dy[k]; its last alpha*Du entry is the zero pad the
     loop reads before the control at t_k is known.
     """
     w = int(round(log.channel_T[j] / log.grid.h))
-    fused = FusedEstimator(order, log.channel_T[j], w, rule)
+    fused = FusedEstimator(order, log.channel_T[j], w)
     dy = np.ascontiguousarray(log.dy[:, j])  # np.dot may sum strided data differently
     adu = alpha * log.du[:, j]
     out = np.zeros(len(log.t))
@@ -241,14 +241,14 @@ def test_channel_step_clamps_and_flags_saturation():
     np.testing.assert_array_equal(log.u[clamped, 0], -0.2)
     np.testing.assert_array_equal(log.du[:, 0], log.u[:, 0] - log.u_nom[:, 0])
     # the applied (clamped) correction, not the requested one, enters the history
-    w, f_est = estimator_replay(log, 0, 1, "simpson", 2.0)
+    w, f_est = estimator_replay(log, 0, 1, 2.0)
     np.testing.assert_array_equal(log.f_est[w:, 0], f_est[w:])
 
 
 def test_channel_step_estimate_matches_fused_kernel_after_warm_up():
     s = order2_run(noise_std=1e-3, noise_seed=3, estimator_T=0.25)
     log = run_scenario(s)
-    w, f_est = estimator_replay(log, 0, 2, "simpson", 1.0)
+    w, f_est = estimator_replay(log, 0, 2, 1.0)
     assert w == 25 and log.f_valid[w:, 0].all()
     np.testing.assert_array_equal(log.f_est[:, 0], f_est)
 
@@ -290,13 +290,13 @@ def test_channel_independence_at_fixed_histories():
         base,
         timing=Timing(duration=2.0, h=0.01),
         channels=(
-            dataclasses.replace(ch1, alpha_source="constant", alpha_tag=None, alpha_value=1.0),
-            dataclasses.replace(ch2, alpha_source="constant", alpha_tag=None, alpha_value=-1.0),
+            dataclasses.replace(ch1, alpha_source="constant", alpha_value=1.0),
+            dataclasses.replace(ch2, alpha_source="constant", alpha_value=-1.0),
         ),
     )
     log = run_scenario(s)
     for j, (order, alpha) in enumerate(((1, 1.0), (2, -1.0))):
-        _, f_est = estimator_replay(log, j, order, "simpson", alpha)
+        _, f_est = estimator_replay(log, j, order, alpha)
         np.testing.assert_array_equal(log.f_est[:, j], f_est)
     g = gains_from_poles(2, -0.15)
     ddy = filtered_derivative(log.dy[:, 1], log.t, 0.05)
@@ -362,13 +362,12 @@ def test_state_reset_clears_history():
 @settings(max_examples=15, deadline=None)
 @given(
     order=st.sampled_from((1, 2)),
-    rule=st.sampled_from(("simpson", "trapezoid")),
     w=st.integers(4, 40),
     seed=st.integers(0, 2**32 - 1),
     n_short=st.integers(1, 150),
     n_extra=st.integers(1, 150),
 )
-def test_shorter_run_is_bit_exact_prefix_of_longer_run(order, rule, w, seed, n_short, n_extra):
+def test_shorter_run_is_bit_exact_prefix_of_longer_run(order, w, seed, n_short, n_extra):
     def run(n):
         return run_scenario(
             ultralocal_scenario(
@@ -378,7 +377,6 @@ def test_shorter_run_is_bit_exact_prefix_of_longer_run(order, rule, w, seed, n_s
                 drift=0.5,
                 duration=n * 0.01,
                 estimator_T=w * 0.01,
-                estimator_rule=rule,
                 noise_std=1e-3,
                 noise_seed=seed,
             )

@@ -35,35 +35,27 @@ def sigma_of(n, T=1.0):
 F_TRUE, ADU = -4.0, 3.0
 
 # Relative error of (order 1, order 2) on the polynomial signals of
-# ``polynomial_windows``, by rule and interval count; None means exact to
-# round-off.  Simpson needs an even count; an odd count puts a trapezoid on
-# the last panel, and trapezoid errors shrink only with h^2.
+# ``polynomial_windows`` under Simpson weights, by interval count; None means
+# exact to round-off.  Simpson needs an even count; an odd count puts a
+# trapezoid on the last panel.
 MEASURED_REL_ERROR = {
-    ("simpson", 30): (None, 1.111e-5),
-    ("simpson", 31): (8.392e-6, 1.810e-3),
-    ("simpson", 100): (None, 9.000e-8),
-    ("simpson", 101): (2.426e-7, 5.373e-5),
-    ("trapezoid", 30): (2.778e-4, 4.719e-3),
-    ("trapezoid", 31): (2.601e-4, 4.420e-3),
-    ("trapezoid", 100): (2.500e-5, 4.250e-4),
-    ("trapezoid", 101): (2.451e-5, 4.166e-4),
+    30: (None, 1.111e-5),
+    31: (8.392e-6, 1.810e-3),
+    100: (None, 9.000e-8),
+    101: (2.426e-7, 5.373e-5),
 }
 
 
-# The same errors as a law c * n**-p per rule, order and parity of n (None:
-# exact to round-off).  The law holds for every window length, because
-# ``polynomial_windows`` scales the initial conditions with T.  For Simpson
-# at order 2 with an odd count, n**3 times the error rises from 43.4 at
-# n = 5 towards 56.25.
+# The same errors as a law c * n**-p per order and parity of n (None: exact
+# to round-off).  The law holds for every window length, because
+# ``polynomial_windows`` scales the initial conditions with T.  At order 2
+# with an odd count, n**3 times the error rises from 43.4 at n = 5 towards
+# 56.25.
 ERROR_LAW = {
-    ("simpson", 1, 0): None,
-    ("simpson", 1, 1): (0.25, 3),
-    ("simpson", 2, 0): (9.0, 4),
-    ("simpson", 2, 1): (56.25, 3),
-    ("trapezoid", 1, 0): (0.25, 2),
-    ("trapezoid", 1, 1): (0.25, 2),
-    ("trapezoid", 2, 0): (4.25, 2),
-    ("trapezoid", 2, 1): (4.25, 2),
+    (1, 0): None,
+    (1, 1): (0.25, 3),
+    (2, 0): (9.0, 4),
+    (2, 1): (56.25, 3),
 }
 
 
@@ -76,28 +68,27 @@ def polynomial_windows(n, T=1.0):
     return make_window(dy1, T), make_window(dy2, T), adu
 
 
-def within_error_law(rel, rule, order, n):
+def within_error_law(rel, order, n):
     """Whether ``rel`` lies between 0.75 and 1 times the law, up to 1e-13 of round-off."""
-    law = ERROR_LAW[rule, order, n % 2]
+    law = ERROR_LAW[order, n % 2]
     if law is None:
         return rel <= 1e-13
     c, p = law
     return 0.75 * c * n**-p <= rel <= c * n**-p + 1e-13
 
 
-@pytest.mark.parametrize("n", (30, 31, 100, 101))
-@pytest.mark.parametrize("rule", ("simpson", "trapezoid"))
-def test_polynomial_signal_error_matches_quadrature_rule(rule, n):
+@pytest.mark.parametrize("n", sorted(MEASURED_REL_ERROR), ids="simpson-{}".format)
+def test_polynomial_signal_error_matches_quadrature_rule(n):
     dy1, dy2, adu = polynomial_windows(n)
     for order, fn, dy, measured in zip(
-        (1, 2), (estimate_f_nu1, estimate_f_nu2), (dy1, dy2), MEASURED_REL_ERROR[rule, n]
+        (1, 2), (estimate_f_nu1, estimate_f_nu2), (dy1, dy2), MEASURED_REL_ERROR[n]
     ):
-        rel = abs(fn(dy, adu, rule=rule).value - F_TRUE) / abs(F_TRUE)
+        rel = abs(fn(dy, adu).value - F_TRUE) / abs(F_TRUE)
         if measured is None:
             assert rel <= 1e-14
         else:
             assert rel == pytest.approx(measured, rel=1e-3)
-        assert within_error_law(rel, rule, order, n)
+        assert within_error_law(rel, order, n)
 
 
 @settings(max_examples=300, deadline=None)
@@ -105,23 +96,22 @@ def test_polynomial_signal_error_matches_quadrature_rule(rule, n):
     T=st.floats(min_value=0.01, max_value=100.0),
     n=st.integers(min_value=4, max_value=400),
     order=st.sampled_from([1, 2]),
-    rule=st.sampled_from(["simpson", "trapezoid"]),
 )
-def test_relative_error_follows_the_error_law(T, n, order, rule):
+def test_relative_error_follows_the_error_law(T, n, order):
     dy1, dy2, adu = polynomial_windows(n, T)
     fn, dy = (estimate_f_nu1, dy1) if order == 1 else (estimate_f_nu2, dy2)
-    rel = abs(fn(dy, adu, rule=rule).value - F_TRUE) / abs(F_TRUE)
-    assert within_error_law(rel, rule, order, n), rel
+    rel = abs(fn(dy, adu).value - F_TRUE) / abs(F_TRUE)
+    assert within_error_law(rel, order, n), rel
 
 
 def test_quadrature_odd_interval_count_still_integrates_constants():
-    # both rules integrate the linear order-1 kernel exactly for any count,
-    # so a constant offset on dy is annihilated even with odd counts
-    for rule in ("simpson", "trapezoid"):
-        for n in (2, 3, 5, 31, 99):
-            z = make_window(np.zeros(n + 1))
-            offset = make_window(np.full(n + 1, 5.0))
-            assert abs(estimate_f_nu1(offset, z, rule=rule).value) <= 1e-12
+    # the Simpson-plus-trapezoid weights integrate the linear order-1 kernel
+    # exactly for any count, so a constant offset on dy is annihilated even
+    # with odd counts
+    for n in (2, 3, 5, 31, 99):
+        z = make_window(np.zeros(n + 1))
+        offset = make_window(np.full(n + 1, 5.0))
+        assert abs(estimate_f_nu1(offset, z).value) <= 1e-12
 
 
 def test_quadrature_needs_three_samples():
@@ -129,13 +119,6 @@ def test_quadrature_needs_three_samples():
     for fn in (estimate_f_nu1, estimate_f_nu2):
         with pytest.raises(ConfigurationError, match="estimator window needs at least 3 samples, got 2"):
             fn(w, w)
-
-
-def test_quadrature_unknown_rule():
-    w = make_window(np.ones(11))
-    for fn in (estimate_f_nu1, estimate_f_nu2):
-        with pytest.raises(ConfigurationError):
-            fn(w, w, rule="midpoint")
 
 
 # ---------------------------------------------------------- order-1 formula
@@ -244,12 +227,10 @@ def test_estimate_is_linear_in_both_signals(rng):
 
 
 def test_estimator_config_validation():
-    # the channel spec checks T and the rule on their own ...
+    # the channel spec checks T on its own ...
     for T in (0.0, -0.3, math.inf, math.nan):
         with pytest.raises(ConfigurationError, match="estimator window length must be positive"):
             ChannelSpec(output=0, k_p=1.0, estimator_T=T)
-    with pytest.raises(ConfigurationError, match="unknown quadrature rule 'gauss'"):
-        ChannelSpec(output=0, k_p=1.0, estimator_rule="gauss")
     # ... and the built scenario checks T against the sampling period, once
     assert validate_scenario(ultralocal_scenario(1.0, estimator_T=0.3)).windows == [30]
     with pytest.raises(ConfigurationError, match="must be an integer multiple of the sampling period h=0.007"):

@@ -32,9 +32,8 @@ def sec4_noisy_saturated():
 def sec4_derived():
     """paper-sec4 with both channel gains derived from the benchmark relations."""
     base = builtin_scenario("paper-sec4")
-    derived = dict(alpha_source="derived", alpha_tag=None)
     return dataclasses.replace(
-        base, channels=tuple(dataclasses.replace(c, **derived) for c in base.channels)
+        base, channels=tuple(dataclasses.replace(c, alpha_source="derived") for c in base.channels)
     )
 
 
@@ -58,13 +57,6 @@ GOLDEN = {
     "ultralocal-order2-simpson": (
         lambda: ultralocal_scenario(4.0, estimator_T=0.25, **ULTRALOCAL_ORDER2),
         "7192a682c12ef56fa55c6bec91f26c47897b1031decee328c9dc3c7d61f34022",
-    ),
-    # 33 intervals: exercises an odd window under the trapezoid rule
-    "ultralocal-order2-trapezoid-odd": (
-        lambda: ultralocal_scenario(
-            4.0, estimator_T=0.33, estimator_rule="trapezoid", **ULTRALOCAL_ORDER2
-        ),
-        "198492ca3ac71022530679c29ee2af8432ae3369005d2dbfaecf452a137776db",
     ),
     "ultralocal-order1": (
         lambda: ultralocal_scenario(2.0, order=1, drift=-0.3, estimator_T=0.07),

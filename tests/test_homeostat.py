@@ -17,6 +17,7 @@ from heol.homeostat import (
     nominal_u2,
 )
 from heol.plant import benchmark_relations
+from heol.scenarios import PLANTS
 from heol.signals import make_constant, make_smoothstep
 
 HORIZON = (0.0, 10.0)
@@ -120,20 +121,22 @@ def benchmark_reference_pairs(draw):
 @settings(max_examples=60, deadline=None)
 @given(refs=benchmark_reference_pairs())
 def test_derived_benchmark_gains_match_closed_forms(refs):
-    # alpha1 = y1*^2 and, at the pinned order 2, alpha2 = y1*'/y1* - 1, at float and array times
+    # the closed forms the benchmark plant registers for its formula alpha
+    # (y1*^2 and, at the pinned order 2, y1*'/y1* - 1), at float and array times
     horizon = (-10.0, 30.0)
-    e1, e2 = benchmark_relations()
+    factory, _ = PLANTS["flat-benchmark-2x2"]
+    _, _, (e1, e2), formulas = factory({})
     u1 = lambda t: nominal_u1(refs[0], t)
     u2 = lambda t: nominal_u2(refs[0], refs[1], t)
     first = derive_channel(e1, refs, horizon, nominal_control=u1)
     second = derive_channel(e2, refs, horizon, order_override=2, output_index=1, nominal_control=u2)
     assert first.order == 1
     times = np.linspace(*horizon, 81)
-    y1, dy1 = refs[0].eval(times, 0), refs[0].eval(times, 1)
-    for chan, want in ((first, y1 * y1), (second, dy1 / y1 - 1.0)):
-        np.testing.assert_allclose(chan.alpha(times), want, rtol=1e-6, atol=0.0)
-        for t, w in zip(times[::8], want[::8]):
-            assert chan.alpha(float(t)) == pytest.approx(w, rel=1e-6, abs=0.0)
+    for chan, formula in zip((first, second), formulas, strict=True):
+        closed_form = formula(refs)
+        np.testing.assert_allclose(chan.alpha(times), closed_form(times), rtol=1e-6, atol=0.0)
+        for t in times[::8]:
+            assert chan.alpha(float(t)) == pytest.approx(closed_form(float(t)), rel=1e-6, abs=0.0)
 
 
 def test_smallest_index_rule_on_second_relation_gives_order_one():

@@ -83,8 +83,6 @@ def test_channel_spec_requires_exactly_one_gain_source():
 
 def test_channel_spec_alpha_source_validation():
     with pytest.raises(ConfigurationError):
-        ChannelSpec(output=0, order=1, k_p=1.0, alpha_source="formula")  # no tag
-    with pytest.raises(ConfigurationError):
         ChannelSpec(output=0, order=1, k_p=1.0, alpha_source="constant")  # no value
     with pytest.raises(ConfigurationError):
         ChannelSpec(output=0, order=1, k_p=1.0, alpha_source="magic")
@@ -92,10 +90,12 @@ def test_channel_spec_alpha_source_validation():
         ChannelSpec(output=0, k_p=1.0, alpha_source="constant", alpha_value=1.0)  # no order
     with pytest.raises(ConfigurationError):
         ChannelSpec(output=0, order=1, pole=-1.0, pole_multiplicity=3)
-    with pytest.raises(ConfigurationError, match="alpha.tag is read by source 'formula' only"):
-        ChannelSpec(output=0, k_p=1.0, alpha_tag="ref0-squared")  # derived
     with pytest.raises(ConfigurationError, match="alpha.value is read by source 'constant' only"):
-        ChannelSpec(output=0, order=1, k_p=1.0, alpha_source="formula", alpha_tag="x", alpha_value=3.0)
+        ChannelSpec(output=0, order=1, k_p=1.0, alpha_source="formula", alpha_value=3.0)
+    # a gain the run would divide by fails when the channel is declared, in any control mode
+    for value in (0.0, -0.0, 1e-300, -1e-9):
+        with pytest.raises(ConfigurationError, match="is a zero channel gain"):
+            ChannelSpec(output=0, order=1, k_p=1.0, alpha_source="constant", alpha_value=value)
 
 
 def test_scenario_field_validation():
@@ -129,16 +129,6 @@ def test_validate_scenario_checks_structure():
 
 def test_validate_scenario_checks_registry_tags():
     base = builtin_scenario("paper-sec4")
-    bad_alpha = dataclasses.replace(
-        base,
-        channels=(
-            dataclasses.replace(base.channels[0], alpha_tag="no-such-formula"),
-            base.channels[1],
-        ),
-    )
-    with pytest.raises(ConfigurationError):
-        validate_scenario(bad_alpha)
-
     bad_nominal = dataclasses.replace(
         base,
         channels=(dataclasses.replace(base.channels[0], nominal="no-such-ff"), base.channels[1]),
@@ -147,13 +137,11 @@ def test_validate_scenario_checks_registry_tags():
         validate_scenario(bad_nominal)
 
 
-def test_shared_outputs_need_explicit_opt_in():
+def test_shared_outputs_are_rejected():
     base = builtin_scenario("paper-sec4")
     ch = (base.channels[0], dataclasses.replace(base.channels[1], output=0))
-    shared = dataclasses.replace(base, channels=ch)
-    with pytest.raises(ConfigurationError):
-        validate_scenario(shared)
-    validate_scenario(dataclasses.replace(shared, allow_shared_outputs=True))
+    with pytest.raises(ConfigurationError, match="^two channels regulate output 0$"):
+        validate_scenario(dataclasses.replace(base, channels=ch))
 
 
 def test_builtin_registry():
@@ -206,7 +194,6 @@ def test_prefix_truncation_reproduces_log_prefix():
 @settings(max_examples=25, deadline=None)
 @given(
     order=st.sampled_from((1, 2)),
-    rule=st.sampled_from(("simpson", "trapezoid")),
     w=st.integers(4, 40),
     seed=st.integers(0, 2**32 - 1),
     saturation=st.none() | st.tuples(st.floats(-3.0, -0.1), st.floats(0.0, 3.0)),
@@ -215,7 +202,7 @@ def test_prefix_truncation_reproduces_log_prefix():
     n_extra=st.integers(1, 150),
 )
 def test_runs_are_deterministic_and_prefix_causal(
-    order, rule, w, seed, saturation, control_mode, n_short, n_extra
+    order, w, seed, saturation, control_mode, n_short, n_extra
 ):
     def run(n):
         log = run_scenario(
@@ -226,7 +213,6 @@ def test_runs_are_deterministic_and_prefix_causal(
                 drift=0.5,
                 duration=n * 0.01,
                 estimator_T=w * 0.01,
-                estimator_rule=rule,
                 control_mode=control_mode,
                 noise_std=1e-3,
                 noise_seed=seed,
@@ -287,11 +273,13 @@ def test_reference_crossing_zero_names_channel_and_time():
     assert "np." not in msg  # values print as Python floats
 
     # Channel 2 singular from t=0, earlier than channel 1: channel 2 is named.
-    tiny = dataclasses.replace(
-        crossing.channels[1], alpha_source="constant", alpha_tag=None, alpha_value=1e-12
-    )
+    # A scenario cannot declare so small a constant gain, so it goes into the built run.
+    built = validate_scenario(crossing)
+    tiny = lambda t: np.full(np.shape(t), 1e-12)
+    ctrl = built.controllers[1]
+    built.controllers[1] = dataclasses.replace(ctrl, channel=dataclasses.replace(ctrl.channel, alpha=tiny))
     with pytest.raises(SingularChannelError) as err:
-        run_scenario(dataclasses.replace(crossing, channels=(crossing.channels[0], tiny)))
+        run_scenario(built)
     assert str(err.value) == "channel 2 at t=0: cannot divide by channel gain alpha=1e-12"
 
     # Both singular at t=2 (channel 1's gain y1*^2, channel 2's feedforward
@@ -307,16 +295,12 @@ def test_reference_crossing_zero_names_channel_and_time():
     assert "np." not in msg
 
 
-def test_literal_shared_output_reading_diverges():
-    # Pointing both channels at the first output leaves the unstable second
-    # chain unregulated; the trust-region guard must catch the blow-up.
-    base = builtin_scenario("paper-sec4")
-    ch = (base.channels[0], dataclasses.replace(base.channels[1], output=0))
-    literal = dataclasses.replace(
-        base, name="literal-reading", channels=ch, allow_shared_outputs=True
-    )
+def test_open_loop_sec4_leaves_the_trust_region():
+    # Without feedback nothing corrects the mismatches, and the open-loop
+    # unstable y2 chain runs away; the trust-region guard must catch it.
+    open_loop = dataclasses.replace(builtin_scenario("paper-sec4"), control_mode="feedforward")
     with pytest.raises(DivergenceError) as err:
-        run_scenario(literal)
+        run_scenario(open_loop)
     assert "trust region" in str(err.value)
 
 
@@ -480,6 +464,7 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 GRID_ORIGINS = st.floats(-1e9, 1e9)
 POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
 TAGS = st.text(max_size=12)
+GAINS = FINITE.filter(lambda v: abs(v) > 1e-9)
 
 
 def _or_default(default, values):
@@ -494,10 +479,8 @@ def channel_specs(draw, output):
         output=output,
         order=draw((st.none() if source == "derived" else st.nothing()) | st.sampled_from([1, 2])),
         alpha_source=source,
-        alpha_tag=draw(TAGS) if source == "formula" else None,
-        alpha_value=draw(FINITE) if source == "constant" else None,
+        alpha_value=draw(GAINS) if source == "constant" else None,
         estimator_T=draw(_or_default(0.3, POSITIVE)),
-        estimator_rule=draw(st.sampled_from(["simpson", "trapezoid"])),
         k_p=None if pole is not None else draw(POSITIVE),
         k_d=None if pole is not None else draw(st.none() | POSITIVE),
         pole=pole,
@@ -539,7 +522,6 @@ def scenarios(draw):
         channels=tuple(draw(channel_specs(i)) for i in range(n)),
         mismatch=draw(st.none() | st.builds(MismatchSpec, st.tuples(*[POSITIVE] * n))),
         control_mode=draw(st.sampled_from(["closed-loop", "feedforward"])),
-        allow_shared_outputs=draw(st.booleans()),
         noise_std=draw(_or_default(0.0, POSITIVE)),
         noise_seed=draw(_or_default(0, st.integers(min_value=0, max_value=2**64))),
         rms_fraction=draw(_or_default(0.01, st.floats(min_value=1e-6, max_value=1.0))),
@@ -579,11 +561,12 @@ def test_missing_and_malformed_keys_are_configuration_errors():
         bad = {k: v for k, v in good.items() if k != key}
         with pytest.raises(ConfigurationError):
             scenario_from_dict(bad)
-    # integers must be integral JSON numbers, flags JSON booleans, tags
-    # strings; unknown keys, keys the alpha source does not read, a pole
+    # integers must be integral JSON numbers and tags strings; unknown keys
+    # (alpha.tag, estimator.rule and allow_shared_outputs among them), keys
+    # the alpha source does not read, a zero constant gain, a pole
     # multiplicity other than the channel order and names leaving the output
-    # directory fail too.  Each message names the key at fault, and an object's
-    # own checks are prefixed with its JSON path.
+    # directory fail too.  Each message names the key
+    # at fault, and an object's own checks are prefixed with its JSON path.
     derived_without_order = {
         "output": 1,
         "alpha": {"source": "derived"},  # derives order 1
@@ -613,10 +596,11 @@ def test_missing_and_malformed_keys_are_configuration_errors():
         (("noise",), {"std": 1e-3, "seed": 0.5}, "noise.seed"),
         (("noise",), {"std": 1e-3, "seed": False}, "noise.seed"),
         (("noise",), {"std": 1e-3, "seed": -1}, "noise seed"),
-        (("allow_shared_outputs",), "false", "allow_shared_outputs"),
-        (("channels", 0, "alpha"), {"source": "formula", "tag": "ref0-squared", "value": 3}, "alpha.value"),
-        (("channels", 0, "alpha"), {"source": "constant", "value": 1, "tag": "x"}, "alpha.tag"),
-        (("channels", 0, "alpha"), {"source": "derived", "tag": "ref0-squared"}, "alpha.tag"),
+        (("allow_shared_outputs",), False, "unknown key allow_shared_outputs"),
+        (("channels", 0, "alpha"), {"source": "formula", "tag": "ref0-squared"}, "unknown key channels[0].alpha.tag"),
+        (("channels", 1, "estimator"), {"T": 0.3, "rule": "simpson"}, "unknown key channels[1].estimator.rule"),
+        (("channels", 0, "alpha"), {"source": "formula", "value": 3}, "alpha.value"),
+        (("channels", 1, "alpha"), {"source": "constant", "value": 0}, "channels[1]: alpha.value 0.0 is a zero"),
         (("channels", 0, "alpha"), {"source": "derived", "value": 3}, "alpha.value"),
         (("channels", 0, "pole", "multiplicity"), 2, "channel 1: pole.multiplicity 2 needs an order-2 channel"),
         (("channels", 1), derived_without_order, "channel 2: pole.multiplicity 2 needs an order-2 channel"),
@@ -629,6 +613,11 @@ def test_missing_and_malformed_keys_are_configuration_errors():
         target[key] = value
         with pytest.raises(ConfigurationError, match=re.escape(named)):
             validate_scenario(scenario_from_dict(mangled))
+    # formula alpha is the plant's closed form of the channel's gain; ultralocal registers none
+    formula = scenario_to_dict(ultralocal_scenario(1.0))
+    formula["channels"][0]["alpha"] = {"source": "formula"}
+    with pytest.raises(ConfigurationError, match="^plant 'ultralocal' registers no formula alpha for channel 1$"):
+        validate_scenario(scenario_from_dict(formula))
     integral = json.loads(json.dumps(good))
     integral["channels"][0]["output"] = 0.0
     assert scenario_from_dict(integral) == builtin_scenario("paper-sec4")
