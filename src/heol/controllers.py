@@ -96,8 +96,6 @@ class ChannelController:
     saturation : (float, float), optional
         Clamp on the total control; the clamped deviation is what enters the
         estimator history.
-    tau_f : float, optional
-        Derivative filter time constant; defaults to five sampling periods.
     feedback : bool
         False runs the channel open loop (feedforward only) while still
         logging deviations and estimates.
@@ -107,7 +105,6 @@ class ChannelController:
     gains: Gains
     nominal_control: object
     saturation: tuple[float, float] | None = None
-    tau_f: float | None = None
     feedback: bool = True
 
     def __post_init__(self):
@@ -122,8 +119,6 @@ class ChannelController:
         sat = self.saturation
         if sat is not None and not (len(sat) == 2 and sat[0] < sat[1]):
             raise ConfigurationError(f"saturation needs (u_min, u_max) with u_min < u_max, got {sat}")
-        if self.tau_f is not None and not (math.isfinite(self.tau_f) and self.tau_f >= 0.0):
-            raise ConfigurationError(f"tau_f must be finite and non-negative, got {self.tau_f}")
 
 
 def channel_step(

@@ -28,6 +28,7 @@ the control applied *at* t — the loop can estimate first and act second.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,18 @@ def _quad_coeffs(n_intervals: int, h: float) -> np.ndarray:
         c[n - 1] += 0.5 * h
         c[n] += 0.5 * h
     return c
+
+
+def _kernel_scale(order: int, T: float) -> float:
+    """``T**(2*order + 1)``, which divides the order's kernel constant (6 or 60).  ConfigurationError
+    if it, or the constant over it, leaves the float range; ``validate_scenario`` checks each window."""
+    try:
+        scale = T ** (2 * order + 1)
+    except OverflowError:
+        scale = math.inf
+    if not (0.0 < scale < math.inf and (6.0 if order == 1 else 60.0) / scale < math.inf):
+        raise ConfigurationError(f"estimator window T={T}: T**{2 * order + 1} leaves the float range")
+    return scale
 
 
 def _estimate(order: int, dy_window: Window, adu_window: Window) -> FEstimate:
@@ -103,15 +116,16 @@ class FusedEstimator:
             raise ConfigurationError(
                 f"estimator window needs at least 3 samples, got {n_intervals + 1}"
             )
+        scale = _kernel_scale(order, T)
         h = T / n_intervals
         s = h * np.arange(n_intervals + 1)
         c = _quad_coeffs(n_intervals, h)
         if order == 1:
-            self._wy = -6.0 / T**3 * c * (T - 2.0 * s)
-            self._wu = -6.0 / T**3 * c * (s * (T - s))
+            self._wy = -6.0 / scale * c * (T - 2.0 * s)
+            self._wu = -6.0 / scale * c * (s * (T - s))
         else:
-            self._wy = 60.0 / T**5 * c * ((T - s) ** 2 - 4.0 * (T - s) * s + s**2)
-            self._wu = -30.0 / T**5 * c * ((T - s) ** 2 * s**2)
+            self._wy = 60.0 / scale * c * ((T - s) ** 2 - 4.0 * (T - s) * s + s**2)
+            self._wu = -30.0 / scale * c * ((T - s) ** 2 * s**2)
         self._wy.setflags(write=False)
         self._wu.setflags(write=False)
 

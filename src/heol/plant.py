@@ -172,14 +172,10 @@ def benchmark_relations() -> tuple[ImplicitFlatRelation, ImplicitFlatRelation]:
     )
 
 
-def initial_state(
-    references: Sequence[ReferenceTrajectory],
-    mismatch: MismatchSpec,
-    t0: float = 0.0,
-) -> list[float]:
-    """Benchmark initial state seeded from the references at ``t0``.
+def initial_state(references: Sequence[ReferenceTrajectory], mismatch: MismatchSpec) -> list[float]:
+    """Benchmark initial state seeded from the references at t = 0.
 
-    The measured outputs start at ``scaling_i * y_i*(t0)``; the hidden chain
+    The measured outputs start at ``scaling_i * y_i*(0)``; the hidden chain
     states start on the reference derivatives (x3 = dy2*/dt, x4 = d2y2*/dt2),
     so an unscaled start lies exactly on the reference trajectory.
     """
@@ -187,4 +183,4 @@ def initial_state(
     s = mismatch.output_scaling
     if len(s) != 2:
         raise ConfigurationError(f"benchmark mismatch needs 2 scaling factors, got {len(s)}")
-    return [s[0] * y1_ref.eval(t0, 0), s[1] * y2_ref.eval(t0, 0), y2_ref.eval(t0, 1), y2_ref.eval(t0, 2)]
+    return [s[0] * y1_ref.eval(0.0, 0), s[1] * y2_ref.eval(0.0, 0), y2_ref.eval(0.0, 1), y2_ref.eval(0.0, 2)]

@@ -39,7 +39,7 @@ from .errors import (
     HeolError,
     SingularChannelError,
 )
-from .estimators import FusedEstimator
+from .estimators import FusedEstimator, _kernel_scale
 from .homeostat import (
     ZERO_THRESHOLD,
     HomeostatChannel,
@@ -83,23 +83,33 @@ __all__ = [
 # --------------------------------------------------------------------------
 # configuration types
 
-#: Largest grid a run may have: the logs are preallocated, so 10**7 points
-#: already take about a gigabyte; more is almost surely a mistyped ``h``.
+#: Most points a run's grid or an estimator window may span: both are preallocated, so 10**7
+#: points already take about a gigabyte; more is almost surely a mistyped ``h`` or ``T``.
 MAX_GRID_POINTS = 10**7
+
+
+def _grid_steps(span: float, h: float, name: str, misfit: str) -> int:
+    """The whole number of periods ``h`` in ``span``, at most MAX_GRID_POINTS - 1: the one rule for the
+    horizon and every estimator window.  A failure formats ``name`` with ``span`` and ``misfit`` with ``h``."""
+    steps = span / h  # may overflow to inf for a tiny h
+    if not steps + 1 <= MAX_GRID_POINTS:
+        raise ConfigurationError(
+            f"{name.format(span=span)} at h={h} gives {steps + 1:.6g} grid points; "
+            f"at most {MAX_GRID_POINTS} are allowed"
+        )
+    n = int(round(steps))
+    if n < 1 or abs(n * h - span) > 1e-9 * max(span, h):
+        raise ConfigurationError(f"{name.format(span=span)} {misfit.format(h=h)}")
+    return n
 
 
 @dataclass(frozen=True)
 class Timing:
-    """Horizon and sampling of a run: the grid ``t0 + k*h`` for ``k = 0..n_steps``.
-
-    Grid points are always produced as ``t0 + k*h`` (one multiply, one add)
-    rather than by accumulation, so point ``k`` is bit-reproducible and free
-    of drift regardless of the horizon length.
-    """
+    """Horizon and sampling of a run: the grid ``k*h`` for ``k = 0..n_steps``, each point one product
+    rather than a running sum, so bit-reproducible and free of drift."""
 
     duration: float
     h: float
-    t0: float = 0.0
     n_steps: int = field(init=False, repr=False, compare=False)  # duration / h, set at construction
 
     def __post_init__(self):
@@ -107,36 +117,12 @@ class Timing:
             raise ConfigurationError(f"duration must be positive, got {self.duration}")
         if not (math.isfinite(self.h) and self.h > 0.0):
             raise ConfigurationError(f"sampling period must be positive, got {self.h}")
-        if not math.isfinite(self.t0):
-            raise ConfigurationError(f"time grid origin must be finite, got t0={self.t0}")
-        steps = self.duration / self.h  # may overflow to inf for a tiny h
-        if not steps + 1 <= MAX_GRID_POINTS:
-            raise ConfigurationError(
-                f"duration {self.duration} at h={self.h} gives {steps + 1:.6g} grid points; "
-                f"at most {MAX_GRID_POINTS} are allowed"
-            )
-        # Every t0 + k*h and every k*h stays below |t0| + 2*duration, so each rounds by at most
-        # half this spacing and a grid step differs from h by at most two spacings.
-        spacing = math.ulp(abs(self.t0) + 2.0 * self.duration)
-        if 2.0 * spacing > 1e-6 * self.h:
-            raise ConfigurationError(
-                f"sampling period h={self.h} is too fine for the float spacing {spacing:g} "
-                f"of the times near t0={self.t0}: grid steps would differ from h by more than 1e-6 h"
-            )
-        n = int(round(steps))
-        if n < 1 or abs(n * self.h - self.duration) > 1e-9 * max(self.duration, self.h):
-            raise ConfigurationError(
-                f"duration {self.duration} is not a multiple of the sampling period {self.h}"
-            )
+        n = _grid_steps(self.duration, self.h, "duration {span}", "is not a multiple of the sampling period {h}")
         object.__setattr__(self, "n_steps", n)
-
-    def t(self, k: int) -> float:
-        """Time of grid point ``k``, exactly ``t0 + k*h``."""
-        return self.t0 + k * self.h
 
     def times(self) -> np.ndarray:
         """All ``n_steps + 1`` grid points as an array."""
-        return self.t0 + self.h * np.arange(self.n_steps + 1)
+        return self.h * np.arange(self.n_steps + 1)
 
     @property
     def n_points(self) -> int:
@@ -158,7 +144,6 @@ class ChannelSpec:
     pole_multiplicity: int | None = None  # None: the channel order sets it
     nominal: str = "zero"
     saturation: tuple[float, float] | None = None
-    tau_f: float | None = None
 
     def __post_init__(self):
         if (self.k_p is None) == (self.pole is None):
@@ -409,8 +394,8 @@ def _ultralocal_plant(params: dict):
     def output(x):
         return (x[0],)
 
-    def init(refs, mismatch, t0):
-        y0 = (mismatch.output_scaling[0] * refs[0].eval(t0, 0), refs[0].eval(t0, 1))
+    def init(refs, mismatch):
+        y0 = (mismatch.output_scaling[0] * refs[0].eval(0.0, 0), refs[0].eval(0.0, 1))
         return np.array(y0[:order])
 
     model = PlantModel(order, 1, 1, f, output)
@@ -424,7 +409,7 @@ def _benchmark_plant(params: dict):
     return example_plant(), initial_state, benchmark_relations(), formulas
 
 
-#: plant name -> (factory(params) -> (model, init_state(refs, mismatch, t0), relations, formulas),
+#: plant name -> (factory(params) -> (model, init_state(refs, mismatch), relations, formulas),
 #: the ``params`` object, whose absent keys take the factory's defaults).  ``relations[j]`` is
 #: channel j's implicit relation and ``formulas[j]`` the closed form of its gain, a factory
 #: refs -> alpha(t) taking a float or an array of times.
@@ -457,7 +442,7 @@ def _alpha_ref0_rate_ratio(refs):
 
     def alpha(t):
         y = ref.eval(t, 0)
-        if np.any(zero := np.abs(y) <= 1e-9):
+        if np.any(zero := np.abs(y) <= ZERO_THRESHOLD):
             raise SingularChannelError(
                 f"alpha formula divides by y1*={_first(y, zero)!r} at t={_first(t, zero):.6g}"
             )
@@ -511,7 +496,7 @@ def validate_scenario(scenario: Scenario) -> _Built:
 
     timing = scenario.timing
     refs = tuple(_build_reference(spec, f"references[{i}]") for i, spec in enumerate(scenario.references))
-    horizon = (timing.t0, timing.t(timing.n_steps))
+    horizon = (0.0, timing.n_steps * timing.h)
 
     seen_outputs: set[int] = set()
     for spec in scenario.channels:
@@ -556,11 +541,8 @@ def validate_scenario(scenario: Scenario) -> _Built:
             gains = gains_from_poles(min(channel.order, 2), spec.pole)
 
         T, h = spec.estimator_T, timing.h
-        w = int(round(T / h))
-        if w < 1 or abs(w * h - T) > 1e-9 * max(T, h):
-            raise ConfigurationError(
-                f"estimator window T={T} must be an integer multiple of the sampling period h={h}"
-            )
+        misfit = "must be an integer multiple of the sampling period h={h}"
+        w = _grid_steps(T, h, "estimator window T={span}", misfit)
         if w + 1 < 5:
             raise ConfigurationError(f"estimator window T={T} at h={h} holds {w + 1} samples; need at least 5")
         windows.append(w)
@@ -571,15 +553,19 @@ def validate_scenario(scenario: Scenario) -> _Built:
                 gains=gains,
                 nominal_control=nominal,
                 saturation=spec.saturation,
-                tau_f=spec.tau_f,
                 feedback=scenario.control_mode == "closed-loop",
             )
         )
+        _kernel_scale(channel.order, w * h)  # once the controller has checked the order
 
-    x0 = np.asarray(init_fn(refs, mismatch, timing.t0), dtype=float)
+    x0 = np.asarray(init_fn(refs, mismatch), dtype=float)
     if x0.shape != (model.n_states,):
         raise ConfigurationError(
             f"initial state has shape {x0.shape}, plant needs ({model.n_states},)"
+        )
+    if not all(abs(v) <= TRUST_REGION for v in x0.tolist()):  # also rejects inf and NaN
+        raise ConfigurationError(
+            f"initial state {x0.tolist()} is outside the trust region |x| <= {TRUST_REGION:g}"
         )
     return _Built(scenario, model, refs, controllers, windows, x0)
 
@@ -640,7 +626,7 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
     model, controllers, windows = built.model, built.controllers, built.windows
     grid = built.scenario.timing
     n_pts, p, m = grid.n_points, model.n_outputs, model.n_controls
-    t0, h = grid.t0, grid.h
+    h = grid.h
 
     # One time-only table on the whole grid, y_ref | u_nom | alpha, read as one list per
     # sample; the lowest channel at the first bad t fails the run.
@@ -670,9 +656,9 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
     # weigh that sample by zero up to round-off anyway).  Column cu = p + j holds
     # u_nom in the table and u in the record, column ca = p + m + j alpha and du.
     ddys, last_dy = [0.0] * m, [0.0] * m
+    tau_f = 5.0 * h  # time constant of the order-2 derivative filter
     channels = [
-        (j, ctrl, ctrl.channel.output_index, ctrl.channel.order == 2, w,
-         5.0 * h if ctrl.tau_f is None else ctrl.tau_f, np.zeros(n_pts), np.zeros(n_pts),
+        (j, ctrl, ctrl.channel.output_index, ctrl.channel.order == 2, w, np.zeros(n_pts), np.zeros(n_pts),
          FusedEstimator(ctrl.channel.order, w * h, w).estimate, p + j, p + m + j)
         for j, (ctrl, w) in enumerate(zip(controllers, windows))
     ]
@@ -680,20 +666,19 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
     step, rk4, output = channel_step, rk4_step, model.output
 
     x = built.x0.tolist()
-    t_last = t0
     for k in range(n_pts):
-        t = t0 + k * h
+        t = k * h
         y = output(x)
         if noise is not None:
             y = [a + b for a, b in zip(y, noise[k].tolist())]
         record[:p] = y
         row = table[k].tolist()
-        for j, ctrl, out, order2, w, tau_f, dy_hist, adu_hist, estimate, cu, ca in channels:
+        for j, ctrl, out, order2, w, dy_hist, adu_hist, estimate, cu, ca in channels:
             dy = y[out] - row[out]
             dy_hist[k] = dy
             if order2 and k > 0:
-                # low-pass-filtered backward difference
-                dt = t - t_last
+                # low-pass-filtered backward difference over the step from the previous point
+                dt = t - (k - 1) * h
                 ddys[j] += dt / (tau_f + dt) * ((dy - last_dy[j]) / dt - ddys[j])
             last_dy[j] = dy
             # warm-up: no full window yet
@@ -708,9 +693,8 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
             x = rk4(model, t, x, record[p : p + m], h)
             if max(map(abs, x)) > TRUST_REGION:
                 raise DivergenceError(
-                    f"state left the trust region (|x| > {TRUST_REGION:g}) by t={t0 + (k + 1) * h:.6g}"
+                    f"state left the trust region (|x| > {TRUST_REGION:g}) by t={(k + 1) * h:.6g}"
                 )
-        t_last = t
 
     y, u, du, f_est = log[:, :p], log[:, p : p + m], log[:, p + m : p + 2 * m], log[:, p + 2 * m :]
     return SimLog(
@@ -870,13 +854,12 @@ _CHANNEL = _Object(ChannelSpec, [
     ]), None),
     ("nominal", "nominal", _tag, "zero"),
     ("saturation", "saturation", _List(_number), None),
-    ("tau_f", "tau_f", _number, None),
 ])
 
 _SCENARIO = _Object(Scenario, [
     ("name", "name", _tag, _REQUIRED),
     ("plant", None, _PLANT, _REQUIRED),
-    ("timing", "timing", _Object(Timing, _plain("t0", default=0.0) + _plain("duration", "h")), _REQUIRED),
+    ("timing", "timing", _Object(Timing, _plain("duration", "h")), _REQUIRED),
     ("references", "references", _List(_REFERENCE), _REQUIRED),
     ("channels", "channels", _List(_CHANNEL), _REQUIRED),
     ("mismatch", "mismatch", _Object(MismatchSpec, _plain("output_scaling", kind=_List(_number))), None),

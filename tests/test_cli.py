@@ -136,18 +136,32 @@ def test_oversized_grid_exits_3_before_allocating(tmp_path):
             assert "grid points" in proc.stderr and "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("t0", [5e13, 1e14, -1e15])
-def test_colliding_grid_points_exit_3(tmp_path, t0):
-    # at |t0| >= 1e14 consecutive points t0 + k*0.01 round to the same float; at 5e13
-    # they do not collide but step by 0.0078125 and 0.015625 only
-    bad = scenario_to_dict(ultralocal_scenario(4.0, order=2, k_d=4.0, duration=1.0))
-    bad["timing"]["t0"] = t0
-    path = tmp_path / "collide.json"
+@pytest.mark.parametrize(
+    "order, timing, T, reference, message",
+    [
+        # T / h overflows to inf
+        (1, {"duration": 1e-8, "h": 1e-10}, 1e300, 1.0, "estimator window T=1e+300 at h=1e-10 gives inf grid"),
+        # a window of 10^8 samples, whose weights alone would take 763 MiB per kernel
+        (1, {"duration": 1.0}, 1e6, 1.0, "estimator window T=1000000.0 at h=0.01 gives 1e+08 grid"),
+        # 60 / T**5 divides by an underflowed 0 or by an overflowing power
+        (2, {"duration": 1e-98, "h": 1e-100}, 3e-99, 1.0, "estimator window T=3e-99: T**5 leaves the float"),
+        (2, {"duration": 1e80, "h": 1e78}, 3e79, 1.0, "estimator window T=3e+79: T**5 leaves the float"),
+        # the state starts where the run's divergence guard would stop it
+        (1, {}, 0.3, 1e10, "initial state [15000000000.0] is outside the trust region"),
+    ],
+    ids=["window-overflows-to-inf", "window-too-long", "kernel-underflows", "kernel-overflows", "x0-outside"],
+)
+def test_unrunnable_windows_and_starts_exit_3_at_validate(tmp_path, order, timing, T, reference, message):
+    bad = scenario_to_dict(ultralocal_scenario(1.0, order=order, k_d=1.0 if order == 2 else None))
+    bad["timing"].update(timing)
+    bad["channels"][0]["estimator"] = {"T": T}
+    bad["references"][0]["value"] = reference
+    path = tmp_path / "unrunnable.json"
     path.write_text(json.dumps(bad))
     for command in (["validate"], ["run", "--out", str(tmp_path)]):
         proc = heol_cli(*command, "--config", str(path))
-        assert proc.returncode == 3
-        assert "grid steps would differ from h" in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.returncode == 3, proc.stderr
+        assert message in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_reference_without_value_exits_3(tmp_path):

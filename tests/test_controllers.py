@@ -320,19 +320,12 @@ def test_derivative_estimate_constant_signal():
     assert not log.dy.any() and not log.du.any()
 
 
-def test_derivative_estimate_linear_signal_unfiltered():
-    # tau_f = 0: the derivative term is the plain backward difference
-    log = run_scenario(with_channel(order2_run(), tau_f=0.0))
+def test_derivative_estimate_filter_converges_to_slope():
+    # the backward difference passes a first-order low-pass with time constant
+    # 5*h, which settles on the slope of the deviation
+    log = run_scenario(order2_run())
     ddy = implied_derivative(log)
     assert ddy[0] == pytest.approx(0.0, abs=1e-12)
-    np.testing.assert_allclose(ddy[1:], np.diff(log.dy[:, 0]) / 0.01, rtol=0.0, atol=1e-9)
-
-
-def test_derivative_estimate_filter_converges_to_slope():
-    # tau_f > 0: the backward difference passes a first-order low-pass with
-    # that time constant, which settles on the slope of the deviation
-    log = run_scenario(with_channel(order2_run(), tau_f=0.05))
-    ddy = implied_derivative(log)
     np.testing.assert_allclose(ddy, filtered_derivative(log.dy[:, 0], log.t, 0.05), rtol=0.0, atol=1e-9)
     steps = np.diff(log.dy[:, 0]) / 0.01
     assert np.max(np.abs(ddy[1:] - steps)) > 1e-2  # filtered, not raw
@@ -350,7 +343,7 @@ def test_state_reset_clears_history():
     # no derivative or estimator state survives from one run into the next
     s = order2_run()
     first = run_scenario(s)
-    run_scenario(with_channel(s, tau_f=0.0))
+    run_scenario(with_channel(s, estimator_T=0.1))
     again = run_scenario(s)
     for name in LOG_FIELDS:
         np.testing.assert_array_equal(getattr(first, name), getattr(again, name))

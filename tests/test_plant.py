@@ -76,13 +76,12 @@ def test_initial_state_scales_outputs_only():
 
 
 def test_initial_state_seeds_hidden_chain_from_reference_derivatives():
-    y2 = make_smoothstep(1.0, 2.0, 0.0, 10.0)
+    y2 = make_smoothstep(1.0, 2.0, -5.0, 5.0)  # mid-step at t = 0
     refs = (make_constant(1.0), y2)
-    t0 = 5.0
-    x0 = initial_state(refs, MismatchSpec(), t0=t0)
-    assert x0[1] == y2.eval(t0, 0)
-    assert x0[2] == y2.eval(t0, 1)
-    assert x0[3] == y2.eval(t0, 2)
+    x0 = initial_state(refs, MismatchSpec())
+    assert x0[1] == y2.eval(0.0, 0) == pytest.approx(1.5)
+    assert x0[2] == y2.eval(0.0, 1) != 0.0
+    assert x0[3] == y2.eval(0.0, 2)
 
 
 def test_initial_state_needs_two_factors():

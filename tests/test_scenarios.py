@@ -460,8 +460,6 @@ def test_comment_keys_are_ignored():
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
-# origins in steps of h: within 1e9 steps of zero, every grid step stays within 1e-6 h of h
-GRID_ORIGINS = st.floats(-1e9, 1e9)
 POSITIVE = st.floats(min_value=1e-6, max_value=1e6)
 TAGS = st.text(max_size=12)
 GAINS = FINITE.filter(lambda v: abs(v) > 1e-9)
@@ -487,7 +485,6 @@ def channel_specs(draw, output):
         pole_multiplicity=None if pole is None else draw(st.sampled_from([None, 1, 2])),
         nominal=draw(_or_default("zero", TAGS)),
         saturation=draw(st.none() | st.tuples(FINITE, FINITE)),
-        tau_f=draw(st.none() | POSITIVE),
     )
 
 
@@ -512,12 +509,11 @@ def scenarios(draw):
     plant = draw(st.sampled_from(sorted(PLANT_PARAMS)))
     n = 2 if plant == "flat-benchmark-2x2" else 1
     h = draw(POSITIVE)
-    t0 = draw(_or_default(0.0, GRID_ORIGINS.map(lambda steps: steps * h)))
     return Scenario(
         name=draw(NAMES),
         plant=plant,
         plant_params=draw(PLANT_PARAMS[plant]),
-        timing=Timing(duration=draw(st.integers(1, 10**4)) * h, h=h, t0=t0),
+        timing=Timing(duration=draw(st.integers(1, 10**4)) * h, h=h),
         references=tuple(draw(st.lists(REFERENCES, min_size=n, max_size=n))),
         channels=tuple(draw(channel_specs(i)) for i in range(n)),
         mismatch=draw(st.none() | st.builds(MismatchSpec, st.tuples(*[POSITIVE] * n))),
@@ -541,7 +537,6 @@ def _sprinkle(node, rnd):
         if "timing" in node and rnd.random() < 0.5:
             node.setdefault("control_mode", "closed-loop")
             node.setdefault("metrics", {"rms_fraction": 0.01})
-            node["timing"].setdefault("t0", 0.0)
         if "output" in node and rnd.random() < 0.5:
             node.setdefault("estimator", {}).setdefault("T", 0.3)
             node.setdefault("nominal", "zero")
@@ -562,7 +557,8 @@ def test_missing_and_malformed_keys_are_configuration_errors():
         with pytest.raises(ConfigurationError):
             scenario_from_dict(bad)
     # integers must be integral JSON numbers and tags strings; unknown keys
-    # (alpha.tag, estimator.rule and allow_shared_outputs among them), keys
+    # (timing.t0, tau_f, alpha.tag, estimator.rule and allow_shared_outputs
+    # among them), keys
     # the alpha source does not read, a zero constant gain, a pole
     # multiplicity other than the channel order and names leaving the output
     # directory fail too.  Each message names the key
@@ -575,7 +571,8 @@ def test_missing_and_malformed_keys_are_configuration_errors():
     }
     for path, value, named in [
         (("timing", "duration"), "hundred and fifty", "timing.duration"),
-        (("timing", "t0"), True, "timing.t0"),
+        (("timing", "t0"), 0.0, "unknown key timing.t0"),
+        (("channels", 0, "tau_f"), 0.05, "unknown key channels[0].tau_f"),
         (("timing", "dt"), 0.01, "timing.dt"),
         (("timing", "substeps"), 1, "timing.substeps"),
         (("mismatch", "control_perturbation"), "u2-coeff-1.1-0.9", "mismatch.control_perturbation"),
