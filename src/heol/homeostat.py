@@ -133,10 +133,10 @@ def finite_diff_partial(
         table[l, k] = x + d
         hi = np.copy(relation.residual(table, u))  # a residual may return a view of the table
         table[l, k] = x - d
-        lo = relation.residual(table, u)
+        diff = hi - relation.residual(table, u)  # before the slot is restored under a view
     finally:
         table[l, k] = x
-    return (hi - lo) / (2.0 * d)
+    return diff / (2.0 * d)
 
 
 def _partial(relation, which, table, u, t):

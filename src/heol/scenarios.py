@@ -401,18 +401,24 @@ def _ultralocal_plant(params: dict):
     model = PlantModel(order, 1, 1, f, output)
     residual = lambda table, u: table[0, order] - gain * u
     relation = ImplicitFlatRelation(orders=(order,), control_index=0, residual=residual)
-    return model, init, (relation,), ()
+    return model, init, (relation,), (), {}
 
 
 def _benchmark_plant(params: dict):
     formulas = (_alpha_ref0_squared, _alpha_ref0_rate_ratio)
-    return example_plant(), initial_state, benchmark_relations(), formulas
+    nominals = {  # the flat inversions of this plant; u2 also with miscalibrated coefficients
+        "flat-u1": lambda refs: (lambda t: nominal_u1(refs[0], t)),
+        "flat-u2": lambda refs: (lambda t: nominal_u2(refs[0], refs[1], t)),
+        "flat-u2-miscoeff": lambda refs: (lambda t: nominal_u2(refs[0], refs[1], t, 1.1, 0.9)),
+    }
+    return example_plant(), initial_state, benchmark_relations(), formulas, nominals
 
 
-#: plant name -> (factory(params) -> (model, init_state(refs, mismatch), relations, formulas),
-#: the ``params`` object, whose absent keys take the factory's defaults).  ``relations[j]`` is
-#: channel j's implicit relation and ``formulas[j]`` the closed form of its gain, a factory
-#: refs -> alpha(t) taking a float or an array of times.
+#: plant name -> (factory(params) -> (model, init_state(refs, mismatch), relations, formulas,
+#: nominals), the ``params`` object, whose absent keys take the factory's defaults).
+#: ``relations[j]`` is channel j's implicit relation and ``formulas[j]`` the closed form of its
+#: gain, and ``nominals[tag]`` the feedforward this plant registers under ``tag``; both are
+#: factories refs -> f(t) taking a float or an array of times.  ``zero`` works on every plant.
 PLANTS: dict[str, tuple[Callable, _Object]] = {
     "flat-benchmark-2x2": (_benchmark_plant, _Object(dict, [])),
     "ultralocal": (
@@ -421,13 +427,8 @@ PLANTS: dict[str, tuple[Callable, _Object]] = {
     ),
 }
 
-#: feedforward formula tags; each closure takes a float or an array of times
-NOMINAL_CONTROLS: dict[str, Callable] = {
-    "zero": lambda refs: (lambda t: 0.0),
-    "flat-u1": lambda refs: (lambda t: nominal_u1(refs[0], t)),
-    "flat-u2": lambda refs: (lambda t: nominal_u2(refs[0], refs[1], t)),
-    "flat-u2-miscoeff": lambda refs: (lambda t: nominal_u2(refs[0], refs[1], t, 1.1, 0.9)),
-}
+#: the feedforward tag every plant registers, and the schema default
+_ZERO = {"zero": lambda refs: (lambda t: 0.0)}
 
 
 # the benchmark's closed-form gains: alpha1 = y1*^2 and, at order 2, alpha2 = y1*'/y1* - 1
@@ -465,11 +466,13 @@ class _Built:
     x0: np.ndarray
 
 
-def _registered(entries: tuple, j: int, what: str, plant: str):
-    """Entry ``j`` of a plant's per-channel ``relations`` or ``formulas``."""
-    if j >= len(entries):
-        raise ConfigurationError(f"plant {plant!r} registers no {what} for channel {j + 1}")
-    return entries[j]
+def _registered(entries, key, what: str, plant: str):
+    """``entries[key]`` of a plant's ``relations`` or ``formulas`` (by channel) or ``nominals`` (by tag)."""
+    try:
+        return entries[key]
+    except LookupError:
+        named = f" {key!r}; registered: {sorted(entries)}" if isinstance(entries, dict) else ""
+        raise ConfigurationError(f"plant {plant!r} registers no {what}{named}") from None
 
 
 def validate_scenario(scenario: Scenario) -> _Built:
@@ -477,7 +480,9 @@ def validate_scenario(scenario: Scenario) -> _Built:
     if scenario.plant not in PLANTS:
         raise ConfigurationError(f"unknown plant {scenario.plant!r}; registered: {sorted(PLANTS)}")
     factory, params = PLANTS[scenario.plant]
-    model, init_fn, relations, formulas = factory(params.load(scenario.plant_params, "plant.params"))
+    plant_params = params.load(scenario.plant_params, "plant.params")
+    model, init_fn, relations, formulas, nominals = factory(plant_params)
+    nominals = {**_ZERO, **nominals}
     mismatch = scenario.mismatch or MismatchSpec(output_scaling=(1.0,) * model.n_outputs)
 
     if len(scenario.references) != model.n_outputs:
@@ -508,55 +513,54 @@ def validate_scenario(scenario: Scenario) -> _Built:
 
     controllers, windows = [], []
     for j, spec in enumerate(scenario.channels):
-        if spec.nominal not in NOMINAL_CONTROLS:
-            raise ConfigurationError(
-                f"unknown nominal control {spec.nominal!r}; registered: {sorted(NOMINAL_CONTROLS)}"
-            )
-        nominal = NOMINAL_CONTROLS[spec.nominal](refs)
+        try:
+            nominal = _registered(nominals, spec.nominal, "nominal control", scenario.plant)(refs)
 
-        if spec.alpha_source == "derived":
-            channel = derive_channel(
-                _registered(relations, j, "relation", scenario.plant),
-                refs,
-                horizon,
-                order_override=spec.order,
-                output_index=spec.output,
-                nominal_control=nominal,
-            )
-        else:
-            if spec.alpha_source == "formula":
-                alpha = _registered(formulas, j, "formula alpha", scenario.plant)(refs)
+            if spec.alpha_source == "derived":
+                channel = derive_channel(
+                    _registered(relations, j, "relation", scenario.plant),
+                    refs,
+                    horizon,
+                    order_override=spec.order,
+                    output_index=spec.output,
+                    nominal_control=nominal,
+                )
             else:
-                alpha = lambda t, _v=spec.alpha_value: np.full(np.shape(t), _v)
-            channel = HomeostatChannel(output_index=spec.output, order=spec.order, alpha=alpha)
+                if spec.alpha_source == "formula":
+                    alpha = _registered(formulas, j, "formula alpha", scenario.plant)(refs)
+                else:
+                    alpha = lambda t, _v=spec.alpha_value: np.full(np.shape(t), _v)
+                channel = HomeostatChannel(output_index=spec.output, order=spec.order, alpha=alpha)
 
-        if spec.k_p is not None:
-            gains = Gains(k_p=spec.k_p, k_d=spec.k_d)
-        elif spec.pole_multiplicity not in (None, min(channel.order, 2)):
-            raise ConfigurationError(
-                f"channel {j + 1}: pole.multiplicity {spec.pole_multiplicity} needs an "
-                f"order-{spec.pole_multiplicity} channel, but the channel has order {channel.order}"
+            if spec.k_p is not None:
+                gains = Gains(k_p=spec.k_p, k_d=spec.k_d)
+            elif spec.pole_multiplicity not in (None, min(channel.order, 2)):
+                raise ConfigurationError(
+                    f"pole.multiplicity {spec.pole_multiplicity} needs an "
+                    f"order-{spec.pole_multiplicity} channel, but the channel has order {channel.order}"
+                )
+            else:  # a double pole for order 2; a higher order fails in ChannelController
+                gains = gains_from_poles(min(channel.order, 2), spec.pole)
+
+            T, h = spec.estimator_T, timing.h
+            misfit = "must be an integer multiple of the sampling period h={h}"
+            w = _grid_steps(T, h, "estimator window T={span}", misfit)
+            if w + 1 < 5:
+                raise ConfigurationError(f"estimator window T={T} at h={h} holds {w + 1} samples; need at least 5")
+            windows.append(w)
+
+            controllers.append(
+                ChannelController(
+                    channel=channel,
+                    gains=gains,
+                    nominal_control=nominal,
+                    saturation=spec.saturation,
+                    feedback=scenario.control_mode == "closed-loop",
+                )
             )
-        else:  # a double pole for order 2; a higher order fails in ChannelController
-            gains = gains_from_poles(min(channel.order, 2), spec.pole)
-
-        T, h = spec.estimator_T, timing.h
-        misfit = "must be an integer multiple of the sampling period h={h}"
-        w = _grid_steps(T, h, "estimator window T={span}", misfit)
-        if w + 1 < 5:
-            raise ConfigurationError(f"estimator window T={T} at h={h} holds {w + 1} samples; need at least 5")
-        windows.append(w)
-
-        controllers.append(
-            ChannelController(
-                channel=channel,
-                gains=gains,
-                nominal_control=nominal,
-                saturation=spec.saturation,
-                feedback=scenario.control_mode == "closed-loop",
-            )
-        )
-        _kernel_scale(channel.order, w * h)  # once the controller has checked the order
+            _kernel_scale(channel.order, w * h)  # once the controller has checked the order
+        except HeolError as exc:
+            raise type(exc)(f"channel {j + 1}: {exc}") from None
 
     x0 = np.asarray(init_fn(refs, mismatch), dtype=float)
     if x0.shape != (model.n_states,):
@@ -779,10 +783,6 @@ def _csv_layout(n_outputs: int, n_controls: int) -> list[tuple[str, str, int | N
         + block(n_controls, ("f_valid", "F{}_valid"))
         + block(n_controls, ("clamped", "clamp{}"))
     )
-
-
-def csv_header(n_outputs: int, n_controls: int) -> list[str]:
-    return [name for name, _, _ in _csv_layout(n_outputs, n_controls)]
 
 
 def export_csv(log: SimLog, destination) -> Path:

@@ -270,8 +270,40 @@ def test_nan_partials_are_singular_at_derivation(tmp_path):
             result = heol_cli(command[0], "--config", str(path), *command[1:])
             assert result.returncode == 3, result.stderr
             assert result.stderr == (
-                "heol: invalid scenario: dE/du is not finite at t=0; channel degenerated there\n"
+                "heol: invalid scenario: channel 2: dE/du is not finite at t=0; channel degenerated there\n"
             )
+
+
+_ALPHAS = {
+    "derived": {"source": "derived"},
+    "formula": {"source": "formula"},
+    "constant": {"source": "constant", "value": 1.0},
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(_ALPHAS))
+@pytest.mark.parametrize("tag", ["zero", "flat-u1", "flat-u2", "flat-u2-miscoeff"])
+@pytest.mark.parametrize("plant", ["flat-benchmark-2x2", "ultralocal"])
+def test_every_feedforward_tag_on_every_plant_exits_cleanly(tmp_path, capsys, plant, tag, alpha):
+    # a plant resolves only the feedforward tags it registers (plus zero): any
+    # other tag is a configuration error at validate, never a crash at run
+    if plant == "ultralocal":
+        config = scenario_to_dict(ultralocal_scenario(1.0, duration=1.0))
+    else:
+        config = json.loads((Path(__file__).parents[1] / "demos" / "paper_sec4.json").read_text())
+        config["timing"]["duration"] = 1.0
+    for channel in config["channels"]:
+        channel.update(alpha=_ALPHAS[alpha], nominal=tag)
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(config))
+    unregistered = plant == "ultralocal" and tag != "zero"
+    code = cli_main(["validate", "--config", str(path)])
+    assert code == 3 if unregistered else code in (0, 3)
+    code = cli_main(["run", "--config", str(path), "--out", str(tmp_path)])
+    assert code == 3 if unregistered else code in (0, 3, 4)
+    if unregistered:
+        message = f"channel 1: plant 'ultralocal' registers no nominal control '{tag}'; registered: ['zero']"
+        assert capsys.readouterr().err == f"heol: invalid scenario: {message}\n" * 2
 
 
 def test_unreadable_configs_exit_3(tmp_path, capsys):

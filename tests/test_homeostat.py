@@ -52,6 +52,15 @@ def test_finite_diff_derivative_partial_of_integrator():
     assert finite_diff_partial(rel, (0, 1), table, 0.7) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_finite_diff_partial_of_residual_returning_a_view_of_the_table():
+    # the residual hands back the shifted slot itself, not a copy of it
+    rel = ImplicitFlatRelation(orders=(1,), control_index=0, residual=lambda tb, u: tb[0, 1])
+    table = np.zeros((1, 2, 5))
+    table[0, 1] = [-3.0, -0.5, 0.0, 0.5, 3.0]
+    np.testing.assert_allclose(finite_diff_partial(rel, (0, 1), table, np.zeros(5)), 1.0, rtol=1e-9)
+    np.testing.assert_array_equal(table[0, 1], [-3.0, -0.5, 0.0, 0.5, 3.0])  # restored
+
+
 def test_finite_diff_control_partial_of_second_relation():
     _, e2 = benchmark_relations()
     # y1 = 1, dy1 = 0 makes u1 = (0 - 1)/1 = -1; dE2/du2 = -y1 u1 = 1
@@ -125,9 +134,8 @@ def test_derived_benchmark_gains_match_closed_forms(refs):
     # (y1*^2 and, at the pinned order 2, y1*'/y1* - 1), at float and array times
     horizon = (-10.0, 30.0)
     factory, _ = PLANTS["flat-benchmark-2x2"]
-    _, _, (e1, e2), formulas = factory({})
-    u1 = lambda t: nominal_u1(refs[0], t)
-    u2 = lambda t: nominal_u2(refs[0], refs[1], t)
+    _, _, (e1, e2), formulas, nominals = factory({})
+    u1, u2 = nominals["flat-u1"](refs), nominals["flat-u2"](refs)
     first = derive_channel(e1, refs, horizon, nominal_control=u1)
     second = derive_channel(e2, refs, horizon, order_override=2, output_index=1, nominal_control=u2)
     assert first.order == 1

@@ -25,7 +25,6 @@ from heol.scenarios import (
     builtin_names,
     builtin_scenario,
     compute_metrics,
-    csv_header,
     export_csv,
     export_metrics,
     load_scenario,
@@ -336,8 +335,10 @@ def test_metrics_reject_empty_log():
 # ------------------------------------------------------------------- export
 
 
-def test_csv_header_column_order():
-    assert csv_header(2, 2) == [
+def test_csv_header_column_order(tmp_path):
+    short = dataclasses.replace(builtin_scenario("paper-sec4"), timing=Timing(duration=0.1, h=0.01))
+    path = export_csv(run_scenario(short), tmp_path / "short.csv")
+    assert path.read_text().splitlines()[0].split(",") == [
         "t",
         "y1", "y1_ref", "y2", "y2_ref",
         "u1", "u1_nom", "u2", "u2_nom",
@@ -351,7 +352,7 @@ def test_csv_header_column_order():
 def test_csv_empty_log_writes_header_only(tmp_path):
     path = export_csv(make_log(np.zeros(0)), tmp_path / "empty.csv")
     lines = path.read_text().splitlines()
-    assert lines == [",".join(csv_header(1, 1))]
+    assert lines == ["t,y1,y1_ref,u1,u1_nom,dy1,du1,F1_est,F1_valid,clamp1"]
 
 
 def test_csv_single_record_is_two_lines(tmp_path):
@@ -380,7 +381,15 @@ def _oracle_csv(log) -> bytes:
     """The log as CSV, one ``format(x, ".17g")`` per field, columns spelled out in order."""
     p, m = log.n_outputs, log.n_controls
     fmt = lambda x: format(float(x), ".17g")  # noqa: E731
-    lines = [",".join(csv_header(p, m))]
+    header = ["t"]
+    for i in range(1, p + 1):
+        header += [f"y{i}", f"y{i}_ref"]
+    for j in range(1, m + 1):
+        header += [f"u{j}", f"u{j}_nom"]
+    header += [f"dy{i}" for i in range(1, p + 1)]
+    for pattern in ("du{}", "F{}_est", "F{}_valid", "clamp{}"):
+        header += [pattern.format(j) for j in range(1, m + 1)]
+    lines = [",".join(header)]
     for k in range(len(log.t)):
         row = [fmt(log.t[k])]
         for i in range(p):
@@ -613,7 +622,7 @@ def test_missing_and_malformed_keys_are_configuration_errors():
     # formula alpha is the plant's closed form of the channel's gain; ultralocal registers none
     formula = scenario_to_dict(ultralocal_scenario(1.0))
     formula["channels"][0]["alpha"] = {"source": "formula"}
-    with pytest.raises(ConfigurationError, match="^plant 'ultralocal' registers no formula alpha for channel 1$"):
+    with pytest.raises(ConfigurationError, match="^channel 1: plant 'ultralocal' registers no formula alpha$"):
         validate_scenario(scenario_from_dict(formula))
     integral = json.loads(json.dumps(good))
     integral["channels"][0]["output"] = 0.0

@@ -35,6 +35,7 @@ def test_grid_points_are_k_h_exactly():
         (dict(h=0.3), "duration 1.0 is not a multiple of the sampling period 0.3"),
         (dict(h=1e-7), "gives 1e\\+07 grid points; at most 10000000 are allowed"),
     ],
+    ids=["bad0", "bad1", "bad2", "bad3", "bad4"],  # explicit, so deleting a row renames no other
 )
 def test_grid_rejects_degenerate_construction(bad):
     kw = dict(h=0.1, duration=1.0)
