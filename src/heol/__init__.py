@@ -15,42 +15,14 @@ from .errors import (
     HeolError,
     SingularChannelError,
 )
-from .signals import (
-    ReferenceTrajectory,
-    Window,
-    make_constant,
-    make_smoothstep,
-)
-from .homeostat import (
-    HomeostatChannel,
-    ImplicitFlatRelation,
-    derive_channel,
-    nominal_u1,
-    nominal_u2,
-)
-from .estimators import (
-    estimate_f_nu1,
-    estimate_f_nu2,
-)
-from .controllers import (
-    ChannelController,
-    Gains,
-    channel_step,
-    gains_from_poles,
-)
-from .plant import (
-    MismatchSpec,
-    PlantModel,
-    benchmark_relations,
-    example_plant,
-    initial_state,
-    rk4_step,
-)
+from .signals import ReferenceTrajectory, Window, make_constant, make_smoothstep
+from .homeostat import ImplicitFlatRelation, derive_channel
+from .estimators import estimate_f_nu1, estimate_f_nu2
+from .controllers import gains_from_poles
+from .plant import MismatchSpec, PlantModel, rk4_step
 from .scenarios import (
     ChannelSpec,
-    Metrics,
     Scenario,
-    SimLog,
     Timing,
     builtin_names,
     builtin_scenario,

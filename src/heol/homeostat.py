@@ -20,6 +20,7 @@ times.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -201,9 +202,9 @@ def derive_channel(
         first), or ``dE/dy^(order)`` vanishes, or alpha is (numerically) zero
         at a probe time, naming the first such time.
     """
-    t_lo, t_hi = horizon
-    if not t_hi > t_lo:
-        raise ConfigurationError(f"horizon needs t_hi > t_lo, got [{t_lo}, {t_hi}]")
+    t_lo, t_hi = map(float, horizon)
+    if not (t_hi > t_lo and math.isfinite(t_hi - t_lo)):  # also rejects inf and NaN ends
+        raise ConfigurationError(f"horizon needs finite t_lo < t_hi, got [{t_lo}, {t_hi}]")
     if len(references) != relation.n_outputs:
         raise ConfigurationError(
             f"relation expects {relation.n_outputs} references, got {len(references)}"

@@ -503,17 +503,14 @@ def validate_scenario(scenario: Scenario) -> _Built:
     refs = tuple(_build_reference(spec, f"references[{i}]") for i, spec in enumerate(scenario.references))
     horizon = (0.0, timing.n_steps * timing.h)
 
-    seen_outputs: set[int] = set()
-    for spec in scenario.channels:
-        if not 0 <= spec.output < model.n_outputs:
-            raise ConfigurationError(f"channel output index {spec.output} out of range")
-        if spec.output in seen_outputs:  # leaves another output unregulated
-            raise ConfigurationError(f"two channels regulate output {spec.output}")
-        seen_outputs.add(spec.output)
-
-    controllers, windows = [], []
+    controllers, windows, seen_outputs = [], [], set()
     for j, spec in enumerate(scenario.channels):
         try:
+            if not 0 <= spec.output < model.n_outputs:
+                raise ConfigurationError(f"output index {spec.output} out of range")
+            if spec.output in seen_outputs:  # leaves another output unregulated
+                raise ConfigurationError(f"two channels regulate output {spec.output}")
+            seen_outputs.add(spec.output)
             nominal = _registered(nominals, spec.nominal, "nominal control", scenario.plant)(refs)
 
             if spec.alpha_source == "derived":
@@ -900,61 +897,48 @@ def load_scenario(path) -> Scenario:
 # built-in scenarios
 
 
-def _sec4_channels(nominal_u2: str) -> tuple[ChannelSpec, ChannelSpec]:
-    return (
-        ChannelSpec(
-            output=0,
-            order=1,
-            alpha_source="formula",
-            pole=-1.0,
-            nominal="flat-u1",
-        ),
-        ChannelSpec(
-            output=1,
-            order=2,
-            alpha_source="formula",
-            pole=-0.15,
-            pole_multiplicity=2,
-            nominal=nominal_u2,
-        ),
-    )
+# Each built-in is a scenario document, read by the same schema as a file.
+# paper-sec4 is the closed-loop regression: smoothstep references, a scaled
+# initial output, and a mis-weighted second feedforward the loop has to absorb.
+_SEC4 = {
+    "name": "paper-sec4",
+    "plant": {"name": "flat-benchmark-2x2"},
+    "timing": {"duration": 150.0, "h": 0.01},
+    "references": [
+        {"type": "smoothstep", "from": 1.0, "to": 2.0, "t_start": 10.0, "t_end": 40.0},
+        {"type": "smoothstep", "from": 1.0, "to": 2.0, "t_start": 50.0, "t_end": 80.0},
+    ],
+    "channels": [
+        {"output": 0, "order": 1, "alpha": {"source": "formula"}, "pole": {"value": -1.0}, "nominal": "flat-u1"},
+        {"output": 1, "order": 2, "alpha": {"source": "formula"}, "pole": {"value": -0.15, "multiplicity": 2},
+         "nominal": "flat-u2-miscoeff"},
+    ],
+    "mismatch": {"output_scaling": [1.1, 1.0]},
+}
+
+_BUILTINS = {
+    "paper-sec4": _SEC4,
+    # Pure-feedforward companion with zero mismatch.  References are held
+    # constant: the y2 chain is open-loop unstable, so over 150 s any
+    # reference motion would amplify round-off beyond every tolerance and
+    # say nothing about the feedforward itself.  At an equilibrium the
+    # flat inversion is exact and the run must track perfectly.
+    "paper-sec4-nominal": {
+        **{key: value for key, value in _SEC4.items() if key != "mismatch"},
+        "name": "paper-sec4-nominal",
+        "references": [{"type": "constant", "value": 1.0}] * 2,
+        "channels": [_SEC4["channels"][0], {**_SEC4["channels"][1], "nominal": "flat-u2"}],
+        "control_mode": "feedforward",
+    },
+}
 
 
 def builtin_scenario(name: str) -> Scenario:
     """Return a built-in scenario by name (see :func:`builtin_names`)."""
-    if name == "paper-sec4":
-        # Closed-loop regression: smoothstep references, scaled initial output,
-        # and mis-weighted second feedforward the loop has to absorb.
-        return Scenario(
-            name="paper-sec4",
-            plant="flat-benchmark-2x2",
-            timing=Timing(duration=150.0, h=0.01),
-            references=(
-                {"type": "smoothstep", "from": 1.0, "to": 2.0, "t_start": 10.0, "t_end": 40.0},
-                {"type": "smoothstep", "from": 1.0, "to": 2.0, "t_start": 50.0, "t_end": 80.0},
-            ),
-            channels=_sec4_channels("flat-u2-miscoeff"),
-            mismatch=MismatchSpec(output_scaling=(1.1, 1.0)),
-        )
-    if name == "paper-sec4-nominal":
-        # Pure-feedforward companion with zero mismatch.  References are held
-        # constant: the y2 chain is open-loop unstable, so over 150 s any
-        # reference motion would amplify round-off beyond every tolerance and
-        # say nothing about the feedforward itself.  At an equilibrium the
-        # flat inversion is exact and the run must track perfectly.
-        return Scenario(
-            name="paper-sec4-nominal",
-            plant="flat-benchmark-2x2",
-            timing=Timing(duration=150.0, h=0.01),
-            references=(
-                {"type": "constant", "value": 1.0},
-                {"type": "constant", "value": 1.0},
-            ),
-            channels=_sec4_channels("flat-u2"),
-            control_mode="feedforward",
-        )
-    raise ConfigurationError(f"unknown built-in scenario {name!r}; available: {builtin_names()}")
+    if name not in _BUILTINS:
+        raise ConfigurationError(f"unknown built-in scenario {name!r}; available: {builtin_names()}")
+    return scenario_from_dict(_BUILTINS[name])
 
 
 def builtin_names() -> list[str]:
-    return ["paper-sec4", "paper-sec4-nominal"]
+    return list(_BUILTINS)

@@ -88,9 +88,9 @@ class ReferenceTrajectory:
 
     def eval(self, t, order: int = 0):
         """Value of the ``order``-th derivative at ``t``: a float at a float, an array at an array."""
-        if order < 0 or order > MAX_ORDER:
+        if order not in range(MAX_ORDER + 1):
             raise ConfigurationError(f"derivative order {order} not available (max_order={MAX_ORDER})")
-        head, step, tail = self._pieces[order]
+        head, step, tail = self._pieces[int(order)]  # int: 1.0 is in the range too
         tt = np.asarray(t, dtype=float)
         if tt.ndim == 0:
             t = float(tt)
@@ -143,12 +143,14 @@ class Window:
         val = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "sigma", sig)
         object.__setattr__(self, "values", val)
-        if self.T <= 0.0:
+        if not (math.isfinite(self.T) and self.T > 0.0):
             raise ConfigurationError(f"window length must be positive, got T={self.T}")
         if sig.shape != val.shape or sig.ndim != 1:
             raise ConfigurationError("window sigma and values must be 1-d arrays of equal length")
         if len(sig) < 2:
             raise ConfigurationError("window needs at least two samples")
+        if not np.isfinite(val).all():
+            raise ConfigurationError("window values must be finite")
         d = np.diff(sig)
         if not np.all(d > 0.0):
             raise ConfigurationError("window sigma values must be strictly increasing")

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 import heol
 from heol.cli import cli_main
+from heol.errors import ConfigurationError
 from heol.plant import MismatchSpec
-from heol.scenarios import Timing, builtin_scenario, scenario_to_dict
+from heol.scenarios import Timing, builtin_scenario, scenario_to_dict, validate_scenario
 
 from conftest import ultralocal_scenario
 
@@ -94,6 +95,16 @@ def test_channel_count_mismatch_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "invalid scenario" in err and "1" in err and "2" in err
     assert cli_main(["run", "--config", str(path), "--out", str(tmp_path)]) == 3
+
+
+def test_output_index_out_of_range_names_its_channel(tmp_path):
+    base = builtin_scenario("paper-sec4")
+    bad = dataclasses.replace(base, channels=(base.channels[0], dataclasses.replace(base.channels[1], output=5)))
+    with pytest.raises(ConfigurationError, match="^channel 2: output index 5 out of range$"):
+        validate_scenario(bad)
+    proc = heol_cli("validate", "--config", str(write_config(tmp_path, bad)))
+    assert proc.returncode == 3
+    assert "channel 2: output index 5 out of range" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_non_object_channel_entries_exit_3(tmp_path, capsys):

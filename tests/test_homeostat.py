@@ -180,6 +180,14 @@ def test_derive_channel_vanishing_denominator_names_a_time():
     assert "t=" in str(err.value)
 
 
+@pytest.mark.parametrize("horizon", [(0.0, math.inf), (-math.inf, 10.0), (math.nan, 10.0)])
+def test_derive_channel_rejects_a_non_finite_horizon(horizon):
+    # np.linspace would probe at nan and inf and derive a channel from the plateaus there
+    e1, _ = benchmark_relations()
+    with pytest.raises(ConfigurationError, match=r"^horizon needs finite t_lo < t_hi"):
+        derive_channel(e1, bench_refs(), horizon)
+
+
 def test_derive_channel_validates_override_range():
     e1, _ = benchmark_relations()
     refs = (make_constant(2.0), make_constant(1.0))

@@ -139,7 +139,7 @@ def test_validate_scenario_checks_registry_tags():
 def test_shared_outputs_are_rejected():
     base = builtin_scenario("paper-sec4")
     ch = (base.channels[0], dataclasses.replace(base.channels[1], output=0))
-    with pytest.raises(ConfigurationError, match="^two channels regulate output 0$"):
+    with pytest.raises(ConfigurationError, match="^channel 2: two channels regulate output 0$"):
         validate_scenario(dataclasses.replace(base, channels=ch))
 
 

@@ -84,6 +84,8 @@ def test_trajectory_order_errors():
         traj.eval(5.0, 4)
     with pytest.raises(ConfigurationError, match=r"derivative order -1 not available"):
         traj.eval(5.0, -1)
+    with pytest.raises(ConfigurationError, match=r"derivative order 1.5 not available \(max_order=3\)"):
+        traj.eval(5.0, 1.5)
 
 
 def test_derivative_commutes_with_polynomial_differentiation(rng):
@@ -184,6 +186,22 @@ def test_window_validates_uniform_sigma():
         Window(T=1.0, sigma=np.array([0.1, 0.5, 1.0]), values=np.zeros(3))
     with pytest.raises(ConfigurationError):
         Window(T=1.0, sigma=np.array([0.0]), values=np.zeros(1))
+
+
+@pytest.mark.parametrize(
+    "T, bad_value, message",
+    [
+        (math.nan, 0.0, "^window length must be positive, got T=nan$"),
+        (math.inf, 0.0, "^window length must be positive, got T=inf$"),
+        (1.0, math.nan, "^window values must be finite$"),
+        (1.0, -math.inf, "^window values must be finite$"),
+    ],
+)
+def test_window_rejects_non_finite_length_and_values(T, bad_value, message):
+    values = np.zeros(11)
+    values[4] = bad_value
+    with pytest.raises(ConfigurationError, match=message):
+        Window(T=T, sigma=np.linspace(0.0, 1.0, 11), values=values)
 
 
 # ------------------------------------------------------- array evaluation
