@@ -16,11 +16,14 @@ measured output is ever needed.  Integrals are evaluated with composite
 Simpson weights, the one quadrature rule; an odd interval count falls back
 to Simpson on all but the last interval plus a trapezoid on it.
 
-:class:`FusedEstimator` is the single place that builds the weight vectors
-(kernel times quadrature coefficients); its ``estimate`` returns the bare
-float the simulation loop logs.  :func:`estimate_f_nu1` and
-:func:`estimate_f_nu2` check their windows, delegate to it, and wrap the
-value in an :class:`FEstimate`.
+:class:`FusedEstimator` is the single place that builds the weights (kernel
+times quadrature coefficients).  It reads a window as one flat array with the
+``Dy`` and ``a*Du`` samples interleaved, ``[Dy_0, aDu_0, Dy_1, aDu_1, ...]``,
+the layout of the simulation loop's per-channel history, so an estimate is a
+single dot product of that window with an interleaved weight vector; its
+``estimate`` returns the bare float the loop logs.  :func:`estimate_f_nu1` and
+:func:`estimate_f_nu2` check their windows, interleave them, delegate to it,
+and wrap the value in an :class:`FEstimate`.
 
 The ``Du`` kernels vanish at s = T, so the estimate at time t never needs
 the control applied *at* t — the loop can estimate first and act second.
@@ -86,7 +89,7 @@ def _estimate(order: int, dy_window: Window, adu_window: Window) -> FEstimate:
             f"{len(adu_window)} over T={adu_window.T}"
         )
     fused = FusedEstimator(order, dy_window.T, len(dy_window) - 1)
-    return FEstimate(fused.estimate(dy_window.values, adu_window.values))
+    return FEstimate(fused.estimate(np.column_stack((dy_window.values, adu_window.values)).ravel()))
 
 
 def estimate_f_nu1(dy_window: Window, adu_window: Window) -> FEstimate:
@@ -107,7 +110,12 @@ def estimate_f_nu2(dy_window: Window, adu_window: Window) -> FEstimate:
 
 
 class FusedEstimator:
-    """Estimator for a fixed window geometry (order, T, n): two dot products."""
+    """Estimator for a fixed window geometry (order, T, n): one dot product.
+
+    A window is one flat array of ``2*(n + 1)`` samples, the ``dy`` and ``alpha*Du``
+    histories interleaved oldest first, ``[dy_0, adu_0, dy_1, adu_1, ...]``; the read-only
+    weights ``_w`` are interleaved the same way, ``[wy_0, wu_0, wy_1, wu_1, ...]``.
+    """
 
     def __init__(self, order: int, T: float, n_intervals: int):
         if order not in (1, 2):
@@ -121,14 +129,14 @@ class FusedEstimator:
         s = h * np.arange(n_intervals + 1)
         c = _quad_coeffs(n_intervals, h)
         if order == 1:
-            self._wy = -6.0 / scale * c * (T - 2.0 * s)
-            self._wu = -6.0 / scale * c * (s * (T - s))
+            wy = -6.0 / scale * c * (T - 2.0 * s)
+            wu = -6.0 / scale * c * (s * (T - s))
         else:
-            self._wy = 60.0 / scale * c * ((T - s) ** 2 - 4.0 * (T - s) * s + s**2)
-            self._wu = -30.0 / scale * c * ((T - s) ** 2 * s**2)
-        self._wy.setflags(write=False)
-        self._wu.setflags(write=False)
+            wy = 60.0 / scale * c * ((T - s) ** 2 - 4.0 * (T - s) * s + s**2)
+            wu = -30.0 / scale * c * ((T - s) ** 2 * s**2)
+        self._w = np.column_stack((wy, wu)).ravel()
+        self._w.setflags(write=False)
 
-    def estimate(self, dy_values: np.ndarray, adu_values: np.ndarray) -> float:
-        """F over one window of ``dy`` and ``alpha*Du`` samples, oldest first."""
-        return float(self._wy.dot(dy_values) + self._wu.dot(adu_values))
+    def estimate(self, window: np.ndarray) -> float:
+        """F over one interleaved window ``[dy_0, adu_0, ..., dy_n, adu_n]``, oldest first."""
+        return float(self._w.dot(window))

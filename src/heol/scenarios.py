@@ -651,15 +651,16 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
     record = [0.0] * (p + 3 * m)
     clamps = bytearray()
 
-    # Measurement-driven state per channel.  The alpha*Du history is written at
-    # k only after the control at step k is known, so the estimate at t_k reads
-    # the zero pad there and never the control applied at t_k (both kernels
+    # Measurement-driven state per channel.  One history holds dy at 2k and alpha*Du
+    # at 2k + 1, so an estimator window is one slice and one dot.  The alpha*Du slot
+    # is written at k only after the control at step k is known, so the estimate at
+    # t_k reads the zero pad there and never the control applied at t_k (both kernels
     # weigh that sample by zero up to round-off anyway).  Column cu = p + j holds
     # u_nom in the table and u in the record, column ca = p + m + j alpha and du.
     ddys, last_dy = [0.0] * m, [0.0] * m
     tau_f = 5.0 * h  # time constant of the order-2 derivative filter
     channels = [
-        (j, ctrl, ctrl.channel.output_index, ctrl.channel.order == 2, w, np.zeros(n_pts), np.zeros(n_pts),
+        (j, ctrl, ctrl.channel.output_index, ctrl.channel.order == 2, 2 * w, np.zeros(2 * n_pts),
          FusedEstimator(ctrl.channel.order, w * h, w).estimate, p + j, p + m + j)
         for j, (ctrl, w) in enumerate(zip(controllers, windows))
     ]
@@ -668,26 +669,26 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
 
     x = built.x0.tolist()
     for k in range(n_pts):
-        t = k * h
+        t, i = k * h, 2 * k  # i: this sample's dy slot in every history
         y = output(x)
         if noise is not None:
             y = [a + b for a, b in zip(y, noise[k].tolist())]
         record[:p] = y
         row = table[k].tolist()
-        for j, ctrl, out, order2, w, dy_hist, adu_hist, estimate, cu, ca in channels:
+        for j, ctrl, out, order2, w2, hist, estimate, cu, ca in channels:
             dy = y[out] - row[out]
-            dy_hist[k] = dy
+            hist[i] = dy
             if order2 and k > 0:
                 # low-pass-filtered backward difference over the step from the previous point
                 dt = t - (k - 1) * h
                 ddys[j] += dt / (tau_f + dt) * ((dy - last_dy[j]) / dt - ddys[j])
             last_dy[j] = dy
             # warm-up: no full window yet
-            f_est = estimate(dy_hist[k - w : k + 1], adu_hist[k - w : k + 1]) if k >= w else 0.0
+            f_est = estimate(hist[i - w2 : i + 2]) if i >= w2 else 0.0
             u, clamped = step(ctrl, f_est, dy, ddys[j], row[cu], row[ca])
             clamps.append(clamped)
             record[cu], record[ca], record[ca + m] = u, u - row[cu], f_est
-            adu_hist[k] = row[ca] * record[ca]
+            hist[i + 1] = row[ca] * record[ca]
         log[k] = record
 
         if k < grid.n_steps:

@@ -87,16 +87,24 @@ class ReferenceTrajectory:
         object.__setattr__(self, "_pieces", pieces)
 
     def eval(self, t, order: int = 0):
-        """Value of the ``order``-th derivative at ``t``: a float at a float, an array at an array."""
+        """Value of the ``order``-th derivative at ``t``: a float at a float, an array at an array.
+
+        A NaN time raises ConfigurationError: it is in no piece.
+        """
         if order not in range(MAX_ORDER + 1):
             raise ConfigurationError(f"derivative order {order} not available (max_order={MAX_ORDER})")
         head, step, tail = self._pieces[int(order)]  # int: 1.0 is in the range too
         tt = np.asarray(t, dtype=float)
         if tt.ndim == 0:
             t = float(tt)
+            if math.isnan(t):
+                raise ConfigurationError("cannot evaluate a reference at t=nan")
             if t < self.t_start:
                 return head
             return float(_horner(step, t - self.t_start)) if t < self.t_end else tail
+        if math.isnan(tt.min(initial=math.inf)):  # min propagates NaN: one reduction finds any
+            i = int(np.flatnonzero(np.isnan(tt))[0])
+            raise ConfigurationError(f"cannot evaluate a reference at t=nan (time {i} of {tt.size})")
         out = np.full(tt.shape, tail)
         out[tt < self.t_start] = head
         on = (tt >= self.t_start) & (tt < self.t_end)  # Horner only inside the step: no overflow far out

@@ -81,12 +81,12 @@ def estimator_replay(log, j, order, alpha):
     """
     w = int(round(log.channel_T[j] / log.grid.h))
     fused = FusedEstimator(order, log.channel_T[j], w)
-    dy = np.ascontiguousarray(log.dy[:, j])  # np.dot may sum strided data differently
-    adu = alpha * log.du[:, j]
+    hist = np.column_stack((log.dy[:, j], alpha * log.du[:, j])).ravel()  # the loop's interleaved history
     out = np.zeros(len(log.t))
     for k in range(w, len(log.t)):
-        window = np.append(adu[k - w : k], 0.0)
-        out[k] = fused.estimate(dy[k - w : k + 1], window)
+        window = hist[2 * (k - w) : 2 * k + 2].copy()
+        window[-1] = 0.0
+        out[k] = fused.estimate(window)
     return w, out
 
 

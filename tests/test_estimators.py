@@ -248,7 +248,7 @@ def test_fused_estimator_matches_public_functions(rng):
     T = 0.3
     for order, fn in ((1, estimate_f_nu1), (2, estimate_f_nu2)):
         fused = FusedEstimator(order, T, 30)
-        got = fused.estimate(dy, du)
+        got = fused.estimate(np.column_stack((dy, du)).ravel())
         want = fn(make_window(dy, T=T), make_window(du, T=T))
         assert type(got) is float
         assert got == want.value and want.valid
@@ -259,9 +259,22 @@ def test_trailing_control_sample_carries_zero_weight():
     # on the control applied at t; the loop can estimate first, act second.
     for order in (1, 2):
         fused = FusedEstimator(order, 0.3, 30)
-        assert fused._wu[-1] == 0.0
-        dy = np.linspace(0.0, 1.0, 31)
-        du = np.linspace(1.0, -1.0, 31)
-        base = fused.estimate(dy, du)
-        du[-1] = 1e6
-        assert fused.estimate(dy, du) == base
+        assert fused._w[-1] == 0.0
+        window = np.column_stack((np.linspace(0.0, 1.0, 31), np.linspace(1.0, -1.0, 31))).ravel()
+        base = fused.estimate(window)
+        window[-1] = 1e6
+        assert fused.estimate(window) == base
+
+
+@pytest.mark.parametrize("order", (1, 2))
+@pytest.mark.parametrize("n_values", (10, 62, 402, 2002))
+def test_batched_windows_round_as_single_estimates(order, n_values, rng):
+    # A batch axis can reproduce the single-run estimate bit for bit with
+    # np.vecdot over a stack of interleaved windows (H @ w rounds differently),
+    # also when the windows are one slice of a stack of longer histories.
+    w = n_values // 2 - 1
+    fused = FusedEstimator(order, 0.01 * w, w)
+    histories = rng.standard_normal((8, n_values + 40))
+    for H in (histories[:, :n_values].copy(), histories[:, 20 : 20 + n_values]):
+        batch = np.vecdot(H, fused._w)
+        assert [float(v) for v in batch] == [fused.estimate(row) for row in H]

@@ -40,15 +40,15 @@ def sec4_derived():
 GOLDEN = {
     "paper-sec4": (
         lambda: builtin_scenario("paper-sec4"),
-        "fb3f57cd54e051cdfe22b6680b57b30525f33caa5f8d12433410f7e03b6c3cf3",
+        "6482af552a93c286cedda173d99e252509ff9e97a11f95d7ca4139df83fdb278",
     ),
     "paper-sec4-noisy-saturated": (
         sec4_noisy_saturated,
-        "7245d8307294a4169a4062ee8b984295932a2faf4c24be8f4de36bf596a2fa5e",
+        "22f3890f29c994b95ea92f2c38ff9d87091a96540fc32ef05df0182f2d9d4986",
     ),
     "paper-sec4-derived": (
         sec4_derived,
-        "3bd4d0616def969f13c2ec428a661141d72f000f89354e2066d653988607ff5a",
+        "07ffc5a3b67c57020e1f3fbcc3e4300cc1d7d2932e1bbcb9bff769c1c9f00a74",
     ),
     "paper-sec4-nominal": (
         lambda: builtin_scenario("paper-sec4-nominal"),
@@ -56,11 +56,11 @@ GOLDEN = {
     ),
     "ultralocal-order2-simpson": (
         lambda: ultralocal_scenario(4.0, estimator_T=0.25, **ULTRALOCAL_ORDER2),
-        "7192a682c12ef56fa55c6bec91f26c47897b1031decee328c9dc3c7d61f34022",
+        "7e49d39148580795af0af66d346c5004dfa7e6e335f174b6e3dce4c870c8f307",
     ),
     "ultralocal-order1": (
         lambda: ultralocal_scenario(2.0, order=1, drift=-0.3, estimator_T=0.07),
-        "0421c5d002acd8b8adf7c8952e349ce96c02877f39ee7189e2e39864c55fe91f",
+        "aca5622cd77d6d4417a27468d950ebe31269a5d246eefc0c19fc5056f5c75120",
     ),
 }
 

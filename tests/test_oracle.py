@@ -2,11 +2,12 @@
 
 :func:`oracle_run` steps the paper's per-sample equations one sample at a time and
 keeps no table: each reference by scalar ``eval(t, 0)``, the feedforward at
-``t + h/2``, ``alpha`` at ``[t]``, the order-2 derivative filter, a fresh window
-array for the estimator, ``channel_step``, then ``rk4_step``.  The property draws
-scenarios over both plants, both orders, the three alpha sources, saturation,
-noise, control mode and short horizons, and requires :func:`run_scenario` to give
-the oracle's log bit for bit, or to raise the same error class.
+``t + h/2``, ``alpha`` at ``[t]``, the order-2 derivative filter, a fresh array of
+the interleaved ``dy``/``alpha*Du`` window for the estimator, ``channel_step``,
+then ``rk4_step``.  The property draws scenarios over both plants, both orders,
+the three alpha sources, saturation, noise, control mode and short horizons, and
+requires :func:`run_scenario` to give the oracle's log bit for bit, or to raise
+the same error class.
 """
 
 import numpy as np
@@ -50,7 +51,8 @@ def oracle_run(scenario) -> SimLog:
                 ddy[j] += dt / (5.0 * h + dt) * ((dy - last[j]) / dt - ddy[j])
             dys[j].append(dy)
             last[j] = dy
-            f_est = fused[j].estimate(np.array(dys[j][k - w :]), np.array(adus[j][k - w :] + [0.0])) if k >= w else 0.0
+            window = [v for pair in zip(dys[j][k - w :], adus[j][k - w :] + [0.0]) for v in pair]
+            f_est = fused[j].estimate(np.array(window)) if k >= w else 0.0
             u_nom, alpha = ctrl.nominal_control(t + 0.5 * h), ctrl.channel.alpha(np.array([t]))[0]
             u, clamped = channel_step(ctrl, f_est, dy, ddy[j], u_nom, alpha)
             adus[j].append(alpha * (u - u_nom))

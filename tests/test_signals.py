@@ -88,6 +88,22 @@ def test_trajectory_order_errors():
         traj.eval(5.0, 1.5)
 
 
+@pytest.mark.parametrize(
+    "traj", (make_smoothstep(1.0, 2.0, 10.0, 40.0), make_constant(3.0)), ids=("step", "constant")
+)
+def test_nan_time_is_rejected_not_read_as_a_plateau(traj):
+    # a NaN time lies in no piece: both piece comparisons are False for it
+    for order in (0, 1):
+        with pytest.raises(ConfigurationError, match=r"^cannot evaluate a reference at t=nan$"):
+            traj.eval(math.nan, order)
+        with pytest.raises(ConfigurationError, match=r"^cannot evaluate a reference at t=nan \(time 1 of 3\)$"):
+            traj.eval(np.array([5.0, math.nan, math.nan]), order)
+    # infinite times still read the plateaus, and an empty array an empty array
+    assert traj.eval(math.inf) == traj.y_to and traj.eval(-math.inf) == traj.y_from
+    np.testing.assert_array_equal(traj.eval(np.array([-math.inf, math.inf])), [traj.y_from, traj.y_to])
+    assert traj.eval(np.array([])).shape == (0,)
+
+
 def test_derivative_commutes_with_polynomial_differentiation(rng):
     # eval(., t, k+1) must equal the analytic derivative of the k-th table
     for _ in range(25):
