@@ -109,12 +109,19 @@ def estimate_f_nu2(dy_window: Window, adu_window: Window) -> FEstimate:
     return _estimate(2, dy_window, adu_window)
 
 
+#: Longest dot OpenBLAS computes on one thread.  It may split a longer one across threads,
+#: and the rounding would then depend on the thread count.
+_ONE_THREAD_DOT = 10_000
+
+
 class FusedEstimator:
     """Estimator for a fixed window geometry (order, T, n): one dot product.
 
     A window is one flat array of ``2*(n + 1)`` samples, the ``dy`` and ``alpha*Du``
     histories interleaved oldest first, ``[dy_0, adu_0, dy_1, adu_1, ...]``; the read-only
-    weights ``_w`` are interleaved the same way, ``[wy_0, wu_0, wy_1, wu_1, ...]``.
+    weights ``_w`` are interleaved the same way, ``[wy_0, wu_0, wy_1, wu_1, ...]``.  A window
+    of more than ``_ONE_THREAD_DOT`` values adds the dots of consecutive slices of that
+    length in order, so its estimate does not depend on the BLAS thread count.
     """
 
     def __init__(self, order: int, T: float, n_intervals: int):
@@ -136,7 +143,11 @@ class FusedEstimator:
             wu = -30.0 / scale * c * ((T - s) ** 2 * s**2)
         self._w = np.column_stack((wy, wu)).ravel()
         self._w.setflags(write=False)
+        n, step = len(self._w), _ONE_THREAD_DOT
+        self._slices = None if n <= step else [slice(i, i + step) for i in range(0, n, step)]
 
     def estimate(self, window: np.ndarray) -> float:
         """F over one interleaved window ``[dy_0, adu_0, ..., dy_n, adu_n]``, oldest first."""
-        return float(self._w.dot(window))
+        if self._slices is None:
+            return float(self._w.dot(window))
+        return float(sum(self._w[s].dot(window[s]) for s in self._slices))

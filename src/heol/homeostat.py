@@ -81,10 +81,10 @@ class ImplicitFlatRelation:
 
 @dataclass(frozen=True)
 class HomeostatChannel:
-    """Derived ultra-local model of one control channel.
+    """Ultra-local model of one control channel: its output, its order and its gain ``alpha(t)``.
 
-    ``alpha(t)``, at a float or an array of times, is guaranteed finite and
-    nonzero at the probe times used during derivation; it re-checks at every evaluation.
+    ``alpha`` takes a float or an array of times.  A derived ``alpha`` re-checks at every evaluation that it is
+    finite and nonzero; a formula or constant one checks nothing, and a run checks every feedback gain on its grid.
     """
 
     output_index: int

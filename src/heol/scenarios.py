@@ -27,7 +27,6 @@ import numpy as np
 
 from .controllers import (
     ChannelController,
-    Gains,
     _check_alpha,
     channel_step,
     gains_from_poles,
@@ -131,25 +130,21 @@ class Timing:
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Declarative description of one controller channel."""
+    """Declarative description of one controller channel, whose gains place ``pole`` (double at order 2)."""
 
     output: int
     order: int | None = None
     alpha_source: str = "derived"          # "derived" | "formula" | "constant"
     alpha_value: float | None = None
     estimator_T: float = 0.3
-    k_p: float | None = None
-    k_d: float | None = None
-    pole: float | None = None
+    pole: float | None = None  # required: the default only lets it follow the defaulted fields
     pole_multiplicity: int | None = None  # None: the channel order sets it
     nominal: str = "zero"
     saturation: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if (self.k_p is None) == (self.pole is None):
-            raise ConfigurationError(
-                "channel needs exactly one of explicit gains (k_p[, k_d]) or a pole"
-            )
+        if self.pole is None:
+            raise ConfigurationError("channel needs a pole")
         if self.alpha_source not in ("derived", "formula", "constant"):
             raise ConfigurationError(f"unknown alpha source {self.alpha_source!r}")
         if self.alpha_source != "constant" and self.alpha_value is not None:
@@ -169,7 +164,7 @@ class ChannelSpec:
             raise ConfigurationError(
                 "channel order must be given explicitly unless alpha is derived"
             )
-        if self.pole is not None and self.pole_multiplicity not in (None, 1, 2):
+        if self.pole_multiplicity not in (None, 1, 2):
             raise ConfigurationError("pole multiplicity must be 1 or 2")
         if not (math.isfinite(self.estimator_T) and self.estimator_T > 0.0):
             raise ConfigurationError(f"estimator window length must be positive, got T={self.estimator_T}")
@@ -404,7 +399,7 @@ def _ultralocal_plant(params: dict):
     return model, init, (relation,), (), {}
 
 
-def _benchmark_plant(params: dict):
+def _benchmark_2x2_plant(params: dict):
     formulas = (_alpha_ref0_squared, _alpha_ref0_rate_ratio)
     nominals = {  # the flat inversions of this plant; u2 also with miscalibrated coefficients
         "flat-u1": lambda refs: (lambda t: nominal_u1(refs[0], t)),
@@ -420,7 +415,7 @@ def _benchmark_plant(params: dict):
 #: gain, and ``nominals[tag]`` the feedforward this plant registers under ``tag``; both are
 #: factories refs -> f(t) taking a float or an array of times.  ``zero`` works on every plant.
 PLANTS: dict[str, tuple[Callable, _Object]] = {
-    "flat-benchmark-2x2": (_benchmark_plant, _Object(dict, [])),
+    "flat-benchmark-2x2": (_benchmark_2x2_plant, _Object(dict, [])),
     "ultralocal": (
         _ultralocal_plant,
         _Object(dict, _plain("order", kind=_count, default=None) + _plain("f", "gain", default=None)),
@@ -529,15 +524,13 @@ def validate_scenario(scenario: Scenario) -> _Built:
                     alpha = lambda t, _v=spec.alpha_value: np.full(np.shape(t), _v)
                 channel = HomeostatChannel(output_index=spec.output, order=spec.order, alpha=alpha)
 
-            if spec.k_p is not None:
-                gains = Gains(k_p=spec.k_p, k_d=spec.k_d)
-            elif spec.pole_multiplicity not in (None, min(channel.order, 2)):
+            if spec.pole_multiplicity not in (None, min(channel.order, 2)):
                 raise ConfigurationError(
                     f"pole.multiplicity {spec.pole_multiplicity} needs an "
                     f"order-{spec.pole_multiplicity} channel, but the channel has order {channel.order}"
                 )
-            else:  # a double pole for order 2; a higher order fails in ChannelController
-                gains = gains_from_poles(min(channel.order, 2), spec.pole)
+            # a double pole for order 2; a higher order fails in ChannelController
+            gains = gains_from_poles(min(channel.order, 2), spec.pole)
 
             T, h = spec.estimator_T, timing.h
             misfit = "must be an integer multiple of the sampling period h={h}"
@@ -579,7 +572,6 @@ def validate_scenario(scenario: Scenario) -> _Built:
 class SimLog:
     """Per-grid-point record arrays of one run."""
 
-    grid: Timing
     channel_T: tuple[float, ...]
     t: np.ndarray
     y: np.ndarray        # (N, p) measured outputs
@@ -700,7 +692,6 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
 
     y, u, du, f_est = log[:, :p], log[:, p : p + m], log[:, p + m : p + 2 * m], log[:, p + 2 * m :]
     return SimLog(
-        grid=grid,
         channel_T=tuple(w * h for w in windows),
         t=times,
         y=y,
@@ -842,14 +833,10 @@ _CHANNEL = _Object(ChannelSpec, [
         ("value", "alpha_value", _number, None),
     ]), None),
     ("estimator", None, _Object(None, [("T", "estimator_T", _number, 0.3)]), None),
-    ("gains", None, _Object(None, [
-        ("kp", "k_p", _number, _REQUIRED),
-        ("kd", "k_d", _number, None),
-    ]), None),
     ("pole", None, _Object(None, [
         ("value", "pole", _number, _REQUIRED),
         ("multiplicity", "pole_multiplicity", _count, None),
-    ]), None),
+    ]), _REQUIRED),
     ("nominal", "nominal", _tag, "zero"),
     ("saturation", "saturation", _List(_number), None),
 ])

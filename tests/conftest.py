@@ -30,8 +30,16 @@ def ultralocal_scenario(
     """Scenario wrapping the exact ultra-local plant d^order(y)/dt^order = f + u.
 
     The reference is constant 1.0 and the initial output is scaled so that
-    the run starts with a deviation of ``dy0``.
+    the run starts with a deviation of ``dy0``.  A scenario states its gains by
+    their pole: ``-k_p`` at order 1, the double pole ``-k_d/2`` at order 2, so
+    ``(k_p, k_d)`` must be such a pair.
     """
+    if order == 1:
+        assert k_d is None, "an order-1 channel takes no k_d"
+        pole = -k_p
+    else:
+        pole = -k_d / 2.0
+        assert pole * pole == k_p, f"gains ({k_p}, {k_d}) have no double pole"
     return Scenario(
         name=name,
         plant="ultralocal",
@@ -45,8 +53,7 @@ def ultralocal_scenario(
                 alpha_source="constant",
                 alpha_value=1.0,
                 estimator_T=estimator_T,
-                k_p=k_p,
-                k_d=k_d,
+                pole=pole,
                 nominal="zero",
                 saturation=saturation,
             ),

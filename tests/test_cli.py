@@ -116,7 +116,7 @@ def test_non_object_channel_entries_exit_3(tmp_path, capsys):
     assert proc.returncode == 3
     assert "invalid scenario" in proc.stderr and "Traceback" not in proc.stderr
 
-    for key in ("alpha", "estimator", "gains", "pole"):
+    for key in ("alpha", "estimator", "pole"):
         bad = json.loads(json.dumps(good))
         bad["channels"][0][key] = 1
         path.write_text(json.dumps(bad))
@@ -163,7 +163,7 @@ def test_oversized_grid_exits_3_before_allocating(tmp_path):
     ids=["window-overflows-to-inf", "window-too-long", "kernel-underflows", "kernel-overflows", "x0-outside"],
 )
 def test_unrunnable_windows_and_starts_exit_3_at_validate(tmp_path, order, timing, T, reference, message):
-    bad = scenario_to_dict(ultralocal_scenario(1.0, order=order, k_d=1.0 if order == 2 else None))
+    bad = scenario_to_dict(ultralocal_scenario(1.0, order=order, k_d=2.0 if order == 2 else None))
     bad["timing"].update(timing)
     bad["channels"][0]["estimator"] = {"T": T}
     bad["references"][0]["value"] = reference

@@ -79,7 +79,7 @@ def estimator_replay(log, j, order, alpha):
     The window ends at dy[k]; its last alpha*Du entry is the zero pad the
     loop reads before the control at t_k is known.
     """
-    w = int(round(log.channel_T[j] / log.grid.h))
+    w = int(round(log.channel_T[j] / log.t[1]))  # t[1] is h
     fused = FusedEstimator(order, log.channel_T[j], w)
     hist = np.column_stack((log.dy[:, j], alpha * log.du[:, j])).ravel()  # the loop's interleaved history
     out = np.zeros(len(log.t))

@@ -1,6 +1,10 @@
 """Windowed integral estimators of the lumped disturbance."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -230,7 +234,7 @@ def test_estimator_config_validation():
     # the channel spec checks T on its own ...
     for T in (0.0, -0.3, math.inf, math.nan):
         with pytest.raises(ConfigurationError, match="estimator window length must be positive"):
-            ChannelSpec(output=0, k_p=1.0, estimator_T=T)
+            ChannelSpec(output=0, pole=-1.0, estimator_T=T)
     # ... and the built scenario checks T against the sampling period, once
     assert validate_scenario(ultralocal_scenario(1.0, estimator_T=0.3)).windows == [30]
     with pytest.raises(ConfigurationError, match="must be an integer multiple of the sampling period h=0.007"):
@@ -278,3 +282,27 @@ def test_batched_windows_round_as_single_estimates(order, n_values, rng):
     for H in (histories[:, :n_values].copy(), histories[:, 20 : 20 + n_values]):
         batch = np.vecdot(H, fused._w)
         assert [float(v) for v in batch] == [fused.estimate(row) for row in H]
+
+
+_LONG_ESTIMATE = """
+import numpy as np
+from heol.estimators import FusedEstimator
+window = np.random.default_rng(7).standard_normal(10_002)
+print(*(FusedEstimator(order, 1.0, 5_000).estimate(window).hex() for order in (1, 2)))
+"""
+
+
+def test_long_window_estimate_does_not_depend_on_the_blas_thread_count():
+    # OpenBLAS may split a dot of more than 10,000 values across threads, so a
+    # window of 5,001 samples (10,002 values) must not be one dot.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    bits = [
+        subprocess.run(
+            [sys.executable, "-c", _LONG_ESTIMATE],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert bits[0] == bits[1]

@@ -47,7 +47,6 @@ def make_log(dy_column):
     y_ref = np.ones((n, 1))
     zeros = np.zeros((n, 1))
     return SimLog(
-        grid=grid,
         channel_T=(0.3,),
         t=grid.times()[:n],
         y=y_ref + dy,
@@ -73,28 +72,26 @@ def test_timing_grid_requires_integer_step_count():
         Timing(duration=-1.0, h=0.01)
 
 
-def test_channel_spec_requires_exactly_one_gain_source():
-    with pytest.raises(ConfigurationError):
-        ChannelSpec(output=0, order=1, k_p=1.0, pole=-1.0)
-    with pytest.raises(ConfigurationError):
-        ChannelSpec(output=0, order=1)  # neither gains nor pole
+def test_channel_spec_requires_a_pole():
+    with pytest.raises(ConfigurationError, match="^channel needs a pole$"):
+        ChannelSpec(output=0, order=1, alpha_source="constant", alpha_value=1.0)
 
 
 def test_channel_spec_alpha_source_validation():
     with pytest.raises(ConfigurationError):
-        ChannelSpec(output=0, order=1, k_p=1.0, alpha_source="constant")  # no value
+        ChannelSpec(output=0, order=1, pole=-1.0, alpha_source="constant")  # no value
     with pytest.raises(ConfigurationError):
-        ChannelSpec(output=0, order=1, k_p=1.0, alpha_source="magic")
+        ChannelSpec(output=0, order=1, pole=-1.0, alpha_source="magic")
     with pytest.raises(ConfigurationError):
-        ChannelSpec(output=0, k_p=1.0, alpha_source="constant", alpha_value=1.0)  # no order
+        ChannelSpec(output=0, pole=-1.0, alpha_source="constant", alpha_value=1.0)  # no order
     with pytest.raises(ConfigurationError):
         ChannelSpec(output=0, order=1, pole=-1.0, pole_multiplicity=3)
     with pytest.raises(ConfigurationError, match="alpha.value is read by source 'constant' only"):
-        ChannelSpec(output=0, order=1, k_p=1.0, alpha_source="formula", alpha_value=3.0)
+        ChannelSpec(output=0, order=1, pole=-1.0, alpha_source="formula", alpha_value=3.0)
     # a gain the run would divide by fails when the channel is declared, in any control mode
     for value in (0.0, -0.0, 1e-300, -1e-9):
         with pytest.raises(ConfigurationError, match="is a zero channel gain"):
-            ChannelSpec(output=0, order=1, k_p=1.0, alpha_source="constant", alpha_value=value)
+            ChannelSpec(output=0, order=1, pole=-1.0, alpha_source="constant", alpha_value=value)
 
 
 def test_scenario_field_validation():
@@ -426,7 +423,6 @@ def test_csv_bytes_equal_per_field_oracle(tmp_path_factory, p, m, n, drawn, seed
         return np.where(rng.random((n, cols)) < 0.3, rng.choice(pool, (n, cols)), values)
 
     log = SimLog(
-        grid=Timing(duration=0.01 * max(n - 1, 1), h=0.01),
         channel_T=(0.3,) * m,
         t=floats(1)[:, 0],
         y=floats(p),
@@ -481,17 +477,14 @@ def _or_default(default, values):
 @st.composite
 def channel_specs(draw, output):
     source = draw(st.sampled_from(["derived", "formula", "constant"]))
-    pole = draw(st.none() | st.floats(min_value=-10.0, max_value=-0.01))
     return ChannelSpec(
         output=output,
         order=draw((st.none() if source == "derived" else st.nothing()) | st.sampled_from([1, 2])),
         alpha_source=source,
         alpha_value=draw(GAINS) if source == "constant" else None,
         estimator_T=draw(_or_default(0.3, POSITIVE)),
-        k_p=None if pole is not None else draw(POSITIVE),
-        k_d=None if pole is not None else draw(st.none() | POSITIVE),
-        pole=pole,
-        pole_multiplicity=None if pole is None else draw(st.sampled_from([None, 1, 2])),
+        pole=draw(st.floats(min_value=-10.0, max_value=-0.01)),
+        pole_multiplicity=draw(st.sampled_from([None, 1, 2])),
         nominal=draw(_or_default("zero", TAGS)),
         saturation=draw(st.none() | st.tuples(FINITE, FINITE)),
     )
@@ -566,8 +559,8 @@ def test_missing_and_malformed_keys_are_configuration_errors():
         with pytest.raises(ConfigurationError):
             scenario_from_dict(bad)
     # integers must be integral JSON numbers and tags strings; unknown keys
-    # (timing.t0, tau_f, alpha.tag, estimator.rule and allow_shared_outputs
-    # among them), keys
+    # (timing.t0, tau_f, gains, alpha.tag, estimator.rule and
+    # allow_shared_outputs among them), a channel without a pole, keys
     # the alpha source does not read, a zero constant gain, a pole
     # multiplicity other than the channel order and names leaving the output
     # directory fail too.  Each message names the key
@@ -578,10 +571,13 @@ def test_missing_and_malformed_keys_are_configuration_errors():
         "pole": {"value": -0.15, "multiplicity": 2},
         "nominal": "flat-u2-miscoeff",
     }
+    without_pole = {k: v for k, v in good["channels"][0].items() if k != "pole"}
     for path, value, named in [
         (("timing", "duration"), "hundred and fifty", "timing.duration"),
         (("timing", "t0"), 0.0, "unknown key timing.t0"),
         (("channels", 0, "tau_f"), 0.05, "unknown key channels[0].tau_f"),
+        (("channels", 0, "gains"), {"kp": 1.0}, "unknown key channels[0].gains"),
+        (("channels", 0), without_pole, "missing key channels[0].pole"),
         (("timing", "dt"), 0.01, "timing.dt"),
         (("timing", "substeps"), 1, "timing.substeps"),
         (("mismatch", "control_perturbation"), "u2-coeff-1.1-0.9", "mismatch.control_perturbation"),
