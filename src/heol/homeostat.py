@@ -43,6 +43,20 @@ __all__ = [
 ZERO_THRESHOLD = 1e-9
 
 
+def _refuse(singular, values, t, message: str):
+    """``values`` (a float or an array at times ``t``), unless ``singular`` holds somewhere: then a
+    SingularChannelError whose ``message`` template reads the first such ``{value}`` and ``{t}``."""
+    if np.any(singular):
+        first = lambda x: float(np.broadcast_to(x, np.shape(singular))[singular][0])
+        raise SingularChannelError(message.format(value=first(values), t=first(t)))
+    return values
+
+
+def _nonzero(values, t, message: str):
+    """:func:`_refuse` where ``values`` count as zero: ``|values| <= ZERO_THRESHOLD``."""
+    return _refuse(np.abs(values) <= ZERO_THRESHOLD, values, t, message)
+
+
 @dataclass(frozen=True)
 class ImplicitFlatRelation:
     """One scalar relation E(y-derivatives, u_j) = 0 tying outputs to control j.
@@ -145,17 +159,8 @@ def _partial(relation, which, table, u, t):
     the relation, say) makes the channel singular there, naming the first such time."""
     with np.errstate(all="ignore"):
         d = finite_diff_partial(relation, which, table, u)
-    if not np.all(finite := np.isfinite(d)):
-        slot = "u" if which == "u" else f"y{which[0] + 1}^({which[1]})"
-        raise SingularChannelError(
-            f"dE/d{slot} is not finite at t={_first(t, ~finite):.6g}; channel degenerated there"
-        )
-    return d
-
-
-def _first(values, where) -> float:
-    """First entry of ``values`` (a float or an array) where ``where`` holds, as a float."""
-    return float(np.broadcast_to(values, np.shape(where))[where][0])
+    slot = "u" if which == "u" else f"y{which[0] + 1}^({which[1]})"
+    return _refuse(~np.isfinite(d), d, t, f"dE/d{slot} is not finite at t={{t:.6g}}; channel degenerated there")
 
 
 def _at_first_failure(fn, times: np.ndarray):
@@ -239,16 +244,8 @@ def derive_channel(
 
     def gain(table, u, d_u, t):
         den = _partial(relation, (out, order), table, u, t)
-        if np.any(flat := np.abs(den) <= ZERO_THRESHOLD):
-            raise SingularChannelError(
-                f"dE/dy{out + 1}^({order}) vanishes at t={_first(t, flat):.6g}; channel degenerated there"
-            )
-        a = -d_u / den
-        if np.any(zero := np.abs(a) <= ZERO_THRESHOLD):
-            raise SingularChannelError(
-                f"channel gain alpha is zero at t={_first(t, zero):.6g}; control does not act there"
-            )
-        return a
+        _nonzero(den, t, f"dE/dy{out + 1}^({order}) vanishes at t={{t:.6g}}; channel degenerated there")
+        return _nonzero(-d_u / den, t, "channel gain alpha is zero at t={t:.6g}; control does not act there")
 
     # fail at derivation time, naming the first bad probe: the probe table's prefixes stand
     # in for the probe times
@@ -273,12 +270,8 @@ def nominal_u1(y1_ref: ReferenceTrajectory, t):
 
 def _flat_u1(y1_ref: ReferenceTrajectory, t):
     """``(y1*, u1*)`` at ``t``, from one evaluation of each of ``y1*`` and ``dy1*/dt``."""
-    y1 = y1_ref.eval(t, 0)
-    if np.any(zero := np.abs(y1) <= ZERO_THRESHOLD):
-        raise SingularChannelError(
-            f"y1* = {_first(y1, zero)!r} at t={_first(t, zero):.6g}: "
-            "first-channel inversion degenerates at y1 = 0"
-        )
+    message = "y1* = {value!r} at t={t:.6g}: first-channel inversion degenerates at y1 = 0"
+    y1 = _nonzero(y1_ref.eval(t, 0), t, message)
     return y1, (y1_ref.eval(t, 1) - y1) / (y1 * y1)
 
 
@@ -298,11 +291,6 @@ def nominal_u2(
     to absorb.
     """
     y1, u1 = _flat_u1(y1_ref, t)
-    beta = y1 * u1
-    if np.any(zero := np.abs(beta) <= ZERO_THRESHOLD):
-        raise SingularChannelError(
-            f"y1*·u1* = {_first(beta, zero)!r} at t={_first(t, zero):.6g}: "
-            "second-channel inversion degenerates there"
-        )
+    beta = _nonzero(y1 * u1, t, "y1*·u1* = {value!r} at t={t:.6g}: second-channel inversion degenerates there")
     num = y2_ref.eval(t, 3) + y2_ref.eval(t, 2) - c1 * y2_ref.eval(t, 1) - c0 * y2_ref.eval(t, 0)
     return num / beta

@@ -27,7 +27,6 @@ import numpy as np
 
 from .controllers import (
     ChannelController,
-    _check_alpha,
     channel_step,
     gains_from_poles,
 )
@@ -36,7 +35,6 @@ from .errors import (
     DivergenceError,
     ExportError,
     HeolError,
-    SingularChannelError,
 )
 from .estimators import FusedEstimator, _kernel_scale
 from .homeostat import (
@@ -44,7 +42,8 @@ from .homeostat import (
     HomeostatChannel,
     ImplicitFlatRelation,
     _at_first_failure,
-    _first,
+    _nonzero,
+    _refuse,
     derive_channel,
     nominal_u1,
     nominal_u2,
@@ -164,6 +163,8 @@ class ChannelSpec:
             raise ConfigurationError(
                 "channel order must be given explicitly unless alpha is derived"
             )
+        if self.order not in (None, 1, 2):
+            raise ConfigurationError(f"channel order must be 1 or 2, got {self.order}")
         if self.pole_multiplicity not in (None, 1, 2):
             raise ConfigurationError("pole multiplicity must be 1 or 2")
         if not (math.isfinite(self.estimator_T) and self.estimator_T > 0.0):
@@ -437,11 +438,7 @@ def _alpha_ref0_rate_ratio(refs):
     ref = refs[0]
 
     def alpha(t):
-        y = ref.eval(t, 0)
-        if np.any(zero := np.abs(y) <= ZERO_THRESHOLD):
-            raise SingularChannelError(
-                f"alpha formula divides by y1*={_first(y, zero)!r} at t={_first(t, zero):.6g}"
-            )
+        y = _nonzero(ref.eval(t, 0), t, "alpha formula divides by y1*={value!r} at t={t:.6g}")
         return ref.eval(t, 1) / y - 1.0
 
     return alpha
@@ -603,8 +600,9 @@ def _tabulate(controllers: list[ChannelController], times: np.ndarray, h: float,
             ctrl.nominal_control(times)
             out[:, j] = ctrl.nominal_control(times + 0.5 * h)
             out[:, m + j] = a = ctrl.channel.alpha(times)
-            if ctrl.feedback and np.any(singular := ~np.isfinite(a) | (np.abs(a) <= ZERO_THRESHOLD)):
-                _check_alpha(_first(a, singular))
+            if ctrl.feedback:  # the grid form of the rule channel_step applies per sample
+                singular = ~np.isfinite(a) | (np.abs(a) <= ZERO_THRESHOLD)
+                _refuse(singular, a, times, "cannot divide by channel gain alpha={value!r}")
         except HeolError as exc:
             raise type(exc)(f"channel {j + 1} at t={times[-1]:.6g}: {exc}") from None
 

@@ -28,10 +28,8 @@ __all__ = [
 ]
 
 
-def _polyder(coeffs: tuple[float, ...], order: int = 1) -> tuple[float, ...]:
-    for _ in range(order):
-        coeffs = tuple(coeffs[i] * i for i in range(1, len(coeffs)))
-    return coeffs
+def _polyder(coeffs: tuple[float, ...]) -> tuple[float, ...]:
+    return tuple(coeffs[i] * i for i in range(1, len(coeffs)))
 
 
 def _horner(coeffs: tuple[float, ...], x):  # x a float or an array
@@ -80,11 +78,11 @@ class ReferenceTrajectory:
             if not (math.isfinite(duration) and all(map(math.isfinite, coeffs))):
                 raise ConfigurationError(f"smoothstep span {duration!r} is out of range for amplitude {amp!r}")
             coeffs = (y_from, *coeffs[1:])
-        pieces = tuple(
-            (_horner(_polyder((y_from,), k), 0.0), _polyder(coeffs, k), _horner(_polyder((y_to,), k), 0.0))
-            for k in range(MAX_ORDER + 1)
-        )
-        object.__setattr__(self, "_pieces", pieces)
+        pieces = [(y_from + 0.0, coeffs, y_to + 0.0)]  # + 0.0: a -0.0 plateau reads 0.0
+        for _ in range(MAX_ORDER):  # a plateau's derivatives vanish
+            coeffs = _polyder(coeffs)
+            pieces.append((0.0, coeffs, 0.0))
+        object.__setattr__(self, "_pieces", tuple(pieces))
 
     def eval(self, t, order: int = 0):
         """Value of the ``order``-th derivative at ``t``: a float at a float, an array at an array.

@@ -1,5 +1,6 @@
 """Channel derivation: orders, tangent gains, and nominal controls."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from heol.homeostat import (
     nominal_u2,
 )
 from heol.plant import benchmark_relations
-from heol.scenarios import PLANTS
+from heol.scenarios import PLANTS, Timing, builtin_scenario, run_scenario, validate_scenario
 from heol.signals import make_constant, make_smoothstep
 
 HORIZON = (0.0, 10.0)
@@ -294,6 +295,65 @@ def test_perturbed_u2_matches_nominal_when_low_order_terms_vanish():
     got = nominal_u2(y1, y2, 1.0, 1.1, 0.9)
     assert got == nominal_u2(y1, y2, 1.0)
     assert got == pytest.approx(-2.0, rel=1e-12)  # numerator 2, beta -1
+
+
+def _derive(residual, ref):
+    rel = ImplicitFlatRelation(orders=(1,), control_index=0, residual=residual)
+    return derive_channel(rel, (ref,), HORIZON)
+
+
+def _formula_alpha2(refs, t):
+    factory, _ = PLANTS["flat-benchmark-2x2"]
+    return factory({})[3][1](refs)(t)
+
+
+def _run_sec4_with_second_gain(alpha):
+    # a scenario cannot declare so small a constant gain, so it goes into the built run
+    short = dataclasses.replace(builtin_scenario("paper-sec4"), timing=Timing(duration=1.0, h=0.01))
+    built = validate_scenario(short)
+    ctrl = built.controllers[1]
+    built.controllers[1] = dataclasses.replace(ctrl, channel=dataclasses.replace(ctrl.channel, alpha=alpha))
+    run_scenario(built)
+
+
+@pytest.mark.parametrize(
+    "singular, message",
+    [
+        (
+            lambda: derive_channel(benchmark_relations()[1], (make_constant(0.0), make_constant(1.0)), HORIZON),
+            "dE/du is not finite at t=0; channel degenerated there",
+        ),
+        (
+            lambda: _derive(lambda tb, u: tb[0, 0] * tb[0, 1] - u, make_smoothstep(1.0, 0.0, 4.0, 8.0)),
+            "dE/dy1^(1) vanishes at t=8.06452; channel degenerated there",
+        ),
+        (
+            lambda: _derive(lambda tb, u: tb[0, 1], make_constant(1.0)),
+            "channel gain alpha is zero at t=0; control does not act there",
+        ),
+        (
+            lambda: nominal_u1(make_constant(0.0), 0.0),
+            "y1* = 0.0 at t=0: first-channel inversion degenerates at y1 = 0",
+        ),
+        (
+            lambda: nominal_u2(PolynomialReference(2.0, 2.0), make_constant(1.0), 0.0),
+            "y1*·u1* = 0.0 at t=0: second-channel inversion degenerates there",
+        ),
+        (
+            lambda: _formula_alpha2((make_constant(0.0), make_constant(1.0)), np.array([0.0, 0.5])),
+            "alpha formula divides by y1*=0.0 at t=0",
+        ),
+        (
+            lambda: _run_sec4_with_second_gain(lambda t: np.full(np.shape(t), 1e-12)),
+            "channel 2 at t=0: cannot divide by channel gain alpha=1e-12",
+        ),
+    ],
+    ids=["dE-du", "dE-dy", "alpha-zero", "y1-zero", "y1-u1-zero", "formula-y1-zero", "grid-gain"],
+)
+def test_each_singularity_names_its_value_and_first_time(singular, message):
+    with pytest.raises(SingularChannelError) as err:
+        singular()
+    assert str(err.value) == message
 
 
 # ----------------------------------------------------- residual consistency

@@ -16,7 +16,8 @@ from heol.errors import (
     DivergenceError,
     SingularChannelError,
 )
-from heol.plant import MismatchSpec
+from heol.homeostat import ImplicitFlatRelation, derive_channel
+from heol.plant import MismatchSpec, benchmark_relations
 from heol.scenarios import (
     ChannelSpec,
     Scenario,
@@ -33,6 +34,7 @@ from heol.scenarios import (
     scenario_to_dict,
     validate_scenario,
 )
+from heol.signals import make_constant
 
 from conftest import ultralocal_scenario
 
@@ -562,8 +564,8 @@ def test_missing_and_malformed_keys_are_configuration_errors():
     # (timing.t0, tau_f, gains, alpha.tag, estimator.rule and
     # allow_shared_outputs among them), a channel without a pole, keys
     # the alpha source does not read, a zero constant gain, a pole
-    # multiplicity other than the channel order and names leaving the output
-    # directory fail too.  Each message names the key
+    # multiplicity other than the channel order, a channel order other than 1
+    # or 2 and names leaving the output directory fail too.  Each message names the key
     # at fault, and an object's own checks are prefixed with its JSON path.
     derived_without_order = {
         "output": 1,
@@ -606,6 +608,9 @@ def test_missing_and_malformed_keys_are_configuration_errors():
         (("channels", 0, "alpha"), {"source": "derived", "value": 3}, "alpha.value"),
         (("channels", 0, "pole", "multiplicity"), 2, "channel 1: pole.multiplicity 2 needs an order-2 channel"),
         (("channels", 1), derived_without_order, "channel 2: pole.multiplicity 2 needs an order-2 channel"),
+        (("channels", 1, "order"), 0, "channels[1]: channel order must be 1 or 2, got 0"),
+        (("channels", 1, "order"), -1, "channels[1]: channel order must be 1 or 2, got -1"),
+        (("channels", 1, "order"), 3, "channels[1]: channel order must be 1 or 2, got 3"),
     ]:
         mangled = json.loads(json.dumps(good))
         *parents, key = path
@@ -623,6 +628,56 @@ def test_missing_and_malformed_keys_are_configuration_errors():
     integral = json.loads(json.dumps(good))
     integral["channels"][0]["output"] = 0.0
     assert scenario_from_dict(integral) == builtin_scenario("paper-sec4")
+
+
+def _ultralocal_with(key, value):
+    d = {**scenario_to_dict(ultralocal_scenario(1.0)), key: value}
+    return lambda: validate_scenario(scenario_from_dict(d))
+
+
+def _relation(orders, control_index=0):
+    return lambda: ImplicitFlatRelation(orders, control_index, residual=lambda tb, u: 0.0)
+
+
+def _derive_first_benchmark_channel(n_refs, output_index=None):
+    refs = (make_constant(1.0),) * n_refs
+    return lambda: derive_channel(benchmark_relations()[0], refs, (0.0, 10.0), output_index=output_index)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (_relation(()), "relation needs at least one output"),
+        (_relation((-1,)), "derivative orders must be non-negative"),
+        (_relation((1,), control_index=1), "control index 1 out of range for 1 channels"),
+        (_derive_first_benchmark_channel(1), "relation expects 2 references, got 1"),
+        (_derive_first_benchmark_channel(2, output_index=2), "output index 2 out of range"),
+        (
+            _ultralocal_with("plant", {"name": "ultralocal", "params": {"order": 3}}),
+            "ultralocal plant order must be 1 or 2, got 3",
+        ),
+        (
+            _ultralocal_with("plant", {"name": "ultralocal", "params": {"gain": 0}}),
+            "ultralocal plant gain must be nonzero",
+        ),
+        (_ultralocal_with("plant", "ultralocal"), "plant must be a JSON object, got 'ultralocal'"),
+        (_ultralocal_with("references", [1.0]), "references[0] must be a JSON object, got 1.0"),
+    ],
+    ids=[
+        "no-outputs",
+        "negative-order",
+        "control-index",
+        "reference-count",
+        "output-index",
+        "ultralocal-order",
+        "ultralocal-gain",
+        "plant-string",
+        "reference-number",
+    ],
+)
+def test_relation_and_plant_input_checks(build, message):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 @pytest.mark.parametrize(
