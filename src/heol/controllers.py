@@ -16,15 +16,16 @@ During warm-up (no full estimation window yet) the estimate is pinned to 0,
 so the channel applies pure feedforward plus the proportional(-derivative)
 correction only.
 
-:func:`channel_step` is the law at one sample, for either order, and holds
-no state.  It refuses a singular ``alpha`` (non-finite or within
+:func:`channel_step` is the public law at one sample, for either order, and
+holds no state.  It refuses a singular ``alpha`` (non-finite or within
 :data:`heol.homeostat.ZERO_THRESHOLD` of zero) with
 :class:`~heol.errors.SingularChannelError`.  The simulation loop
-(:func:`heol.scenarios.run_scenario`) owns everything that persists between
-samples: the time-only signals (reference, feedforward, ``alpha``),
-tabulated on the grid before the first step, and the measurement-driven
-history (deviations, applied ``alpha*Du``, the filtered derivative) that
-feeds the estimator.
+(:func:`heol.scenarios.run_scenario`) checks a feedback channel's ``alpha``
+once, at every grid point before the first step, and then applies the same
+law inline with the same arithmetic.  It owns everything that persists
+between samples: the time-only signals (reference, feedforward, ``alpha``)
+tabulated on the grid, and the measurement-driven history (deviations,
+applied ``alpha*Du``, the filtered derivative) that feeds the estimator.
 """
 
 from __future__ import annotations

@@ -20,8 +20,9 @@ to Simpson on all but the last interval plus a trapezoid on it.
 times quadrature coefficients).  It reads a window as one flat array with the
 ``Dy`` and ``a*Du`` samples interleaved, ``[Dy_0, aDu_0, Dy_1, aDu_1, ...]``,
 the layout of the simulation loop's per-channel history, so an estimate is a
-single dot product of that window with an interleaved weight vector; its
-``estimate`` returns the bare float the loop logs.  :func:`estimate_f_nu1` and
+single dot product of that window with an interleaved weight vector.  Each
+estimator chooses its dot once, at construction; ``estimate`` returns the
+float of it, and the loop binds the same dot.  :func:`estimate_f_nu1` and
 :func:`estimate_f_nu2` check their windows, interleave them, delegate to it,
 and wrap the value in an :class:`FEstimate`.
 
@@ -119,9 +120,10 @@ class FusedEstimator:
 
     A window is one flat array of ``2*(n + 1)`` samples, the ``dy`` and ``alpha*Du``
     histories interleaved oldest first, ``[dy_0, adu_0, dy_1, adu_1, ...]``; the read-only
-    weights ``_w`` are interleaved the same way, ``[wy_0, wu_0, wy_1, wu_1, ...]``.  A window
-    of more than ``_ONE_THREAD_DOT`` values adds the dots of consecutive slices of that
-    length in order, so its estimate does not depend on the BLAS thread count.
+    weights ``_w`` are interleaved the same way, ``[wy_0, wu_0, wy_1, wu_1, ...]``.  ``_dot``,
+    chosen once here, is ``_w.dot``, or for a window of more than ``_ONE_THREAD_DOT`` values
+    the in-order sum of the dots of consecutive slices of that length, so that its estimate
+    does not depend on the BLAS thread count.  The simulation loop binds ``_dot`` itself.
     """
 
     def __init__(self, order: int, T: float, n_intervals: int):
@@ -141,13 +143,13 @@ class FusedEstimator:
         else:
             wy = 60.0 / scale * c * ((T - s) ** 2 - 4.0 * (T - s) * s + s**2)
             wu = -30.0 / scale * c * ((T - s) ** 2 * s**2)
-        self._w = np.column_stack((wy, wu)).ravel()
-        self._w.setflags(write=False)
-        n, step = len(self._w), _ONE_THREAD_DOT
-        self._slices = None if n <= step else [slice(i, i + step) for i in range(0, n, step)]
+        self._w = w = np.column_stack((wy, wu)).ravel()
+        w.setflags(write=False)
+        self._dot, n = w.dot, _ONE_THREAD_DOT
+        if len(w) > n:
+            parts = [(w[i : i + n].dot, slice(i, i + n)) for i in range(0, len(w), n)]
+            self._dot = lambda window: sum(dot(window[s]) for dot, s in parts)
 
     def estimate(self, window: np.ndarray) -> float:
         """F over one interleaved window ``[dy_0, adu_0, ..., dy_n, adu_n]``, oldest first."""
-        if self._slices is None:
-            return float(self._w.dot(window))
-        return float(sum(self._w[s].dot(window[s]) for s in self._slices))
+        return float(self._dot(window))

@@ -25,11 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .controllers import (
-    ChannelController,
-    channel_step,
-    gains_from_poles,
-)
+from .controllers import ChannelController, gains_from_poles
 from .errors import (
     ConfigurationError,
     DivergenceError,
@@ -600,7 +596,7 @@ def _tabulate(controllers: list[ChannelController], times: np.ndarray, h: float,
             ctrl.nominal_control(times)
             out[:, j] = ctrl.nominal_control(times + 0.5 * h)
             out[:, m + j] = a = ctrl.channel.alpha(times)
-            if ctrl.feedback:  # the grid form of the rule channel_step applies per sample
+            if ctrl.feedback:  # the run's one check of alpha; the loop applies the law unchecked
                 singular = ~np.isfinite(a) | (np.abs(a) <= ZERO_THRESHOLD)
                 _refuse(singular, a, times, "cannot divide by channel gain alpha={value!r}")
         except HeolError as exc:
@@ -647,15 +643,19 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
     # t_k reads the zero pad there and never the control applied at t_k (both kernels
     # weigh that sample by zero up to round-off anyway).  Column cu = p + j holds
     # u_nom in the table and u in the record, column ca = p + m + j alpha and du.
+    # The law is channel_step's, bound per channel and applied inline with no check of
+    # alpha: _tabulate has checked it at every grid point of a feedback channel.  An
+    # unsaturated channel clamps to (-inf, inf), which no float leaves.
     ddys, last_dy = [0.0] * m, [0.0] * m
     tau_f = 5.0 * h  # time constant of the order-2 derivative filter
     channels = [
-        (j, ctrl, ctrl.channel.output_index, ctrl.channel.order == 2, 2 * w, np.zeros(2 * n_pts),
-         FusedEstimator(ctrl.channel.order, w * h, w).estimate, p + j, p + m + j)
+        (j, ctrl.channel.output_index, ctrl.channel.order == 2, ctrl.feedback, ctrl.gains.k_p, ctrl.gains.k_d,
+         *(ctrl.saturation or (-math.inf, math.inf)), 2 * w, np.zeros(2 * n_pts),
+         FusedEstimator(ctrl.channel.order, w * h, w)._dot, p + j, p + m + j)
         for j, (ctrl, w) in enumerate(zip(controllers, windows))
     ]
-    # Bound per run, not at import, so that wrappers installed before a run see every call.
-    step, rk4, output = channel_step, rk4_step, model.output
+    # rk4_step and output bound per run, not at import, so that wrappers installed before a run see every call.
+    rk4, output = rk4_step, model.output
 
     x = built.x0.tolist()
     for k in range(n_pts):
@@ -665,7 +665,7 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
             y = [a + b for a, b in zip(y, noise[k].tolist())]
         record[:p] = y
         row = table[k].tolist()
-        for j, ctrl, out, order2, w2, hist, estimate, cu, ca in channels:
+        for j, out, order2, feedback, k_p, k_d, lo, hi, w2, hist, dot, cu, ca in channels:
             dy = y[out] - row[out]
             hist[i] = dy
             if order2 and k > 0:
@@ -674,11 +674,18 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
                 ddys[j] += dt / (tau_f + dt) * ((dy - last_dy[j]) / dt - ddys[j])
             last_dy[j] = dy
             # warm-up: no full window yet
-            f_est = estimate(hist[i - w2 : i + 2]) if i >= w2 else 0.0
-            u, clamped = step(ctrl, f_est, dy, ddys[j], row[cu], row[ca])
+            f_est = float(dot(hist[i - w2 : i + 2])) if i >= w2 else 0.0
+            u_nom, alpha = row[cu], row[ca]
+            du = 0.0
+            if feedback:
+                du = -(f_est + k_p * dy + k_d * ddys[j]) / alpha if order2 else -(f_est + k_p * dy) / alpha
+            u = u_nom + du
+            clamped = u < lo or u > hi
+            if clamped:
+                u = lo if u < lo else hi
             clamps.append(clamped)
-            record[cu], record[ca], record[ca + m] = u, u - row[cu], f_est
-            hist[i + 1] = row[ca] * record[ca]
+            record[cu], record[ca], record[ca + m] = u, u - u_nom, f_est
+            hist[i + 1] = alpha * record[ca]
         log[k] = record
 
         if k < grid.n_steps:

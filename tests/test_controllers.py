@@ -253,6 +253,15 @@ def test_channel_step_estimate_matches_fused_kernel_after_warm_up():
     np.testing.assert_array_equal(log.f_est[:, 0], f_est)
 
 
+def test_long_window_estimate_in_the_loop_sums_its_slice_dots():
+    # 5,501 samples per window, 11,002 interleaved values: the loop's estimate adds the dots
+    # of 10,000-value slices in order, as FusedEstimator.estimate does
+    log = run_scenario(ultralocal_scenario(1.0, drift=0.3, h=1e-3, estimator_T=5.5, duration=5.6))
+    w, f_est = estimator_replay(log, 0, 1, 1.0)
+    assert 2 * (w + 1) == 11_002 and log.f_valid[w:, 0].all()
+    np.testing.assert_array_equal(log.f_est[:, 0], f_est)
+
+
 def test_channel_step_feedforward_mode_never_corrects():
     assert channel_step(make_controller(feedback=False), 3.0, 9.0, 1.0, 2.5, 2.0) == (2.5, False)
     log = run_scenario(ultralocal_scenario(1.0, drift=0.3, duration=1.0, control_mode="feedforward"))

@@ -18,7 +18,14 @@ from heol.controllers import _check_alpha, channel_step
 from heol.errors import DivergenceError, HeolError
 from heol.estimators import FusedEstimator
 from heol.plant import TRUST_REGION, rk4_step
-from heol.scenarios import SimLog, run_scenario, scenario_from_dict, validate_scenario
+from heol.scenarios import (
+    SimLog,
+    builtin_scenario,
+    run_scenario,
+    scenario_from_dict,
+    scenario_to_dict,
+    validate_scenario,
+)
 
 LOG_FIELDS = ("t", "y", "y_ref", "u", "u_nom", "dy", "du", "f_est", "f_valid", "clamped")
 
@@ -136,3 +143,16 @@ def test_run_matches_plain_loop_oracle(doc):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
         assert a.tobytes() == b.tobytes(), name
+
+
+def test_feedforward_on_a_negative_zero_nominal_logs_positive_zero():
+    # y2* = 0 makes flat-u2 -0.0; off feedback the control is u_nom + 0.0, which is +0.0
+    doc = scenario_to_dict(builtin_scenario("paper-sec4-nominal"))
+    doc.update(timing={"duration": 1.0, "h": 0.01},
+               references=[{"type": "constant", "value": 1.0}, {"type": "constant", "value": 0.0}])
+    scenario = scenario_from_dict(doc)
+    got = run_scenario(scenario)
+    assert np.signbit(got.u_nom[:, 1]).all() and not np.signbit(got.u[:, 1]).any()
+    want = oracle_run(scenario)
+    for name in LOG_FIELDS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
