@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .controllers import ChannelController, gains_from_poles
+from .controllers import gains_from_poles
 from .errors import (
     ConfigurationError,
     DivergenceError,
@@ -35,7 +35,6 @@ from .errors import (
 from .estimators import FusedEstimator, _kernel_scale
 from .homeostat import (
     ZERO_THRESHOLD,
-    HomeostatChannel,
     ImplicitFlatRelation,
     _at_first_failure,
     _nonzero,
@@ -140,6 +139,17 @@ class ChannelSpec:
     def __post_init__(self):
         if self.pole is None:
             raise ConfigurationError("channel needs a pole")
+        # the schema's number rules, for a spec built in Python rather than loaded
+        for name, kind in (("output", _count), ("order", _count), ("pole", _number)):
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, kind.load(value, name))
+        if (sat := self.saturation) is not None:
+            sat = tuple(_number.load(v, f"saturation[{i}]") for i, v in enumerate(sat))
+            if not (len(sat) == 2 and sat[0] < sat[1]):
+                raise ConfigurationError(
+                    f"saturation needs (u_min, u_max) with u_min < u_max, got {self.saturation}"
+                )
+            object.__setattr__(self, "saturation", sat)
         if self.alpha_source not in ("derived", "formula", "constant"):
             raise ConfigurationError(f"unknown alpha source {self.alpha_source!r}")
         if self.alpha_source != "constant" and self.alpha_value is not None:
@@ -444,13 +454,26 @@ def _alpha_ref0_rate_ratio(refs):
 # build & validate
 
 
+@dataclass(frozen=True)
+class _Channel:
+    """One built channel, as the grid tabulation and the loop read it."""
+
+    output: int
+    order: int
+    alpha: Callable  # alpha(t), at a float or an array of times
+    nominal: Callable  # the feedforward u_nom(t), likewise
+    k_p: float
+    k_d: float | None  # None at order 1
+    saturation: tuple[float, float]  # (-inf, inf) when the channel is unsaturated
+    w: int  # estimator window, in sampling periods
+
+
 @dataclass
 class _Built:
     scenario: Scenario
     model: PlantModel
     references: tuple[ReferenceTrajectory, ...]
-    controllers: list[ChannelController]
-    windows: list[int]  # estimator interval count per channel
+    channels: list[_Channel]
     x0: np.ndarray
 
 
@@ -491,7 +514,7 @@ def validate_scenario(scenario: Scenario) -> _Built:
     refs = tuple(_build_reference(spec, f"references[{i}]") for i, spec in enumerate(scenario.references))
     horizon = (0.0, timing.n_steps * timing.h)
 
-    controllers, windows, seen_outputs = [], [], set()
+    channels, seen_outputs = [], set()
     for j, spec in enumerate(scenario.channels):
         try:
             if not 0 <= spec.output < model.n_outputs:
@@ -501,8 +524,9 @@ def validate_scenario(scenario: Scenario) -> _Built:
             seen_outputs.add(spec.output)
             nominal = _registered(nominals, spec.nominal, "nominal control", scenario.plant)(refs)
 
+            order = spec.order
             if spec.alpha_source == "derived":
-                channel = derive_channel(
+                derived = derive_channel(
                     _registered(relations, j, "relation", scenario.plant),
                     refs,
                     horizon,
@@ -510,38 +534,29 @@ def validate_scenario(scenario: Scenario) -> _Built:
                     output_index=spec.output,
                     nominal_control=nominal,
                 )
+                order, alpha = derived.order, derived.alpha
+            elif spec.alpha_source == "formula":
+                alpha = _registered(formulas, j, "formula alpha", scenario.plant)(refs)
             else:
-                if spec.alpha_source == "formula":
-                    alpha = _registered(formulas, j, "formula alpha", scenario.plant)(refs)
-                else:
-                    alpha = lambda t, _v=spec.alpha_value: np.full(np.shape(t), _v)
-                channel = HomeostatChannel(output_index=spec.output, order=spec.order, alpha=alpha)
+                alpha = lambda t, _v=spec.alpha_value: np.full(np.shape(t), _v)
+            if order not in (1, 2):
+                raise ConfigurationError(f"channel order {order} unsupported; estimators exist for orders 1 and 2")
 
-            if spec.pole_multiplicity not in (None, min(channel.order, 2)):
+            if spec.pole_multiplicity not in (None, order):
                 raise ConfigurationError(
                     f"pole.multiplicity {spec.pole_multiplicity} needs an "
-                    f"order-{spec.pole_multiplicity} channel, but the channel has order {channel.order}"
+                    f"order-{spec.pole_multiplicity} channel, but the channel has order {order}"
                 )
-            # a double pole for order 2; a higher order fails in ChannelController
-            gains = gains_from_poles(min(channel.order, 2), spec.pole)
+            gains = gains_from_poles(order, spec.pole)  # a double pole at order 2
 
             T, h = spec.estimator_T, timing.h
             misfit = "must be an integer multiple of the sampling period h={h}"
             w = _grid_steps(T, h, "estimator window T={span}", misfit)
             if w + 1 < 5:
                 raise ConfigurationError(f"estimator window T={T} at h={h} holds {w + 1} samples; need at least 5")
-            windows.append(w)
-
-            controllers.append(
-                ChannelController(
-                    channel=channel,
-                    gains=gains,
-                    nominal_control=nominal,
-                    saturation=spec.saturation,
-                    feedback=scenario.control_mode == "closed-loop",
-                )
-            )
-            _kernel_scale(channel.order, w * h)  # once the controller has checked the order
+            _kernel_scale(order, w * h)
+            sat = spec.saturation or (-math.inf, math.inf)
+            channels.append(_Channel(spec.output, order, alpha, nominal, gains.k_p, gains.k_d, sat, w))
         except HeolError as exc:
             raise type(exc)(f"channel {j + 1}: {exc}") from None
 
@@ -554,7 +569,7 @@ def validate_scenario(scenario: Scenario) -> _Built:
         raise ConfigurationError(
             f"initial state {x0.tolist()} is outside the trust region |x| <= {TRUST_REGION:g}"
         )
-    return _Built(scenario, model, refs, controllers, windows, x0)
+    return _Built(scenario, model, refs, channels, x0)
 
 
 # --------------------------------------------------------------------------
@@ -586,17 +601,17 @@ class SimLog:
         return self.u.shape[1]
 
 
-def _tabulate(controllers: list[ChannelController], times: np.ndarray, h: float, out: np.ndarray):
+def _tabulate(channels: list[_Channel], feedback: bool, times: np.ndarray, h: float, out: np.ndarray):
     """Column j of ``out``: channel j's feedforward at ``times + h/2`` (mid-hold, removing the hold's
     phase bias); column m + j: its alpha at ``times``.  The feedforward is probed at ``times`` first,
     so a flatness singularity at t surfaces as such, not as a zero gain.  Errors name ``times[-1]``."""
-    m = len(controllers)
-    for j, ctrl in enumerate(controllers):
+    m = len(channels)
+    for j, ch in enumerate(channels):
         try:
-            ctrl.nominal_control(times)
-            out[:, j] = ctrl.nominal_control(times + 0.5 * h)
-            out[:, m + j] = a = ctrl.channel.alpha(times)
-            if ctrl.feedback:  # the run's one check of alpha; the loop applies the law unchecked
+            ch.nominal(times)
+            out[:, j] = ch.nominal(times + 0.5 * h)
+            out[:, m + j] = a = ch.alpha(times)
+            if feedback:  # the run's one check of alpha; the loop applies the law unchecked
                 singular = ~np.isfinite(a) | (np.abs(a) <= ZERO_THRESHOLD)
                 _refuse(singular, a, times, "cannot divide by channel gain alpha={value!r}")
         except HeolError as exc:
@@ -610,7 +625,8 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
     over a shorter horizon reproduces the corresponding prefix exactly.
     """
     built = scenario if isinstance(scenario, _Built) else validate_scenario(scenario)
-    model, controllers, windows = built.model, built.controllers, built.windows
+    model, channels = built.model, built.channels
+    feedback = built.scenario.control_mode == "closed-loop"
     grid = built.scenario.timing
     n_pts, p, m = grid.n_points, model.n_outputs, model.n_controls
     h = grid.h
@@ -621,7 +637,7 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
     table = np.empty((n_pts, p + 2 * m))
     for i, ref in enumerate(built.references):
         table[:, i] = ref.eval(times, 0)
-    _at_first_failure(lambda ts: _tabulate(controllers, ts, h, table[: len(ts), p:]), times)
+    _at_first_failure(lambda ts: _tabulate(channels, feedback, ts, h, table[: len(ts), p:]), times)
 
     noise = None
     if (std := built.scenario.noise_std) > 0.0:
@@ -643,16 +659,16 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
     # t_k reads the zero pad there and never the control applied at t_k (both kernels
     # weigh that sample by zero up to round-off anyway).  Column cu = p + j holds
     # u_nom in the table and u in the record, column ca = p + m + j alpha and du.
-    # The law is channel_step's, bound per channel and applied inline with no check of
-    # alpha: _tabulate has checked it at every grid point of a feedback channel.  An
-    # unsaturated channel clamps to (-inf, inf), which no float leaves.
+    # The iP/iPD law, du = -(F_est + k_p dy [+ k_d ddy]) / alpha, is bound per channel
+    # and applied inline with no check of alpha: _tabulate has checked it at every grid
+    # point of a feedback run.  An unsaturated channel clamps to (-inf, inf), which no
+    # float leaves.
     ddys, last_dy = [0.0] * m, [0.0] * m
     tau_f = 5.0 * h  # time constant of the order-2 derivative filter
-    channels = [
-        (j, ctrl.channel.output_index, ctrl.channel.order == 2, ctrl.feedback, ctrl.gains.k_p, ctrl.gains.k_d,
-         *(ctrl.saturation or (-math.inf, math.inf)), 2 * w, np.zeros(2 * n_pts),
-         FusedEstimator(ctrl.channel.order, w * h, w)._dot, p + j, p + m + j)
-        for j, (ctrl, w) in enumerate(zip(controllers, windows))
+    bound = [
+        (j, ch.output, ch.order == 2, ch.k_p, ch.k_d, *ch.saturation, 2 * ch.w, np.zeros(2 * n_pts),
+         FusedEstimator(ch.order, ch.w * h, ch.w)._dot, p + j, p + m + j)
+        for j, ch in enumerate(channels)
     ]
     # rk4_step and output bound per run, not at import, so that wrappers installed before a run see every call.
     rk4, output = rk4_step, model.output
@@ -665,7 +681,7 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
             y = [a + b for a, b in zip(y, noise[k].tolist())]
         record[:p] = y
         row = table[k].tolist()
-        for j, out, order2, feedback, k_p, k_d, lo, hi, w2, hist, dot, cu, ca in channels:
+        for j, out, order2, k_p, k_d, lo, hi, w2, hist, dot, cu, ca in bound:
             dy = y[out] - row[out]
             hist[i] = dy
             if order2 and k > 0:
@@ -697,7 +713,7 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
 
     y, u, du, f_est = log[:, :p], log[:, p : p + m], log[:, p + m : p + 2 * m], log[:, p + 2 * m :]
     return SimLog(
-        channel_T=tuple(w * h for w in windows),
+        channel_T=tuple(ch.w * h for ch in channels),
         t=times,
         y=y,
         y_ref=table[:, :p],
@@ -706,7 +722,7 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
         dy=y - table[:, :p],
         du=du,
         f_est=f_est,
-        f_valid=np.arange(n_pts)[:, None] >= np.array(windows),
+        f_valid=np.arange(n_pts)[:, None] >= np.array([ch.w for ch in channels]),
         clamped=np.frombuffer(clamps, dtype=bool).reshape(n_pts, m),
     )
 

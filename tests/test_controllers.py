@@ -1,48 +1,41 @@
-"""Feedback laws, pole placement, the channel law, and the loop that drives it.
+"""Pole placement, the iP/iPD law, and the loop that applies it.
 
-The loop itself lives in :func:`heol.scenarios.run_scenario`; its per-sample
-behaviour (warm-up, estimator windows, derivative filter, saturation,
-feedforward sampling) is checked here against run logs, replaying the
-documented arithmetic bit for bit where the loop is exact.
+The law lives once, inline in :func:`heol.scenarios.run_scenario`; the plain-loop
+oracle of ``test_oracle.py`` restates it, and the property there holds the loop to
+it bit for bit.  Hand values of the law are checked here on the oracle's
+restatement; the loop's per-sample behaviour (warm-up, estimator windows,
+derivative filter, saturation, feedforward sampling) is checked against run logs,
+replaying the documented arithmetic bit for bit where the loop is exact.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heol.controllers import (
-    ChannelController,
-    Gains,
-    channel_step,
-    gains_from_poles,
-)
-from heol.errors import ConfigurationError, SingularChannelError
+from heol.controllers import Gains, gains_from_poles
+from heol.errors import ConfigurationError
 from heol.estimators import FusedEstimator
-from heol.homeostat import HomeostatChannel, nominal_u1, nominal_u2
-from heol.scenarios import Timing, builtin_scenario, run_scenario
+from heol.homeostat import ImplicitFlatRelation, nominal_u1, nominal_u2
+from heol.plant import PlantModel
+from heol.scenarios import PLANTS, ChannelSpec, Timing, builtin_scenario, run_scenario, validate_scenario
 from heol.signals import make_smoothstep
 
 from conftest import ultralocal_scenario
+from test_oracle import ip_law
 
 LOG_FIELDS = ("t", "y", "y_ref", "u", "u_nom", "dy", "du", "f_est", "f_valid", "clamped")
 
 
-def make_channel(order=1, alpha=2.0):
-    return HomeostatChannel(output_index=0, order=order, alpha=lambda t: alpha)
-
-
-def make_controller(order=1, alpha=2.0, k_p=1.0, k_d=None, **kw):
+def law_channel(order=1, k_p=1.0, k_d=None, **changes):
+    """A built channel record carrying the given law (unsaturated unless ``changes`` say), as ``ip_law`` reads it."""
     if order == 2 and k_d is None:
         k_d = 1.0
-    return ChannelController(
-        channel=make_channel(order=order, alpha=alpha),
-        gains=Gains(k_p=k_p, k_d=k_d),
-        nominal_control=lambda t: 0.0,
-        **kw,
-    )
+    channel = validate_scenario(ultralocal_scenario(1.0)).channels[0]
+    return dataclasses.replace(channel, order=order, k_p=k_p, k_d=k_d, **changes)
 
 
 def with_channel(scenario, **changes):
@@ -136,92 +129,85 @@ def test_poles_round_trip_through_gains(rng):
 
 
 def test_ip_control_at_rest_is_zero():
-    assert channel_step(make_controller(k_p=3.0), 0.0, 0.0, 0.0, 0.0, 1.0) == (0.0, False)
+    assert ip_law(law_channel(k_p=3.0), True, 0.0, 0.0, 0.0, 0.0, 1.0) == (0.0, False)
+    # started on the reference with nothing pushing it off, the loop never acts
+    log = run_scenario(ultralocal_scenario(3.0, dy0=0.0, duration=1.0))
+    assert not log.dy.any() and not log.u.any() and not log.clamped.any()
 
 
 def test_ip_control_hand_value():
     # -(F + kp dy)/alpha = -(-3 + 0.5)/2 = 1.25
-    assert channel_step(make_controller(k_p=1.0), -3.0, 0.5, 0.0, 0.0, 2.0) == (1.25, False)
-
-
-def test_ip_control_singular_alpha():
-    ip = make_controller(k_p=2.0)
-    for alpha in (1e-12, 0.0, float("nan"), float("inf")):
-        with pytest.raises(SingularChannelError, match="cannot divide by channel gain"):
-            channel_step(ip, 0.0, 1.0, 0.0, 0.0, alpha)
+    assert ip_law(law_channel(k_p=1.0), True, -3.0, 0.5, 0.0, 0.0, 2.0) == (1.25, False)
 
 
 def test_ipd_control_hand_value():
-    ipd = make_controller(order=2, k_p=0.0225, k_d=0.3)
-    assert channel_step(ipd, 0.0, 0.0, 0.0, 0.0, 1.0) == (0.0, False)
-    u, clamped = channel_step(ipd, 1.0, 1.0, 1.0, 0.0, -1.0)
+    ipd = law_channel(order=2, k_p=0.0225, k_d=0.3)
+    assert ip_law(ipd, True, 0.0, 0.0, 0.0, 0.0, 1.0) == (0.0, False)
+    u, clamped = ip_law(ipd, True, 1.0, 1.0, 1.0, 0.0, -1.0)
     assert u == pytest.approx(1.3225, abs=1e-12) and not clamped
-    with pytest.raises(SingularChannelError):
-        channel_step(ipd, 1.0, 1.0, 1.0, 0.0, 0.0)
 
 
 def test_controls_are_homogeneous_in_alpha(rng):
-    ip = make_controller(k_p=1.7)
-    ipd = make_controller(order=2, k_p=0.4, k_d=2.2)
+    ip = law_channel(k_p=1.7)
+    ipd = law_channel(order=2, k_p=0.4, k_d=2.2)
     for _ in range(200):
         f, dy, ddy = rng.standard_normal(3)
         a = float(rng.uniform(0.1, 5.0)) * (1 if rng.uniform() < 0.5 else -1)
-        for ctrl in (ip, ipd):
-            u2, _ = channel_step(ctrl, f, dy, ddy, 0.0, 2.0 * a)
-            u1, _ = channel_step(ctrl, f, dy, ddy, 0.0, a)
+        for ch in (ip, ipd):
+            u2, _ = ip_law(ch, True, f, dy, ddy, 0.0, 2.0 * a)
+            u1, _ = ip_law(ch, True, f, dy, ddy, 0.0, a)
             assert u2 == u1 / 2.0
 
 
-# ----------------------------------------------------- controller assembly
-
-
-def test_controller_gain_shape_must_match_order():
-    with pytest.raises(ConfigurationError):
-        ChannelController(
-            channel=make_channel(order=2),
-            gains=Gains(k_p=1.0),  # iPD needs k_d
-            nominal_control=lambda t: 0.0,
-        )
-
-    with pytest.raises(ConfigurationError):
-        ChannelController(
-            channel=make_channel(order=1),
-            gains=Gains(k_p=1.0, k_d=0.5),  # iP takes no k_d
-            nominal_control=lambda t: 0.0,
-        )
-
-
-def test_controller_rejects_bad_saturation_and_order():
-    with pytest.raises(ConfigurationError):
-        make_controller(saturation=(1.0, -1.0))
-    with pytest.raises(ConfigurationError):
-        ChannelController(
-            channel=make_channel(order=3),
-            gains=Gains(k_p=1.0),
-            nominal_control=lambda t: 0.0,
-        )
-
-
-# ------------------------------------------------------------ channel law
-
-
-def test_channel_step_on_trajectory_applies_feedforward():
-    assert channel_step(make_controller(), 0.0, 0.0, 0.0, 5.0, 2.0) == (5.0, False)
-
-
-def test_channel_step_order_two_uses_filtered_derivative():
+def test_law_order_two_uses_filtered_derivative():
     g = Gains(k_p=0.0225, k_d=0.3)
-    ipd = make_controller(order=2, k_p=g.k_p, k_d=g.k_d, alpha=-1.0)
-    u, clamped = channel_step(ipd, 0.1, 0.5, 0.25, 2.0, -1.0)
+    ipd = law_channel(order=2, k_p=g.k_p, k_d=g.k_d)
+    u, clamped = ip_law(ipd, True, 0.1, 0.5, 0.25, 2.0, -1.0)
     assert u == 2.0 + -(0.1 + g.k_p * 0.5 + g.k_d * 0.25) / -1.0 and not clamped
-    ip = make_controller(order=1, k_p=1.0)
-    assert channel_step(ip, 0.1, 0.5, 99.0, 2.0, 2.0) == channel_step(ip, 0.1, 0.5, 0.0, 2.0, 2.0)
+    ip = law_channel(order=1, k_p=1.0)
+    assert ip_law(ip, True, 0.1, 0.5, 99.0, 2.0, 2.0) == ip_law(ip, True, 0.1, 0.5, 0.0, 2.0, 2.0)
+
+
+# ----------------------------------------------------- channel assembly
+
+
+def test_controller_rejects_bad_saturation_and_order(monkeypatch):
+    for sat in ((1.0, -1.0), (0.5, 0.5), (-1.0, 0.0, 1.0)):
+        message = f"saturation needs (u_min, u_max) with u_min < u_max, got {sat}"
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            ChannelSpec(output=0, pole=-1.0, saturation=sat)
+
+    # a relation that first reads the third derivative derives an order-3 channel: no estimator exists
+    def triple_integrator(params):
+        model = PlantModel(3, 1, 1, lambda t, x, u: (x[1], x[2], u[0]), lambda x: (x[0],))
+        relation = ImplicitFlatRelation(orders=(3,), control_index=0, residual=lambda table, u: table[0, 3] - u)
+        return model, lambda refs, mismatch: np.zeros(3), (relation,), (), {}
+
+    monkeypatch.setitem(PLANTS, "triple", (triple_integrator, PLANTS["ultralocal"][1]))
+    derived = dataclasses.replace(
+        ultralocal_scenario(1.0), plant="triple", plant_params={}, channels=(ChannelSpec(output=0, pole=-1.0),)
+    )
+    message = "channel 1: channel order 3 unsupported; estimators exist for orders 1 and 2"
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        validate_scenario(derived)
 
 
 # ------------------------------------------------------- the loop, by its logs
 
 
-def test_channel_step_warm_up_is_proportional_only():
+def test_loop_on_trajectory_applies_feedforward():
+    # closed loop at the benchmark's equilibrium: the flat inversion is exact, so there is no
+    # deviation, estimate or correction, and every applied control is the feedforward sample
+    on_reference = dataclasses.replace(
+        builtin_scenario("paper-sec4-nominal"), control_mode="closed-loop", timing=Timing(duration=2.0, h=0.01)
+    )
+    log = run_scenario(on_reference)
+    assert not log.dy.any() and not log.f_est.any() and not log.du.any()
+    assert log.u_nom.all()
+    np.testing.assert_array_equal(log.u, log.u_nom)
+
+
+def test_loop_warm_up_is_proportional_only():
     log = run_scenario(with_channel(ultralocal_scenario(2.0, duration=1.0), alpha_value=4.0))
     w = 30
     assert not log.f_valid[:w].any() and log.f_valid[w:].all()
@@ -230,9 +216,9 @@ def test_channel_step_warm_up_is_proportional_only():
     assert log.dy[0, 0] == pytest.approx(0.5, abs=1e-12)
 
 
-def test_channel_step_clamps_and_flags_saturation():
-    clamp = make_controller(alpha=1.0, saturation=(-1.0, 1.0))
-    assert channel_step(clamp, 0.0, -5.0, 0.0, 0.0, 1.0) == (1.0, True)  # wants du = +5
+def test_loop_clamps_and_flags_saturation():
+    clamp = law_channel(saturation=(-1.0, 1.0))
+    assert ip_law(clamp, True, 0.0, -5.0, 0.0, 0.0, 1.0) == (1.0, True)  # wants du = +5
     log = run_scenario(
         with_channel(ultralocal_scenario(2.0, duration=1.0), alpha_value=2.0, saturation=(-0.2, 0.2))
     )
@@ -245,7 +231,7 @@ def test_channel_step_clamps_and_flags_saturation():
     np.testing.assert_array_equal(log.f_est[w:, 0], f_est[w:])
 
 
-def test_channel_step_estimate_matches_fused_kernel_after_warm_up():
+def test_loop_estimate_matches_fused_kernel_after_warm_up():
     s = order2_run(noise_std=1e-3, noise_seed=3, estimator_T=0.25)
     log = run_scenario(s)
     w, f_est = estimator_replay(log, 0, 2, 1.0)
@@ -262,8 +248,8 @@ def test_long_window_estimate_in_the_loop_sums_its_slice_dots():
     np.testing.assert_array_equal(log.f_est[:, 0], f_est)
 
 
-def test_channel_step_feedforward_mode_never_corrects():
-    assert channel_step(make_controller(feedback=False), 3.0, 9.0, 1.0, 2.5, 2.0) == (2.5, False)
+def test_loop_feedforward_mode_never_corrects():
+    assert ip_law(law_channel(), False, 3.0, 9.0, 1.0, 2.5, 2.0) == (2.5, False)
     log = run_scenario(ultralocal_scenario(1.0, drift=0.3, duration=1.0, control_mode="feedforward"))
     assert abs(log.dy[-1, 0]) > 0.5  # the deviation is left alone
     assert not log.du.any()
@@ -271,7 +257,7 @@ def test_channel_step_feedforward_mode_never_corrects():
     assert log.f_valid[30:].all()  # estimates are still logged
 
 
-def test_channel_step_midpoint_lead_shifts_feedforward_sample():
+def test_loop_midpoint_lead_shifts_feedforward_sample():
     base = builtin_scenario("paper-sec4")
     moving = dataclasses.replace(
         base,

@@ -236,7 +236,7 @@ def test_estimator_config_validation():
         with pytest.raises(ConfigurationError, match="estimator window length must be positive"):
             ChannelSpec(output=0, pole=-1.0, estimator_T=T)
     # ... and the built scenario checks T against the sampling period, once
-    assert validate_scenario(ultralocal_scenario(1.0, estimator_T=0.3)).windows == [30]
+    assert validate_scenario(ultralocal_scenario(1.0, estimator_T=0.3)).channels[0].w == 30
     with pytest.raises(ConfigurationError, match="must be an integer multiple of the sampling period h=0.007"):
         validate_scenario(ultralocal_scenario(1.0, h=0.007, duration=0.7))
     with pytest.raises(ConfigurationError, match="T=0.03 at h=0.01 holds 4 samples; need at least 5"):

@@ -311,8 +311,7 @@ def _run_sec4_with_second_gain(alpha):
     # a scenario cannot declare so small a constant gain, so it goes into the built run
     short = dataclasses.replace(builtin_scenario("paper-sec4"), timing=Timing(duration=1.0, h=0.01))
     built = validate_scenario(short)
-    ctrl = built.controllers[1]
-    built.controllers[1] = dataclasses.replace(ctrl, channel=dataclasses.replace(ctrl.channel, alpha=alpha))
+    built.channels[1] = dataclasses.replace(built.channels[1], alpha=alpha)
     run_scenario(built)
 
 
@@ -347,8 +346,18 @@ def _run_sec4_with_second_gain(alpha):
             lambda: _run_sec4_with_second_gain(lambda t: np.full(np.shape(t), 1e-12)),
             "channel 2 at t=0: cannot divide by channel gain alpha=1e-12",
         ),
+        *(
+            (
+                lambda a=alpha: _run_sec4_with_second_gain(lambda t: np.full(np.shape(t), a)),
+                f"channel 2 at t=0: cannot divide by channel gain alpha={alpha!r}",
+            )
+            for alpha in (0.0, -1e-9, math.nan, math.inf)
+        ),
     ],
-    ids=["dE-du", "dE-dy", "alpha-zero", "y1-zero", "y1-u1-zero", "formula-y1-zero", "grid-gain"],
+    ids=[
+        "dE-du", "dE-dy", "alpha-zero", "y1-zero", "y1-u1-zero", "formula-y1-zero", "grid-gain",
+        "grid-gain-zero", "grid-gain-at-threshold", "grid-gain-nan", "grid-gain-inf",
+    ],
 )
 def test_each_singularity_names_its_value_and_first_time(singular, message):
     with pytest.raises(SingularChannelError) as err:

@@ -1,4 +1,5 @@
-"""Every name a module of ``heol`` imports at module level is used there or exported by its ``__all__``."""
+"""Every name a module of ``heol`` imports at module level is used there or exported by its ``__all__``,
+and every private module-level name is read by some module of ``heol``."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,33 @@ def test_the_guard_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_module_has_no_unused_import(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """``module:name`` of each private (``_x``) module-level definition in ``sources`` that no source reads."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [f"{module}:{name}" for name in names if name.startswith("_") and not name.startswith("__")]
+        read |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [entry for entry in defined if entry.partition(":")[2] not in read]
+
+
+def test_the_guard_finds_a_dead_private_helper():
+    sources = {
+        "a.py": "__all__ = []\ndef _used():\n    pass\ndef _dead():\n    pass\n_LIMIT = 3\nclass _Dead:\n    pass\n",
+        "b.py": "from a import _used\n_used()\n",
+    }
+    assert dead_private_names(sources) == ["a.py:_dead", "a.py:_LIMIT", "a.py:_Dead"]
+
+
+def test_no_private_helper_is_dead():
+    assert dead_private_names({p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}) == []

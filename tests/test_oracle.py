@@ -3,19 +3,21 @@
 :func:`oracle_run` steps the paper's per-sample equations one sample at a time and
 keeps no table: each reference by scalar ``eval(t, 0)``, the feedforward at
 ``t + h/2``, ``alpha`` at ``[t]``, the order-2 derivative filter, a fresh array of
-the interleaved ``dy``/``alpha*Du`` window for the estimator, ``channel_step``,
-then ``rk4_step``.  The property draws scenarios over both plants, both orders,
-the three alpha sources, saturation, noise, control mode and short horizons, and
-requires :func:`run_scenario` to give the oracle's log bit for bit, or to raise
-the same error class.
+the interleaved ``dy``/``alpha*Du`` window for the estimator, the iP/iPD law and
+the zero rule for ``alpha`` written out here, then ``rk4_step``.  The property
+draws scenarios over both plants, both orders, the three alpha sources,
+saturation, noise, control mode and short horizons, and requires
+:func:`run_scenario` to give the oracle's log bit for bit, or to raise the same
+error class.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heol.controllers import _check_alpha, channel_step
-from heol.errors import DivergenceError, HeolError
+from heol.errors import DivergenceError, HeolError, SingularChannelError
 from heol.estimators import FusedEstimator
 from heol.plant import TRUST_REGION, rk4_step
 from heol.scenarios import (
@@ -30,19 +32,43 @@ from heol.scenarios import (
 LOG_FIELDS = ("t", "y", "y_ref", "u", "u_nom", "dy", "du", "f_est", "f_valid", "clamped")
 
 
+def check_gain(alpha):
+    """The zero rule: a feedback law cannot divide by a non-finite alpha or one within 1e-9 of zero."""
+    if not math.isfinite(alpha) or abs(alpha) <= 1e-9:
+        raise SingularChannelError(f"cannot divide by channel gain alpha={alpha!r}")
+
+
+def ip_law(ch, feedback, f_est, dy, ddy, u_nom, alpha):
+    """The iP (order 1) or iPD (order 2) law at one sample, clamped: ``(u, clamped)``."""
+    du = 0.0
+    if feedback:
+        if ch.order == 1:
+            du = -(f_est + ch.k_p * dy) / alpha
+        else:
+            du = -(f_est + ch.k_p * dy + ch.k_d * ddy) / alpha
+    u = u_nom + du
+    lo, hi = ch.saturation
+    if u < lo:
+        return lo, True
+    if u > hi:
+        return hi, True
+    return u, False
+
+
 def oracle_run(scenario) -> SimLog:
     built = validate_scenario(scenario)
-    model, ctrls, windows, refs = built.model, built.controllers, built.windows, built.references
+    model, chans, refs = built.model, built.channels, built.references
     grid, std = built.scenario.timing, built.scenario.noise_std
+    feedback = built.scenario.control_mode == "closed-loop"
     h, n, p = grid.h, grid.n_points, model.n_outputs
     for k in range(n):  # a singular time-only signal anywhere fails the run before the plant moves
-        for ctrl in ctrls:
-            ctrl.nominal_control(k * h), ctrl.nominal_control(k * h + 0.5 * h)
-            if ctrl.feedback:
-                _check_alpha(ctrl.channel.alpha(np.array([k * h]))[0])
+        for ch in chans:
+            ch.nominal(k * h), ch.nominal(k * h + 0.5 * h)
+            if feedback:
+                check_gain(ch.alpha(np.array([k * h]))[0])
     rng = np.random.default_rng(built.scenario.noise_seed)
-    fused = [FusedEstimator(c.channel.order, w * h, w) for c, w in zip(ctrls, windows)]
-    dys, adus, ddy, last = [[] for _ in ctrls], [[] for _ in ctrls], [0.0] * len(ctrls), [0.0] * len(ctrls)
+    fused = [FusedEstimator(ch.order, ch.w * h, ch.w) for ch in chans]
+    dys, adus, ddy, last = [[] for _ in chans], [[] for _ in chans], [0.0] * len(chans), [0.0] * len(chans)
     x, rows = built.x0.tolist(), []
     for k in range(n):
         t = k * h
@@ -50,18 +76,19 @@ def oracle_run(scenario) -> SimLog:
         if std > 0.0:
             y = [a + b for a, b in zip(y, (std * rng.standard_normal(p)).tolist())]
         y_ref = [ref.eval(t, 0) for ref in refs]
-        row = {"y": y, "y_ref": y_ref, "dy": [a - b for a, b in zip(y, y_ref)], "f_valid": [k >= w for w in windows]}
-        for j, (ctrl, w) in enumerate(zip(ctrls, windows)):
-            dy = y[ctrl.channel.output_index] - y_ref[ctrl.channel.output_index]
-            if ctrl.channel.order == 2 and k > 0:
+        row = {"y": y, "y_ref": y_ref, "dy": [a - b for a, b in zip(y, y_ref)], "f_valid": [k >= ch.w for ch in chans]}
+        for j, ch in enumerate(chans):
+            w = ch.w
+            dy = y[ch.output] - y_ref[ch.output]
+            if ch.order == 2 and k > 0:
                 dt = t - (k - 1) * h
                 ddy[j] += dt / (5.0 * h + dt) * ((dy - last[j]) / dt - ddy[j])
             dys[j].append(dy)
             last[j] = dy
             window = [v for pair in zip(dys[j][k - w :], adus[j][k - w :] + [0.0]) for v in pair]
             f_est = fused[j].estimate(np.array(window)) if k >= w else 0.0
-            u_nom, alpha = ctrl.nominal_control(t + 0.5 * h), ctrl.channel.alpha(np.array([t]))[0]
-            u, clamped = channel_step(ctrl, f_est, dy, ddy[j], u_nom, alpha)
+            u_nom, alpha = ch.nominal(t + 0.5 * h), ch.alpha(np.array([t]))[0]
+            u, clamped = ip_law(ch, feedback, f_est, dy, ddy[j], u_nom, alpha)
             adus[j].append(alpha * (u - u_nom))
             for key, value in zip(("u", "u_nom", "du", "f_est", "clamped"), (u, u_nom, u - u_nom, f_est, clamped)):
                 row.setdefault(key, []).append(value)
@@ -72,7 +99,7 @@ def oracle_run(scenario) -> SimLog:
                 raise DivergenceError(f"state left the trust region by t={(k + 1) * h:.6g}")
     arrays = {key: np.array([row[key] for row in rows], dtype=bool if key in ("f_valid", "clamped") else float)
               for key in LOG_FIELDS[1:]}
-    return SimLog(channel_T=tuple(w * h for w in windows), t=np.array([k * h for k in range(n)]), **arrays)
+    return SimLog(channel_T=tuple(ch.w * h for ch in chans), t=np.array([k * h for k in range(n)]), **arrays)
 
 
 # ------------------------------------------------------------- the property

@@ -274,8 +274,7 @@ def test_reference_crossing_zero_names_channel_and_time():
     # A scenario cannot declare so small a constant gain, so it goes into the built run.
     built = validate_scenario(crossing)
     tiny = lambda t: np.full(np.shape(t), 1e-12)
-    ctrl = built.controllers[1]
-    built.controllers[1] = dataclasses.replace(ctrl, channel=dataclasses.replace(ctrl.channel, alpha=tiny))
+    built.channels[1] = dataclasses.replace(built.channels[1], alpha=tiny)
     with pytest.raises(SingularChannelError) as err:
         run_scenario(built)
     assert str(err.value) == "channel 2 at t=0: cannot divide by channel gain alpha=1e-12"
@@ -488,7 +487,7 @@ def channel_specs(draw, output):
         pole=draw(st.floats(min_value=-10.0, max_value=-0.01)),
         pole_multiplicity=draw(st.sampled_from([None, 1, 2])),
         nominal=draw(_or_default("zero", TAGS)),
-        saturation=draw(st.none() | st.tuples(FINITE, FINITE)),
+        saturation=draw(st.none() | st.tuples(FINITE, FINITE).filter(lambda s: s[0] < s[1])),
     )
 
 
@@ -662,6 +661,13 @@ def _derive_first_benchmark_channel(n_refs, output_index=None):
         ),
         (_ultralocal_with("plant", "ultralocal"), "plant must be a JSON object, got 'ultralocal'"),
         (_ultralocal_with("references", [1.0]), "references[0] must be a JSON object, got 1.0"),
+        (lambda: ChannelSpec(output=0, pole="a"), "pole must be a finite number, got 'a'"),
+        (lambda: ChannelSpec(output="0", pole=-1.0), "output must be an integer, got '0'"),
+        (lambda: ChannelSpec(output=True, pole=-1.0), "output must be an integer, got True"),
+        (
+            lambda: ChannelSpec(output=0, pole=-1.0, saturation=("a", "b")),
+            "saturation[0] must be a finite number, got 'a'",
+        ),
     ],
     ids=[
         "no-outputs",
@@ -673,6 +679,10 @@ def _derive_first_benchmark_channel(n_refs, output_index=None):
         "ultralocal-gain",
         "plant-string",
         "reference-number",
+        "channel-pole-string",
+        "channel-output-string",
+        "channel-output-bool",
+        "channel-saturation-strings",
     ],
 )
 def test_relation_and_plant_input_checks(build, message):
