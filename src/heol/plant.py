@@ -1,6 +1,7 @@
-"""Plant models, the fixed-step integrator, and the bundled benchmark system.
+"""Plant models, their fixed-step RK4 kernels, and the bundled benchmark system.
 
-The benchmark is a two-input, two-output flat system
+A plant states its rates once, as expression text, and both its ``f`` and its RK4 kernel are
+generated from that text.  The benchmark is a two-input, two-output flat system
 
     dx1/dt = x1 + x1^2 u1
     dx2/dt = x3
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -71,62 +73,84 @@ class MismatchSpec:
                 raise ConfigurationError(f"initial scaling factors must be positive, got {s}")
 
 
-def rk4_step(
-    model: PlantModel, t: float, x: Sequence[float], u: Sequence[float], h: float
-) -> list[float]:
-    """One classical Runge-Kutta step of length ``h`` with ``u`` held constant.
+def rk4_step(model: PlantModel, t: float, x: Sequence[float], u: Sequence[float], h: float) -> list[float]:
+    """One classical Runge-Kutta step of length ``h`` with ``u`` held constant, through the plant's kernel.
 
-    The step is the straight-line body ``_rk4_body(model.n_states)``, generated on
-    first use: the same ``u`` is passed to all four stages (zero-order hold), the
-    stage states are ``x + (h/2) k`` (``x + h k3`` for the last), and each entry of
-    the result is ``x + h/6 (((k1 + 2 k2) + 2 k3) + k4)``.  A state or a derivative
-    whose length is not ``model.n_states`` raises ConfigurationError; a non-finite
-    result raises DivergenceError naming ``t``.
+    The kernel, ``_kernel(model)``, is the one the loop of ``run_scenario`` binds once per run.  A state,
+    control or derivative of the wrong length raises ConfigurationError; a non-finite result, DivergenceError.
     """
     if not 0.0 < h < math.inf:
         raise ConfigurationError(f"integrator step must be positive and finite, got h={h}")
     try:
-        x_new = _rk4_body(model.n_states)(model.f, t, x, u, h)
+        x_new = _kernel(model)(t, x, u, h)
     except ValueError:
         _check_lengths(model, t, x, u)
         raise
-    if not all(map(math.isfinite, x_new)):
+    return _finite(x_new, t)
+
+
+def _finite(x: list[float], t: float) -> list[float]:
+    """``x``, or DivergenceError naming ``t`` if an entry of ``x`` is not finite."""
+    if not all(map(math.isfinite, x)):
         raise DivergenceError(f"non-finite derivative evaluation near t={t:.6g}")
-    return x_new
+    return x
+
+
+def _kernel(model: PlantModel) -> Callable:
+    """``step(t, x, u, h)``, unchecked: the kernel made with ``model.f``, else one calling ``model.f`` per stage."""
+    return getattr(model.f, "rk4", None) or _compile(None, model.n_states, model.n_controls)(model.f)
 
 
 @functools.cache
-def _rk4_body(n: int) -> Callable:
-    """``body(f, t, x, u, h)``: one RK4 step unrolled for ``n`` states, without checks.
-
-    It unpacks ``x`` and each stage's derivative into locals, so a sequence of the
-    wrong length raises ValueError, and evaluates each entry elementwise: a state
-    and control of ``(B,)`` arrays steps B rows at once, each as its float step.
+def _compile(rates: tuple[str, ...] | None, n: int, m: int, params: tuple[str, ...] = ()) -> Callable:
+    """``make(*params)``, compiled once per rate text: the ``f`` with ``dx_i/dt = rates[i]`` (over ``x0..``,
+    ``u0..`` and ``params``, not ``t``) and its RK4 kernel as ``f.rk4``; with no rates, ``make(f)`` is the kernel
+    calling ``f``.  The kernel holds ``u`` (zero-order hold), takes the stages at ``x + (h/2) k`` (``x + h k3``
+    last) and returns ``x + h/6 (((k1 + 2 k2) + 2 k3) + k4)``.  It unpacks ``x``, ``u`` and every stage, so a
+    wrong length raises ValueError, and steps ``(B,)`` arrays per state and control row for row.
     """
-    def terms(template):
-        return ", ".join(template.format(i=i) for i in range(n))
+    def names(prefix, k=n):
+        return ", ".join(f"{prefix}{i}" for i in range(k))
 
-    source = "\n".join([
-        "def body(f, t, x, u, h):",
-        f"    [{terms('x{i}')}] = x",
-        "    half = 0.5 * h",
-        f"    [{terms('a{i}')}] = f(t, x, u)",
-        f"    [{terms('b{i}')}] = f(t + half, [{terms('x{i} + half * a{i}')}], u)",
-        f"    [{terms('c{i}')}] = f(t + half, [{terms('x{i} + half * b{i}')}], u)",
-        f"    [{terms('d{i}')}] = f(t + h, [{terms('x{i} + h * c{i}')}], u)",
-        "    h6 = h / 6.0",
-        f"    return [{terms('x{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})')}]",
-    ])
-    namespace: dict = {}
-    exec(compile(source, f"<rk4 body, {n} states>", "exec"), namespace)
-    return namespace["body"]
+    def block(head, *lines):  # ``head`` over its indented body
+        return "\n".join([head, *lines]).replace("\n", "\n    ")
+
+    def stage(k, prev=None, c=None, time="t"):  # k0.. = the rates at x + c prev (at x with no prev) and time
+        s = "x" + k if prev else "x"
+        lines = [f"{s}{i} = x{i} + {c} * {prev}{i}" for i in range(n) if prev]
+        if rates is None:
+            return lines + [f"[{names(k)}] = f({time}, {f'[{names(s)}]' if prev else 'x'}, u)"]
+        return lines + [f"{k}{i} = " + re.sub(r"\bx(\d+)\b", s + r"\1", rate) for i, rate in enumerate(rates)]
+
+    unpack = [f"[{names('x')}] = x", f"[{names('u', m)}] = u"]
+    step = block(
+        "def step(t, x, u, h):", *unpack, "half = 0.5 * h",
+        *stage("a"), *stage("b", "a", "half", "t + half"), *stage("c", "b", "half", "t + half"),
+        *stage("d", "c", "h", "t + h"), "h6 = h / 6.0",
+        f"return [{', '.join(f'x{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})' for i in range(n))}]",
+    )
+    if rates is None:
+        source = block("def make(f):", step, "return step")
+    else:
+        f = block("def f(t, x, u):", *unpack, f"return ({', '.join(rates)},)")
+        source = block(f"def make({', '.join(params)}):", f, step, "f.rk4 = step", "return f")
+    exec(compile(source, f"<rk4 kernel, {n} states>", "exec"), namespace := {})
+    return namespace["make"]
+
+
+def _rated_plant(rates: tuple[str, ...], n_controls: int, n_outputs: int, output: Callable, **params) -> PlantModel:
+    """The plant ``dx_i/dt = rates[i]``: its ``f`` and kernel come from that text, ``params`` bound as values."""
+    f = _compile(rates, len(rates), n_controls, tuple(params))(*params.values())
+    return PlantModel(len(rates), n_controls, n_outputs, f, output)
 
 
 def _check_lengths(model: PlantModel, t: float, x: Sequence[float], u: Sequence[float]) -> None:
-    """Raise ConfigurationError if ``x`` or ``f(t, x, u)`` does not hold ``n_states`` entries."""
-    n = model.n_states
+    """Raise ConfigurationError if ``x``, ``u`` or ``f(t, x, u)`` does not hold the plant's count of entries."""
+    n, m = model.n_states, model.n_controls
     if len(x) != n:
         raise ConfigurationError(f"plant has n_states={n}, but the state has {len(x)} entries") from None
+    if len(u) != m:
+        raise ConfigurationError(f"plant has n_controls={m}, but the control has {len(u)} entries") from None
     try:
         k = len(model.f(t, x, u))
     except ValueError:
@@ -136,17 +160,9 @@ def _check_lengths(model: PlantModel, t: float, x: Sequence[float], u: Sequence[
 
 
 def example_plant() -> PlantModel:
-    """The bundled two-input flat benchmark plant."""
-
-    def f(t, x, u):
-        x1, x2, x3, x4 = x
-        u1, u2 = u
-        return (x1 + x1 * x1 * u1, x3, x4, -x4 + x3 + x2 + x1 * u1 * u2)
-
-    def output(x):
-        return (x[0], x[1])
-
-    return PlantModel(n_states=4, n_controls=2, n_outputs=2, f=f, output=output)
+    """The bundled two-input flat benchmark plant; its rates name x1..x4 and u1, u2 as x0..x3 and u0, u1."""
+    rates = ("x0 + x0 * x0 * u0", "x2", "x3", "-x3 + x2 + x1 + x0 * u0 * u1")
+    return _rated_plant(rates, 2, 2, lambda x: (x[0], x[1]))
 
 
 def benchmark_relations() -> tuple[ImplicitFlatRelation, ImplicitFlatRelation]:

@@ -47,10 +47,13 @@ from .plant import (
     MismatchSpec,
     PlantModel,
     TRUST_REGION,
+    _check_lengths,
+    _finite,
+    _kernel,
+    _rated_plant,
     benchmark_relations,
     example_plant,
     initial_state,
-    rk4_step,
 )
 from .signals import ReferenceTrajectory, make_constant, make_smoothstep
 
@@ -390,17 +393,12 @@ def _ultralocal_plant(params: dict):
     if gain == 0.0:
         raise ConfigurationError("ultralocal plant gain must be nonzero")
 
-    def f(t, x, u):  # a chain of integrators: x' = (x[1], ..., drift + gain * u)
-        return (*x[1:], drift + gain * u[0])
-
-    def output(x):
-        return (x[0],)
-
     def init(refs, mismatch):
         y0 = (mismatch.output_scaling[0] * refs[0].eval(0.0, 0), refs[0].eval(0.0, 1))
         return np.array(y0[:order])
 
-    model = PlantModel(order, 1, 1, f, output)
+    rates = ("x1",)[: order - 1] + ("drift + gain * u0",)  # a chain of integrators
+    model = _rated_plant(rates, 1, 1, lambda x: (x[0],), drift=drift, gain=gain)
     residual = lambda table, u: table[0, order] - gain * u
     relation = ImplicitFlatRelation(orders=(order,), control_index=0, residual=residual)
     return model, init, (relation,), (), {}
@@ -670,8 +668,9 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
          FusedEstimator(ch.order, ch.w * h, ch.w)._dot, p + j, p + m + j)
         for j, ch in enumerate(channels)
     ]
-    # rk4_step and output bound per run, not at import, so that wrappers installed before a run see every call.
-    rk4, output = rk4_step, model.output
+    # The plant's RK4 kernel, bound once per run.  One check per step stands for rk4_step's finiteness
+    # check and the trust region: NaN and inf carry through a sum of |x_i|, which bounds the largest.
+    step, output = _kernel(model), model.output
 
     x = built.x0.tolist()
     for k in range(n_pts):
@@ -705,8 +704,12 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
         log[k] = record
 
         if k < grid.n_steps:
-            x = rk4(model, t, x, record[p : p + m], h)
-            if max(map(abs, x)) > TRUST_REGION:
+            try:
+                x = step(t, x, record[p : p + m], h)
+            except ValueError:
+                _check_lengths(model, t, x, record[p : p + m])
+                raise
+            if not sum(map(abs, x)) <= TRUST_REGION and max(map(abs, _finite(x, t))) > TRUST_REGION:
                 raise DivergenceError(
                     f"state left the trust region (|x| > {TRUST_REGION:g}) by t={(k + 1) * h:.6g}"
                 )

@@ -12,7 +12,7 @@ from heol.plant import (
     TRUST_REGION,
     MismatchSpec,
     PlantModel,
-    _rk4_body,
+    _kernel,
     benchmark_relations,
     example_plant,
     initial_state,
@@ -249,6 +249,10 @@ def test_rk4_step_equals_numpy_array_step_for_any_state_count(model, data, t, h)
     _assert_float_step_equals_numpy_step(model, t, x, [data.draw(st.floats(-2.0, 2.0))], h)
 
 
+def _ultralocal(order):
+    return PLANTS["ultralocal"][0]({"order": order, "f": 0.5, "gain": 1.3})[0]
+
+
 @pytest.mark.parametrize("order", [1, 2])
 @settings(max_examples=50)
 @given(
@@ -258,20 +262,37 @@ def test_rk4_step_equals_numpy_array_step_for_any_state_count(model, data, t, h)
     h=st.sampled_from([1e-3, 0.01, 0.05]),
 )
 def test_rk4_step_on_ultralocal_plant_equals_numpy_array_step(order, x, u, t, h):
-    model = PLANTS["ultralocal"][0]({"order": order, "f": 0.5, "gain": 1.3})[0]
-    _assert_float_step_equals_numpy_step(model, t, x[:order], [u], h)
+    _assert_float_step_equals_numpy_step(_ultralocal(order), t, x[:order], [u], h)
 
 
 def test_rk4_body_steps_a_batch_of_arrays_row_for_row():
-    # one (B,) array per state and per control: each row is its own float step,
-    # because the finiteness check lives in rk4_step, outside the arithmetic
-    plant = example_plant()
+    # one (B,) array per state and per control: each row is its own float step, because
+    # the finiteness check lives in rk4_step and the loop, outside the kernel's arithmetic;
+    # the benchmark plant's wrapped f steps through the kernel that calls f at each stage
+    bench = example_plant()
+    called = PlantModel(4, 2, 2, lambda t, x, u: bench.f(t, x, u), bench.output)
     rng = np.random.default_rng(12)
-    x = rng.uniform(-10.0, 10.0, size=(4, 5000))
-    u = rng.uniform(-5.0, 5.0, size=(2, 5000))
-    got = _rk4_body(4)(plant.f, 1.5, list(x), list(u), 0.01)
-    want = [rk4_step(plant, 1.5, x[:, b].tolist(), u[:, b].tolist(), 0.01) for b in range(x.shape[1])]
-    assert np.array_equal(np.array(got), np.array(want).T)
+    for plant in (bench, called, _ultralocal(1), _ultralocal(2)):
+        x = rng.uniform(-10.0, 10.0, size=(plant.n_states, 5000))
+        u = rng.uniform(-5.0, 5.0, size=(plant.n_controls, 5000))
+        got = _kernel(plant)(1.5, list(x), list(u), 0.01)
+        want = [rk4_step(plant, 1.5, x[:, b].tolist(), u[:, b].tolist(), 0.01) for b in range(x.shape[1])]
+        assert np.array_equal(np.array(got), np.array(want).T)
+
+
+@pytest.mark.parametrize(
+    "plant, u, wrong",
+    [
+        (example_plant(), [1.0], "n_controls=2, but the control has 1 entries"),
+        (example_plant(), [1.0, 2.0, 3.0], "n_controls=2, but the control has 3 entries"),
+        (_ultralocal(2), [1.0, 9.0], "n_controls=1, but the control has 2 entries"),
+        (_ultralocal(2), [], "n_controls=1, but the control has 0 entries"),
+    ],
+    ids=["benchmark-short", "benchmark-long", "ultralocal-long", "ultralocal-empty"],
+)
+def test_rk4_names_a_control_of_the_wrong_length(plant, u, wrong):
+    with pytest.raises(ConfigurationError, match=f"^plant has {wrong}$"):
+        rk4_step(plant, 0.0, [1.0] * plant.n_states, u, 0.01)
 
 
 def test_trust_region_constant():

@@ -19,6 +19,7 @@ from heol.errors import (
 from heol.homeostat import ImplicitFlatRelation, derive_channel
 from heol.plant import MismatchSpec, benchmark_relations
 from heol.scenarios import (
+    PLANTS,
     ChannelSpec,
     Scenario,
     SimLog,
@@ -298,7 +299,44 @@ def test_open_loop_sec4_leaves_the_trust_region():
     open_loop = dataclasses.replace(builtin_scenario("paper-sec4"), control_mode="feedforward")
     with pytest.raises(DivergenceError) as err:
         run_scenario(open_loop)
-    assert "trust region" in str(err.value)
+    assert str(err.value) == "state left the trust region (|x| > 1e+09) by t=24.99"
+
+
+@pytest.mark.parametrize(
+    "rates, message",
+    [
+        (lambda x, u: (x[1], math.nan), "non-finite derivative evaluation near t=0.5"),
+        (lambda x, u: (1e12, math.nan), "non-finite derivative evaluation near t=0.5"),
+        (lambda x, u: (1e12, u[0]), "state left the trust region (|x| > 1e+09) by t=0.51"),
+    ],
+    ids=["second-state-nan", "nan-before-trust-region", "trust-region"],
+)
+def test_divergence_checks_name_the_first_fault_in_order(monkeypatch, rates, message):
+    # Only the last RK4 stage of the step from t=0.5 (at t=0.51) sees the faulty rates, so the
+    # first of them leaves x0 finite and makes x1 NaN, which a trust region of max(|x|) misses;
+    # a state both NaN and outside the trust region is named non-finite, with the step's start.
+    with pytest.raises(DivergenceError) as err:
+        run_scenario(_order2_ultralocal_with_late_rates(monkeypatch, rates))
+    assert str(err.value) == message
+
+
+def test_a_run_names_a_plant_returning_too_many_rates(monkeypatch):
+    with pytest.raises(ConfigurationError) as err:
+        run_scenario(_order2_ultralocal_with_late_rates(monkeypatch, lambda x, u: (x[1], u[0], 0.0), after=-1.0))
+    assert str(err.value) == "plant has n_states=2, but f returned 3 entries at t=0"
+
+
+def _order2_ultralocal_with_late_rates(monkeypatch, rates, after=0.507):
+    """An order-2 ultralocal run whose plant ``f``, a Python function, is ``rates(x, u)`` beyond t = ``after``."""
+    factory, params = PLANTS["ultralocal"]
+
+    def faulty(plant_params):
+        model, *rest = factory(plant_params)
+        f = lambda t, x, u: rates(x, u) if t > after else model.f(t, x, u)  # noqa: E731
+        return (dataclasses.replace(model, f=f), *rest)
+
+    monkeypatch.setitem(PLANTS, "ultralocal", (faulty, params))
+    return ultralocal_scenario(4.0, order=2, k_d=4.0, drift=0.5, duration=2.0)
 
 
 # ------------------------------------------------------------------ metrics
