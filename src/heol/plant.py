@@ -84,7 +84,7 @@ def rk4_step(model: PlantModel, t: float, x: Sequence[float], u: Sequence[float]
     try:
         x_new = _kernel(model)(t, x, u, h)
     except ValueError:
-        _check_lengths(model, t, x, u)
+        _check_lengths(model, t, x, u, h)
         raise
     return _finite(x_new, t)
 
@@ -144,19 +144,24 @@ def _rated_plant(rates: tuple[str, ...], n_controls: int, n_outputs: int, output
     return PlantModel(len(rates), n_controls, n_outputs, f, output)
 
 
-def _check_lengths(model: PlantModel, t: float, x: Sequence[float], u: Sequence[float]) -> None:
-    """Raise ConfigurationError if ``x``, ``u`` or ``f(t, x, u)`` does not hold the plant's count of entries."""
+def _check_lengths(model: PlantModel, t: float, x: Sequence[float], u: Sequence[float], h: float) -> None:
+    """Raise ConfigurationError if ``x``, ``u`` or ``f`` at some RK4 stage of the step from ``t`` by ``h`` does not
+    hold the plant's count of entries, naming that stage's time: the step is retaken through a kernel calling ``f``."""
     n, m = model.n_states, model.n_controls
     if len(x) != n:
         raise ConfigurationError(f"plant has n_states={n}, but the state has {len(x)} entries") from None
     if len(u) != m:
         raise ConfigurationError(f"plant has n_controls={m}, but the control has {len(u)} entries") from None
+
+    def checked(s, xs, us):
+        if (k := len(rates := model.f(s, xs, us))) != n:
+            raise ConfigurationError(f"plant has n_states={n}, but f returned {k} entries at t={s:.6g}") from None
+        return rates
+
     try:
-        k = len(model.f(t, x, u))
+        _compile(None, n, m)(checked)(t, x, u, h)
     except ValueError:
         return
-    if k != n:
-        raise ConfigurationError(f"plant has n_states={n}, but f returned {k} entries at t={t:.6g}") from None
 
 
 def example_plant() -> PlantModel:

@@ -153,6 +153,11 @@ class ChannelSpec:
                     f"saturation needs (u_min, u_max) with u_min < u_max, got {self.saturation}"
                 )
             object.__setattr__(self, "saturation", sat)
+        # a value other than a float is loaded by the same rule; a NaN, inf or non-positive float fails below
+        if not (self.alpha_value is None or isinstance(self.alpha_value, float)):
+            object.__setattr__(self, "alpha_value", _number.load(self.alpha_value, "alpha_value"))
+        if not isinstance(self.estimator_T, float):
+            object.__setattr__(self, "estimator_T", _number.load(self.estimator_T, "estimator_T"))
         if self.alpha_source not in ("derived", "formula", "constant"):
             raise ConfigurationError(f"unknown alpha source {self.alpha_source!r}")
         if self.alpha_source != "constant" and self.alpha_value is not None:
@@ -707,7 +712,7 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
             try:
                 x = step(t, x, record[p : p + m], h)
             except ValueError:
-                _check_lengths(model, t, x, record[p : p + m])
+                _check_lengths(model, t, x, record[p : p + m], h)
                 raise
             if not sum(map(abs, x)) <= TRUST_REGION and max(map(abs, _finite(x, t))) > TRUST_REGION:
                 raise DivergenceError(

@@ -1,14 +1,33 @@
-"""Shared scenario builders for the test suite."""
+"""Shared scenario builders, and the helper through which a test starts a Python process."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+import heol
 from heol import ChannelSpec, MismatchSpec, Scenario, Timing
 
 # Property tests draw the same examples on every run, so the suite is repeatable.
 settings.register_profile("repeatable", derandomize=True, database=None)
 settings.load_profile("repeatable")
+
+
+def run_python(*args, **env):
+    """``python *args`` in a subprocess that imports the heol under test, with ``env`` added to its environment.
+
+    A test starts a process only where the process is its subject (an entry point, a setting read at
+    start-up) or where a regression could exhaust the memory of the test process;
+    ``tests/test_processes.py`` pins which tests do.
+    """
+    path = os.pathsep.join(filter(None, [str(Path(heol.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path, **env)
+    )
 
 
 def ultralocal_scenario(

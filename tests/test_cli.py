@@ -2,9 +2,6 @@
 
 import dataclasses
 import json
-import os
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -18,17 +15,7 @@ from heol.errors import ConfigurationError
 from heol.plant import MismatchSpec
 from heol.scenarios import Timing, builtin_scenario, scenario_to_dict, validate_scenario
 
-from conftest import ultralocal_scenario
-
-
-def heol_cli(*args):
-    """``python -m heol.cli *args`` in a subprocess importing the heol under test."""
-    src = str(Path(heol.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run(
-        [sys.executable, "-m", "heol.cli", *args], capture_output=True, text=True, env=env
-    )
+from conftest import run_python, ultralocal_scenario
 
 
 def write_config(tmp_path, scenario, name="scenario.json"):
@@ -97,14 +84,13 @@ def test_channel_count_mismatch_exits_3(tmp_path, capsys):
     assert cli_main(["run", "--config", str(path), "--out", str(tmp_path)]) == 3
 
 
-def test_output_index_out_of_range_names_its_channel(tmp_path):
+def test_output_index_out_of_range_names_its_channel(tmp_path, capsys):
     base = builtin_scenario("paper-sec4")
     bad = dataclasses.replace(base, channels=(base.channels[0], dataclasses.replace(base.channels[1], output=5)))
     with pytest.raises(ConfigurationError, match="^channel 2: output index 5 out of range$"):
         validate_scenario(bad)
-    proc = heol_cli("validate", "--config", str(write_config(tmp_path, bad)))
-    assert proc.returncode == 3
-    assert "channel 2: output index 5 out of range" in proc.stderr and "Traceback" not in proc.stderr
+    assert cli_main(["validate", "--config", str(write_config(tmp_path, bad))]) == 3
+    assert "channel 2: output index 5 out of range" in capsys.readouterr().err
 
 
 def test_non_object_channel_entries_exit_3(tmp_path, capsys):
@@ -112,9 +98,8 @@ def test_non_object_channel_entries_exit_3(tmp_path, capsys):
     bad = dict(good, channels=[1, 1])
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
-    proc = heol_cli("validate", "--config", str(path))
-    assert proc.returncode == 3
-    assert "invalid scenario" in proc.stderr and "Traceback" not in proc.stderr
+    assert cli_main(["validate", "--config", str(path)]) == 3
+    assert "invalid scenario" in capsys.readouterr().err
 
     for key in ("alpha", "estimator", "pole"):
         bad = json.loads(json.dumps(good))
@@ -136,13 +121,14 @@ def test_zero_constant_alpha_exits_3_at_validate(tmp_path, capsys, value):
 
 
 def test_oversized_grid_exits_3_before_allocating(tmp_path):
+    # in a process of its own: a regression would allocate the grid
     path = tmp_path / "huge.json"
     for key, value in (("duration", 1e15), ("h", 5e-324)):  # duration/h overflows to inf
         bad = scenario_to_dict(ultralocal_scenario(1.0))
         bad["timing"][key] = value
         path.write_text(json.dumps(bad))
         for command in (["validate"], ["run", "--out", str(tmp_path)]):
-            proc = heol_cli(*command, "--config", str(path))
+            proc = run_python("-m", "heol.cli", *command, "--config", str(path))
             assert proc.returncode == 3
             assert "grid points" in proc.stderr and "Traceback" not in proc.stderr
 
@@ -162,7 +148,7 @@ def test_oversized_grid_exits_3_before_allocating(tmp_path):
     ],
     ids=["window-overflows-to-inf", "window-too-long", "kernel-underflows", "kernel-overflows", "x0-outside"],
 )
-def test_unrunnable_windows_and_starts_exit_3_at_validate(tmp_path, order, timing, T, reference, message):
+def test_unrunnable_windows_and_starts_exit_3_at_validate(tmp_path, capsys, order, timing, T, reference, message):
     bad = scenario_to_dict(ultralocal_scenario(1.0, order=order, k_d=2.0 if order == 2 else None))
     bad["timing"].update(timing)
     bad["channels"][0]["estimator"] = {"T": T}
@@ -170,19 +156,23 @@ def test_unrunnable_windows_and_starts_exit_3_at_validate(tmp_path, order, timin
     path = tmp_path / "unrunnable.json"
     path.write_text(json.dumps(bad))
     for command in (["validate"], ["run", "--out", str(tmp_path)]):
-        proc = heol_cli(*command, "--config", str(path))
-        assert proc.returncode == 3, proc.stderr
-        assert message in proc.stderr and "Traceback" not in proc.stderr
+        args = [*command, "--config", str(path)]
+        if T == 1e6:  # in a process of its own: a regression would allocate the 10^8-sample window
+            proc = run_python("-m", "heol.cli", *args)
+            code, err = proc.returncode, proc.stderr
+        else:
+            code, err = cli_main(args), capsys.readouterr().err
+        assert code == 3, err
+        assert message in err and "Traceback" not in err
 
 
-def test_reference_without_value_exits_3(tmp_path):
+def test_reference_without_value_exits_3(tmp_path, capsys):
     bad = scenario_to_dict(ultralocal_scenario(1.0))
     del bad["references"][0]["value"]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
-    proc = heol_cli("validate", "--config", str(path))
-    assert proc.returncode == 3
-    assert "missing key references[0].value" in proc.stderr and "Traceback" not in proc.stderr
+    assert cli_main(["validate", "--config", str(path)]) == 3
+    assert "missing key references[0].value" in capsys.readouterr().err
 
 
 def test_name_outside_out_dir_exits_3(tmp_path, capsys):
@@ -263,7 +253,7 @@ def test_fuzzed_sec4_config_runs_or_exits_3_or_4(tmp_path_factory, data):
     assert code in (0, 3, 4)
 
 
-def test_nan_partials_are_singular_at_derivation(tmp_path):
+def test_nan_partials_are_singular_at_derivation(tmp_path, capsys):
     # y1* = 0 makes E2's control partial 0/0; the derivation must call the
     # channel singular (exit 3), whether or not it searches for the order, and
     # keep numpy quiet.
@@ -278,9 +268,9 @@ def test_nan_partials_are_singular_at_derivation(tmp_path):
         path = tmp_path / f"nan-{searched}.json"
         path.write_text(json.dumps(config))
         for command in (["validate"], ["run", "--out", str(tmp_path)]):
-            result = heol_cli(command[0], "--config", str(path), *command[1:])
-            assert result.returncode == 3, result.stderr
-            assert result.stderr == (
+            code, err = cli_main([command[0], "--config", str(path), *command[1:]]), capsys.readouterr().err
+            assert code == 3, err
+            assert err == (
                 "heol: invalid scenario: channel 2: dE/du is not finite at t=0; channel degenerated there\n"
             )
 
@@ -344,13 +334,14 @@ def test_runtime_singularity_exits_4(tmp_path, capsys):
     assert "run failed" in err and "channel 1 at t=2" in err
 
 
-def test_overflowing_noise_exits_4_without_a_warning(tmp_path, monkeypatch):
+def test_overflowing_noise_exits_4_without_a_warning(tmp_path):
     config = json.loads((Path(__file__).parents[1] / "demos" / "paper_sec4.json").read_text())
     config["noise"] = {"std": 1e308, "seed": 1}  # some draws of std * N(0, 1) overflow
     path = tmp_path / "loud.json"
     path.write_text(json.dumps(config))
-    monkeypatch.setenv("PYTHONWARNINGS", "error")  # as -W error: a warning would end in a traceback
-    proc = heol_cli("run", "--config", str(path), "--out", str(tmp_path))
+    # as -W error in a process of its own: a warning would end in a traceback
+    args = ["run", "--config", str(path), "--out", str(tmp_path)]
+    proc = run_python("-m", "heol.cli", *args, PYTHONWARNINGS="error")
     assert proc.returncode == 4, proc.stderr
     assert "measurement noise" in proc.stderr
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
@@ -385,6 +376,6 @@ def test_export_failure_exits_1(tmp_path, capsys):
 
 
 def test_console_entry_point():
-    proc = heol_cli("list")
+    proc = run_python("-m", "heol.cli", "list")
     assert proc.returncode == 0
     assert "paper-sec4" in proc.stdout

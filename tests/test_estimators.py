@@ -1,10 +1,6 @@
 """Windowed integral estimators of the lumped disturbance."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +16,7 @@ from heol.estimators import (
 from heol.scenarios import ChannelSpec, validate_scenario
 from heol.signals import Window
 
-from conftest import ultralocal_scenario
+from conftest import run_python, ultralocal_scenario
 
 
 def make_window(values, T=1.0):
@@ -295,14 +291,6 @@ print(*(FusedEstimator(order, 1.0, 5_000).estimate(window).hex() for order in (1
 def test_long_window_estimate_does_not_depend_on_the_blas_thread_count():
     # OpenBLAS may split a dot of more than 10,000 values across threads, so a
     # window of 5,001 samples (10,002 values) must not be one dot.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    bits = [
-        subprocess.run(
-            [sys.executable, "-c", _LONG_ESTIMATE],
-            capture_output=True, text=True, check=True,
-            env=dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads),
-        ).stdout
-        for threads in ("1", "2")
-    ]
-    assert bits[0] == bits[1]
+    runs = [run_python("-c", _LONG_ESTIMATE, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2")]
+    assert [run.returncode for run in runs] == [0, 0], runs[0].stderr + runs[1].stderr
+    assert runs[0].stdout == runs[1].stdout

@@ -17,7 +17,7 @@ from heol.errors import (
     SingularChannelError,
 )
 from heol.homeostat import ImplicitFlatRelation, derive_channel
-from heol.plant import MismatchSpec, benchmark_relations
+from heol.plant import MismatchSpec, benchmark_relations, rk4_step
 from heol.scenarios import (
     PLANTS,
     ChannelSpec,
@@ -324,6 +324,18 @@ def test_a_run_names_a_plant_returning_too_many_rates(monkeypatch):
     with pytest.raises(ConfigurationError) as err:
         run_scenario(_order2_ultralocal_with_late_rates(monkeypatch, lambda x, u: (x[1], u[0], 0.0), after=-1.0))
     assert str(err.value) == "plant has n_states=2, but f returned 3 entries at t=0"
+
+
+@pytest.mark.parametrize("through", ["run_scenario", "rk4_step"])
+def test_a_late_stage_returning_too_many_rates_is_named(monkeypatch, through):
+    # From t=0.507 on, f returns three rates: of the step from t=0.5, only its last stage (t=0.51) sees them
+    built = validate_scenario(_order2_ultralocal_with_late_rates(monkeypatch, lambda x, u: (x[1], u[0], 0.0)))
+    with pytest.raises(ConfigurationError) as err:
+        if through == "rk4_step":
+            rk4_step(built.model, 0.5, [1.0, 0.0], [0.0], 0.01)
+        else:
+            run_scenario(built)
+    assert str(err.value) == "plant has n_states=2, but f returned 3 entries at t=0.51"
 
 
 def _order2_ultralocal_with_late_rates(monkeypatch, rates, after=0.507):
@@ -706,6 +718,16 @@ def _derive_first_benchmark_channel(n_refs, output_index=None):
             lambda: ChannelSpec(output=0, pole=-1.0, saturation=("a", "b")),
             "saturation[0] must be a finite number, got 'a'",
         ),
+        (lambda: ChannelSpec(output=0, pole=-1.0, estimator_T="a"), "estimator_T must be a finite number, got 'a'"),
+        (lambda: ChannelSpec(output=0, pole=-1.0, estimator_T=None), "estimator_T must be a finite number, got None"),
+        (
+            lambda: ChannelSpec(output=0, pole=-1.0, estimator_T=10**400),
+            f"estimator_T must be a finite number, got {10**400}",
+        ),
+        (
+            lambda: ChannelSpec(output=0, order=1, pole=-1.0, alpha_source="constant", alpha_value="a"),
+            "alpha_value must be a finite number, got 'a'",
+        ),
     ],
     ids=[
         "no-outputs",
@@ -721,6 +743,10 @@ def _derive_first_benchmark_channel(n_refs, output_index=None):
         "channel-output-string",
         "channel-output-bool",
         "channel-saturation-strings",
+        "channel-estimator-T-string",
+        "channel-estimator-T-none",
+        "channel-estimator-T-beyond-float",
+        "channel-alpha-value-string",
     ],
 )
 def test_relation_and_plant_input_checks(build, message):
