@@ -1,4 +1,7 @@
-"""The suite starts a process only in the tests listed here; every other test runs in the pytest process.
+"""The suite launches an interpreter only in the tests listed here; every other test runs in the pytest process.
+
+Only launches count: the helper that ``export_csv`` forks to format every other CSV chunk starts no
+interpreter, so a test that exports a long log is not listed.
 
 A process is kept where it is the subject of the test (an entry point, a setting read at start-up) or
 where a regression could exhaust the memory of the pytest process.  A new launch has to be added to

@@ -1,9 +1,14 @@
 """Scenario configuration, the simulation loop, metrics, and exports."""
 
 import dataclasses
+import errno
+import functools
 import json
 import math
+import os
 import re
+import signal
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heol.scenarios as heol_scenarios
 from heol.errors import (
     ConfigurationError,
     DivergenceError,
+    ExportError,
     SingularChannelError,
 )
 from heol.homeostat import ImplicitFlatRelation, derive_channel
@@ -73,6 +80,13 @@ def test_timing_grid_requires_integer_step_count():
         Timing(duration=1.0, h=0.3)
     with pytest.raises(ConfigurationError, match="duration must be positive"):
         Timing(duration=-1.0, h=0.01)
+
+
+def test_numpy_scalars_pass_the_number_rules():
+    assert Timing(duration=np.float32(1.5), h=0.5) == Timing(duration=1.5, h=0.5)
+    seeded = dataclasses.replace(builtin_scenario("paper-sec4"), noise_seed=np.int64(3))
+    assert type(seeded.noise_seed) is int and seeded.noise_seed == 3
+    assert ChannelSpec(output=np.int64(1), order=1, alpha_source="formula", pole=-1.0).output == 1
 
 
 def test_channel_spec_requires_a_pole():
@@ -490,6 +504,127 @@ def test_csv_bytes_equal_per_field_oracle(tmp_path_factory, p, m, n, drawn, seed
     assert path.read_bytes() == _oracle_csv(log)
 
 
+def _awkward_log(n: int) -> SimLog:
+    """A log of ``n`` records, two outputs and two controls, 30 % of its floats from ``_AWKWARD_FLOATS``."""
+    rng = np.random.default_rng(n)
+
+    def floats(cols):
+        values = rng.standard_normal((n, cols)) * 10.0 ** rng.integers(-300, 300, (n, cols))
+        return np.where(rng.random((n, cols)) < 0.3, rng.choice(_AWKWARD_FLOATS, (n, cols)), values)
+
+    return SimLog(
+        channel_T=(0.3, 0.3),
+        t=floats(1)[:, 0],
+        y=floats(2),
+        y_ref=floats(2),
+        u=floats(2),
+        u_nom=floats(2),
+        dy=floats(2),
+        du=floats(2),
+        f_est=floats(2),
+        f_valid=rng.random((n, 2)) < 0.5,
+        clamped=rng.random((n, 2)) < 0.5,
+    )
+
+
+@functools.cache
+def _awkward_csv(n: int) -> tuple[SimLog, bytes]:
+    """``_awkward_log(n)`` and its oracle CSV, built once per size and shared read-only."""
+    log = _awkward_log(n)
+    return log, _oracle_csv(log)
+
+
+def _count_forks(monkeypatch) -> list[int]:
+    """Wrap ``os.fork``; each call appends the forking pid to the returned list."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _two_cpus(monkeypatch) -> int:
+    """Give the process a second CPU, whatever the host has; return the helpers a long export forks:
+    1, or on Python 3.12 and later 0 while other threads run (``os.fork`` warns there)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)  # macOS has none
+    helpers = int(heol_scenarios._csv_fork_helps(2000, 19))
+    assert helpers == 1 or sys.version_info >= (3, 12)
+    return helpers
+
+
+def _fail_in_the_helper(monkeypatch) -> None:
+    """Make the chunk formatter raise in any process but this one."""
+    parent, format_chunk = os.getpid(), heol_scenarios._csv_chunk
+
+    def failing_in_the_helper(columns, row, k):
+        if os.getpid() != parent:
+            raise RuntimeError("helper fault")
+        return format_chunk(columns, row, k)
+
+    monkeypatch.setattr(heol_scenarios, "_csv_chunk", failing_in_the_helper)
+
+
+def test_csv_bytes_do_not_depend_on_the_formatting_helper(tmp_path, monkeypatch):
+    log, oracle = _awkward_csv(2000)  # 8 chunks of 256 rows
+    forks, helpers = _count_forks(monkeypatch), _two_cpus(monkeypatch)
+    assert not heol_scenarios._csv_fork_helps(256, 1000)  # a single chunk, however wide
+    export_csv(_awkward_log(768), tmp_path / "short.csv")
+    assert forks == []  # 768 rows x 19 columns: too few values to pay for a fork (``_CSV_HELPER_MIN_VALUES``)
+    shared = export_csv(log, tmp_path / "shared.csv").read_bytes()
+    assert len(forks) == helpers
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    alone = export_csv(log, tmp_path / "alone.csv").read_bytes()
+    assert len(forks) == helpers  # none on one CPU
+    assert shared == alone == oracle
+
+
+@pytest.mark.parametrize("fault", ["missing-directory", "helper-raises"])
+def test_a_failing_export_leaves_no_process(tmp_path, monkeypatch, fault):
+    destination = tmp_path / "out.csv"
+    if fault == "missing-directory":
+        destination = tmp_path / "missing" / "out.csv"
+    else:
+        if not _two_cpus(monkeypatch):
+            pytest.skip("other threads run on Python 3.12+, so no formatting helper")
+        _fail_in_the_helper(monkeypatch)
+    with pytest.raises(ExportError, match=re.escape(str(destination))):
+        export_csv(_awkward_csv(2000)[0], destination)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("call", ["pipe", "fork"])
+def test_an_export_without_a_spare_process_formats_alone(tmp_path, monkeypatch, call):
+    def refused(*args):
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    (log, oracle), _ = _awkward_csv(2000), _two_cpus(monkeypatch)
+    open_fds = len(os.listdir("/dev/fd"))
+    monkeypatch.setattr(os, call, refused)
+    assert export_csv(log, tmp_path / "out.csv").read_bytes() == oracle
+    assert len(os.listdir("/dev/fd")) == open_fds
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_export_survives_an_ignored_sigchld(tmp_path, monkeypatch):
+    # with SIGCHLD ignored the kernel reaps the helper, and waiting for it raises ChildProcessError
+    (log, oracle), helpers = _awkward_csv(2000), _two_cpus(monkeypatch)
+    if not helpers:
+        pytest.skip("other threads run on Python 3.12+, so no formatting helper")
+    previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        assert export_csv(log, tmp_path / "out.csv").read_bytes() == oracle
+        _fail_in_the_helper(monkeypatch)
+        with pytest.raises(ExportError, match="its formatting helper sent no text for row 256$"):
+            export_csv(log, tmp_path / "failed.csv")
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+
+
 def test_metrics_file_is_flat_key_value_text(tmp_path):
     log = run_scenario(ultralocal_scenario(1.0, duration=1.0))
     path = export_metrics(compute_metrics(log), tmp_path / "m.txt")
@@ -684,6 +819,10 @@ def _ultralocal_with(key, value):
     return lambda: validate_scenario(scenario_from_dict(d))
 
 
+def _sec4_with(**changes):
+    return lambda: dataclasses.replace(builtin_scenario("paper-sec4"), **changes)
+
+
 def _relation(orders, control_index=0):
     return lambda: ImplicitFlatRelation(orders, control_index, residual=lambda tb, u: 0.0)
 
@@ -728,6 +867,10 @@ def _derive_first_benchmark_channel(n_refs, output_index=None):
             lambda: ChannelSpec(output=0, order=1, pole=-1.0, alpha_source="constant", alpha_value="a"),
             "alpha_value must be a finite number, got 'a'",
         ),
+        (_sec4_with(noise_seed="1"), "noise_seed must be an integer, got '1'"),
+        (_sec4_with(noise_seed=True), "noise_seed must be an integer, got True"),
+        (_sec4_with(noise_std="1"), "noise_std must be a finite number, got '1'"),
+        (_sec4_with(rms_fraction=None), "rms_fraction must be a finite number, got None"),
     ],
     ids=[
         "no-outputs",
@@ -747,6 +890,10 @@ def _derive_first_benchmark_channel(n_refs, output_index=None):
         "channel-estimator-T-none",
         "channel-estimator-T-beyond-float",
         "channel-alpha-value-string",
+        "scenario-noise-seed-string",
+        "scenario-noise-seed-bool",
+        "scenario-noise-std-string",
+        "scenario-rms-fraction-none",
     ],
 )
 def test_relation_and_plant_input_checks(build, message):

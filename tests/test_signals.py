@@ -34,8 +34,10 @@ def test_grid_points_are_k_h_exactly():
         (dict(duration=0.0), "duration must be positive"),
         (dict(h=0.3), "duration 1.0 is not a multiple of the sampling period 0.3"),
         (dict(h=1e-7), "gives 1e\\+07 grid points; at most 10000000 are allowed"),
+        (dict(duration="1"), "duration must be a finite number, got '1'"),
+        (dict(h=None), "h must be a finite number, got None"),
     ],
-    ids=["bad0", "bad1", "bad2", "bad3", "bad4"],  # explicit, so deleting a row renames no other
+    ids=["bad0", "bad1", "bad2", "bad3", "bad4", "bad5", "bad6"],  # explicit, so deleting a row renames no other
 )
 def test_grid_rejects_degenerate_construction(bad):
     kw = dict(h=0.1, duration=1.0)
