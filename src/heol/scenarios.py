@@ -818,9 +818,10 @@ def _csv_layout(n_outputs: int, n_controls: int) -> list[tuple[str, str, int | N
 
 
 #: fewest formatted values (rows x columns) for which the forked helper pays for its fork.  With the
-#: helper, 768 rows x 19 columns (14,592 values) of a ``paper-sec4`` log took 1.04 times as long to
-#: export, 1,536 x 10 (15,360) of an ultralocal log 1.01 times; 1,024 x 19 took 0.93, 2,048 x 10 0.91.
-_CSV_HELPER_MIN_VALUES = 16_384
+#: helper against without it (median of 8-10 alternating in-process pairs), 1,280 rows x 19 columns
+#: (24,320 values) of a ``paper-sec4`` log took 1.03 times as long to export, 2,048 x 10 (20,480) of an
+#: ultralocal log 1.05 times; 1,408 x 19 (26,752) took 0.86, 2,304 x 10 (23,040) 0.84.
+_CSV_HELPER_MIN_VALUES = 24_576
 
 
 def _csv_fork_helps(n_rows: int, n_columns: int) -> bool:
@@ -836,10 +837,31 @@ def _csv_fork_helps(n_rows: int, n_columns: int) -> bool:
     return alone and len(os.sched_getaffinity(0)) > 1
 
 
+#: the unsigned integer view that compares bit patterns, per column dtype; a column of any other dtype is
+#: formatted row by row
+_CSV_BITS = {np.dtype(np.float64): np.uint64, np.dtype(bool): np.uint8}
+
+
 def _csv_chunk(columns, row: str, k: int) -> bytes:
-    """The CSV text of the rows ``k .. k + _CSV_CHUNK - 1``."""
-    chunk = np.column_stack([c[k : k + _CSV_CHUNK] for c in columns])
-    return ((row * len(chunk)) % tuple(chunk.ravel().tolist())).encode()
+    """The CSV text of the rows ``k .. k + _CSV_CHUNK - 1``.
+
+    A float64 or bool column whose rows here hold one bit pattern is formatted once, into the chunk's
+    copy of ``row``; only the other columns are stacked and formatted per row.  Equal bits give equal
+    text (``-0.0`` never joins a run of ``0.0``), so the bytes are those of formatting every field.
+    """
+    fields, varying = row[:-1].split(","), []
+    for i, c in enumerate(columns):
+        seg = c[k : k + _CSV_CHUNK]
+        if (view := _CSV_BITS.get(c.dtype)) is not None:
+            bits = seg.view(view)
+            if bits[-1] == bits[0] and (bits == bits[0]).all():
+                fields[i] %= seg[0].item()
+                continue
+        varying.append(seg)
+    text = (",".join(fields) + "\n") * len(seg)
+    if varying:
+        text %= tuple(np.column_stack(varying).ravel().tolist())
+    return text.encode()
 
 
 def _csv_helper(blocks, write_fd: int, columns, row: str, starts) -> None:
@@ -894,7 +916,9 @@ def export_csv(log: SimLog, destination) -> Path:
 
     Chunk ``i`` of ``_CSV_CHUNK`` rows is formatted by worker ``i % workers``: this process, and on a
     log of ``_CSV_HELPER_MIN_VALUES`` values or more with a second CPU free, a forked helper that sends
-    its text back through a pipe.  Only this process writes the file, in row order.
+    its text back through a pipe.  Only this process writes the file, in row order.  Within a chunk, a
+    float64 or bool column holding one bit pattern is formatted once (``_csv_chunk``); the bytes are
+    those of formatting every field.
     """
     path = Path(destination)
     layout = _csv_layout(log.n_outputs, log.n_controls)

@@ -504,6 +504,95 @@ def test_csv_bytes_equal_per_field_oracle(tmp_path_factory, p, m, n, drawn, seed
     assert path.read_bytes() == _oracle_csv(log)
 
 
+_CHUNK = heol_scenarios._CSV_CHUNK
+
+#: ``_AWKWARD_FLOATS`` and a NaN whose payload differs from ``np.nan``'s
+_RUN_VALUES = np.array(_AWKWARD_FLOATS + [np.array(0x7FF8000000000001, np.uint64).view(np.float64)])
+
+
+def _piecewise_constant_log(rng, n: int, p: int, m: int) -> SimLog:
+    """A log of ``n`` records whose columns are runs of 1-600 repeats of one value, so that runs both
+    fill and straddle the export's 256-row chunks.  Every ``y_ref`` and ``clamped`` column, and a
+    quarter of the others, holds one value over the whole log; ``y1`` holds a run of ``0.0`` with one
+    ``-0.0`` inside it."""
+
+    def runs(cols, pool, whole_log=False):
+        out = np.empty((n, cols), pool.dtype)
+        for j in range(cols):
+            if whole_log or rng.random() < 0.25:
+                out[:, j] = rng.choice(pool)
+            else:
+                lengths = rng.integers(1, 601, n + 1)
+                out[:, j] = np.repeat(rng.choice(pool, n + 1), lengths)[:n]
+        return out
+
+    flags = np.array([False, True])
+    y = runs(p, _RUN_VALUES)
+    if n:  # the zero run fills the chunk at ``start``
+        start = _CHUNK * rng.integers(-(-n // _CHUNK))
+        y[start : start + 300, 0] = 0.0
+        y[rng.integers(start, min(start + _CHUNK, n)), 0] = -0.0
+    return SimLog(
+        channel_T=(0.3,) * m,
+        t=runs(1, _RUN_VALUES)[:, 0],
+        y=y,
+        y_ref=runs(p, _RUN_VALUES, whole_log=True),
+        u=runs(m, _RUN_VALUES),
+        u_nom=runs(m, _RUN_VALUES),
+        dy=runs(p, _RUN_VALUES),
+        du=runs(m, _RUN_VALUES),
+        f_est=runs(m, _RUN_VALUES),
+        f_valid=runs(m, flags),
+        clamped=runs(m, flags, whole_log=True),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.integers(1, 2),
+    m=st.integers(1, 2),
+    n=st.integers(0, 1100),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_csv_bytes_of_piecewise_constant_logs_equal_per_field_oracle(tmp_path_factory, p, m, n, seed):
+    # a column holding one bit pattern over a chunk is formatted once for it; -0.0 and 0.0 stay apart
+    log = _piecewise_constant_log(np.random.default_rng(seed), n, p, m)
+    path = export_csv(log, tmp_path_factory.getbasetemp() / "runs.csv")
+    assert path.read_bytes() == _oracle_csv(log)
+
+
+def test_piecewise_constant_csv_bytes_do_not_depend_on_the_formatting_helper(tmp_path, monkeypatch):
+    log = _piecewise_constant_log(np.random.default_rng(25), 2600, 2, 2)  # 11 chunks, 49,400 values
+    forks, helpers = _count_forks(monkeypatch), _two_cpus(monkeypatch)
+    shared = export_csv(log, tmp_path / "shared.csv").read_bytes()
+    assert len(forks) == helpers
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    alone = export_csv(log, tmp_path / "alone.csv").read_bytes()
+    assert len(forks) == helpers
+    assert shared == alone == _oracle_csv(log)
+
+
+@pytest.mark.parametrize("y_dtype", [object, np.float64])
+def test_csv_bytes_of_other_dtypes_equal_per_field_oracle(tmp_path, y_dtype):
+    # float32, int64 and object columns go row by row, whichever columns beside them are constant
+    n, rng = 700, np.random.default_rng(7)
+    log = _piecewise_constant_log(rng, n, 2, 1)
+    for field in ("u", "u_nom", "dy", "du", "f_est", "f_valid", "clamped"):
+        getattr(log, field)[:_CHUNK] = getattr(log, field)[0]  # the first chunk stacks only t, y and y_ref
+    ints = np.repeat(rng.choice([0, -3, 2**53 + 1, -(2**62)], 7), 100)
+    y = np.full((n, 2), 0.1, dtype=y_dtype)
+    if y_dtype is object:
+        y[::3, 1] = -7  # a Python int
+    log = dataclasses.replace(
+        log,
+        t=np.linspace(0.0, 7.0, n, dtype=np.float32),
+        y=y,
+        y_ref=np.column_stack([ints, ints[::-1]]),
+    )
+    path = export_csv(log, tmp_path / "dtypes.csv")
+    assert path.read_bytes() == _oracle_csv(log)
+
+
 def _awkward_log(n: int) -> SimLog:
     """A log of ``n`` records, two outputs and two controls, 30 % of its floats from ``_AWKWARD_FLOATS``."""
     rng = np.random.default_rng(n)
