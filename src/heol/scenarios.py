@@ -17,11 +17,12 @@ truncating the horizon, reproduces records exactly.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -79,6 +80,208 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------
+# scenario-file schema
+#
+# Each init field of ``Timing``, ``ChannelSpec`` and ``Scenario`` carries its
+# JSON key path, rule and whether it is required in its metadata (``_key``);
+# its own default stands for an absent key.  Fields sharing a first key form a
+# group, a sub-object.  The schema's errors name the JSON path, the shared
+# ``__post_init__`` step's (``_type_fields``) the attribute.  ``#`` keys are
+# comments at every depth; any other unknown key is an error.
+
+_REQUIRED = object()
+
+
+def _at(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
+def _get(value, attr):
+    return value.get(attr) if isinstance(value, dict) else getattr(value, attr)
+
+
+class _Rule:
+    """A JSON value checked by ``load(value, path)``, which returns it as a ``type``; ``_Rule(type, load)``
+    is a JSON scalar."""
+
+    type = None
+    dump = staticmethod(lambda value: value)
+
+    def __init__(self, kind: type, load):
+        self.type, self.load = kind, load
+
+    def typed(self, value, path: str):
+        return value if type(value) is self.type else self.load(value, path)
+
+
+@functools.partial(_Rule, float)
+def _number(value, path: str) -> float:
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ConfigurationError(f"{path} must be a finite number, got {value!r}")
+
+
+@functools.partial(_Rule, int)
+def _count(value, path: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise ConfigurationError(f"{path} must be an integer, got {value!r}")
+
+
+def _instance(kind: type, what: str) -> _Rule:
+    def load(value, path: str):
+        if not isinstance(value, kind):
+            raise ConfigurationError(f"{path} must be {what}, got {value!r}")
+        return value
+
+    return _Rule(kind, load)
+
+
+_tag = _instance(str, "a string")
+
+
+class _List(_Rule):
+    """A JSON array of one kind, loaded as a tuple; ``typed`` types each item of a list or tuple."""
+
+    def __init__(self, item):
+        self.item = item
+
+    def load(self, value, path: str, each=None) -> tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigurationError(f"{path} must be a JSON array, got {value!r}")
+        each = each or self.item.load
+        return tuple(each(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+    def typed(self, value, path: str) -> tuple:
+        return self.load(value, path, self.item.typed)
+
+    def dump(self, value) -> list:
+        return [self.item.dump(v) for v in value]
+
+
+class _Object(_Rule):
+    """A JSON object built with ``make`` (``None`` for a group) from its ``(key, attribute, rule, default)``
+    entries.  By default there is one per init field of dataclass ``make`` or, for the fields under one first
+    key, one per group: an ``_Object(None)`` of them or ``groups[key]``, required if any of them is."""
+
+    def __init__(self, make, entries=None, groups=None):
+        self.make = self.type = make
+        if entries is None:
+            tree = {}  # first key -> [(attribute, rule, default)], with the second key first in a group's members
+            for name, rule, default, (key, *sub) in _field_rules(make):
+                tree.setdefault(key, []).append((*sub, name, rule, default))
+            entries = []
+            for key, members in tree.items():
+                if len(members[0]) == 3:
+                    entries.append((key, *members[0]))
+                else:
+                    required = any(default is _REQUIRED for *_, default in members)
+                    group = (groups or {}).get(key) or _Object(None, members)
+                    entries.append((key, None, group, _REQUIRED if required else None))
+        self.fields = entries
+        self.keys = frozenset(key for key, *_ in self.fields)
+
+    def load(self, value, path: str):
+        if not isinstance(value, dict):
+            raise ConfigurationError(f"{path or 'scenario'} must be a JSON object, got {value!r}")
+        for key in value:
+            if key not in self.keys and not (isinstance(key, str) and key.startswith("#")):
+                raise ConfigurationError(f"unknown key {_at(path, key)}")
+        kwargs = {}
+        for key, attr, rule, default in self.fields:
+            if key not in value:
+                if default is _REQUIRED:
+                    raise ConfigurationError(f"missing key {_at(path, key)}")
+                continue
+            loaded = rule.load(value[key], _at(path, key))
+            if attr is None:
+                kwargs.update(loaded)
+            else:
+                kwargs[attr] = loaded
+        if self.make is None:
+            return kwargs
+        try:
+            return self.make(**kwargs)
+        except ConfigurationError as exc:
+            if not path:
+                raise
+            raise ConfigurationError(f"{path}: {exc}") from None
+
+    def dump(self, value) -> dict:
+        out = {}
+        for key, attr, rule, default in self.fields:
+            v = value if attr is None else _get(value, attr)
+            if v is not None and (v := rule.dump(v)) not in (default, {}):
+                out[key] = v
+        return out
+
+
+class _Union(_Rule):
+    """One of several objects, picked by the string under ``key`` (``attr`` once loaded)."""
+
+    type = dict
+
+    def __init__(self, key: str, attr: str, what: str, options: dict):
+        self.key, self.attr, self.what, self.options = key, attr, what, options
+
+    def load(self, value, path: str):
+        if not isinstance(value, dict):
+            raise ConfigurationError(f"{path} must be a JSON object, got {value!r}")
+        if self.key not in value:
+            raise ConfigurationError(f"missing key {_at(path, self.key)}")
+        tag = value[self.key]
+        if not (isinstance(tag, str) and tag in self.options):
+            raise ConfigurationError(
+                f"{_at(path, self.key)}: unknown {self.what} {tag!r}; registered: {sorted(self.options)}"
+            )
+        return self.options[tag].load(value, path)
+
+    def dump(self, value) -> dict:
+        tag = _get(value, self.attr)
+        if tag not in self.options:
+            raise ConfigurationError(f"unknown {self.what} {tag!r}")
+        return self.options[tag].dump(value)
+
+
+def _plain(*keys, kind=_number, default=_REQUIRED):
+    """Entries whose attribute is the JSON key itself."""
+    return [(key, key, kind, default) for key in keys]
+
+
+def _key(*path: str, rule, required: bool = False, **default):
+    """A dataclass field at JSON ``path`` with ``rule``, required if it has no ``default``/``default_factory``."""
+    return field(metadata={"path": path, "rule": rule, "required": required or not default}, **default)
+
+
+@functools.cache
+def _field_rules(cls) -> tuple:
+    """``(attribute, rule, default, path)`` per init field of dataclass ``cls``; ``_REQUIRED`` if required."""
+    return tuple(
+        (f.name, f.metadata["rule"], _REQUIRED if f.metadata["required"] else f.default, f.metadata["path"])
+        for f in fields(cls) if f.init
+    )
+
+
+def _type_fields(obj) -> None:
+    """Type each init field of ``obj`` not at its default by its rule; a float NaN or inf is kept for range checks."""
+    for name, rule, default, _ in _field_rules(type(obj)):
+        if (value := getattr(obj, name)) is not default and type(value) is not rule.type:
+            object.__setattr__(obj, name, rule.typed(value, name))
+
+
+_REFERENCE = _Union("type", "type", "reference type", {
+    "constant": _Object(dict, _plain("type", kind=_tag) + _plain("value")),
+    "smoothstep": _Object(dict, _plain("type", kind=_tag) + _plain("from", "to", "t_start", "t_end")),
+})
+
+
+# --------------------------------------------------------------------------
 # configuration types
 
 #: Most points a run's grid or an estimator window may span: both are preallocated, so 10**7
@@ -106,16 +309,12 @@ class Timing:
     """Horizon and sampling of a run: the grid ``k*h`` for ``k = 0..n_steps``, each point one product
     rather than a running sum, so bit-reproducible and free of drift."""
 
-    duration: float
-    h: float
+    duration: float = _key("duration", rule=_number)
+    h: float = _key("h", rule=_number)
     n_steps: int = field(init=False, repr=False, compare=False)  # duration / h, set at construction
 
     def __post_init__(self):
-        # a value other than a float is loaded by the schema's rule; a NaN, inf or non-positive float fails below
-        if not isinstance(self.duration, float):
-            object.__setattr__(self, "duration", _number.load(self.duration, "duration"))
-        if not isinstance(self.h, float):
-            object.__setattr__(self, "h", _number.load(self.h, "h"))
+        _type_fields(self)
         if not (math.isfinite(self.duration) and self.duration > 0.0):
             raise ConfigurationError(f"duration must be positive, got {self.duration}")
         if not (math.isfinite(self.h) and self.h > 0.0):
@@ -136,35 +335,26 @@ class Timing:
 class ChannelSpec:
     """Declarative description of one controller channel, whose gains place ``pole`` (double at order 2)."""
 
-    output: int
-    order: int | None = None
-    alpha_source: str = "derived"          # "derived" | "formula" | "constant"
-    alpha_value: float | None = None
-    estimator_T: float = 0.3
-    pole: float | None = None  # required: the default only lets it follow the defaulted fields
-    pole_multiplicity: int | None = None  # None: the channel order sets it
-    nominal: str = "zero"
-    saturation: tuple[float, float] | None = None
+    output: int = _key("output", rule=_count)
+    order: int | None = _key("order", rule=_count, default=None)
+    alpha_source: str = _key("alpha", "source", rule=_tag, default="derived")  # "derived" | "formula" | "constant"
+    alpha_value: float | None = _key("alpha", "value", rule=_number, default=None)
+    estimator_T: float = _key("estimator", "T", rule=_number, default=0.3)
+    # required: the default only lets it follow the defaulted fields
+    pole: float | None = _key("pole", "value", rule=_number, required=True, default=None)
+    pole_multiplicity: int | None = _key("pole", "multiplicity", rule=_count, default=None)  # None: order sets it
+    nominal: str = _key("nominal", rule=_tag, default="zero")
+    saturation: tuple[float, float] | None = _key("saturation", rule=_List(_number), default=None)
 
     def __post_init__(self):
         if self.pole is None:
             raise ConfigurationError("channel needs a pole")
-        # the schema's number rules, for a spec built in Python rather than loaded
-        for name, kind in (("output", _count), ("order", _count), ("pole", _number)):
-            if (value := getattr(self, name)) is not None:
-                object.__setattr__(self, name, kind.load(value, name))
+        _type_fields(self)
         if (sat := self.saturation) is not None:
-            sat = tuple(_number.load(v, f"saturation[{i}]") for i, v in enumerate(sat))
             if not (len(sat) == 2 and sat[0] < sat[1]):
-                raise ConfigurationError(
-                    f"saturation needs (u_min, u_max) with u_min < u_max, got {self.saturation}"
-                )
-            object.__setattr__(self, "saturation", sat)
-        # a value other than a float is loaded by the same rule; a NaN, inf or non-positive float fails below
-        if not (self.alpha_value is None or isinstance(self.alpha_value, float)):
-            object.__setattr__(self, "alpha_value", _number.load(self.alpha_value, "alpha_value"))
-        if not isinstance(self.estimator_T, float):
-            object.__setattr__(self, "estimator_T", _number.load(self.estimator_T, "estimator_T"))
+                raise ConfigurationError(f"saturation needs (u_min, u_max) with u_min < u_max, got {sat}")
+            if not all(map(math.isfinite, sat)):
+                raise ConfigurationError(f"saturation bounds must be finite, got {sat}")
         if self.alpha_source not in ("derived", "formula", "constant"):
             raise ConfigurationError(f"unknown alpha source {self.alpha_source!r}")
         if self.alpha_source != "constant" and self.alpha_value is not None:
@@ -196,19 +386,22 @@ class ChannelSpec:
 class Scenario:
     """Complete, serialisable description of one simulation run."""
 
-    name: str
-    plant: str
-    timing: Timing
-    references: tuple[dict, ...]
-    channels: tuple[ChannelSpec, ...]
-    mismatch: MismatchSpec | None = None  # None: every output starts unscaled
-    plant_params: dict = field(default_factory=dict)
-    control_mode: str = "closed-loop"
-    noise_std: float = 0.0
-    noise_seed: int = 0
-    rms_fraction: float = 0.01
+    name: str = _key("name", rule=_tag)
+    plant: str = _key("plant", "name", rule=_tag)
+    timing: Timing = _key("timing", rule=_Object(Timing))
+    references: tuple[dict, ...] = _key("references", rule=_List(_REFERENCE))
+    channels: tuple[ChannelSpec, ...] = _key("channels", rule=_List(_Object(ChannelSpec)))
+    mismatch: MismatchSpec | None = _key(  # None: every output starts unscaled
+        "mismatch", rule=_Object(MismatchSpec, _plain("output_scaling", kind=_List(_number))), default=None
+    )
+    plant_params: dict = _key("plant", "params", rule=_instance(dict, "a JSON object"), default_factory=dict)
+    control_mode: str = _key("control_mode", rule=_tag, default="closed-loop")
+    noise_std: float = _key("noise", "std", rule=_number, default=0.0)
+    noise_seed: int = _key("noise", "seed", rule=_count, default=0)
+    rms_fraction: float = _key("metrics", "rms_fraction", rule=_number, default=0.01)
 
     def __post_init__(self):
+        _type_fields(self)
         if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
             raise ConfigurationError(f"scenario name {self.name!r} is not a plain file name")
         try:
@@ -220,13 +413,6 @@ class Scenario:
                 "scenario name is not a plain file name: <name>.metrics.txt must be "
                 "at most 255 bytes of UTF-8"
             )
-        # as in Timing; a bool, a string, 0.5 or a NumPy integer seed is loaded by the count rule
-        if not isinstance(self.noise_std, float):
-            object.__setattr__(self, "noise_std", _number.load(self.noise_std, "noise_std"))
-        if not isinstance(self.rms_fraction, float):
-            object.__setattr__(self, "rms_fraction", _number.load(self.rms_fraction, "rms_fraction"))
-        if type(self.noise_seed) is not int:
-            object.__setattr__(self, "noise_seed", _count.load(self.noise_seed, "noise_seed"))
         if self.control_mode not in ("closed-loop", "feedforward"):
             raise ConfigurationError(f"unknown control mode {self.control_mode!r}")
         if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):
@@ -237,159 +423,6 @@ class Scenario:
             raise ConfigurationError(
                 f"rms threshold fraction must be in (0, 1], got {self.rms_fraction}"
             )
-
-
-# --------------------------------------------------------------------------
-# scenario-file schema
-#
-# Each JSON object declares its keys once as ``(key, attribute, kind,
-# default)``, walked by both ``scenario_from_dict`` and ``scenario_to_dict``.
-# The default is the value an absent key stands for, ``None`` (left unset)
-# or ``_REQUIRED``.  A group (attribute ``None``) is a sub-object whose
-# keys are attributes of the enclosing dataclass.  ``#`` keys are comments at
-# every depth; any other unknown key is an error.
-
-_REQUIRED = object()
-
-
-def _at(path: str, key) -> str:
-    return f"{path}.{key}" if path else str(key)
-
-
-def _get(value, attr):
-    return value.get(attr) if isinstance(value, dict) else getattr(value, attr)
-
-
-class _Leaf:
-    """A JSON scalar checked by ``load(value, path)``."""
-
-    dump = staticmethod(lambda value: value)
-
-    def __init__(self, load):
-        self.load = load
-
-
-@_Leaf
-def _number(value, path: str) -> float:
-    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    raise ConfigurationError(f"{path} must be a finite number, got {value!r}")
-
-
-@_Leaf
-def _count(value, path: str) -> int:
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise ConfigurationError(f"{path} must be an integer, got {value!r}")
-
-
-def _typed(kind: type, what: str) -> _Leaf:
-    def load(value, path: str):
-        if not isinstance(value, kind):
-            raise ConfigurationError(f"{path} must be {what}, got {value!r}")
-        return value
-
-    return _Leaf(load)
-
-
-_tag = _typed(str, "a string")
-
-
-class _List:
-    """A JSON array of one kind, loaded as a tuple."""
-
-    def __init__(self, item):
-        self.item = item
-
-    def load(self, value, path: str) -> tuple:
-        if not isinstance(value, list):
-            raise ConfigurationError(f"{path} must be a JSON array, got {value!r}")
-        return tuple(self.item.load(v, f"{path}[{i}]") for i, v in enumerate(value))
-
-    def dump(self, value) -> list:
-        return [self.item.dump(v) for v in value]
-
-
-class _Object:
-    """A JSON object: its declared keys, built with ``make`` (``None`` for a group)."""
-
-    def __init__(self, make, fields):
-        self.make = make
-        self.fields = fields
-        self.keys = frozenset(key for key, *_ in fields)
-
-    def load(self, value, path: str):
-        if not isinstance(value, dict):
-            raise ConfigurationError(f"{path or 'scenario'} must be a JSON object, got {value!r}")
-        for key in value:
-            if key not in self.keys and not (isinstance(key, str) and key.startswith("#")):
-                raise ConfigurationError(f"unknown key {_at(path, key)}")
-        kwargs = {}
-        for key, attr, kind, default in self.fields:
-            if key in value:
-                loaded = kind.load(value[key], _at(path, key))
-            elif default is _REQUIRED:
-                raise ConfigurationError(f"missing key {_at(path, key)}")
-            elif default is None:
-                continue
-            else:
-                loaded = default
-            if attr is None:
-                kwargs.update(loaded)
-            else:
-                kwargs[attr] = loaded
-        if self.make is None:
-            return kwargs
-        try:
-            return self.make(**kwargs)
-        except ConfigurationError as exc:
-            if not path:
-                raise
-            raise ConfigurationError(f"{path}: {exc}") from None
-
-    def dump(self, value) -> dict:
-        out = {}
-        for key, attr, kind, default in self.fields:
-            v = value if attr is None else _get(value, attr)
-            if v is not None and (v := kind.dump(v)) not in (default, {}):
-                out[key] = v
-        return out
-
-
-class _Union:
-    """One of several objects, picked by the string under ``key`` (``attr`` once loaded)."""
-
-    def __init__(self, key: str, attr: str, what: str, options: dict):
-        self.key, self.attr, self.what, self.options = key, attr, what, options
-
-    def load(self, value, path: str):
-        if not isinstance(value, dict):
-            raise ConfigurationError(f"{path} must be a JSON object, got {value!r}")
-        if self.key not in value:
-            raise ConfigurationError(f"missing key {_at(path, self.key)}")
-        tag = value[self.key]
-        if not (isinstance(tag, str) and tag in self.options):
-            raise ConfigurationError(
-                f"{_at(path, self.key)}: unknown {self.what} {tag!r}; registered: {sorted(self.options)}"
-            )
-        return self.options[tag].load(value, path)
-
-    def dump(self, value) -> dict:
-        tag = _get(value, self.attr)
-        if tag not in self.options:
-            raise ConfigurationError(f"unknown {self.what} {tag!r}")
-        return self.options[tag].dump(value)
-
-
-def _plain(*keys, kind=_number, default=_REQUIRED):
-    """Fields whose attribute is the JSON key itself."""
-    return [(key, key, kind, default) for key in keys]
 
 
 # --------------------------------------------------------------------------
@@ -970,12 +1003,6 @@ def export_metrics(metrics: Metrics, destination) -> Path:
 # --------------------------------------------------------------------------
 # (de)serialisation
 
-
-_REFERENCE = _Union("type", "type", "reference type", {
-    "constant": _Object(dict, _plain("type", kind=_tag) + _plain("value")),
-    "smoothstep": _Object(dict, _plain("type", kind=_tag) + _plain("from", "to", "t_start", "t_end")),
-})
-
 _PLANT = _Union("name", "plant", "plant", {
     name: _Object(None, [
         ("name", "plant", _tag, _REQUIRED),
@@ -984,36 +1011,7 @@ _PLANT = _Union("name", "plant", "plant", {
     for name, (_, params) in PLANTS.items()
 })
 
-_CHANNEL = _Object(ChannelSpec, [
-    ("output", "output", _count, _REQUIRED),
-    ("order", "order", _count, None),
-    ("alpha", None, _Object(None, [
-        ("source", "alpha_source", _tag, "derived"),
-        ("value", "alpha_value", _number, None),
-    ]), None),
-    ("estimator", None, _Object(None, [("T", "estimator_T", _number, 0.3)]), None),
-    ("pole", None, _Object(None, [
-        ("value", "pole", _number, _REQUIRED),
-        ("multiplicity", "pole_multiplicity", _count, None),
-    ]), _REQUIRED),
-    ("nominal", "nominal", _tag, "zero"),
-    ("saturation", "saturation", _List(_number), None),
-])
-
-_SCENARIO = _Object(Scenario, [
-    ("name", "name", _tag, _REQUIRED),
-    ("plant", None, _PLANT, _REQUIRED),
-    ("timing", "timing", _Object(Timing, _plain("duration", "h")), _REQUIRED),
-    ("references", "references", _List(_REFERENCE), _REQUIRED),
-    ("channels", "channels", _List(_CHANNEL), _REQUIRED),
-    ("mismatch", "mismatch", _Object(MismatchSpec, _plain("output_scaling", kind=_List(_number))), None),
-    ("control_mode", "control_mode", _tag, "closed-loop"),
-    ("noise", None, _Object(None, [
-        ("std", "noise_std", _number, 0.0),
-        ("seed", "noise_seed", _count, 0),
-    ]), None),
-    ("metrics", None, _Object(None, [("rms_fraction", "rms_fraction", _number, 0.01)]), None),
-])
+_SCENARIO = _Object(Scenario, groups={"plant": _PLANT})
 
 
 def scenario_from_dict(data: dict) -> Scenario:

@@ -87,6 +87,8 @@ def test_numpy_scalars_pass_the_number_rules():
     seeded = dataclasses.replace(builtin_scenario("paper-sec4"), noise_seed=np.int64(3))
     assert type(seeded.noise_seed) is int and seeded.noise_seed == 3
     assert ChannelSpec(output=np.int64(1), order=1, alpha_source="formula", pole=-1.0).output == 1
+    # the schema's count rule loads an integral float as an int, in a file and in Python alike
+    assert type(ChannelSpec(output=0, pole=-1.0, pole_multiplicity=2.0).pole_multiplicity) is int
 
 
 def test_channel_spec_requires_a_pole():
@@ -827,6 +829,60 @@ def test_scenario_round_trips_through_json(s, rnd):
     assert scenario_from_dict(d) == s
 
 
+def test_every_configuration_field_declares_its_json_path_and_rule():
+    # a field without them would be unreachable from a scenario file
+    for cls in (Timing, ChannelSpec, Scenario):
+        for f in dataclasses.fields(cls):
+            if f.init:
+                assert f.metadata.get("path") and f.metadata.get("rule"), f"{cls.__name__}.{f.name}"
+
+
+#: values every constructor must type or refuse with a ConfigurationError
+ODD_VALUES = st.sampled_from(
+    [math.nan, math.inf, -math.inf, "a", None, True, 1.5, np.float64(2.0), np.int64(2), np.float32(math.nan)]
+)
+VALID_FIELDS = {
+    Timing: {"duration": st.sampled_from([1.0, 2]), "h": st.sampled_from([0.01, 0.5])},
+    ChannelSpec: {
+        "output": st.integers(0, 1),
+        "order": st.sampled_from([None, 1, 2]),
+        "alpha_source": st.sampled_from(["derived", "formula", "constant"]),
+        "alpha_value": st.none() | GAINS,
+        "estimator_T": st.just(0.3),
+        "pole": st.just(-1.0),
+        "pole_multiplicity": st.sampled_from([None, 1, 2]),
+        "nominal": st.just("zero"),
+        "saturation": st.none() | st.just((-1.0, 1.0)),
+    },
+    Scenario: {
+        "name": st.just("s"),
+        "plant": st.just("ultralocal"),
+        "timing": st.just(Timing(duration=1.0, h=0.01)),
+        "channels": st.just((ChannelSpec(output=0, order=1, alpha_source="constant", alpha_value=1.0, pole=-1.0),)),
+        "control_mode": st.sampled_from(["closed-loop", "feedforward"]),
+        "noise_std": st.sampled_from([0.0, 1e-3]),
+        "noise_seed": st.sampled_from([0, 7]),
+        "rms_fraction": st.just(0.01),
+    },
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(VALID_FIELDS, key=lambda cls: cls.__name__)), st.data())
+def test_constructors_type_each_field_or_raise_configuration_errors(cls, data):
+    # references, plant_params and mismatch keep checks of their own and are left at valid values
+    kwargs = {name: data.draw(valid | ODD_VALUES, label=name) for name, valid in VALID_FIELDS[cls].items()}
+    if cls is Scenario:
+        kwargs["references"] = ({"type": "constant", "value": 1.0},)
+    try:
+        built = cls(**kwargs)
+    except ConfigurationError:
+        return
+    for f in dataclasses.fields(cls):  # a built object holds each scalar as its rule loads it
+        value, kind = getattr(built, f.name), getattr(f.metadata.get("rule"), "type", None)
+        assert value is None or kind is None or type(value) is kind, f.name
+
+
 def test_missing_and_malformed_keys_are_configuration_errors():
     good = scenario_to_dict(builtin_scenario("paper-sec4"))
     for key in ("name", "plant", "timing", "references", "channels"):
@@ -960,6 +1016,12 @@ def _derive_first_benchmark_channel(n_refs, output_index=None):
         (_sec4_with(noise_seed=True), "noise_seed must be an integer, got True"),
         (_sec4_with(noise_std="1"), "noise_std must be a finite number, got '1'"),
         (_sec4_with(rms_fraction=None), "rms_fraction must be a finite number, got None"),
+        (_sec4_with(name=5), "name must be a string, got 5"),
+        (lambda: ChannelSpec(output=0, pole=-1.0, saturation=5), "saturation must be a JSON array, got 5"),
+        (
+            lambda: ChannelSpec(output=0, pole=-1.0, saturation=(-math.inf, 5.0)),
+            "saturation bounds must be finite, got (-inf, 5.0)",
+        ),
     ],
     ids=[
         "no-outputs",
@@ -983,6 +1045,9 @@ def _derive_first_benchmark_channel(n_refs, output_index=None):
         "scenario-noise-seed-bool",
         "scenario-noise-std-string",
         "scenario-rms-fraction-none",
+        "scenario-name-int",
+        "channel-saturation-int",
+        "channel-saturation-infinite",
     ],
 )
 def test_relation_and_plant_input_checks(build, message):
