@@ -14,13 +14,13 @@ from pathlib import Path
 from .errors import ExportError, HeolError
 from .scenarios import (
     Scenario,
+    _simulate,
+    _write_csv,
     builtin_names,
     builtin_scenario,
     compute_metrics,
-    export_csv,
     export_metrics,
     load_scenario,
-    run_scenario,
     validate_scenario,
 )
 
@@ -89,19 +89,17 @@ def cli_main(argv: list[str] | None = None) -> int:
     # run
     out_dir = Path(args.out if args.out is not None else os.environ.get("HEOL_OUT_DIR", "."))
     try:
-        log = run_scenario(built)
-    except HeolError as exc:
-        print(f"heol: run failed: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        csv_path = export_csv(log, out_dir / f"{scenario.name}.csv")
+        log = next(steps := _simulate(built))  # no sample yet: the CSV is formatted as the loop runs
+        csv_path = _write_csv(log, out_dir / f"{scenario.name}.csv", steps)
         metrics_path = export_metrics(
             compute_metrics(log, scenario.rms_fraction), out_dir / f"{scenario.name}.metrics.txt"
         )
     except (ExportError, OSError) as exc:
         print(f"heol: export failed: {exc}", file=sys.stderr)
         return 1
+    except HeolError as exc:
+        print(f"heol: run failed: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     print(csv_path)
     print(metrics_path)
     return EXIT_OK

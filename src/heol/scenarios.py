@@ -17,9 +17,11 @@ truncating the horizon, reproduces records exactly.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
+import mmap
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -380,6 +382,8 @@ class ChannelSpec:
             raise ConfigurationError("pole multiplicity must be 1 or 2")
         if not (math.isfinite(self.estimator_T) and self.estimator_T > 0.0):
             raise ConfigurationError(f"estimator window length must be positive, got T={self.estimator_T}")
+        if not (math.isfinite(self.pole) and self.pole < 0.0):  # the rule gains_from_poles applies
+            raise ConfigurationError(f"pole must be a strictly negative real, got {self.pole}")
 
 
 @dataclass(frozen=True)
@@ -674,7 +678,13 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
     Deterministic: identical inputs produce bit-identical logs, and a run
     over a shorter horizon reproduces the corresponding prefix exactly.
     """
-    built = scenario if isinstance(scenario, _Built) else validate_scenario(scenario)
+    log, *_ = _simulate(scenario if isinstance(scenario, _Built) else validate_scenario(scenario))
+    return log
+
+
+def _simulate(built: _Built):
+    """``run_scenario``'s run, stepped by the caller: the log before the first sample (``dy``, ``clamped`` set
+    last), then each chunk's clamp flags as it ends.  A process forked at the first yield sees each record."""
     model, channels = built.model, built.channels
     feedback = built.scenario.control_mode == "closed-loop"
     grid = built.scenario.timing
@@ -697,9 +707,9 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
             raise DivergenceError(f"measurement noise with std {std:g} overflows the float range")
 
     # One record row per sample, y | u | du | F_est, written as one list.  The clamp
-    # flags go to a bytearray read as the bool log after the run: as a float column
+    # flags go to a bytearray copied to the bool log after the run: as a float column
     # of ``log`` they would stay alive behind the views at 8 bytes each.
-    log = np.empty((n_pts, p + 3 * m))
+    log = np.frombuffer(mmap.mmap(-1, n_pts * (p + 3 * m) * 8), dtype=float).reshape(n_pts, p + 3 * m)
     record = [0.0] * (p + 3 * m)
     clamps = bytearray()
 
@@ -724,62 +734,72 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
     # check and the trust region: NaN and inf carry through a sum of |x_i|, which bounds the largest.
     step, output = _kernel(model), model.output
 
-    x = built.x0.tolist()
-    for k in range(n_pts):
-        t, i = k * h, 2 * k  # i: this sample's dy slot in every history
-        y = output(x)
-        if noise is not None:
-            y = [a + b for a, b in zip(y, noise[k].tolist())]
-        record[:p] = y
-        row = table[k].tolist()
-        for j, out, order2, k_p, k_d, lo, hi, w2, hist, dot, cu, ca in bound:
-            dy = y[out] - row[out]
-            hist[i] = dy
-            if order2 and k > 0:
-                # low-pass-filtered backward difference over the step from the previous point
-                dt = t - (k - 1) * h
-                ddys[j] += dt / (tau_f + dt) * ((dy - last_dy[j]) / dt - ddys[j])
-            last_dy[j] = dy
-            # warm-up: no full window yet
-            f_est = float(dot(hist[i - w2 : i + 2])) if i >= w2 else 0.0
-            u_nom, alpha = row[cu], row[ca]
-            du = 0.0
-            if feedback:
-                du = -(f_est + k_p * dy + k_d * ddys[j]) / alpha if order2 else -(f_est + k_p * dy) / alpha
-            u = u_nom + du
-            clamped = u < lo or u > hi
-            if clamped:
-                u = lo if u < lo else hi
-            clamps.append(clamped)
-            record[cu], record[ca], record[ca + m] = u, u - u_nom, f_est
-            hist[i + 1] = alpha * record[ca]
-        log[k] = record
-
-        if k < grid.n_steps:
-            try:
-                x = step(t, x, record[p : p + m], h)
-            except ValueError:
-                _check_lengths(model, t, x, record[p : p + m], h)
-                raise
-            if not sum(map(abs, x)) <= TRUST_REGION and max(map(abs, _finite(x, t))) > TRUST_REGION:
-                raise DivergenceError(
-                    f"state left the trust region (|x| > {TRUST_REGION:g}) by t={(k + 1) * h:.6g}"
-                )
-
-    y, u, du, f_est = log[:, :p], log[:, p : p + m], log[:, p + m : p + 2 * m], log[:, p + 2 * m :]
-    return SimLog(
+    simlog = SimLog(
         channel_T=tuple(ch.w * h for ch in channels),
         t=times,
-        y=y,
+        y=log[:, :p],
         y_ref=table[:, :p],
-        u=u,
+        u=log[:, p : p + m],
         u_nom=table[:, p : p + m],
-        dy=y - table[:, :p],
-        du=du,
-        f_est=f_est,
+        dy=np.empty((n_pts, p)),
+        du=log[:, p + m : p + 2 * m],
+        f_est=log[:, p + 2 * m :],
         f_valid=np.arange(n_pts)[:, None] >= np.array([ch.w for ch in channels]),
-        clamped=np.frombuffer(clamps, dtype=bool).reshape(n_pts, m),
+        clamped=np.empty((n_pts, m), dtype=bool),
     )
+    yield simlog
+
+    x = built.x0.tolist()
+    for k0 in range(0, n_pts, _CSV_CHUNK):
+        for k in range(k0, min(k0 + _CSV_CHUNK, n_pts)):
+            t, i = k * h, 2 * k  # i: this sample's dy slot in every history
+            y = output(x)
+            if noise is not None:
+                y = [a + b for a, b in zip(y, noise[k].tolist())]
+            record[:p] = y
+            row = table[k].tolist()
+            for j, out, order2, k_p, k_d, lo, hi, w2, hist, dot, cu, ca in bound:
+                dy = y[out] - row[out]
+                hist[i] = dy
+                if order2 and k > 0:
+                    # low-pass-filtered backward difference over the step from the previous point
+                    dt = t - (k - 1) * h
+                    ddys[j] += dt / (tau_f + dt) * ((dy - last_dy[j]) / dt - ddys[j])
+                last_dy[j] = dy
+                # warm-up: no full window yet
+                f_est = float(dot(hist[i - w2 : i + 2])) if i >= w2 else 0.0
+                u_nom, alpha = row[cu], row[ca]
+                du = 0.0
+                if feedback:
+                    du = -(f_est + k_p * dy + k_d * ddys[j]) / alpha if order2 else -(f_est + k_p * dy) / alpha
+                u = u_nom + du
+                clamped = u < lo or u > hi
+                if clamped:
+                    u = lo if u < lo else hi
+                clamps.append(clamped)
+                record[cu], record[ca], record[ca + m] = u, u - u_nom, f_est
+                hist[i + 1] = alpha * record[ca]
+            log[k] = record
+
+            if k < grid.n_steps:
+                try:
+                    x = step(t, x, record[p : p + m], h)
+                except ValueError:
+                    _check_lengths(model, t, x, record[p : p + m], h)
+                    raise
+                if not sum(map(abs, x)) <= TRUST_REGION and max(map(abs, _finite(x, t))) > TRUST_REGION:
+                    raise DivergenceError(
+                        f"state left the trust region (|x| > {TRUST_REGION:g}) by t={(k + 1) * h:.6g}"
+                    )
+
+        yield clamps[k0 * m :]
+    _fill_log(simlog, slice(None), clamps)
+
+
+def _fill_log(log: SimLog, rows: slice, flags: bytes) -> None:
+    """Set ``dy = y - y_ref`` and ``clamped`` (``flags``: a byte per row and channel, or raise) at ``rows``."""
+    np.subtract(log.y[rows], log.y_ref[rows], out=log.dy[rows])
+    log.clamped[rows] = np.frombuffer(flags, dtype=bool).reshape(log.clamped[rows].shape)
 
 
 # --------------------------------------------------------------------------
@@ -832,22 +852,25 @@ def _fmt(x: float) -> str:
 _CSV_CHUNK = 256
 
 
-def _csv_layout(n_outputs: int, n_controls: int) -> list[tuple[str, str, int | None]]:
-    """(column name, log field, column index) of every CSV column, in file order."""
+def _csv_layout(log: SimLog) -> tuple[list[np.ndarray], str, bytes]:
+    """The CSV columns of ``log`` in file order, the format of one row and the header line."""
 
     def block(n, *fields):  # (log field, name pattern) pairs, interleaved per index
         return [(name.format(i + 1), f, i) for i in range(n) for f, name in fields]
 
-    return (
+    layout = (
         [("t", "t", None)]
-        + block(n_outputs, ("y", "y{}"), ("y_ref", "y{}_ref"))
-        + block(n_controls, ("u", "u{}"), ("u_nom", "u{}_nom"))
-        + block(n_outputs, ("dy", "dy{}"))
-        + block(n_controls, ("du", "du{}"))
-        + block(n_controls, ("f_est", "F{}_est"))
-        + block(n_controls, ("f_valid", "F{}_valid"))
-        + block(n_controls, ("clamped", "clamp{}"))
+        + block(log.n_outputs, ("y", "y{}"), ("y_ref", "y{}_ref"))
+        + block(log.n_controls, ("u", "u{}"), ("u_nom", "u{}_nom"))
+        + block(log.n_outputs, ("dy", "dy{}"))
+        + block(log.n_controls, ("du", "du{}"))
+        + block(log.n_controls, ("f_est", "F{}_est"))
+        + block(log.n_controls, ("f_valid", "F{}_valid"))
+        + block(log.n_controls, ("clamped", "clamp{}"))
     )
+    columns = [getattr(log, f) if i is None else getattr(log, f)[:, i] for _, f, i in layout]
+    row = ",".join("%d" if c.dtype == bool else "%.17g" for c in columns) + "\n"
+    return columns, row, (",".join(name for name, _, _ in layout) + "\n").encode()
 
 
 #: fewest formatted values (rows x columns) for which the forked helper pays for its fork.  With the
@@ -897,16 +920,19 @@ def _csv_chunk(columns, row: str, k: int) -> bytes:
     return text.encode()
 
 
-def _csv_helper(blocks, write_fd: int, columns, row: str, starts) -> None:
-    """The forked helper: send the text of the chunks at ``starts`` through ``write_fd``, each one
-    prefixed by its length, then leave through ``os._exit`` (no ``atexit`` hook, no flush of a file
-    of the parent's)."""
+def _csv_helper(inherited, write_fd: int, columns, row: str, starts, ready=None) -> None:
+    """The forked helper: close the parent's pipe ends ``inherited``, send the text of the chunks at
+    ``starts`` through ``write_fd``, each one prefixed by its length (given ``ready``, held until ``ready(k)``
+    has returned for each), then leave through ``os._exit`` (no ``atexit`` hook, no parent's file flushed)."""
     code = 1
     try:
-        blocks.close()
+        for end in inherited:
+            end.close()
+        texts = (_csv_chunk(columns, row, k) for k in starts)
+        if ready is not None:  # the parent reads no block while its loop runs
+            texts = [ready(k) or _csv_chunk(columns, row, k) for k in starts]
         with open(write_fd, "wb") as out:
-            for k in starts:
-                text = _csv_chunk(columns, row, k)
+            for text in texts:
                 out.write(len(text).to_bytes(8, "little"))
                 out.write(text)
         code = 0
@@ -924,7 +950,7 @@ def _csv_block(blocks, path: Path, k: int) -> bytes:
     raise ExportError(f"failed to write {path}: its formatting helper sent no text for row {k}")
 
 
-def _csv_fork(columns, row: str, starts):
+def _csv_fork(columns, row: str, starts, inherited=(), ready=None):
     """Fork the helper that formats the chunks at ``starts``: the read end of its pipe and its pid, or
     ``(None, 0)`` where no pipe or process is to spare (EMFILE, EAGAIN, ENOMEM) and this process formats
     every chunk."""
@@ -935,7 +961,7 @@ def _csv_fork(columns, row: str, starts):
     blocks = open(read_fd, "rb")
     try:
         if (helper := os.fork()) == 0:
-            _csv_helper(blocks, write_fd, columns, row, starts)
+            _csv_helper([blocks, *inherited], write_fd, columns, row, starts, ready)
     except OSError:
         blocks.close()
         return None, 0
@@ -947,27 +973,45 @@ def _csv_fork(columns, row: str, starts):
 def export_csv(log: SimLog, destination) -> Path:
     """Write the run log as CSV with full float precision (17 significant digits).
 
-    Chunk ``i`` of ``_CSV_CHUNK`` rows is formatted by worker ``i % workers``: this process, and on a
-    log of ``_CSV_HELPER_MIN_VALUES`` values or more with a second CPU free, a forked helper that sends
-    its text back through a pipe.  Only this process writes the file, in row order.  Within a chunk, a
-    float64 or bool column holding one bit pattern is formatted once (``_csv_chunk``); the bytes are
-    those of formatting every field.
+    Chunk ``i`` of ``_CSV_CHUNK`` rows is formatted by worker ``i % workers``: this process, and on a log of
+    ``_CSV_HELPER_MIN_VALUES`` values or more with a second CPU free, a forked helper that sends its text back
+    through a pipe; only this process writes the file, in row order.  A float64 or bool column holding one bit
+    pattern over a chunk is formatted once (``_csv_chunk``), so the bytes are those of formatting every field.
+    ``heol run`` forks its helper before the run instead (``_write_csv``); neither helper starts Python.
     """
-    path = Path(destination)
-    layout = _csv_layout(log.n_outputs, log.n_controls)
-    columns = [getattr(log, f) if i is None else getattr(log, f)[:, i] for _, f, i in layout]
-    row = ",".join("%d" if c.dtype == bool else "%.17g" for c in columns) + "\n"
+    return _write_csv(log, Path(destination))
+
+
+def _write_csv(log: SimLog, path: Path, steps=None) -> Path:
+    """``export_csv``, or given ``steps`` (``_simulate`` of ``log`` past its first yield) ``heol run``'s: step
+    the run, then make the directory and write the file.  A run forks the helper, where it pays, before the
+    first sample, to fill and format every chunk as the loop announces it with its clamp flags, by a pipe."""
+
+    def ready(k):  # in a run's helper: wait until the loop has ended the chunk at k (EOF if the run failed)
+        _fill_log(log, slice(k, k + _CSV_CHUNK), chunks.read(log.clamped[k : k + _CSV_CHUNK].size))
+
+    columns, row, header = _csv_layout(log)
     starts = range(0, len(log.t), _CSV_CHUNK)
-    blocks, helper = None, 0
+    theirs, blocks, helper = starts[1::2] if steps is None else starts, None, 0
     try:
-        # forked before the file is opened, so the helper holds none of its data
-        if _csv_fork_helps(len(log.t), len(columns)):
-            blocks, helper = _csv_fork(columns, row, starts[1::2])
-        workers = 2 if helper else 1
+        with contextlib.ExitStack() as announcing:
+            # forked before the file is opened, so the helper holds none of its data
+            if steps is None and _csv_fork_helps(len(log.t), len(columns)):
+                blocks, helper = _csv_fork(columns, row, theirs)
+            elif steps is not None and _csv_fork_helps(len(log.t), len(columns)):
+                with contextlib.suppress(OSError), open((fds := os.pipe())[0], "rb") as chunks:
+                    announce = announcing.enter_context(open(fds[1], "wb"))
+                    blocks, helper = _csv_fork(columns, row, theirs, [announce], ready)
+            for flags in steps or ():
+                if helper:
+                    announce.write(flags)
+                    announce.flush()
+        if steps is not None:
+            path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "wb") as fh:
-            fh.write((",".join(name for name, _, _ in layout) + "\n").encode())
-            for i, k in enumerate(starts):
-                fh.write(_csv_chunk(columns, row, k) if i % workers == 0 else _csv_block(blocks, path, k))
+            fh.write(header)
+            for k in starts:
+                fh.write(_csv_block(blocks, path, k) if helper and k in theirs else _csv_chunk(columns, row, k))
     except OSError as exc:
         raise ExportError(f"failed to write {path}: {exc}") from exc
     finally:

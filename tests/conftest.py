@@ -1,4 +1,5 @@
-"""Shared scenario builders, and the helper through which a test starts a Python process."""
+"""Shared scenario builders, the helper through which a test starts a Python process, and the switches of
+the CSV formatting helper that a test forks."""
 
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import settings
 
 import heol
+import heol.scenarios
 from heol import ChannelSpec, MismatchSpec, Scenario, Timing
 
 # Property tests draw the same examples on every run, so the suite is repeatable.
@@ -82,6 +84,39 @@ def ultralocal_scenario(
         noise_std=noise_std,
         noise_seed=noise_seed,
     )
+
+
+def _count_forks(monkeypatch) -> list[int]:
+    """Wrap ``os.fork``; each call appends the forking pid to the returned list."""
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _two_cpus(monkeypatch) -> int:
+    """Give the process a second CPU, whatever the host has; return the helpers a long export forks:
+    1, or on Python 3.12 and later 0 while other threads run (``os.fork`` warns there)."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)  # macOS has none
+    helpers = int(heol.scenarios._csv_fork_helps(2000, 19))
+    assert helpers == 1 or sys.version_info >= (3, 12)
+    return helpers
+
+
+def _fail_in_the_helper(monkeypatch) -> None:
+    """Make the chunk formatter raise in any process but this one."""
+    parent, format_chunk = os.getpid(), heol.scenarios._csv_chunk
+
+    def failing_in_the_helper(columns, row, k):
+        if os.getpid() != parent:
+            raise RuntimeError("helper fault")
+        return format_chunk(columns, row, k)
+
+    monkeypatch.setattr(heol.scenarios, "_csv_chunk", failing_in_the_helper)
 
 
 @pytest.fixture

@@ -1,7 +1,11 @@
 """Command-line behaviour: subcommands, exit codes, output locations."""
 
 import dataclasses
+import errno
+import hashlib
 import json
+import math
+import os
 import warnings
 from pathlib import Path
 
@@ -11,11 +15,19 @@ from hypothesis import strategies as st
 
 import heol
 from heol.cli import cli_main
-from heol.errors import ConfigurationError
+from heol.errors import ConfigurationError, DivergenceError, SingularChannelError
 from heol.plant import MismatchSpec
-from heol.scenarios import Timing, builtin_scenario, scenario_to_dict, validate_scenario
+from heol.scenarios import (
+    Timing,
+    builtin_scenario,
+    export_csv,
+    run_scenario,
+    scenario_to_dict,
+    validate_scenario,
+)
 
-from conftest import run_python, ultralocal_scenario
+from conftest import _count_forks, _fail_in_the_helper, _two_cpus, run_python, ultralocal_scenario
+from test_golden import GOLDEN
 
 
 def write_config(tmp_path, scenario, name="scenario.json"):
@@ -91,6 +103,23 @@ def test_output_index_out_of_range_names_its_channel(tmp_path, capsys):
         validate_scenario(bad)
     assert cli_main(["validate", "--config", str(write_config(tmp_path, bad))]) == 3
     assert "channel 2: output index 5 out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "pole, message",
+    [
+        (math.nan, "channels[0].pole.value must be a finite number, got nan"),
+        (math.inf, "channels[0].pole.value must be a finite number, got inf"),
+        (1.0, "channels[0]: pole must be a strictly negative real, got 1.0"),
+    ],
+)
+def test_a_pole_that_places_no_stable_root_exits_3(tmp_path, capsys, pole, message):
+    bad = scenario_to_dict(ultralocal_scenario(1.0))
+    bad["channels"][0]["pole"]["value"] = pole  # json writes NaN and Infinity, and reads them back
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert cli_main(["validate", "--config", str(path)]) == 3
+    assert capsys.readouterr().err == f"heol: invalid scenario: {message}\n"
 
 
 def test_non_object_channel_entries_exit_3(tmp_path, capsys):
@@ -373,6 +402,142 @@ def test_export_failure_exits_1(tmp_path, capsys):
     obstacle.write_text("in the way")
     assert cli_main(["run", "--config", str(path), "--out", str(obstacle)]) == 1
     assert "export failed" in capsys.readouterr().err
+
+
+# -------------------------------------------- heol run formats the CSV as the loop runs (where a helper pays)
+
+
+def _sec4_20s():
+    """``paper-sec4`` cut to 20 s: 2,001 rows x 19 columns, enough values for the formatting helper."""
+    return dataclasses.replace(builtin_scenario("paper-sec4"), timing=Timing(duration=20.0, h=0.01))
+
+
+def _announced(monkeypatch, forks: list[int]) -> list[tuple[int, int]]:
+    """Wrap the run that ``heol run`` steps; each chunk the loop ends appends its count of clamp flags and
+    the count of ``forks`` by then."""
+    chunks, simulate = [], heol.cli._simulate
+
+    def counted(built):
+        steps = simulate(built)
+        yield next(steps)
+        for flags in steps:
+            chunks.append((len(flags), len(forks)))
+            yield flags
+
+    monkeypatch.setattr(heol.cli, "_simulate", counted)
+    return chunks
+
+
+def _assert_nothing_left(open_fds: int):
+    """No child process to reap and as many open descriptors as ``open_fds``."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/dev/fd")) == open_fds
+
+
+@pytest.mark.parametrize("name", ["paper-sec4", "paper-sec4-noisy-saturated"])
+def test_a_streamed_run_writes_the_golden_csv(tmp_path, monkeypatch, name):
+    make, digest = GOLDEN[name]  # the noisy, saturated run's clamp column flips
+    scenario = make()
+    helpers, forks = _two_cpus(monkeypatch), _count_forks(monkeypatch)
+    announced = _announced(monkeypatch, forks)
+    open_fds = len(os.listdir("/dev/fd"))
+    assert cli_main(["run", "--config", str(write_config(tmp_path, scenario)), "--out", str(tmp_path)]) == 0
+    assert len(forks) == helpers and announced[0][1] == helpers  # the helper is forked before the first sample
+    assert sum(flags for flags, _ in announced) == scenario.timing.n_points * len(scenario.channels)
+    assert hashlib.sha256((tmp_path / f"{scenario.name}.csv").read_bytes()).hexdigest() == digest
+    _assert_nothing_left(open_fds)
+
+
+def test_a_streamed_run_formats_every_chunk_before_it_sends_one(tmp_path, monkeypatch):
+    # a helper that sent a block during the loop would stall on the full pipe, and on a long run the loop too
+    if not _two_cpus(monkeypatch):
+        pytest.skip("other threads run on Python 3.12+, so no formatting helper")
+    parent, chunk, block = os.getpid(), heol.scenarios._csv_chunk, heol.scenarios._csv_block
+    formatted, seen = tmp_path / "formatted", []
+
+    def logged_chunk(columns, row, k):
+        if os.getpid() != parent:
+            with open(formatted, "a") as fh:
+                fh.write(f"{k}\n")
+        return chunk(columns, row, k)
+
+    def counted_block(blocks, path, k):
+        text = block(blocks, path, k)
+        seen.append(len(formatted.read_text().split()))
+        return text
+
+    monkeypatch.setattr(heol.scenarios, "_csv_chunk", logged_chunk)
+    monkeypatch.setattr(heol.scenarios, "_csv_block", counted_block)
+    assert cli_main(["run", "--config", str(write_config(tmp_path, _sec4_20s())), "--out", str(tmp_path)]) == 0
+    assert seen == [8] * 8  # 2,001 rows: all 8 chunks formatted before the first block arrived
+
+
+def test_a_short_run_forks_no_helper(tmp_path, monkeypatch):
+    scenario = ultralocal_scenario(1.0, name="short", duration=10.0)  # 1,001 rows x 10 columns
+    assert scenario.timing.n_points * 10 < heol.scenarios._CSV_HELPER_MIN_VALUES
+    expected = export_csv(run_scenario(scenario), tmp_path / "expected.csv").read_bytes()
+    _two_cpus(monkeypatch)
+    forks = _count_forks(monkeypatch)
+    assert cli_main(["run", "--config", str(write_config(tmp_path, scenario)), "--out", str(tmp_path)]) == 0
+    assert forks == []
+    assert (tmp_path / "short.csv").read_bytes() == expected
+
+
+@pytest.mark.parametrize("error", [DivergenceError, SingularChannelError])
+def test_a_failing_streamed_run_exits_4_and_keeps_the_old_csv(tmp_path, monkeypatch, capsys, error):
+    helpers, forks = _two_cpus(monkeypatch), _count_forks(monkeypatch)
+    announced, kernel = _announced(monkeypatch, forks), heol.scenarios._kernel
+
+    def failing_at_6s(model):
+        step = kernel(model)
+
+        def failing(t, x, u, h):
+            if t >= 6.0:
+                raise error(f"injected at t={t:.6g}")
+            return step(t, x, u, h)
+
+        return failing
+
+    monkeypatch.setattr(heol.scenarios, "_kernel", failing_at_6s)
+    config, out = write_config(tmp_path, _sec4_20s()), tmp_path / "out"
+    out.mkdir()
+    (out / "paper-sec4.csv").write_text("an earlier run\n")
+    open_fds = len(os.listdir("/dev/fd"))
+    assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 4
+    assert "heol: run failed: injected at t=6\n" == capsys.readouterr().err
+    assert len(forks) == helpers and len(announced) == 2  # rows 0-511 announced, the run fails at row 600
+    assert [p.name for p in out.iterdir()] == ["paper-sec4.csv"]
+    assert (out / "paper-sec4.csv").read_text() == "an earlier run\n"
+    _assert_nothing_left(open_fds)
+
+
+def test_a_streamed_run_whose_helper_fails_exits_1(tmp_path, monkeypatch, capsys):
+    if not _two_cpus(monkeypatch):
+        pytest.skip("other threads run on Python 3.12+, so no formatting helper")
+    _fail_in_the_helper(monkeypatch)
+    config = write_config(tmp_path, _sec4_20s())
+    open_fds = len(os.listdir("/dev/fd"))
+    assert cli_main(["run", "--config", str(config), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"heol: export failed: failed to write {tmp_path / 'paper-sec4.csv'}: "), err
+    _assert_nothing_left(open_fds)
+
+
+@pytest.mark.parametrize("call", ["pipe", "fork"])
+def test_a_run_without_a_spare_process_formats_after_the_loop(tmp_path, monkeypatch, call):
+    def refused(*args):
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    scenario = _sec4_20s()
+    expected = export_csv(run_scenario(scenario), tmp_path / "expected.csv").read_bytes()
+    _two_cpus(monkeypatch)
+    monkeypatch.setattr(os, call, refused)
+    config = write_config(tmp_path, scenario)
+    open_fds = len(os.listdir("/dev/fd"))
+    assert cli_main(["run", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "paper-sec4.csv").read_bytes() == expected
+    _assert_nothing_left(open_fds)
 
 
 def test_console_entry_point():

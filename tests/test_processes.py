@@ -1,7 +1,8 @@
 """The suite launches an interpreter only in the tests listed here; every other test runs in the pytest process.
 
-Only launches count: the helper that ``export_csv`` forks to format every other CSV chunk starts no
-interpreter, so a test that exports a long log is not listed.
+Only launches count: the helper that ``export_csv`` forks to format every other CSV chunk, and the one that
+``heol run`` forks before its loop to format every chunk, start no interpreter, so a test that exports a long
+log or runs ``cli_main`` on one is not listed.
 
 A process is kept where it is the subject of the test (an entry point, a setting read at start-up) or
 where a regression could exhaust the memory of the pytest process.  A new launch has to be added to

@@ -44,7 +44,7 @@ from heol.scenarios import (
 )
 from heol.signals import make_constant
 
-from conftest import ultralocal_scenario
+from conftest import _count_forks, _fail_in_the_helper, _two_cpus, ultralocal_scenario
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -625,39 +625,6 @@ def _awkward_csv(n: int) -> tuple[SimLog, bytes]:
     return log, _oracle_csv(log)
 
 
-def _count_forks(monkeypatch) -> list[int]:
-    """Wrap ``os.fork``; each call appends the forking pid to the returned list."""
-    forks, fork = [], os.fork
-
-    def counted():
-        forks.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return forks
-
-
-def _two_cpus(monkeypatch) -> int:
-    """Give the process a second CPU, whatever the host has; return the helpers a long export forks:
-    1, or on Python 3.12 and later 0 while other threads run (``os.fork`` warns there)."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)  # macOS has none
-    helpers = int(heol_scenarios._csv_fork_helps(2000, 19))
-    assert helpers == 1 or sys.version_info >= (3, 12)
-    return helpers
-
-
-def _fail_in_the_helper(monkeypatch) -> None:
-    """Make the chunk formatter raise in any process but this one."""
-    parent, format_chunk = os.getpid(), heol_scenarios._csv_chunk
-
-    def failing_in_the_helper(columns, row, k):
-        if os.getpid() != parent:
-            raise RuntimeError("helper fault")
-        return format_chunk(columns, row, k)
-
-    monkeypatch.setattr(heol_scenarios, "_csv_chunk", failing_in_the_helper)
-
-
 def test_csv_bytes_do_not_depend_on_the_formatting_helper(tmp_path, monkeypatch):
     log, oracle = _awkward_csv(2000)  # 8 chunks of 256 rows
     forks, helpers = _count_forks(monkeypatch), _two_cpus(monkeypatch)
@@ -996,6 +963,15 @@ def _derive_first_benchmark_channel(n_refs, output_index=None):
         (_ultralocal_with("plant", "ultralocal"), "plant must be a JSON object, got 'ultralocal'"),
         (_ultralocal_with("references", [1.0]), "references[0] must be a JSON object, got 1.0"),
         (lambda: ChannelSpec(output=0, pole="a"), "pole must be a finite number, got 'a'"),
+        *[
+            (lambda p=p: ChannelSpec(output=0, order=1, alpha_source="constant", alpha_value=1.0, pole=p),
+             message)
+            for p, message in [
+                (math.nan, "pole must be a strictly negative real, got nan"),
+                (math.inf, "pole must be a strictly negative real, got inf"),
+                (1.0, "pole must be a strictly negative real, got 1.0"),
+            ]
+        ],
         (lambda: ChannelSpec(output="0", pole=-1.0), "output must be an integer, got '0'"),
         (lambda: ChannelSpec(output=True, pole=-1.0), "output must be an integer, got True"),
         (
@@ -1034,6 +1010,9 @@ def _derive_first_benchmark_channel(n_refs, output_index=None):
         "plant-string",
         "reference-number",
         "channel-pole-string",
+        "channel-pole-nan",
+        "channel-pole-inf",
+        "channel-pole-positive",
         "channel-output-string",
         "channel-output-bool",
         "channel-saturation-strings",
