@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, HeolError, SingularChannelError
-from .signals import ReferenceTrajectory
+from .signals import MAX_ORDER, ReferenceTrajectory
 
 __all__ = [
     "ImplicitFlatRelation",
@@ -46,7 +46,7 @@ ZERO_THRESHOLD = 1e-9
 def _refuse(singular, values, t, message: str):
     """``values`` (a float or an array at times ``t``), unless ``singular`` holds somewhere: then a
     SingularChannelError whose ``message`` template reads the first such ``{value}`` and ``{t}``."""
-    if np.any(singular):
+    if singular.any():  # a numpy bool or array of them
         first = lambda x: float(np.broadcast_to(x, np.shape(singular))[singular][0])
         raise SingularChannelError(message.format(value=first(values), t=first(t)))
     return values
@@ -107,18 +107,33 @@ class HomeostatChannel:
 
 
 def build_reference_table(
-    references: Sequence[ReferenceTrajectory], t, orders: Sequence[int]
+    references: Sequence[ReferenceTrajectory], t, orders: Sequence[int] | None = None
 ) -> np.ndarray:
     """Derivative table of the references at ``t``, a float or an array of times.
 
-    Entry ``[l, k]`` holds the k-th derivative of reference l for
-    ``k <= orders[l]`` (of ``t``'s shape); unused entries stay zero.
+    Entry ``[l, k]`` holds the k-th derivative of reference l for ``k <= orders[l]``
+    (every order by default), of ``t``'s shape; unused entries stay zero.  A
+    :class:`ReferenceTrajectory` selects each time's piece once for all its orders.
     """
+    orders = (MAX_ORDER,) * len(references) if orders is None else orders
     table = np.zeros((len(references), max(orders) + 1) + np.shape(t))
     for l, ref in enumerate(references):
-        for k in range(orders[l] + 1):
-            table[l, k] = ref.eval(t, k)
+        ks = range(orders[l] + 1)
+        values = ref._eval(t, ks) if isinstance(ref, ReferenceTrajectory) else [ref.eval(t, k) for k in ks]
+        table[l, : ks.stop] = values
     return table
+
+
+def _on_table(f) -> Callable:
+    """``f(t)`` as it reads a reference table, ``f.on_table(table, t, ...)``; a plain ``f`` reads none."""
+    return getattr(f, "on_table", None) or (lambda table, t, *_: f(t))
+
+
+def _of_time(on_table: Callable, references: Sequence[ReferenceTrajectory]) -> Callable:
+    """``on_table(table, t)`` as a function of the times ``t`` alone, which it keeps as its ``on_table``."""
+    of_time = lambda t: on_table(build_reference_table(references, t), t)
+    of_time.on_table = on_table
+    return of_time
 
 
 def finite_diff_partial(
@@ -207,22 +222,29 @@ def derive_channel(
         first), or ``dE/dy^(order)`` vanishes, or alpha is (numerically) zero
         at a probe time, naming the first such time.
     """
+    # a nominal_control given here may read other references: it is called with times alone
+    nominal = (lambda t: nominal_control(t)) if nominal_control is not None else (lambda t: 0.0)
+    return _derive(relation, tuple(references), horizon, order_override, output_index, nominal)[0]
+
+
+def _derive(relation, refs, horizon, order_override, output_index, nominal, probe=None):
+    """:func:`derive_channel` and what it read: ``probe``, its 32 probe times along ``horizon`` and the table of
+    ``refs`` there, built unless given.  The derived alpha reads a table too, and the feedforward there as u."""
     t_lo, t_hi = map(float, horizon)
     if not (t_hi > t_lo and math.isfinite(t_hi - t_lo)):  # also rejects inf and NaN ends
         raise ConfigurationError(f"horizon needs finite t_lo < t_hi, got [{t_lo}, {t_hi}]")
-    if len(references) != relation.n_outputs:
-        raise ConfigurationError(
-            f"relation expects {relation.n_outputs} references, got {len(references)}"
-        )
+    if len(refs) != relation.n_outputs:
+        raise ConfigurationError(f"relation expects {relation.n_outputs} references, got {len(refs)}")
     out = relation.control_index if output_index is None else output_index
     if not 0 <= out < relation.n_outputs:
         raise ConfigurationError(f"output index {out} out of range")
+    if probe is None:
+        probes = np.linspace(t_lo, t_hi, 32)
+        probe = probes, build_reference_table(refs, probes)
+    probes, table = probe
 
-    refs = tuple(references)
-    u_of_t = nominal_control if nominal_control is not None else (lambda t: 0.0)
-    probes = np.linspace(t_lo, t_hi, 32)
-    table = build_reference_table(refs, probes, relation.orders)
-    u = np.broadcast_to(_at_first_failure(u_of_t, probes), probes.shape)
+    feedforward = _on_table(nominal)
+    u = np.broadcast_to(_at_first_failure(lambda t: feedforward(table[..., : len(t)], t), probes), probes.shape)
     d_u = _partial(relation, "u", table, u, probes)  # before any table partial: a 0/0 names dE/du
 
     if order_override is not None:
@@ -251,12 +273,36 @@ def derive_channel(
     # in for the probe times
     _at_first_failure(lambda t: gain(table[..., : len(t)], u[: len(t)], d_u[: len(t)], t), probes)
 
-    def alpha(t):
-        table = build_reference_table(refs, t, relation.orders)
-        u = u_of_t(t)
+    def alpha(table, t, u=None):  # u: the feedforward at t, if the caller holds it
+        u = feedforward(table, t) if u is None else u
         return gain(table, u, _partial(relation, "u", table, u, t), t)
 
-    return HomeostatChannel(output_index=out, order=order, alpha=alpha)
+    return HomeostatChannel(out, order, _of_time(alpha, refs)), probe
+
+
+def _flat_inversion(orders: tuple[int, ...], control_index: int, numerator, denominator, *checks):
+    """Control ``control_index``'s flat inversion ``D(table)·u = N(table)`` over a reference table of ``orders``:
+    its relation ``E = N - D·u``, which never raises (E is not finite where the inversion is singular), and its
+    feedforward ``N/D``, singular where the value of a ``(value(table), message)`` check is zero, in order."""
+
+    def feedforward(table, t):
+        for value, message in checks:
+            _nonzero(value(table), t, message)
+        return numerator(table) / denominator(table)
+
+    residual = lambda table, u: numerator(table) - denominator(table) * u
+    return ImplicitFlatRelation(orders, control_index, residual), feedforward
+
+
+def _benchmark_inversions(c1: float = 1.0, c0: float = 1.0):
+    """The benchmark's ``(relation, feedforward)`` per control, as :func:`nominal_u1` and :func:`nominal_u2`
+    state them (``1.0 * x == x``: the plant's ``c1 = c0 = 1`` change no bit)."""
+    y1_zero = (lambda tb: tb[0, 0], "y1* = {value!r} at t={t:.6g}: first-channel inversion degenerates at y1 = 0")
+    n1, d1 = (lambda tb: tb[0, 1] - tb[0, 0]), (lambda tb: tb[0, 0] * tb[0, 0])
+    d2 = lambda tb: tb[0, 0] * (n1(tb) / d1(tb))
+    n2 = lambda tb: tb[1, 3] + tb[1, 2] - c1 * tb[1, 1] - c0 * tb[1, 0]
+    u1_zero = (d2, "y1*·u1* = {value!r} at t={t:.6g}: second-channel inversion degenerates there")
+    return _flat_inversion((1, 0), 0, n1, d1, y1_zero), _flat_inversion((1, 3), 1, n2, d2, y1_zero, u1_zero)
 
 
 def nominal_u1(y1_ref: ReferenceTrajectory, t):
@@ -265,14 +311,7 @@ def nominal_u1(y1_ref: ReferenceTrajectory, t):
     Inverts  dy1/dt = y1 + y1^2 u1  along the reference:
     ``u1 = (dy1*/dt - y1*) / y1*^2``.  Degenerates where y1* crosses zero.
     """
-    return _flat_u1(y1_ref, t)[1]
-
-
-def _flat_u1(y1_ref: ReferenceTrajectory, t):
-    """``(y1*, u1*)`` at ``t``, from one evaluation of each of ``y1*`` and ``dy1*/dt``."""
-    message = "y1* = {value!r} at t={t:.6g}: first-channel inversion degenerates at y1 = 0"
-    y1 = _nonzero(y1_ref.eval(t, 0), t, message)
-    return y1, (y1_ref.eval(t, 1) - y1) / (y1 * y1)
+    return _benchmark_inversions()[0][1](build_reference_table((y1_ref,), t, (1,)), t)
 
 
 def nominal_u2(
@@ -290,7 +329,5 @@ def nominal_u2(
     other coefficients model a plant/controller mismatch the closed loop has
     to absorb.
     """
-    y1, u1 = _flat_u1(y1_ref, t)
-    beta = _nonzero(y1 * u1, t, "y1*·u1* = {value!r} at t={t:.6g}: second-channel inversion degenerates there")
-    num = y2_ref.eval(t, 3) + y2_ref.eval(t, 2) - c1 * y2_ref.eval(t, 1) - c0 * y2_ref.eval(t, 0)
-    return num / beta
+    relation, feedforward = _benchmark_inversions(c1, c0)[1]
+    return feedforward(build_reference_table((y1_ref, y2_ref), t, relation.orders), t)

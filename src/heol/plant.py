@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import ConfigurationError, DivergenceError
-from .homeostat import ImplicitFlatRelation
+from .homeostat import ImplicitFlatRelation, _benchmark_inversions
 from .signals import ReferenceTrajectory
 
 __all__ = [
@@ -175,22 +175,9 @@ def benchmark_relations() -> tuple[ImplicitFlatRelation, ImplicitFlatRelation]:
 
     E1(y1', y1, u1) = y1' - y1 - y1^2 u1
     E2(y2''', ..., y2, y1', y1, u2) = y2''' + y2'' - y2' - y2 - y1 u1 u2,
-    with u1 eliminated through the first relation (u1 = (y1' - y1)/y1^2).
+    with u1 eliminated through the first relation (u1 = (y1' - y1)/y1^2): ``N - D·u`` of each flat inversion.
     """
-
-    def e1_residual(table, u):
-        y1, dy1 = table[0, 0], table[0, 1]
-        return dy1 - y1 - y1 * y1 * u
-
-    def e2_residual(table, u):
-        y1, dy1 = table[0, 0], table[0, 1]
-        u1 = (dy1 - y1) / (y1 * y1)
-        return table[1, 3] + table[1, 2] - table[1, 1] - table[1, 0] - y1 * u1 * u
-
-    return (
-        ImplicitFlatRelation(orders=(1, 0), control_index=0, residual=e1_residual),
-        ImplicitFlatRelation(orders=(1, 3), control_index=1, residual=e2_residual),
-    )
+    return tuple(relation for relation, _ in _benchmark_inversions())
 
 
 def initial_state(references: Sequence[ReferenceTrajectory], mismatch: MismatchSpec) -> list[float]:

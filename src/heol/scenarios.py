@@ -40,13 +40,15 @@ from .errors import (
 from .estimators import FusedEstimator, _kernel_scale
 from .homeostat import (
     ZERO_THRESHOLD,
-    ImplicitFlatRelation,
     _at_first_failure,
+    _benchmark_inversions,
+    _derive,
+    _flat_inversion,
     _nonzero,
+    _of_time,
+    _on_table,
     _refuse,
-    derive_channel,
-    nominal_u1,
-    nominal_u2,
+    build_reference_table,
 )
 from .plant import (
     MismatchSpec,
@@ -56,7 +58,6 @@ from .plant import (
     _finite,
     _kernel,
     _rated_plant,
-    benchmark_relations,
     example_plant,
     initial_state,
 )
@@ -455,26 +456,30 @@ def _ultralocal_plant(params: dict):
 
     rates = ("x1",)[: order - 1] + ("drift + gain * u0",)  # a chain of integrators
     model = _rated_plant(rates, 1, 1, lambda x: (x[0],), drift=drift, gain=gain)
-    residual = lambda table, u: table[0, order] - gain * u
-    relation = ImplicitFlatRelation(orders=(order,), control_index=0, residual=residual)
+    relation, _ = _flat_inversion((order,), 0, lambda table: table[0, order], lambda table: gain)
     return model, init, (relation,), (), {}
 
 
 def _benchmark_2x2_plant(params: dict):
     formulas = (_alpha_ref0_squared, _alpha_ref0_rate_ratio)
+    (e1, u1), (e2, u2), (_, u2_miscoeff) = _BENCHMARK_INVERSIONS
     nominals = {  # the flat inversions of this plant; u2 also with miscalibrated coefficients
-        "flat-u1": lambda refs: (lambda t: nominal_u1(refs[0], t)),
-        "flat-u2": lambda refs: (lambda t: nominal_u2(refs[0], refs[1], t)),
-        "flat-u2-miscoeff": lambda refs: (lambda t: nominal_u2(refs[0], refs[1], t, 1.1, 0.9)),
+        "flat-u1": lambda refs: _of_time(u1, refs),
+        "flat-u2": lambda refs: _of_time(u2, refs),
+        "flat-u2-miscoeff": lambda refs: _of_time(u2_miscoeff, refs),
     }
-    return example_plant(), initial_state, benchmark_relations(), formulas, nominals
+    return example_plant(), initial_state, (e1, e2), formulas, nominals
+
+
+#: the benchmark's (relation, feedforward) per control, then u2's with miscalibrated coefficients
+_BENCHMARK_INVERSIONS = (*_benchmark_inversions(), _benchmark_inversions(1.1, 0.9)[1])
 
 
 #: plant name -> (factory(params) -> (model, init_state(refs, mismatch), relations, formulas,
 #: nominals), the ``params`` object, whose absent keys take the factory's defaults).
 #: ``relations[j]`` is channel j's implicit relation and ``formulas[j]`` the closed form of its
 #: gain, and ``nominals[tag]`` the feedforward this plant registers under ``tag``; both are
-#: factories refs -> f(t) taking a float or an array of times.  ``zero`` works on every plant.
+#: factories refs -> f(t) taking a float or an array of times (``_of_time``).  ``zero`` works on every plant.
 PLANTS: dict[str, tuple[Callable, _Object]] = {
     "flat-benchmark-2x2": (_benchmark_2x2_plant, _Object(dict, [])),
     "ultralocal": (
@@ -489,19 +494,16 @@ _ZERO = {"zero": lambda refs: (lambda t: 0.0)}
 
 # the benchmark's closed-form gains: alpha1 = y1*^2 and, at order 2, alpha2 = y1*'/y1* - 1
 def _alpha_ref0_squared(refs):
-    ref = refs[0]
     # float_power rounds as float ** 2 does; y * y and np.power differ in the last bit
-    return lambda t: np.float_power(ref.eval(t, 0), 2.0)
+    return _of_time(lambda table, t, u=None: np.float_power(table[0, 0], 2.0), refs)
 
 
 def _alpha_ref0_rate_ratio(refs):
-    ref = refs[0]
+    def alpha(table, t, u=None):
+        y = _nonzero(table[0, 0], t, "alpha formula divides by y1*={value!r} at t={t:.6g}")
+        return table[0, 1] / y - 1.0
 
-    def alpha(t):
-        y = _nonzero(ref.eval(t, 0), t, "alpha formula divides by y1*={value!r} at t={t:.6g}")
-        return ref.eval(t, 1) / y - 1.0
-
-    return alpha
+    return _of_time(alpha, refs)
 
 
 # --------------------------------------------------------------------------
@@ -567,6 +569,7 @@ def validate_scenario(scenario: Scenario) -> _Built:
     timing = scenario.timing
     refs = tuple(_build_reference(spec, f"references[{i}]") for i, spec in enumerate(scenario.references))
     horizon = (0.0, timing.n_steps * timing.h)
+    probe = None  # the derivation's probe times and the table of refs there, which every derived channel reads
 
     channels, seen_outputs = [], set()
     for j, spec in enumerate(scenario.channels):
@@ -580,14 +583,8 @@ def validate_scenario(scenario: Scenario) -> _Built:
 
             order = spec.order
             if spec.alpha_source == "derived":
-                derived = derive_channel(
-                    _registered(relations, j, "relation", scenario.plant),
-                    refs,
-                    horizon,
-                    order_override=spec.order,
-                    output_index=spec.output,
-                    nominal_control=nominal,
-                )
+                relation = _registered(relations, j, "relation", scenario.plant)
+                derived, probe = _derive(relation, refs, horizon, spec.order, spec.output, nominal, probe)
                 order, alpha = derived.order, derived.alpha
             elif spec.alpha_source == "formula":
                 alpha = _registered(formulas, j, "formula alpha", scenario.plant)(refs)
@@ -655,16 +652,18 @@ class SimLog:
         return self.u.shape[1]
 
 
-def _tabulate(channels: list[_Channel], feedback: bool, times: np.ndarray, h: float, out: np.ndarray):
-    """Column j of ``out``: channel j's feedforward at ``times + h/2`` (mid-hold, removing the hold's
-    phase bias); column m + j: its alpha at ``times``.  The feedforward is probed at ``times`` first,
-    so a flatness singularity at t surfaces as such, not as a zero gain.  Errors name ``times[-1]``."""
+def _tabulate(channels: list[_Channel], feedback: bool, times: np.ndarray, h: float, tables, out: np.ndarray):
+    """Column j of ``out``: channel j's feedforward at ``times + h/2`` (mid-hold, removing the hold's phase bias);
+    column m + j: its alpha at ``times``; both off ``tables``, the reference tables at those times (or longer).  The
+    feedforward is probed at ``times`` first, so a flatness singularity at t surfaces as such, not as a zero gain,
+    and a derived alpha takes that probe as its u.  Errors name ``times[-1]``."""
     m = len(channels)
+    at, mid = (table[..., : len(times)] for table in tables)
     for j, ch in enumerate(channels):
         try:
-            ch.nominal(times)
-            out[:, j] = ch.nominal(times + 0.5 * h)
-            out[:, m + j] = a = ch.alpha(times)
+            u = _on_table(ch.nominal)(at, times)
+            out[:, j] = _on_table(ch.nominal)(mid, times + 0.5 * h)
+            out[:, m + j] = a = _on_table(ch.alpha)(at, times, u)
             if feedback:  # the run's one check of alpha; the loop applies the law unchecked
                 singular = ~np.isfinite(a) | (np.abs(a) <= ZERO_THRESHOLD)
                 _refuse(singular, a, times, "cannot divide by channel gain alpha={value!r}")
@@ -691,13 +690,14 @@ def _simulate(built: _Built):
     n_pts, p, m = grid.n_points, model.n_outputs, model.n_controls
     h = grid.h
 
-    # One time-only table on the whole grid, y_ref | u_nom | alpha, read as one list per
-    # sample; the lowest channel at the first bad t fails the run.
+    # One time-only table on the whole grid, y_ref | u_nom | alpha, read off a reference table at
+    # the grid times and one at mid-hold; the lowest channel at the first bad t fails the run.
     times = grid.times()
     table = np.empty((n_pts, p + 2 * m))
-    for i, ref in enumerate(built.references):
-        table[:, i] = ref.eval(times, 0)
-    _at_first_failure(lambda ts: _tabulate(channels, feedback, ts, h, table[: len(ts), p:]), times)
+    tables = [build_reference_table(built.references, ts) for ts in (times, times + 0.5 * h)]
+    table[:, :p] = tables[0][:, 0].T
+    _at_first_failure(lambda ts: _tabulate(channels, feedback, ts, h, tables, table[: len(ts), p:]), times)
+    del tables  # before the loop's allocations
 
     noise = None
     if (std := built.scenario.noise_std) > 0.0:
@@ -706,11 +706,11 @@ def _simulate(built: _Built):
         if not np.isfinite(noise).all():
             raise DivergenceError(f"measurement noise with std {std:g} overflows the float range")
 
-    # One record row per sample, y | u | du | F_est, written as one list.  The clamp
-    # flags go to a bytearray copied to the bool log after the run: as a float column
-    # of ``log`` they would stay alive behind the views at 8 bytes each.
+    # One record row per sample, y | u | du | F_est, a list written with its chunk's rows.
+    # The clamp flags go to a bytearray copied to the bool log after the run: as a float
+    # column of ``log`` they would stay alive behind the views at 8 bytes each.
     log = np.frombuffer(mmap.mmap(-1, n_pts * (p + 3 * m) * 8), dtype=float).reshape(n_pts, p + 3 * m)
-    record = [0.0] * (p + 3 * m)
+    unset = [0.0] * (3 * m)
     clamps = bytearray()
 
     # Measurement-driven state per channel.  One history holds dy at 2k and alpha*Du
@@ -750,14 +750,15 @@ def _simulate(built: _Built):
     yield simlog
 
     x = built.x0.tolist()
-    for k0 in range(0, n_pts, _CSV_CHUNK):
-        for k in range(k0, min(k0 + _CSV_CHUNK, n_pts)):
+    for k0 in range(0, n_pts, _CSV_CHUNK):  # numpy is read and written once per chunk
+        k1, records = min(k0 + _CSV_CHUNK, n_pts), []
+        noises = noise[k0:k1].tolist() if noise is not None else None
+        for k, row in enumerate(table[k0:k1].tolist(), k0):
             t, i = k * h, 2 * k  # i: this sample's dy slot in every history
             y = output(x)
-            if noise is not None:
-                y = [a + b for a, b in zip(y, noise[k].tolist())]
-            record[:p] = y
-            row = table[k].tolist()
+            if noises is not None:
+                y = [a + b for a, b in zip(y, noises[k - k0])]
+            record = [*y, *unset]
             for j, out, order2, k_p, k_d, lo, hi, w2, hist, dot, cu, ca in bound:
                 dy = y[out] - row[out]
                 hist[i] = dy
@@ -779,7 +780,7 @@ def _simulate(built: _Built):
                 clamps.append(clamped)
                 record[cu], record[ca], record[ca + m] = u, u - u_nom, f_est
                 hist[i + 1] = alpha * record[ca]
-            log[k] = record
+            records.append(record)
 
             if k < grid.n_steps:
                 try:
@@ -792,6 +793,7 @@ def _simulate(built: _Built):
                         f"state left the trust region (|x| > {TRUST_REGION:g}) by t={(k + 1) * h:.6g}"
                     )
 
+        log[k0:k1] = records
         yield clamps[k0 * m :]
     _fill_log(simlog, slice(None), clamps)
 

@@ -89,30 +89,49 @@ class ReferenceTrajectory:
 
         A NaN time raises ConfigurationError: it is in no piece.
         """
-        if order not in range(MAX_ORDER + 1):
-            raise ConfigurationError(f"derivative order {order} not available (max_order={MAX_ORDER})")
-        head, step, tail = self._pieces[int(order)]  # int: 1.0 is in the range too
-        tt = np.asarray(t, dtype=float)
+        return self._eval(t, (order,))[0]
+
+    def _eval(self, t, orders):
+        """The derivatives of ``orders`` at ``t``, each as :meth:`eval` gives it: floats at a float, one row per
+        order at an array.  Each time's piece is selected once, and one Horner pass serves every order."""
+        pieces = []
+        for order in orders:
+            if order not in range(MAX_ORDER + 1):
+                raise ConfigurationError(f"derivative order {order} not available (max_order={MAX_ORDER})")
+            pieces.append(self._pieces[int(order)])  # int: 1.0 is in the range too
+        try:
+            tt = np.asarray(t, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"cannot evaluate a reference at t={t!r}: times must be numbers") from None
         if tt.ndim == 0:
             t = float(tt)
             if math.isnan(t):
                 raise ConfigurationError("cannot evaluate a reference at t=nan")
             if t < self.t_start:
-                return head
-            return float(_horner(step, t - self.t_start)) if t < self.t_end else tail
+                return [piece[0] for piece in pieces]
+            if t >= self.t_end:
+                return [piece[2] for piece in pieces]
+            return [float(_horner(piece[1], t - self.t_start)) for piece in pieces]
         if math.isnan(tt.min(initial=math.inf)):  # min propagates NaN: one reduction finds any
             i = int(np.flatnonzero(np.isnan(tt))[0])
             raise ConfigurationError(f"cannot evaluate a reference at t=nan (time {i} of {tt.size})")
-        out = np.full(tt.shape, tail)
-        out[tt < self.t_start] = head
+        heads, steps, tails = zip(*pieces)
+        column = (len(pieces),) + (1,) * tt.ndim
+        out = np.where(tt < self.t_start, np.array(heads).reshape(column), np.array(tails).reshape(column))
         on = (tt >= self.t_start) & (tt < self.t_end)  # Horner only inside the step: no overflow far out
-        out[on] = _horner(step, tt[on] - self.t_start)
+        # one row per order, zero-padded to one width: a leading 0 x + 0 (x = t - t_start >= 0) leaves Horner at 0
+        width = max(map(len, steps))
+        coeffs = np.array([step + (0.0,) * (width - len(step)) for step in steps]).T[..., None]
+        out[:, on] = _horner(coeffs, tt[on] - self.t_start)
         return out
 
 
 def make_constant(value: float) -> ReferenceTrajectory:
     """Trajectory identically equal to ``value`` on the whole real line."""
-    value = float(value)
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"a reference value must be a number, got {value!r}") from None
     return ReferenceTrajectory(value, value, math.inf, math.inf)
 
 
@@ -123,10 +142,12 @@ def make_smoothstep(y_from: float, y_to: float, t_start: float, t_end: float) ->
     derivatives vanish at both ends.  With ``y_from == y_to`` the result is
     simply the constant trajectory.
     """
-    if not t_end > t_start:
+    try:
+        y_from, y_to, rising = float(y_from), float(y_to), float(t_end) > float(t_start)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"smoothstep needs numbers, got {(y_from, y_to, t_start, t_end)!r}") from None
+    if not rising:
         raise ConfigurationError(f"need t_end > t_start, got [{t_start}, {t_end}]")
-    y_from = float(y_from)
-    y_to = float(y_to)
     if y_from == y_to:
         return make_constant(y_from)
     return ReferenceTrajectory(y_from, y_to, t_start, t_end)

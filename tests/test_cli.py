@@ -389,8 +389,8 @@ def test_run_builds_the_scenario_once(tmp_path, monkeypatch):
         calls.append(args)
         return derive(*args, **kwargs)
 
-    derive = heol.scenarios.derive_channel
-    monkeypatch.setattr(heol.scenarios, "derive_channel", counted)
+    derive = heol.scenarios._derive  # validate_scenario derives each channel on its one probe table
+    monkeypatch.setattr(heol.scenarios, "_derive", counted)
     assert cli_main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
     assert len(calls) == 2  # one derivation per channel
 

@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heol.homeostat
+import heol.scenarios
+from conftest import ultralocal_scenario
 from heol.errors import ConfigurationError, SingularChannelError
 from heol.homeostat import (
     ImplicitFlatRelation,
@@ -18,7 +21,15 @@ from heol.homeostat import (
     nominal_u2,
 )
 from heol.plant import benchmark_relations
-from heol.scenarios import PLANTS, Timing, builtin_scenario, run_scenario, validate_scenario
+from heol.scenarios import (
+    PLANTS,
+    Timing,
+    builtin_scenario,
+    run_scenario,
+    scenario_from_dict,
+    scenario_to_dict,
+    validate_scenario,
+)
 from heol.signals import make_constant, make_smoothstep
 
 HORIZON = (0.0, 10.0)
@@ -363,6 +374,30 @@ def test_each_singularity_names_its_value_and_first_time(singular, message):
     with pytest.raises(SingularChannelError) as err:
         singular()
     assert str(err.value) == message
+
+
+def test_each_time_grid_reads_one_reference_table(monkeypatch):
+    # validate: one table at the 32 derivation probes, none without a derived channel;
+    # run: one table at the grid times and one at mid-hold, read by every channel
+    sizes = []
+
+    def counted(refs, t, *orders):
+        sizes.append(np.size(t))
+        return build(refs, t, *orders)
+
+    build = heol.homeostat.build_reference_table
+    for module in (heol.homeostat, heol.scenarios):
+        monkeypatch.setattr(module, "build_reference_table", counted)
+    sec4 = scenario_to_dict(builtin_scenario("paper-sec4"))
+    sec4["timing"]["duration"] = 1.0
+    derived = {**sec4, "channels": [{**ch, "alpha": {"source": "derived"}} for ch in sec4["channels"]]}
+    ultralocal = ultralocal_scenario(4.0, order=2, k_d=4.0, duration=1.0, noise_std=1e-3)
+    for scenario, probe_tables in ((scenario_from_dict(sec4), 0), (scenario_from_dict(derived), 1), (ultralocal, 0)):
+        sizes.clear()
+        built = validate_scenario(scenario)
+        assert sizes == [32] * probe_tables
+        run_scenario(built)
+        assert sizes[probe_tables:] == [101, 101]
 
 
 # ----------------------------------------------------- residual consistency

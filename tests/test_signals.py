@@ -2,6 +2,7 @@
 
 import bisect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heol.errors import ConfigurationError
+from heol.homeostat import build_reference_table
 from heol.scenarios import Timing
 from heol.signals import Window, make_constant, make_smoothstep
 
@@ -144,6 +146,25 @@ _STEP = (0.0, 1.0, 0.0, 1.0)  # y_from, y_to, t_start, t_end
 def test_references_reject_non_finite_values_and_empty_steps(make, args):
     with pytest.raises(ConfigurationError):
         make(*args)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: make_constant(None), "a reference value must be a number, got None"),
+        (lambda: make_smoothstep("a", 2, 0, 3), "smoothstep needs numbers, got ('a', 2, 0, 3)"),
+        (lambda: make_smoothstep(0, 1, None, 3), "smoothstep needs numbers, got (0, 1, None, 3)"),
+        (lambda: make_smoothstep(0, 1, 0, 3).eval("x"), "cannot evaluate a reference at t='x': times must be numbers"),
+        (
+            lambda: build_reference_table((make_constant(1.0),), "x", (1,)),
+            "cannot evaluate a reference at t='x': times must be numbers",
+        ),
+    ],
+    ids=["constant-none", "smoothstep-level", "smoothstep-time", "eval-time", "table-time"],
+)
+def test_reference_entry_points_raise_configuration_errors(call, message):
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # --------------------------------------------------------------- smoothstep
@@ -287,3 +308,24 @@ def test_array_eval_equals_bisect_horner_oracle_bit_for_bit(case, order):
         scalar = traj.eval(t, order)
         assert type(scalar) is float
         assert np.float64(scalar).tobytes() == w.tobytes()
+
+
+@settings(max_examples=300)
+@given(case=_reference_and_times(), order=st.integers(0, 3), scalar=st.booleans(), nan=st.integers(-1, 39))
+def test_reference_table_equals_eval_bit_for_bit(case, order, scalar, nan):
+    # one piece selection for every order gives each order's eval exactly, or eval's error
+    traj, _, times = case
+    if nan >= 0:
+        times[nan % len(times)] = math.nan
+    t = times[0] if scalar else np.array(times)
+    try:
+        want = [np.asarray(traj.eval(t, k), dtype=float) for k in range(order + 1)]
+    except ConfigurationError as exc:
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(str(exc))}$"):
+            build_reference_table((traj,), t, (order,))
+        return
+    table = build_reference_table((make_constant(1.0), traj), t, (3, order))
+    assert table.shape == (2, 4) + np.shape(t)
+    for k in range(order + 1):
+        assert table[1, k].tobytes() == want[k].tobytes()  # bit for bit, sign of zero included
+    assert not table[1, order + 1 :].any()
