@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, HeolError, SingularChannelError
+from .errors import ConfigurationError, HeolError, SingularChannelError, _count, _number
 from .signals import MAX_ORDER, ReferenceTrajectory
 
 __all__ = [
@@ -79,6 +79,8 @@ class ImplicitFlatRelation:
     residual: Callable[[np.ndarray, float], float]
 
     def __post_init__(self):
+        object.__setattr__(self, "orders", tuple(_count.typed(k, f"orders[{l}]") for l, k in enumerate(self.orders)))
+        object.__setattr__(self, "control_index", _count.typed(self.control_index, "control_index"))
         if self.n_outputs < 1:
             raise ConfigurationError("relation needs at least one output")
         if any(o < 0 for o in self.orders):
@@ -97,8 +99,7 @@ class ImplicitFlatRelation:
 class HomeostatChannel:
     """Ultra-local model of one control channel: its output, its order and its gain ``alpha(t)``.
 
-    ``alpha`` takes a float or an array of times.  A derived ``alpha`` re-checks at every evaluation that it is
-    finite and nonzero; a formula or constant one checks nothing, and a run checks every feedback gain on its grid.
+    ``alpha`` takes a float or an array of times and re-checks at every evaluation that it is finite and nonzero.
     """
 
     output_index: int
@@ -122,18 +123,6 @@ def build_reference_table(
         values = ref._eval(t, ks) if isinstance(ref, ReferenceTrajectory) else [ref.eval(t, k) for k in ks]
         table[l, : ks.stop] = values
     return table
-
-
-def _on_table(f) -> Callable:
-    """``f(t)`` as it reads a reference table, ``f.on_table(table, t, ...)``; a plain ``f`` reads none."""
-    return getattr(f, "on_table", None) or (lambda table, t, *_: f(t))
-
-
-def _of_time(on_table: Callable, references: Sequence[ReferenceTrajectory]) -> Callable:
-    """``on_table(table, t)`` as a function of the times ``t`` alone, which it keeps as its ``on_table``."""
-    of_time = lambda t: on_table(build_reference_table(references, t), t)
-    of_time.on_table = on_table
-    return of_time
 
 
 def finite_diff_partial(
@@ -222,20 +211,26 @@ def derive_channel(
         first), or ``dE/dy^(order)`` vanishes, or alpha is (numerically) zero
         at a probe time, naming the first such time.
     """
+    refs = tuple(references)
     # a nominal_control given here may read other references: it is called with times alone
-    nominal = (lambda t: nominal_control(t)) if nominal_control is not None else (lambda t: 0.0)
-    return _derive(relation, tuple(references), horizon, order_override, output_index, nominal)[0]
+    nominal = (lambda table, t: nominal_control(t)) if nominal_control is not None else (lambda table, t: 0.0)
+    out, order, alpha, _ = _derive(relation, refs, horizon, order_override, output_index, nominal)
+    return HomeostatChannel(out, order, lambda t: alpha(build_reference_table(refs, t), t))
 
 
 def _derive(relation, refs, horizon, order_override, output_index, nominal, probe=None):
-    """:func:`derive_channel` and what it read: ``probe``, its 32 probe times along ``horizon`` and the table of
-    ``refs`` there, built unless given.  The derived alpha reads a table too, and the feedforward there as u."""
-    t_lo, t_hi = map(float, horizon)
+    """:func:`derive_channel` on the feedforward ``nominal(table, t)``: the output index, the order, the alpha
+    ``alpha(table, t[, u])`` with u the feedforward at t (read off the table unless given) and ``probe``, the 32
+    probe times along ``horizon`` and the table of ``refs`` there, built unless given."""
+    try:
+        t_lo, t_hi = (_number.typed(t, f"horizon[{i}]") for i, t in enumerate(horizon))
+    except (TypeError, ValueError):  # not a pair
+        raise ConfigurationError(f"horizon needs a pair (t_lo, t_hi), got {horizon!r}") from None
     if not (t_hi > t_lo and math.isfinite(t_hi - t_lo)):  # also rejects inf and NaN ends
         raise ConfigurationError(f"horizon needs finite t_lo < t_hi, got [{t_lo}, {t_hi}]")
     if len(refs) != relation.n_outputs:
         raise ConfigurationError(f"relation expects {relation.n_outputs} references, got {len(refs)}")
-    out = relation.control_index if output_index is None else output_index
+    out = relation.control_index if output_index is None else _count.typed(output_index, "output_index")
     if not 0 <= out < relation.n_outputs:
         raise ConfigurationError(f"output index {out} out of range")
     if probe is None:
@@ -243,17 +238,16 @@ def _derive(relation, refs, horizon, order_override, output_index, nominal, prob
         probe = probes, build_reference_table(refs, probes)
     probes, table = probe
 
-    feedforward = _on_table(nominal)
-    u = np.broadcast_to(_at_first_failure(lambda t: feedforward(table[..., : len(t)], t), probes), probes.shape)
+    u = np.broadcast_to(_at_first_failure(lambda t: nominal(table[..., : len(t)], t), probes), probes.shape)
     d_u = _partial(relation, "u", table, u, probes)  # before any table partial: a 0/0 names dE/du
 
     if order_override is not None:
-        if not 1 <= order_override <= relation.orders[out]:
+        order = _count.typed(order_override, "order_override")
+        if not 1 <= order <= relation.orders[out]:
             raise ConfigurationError(
                 f"order override {order_override} outside 1..{relation.orders[out]} "
                 f"for output {out}"
             )
-        order = order_override
     else:
         ks = range(1, relation.orders[out] + 1)
         mags = (np.max(np.abs(_partial(relation, (out, k), table, u, probes))) for k in ks)
@@ -273,11 +267,11 @@ def _derive(relation, refs, horizon, order_override, output_index, nominal, prob
     # in for the probe times
     _at_first_failure(lambda t: gain(table[..., : len(t)], u[: len(t)], d_u[: len(t)], t), probes)
 
-    def alpha(table, t, u=None):  # u: the feedforward at t, if the caller holds it
-        u = feedforward(table, t) if u is None else u
+    def alpha(table, t, u=None):
+        u = nominal(table, t) if u is None else u
         return gain(table, u, _partial(relation, "u", table, u, t), t)
 
-    return HomeostatChannel(out, order, _of_time(alpha, refs)), probe
+    return out, order, alpha, probe
 
 
 def _flat_inversion(orders: tuple[int, ...], control_index: int, numerator, denominator, *checks):

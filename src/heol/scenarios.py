@@ -31,12 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .controllers import gains_from_poles
-from .errors import (
-    ConfigurationError,
-    DivergenceError,
-    ExportError,
-    HeolError,
-)
+from .errors import ConfigurationError, DivergenceError, ExportError, HeolError, _count, _number, _Rule
 from .estimators import FusedEstimator, _kernel_scale
 from .homeostat import (
     ZERO_THRESHOLD,
@@ -45,8 +40,6 @@ from .homeostat import (
     _derive,
     _flat_inversion,
     _nonzero,
-    _of_time,
-    _on_table,
     _refuse,
     build_reference_table,
 )
@@ -101,40 +94,6 @@ def _at(path: str, key) -> str:
 
 def _get(value, attr):
     return value.get(attr) if isinstance(value, dict) else getattr(value, attr)
-
-
-class _Rule:
-    """A JSON value checked by ``load(value, path)``, which returns it as a ``type``; ``_Rule(type, load)``
-    is a JSON scalar."""
-
-    type = None
-    dump = staticmethod(lambda value: value)
-
-    def __init__(self, kind: type, load):
-        self.type, self.load = kind, load
-
-    def typed(self, value, path: str):
-        return value if type(value) is self.type else self.load(value, path)
-
-
-@functools.partial(_Rule, float)
-def _number(value, path: str) -> float:
-    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
-        try:
-            if math.isfinite(value):
-                return float(value)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    raise ConfigurationError(f"{path} must be a finite number, got {value!r}")
-
-
-@functools.partial(_Rule, int)
-def _count(value, path: str) -> int:
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    raise ConfigurationError(f"{path} must be an integer, got {value!r}")
 
 
 def _instance(kind: type, what: str) -> _Rule:
@@ -463,11 +422,8 @@ def _ultralocal_plant(params: dict):
 def _benchmark_2x2_plant(params: dict):
     formulas = (_alpha_ref0_squared, _alpha_ref0_rate_ratio)
     (e1, u1), (e2, u2), (_, u2_miscoeff) = _BENCHMARK_INVERSIONS
-    nominals = {  # the flat inversions of this plant; u2 also with miscalibrated coefficients
-        "flat-u1": lambda refs: _of_time(u1, refs),
-        "flat-u2": lambda refs: _of_time(u2, refs),
-        "flat-u2-miscoeff": lambda refs: _of_time(u2_miscoeff, refs),
-    }
+    # the flat inversions of this plant; u2 also with miscalibrated coefficients
+    nominals = {"flat-u1": u1, "flat-u2": u2, "flat-u2-miscoeff": u2_miscoeff}
     return example_plant(), initial_state, (e1, e2), formulas, nominals
 
 
@@ -477,9 +433,9 @@ _BENCHMARK_INVERSIONS = (*_benchmark_inversions(), _benchmark_inversions(1.1, 0.
 
 #: plant name -> (factory(params) -> (model, init_state(refs, mismatch), relations, formulas,
 #: nominals), the ``params`` object, whose absent keys take the factory's defaults).
-#: ``relations[j]`` is channel j's implicit relation and ``formulas[j]`` the closed form of its
-#: gain, and ``nominals[tag]`` the feedforward this plant registers under ``tag``; both are
-#: factories refs -> f(t) taking a float or an array of times (``_of_time``).  ``zero`` works on every plant.
+#: ``relations[j]`` is channel j's implicit relation, ``formulas[j]`` the closed form of its gain
+#: ``f(table, t, u=None)`` and ``nominals[tag]`` the feedforward ``f(table, t)`` this plant registers
+#: under ``tag``: both read the derivative table of the references at ``t``.  ``zero`` works on every plant.
 PLANTS: dict[str, tuple[Callable, _Object]] = {
     "flat-benchmark-2x2": (_benchmark_2x2_plant, _Object(dict, [])),
     "ultralocal": (
@@ -489,21 +445,18 @@ PLANTS: dict[str, tuple[Callable, _Object]] = {
 }
 
 #: the feedforward tag every plant registers, and the schema default
-_ZERO = {"zero": lambda refs: (lambda t: 0.0)}
+_ZERO = {"zero": lambda table, t: 0.0}
 
 
 # the benchmark's closed-form gains: alpha1 = y1*^2 and, at order 2, alpha2 = y1*'/y1* - 1
-def _alpha_ref0_squared(refs):
+def _alpha_ref0_squared(table, t, u=None):
     # float_power rounds as float ** 2 does; y * y and np.power differ in the last bit
-    return _of_time(lambda table, t, u=None: np.float_power(table[0, 0], 2.0), refs)
+    return np.float_power(table[0, 0], 2.0)
 
 
-def _alpha_ref0_rate_ratio(refs):
-    def alpha(table, t, u=None):
-        y = _nonzero(table[0, 0], t, "alpha formula divides by y1*={value!r} at t={t:.6g}")
-        return table[0, 1] / y - 1.0
-
-    return _of_time(alpha, refs)
+def _alpha_ref0_rate_ratio(table, t, u=None):
+    y = _nonzero(table[0, 0], t, "alpha formula divides by y1*={value!r} at t={t:.6g}")
+    return table[0, 1] / y - 1.0
 
 
 # --------------------------------------------------------------------------
@@ -516,8 +469,8 @@ class _Channel:
 
     output: int
     order: int
-    alpha: Callable  # alpha(t), at a float or an array of times
-    nominal: Callable  # the feedforward u_nom(t), likewise
+    alpha: Callable  # alpha(table, t, u=None), off the reference table at t; u: the feedforward there
+    nominal: Callable  # the feedforward u_nom(table, t), likewise
     k_p: float
     k_d: float | None  # None at order 1
     saturation: tuple[float, float]  # (-inf, inf) when the channel is unsaturated
@@ -534,7 +487,7 @@ class _Built:
 
 
 def _registered(entries, key, what: str, plant: str):
-    """``entries[key]`` of a plant's ``relations`` or ``formulas`` (by channel) or ``nominals`` (by tag)."""
+    """``entries[key]``: a plant's relation or formula alpha (by channel) or feedforward (by tag)."""
     try:
         return entries[key]
     except LookupError:
@@ -579,17 +532,16 @@ def validate_scenario(scenario: Scenario) -> _Built:
             if spec.output in seen_outputs:  # leaves another output unregulated
                 raise ConfigurationError(f"two channels regulate output {spec.output}")
             seen_outputs.add(spec.output)
-            nominal = _registered(nominals, spec.nominal, "nominal control", scenario.plant)(refs)
+            nominal = _registered(nominals, spec.nominal, "nominal control", scenario.plant)
 
             order = spec.order
             if spec.alpha_source == "derived":
                 relation = _registered(relations, j, "relation", scenario.plant)
-                derived, probe = _derive(relation, refs, horizon, spec.order, spec.output, nominal, probe)
-                order, alpha = derived.order, derived.alpha
+                _, order, alpha, probe = _derive(relation, refs, horizon, spec.order, spec.output, nominal, probe)
             elif spec.alpha_source == "formula":
-                alpha = _registered(formulas, j, "formula alpha", scenario.plant)(refs)
+                alpha = _registered(formulas, j, "formula alpha", scenario.plant)
             else:
-                alpha = lambda t, _v=spec.alpha_value: np.full(np.shape(t), _v)
+                alpha = lambda table, t, u=None, _v=spec.alpha_value: np.full(np.shape(t), _v)
             if order not in (1, 2):
                 raise ConfigurationError(f"channel order {order} unsupported; estimators exist for orders 1 and 2")
 
@@ -661,9 +613,9 @@ def _tabulate(channels: list[_Channel], feedback: bool, times: np.ndarray, h: fl
     at, mid = (table[..., : len(times)] for table in tables)
     for j, ch in enumerate(channels):
         try:
-            u = _on_table(ch.nominal)(at, times)
-            out[:, j] = _on_table(ch.nominal)(mid, times + 0.5 * h)
-            out[:, m + j] = a = _on_table(ch.alpha)(at, times, u)
+            u = ch.nominal(at, times)
+            out[:, j] = ch.nominal(mid, times + 0.5 * h)
+            out[:, m + j] = a = ch.alpha(at, times, u)
             if feedback:  # the run's one check of alpha; the loop applies the law unchecked
                 singular = ~np.isfinite(a) | (np.abs(a) <= ZERO_THRESHOLD)
                 _refuse(singular, a, times, "cannot divide by channel gain alpha={value!r}")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import heol.homeostat
 import heol.scenarios
 from conftest import ultralocal_scenario
-from heol.errors import ConfigurationError, SingularChannelError
+from heol.errors import ConfigurationError, HeolError, SingularChannelError
 from heol.homeostat import (
     ImplicitFlatRelation,
     build_reference_table,
@@ -147,16 +147,53 @@ def test_derived_benchmark_gains_match_closed_forms(refs):
     horizon = (-10.0, 30.0)
     factory, _ = PLANTS["flat-benchmark-2x2"]
     _, _, (e1, e2), formulas, nominals = factory({})
-    u1, u2 = nominals["flat-u1"](refs), nominals["flat-u2"](refs)
+    u1, u2 = (lambda t, tag=tag: nominals[tag](build_reference_table(refs, t), t) for tag in ("flat-u1", "flat-u2"))
     first = derive_channel(e1, refs, horizon, nominal_control=u1)
     second = derive_channel(e2, refs, horizon, order_override=2, output_index=1, nominal_control=u2)
     assert first.order == 1
     times = np.linspace(*horizon, 81)
     for chan, formula in zip((first, second), formulas, strict=True):
-        closed_form = formula(refs)
+        closed_form = lambda t, formula=formula: formula(build_reference_table(refs, t), t)  # noqa: E731
         np.testing.assert_allclose(chan.alpha(times), closed_form(times), rtol=1e-6, atol=0.0)
         for t in times[::8]:
             assert chan.alpha(float(t)) == pytest.approx(closed_form(float(t)), rel=1e-6, abs=0.0)
+
+
+def _reference_document(ref):
+    if ref.t_start == math.inf:
+        return {"type": "constant", "value": ref.y_from}
+    return {"type": "smoothstep", "from": ref.y_from, "to": ref.y_to, "t_start": ref.t_start, "t_end": ref.t_end}
+
+
+def _outcome(evaluate):
+    try:
+        return evaluate()
+    except HeolError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(refs=benchmark_reference_pairs(), data=st.data())
+def test_public_alpha_is_the_runs_reader_bit_for_bit(refs, data):
+    # derive_channel(...).alpha(t) against the derived channel paper-sec4 builds, read off the table at t
+    doc = scenario_to_dict(builtin_scenario("paper-sec4"))
+    doc["references"] = [_reference_document(ref) for ref in refs]
+    doc["channels"] = [{**ch, "alpha": {"source": "derived"}} for ch in doc["channels"]]
+    built = validate_scenario(scenario_from_dict(doc))
+    assert built.references == refs
+    horizon = (0.0, built.scenario.timing.n_steps * built.scenario.timing.h)
+    nominals = (lambda t: nominal_u1(refs[0], t), lambda t: nominal_u2(*refs, t, 1.1, 0.9))  # flat-u2-miscoeff
+    times = st.floats(-20.0, 200.0) | st.just(math.nan)
+    t = data.draw(times | st.lists(times, max_size=6).map(lambda ts: np.array(ts, dtype=float)))
+    for relation, nominal, spec, ch in zip(benchmark_relations(), nominals, built.scenario.channels, built.channels):
+        public = derive_channel(relation, refs, horizon, spec.order, spec.output, nominal)
+        got = _outcome(lambda: public.alpha(t))
+        want = _outcome(lambda: ch.alpha(build_reference_table(built.references, t), t))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert type(got) is type(want) and np.shape(got) == np.shape(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_smallest_index_rule_on_second_relation_gives_order_one():
@@ -315,7 +352,7 @@ def _derive(residual, ref):
 
 def _formula_alpha2(refs, t):
     factory, _ = PLANTS["flat-benchmark-2x2"]
-    return factory({})[3][1](refs)(t)
+    return factory({})[3][1](build_reference_table(refs, t), t)
 
 
 def _run_sec4_with_second_gain(alpha):
@@ -354,12 +391,12 @@ def _run_sec4_with_second_gain(alpha):
             "alpha formula divides by y1*=0.0 at t=0",
         ),
         (
-            lambda: _run_sec4_with_second_gain(lambda t: np.full(np.shape(t), 1e-12)),
+            lambda: _run_sec4_with_second_gain(lambda table, t, u=None: np.full(np.shape(t), 1e-12)),
             "channel 2 at t=0: cannot divide by channel gain alpha=1e-12",
         ),
         *(
             (
-                lambda a=alpha: _run_sec4_with_second_gain(lambda t: np.full(np.shape(t), a)),
+                lambda a=alpha: _run_sec4_with_second_gain(lambda table, t, u=None: np.full(np.shape(t), a)),
                 f"channel 2 at t=0: cannot divide by channel gain alpha={alpha!r}",
             )
             for alpha in (0.0, -1e-9, math.nan, math.inf)

@@ -1,12 +1,12 @@
 """A plain-loop oracle for the simulation loop, and the property that the loop matches it.
 
 :func:`oracle_run` steps the paper's per-sample equations one sample at a time and
-keeps no table: each reference by scalar ``eval(t, 0)``, the feedforward at
-``t + h/2``, ``alpha`` at ``[t]``, the order-2 derivative filter, a fresh array of
-the interleaved ``dy``/``alpha*Du`` window for the estimator, the iP/iPD law and
-the zero rule for ``alpha`` written out here, then ``rk4_step``.  The property
-draws scenarios over both plants, both orders, the three alpha sources,
-saturation, noise, control mode and short horizons, and requires
+keeps no grid table: each reference by scalar ``eval(t, 0)``, the feedforward at
+``t + h/2`` and ``alpha`` at ``[t]``, each off the reference table at that one time,
+the order-2 derivative filter, a fresh array of the interleaved ``dy``/``alpha*Du``
+window for the estimator, the iP/iPD law and the zero rule for ``alpha`` written out
+here, then ``rk4_step``.  The property draws scenarios over both plants, both orders,
+the three alpha sources, saturation, noise, control mode and short horizons, and requires
 :func:`run_scenario` to give the oracle's log bit for bit, or to raise the same
 error class.
 """
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from heol.errors import DivergenceError, HeolError, SingularChannelError
 from heol.estimators import FusedEstimator
+from heol.homeostat import build_reference_table
 from heol.plant import TRUST_REGION, rk4_step
 from heol.scenarios import (
     SimLog,
@@ -61,11 +62,12 @@ def oracle_run(scenario) -> SimLog:
     grid, std = built.scenario.timing, built.scenario.noise_std
     feedback = built.scenario.control_mode == "closed-loop"
     h, n, p = grid.h, grid.n_points, model.n_outputs
+    at = lambda reader, t: reader(build_reference_table(refs, t), t)  # noqa: E731
     for k in range(n):  # a singular time-only signal anywhere fails the run before the plant moves
         for ch in chans:
-            ch.nominal(k * h), ch.nominal(k * h + 0.5 * h)
+            at(ch.nominal, k * h), at(ch.nominal, k * h + 0.5 * h)
             if feedback:
-                check_gain(ch.alpha(np.array([k * h]))[0])
+                check_gain(at(ch.alpha, np.array([k * h]))[0])
     rng = np.random.default_rng(built.scenario.noise_seed)
     fused = [FusedEstimator(ch.order, ch.w * h, ch.w) for ch in chans]
     dys, adus, ddy, last = [[] for _ in chans], [[] for _ in chans], [0.0] * len(chans), [0.0] * len(chans)
@@ -87,7 +89,7 @@ def oracle_run(scenario) -> SimLog:
             last[j] = dy
             window = [v for pair in zip(dys[j][k - w :], adus[j][k - w :] + [0.0]) for v in pair]
             f_est = fused[j].estimate(np.array(window)) if k >= w else 0.0
-            u_nom, alpha = ch.nominal(t + 0.5 * h), ch.alpha(np.array([t]))[0]
+            u_nom, alpha = at(ch.nominal, t + 0.5 * h), at(ch.alpha, np.array([t]))[0]
             u, clamped = ip_law(ch, feedback, f_est, dy, ddy[j], u_nom, alpha)
             adus[j].append(alpha * (u - u_nom))
             for key, value in zip(("u", "u_nom", "du", "f_est", "clamped"), (u, u_nom, u - u_nom, f_est, clamped)):

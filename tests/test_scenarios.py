@@ -290,7 +290,7 @@ def test_reference_crossing_zero_names_channel_and_time():
     # Channel 2 singular from t=0, earlier than channel 1: channel 2 is named.
     # A scenario cannot declare so small a constant gain, so it goes into the built run.
     built = validate_scenario(crossing)
-    tiny = lambda t: np.full(np.shape(t), 1e-12)
+    tiny = lambda table, t, u=None: np.full(np.shape(t), 1e-12)
     built.channels[1] = dataclasses.replace(built.channels[1], alpha=tiny)
     with pytest.raises(SingularChannelError) as err:
         run_scenario(built)
@@ -939,9 +939,9 @@ def _relation(orders, control_index=0):
     return lambda: ImplicitFlatRelation(orders, control_index, residual=lambda tb, u: 0.0)
 
 
-def _derive_first_benchmark_channel(n_refs, output_index=None):
+def _derive_first_benchmark_channel(n_refs, horizon=(0.0, 10.0), **options):
     refs = (make_constant(1.0),) * n_refs
-    return lambda: derive_channel(benchmark_relations()[0], refs, (0.0, 10.0), output_index=output_index)
+    return lambda: derive_channel(benchmark_relations()[0], refs, horizon, **options)
 
 
 @pytest.mark.parametrize(
@@ -952,6 +952,14 @@ def _derive_first_benchmark_channel(n_refs, output_index=None):
         (_relation((1,), control_index=1), "control index 1 out of range for 1 channels"),
         (_derive_first_benchmark_channel(1), "relation expects 2 references, got 1"),
         (_derive_first_benchmark_channel(2, output_index=2), "output index 2 out of range"),
+        (_relation((1,), control_index=0.5), "control_index must be an integer, got 0.5"),
+        (_relation((1.5,)), "orders[0] must be an integer, got 1.5"),
+        (_relation((1, "1")), "orders[1] must be an integer, got '1'"),
+        (_derive_first_benchmark_channel(2, ("a", 1)), "horizon[0] must be a finite number, got 'a'"),
+        (_derive_first_benchmark_channel(2, (None, 1)), "horizon[0] must be a finite number, got None"),
+        (_derive_first_benchmark_channel(2, (0, 1, 2)), "horizon needs a pair (t_lo, t_hi), got (0, 1, 2)"),
+        (_derive_first_benchmark_channel(2, output_index="0"), "output_index must be an integer, got '0'"),
+        (_derive_first_benchmark_channel(2, order_override=1.5), "order_override must be an integer, got 1.5"),
         (
             _ultralocal_with("plant", {"name": "ultralocal", "params": {"order": 3}}),
             "ultralocal plant order must be 1 or 2, got 3",
@@ -1005,6 +1013,14 @@ def _derive_first_benchmark_channel(n_refs, output_index=None):
         "control-index",
         "reference-count",
         "output-index",
+        "relation-control-index-fraction",
+        "relation-order-fraction",
+        "relation-order-string",
+        "horizon-string",
+        "horizon-none",
+        "horizon-triple",
+        "output-index-string",
+        "order-override-fraction",
         "ultralocal-order",
         "ultralocal-gain",
         "plant-string",
