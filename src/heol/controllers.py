@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _number
 
 __all__ = ["Gains", "gains_from_poles"]
 
@@ -46,7 +46,7 @@ def gains_from_poles(order: int, pole: float) -> Gains:
     order 1:  s + k_p        has root  -k_p        ->  k_p = -pole
     order 2:  s^2 + k_d s + k_p  has double root p ->  k_d = -2p, k_p = p^2
     """
-    if not (math.isfinite(pole) and pole < 0.0):
+    if not (math.isfinite(pole := _number.typed(pole, "pole")) and pole < 0.0):  # typed keeps a float NaN
         raise ConfigurationError(f"pole must be a strictly negative real, got {pole}")
     if order == 1:
         return Gains(k_p=-pole)

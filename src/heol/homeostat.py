@@ -79,16 +79,18 @@ class ImplicitFlatRelation:
     residual: Callable[[np.ndarray, float], float]
 
     def __post_init__(self):
+        if not isinstance(self.orders, (tuple, list)):
+            raise ConfigurationError(f"orders must be a tuple of integers, got {self.orders!r}")
         object.__setattr__(self, "orders", tuple(_count.typed(k, f"orders[{l}]") for l, k in enumerate(self.orders)))
         object.__setattr__(self, "control_index", _count.typed(self.control_index, "control_index"))
         if self.n_outputs < 1:
             raise ConfigurationError("relation needs at least one output")
         if any(o < 0 for o in self.orders):
             raise ConfigurationError("derivative orders must be non-negative")
+        if max(self.orders) > MAX_ORDER:  # the derivative table stops there
+            raise ConfigurationError(f"derivative order {max(self.orders)} not available (max_order={MAX_ORDER})")
         if not 0 <= self.control_index < self.n_outputs:
-            raise ConfigurationError(
-                f"control index {self.control_index} out of range for {self.n_outputs} channels"
-            )
+            raise ConfigurationError(f"control index {self.control_index} out of range for {self.n_outputs} channels")
 
     @property
     def n_outputs(self) -> int:

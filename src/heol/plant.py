@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DivergenceError, _number
 from .homeostat import ImplicitFlatRelation, _benchmark_inversions
 from .signals import ReferenceTrajectory
 
@@ -67,7 +67,8 @@ class MismatchSpec:
     output_scaling: tuple[float, ...] = (1.0, 1.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "output_scaling", tuple(float(s) for s in self.output_scaling))
+        scaling = tuple(_number.typed(s, f"output_scaling[{i}]") for i, s in enumerate(self.output_scaling))
+        object.__setattr__(self, "output_scaling", scaling)
         for s in self.output_scaling:
             if not (math.isfinite(s) and s > 0.0):
                 raise ConfigurationError(f"initial scaling factors must be positive, got {s}")

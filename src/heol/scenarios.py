@@ -634,8 +634,8 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
 
 
 def _simulate(built: _Built):
-    """``run_scenario``'s run, stepped by the caller: the log before the first sample (``dy``, ``clamped`` set
-    last), then each chunk's clamp flags as it ends.  A process forked at the first yield sees each record."""
+    """``run_scenario``'s run, stepped by the caller: the log before the first sample, then each chunk's end
+    row once every row before it is final.  A process forked at the first yield reads those rows."""
     model, channels = built.model, built.channels
     feedback = built.scenario.control_mode == "closed-loop"
     grid = built.scenario.timing
@@ -658,12 +658,12 @@ def _simulate(built: _Built):
         if not np.isfinite(noise).all():
             raise DivergenceError(f"measurement noise with std {std:g} overflows the float range")
 
-    # One record row per sample, y | u | du | F_est, a list written with its chunk's rows.
-    # The clamp flags go to a bytearray copied to the bool log after the run: as a float
-    # column of ``log`` they would stay alive behind the views at 8 bytes each.
-    log = np.frombuffer(mmap.mmap(-1, n_pts * (p + 3 * m) * 8), dtype=float).reshape(n_pts, p + 3 * m)
+    # One shared mapping holds every per-sample column, a float row y | u | du | F_est | dy per sample, then
+    # the clamp flags, a byte per row and channel; the loop writes all of a chunk's rows before its yield.
+    r, at = p + 3 * m, n_pts * (2 * p + 3 * m) * 8  # dy's first column, the flags' first byte
+    shared = mmap.mmap(-1, at + n_pts * m)
+    log = np.frombuffer(shared, dtype=float, count=at // 8).reshape(n_pts, r + p)
     unset = [0.0] * (3 * m)
-    clamps = bytearray()
 
     # Measurement-driven state per channel.  One history holds dy at 2k and alpha*Du
     # at 2k + 1, so an estimator window is one slice and one dot.  The alpha*Du slot
@@ -693,17 +693,17 @@ def _simulate(built: _Built):
         y_ref=table[:, :p],
         u=log[:, p : p + m],
         u_nom=table[:, p : p + m],
-        dy=np.empty((n_pts, p)),
+        dy=log[:, r:],
         du=log[:, p + m : p + 2 * m],
-        f_est=log[:, p + 2 * m :],
+        f_est=log[:, p + 2 * m : r],
         f_valid=np.arange(n_pts)[:, None] >= np.array([ch.w for ch in channels]),
-        clamped=np.empty((n_pts, m), dtype=bool),
+        clamped=np.frombuffer(shared, dtype=bool, offset=at).reshape(n_pts, m),
     )
     yield simlog
 
     x = built.x0.tolist()
     for k0 in range(0, n_pts, _CSV_CHUNK):  # numpy is read and written once per chunk
-        k1, records = min(k0 + _CSV_CHUNK, n_pts), []
+        k1, records, clamps = min(k0 + _CSV_CHUNK, n_pts), [], bytearray()
         noises = noise[k0:k1].tolist() if noise is not None else None
         for k, row in enumerate(table[k0:k1].tolist(), k0):
             t, i = k * h, 2 * k  # i: this sample's dy slot in every history
@@ -745,15 +745,10 @@ def _simulate(built: _Built):
                         f"state left the trust region (|x| > {TRUST_REGION:g}) by t={(k + 1) * h:.6g}"
                     )
 
-        log[k0:k1] = records
-        yield clamps[k0 * m :]
-    _fill_log(simlog, slice(None), clamps)
-
-
-def _fill_log(log: SimLog, rows: slice, flags: bytes) -> None:
-    """Set ``dy = y - y_ref`` and ``clamped`` (``flags``: a byte per row and channel, or raise) at ``rows``."""
-    np.subtract(log.y[rows], log.y_ref[rows], out=log.dy[rows])
-    log.clamped[rows] = np.frombuffer(flags, dtype=bool).reshape(log.clamped[rows].shape)
+        log[k0:k1, :r] = records
+        np.subtract(log[k0:k1, :p], table[k0:k1, :p], out=log[k0:k1, r:])
+        shared[at + k0 * m : at + k1 * m] = clamps
+        yield k1
 
 
 # --------------------------------------------------------------------------
@@ -939,10 +934,11 @@ def export_csv(log: SimLog, destination) -> Path:
 def _write_csv(log: SimLog, path: Path, steps=None) -> Path:
     """``export_csv``, or given ``steps`` (``_simulate`` of ``log`` past its first yield) ``heol run``'s: step
     the run, then make the directory and write the file.  A run forks the helper, where it pays, before the
-    first sample, to fill and format every chunk as the loop announces it with its clamp flags, by a pipe."""
+    first sample, to format every chunk once the loop announces it finished, by a byte down a pipe."""
 
-    def ready(k):  # in a run's helper: wait until the loop has ended the chunk at k (EOF if the run failed)
-        _fill_log(log, slice(k, k + _CSV_CHUNK), chunks.read(log.clamped[k : k + _CSV_CHUNK].size))
+    def ready(k):  # in a run's helper: wait for the byte that ends the chunk at k (EOF: the run failed)
+        if not chunks.read(1):
+            raise EOFError(f"the run ended before row {k}")
 
     columns, row, header = _csv_layout(log)
     starts = range(0, len(log.t), _CSV_CHUNK)
@@ -956,9 +952,9 @@ def _write_csv(log: SimLog, path: Path, steps=None) -> Path:
                 with contextlib.suppress(OSError), open((fds := os.pipe())[0], "rb") as chunks:
                     announce = announcing.enter_context(open(fds[1], "wb"))
                     blocks, helper = _csv_fork(columns, row, theirs, [announce], ready)
-            for flags in steps or ():
+            for _ in steps or ():
                 if helper:
-                    announce.write(flags)
+                    announce.write(b"\x01")
                     announce.flush()
         if steps is not None:
             path.parent.mkdir(parents=True, exist_ok=True)

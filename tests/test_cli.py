@@ -413,16 +413,16 @@ def _sec4_20s():
 
 
 def _announced(monkeypatch, forks: list[int]) -> list[tuple[int, int]]:
-    """Wrap the run that ``heol run`` steps; each chunk the loop ends appends its count of clamp flags and
-    the count of ``forks`` by then."""
+    """Wrap the run that ``heol run`` steps; each chunk the loop ends appends its end row and the count of
+    ``forks`` by then."""
     chunks, simulate = [], heol.cli._simulate
 
     def counted(built):
         steps = simulate(built)
         yield next(steps)
-        for flags in steps:
-            chunks.append((len(flags), len(forks)))
-            yield flags
+        for end in steps:
+            chunks.append((end, len(forks)))
+            yield end
 
     monkeypatch.setattr(heol.cli, "_simulate", counted)
     return chunks
@@ -444,7 +444,8 @@ def test_a_streamed_run_writes_the_golden_csv(tmp_path, monkeypatch, name):
     open_fds = len(os.listdir("/dev/fd"))
     assert cli_main(["run", "--config", str(write_config(tmp_path, scenario)), "--out", str(tmp_path)]) == 0
     assert len(forks) == helpers and announced[0][1] == helpers  # the helper is forked before the first sample
-    assert sum(flags for flags, _ in announced) == scenario.timing.n_points * len(scenario.channels)
+    n_points = scenario.timing.n_points
+    assert [end for end, _ in announced] == [*range(256, n_points, 256), n_points]
     assert hashlib.sha256((tmp_path / f"{scenario.name}.csv").read_bytes()).hexdigest() == digest
     _assert_nothing_left(open_fds)
 

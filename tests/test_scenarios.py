@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heol.scenarios as heol_scenarios
+from heol.controllers import gains_from_poles
 from heol.errors import (
     ConfigurationError,
     DivergenceError,
@@ -45,6 +46,7 @@ from heol.scenarios import (
 from heol.signals import make_constant
 
 from conftest import _count_forks, _fail_in_the_helper, _two_cpus, ultralocal_scenario
+from test_golden import sec4_noisy_saturated
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -204,6 +206,18 @@ def test_prefix_truncation_reproduces_log_prefix():
     n = len(half.t)
     for name in ("t", "y", "u", "dy", "du", "f_est"):
         np.testing.assert_array_equal(getattr(full, name)[:n], getattr(half, name))
+
+
+def test_each_chunk_a_run_yields_is_final():
+    # a process forked at the first yield (heol run's formatting helper) reads the rows up to each end row
+    built = validate_scenario(sec4_noisy_saturated())
+    final, steps = run_scenario(built), heol_scenarios._simulate(built)
+    log, ends = next(steps), []
+    for end in steps:
+        np.testing.assert_array_equal(log.dy[:end], final.dy[:end])
+        np.testing.assert_array_equal(log.clamped[:end], final.clamped[:end])
+        ends.append(end)
+    assert ends[-1] == len(final.t) and final.clamped.sum() == 1764
 
 
 @settings(max_examples=25, deadline=None)
@@ -955,6 +969,10 @@ def _derive_first_benchmark_channel(n_refs, horizon=(0.0, 10.0), **options):
         (_relation((1,), control_index=0.5), "control_index must be an integer, got 0.5"),
         (_relation((1.5,)), "orders[0] must be an integer, got 1.5"),
         (_relation((1, "1")), "orders[1] must be an integer, got '1'"),
+        (_relation(1), "orders must be a tuple of integers, got 1"),
+        (_relation((1, 4)), "derivative order 4 not available (max_order=3)"),
+        (lambda: gains_from_poles(1, "a"), "pole must be a finite number, got 'a'"),
+        (lambda: MismatchSpec(output_scaling="ab"), "output_scaling[0] must be a finite number, got 'a'"),
         (_derive_first_benchmark_channel(2, ("a", 1)), "horizon[0] must be a finite number, got 'a'"),
         (_derive_first_benchmark_channel(2, (None, 1)), "horizon[0] must be a finite number, got None"),
         (_derive_first_benchmark_channel(2, (0, 1, 2)), "horizon needs a pair (t_lo, t_hi), got (0, 1, 2)"),
@@ -1016,6 +1034,10 @@ def _derive_first_benchmark_channel(n_refs, horizon=(0.0, 10.0), **options):
         "relation-control-index-fraction",
         "relation-order-fraction",
         "relation-order-string",
+        "relation-orders-int",
+        "relation-order-beyond-table",
+        "gains-pole-string",
+        "mismatch-scaling-string",
         "horizon-string",
         "horizon-none",
         "horizon-triple",
