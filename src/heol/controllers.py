@@ -34,10 +34,12 @@ class Gains:
     k_d: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.k_p) and self.k_p > 0.0):
-            raise ConfigurationError(f"k_p must be positive and finite, got {self.k_p}")
-        if self.k_d is not None and not (math.isfinite(self.k_d) and self.k_d > 0.0):
-            raise ConfigurationError(f"k_d must be positive and finite when present, got {self.k_d}")
+        k_p = _number.typed(self.k_p, "k_p")  # typed keeps a float NaN
+        k_d = None if self.k_d is None else _number.typed(self.k_d, "k_d")
+        if not (math.isfinite(k_p) and k_p > 0.0):
+            raise ConfigurationError(f"k_p must be positive and finite, got {k_p}")
+        if k_d is not None and not (math.isfinite(k_d) and k_d > 0.0):
+            raise ConfigurationError(f"k_d must be positive and finite when present, got {k_d}")
 
 
 def gains_from_poles(order: int, pole: float) -> Gains:

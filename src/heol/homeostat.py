@@ -114,16 +114,16 @@ def build_reference_table(
 ) -> np.ndarray:
     """Derivative table of the references at ``t``, a float or an array of times.
 
-    Entry ``[l, k]`` holds the k-th derivative of reference l for ``k <= orders[l]``
-    (every order by default), of ``t``'s shape; unused entries stay zero.  A
-    :class:`ReferenceTrajectory` selects each time's piece once for all its orders.
+    Entry ``[l, k]`` is ``references[l].eval(t, k)`` for ``k <= orders[l]`` (every
+    order by default), of ``t``'s shape; unused entries stay zero.
     """
     orders = (MAX_ORDER,) * len(references) if orders is None else orders
+    if len(orders) != len(references):
+        raise ConfigurationError(f"{len(references)} references need one order each, got orders={orders!r}")
     table = np.zeros((len(references), max(orders) + 1) + np.shape(t))
     for l, ref in enumerate(references):
-        ks = range(orders[l] + 1)
-        values = ref._eval(t, ks) if isinstance(ref, ReferenceTrajectory) else [ref.eval(t, k) for k in ks]
-        table[l, : ks.stop] = values
+        for k in range(orders[l] + 1):
+            table[l, k] = ref.eval(t, k)
     return table
 
 

@@ -67,6 +67,8 @@ class MismatchSpec:
     output_scaling: tuple[float, ...] = (1.0, 1.0)
 
     def __post_init__(self):
+        if not hasattr(self.output_scaling, "__iter__"):
+            raise ConfigurationError(f"output_scaling must be a sequence of numbers, got {self.output_scaling!r}")
         scaling = tuple(_number.typed(s, f"output_scaling[{i}]") for i, s in enumerate(self.output_scaling))
         object.__setattr__(self, "output_scaling", scaling)
         for s in self.output_scaling:
@@ -80,7 +82,7 @@ def rk4_step(model: PlantModel, t: float, x: Sequence[float], u: Sequence[float]
     The kernel, ``_kernel(model)``, is the one the loop of ``run_scenario`` binds once per run.  A state,
     control or derivative of the wrong length raises ConfigurationError; a non-finite result, DivergenceError.
     """
-    if not 0.0 < h < math.inf:
+    if not 0.0 < (h := _number.typed(h, "h")) < math.inf:  # typed keeps a float NaN
         raise ConfigurationError(f"integrator step must be positive and finite, got h={h}")
     try:
         x_new = _kernel(model)(t, x, u, h)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _number
 
 #: highest derivative order a trajectory provides; the benchmark feedforward reads y2'''
 MAX_ORDER = 3
@@ -60,7 +60,8 @@ class ReferenceTrajectory:
     _pieces: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        y_from, y_to, t_start, t_end = self.y_from, self.y_to, self.t_start, self.t_end
+        typed = (_number.typed(getattr(self, f), f) for f in ("y_from", "y_to", "t_start", "t_end"))
+        y_from, y_to, t_start, t_end = typed  # a float NaN or inf passes to the checks below
         if not (math.isfinite(y_from) and math.isfinite(y_to)):
             raise ConfigurationError(f"reference values must be finite, got {y_from!r} and {y_to!r}")
         if y_from == y_to and t_start == t_end == math.inf:
@@ -89,16 +90,9 @@ class ReferenceTrajectory:
 
         A NaN time raises ConfigurationError: it is in no piece.
         """
-        return self._eval(t, (order,))[0]
-
-    def _eval(self, t, orders):
-        """The derivatives of ``orders`` at ``t``, each as :meth:`eval` gives it: floats at a float, one row per
-        order at an array.  Each time's piece is selected once, and one Horner pass serves every order."""
-        pieces = []
-        for order in orders:
-            if order not in range(MAX_ORDER + 1):
-                raise ConfigurationError(f"derivative order {order} not available (max_order={MAX_ORDER})")
-            pieces.append(self._pieces[int(order)])  # int: 1.0 is in the range too
+        if order not in range(MAX_ORDER + 1):
+            raise ConfigurationError(f"derivative order {order} not available (max_order={MAX_ORDER})")
+        head, step, tail = self._pieces[int(order)]  # int: 1.0 is in the range too
         try:
             tt = np.asarray(t, dtype=float)
         except (TypeError, ValueError):
@@ -108,21 +102,15 @@ class ReferenceTrajectory:
             if math.isnan(t):
                 raise ConfigurationError("cannot evaluate a reference at t=nan")
             if t < self.t_start:
-                return [piece[0] for piece in pieces]
-            if t >= self.t_end:
-                return [piece[2] for piece in pieces]
-            return [float(_horner(piece[1], t - self.t_start)) for piece in pieces]
+                return head
+            return float(_horner(step, t - self.t_start)) if t < self.t_end else tail
         if math.isnan(tt.min(initial=math.inf)):  # min propagates NaN: one reduction finds any
             i = int(np.flatnonzero(np.isnan(tt))[0])
             raise ConfigurationError(f"cannot evaluate a reference at t=nan (time {i} of {tt.size})")
-        heads, steps, tails = zip(*pieces)
-        column = (len(pieces),) + (1,) * tt.ndim
-        out = np.where(tt < self.t_start, np.array(heads).reshape(column), np.array(tails).reshape(column))
+        out = np.full(tt.shape, tail)
+        out[tt < self.t_start] = head
         on = (tt >= self.t_start) & (tt < self.t_end)  # Horner only inside the step: no overflow far out
-        # one row per order, zero-padded to one width: a leading 0 x + 0 (x = t - t_start >= 0) leaves Horner at 0
-        width = max(map(len, steps))
-        coeffs = np.array([step + (0.0,) * (width - len(step)) for step in steps]).T[..., None]
-        out[:, on] = _horner(coeffs, tt[on] - self.t_start)
+        out[on] = _horner(step, tt[on] - self.t_start)
         return out
 
 
@@ -166,8 +154,11 @@ class Window:
     values: np.ndarray
 
     def __post_init__(self):
-        sig = np.asarray(self.sigma, dtype=float)
-        val = np.asarray(self.values, dtype=float)
+        try:
+            sig, val = np.asarray(self.sigma, dtype=float), np.asarray(self.values, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigurationError("window sigma and values must be arrays of numbers") from None
+        object.__setattr__(self, "T", _number.typed(self.T, "T"))
         object.__setattr__(self, "sigma", sig)
         object.__setattr__(self, "values", val)
         if not (math.isfinite(self.T) and self.T > 0.0):

@@ -30,7 +30,7 @@ from heol.scenarios import (
     scenario_to_dict,
     validate_scenario,
 )
-from heol.signals import make_constant, make_smoothstep
+from heol.signals import ReferenceTrajectory, make_constant, make_smoothstep
 
 HORIZON = (0.0, 10.0)
 
@@ -435,6 +435,25 @@ def test_each_time_grid_reads_one_reference_table(monkeypatch):
         assert sizes == [32] * probe_tables
         run_scenario(built)
         assert sizes[probe_tables:] == [101, 101]
+
+
+@pytest.mark.parametrize("alpha, calls", [("formula", 20), ("derived", 28)])
+def test_every_reference_value_comes_from_eval(monkeypatch, alpha, calls):
+    # one eval per table, reference and order: the run's two grid tables make 2 x 2 x 4 calls and
+    # initial_state 4 more; a derived channel adds the 32-probe table's 2 x 4
+    orders = []
+
+    def counted(self, t, order=0):
+        orders.append(order)
+        return evaluate(self, t, order)
+
+    evaluate = ReferenceTrajectory.eval
+    monkeypatch.setattr(ReferenceTrajectory, "eval", counted)
+    sec4 = scenario_to_dict(builtin_scenario("paper-sec4"))
+    sec4["timing"]["duration"] = 5.0
+    sec4["channels"] = [{**ch, "alpha": {"source": alpha}} for ch in sec4["channels"]]
+    run_scenario(scenario_from_dict(sec4))
+    assert len(orders) == calls
 
 
 # ----------------------------------------------------- residual consistency

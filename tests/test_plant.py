@@ -129,6 +129,13 @@ def test_rk4_rejects_non_finite_step(h):
         rk4_step(m, 0.0, [1.0], [0.0], h)
 
 
+@pytest.mark.parametrize("h", ["x", None])
+def test_rk4_rejects_a_step_that_is_not_a_number(h):
+    m = _scalar_model(lambda t, x, u: list(x))
+    with pytest.raises(ConfigurationError, match=f"^h must be a finite number, got {h!r}$"):
+        rk4_step(m, 0.0, [1.0], [0.0], h)
+
+
 def test_rk4_flags_non_finite_derivatives():
     m = _scalar_model(lambda t, x, u: [math.inf])
     with pytest.raises(DivergenceError) as err:

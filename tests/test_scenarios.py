@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heol.scenarios as heol_scenarios
-from heol.controllers import gains_from_poles
+from heol.controllers import Gains, gains_from_poles
 from heol.errors import (
     ConfigurationError,
     DivergenceError,
@@ -43,7 +43,7 @@ from heol.scenarios import (
     scenario_to_dict,
     validate_scenario,
 )
-from heol.signals import make_constant
+from heol.signals import ReferenceTrajectory, Window, make_constant
 
 from conftest import _count_forks, _fail_in_the_helper, _two_cpus, ultralocal_scenario
 from test_golden import sec4_noisy_saturated
@@ -845,10 +845,19 @@ VALID_FIELDS = {
         "noise_seed": st.sampled_from([0, 7]),
         "rms_fraction": st.just(0.01),
     },
+    Window: {"T": st.sampled_from([1.0, 1]), "sigma": st.just((0.0, 0.5, 1.0)), "values": st.just((1.0, 0.0, 2.0))},
+    ReferenceTrajectory: {
+        "y_from": st.sampled_from([0.0, 1]),
+        "y_to": st.sampled_from([2.0, 3]),
+        "t_start": st.sampled_from([0.0, 1]),
+        "t_end": st.sampled_from([2.0, 3]),
+    },
+    Gains: {"k_p": st.sampled_from([1.0, 2]), "k_d": st.none() | st.sampled_from([0.3, 1])},
+    MismatchSpec: {"output_scaling": st.sampled_from([(1.0, 1.0), (1.1, 1)])},
 }
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=140, deadline=None)  # 20 examples per class
 @given(st.sampled_from(sorted(VALID_FIELDS, key=lambda cls: cls.__name__)), st.data())
 def test_constructors_type_each_field_or_raise_configuration_errors(cls, data):
     # references, plant_params and mismatch keep checks of their own and are left at valid values
@@ -973,6 +982,7 @@ def _derive_first_benchmark_channel(n_refs, horizon=(0.0, 10.0), **options):
         (_relation((1, 4)), "derivative order 4 not available (max_order=3)"),
         (lambda: gains_from_poles(1, "a"), "pole must be a finite number, got 'a'"),
         (lambda: MismatchSpec(output_scaling="ab"), "output_scaling[0] must be a finite number, got 'a'"),
+        (lambda: MismatchSpec(5), "output_scaling must be a sequence of numbers, got 5"),
         (_derive_first_benchmark_channel(2, ("a", 1)), "horizon[0] must be a finite number, got 'a'"),
         (_derive_first_benchmark_channel(2, (None, 1)), "horizon[0] must be a finite number, got None"),
         (_derive_first_benchmark_channel(2, (0, 1, 2)), "horizon needs a pair (t_lo, t_hi), got (0, 1, 2)"),
@@ -1038,6 +1048,7 @@ def _derive_first_benchmark_channel(n_refs, horizon=(0.0, 10.0), **options):
         "relation-order-beyond-table",
         "gains-pole-string",
         "mismatch-scaling-string",
+        "mismatch-scaling-number",
         "horizon-string",
         "horizon-none",
         "horizon-triple",

@@ -159,8 +159,12 @@ def test_references_reject_non_finite_values_and_empty_steps(make, args):
             lambda: build_reference_table((make_constant(1.0),), "x", (1,)),
             "cannot evaluate a reference at t='x': times must be numbers",
         ),
+        (
+            lambda: build_reference_table((make_constant(1.0), make_constant(2.0)), 0.0, (1,)),
+            "2 references need one order each, got orders=(1,)",
+        ),
     ],
-    ids=["constant-none", "smoothstep-level", "smoothstep-time", "eval-time", "table-time"],
+    ids=["constant-none", "smoothstep-level", "smoothstep-time", "eval-time", "table-time", "table-orders"],
 )
 def test_reference_entry_points_raise_configuration_errors(call, message):
     with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
@@ -313,7 +317,7 @@ def test_array_eval_equals_bisect_horner_oracle_bit_for_bit(case, order):
 @settings(max_examples=300)
 @given(case=_reference_and_times(), order=st.integers(0, 3), scalar=st.booleans(), nan=st.integers(-1, 39))
 def test_reference_table_equals_eval_bit_for_bit(case, order, scalar, nan):
-    # one piece selection for every order gives each order's eval exactly, or eval's error
+    # each row of the table is its order's eval, bit for bit, or the table raises eval's error
     traj, _, times = case
     if nan >= 0:
         times[nan % len(times)] = math.nan
