@@ -14,12 +14,15 @@ law; this module gives the gains that place a channel's pole.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, _number
+from .errors import ConfigurationError, _number, _positive
 
 __all__ = ["Gains", "gains_from_poles"]
+
+_k_p = _number.where(_positive, "k_p must be positive and finite, got {}")
+_k_d = _number.where(_positive, "k_d must be positive and finite when present, got {}")
+_pole = _number.where(lambda p: _positive(-p), "pole must be a strictly negative real, got {}")  # ChannelSpec's too
 
 
 @dataclass(frozen=True)
@@ -34,12 +37,9 @@ class Gains:
     k_d: float | None = None
 
     def __post_init__(self):
-        k_p = _number.typed(self.k_p, "k_p")  # typed keeps a float NaN
-        k_d = None if self.k_d is None else _number.typed(self.k_d, "k_d")
-        if not (math.isfinite(k_p) and k_p > 0.0):
-            raise ConfigurationError(f"k_p must be positive and finite, got {k_p}")
-        if k_d is not None and not (math.isfinite(k_d) and k_d > 0.0):
-            raise ConfigurationError(f"k_d must be positive and finite when present, got {k_d}")
+        _k_p.typed(self.k_p, "k_p")
+        if self.k_d is not None:
+            _k_d.typed(self.k_d, "k_d")
 
 
 def gains_from_poles(order: int, pole: float) -> Gains:
@@ -48,8 +48,7 @@ def gains_from_poles(order: int, pole: float) -> Gains:
     order 1:  s + k_p        has root  -k_p        ->  k_p = -pole
     order 2:  s^2 + k_d s + k_p  has double root p ->  k_d = -2p, k_p = p^2
     """
-    if not (math.isfinite(pole := _number.typed(pole, "pole")) and pole < 0.0):  # typed keeps a float NaN
-        raise ConfigurationError(f"pole must be a strictly negative real, got {pole}")
+    pole = _pole.typed(pole, "pole")
     if order == 1:
         return Gains(k_p=-pole)
     if order == 2:

@@ -36,16 +36,28 @@ class ExportError(HeolError):
 
 class _Rule:
     """A JSON value checked by ``load(value, path)``, which returns it as a ``type``; ``_Rule(type, load)``
-    is a JSON scalar."""
+    is a JSON scalar.  ``typed`` types any value (a float NaN or inf passes), then applies each range check."""
 
     type = None
+    checks = ()  # (test, message) pairs from ``where``: ConfigurationError(message.format(value)) unless test(value)
     dump = staticmethod(lambda value: value)
 
-    def __init__(self, kind: type, load):
-        self.type, self.load = kind, load
+    def __init__(self, kind: type, load, checks=()):
+        self.type, self.load, self.checks = kind, load, checks
+
+    def where(self, test, message: str) -> "_Rule":
+        return _Rule(self.type, self.load, (*self.checks, (test, message)))
 
     def typed(self, value, path: str):
-        return value if type(value) is self.type else self.load(value, path)
+        value = value if type(value) is self.type else self.load(value, path)
+        for test, message in self.checks:
+            if not test(value):
+                raise ConfigurationError(message.format(value))
+        return value
+
+
+def _positive(x: float) -> bool:  # the range of every length, period, gain and scale
+    return 0.0 < x < math.inf
 
 
 @functools.partial(_Rule, float)

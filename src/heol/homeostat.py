@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, HeolError, SingularChannelError, _count, _number
-from .signals import MAX_ORDER, ReferenceTrajectory
+from .signals import MAX_ORDER, ReferenceTrajectory, _order
 
 __all__ = [
     "ImplicitFlatRelation",
@@ -81,14 +81,10 @@ class ImplicitFlatRelation:
     def __post_init__(self):
         if not isinstance(self.orders, (tuple, list)):
             raise ConfigurationError(f"orders must be a tuple of integers, got {self.orders!r}")
-        object.__setattr__(self, "orders", tuple(_count.typed(k, f"orders[{l}]") for l, k in enumerate(self.orders)))
+        object.__setattr__(self, "orders", tuple(_order.typed(k, f"orders[{l}]") for l, k in enumerate(self.orders)))
         object.__setattr__(self, "control_index", _count.typed(self.control_index, "control_index"))
         if self.n_outputs < 1:
             raise ConfigurationError("relation needs at least one output")
-        if any(o < 0 for o in self.orders):
-            raise ConfigurationError("derivative orders must be non-negative")
-        if max(self.orders) > MAX_ORDER:  # the derivative table stops there
-            raise ConfigurationError(f"derivative order {max(self.orders)} not available (max_order={MAX_ORDER})")
         if not 0 <= self.control_index < self.n_outputs:
             raise ConfigurationError(f"control index {self.control_index} out of range for {self.n_outputs} channels")
 
@@ -120,6 +116,7 @@ def build_reference_table(
     orders = (MAX_ORDER,) * len(references) if orders is None else orders
     if len(orders) != len(references):
         raise ConfigurationError(f"{len(references)} references need one order each, got orders={orders!r}")
+    orders = [_order.typed(k, f"orders[{l}]") for l, k in enumerate(orders)]
     table = np.zeros((len(references), max(orders) + 1) + np.shape(t))
     for l, ref in enumerate(references):
         for k in range(orders[l] + 1):

@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import ConfigurationError, DivergenceError, _number
+from .errors import ConfigurationError, DivergenceError, _number, _positive
 from .homeostat import ImplicitFlatRelation, _benchmark_inversions
 from .signals import ReferenceTrajectory
 
@@ -37,6 +37,9 @@ __all__ = [
 
 #: state magnitude beyond which a run is declared divergent
 TRUST_REGION = 1e9
+
+_scaling = _number.where(_positive, "initial scaling factors must be positive, got {}")
+_step = _number.where(_positive, "integrator step must be positive and finite, got h={}")
 
 
 @dataclass(frozen=True)
@@ -69,11 +72,8 @@ class MismatchSpec:
     def __post_init__(self):
         if not hasattr(self.output_scaling, "__iter__"):
             raise ConfigurationError(f"output_scaling must be a sequence of numbers, got {self.output_scaling!r}")
-        scaling = tuple(_number.typed(s, f"output_scaling[{i}]") for i, s in enumerate(self.output_scaling))
+        scaling = tuple(_scaling.typed(s, f"output_scaling[{i}]") for i, s in enumerate(self.output_scaling))
         object.__setattr__(self, "output_scaling", scaling)
-        for s in self.output_scaling:
-            if not (math.isfinite(s) and s > 0.0):
-                raise ConfigurationError(f"initial scaling factors must be positive, got {s}")
 
 
 def rk4_step(model: PlantModel, t: float, x: Sequence[float], u: Sequence[float], h: float) -> list[float]:
@@ -82,8 +82,7 @@ def rk4_step(model: PlantModel, t: float, x: Sequence[float], u: Sequence[float]
     The kernel, ``_kernel(model)``, is the one the loop of ``run_scenario`` binds once per run.  A state,
     control or derivative of the wrong length raises ConfigurationError; a non-finite result, DivergenceError.
     """
-    if not 0.0 < (h := _number.typed(h, "h")) < math.inf:  # typed keeps a float NaN
-        raise ConfigurationError(f"integrator step must be positive and finite, got h={h}")
+    t, h = _number.typed(t, "t"), _step.typed(h, "h")
     try:
         x_new = _kernel(model)(t, x, u, h)
     except ValueError:

@@ -30,8 +30,8 @@ from typing import Callable
 
 import numpy as np
 
-from .controllers import gains_from_poles
-from .errors import ConfigurationError, DivergenceError, ExportError, HeolError, _count, _number, _Rule
+from .controllers import _pole, gains_from_poles
+from .errors import ConfigurationError, DivergenceError, ExportError, HeolError, _count, _number, _positive, _Rule
 from .estimators import FusedEstimator, _kernel_scale
 from .homeostat import (
     ZERO_THRESHOLD,
@@ -231,9 +231,9 @@ def _field_rules(cls) -> tuple:
 
 
 def _type_fields(obj) -> None:
-    """Type each init field of ``obj`` not at its default by its rule; a float NaN or inf is kept for range checks."""
+    """Type and range-check each init field of ``obj`` not at its default by its rule."""
     for name, rule, default, _ in _field_rules(type(obj)):
-        if (value := getattr(obj, name)) is not default and type(value) is not rule.type:
+        if (value := getattr(obj, name)) is not default and (rule.checks or type(value) is not rule.type):
             object.__setattr__(obj, name, rule.typed(value, name))
 
 
@@ -266,21 +266,33 @@ def _grid_steps(span: float, h: float, name: str, misfit: str) -> int:
     return n
 
 
+# the range of each number of a channel, a scenario and its ultralocal plant; also ``compute_metrics``' rms_fraction
+_channel_order = _count.where(lambda k: k in (1, 2), "channel order must be 1 or 2, got {}")
+_alpha_source = _tag.where(lambda s: s in ("derived", "formula", "constant"), "unknown alpha source {!r}")
+_alpha_value = _number.where(math.isfinite, "alpha source 'constant' needs a finite value, got {}").where(
+    lambda a: abs(a) > ZERO_THRESHOLD, f"alpha.value {{!r}} is a zero channel gain (|alpha| <= {ZERO_THRESHOLD:g})"
+)
+_estimator_T = _number.where(_positive, "estimator window length must be positive, got T={}")
+_multiplicity = _count.where(lambda k: k in (1, 2), "pole multiplicity must be 1 or 2")
+_control_mode = _tag.where(lambda mode: mode in ("closed-loop", "feedforward"), "unknown control mode {!r}")
+_noise_std = _number.where(lambda std: 0.0 <= std < math.inf, "noise std must be finite and non-negative, got {}")
+_noise_seed = _count.where(lambda seed: seed >= 0, "noise seed must be non-negative, got {}")
+_rms_fraction = _number.where(lambda f: 0.0 < f <= 1.0, "rms threshold fraction must be in (0, 1], got {}")
+_ultralocal_order = _count.where(lambda k: k in (1, 2), "ultralocal plant order must be 1 or 2, got {}")
+_ultralocal_gain = _number.where(lambda gain: gain != 0.0, "ultralocal plant gain must be nonzero")
+
+
 @dataclass(frozen=True)
 class Timing:
     """Horizon and sampling of a run: the grid ``k*h`` for ``k = 0..n_steps``, each point one product
     rather than a running sum, so bit-reproducible and free of drift."""
 
-    duration: float = _key("duration", rule=_number)
-    h: float = _key("h", rule=_number)
+    duration: float = _key("duration", rule=_number.where(_positive, "duration must be positive, got {}"))
+    h: float = _key("h", rule=_number.where(_positive, "sampling period must be positive, got {}"))
     n_steps: int = field(init=False, repr=False, compare=False)  # duration / h, set at construction
 
     def __post_init__(self):
         _type_fields(self)
-        if not (math.isfinite(self.duration) and self.duration > 0.0):
-            raise ConfigurationError(f"duration must be positive, got {self.duration}")
-        if not (math.isfinite(self.h) and self.h > 0.0):
-            raise ConfigurationError(f"sampling period must be positive, got {self.h}")
         n = _grid_steps(self.duration, self.h, "duration {span}", "is not a multiple of the sampling period {h}")
         object.__setattr__(self, "n_steps", n)
 
@@ -298,13 +310,13 @@ class ChannelSpec:
     """Declarative description of one controller channel, whose gains place ``pole`` (double at order 2)."""
 
     output: int = _key("output", rule=_count)
-    order: int | None = _key("order", rule=_count, default=None)
-    alpha_source: str = _key("alpha", "source", rule=_tag, default="derived")  # "derived" | "formula" | "constant"
-    alpha_value: float | None = _key("alpha", "value", rule=_number, default=None)
-    estimator_T: float = _key("estimator", "T", rule=_number, default=0.3)
+    order: int | None = _key("order", rule=_channel_order, default=None)
+    alpha_source: str = _key("alpha", "source", rule=_alpha_source, default="derived")
+    alpha_value: float | None = _key("alpha", "value", rule=_alpha_value, default=None)
+    estimator_T: float = _key("estimator", "T", rule=_estimator_T, default=0.3)
     # required: the default only lets it follow the defaulted fields
-    pole: float | None = _key("pole", "value", rule=_number, required=True, default=None)
-    pole_multiplicity: int | None = _key("pole", "multiplicity", rule=_count, default=None)  # None: order sets it
+    pole: float | None = _key("pole", "value", rule=_pole, required=True, default=None)
+    pole_multiplicity: int | None = _key("pole", "multiplicity", rule=_multiplicity, default=None)  # None: the order
     nominal: str = _key("nominal", rule=_tag, default="zero")
     saturation: tuple[float, float] | None = _key("saturation", rule=_List(_number), default=None)
 
@@ -317,33 +329,17 @@ class ChannelSpec:
                 raise ConfigurationError(f"saturation needs (u_min, u_max) with u_min < u_max, got {sat}")
             if not all(map(math.isfinite, sat)):
                 raise ConfigurationError(f"saturation bounds must be finite, got {sat}")
-        if self.alpha_source not in ("derived", "formula", "constant"):
-            raise ConfigurationError(f"unknown alpha source {self.alpha_source!r}")
         if self.alpha_source != "constant" and self.alpha_value is not None:
             raise ConfigurationError(
                 f"alpha.value is read by source 'constant' only, got value {self.alpha_value!r} "
                 f"with source {self.alpha_source!r}"
             )
-        if self.alpha_source == "constant" and not (
-            self.alpha_value is not None and math.isfinite(self.alpha_value)
-        ):
-            raise ConfigurationError(f"alpha source 'constant' needs a finite value, got {self.alpha_value}")
-        if self.alpha_source == "constant" and abs(self.alpha_value) <= ZERO_THRESHOLD:
-            raise ConfigurationError(
-                f"alpha.value {self.alpha_value!r} is a zero channel gain (|alpha| <= {ZERO_THRESHOLD:g})"
-            )
+        if self.alpha_source == "constant" and self.alpha_value is None:
+            raise ConfigurationError("alpha source 'constant' needs a finite value, got None")
         if self.alpha_source != "derived" and self.order is None:
             raise ConfigurationError(
                 "channel order must be given explicitly unless alpha is derived"
             )
-        if self.order not in (None, 1, 2):
-            raise ConfigurationError(f"channel order must be 1 or 2, got {self.order}")
-        if self.pole_multiplicity not in (None, 1, 2):
-            raise ConfigurationError("pole multiplicity must be 1 or 2")
-        if not (math.isfinite(self.estimator_T) and self.estimator_T > 0.0):
-            raise ConfigurationError(f"estimator window length must be positive, got T={self.estimator_T}")
-        if not (math.isfinite(self.pole) and self.pole < 0.0):  # the rule gains_from_poles applies
-            raise ConfigurationError(f"pole must be a strictly negative real, got {self.pole}")
 
 
 @dataclass(frozen=True)
@@ -359,10 +355,10 @@ class Scenario:
         "mismatch", rule=_Object(MismatchSpec, _plain("output_scaling", kind=_List(_number))), default=None
     )
     plant_params: dict = _key("plant", "params", rule=_instance(dict, "a JSON object"), default_factory=dict)
-    control_mode: str = _key("control_mode", rule=_tag, default="closed-loop")
-    noise_std: float = _key("noise", "std", rule=_number, default=0.0)
-    noise_seed: int = _key("noise", "seed", rule=_count, default=0)
-    rms_fraction: float = _key("metrics", "rms_fraction", rule=_number, default=0.01)
+    control_mode: str = _key("control_mode", rule=_control_mode, default="closed-loop")
+    noise_std: float = _key("noise", "std", rule=_noise_std, default=0.0)
+    noise_seed: int = _key("noise", "seed", rule=_noise_seed, default=0)
+    rms_fraction: float = _key("metrics", "rms_fraction", rule=_rms_fraction, default=0.01)
 
     def __post_init__(self):
         _type_fields(self)
@@ -376,16 +372,6 @@ class Scenario:
             raise ConfigurationError(
                 "scenario name is not a plain file name: <name>.metrics.txt must be "
                 "at most 255 bytes of UTF-8"
-            )
-        if self.control_mode not in ("closed-loop", "feedforward"):
-            raise ConfigurationError(f"unknown control mode {self.control_mode!r}")
-        if not (math.isfinite(self.noise_std) and self.noise_std >= 0.0):
-            raise ConfigurationError(f"noise std must be finite and non-negative, got {self.noise_std}")
-        if self.noise_seed < 0:
-            raise ConfigurationError(f"noise seed must be non-negative, got {self.noise_seed}")
-        if not 0.0 < self.rms_fraction <= 1.0:
-            raise ConfigurationError(
-                f"rms threshold fraction must be in (0, 1], got {self.rms_fraction}"
             )
 
 
@@ -401,13 +387,9 @@ def _build_reference(spec: dict, path: str) -> ReferenceTrajectory:
 
 
 def _ultralocal_plant(params: dict):
-    order = params.get("order", 1)
+    order = _ultralocal_order.typed(params.get("order", 1), "order")
     drift = params.get("f", 0.0)
-    gain = params.get("gain", 1.0)
-    if order not in (1, 2):
-        raise ConfigurationError(f"ultralocal plant order must be 1 or 2, got {order}")
-    if gain == 0.0:
-        raise ConfigurationError("ultralocal plant gain must be nonzero")
+    gain = _ultralocal_gain.typed(params.get("gain", 1.0), "gain")
 
     def init(refs, mismatch):
         y0 = (mismatch.output_scaling[0] * refs[0].eval(0.0, 0), refs[0].eval(0.0, 1))
@@ -789,7 +771,7 @@ def compute_metrics(log: SimLog, rms_fraction: float = 0.01) -> Metrics:
         max_abs_du=tuple(np.max(np.abs(log.du), axis=0)),
         ref_range=tuple(np.ptp(log.y_ref, axis=0)),
         warmup_T=log.channel_T,
-        rms_fraction=rms_fraction,
+        rms_fraction=_rms_fraction.typed(rms_fraction, "rms_fraction"),
     )
 
 

@@ -15,10 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, _number
+from .errors import ConfigurationError, _count, _number, _positive
 
 #: highest derivative order a trajectory provides; the benchmark feedforward reads y2'''
 MAX_ORDER = 3
+_order = _count.where(lambda k: k >= 0, "derivative orders must be non-negative").where(
+    lambda k: k <= MAX_ORDER, f"derivative order {{}} not available (max_order={MAX_ORDER})"
+)
+_level = _number.where(math.isfinite, "reference values must be finite, got {!r}")
+_window_T = _number.where(_positive, "window length must be positive, got T={}")
 
 __all__ = [
     "ReferenceTrajectory",
@@ -60,10 +65,8 @@ class ReferenceTrajectory:
     _pieces: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        typed = (_number.typed(getattr(self, f), f) for f in ("y_from", "y_to", "t_start", "t_end"))
-        y_from, y_to, t_start, t_end = typed  # a float NaN or inf passes to the checks below
-        if not (math.isfinite(y_from) and math.isfinite(y_to)):
-            raise ConfigurationError(f"reference values must be finite, got {y_from!r} and {y_to!r}")
+        y_from, y_to = (_level.typed(getattr(self, f), f) for f in ("y_from", "y_to"))
+        t_start, t_end = (_number.typed(getattr(self, f), f) for f in ("t_start", "t_end"))
         if y_from == y_to and t_start == t_end == math.inf:
             coeffs = ()
         elif not (math.isfinite(t_start) and math.isfinite(t_end) and t_end > t_start):
@@ -117,8 +120,8 @@ class ReferenceTrajectory:
 def make_constant(value: float) -> ReferenceTrajectory:
     """Trajectory identically equal to ``value`` on the whole real line."""
     try:
-        value = float(value)
-    except (TypeError, ValueError):
+        value = _number.typed(value, "value")
+    except ConfigurationError:
         raise ConfigurationError(f"a reference value must be a number, got {value!r}") from None
     return ReferenceTrajectory(value, value, math.inf, math.inf)
 
@@ -131,10 +134,10 @@ def make_smoothstep(y_from: float, y_to: float, t_start: float, t_end: float) ->
     simply the constant trajectory.
     """
     try:
-        y_from, y_to, rising = float(y_from), float(y_to), float(t_end) > float(t_start)
-    except (TypeError, ValueError):
+        y_from, y_to, t_start, t_end = (_number.typed(v, "smoothstep") for v in (y_from, y_to, t_start, t_end))
+    except ConfigurationError:
         raise ConfigurationError(f"smoothstep needs numbers, got {(y_from, y_to, t_start, t_end)!r}") from None
-    if not rising:
+    if not t_end > t_start:
         raise ConfigurationError(f"need t_end > t_start, got [{t_start}, {t_end}]")
     if y_from == y_to:
         return make_constant(y_from)
@@ -158,11 +161,9 @@ class Window:
             sig, val = np.asarray(self.sigma, dtype=float), np.asarray(self.values, dtype=float)
         except (TypeError, ValueError):
             raise ConfigurationError("window sigma and values must be arrays of numbers") from None
-        object.__setattr__(self, "T", _number.typed(self.T, "T"))
+        object.__setattr__(self, "T", _window_T.typed(self.T, "T"))
         object.__setattr__(self, "sigma", sig)
         object.__setattr__(self, "values", val)
-        if not (math.isfinite(self.T) and self.T > 0.0):
-            raise ConfigurationError(f"window length must be positive, got T={self.T}")
         if sig.shape != val.shape or sig.ndim != 1:
             raise ConfigurationError("window sigma and values must be 1-d arrays of equal length")
         if len(sig) < 2:

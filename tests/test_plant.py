@@ -136,6 +136,14 @@ def test_rk4_rejects_a_step_that_is_not_a_number(h):
         rk4_step(m, 0.0, [1.0], [0.0], h)
 
 
+@pytest.mark.parametrize(
+    "model", [_scalar_model(lambda t, x, u: [t]), example_plant()], ids=["without-rate-text", "with-rate-text"]
+)
+def test_rk4_rejects_a_time_that_is_not_a_number(model):
+    with pytest.raises(ConfigurationError, match="^t must be a finite number, got 'a'$"):
+        rk4_step(model, "a", [1.0] * model.n_states, [0.0] * model.n_controls, 0.1)
+
+
 def test_rk4_flags_non_finite_derivatives():
     m = _scalar_model(lambda t, x, u: [math.inf])
     with pytest.raises(DivergenceError) as err:

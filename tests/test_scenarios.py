@@ -22,10 +22,11 @@ from heol.errors import (
     ConfigurationError,
     DivergenceError,
     ExportError,
+    HeolError,
     SingularChannelError,
 )
-from heol.homeostat import ImplicitFlatRelation, derive_channel
-from heol.plant import MismatchSpec, benchmark_relations, rk4_step
+from heol.homeostat import ImplicitFlatRelation, build_reference_table, derive_channel
+from heol.plant import MismatchSpec, PlantModel, benchmark_relations, example_plant, rk4_step
 from heol.scenarios import (
     PLANTS,
     ChannelSpec,
@@ -43,7 +44,7 @@ from heol.scenarios import (
     scenario_to_dict,
     validate_scenario,
 )
-from heol.signals import ReferenceTrajectory, Window, make_constant
+from heol.signals import ReferenceTrajectory, Window, make_constant, make_smoothstep
 
 from conftest import _count_forks, _fail_in_the_helper, _two_cpus, ultralocal_scenario
 from test_golden import sec4_noisy_saturated
@@ -871,6 +872,59 @@ def test_constructors_type_each_field_or_raise_configuration_errors(cls, data):
     for f in dataclasses.fields(cls):  # a built object holds each scalar as its rule loads it
         value, kind = getattr(built, f.name), getattr(f.metadata.get("rule"), "type", None)
         assert value is None or kind is None or type(value) is kind, f.name
+        if value is not None and kind is not None:  # ... and within the rule's range
+            assert f.metadata["rule"].typed(value, f.name) == value, f.name
+    rebuilt = dataclasses.replace(built)  # every field passes its own rule again
+    assert cls is Window or rebuilt == built
+
+
+#: what every numeric argument below is drawn from besides its valid values
+ODD_ARGUMENTS = st.sampled_from([math.nan, math.inf, -math.inf, 10**400, "1", None, True, 1.5])
+
+
+def _argument(*valid):
+    return st.sampled_from(valid) | ODD_ARGUMENTS
+
+
+def _arguments(draw, n, *valid):
+    """``n`` arguments, each drawn by ``_argument(*valid)``, or one fewer or one more."""
+    return tuple(draw(_argument(*valid)) for _ in range(draw(st.sampled_from([n, n, n - 1, n + 1]))))
+
+
+#: per function, a call whose numeric arguments (and the length of a sequence of them) are drawn by ``draw``
+NUMERIC_CALLS = {
+    "gains_from_poles": lambda draw: gains_from_poles(draw(_argument(1, 2)), draw(_argument(-1.0, -0.5))),
+    "rk4_step-rated": lambda draw: rk4_step(
+        example_plant(), draw(_argument(0.0, 2.5)), [1.0, 0.5, 0.0, 0.0, 0.0][: draw(st.sampled_from([4, 3, 5]))],
+        [0.1, 0.2], draw(_argument(0.01, 1)),
+    ),
+    "rk4_step-unrated": lambda draw: rk4_step(
+        PlantModel(1, 1, 1, lambda t, x, u: [t - x[0]], lambda x: x), draw(_argument(0.0, 2.5)), [1.0], [0.0],
+        draw(_argument(0.01, 1)),
+    ),
+    "build_reference_table": lambda draw: build_reference_table(
+        (make_constant(1.0), make_smoothstep(0.0, 1.0, 0.0, 1.0)), 0.5, _arguments(draw, 2, 0, 1, 3)
+    ),
+    "compute_metrics": lambda draw: compute_metrics(make_log([0.0, 0.1, -0.2]), draw(_argument(0.01, 1))),
+    "make_constant": lambda draw: make_constant(draw(_argument(0.0, -2))),
+    "make_smoothstep": lambda draw: make_smoothstep(*(draw(_argument(v, v + 0.5)) for v in (0.0, 1.0, 2, 3.0))),
+    "derive_channel": lambda draw: derive_channel(
+        benchmark_relations()[0],
+        (make_constant(1.0), make_constant(2.0)),
+        _arguments(draw, 2, 0.0, 1, 10.0),
+        order_override=draw(st.none() | _argument(1)),
+        output_index=draw(st.none() | _argument(0, 1)),
+    ),
+}
+
+
+@settings(max_examples=160, deadline=None)  # 20 examples per call
+@given(st.sampled_from(sorted(NUMERIC_CALLS)), st.data())
+def test_numeric_arguments_are_typed_or_raise_heol_errors(name, data):
+    try:
+        NUMERIC_CALLS[name](data.draw)
+    except HeolError:
+        pass
 
 
 def test_missing_and_malformed_keys_are_configuration_errors():
@@ -962,6 +1016,10 @@ def _relation(orders, control_index=0):
     return lambda: ImplicitFlatRelation(orders, control_index, residual=lambda tb, u: 0.0)
 
 
+def _table_with_orders(*orders):
+    return lambda: build_reference_table((make_constant(1.0), make_constant(2.0)), 0.0, orders)
+
+
 def _derive_first_benchmark_channel(n_refs, horizon=(0.0, 10.0), **options):
     refs = (make_constant(1.0),) * n_refs
     return lambda: derive_channel(benchmark_relations()[0], refs, horizon, **options)
@@ -1034,6 +1092,12 @@ def _derive_first_benchmark_channel(n_refs, horizon=(0.0, 10.0), **options):
             lambda: ChannelSpec(output=0, pole=-1.0, saturation=(-math.inf, 5.0)),
             "saturation bounds must be finite, got (-inf, 5.0)",
         ),
+        (_table_with_orders(1.5, 1), "orders[0] must be an integer, got 1.5"),
+        (_table_with_orders("1", 1), "orders[0] must be an integer, got '1'"),
+        (_table_with_orders(-1, 1), "derivative orders must be non-negative"),
+        (lambda: compute_metrics(make_log([0.0, 0.1]), "0.5"), "rms_fraction must be a finite number, got '0.5'"),
+        (lambda: compute_metrics(make_log([0.0, 0.1]), math.nan), "rms threshold fraction must be in (0, 1], got nan"),
+        (lambda: compute_metrics(make_log([0.0, 0.1]), 5.0), "rms threshold fraction must be in (0, 1], got 5.0"),
     ],
     ids=[
         "no-outputs",
@@ -1076,6 +1140,12 @@ def _derive_first_benchmark_channel(n_refs, horizon=(0.0, 10.0), **options):
         "scenario-name-int",
         "channel-saturation-int",
         "channel-saturation-infinite",
+        "table-orders-fraction",
+        "table-orders-string",
+        "table-orders-negative",
+        "metrics-rms-fraction-string",
+        "metrics-rms-fraction-nan",
+        "metrics-rms-fraction-beyond-one",
     ],
 )
 def test_relation_and_plant_input_checks(build, message):

@@ -163,8 +163,19 @@ def test_references_reject_non_finite_values_and_empty_steps(make, args):
             lambda: build_reference_table((make_constant(1.0), make_constant(2.0)), 0.0, (1,)),
             "2 references need one order each, got orders=(1,)",
         ),
+        (lambda: make_constant(10**400), f"a reference value must be a number, got {10**400}"),
+        (lambda: make_smoothstep(0, 10**400, 0, 1), f"smoothstep needs numbers, got {(0, 10**400, 0, 1)!r}"),
     ],
-    ids=["constant-none", "smoothstep-level", "smoothstep-time", "eval-time", "table-time", "table-orders"],
+    ids=[
+        "constant-none",
+        "smoothstep-level",
+        "smoothstep-time",
+        "eval-time",
+        "table-time",
+        "table-orders",
+        "constant-overflow",
+        "smoothstep-overflow",
+    ],
 )
 def test_reference_entry_points_raise_configuration_errors(call, message):
     with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
