@@ -14,15 +14,16 @@ law; this module gives the gains that place a channel's pole.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import ConfigurationError, _number, _positive
+from .errors import _count, _number, _positive
 
 __all__ = ["Gains", "gains_from_poles"]
 
 _k_p = _number.where(_positive, "k_p must be positive and finite, got {}")
 _k_d = _number.where(_positive, "k_d must be positive and finite when present, got {}")
 _pole = _number.where(lambda p: _positive(-p), "pole must be a strictly negative real, got {}")  # ChannelSpec's too
+_order = _count.where(lambda k: k in (1, 2), "pole placement supports orders 1 and 2, got {}")
 
 
 @dataclass(frozen=True)
@@ -33,13 +34,13 @@ class Gains:
     present, ``k_d > 0``.
     """
 
-    k_p: float
-    k_d: float | None = None
+    k_p: float = field(metadata={"rule": _k_p})
+    k_d: float | None = field(default=None, metadata={"rule": _k_d})
 
-    def __post_init__(self):
-        _k_p.typed(self.k_p, "k_p")
+    def __post_init__(self):  # stores each value as its rule returns it
+        object.__setattr__(self, "k_p", _k_p.typed(self.k_p, "k_p"))
         if self.k_d is not None:
-            _k_d.typed(self.k_d, "k_d")
+            object.__setattr__(self, "k_d", _k_d.typed(self.k_d, "k_d"))
 
 
 def gains_from_poles(order: int, pole: float) -> Gains:
@@ -49,8 +50,6 @@ def gains_from_poles(order: int, pole: float) -> Gains:
     order 2:  s^2 + k_d s + k_p  has double root p ->  k_d = -2p, k_p = p^2
     """
     pole = _pole.typed(pole, "pole")
-    if order == 1:
+    if _order.typed(order, "order") == 1:
         return Gains(k_p=-pole)
-    if order == 2:
-        return Gains(k_p=pole * pole, k_d=-2.0 * pole)
-    raise ConfigurationError(f"pole placement supports orders 1 and 2, got {order}")
+    return Gains(k_p=pole * pole, k_d=-2.0 * pole)

@@ -103,6 +103,11 @@ def _kernel(model: PlantModel) -> Callable:
     return getattr(model.f, "rk4", None) or _compile(None, model.n_states, model.n_controls)(model.f)
 
 
+def _block(head: str, *lines: str) -> str:
+    """Source of ``head`` over its indented body ``lines``, for the generated kernels and loops."""
+    return "\n".join([head, *lines]).replace("\n", "\n    ")
+
+
 @functools.cache
 def _compile(rates: tuple[str, ...] | None, n: int, m: int, params: tuple[str, ...] = ()) -> Callable:
     """``make(*params)``, compiled once per rate text: the ``f`` with ``dx_i/dt = rates[i]`` (over ``x0..``,
@@ -114,9 +119,6 @@ def _compile(rates: tuple[str, ...] | None, n: int, m: int, params: tuple[str, .
     def names(prefix, k=n):
         return ", ".join(f"{prefix}{i}" for i in range(k))
 
-    def block(head, *lines):  # ``head`` over its indented body
-        return "\n".join([head, *lines]).replace("\n", "\n    ")
-
     def stage(k, prev=None, c=None, time="t"):  # k0.. = the rates at x + c prev (at x with no prev) and time
         s = "x" + k if prev else "x"
         lines = [f"{s}{i} = x{i} + {c} * {prev}{i}" for i in range(n) if prev]
@@ -125,17 +127,17 @@ def _compile(rates: tuple[str, ...] | None, n: int, m: int, params: tuple[str, .
         return lines + [f"{k}{i} = " + re.sub(r"\bx(\d+)\b", s + r"\1", rate) for i, rate in enumerate(rates)]
 
     unpack = [f"[{names('x')}] = x", f"[{names('u', m)}] = u"]
-    step = block(
+    step = _block(
         "def step(t, x, u, h):", *unpack, "half = 0.5 * h",
         *stage("a"), *stage("b", "a", "half", "t + half"), *stage("c", "b", "half", "t + half"),
         *stage("d", "c", "h", "t + h"), "h6 = h / 6.0",
         f"return [{', '.join(f'x{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})' for i in range(n))}]",
     )
     if rates is None:
-        source = block("def make(f):", step, "return step")
+        source = _block("def make(f):", step, "return step")
     else:
-        f = block("def f(t, x, u):", *unpack, f"return ({', '.join(rates)},)")
-        source = block(f"def make({', '.join(params)}):", f, step, "f.rk4 = step", "return f")
+        f = _block("def f(t, x, u):", *unpack, f"return ({', '.join(rates)},)")
+        source = _block(f"def make({', '.join(params)}):", f, step, "f.rk4 = step", "return f")
     exec(compile(source, f"<rk4 kernel, {n} states>", "exec"), namespace := {})
     return namespace["make"]
 

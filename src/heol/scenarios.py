@@ -11,8 +11,13 @@ singularity anywhere on the horizon fails the run before the plant moves.
 The loop then samples every ``h`` seconds: read outputs, step every channel
 (measure deviation, estimate F, apply the iP/iPD correction on top of the
 feedforward), log one record, then integrate the plant to the next sample
-under zero-order hold.  Runs are bit-deterministic: repeating a run, or
-truncating the horizon, reproduces records exactly.
+under zero-order hold.  That loop is generated as source and compiled once per
+process for each structure (the output count, each channel's output, order 2 or
+not and saturation or not, feedback or not, noise or not), with its channels
+unrolled and no per-sample test of that structure; the gains, bounds, windows,
+histories and dots of a run are its arguments, so a sweep compiles one loop.
+Runs are bit-deterministic: repeating a run, or truncating the horizon,
+reproduces records exactly.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from .plant import (
     MismatchSpec,
     PlantModel,
     TRUST_REGION,
+    _block,
     _check_lengths,
     _finite,
     _kernel,
@@ -645,28 +651,16 @@ def _simulate(built: _Built):
     r, at = p + 3 * m, n_pts * (2 * p + 3 * m) * 8  # dy's first column, the flags' first byte
     shared = mmap.mmap(-1, at + n_pts * m)
     log = np.frombuffer(shared, dtype=float, count=at // 8).reshape(n_pts, r + p)
-    unset = [0.0] * (3 * m)
 
-    # Measurement-driven state per channel.  One history holds dy at 2k and alpha*Du
-    # at 2k + 1, so an estimator window is one slice and one dot.  The alpha*Du slot
-    # is written at k only after the control at step k is known, so the estimate at
-    # t_k reads the zero pad there and never the control applied at t_k (both kernels
-    # weigh that sample by zero up to round-off anyway).  Column cu = p + j holds
-    # u_nom in the table and u in the record, column ca = p + m + j alpha and du.
-    # The iP/iPD law, du = -(F_est + k_p dy [+ k_d ddy]) / alpha, is bound per channel
-    # and applied inline with no check of alpha: _tabulate has checked it at every grid
-    # point of a feedback run.  An unsaturated channel clamps to (-inf, inf), which no
-    # float leaves.
-    ddys, last_dy = [0.0] * m, [0.0] * m
-    tau_f = 5.0 * h  # time constant of the order-2 derivative filter
-    bound = [
-        (j, ch.output, ch.order == 2, ch.k_p, ch.k_d, *ch.saturation, 2 * ch.w, np.zeros(2 * n_pts),
-         FusedEstimator(ch.order, ch.w * h, ch.w)._dot, p + j, p + m + j)
-        for j, ch in enumerate(channels)
-    ]
-    # The plant's RK4 kernel, bound once per run.  One check per step stands for rk4_step's finiteness
-    # check and the trust region: NaN and inf carry through a sum of |x_i|, which bounds the largest.
-    step, output = _kernel(model), model.output
+    # Each channel's history holds dy at 2k and alpha*Du at 2k + 1, so an estimator window is one slice and one
+    # dot.  The loop is generated per structure (``_loop``); the per-run values are its arguments.
+    structure, values = [], []
+    for ch in channels:
+        hist, saturated = np.zeros(2 * n_pts), ch.saturation != (-math.inf, math.inf)
+        structure.append((ch.output, ch.order == 2, saturated))
+        values += [ch.k_p, *[ch.k_d][: ch.order - 1], *ch.saturation[: 2 * saturated], 2 * ch.w, hist,
+                   memoryview(hist), FusedEstimator(ch.order, ch.w * h, ch.w)._dot]
+    loop = _loop(p, tuple(structure), feedback, noise is not None)
 
     simlog = SimLog(
         channel_T=tuple(ch.w * h for ch in channels),
@@ -683,54 +677,76 @@ def _simulate(built: _Built):
     )
     yield simlog
 
-    x = built.x0.tolist()
-    for k0 in range(0, n_pts, _CSV_CHUNK):  # numpy is read and written once per chunk
-        k1, records, clamps = min(k0 + _CSV_CHUNK, n_pts), [], bytearray()
-        noises = noise[k0:k1].tolist() if noise is not None else None
-        for k, row in enumerate(table[k0:k1].tolist(), k0):
-            t, i = k * h, 2 * k  # i: this sample's dy slot in every history
-            y = output(x)
-            if noises is not None:
-                y = [a + b for a, b in zip(y, noises[k - k0])]
-            record = [*y, *unset]
-            for j, out, order2, k_p, k_d, lo, hi, w2, hist, dot, cu, ca in bound:
-                dy = y[out] - row[out]
-                hist[i] = dy
-                if order2 and k > 0:
-                    # low-pass-filtered backward difference over the step from the previous point
-                    dt = t - (k - 1) * h
-                    ddys[j] += dt / (tau_f + dt) * ((dy - last_dy[j]) / dt - ddys[j])
-                last_dy[j] = dy
-                # warm-up: no full window yet
-                f_est = float(dot(hist[i - w2 : i + 2])) if i >= w2 else 0.0
-                u_nom, alpha = row[cu], row[ca]
-                du = 0.0
-                if feedback:
-                    du = -(f_est + k_p * dy + k_d * ddys[j]) / alpha if order2 else -(f_est + k_p * dy) / alpha
-                u = u_nom + du
-                clamped = u < lo or u > hi
-                if clamped:
-                    u = lo if u < lo else hi
-                clamps.append(clamped)
-                record[cu], record[ca], record[ca + m] = u, u - u_nom, f_est
-                hist[i + 1] = alpha * record[ca]
-            records.append(record)
-
-            if k < grid.n_steps:
-                try:
-                    x = step(t, x, record[p : p + m], h)
-                except ValueError:
-                    _check_lengths(model, t, x, record[p : p + m], h)
-                    raise
-                if not sum(map(abs, x)) <= TRUST_REGION and max(map(abs, _finite(x, t))) > TRUST_REGION:
-                    raise DivergenceError(
-                        f"state left the trust region (|x| > {TRUST_REGION:g}) by t={(k + 1) * h:.6g}"
-                    )
-
-        log[k0:k1, :r] = records
+    # the plant's RK4 kernel is bound once per run; numpy is read and written once per chunk
+    for k0, k1, records, clamps in loop(h, table, noise, _kernel(model), model, built.x0.tolist(), *values):
+        log[k0:k1, :r] = np.fromiter(records, float, (k1 - k0) * r).reshape(k1 - k0, r)
         np.subtract(log[k0:k1, :p], table[k0:k1, :p], out=log[k0:k1, r:])
-        shared[at + k0 * m : at + k1 * m] = clamps
+        if clamps:  # else no channel saturates, and the mapping's zero bytes stand
+            shared[at + k0 * m : at + k1 * m] = bytes(clamps)
         yield k1
+
+
+@functools.cache
+def _loop(p: int, channels: tuple, feedback: bool, noisy: bool) -> Callable:
+    """``loop(h, table, noise, step, model, x, *values)``, compiled once per structure: ``p`` outputs, each
+    channel's ``(output, order == 2, saturated)``, feedback or not, noise or not.  ``values`` holds per channel
+    ``k_p``, ``k_d`` at order 2, the bounds if saturated, ``2w``, the history, its memoryview and the dot.  Per
+    chunk of ``table`` rows (y_ref | u_nom | alpha) it yields ``(k0, k1, records, clamps)``: the rows' y | u | du |
+    F_est as one flat list, and their clamp flags if a channel saturates.
+
+    Each sample, channels unrolled: read the outputs (plus noise), filter dy's backward difference at order 2,
+    estimate F once the window is full (its alpha*Du slot at k is still zero, so the estimate never reads the
+    control applied at t_k), apply the iP/iPD law du = -(F_est + k_p dy [+ k_d ddy]) / alpha unchecked
+    (``_tabulate`` checked alpha), clamp, then step the plant under zero-order hold.  One check per step stands
+    for the finiteness check and the trust region: NaN and inf carry through a sum of |x_i|, which bounds the
+    largest.  A feedforward run keeps ``u = u_nom + 0.0``, so a ``-0.0`` feedforward logs ``+0.0``.
+    """
+    m, order2 = len(channels), [j for j, (_, second, _) in enumerate(channels) if second]
+
+    def names(pattern, count=m):
+        return ", ".join(pattern.format(j) for j in range(count))
+
+    params, measure, control, flags = "", [f"y{o} = y{o} + z{o}" for o in range(p) if noisy], [], []
+    for j, (out, second, saturated) in enumerate(channels):
+        params += f", k_p{j}" + f", k_d{j}" * second + f", lo{j}, hi{j}" * saturated + f", w{j}, hist{j}, hv{j}, dot{j}"
+        measure += [f"dy{j} = y{out} - ref{out}", f"hv{j}[i] = dy{j}"]
+        law = f"-(f{j} + k_p{j} * dy{j}" + f" + k_d{j} * ddy{j}" * second + f") / a{j}" if feedback else "0.0"
+        control += [f"f{j} = float(dot{j}(hist{j}[i - w{j} : i + 2])) if i >= w{j} else 0.0", f"u{j} = un{j} + {law}"]
+        if saturated:
+            control += [f"c{j} = u{j} < lo{j} or u{j} > hi{j}", f"if c{j}: u{j} = lo{j} if u{j} < lo{j} else hi{j}"]
+        control += [f"du{j} = u{j} - un{j}", f"hv{j}[i + 1] = a{j} * du{j}"]
+        flags.append(f"c{j}" if saturated else "False")
+    if order2:  # dy's backward difference over the last step, low-pass-filtered with time constant tau_f = 5h
+        measure += [_block("if k:", "dt = t - (k - 1) * h", "lp = dt / (tau_f + dt)",
+                           *[f"ddy{j} += lp * ((dy{j} - last{j}) / dt - ddy{j})" for j in order2])]
+        measure += [f"last{j} = dy{j}" for j in order2]
+    control.append(f"records += ({names('y{}', p)}, {names('u{}')}, {names('du{}')}, {names('f{}')})")
+    if flags != ["False"] * m:
+        control.append(f"clamps += ({', '.join(flags)},)")
+    rows, tables = f"[{names('ref{}', p)}, {names('un{}')}, {names('a{}')}]", "table[k0:k1].tolist()"
+    if noisy:
+        rows, tables = rows + f", [{names('z{}', p)}]", tables + ", noise[k0:k1].tolist()"
+    u = f"[{names('u{}')}]"
+    step = _block(
+        "if k < n_pts - 1:", _block("try:", f"x = step(t, x, {u}, h)"),
+        _block("except ValueError:", f"_check_lengths(model, t, x, {u}, h)", "raise"),
+        _block("if not sum(map(abs, x)) <= TRUST_REGION and max(map(abs, _finite(x, t))) > TRUST_REGION:",
+               'raise DivergenceError("state left the trust region (|x| > %g) by t=%.6g" % '
+               "(TRUST_REGION, (k + 1) * h))"),
+    )
+    source = _block(
+        f"def loop(h, table, noise, step, model, x{params}):",
+        "output, n_pts, tau_f = model.output, len(table), 5.0 * h",
+        *[f"ddy{j} = last{j} = 0.0" for j in order2],
+        _block("for k0 in range(0, n_pts, _CSV_CHUNK):", "k1, records, clamps = min(k0 + _CSV_CHUNK, n_pts), [], []",
+               _block(f"for k, {rows} in zip(range(k0, k1), {tables}):",
+                      "t, i = k * h, 2 * k", f"[{names('y{}', p)}] = output(x)", *measure, *control, step),
+               "yield k0, k1, records, clamps"),
+    )
+    namespace = {"_CSV_CHUNK": _CSV_CHUNK, "_check_lengths": _check_lengths, "_finite": _finite,
+                 "TRUST_REGION": TRUST_REGION, "DivergenceError": DivergenceError}
+    exec(compile(source, f"<sample loop, {m} channels>", "exec"), namespace)
+    return namespace["loop"]
 
 
 # --------------------------------------------------------------------------

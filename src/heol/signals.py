@@ -93,7 +93,7 @@ class ReferenceTrajectory:
 
         A NaN time raises ConfigurationError: it is in no piece.
         """
-        if order not in range(MAX_ORDER + 1):
+        if isinstance(order, (bool, np.bool_)) or order not in range(MAX_ORDER + 1):  # a bool is no order
             raise ConfigurationError(f"derivative order {order} not available (max_order={MAX_ORDER})")
         head, step, tail = self._pieces[int(order)]  # int: 1.0 is in the range too
         try:

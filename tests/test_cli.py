@@ -541,6 +541,15 @@ def test_a_run_without_a_spare_process_formats_after_the_loop(tmp_path, monkeypa
     _assert_nothing_left(open_fds)
 
 
+def test_importing_the_cli_and_validating_compile_no_sample_loop(capsys):
+    # importing heol (in a fresh interpreter) and validating compile no loop; a run compiles one per structure
+    proc = run_python("-c", "import heol.cli, heol.scenarios as s; print(s._loop.cache_info().currsize)")
+    assert proc.stdout == "0\n", proc.stderr
+    heol.scenarios._loop.cache_clear()
+    assert cli_main(["validate", "--config", "paper-sec4"]) == 0
+    assert heol.scenarios._loop.cache_info().currsize == 0
+
+
 def test_console_entry_point():
     proc = run_python("-m", "heol.cli", "list")
     assert proc.returncode == 0

@@ -22,7 +22,7 @@ from heol.estimators import FusedEstimator
 from heol.homeostat import ImplicitFlatRelation, nominal_u1, nominal_u2
 from heol.plant import PlantModel
 from heol.scenarios import PLANTS, ChannelSpec, Timing, builtin_scenario, run_scenario, validate_scenario
-from heol.signals import make_smoothstep
+from heol.signals import make_constant, make_smoothstep
 
 from conftest import ultralocal_scenario
 from test_oracle import ip_law
@@ -115,6 +115,14 @@ def test_pole_placement_rejects_unstable_and_odd_orders():
         gains_from_poles(2, 0.0)
     with pytest.raises(ConfigurationError):
         gains_from_poles(3, -1.0)
+
+
+def test_pole_placement_and_reference_derivatives_refuse_a_bool_order():
+    with pytest.raises(ConfigurationError, match="order must be an integer, got True"):
+        gains_from_poles(True, -1.0)
+    with pytest.raises(ConfigurationError, match=r"derivative order True not available \(max_order=3\)"):
+        make_constant(1.0).eval(0.0, True)
+    assert gains_from_poles(2.0, -1.0) == Gains(k_p=1.0, k_d=2.0)  # an integral float is a count
 
 
 def test_poles_round_trip_through_gains(rng):

@@ -18,6 +18,9 @@ TESTS = Path(__file__).resolve().parent
 LAUNCHERS = {
     "test_cli.py::test_console_entry_point": "the `python -m heol.cli` entry point is the subject",
     "test_cli.py::test_oversized_grid_exits_3_before_allocating": "a regression would allocate the grid",
+    "test_cli.py::test_importing_the_cli_and_validating_compile_no_sample_loop": (
+        "what a fresh interpreter's import compiles is the subject"
+    ),
     "test_cli.py::test_unrunnable_windows_and_starts_exit_3_at_validate": "the 10^8-sample window row",
     "test_cli.py::test_overflowing_noise_exits_4_without_a_warning": "PYTHONWARNINGS is read at start-up",
     "test_estimators.py::test_long_window_estimate_does_not_depend_on_the_blas_thread_count": (
