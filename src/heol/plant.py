@@ -54,7 +54,7 @@ class PlantModel:
 
     def __post_init__(self):
         dims = (self.n_states, self.n_controls, self.n_outputs)
-        if not all(isinstance(d, int) and d >= 1 for d in dims):
+        if not all(type(d) is int and d >= 1 for d in dims):  # a bool is no dimension
             raise ConfigurationError(f"plant dimensions must all be integers of at least 1, got {dims}")
 
 

@@ -98,10 +98,6 @@ def _at(path: str, key) -> str:
     return f"{path}.{key}" if path else str(key)
 
 
-def _get(value, attr):
-    return value.get(attr) if isinstance(value, dict) else getattr(value, attr)
-
-
 def _instance(kind: type, what: str) -> _Rule:
     def load(value, path: str):
         if not isinstance(value, kind):
@@ -112,6 +108,7 @@ def _instance(kind: type, what: str) -> _Rule:
 
 
 _tag = _instance(str, "a string")
+_json_object = _instance(dict, "a JSON object")
 
 
 class _List(_Rule):
@@ -136,9 +133,9 @@ class _List(_Rule):
 class _Object(_Rule):
     """A JSON object built with ``make`` (``None`` for a group) from its ``(key, attribute, rule, default)``
     entries.  By default there is one per init field of dataclass ``make`` or, for the fields under one first
-    key, one per group: an ``_Object(None)`` of them or ``groups[key]``, required if any of them is."""
+    key, one per group: an ``_Object(None)`` of them, required if any of them is."""
 
-    def __init__(self, make, entries=None, groups=None):
+    def __init__(self, make, entries=None):
         self.make = self.type = make
         if entries is None:
             tree = {}  # first key -> [(attribute, rule, default)], with the second key first in a group's members
@@ -150,8 +147,7 @@ class _Object(_Rule):
                     entries.append((key, *members[0]))
                 else:
                     required = any(default is _REQUIRED for *_, default in members)
-                    group = (groups or {}).get(key) or _Object(None, members)
-                    entries.append((key, None, group, _REQUIRED if required else None))
+                    entries.append((key, None, _Object(None, members), _REQUIRED if required else None))
         self.fields = entries
         self.keys = frozenset(key for key, *_ in self.fields)
 
@@ -184,19 +180,17 @@ class _Object(_Rule):
     def dump(self, value) -> dict:
         out = {}
         for key, attr, rule, default in self.fields:
-            v = value if attr is None else _get(value, attr)
+            v = value if attr is None else getattr(value, attr)
             if v is not None and (v := rule.dump(v)) not in (default, {}):
                 out[key] = v
         return out
 
 
 class _Union(_Rule):
-    """One of several objects, picked by the string under ``key`` (``attr`` once loaded)."""
+    """One of several objects, picked by the string under ``key``."""
 
-    type = dict
-
-    def __init__(self, key: str, attr: str, what: str, options: dict):
-        self.key, self.attr, self.what, self.options = key, attr, what, options
+    def __init__(self, key: str, what: str, options: dict):
+        self.key, self.what, self.options = key, what, options
 
     def load(self, value, path: str):
         if not isinstance(value, dict):
@@ -209,12 +203,6 @@ class _Union(_Rule):
                 f"{_at(path, self.key)}: unknown {self.what} {tag!r}; registered: {sorted(self.options)}"
             )
         return self.options[tag].load(value, path)
-
-    def dump(self, value) -> dict:
-        tag = _get(value, self.attr)
-        if tag not in self.options:
-            raise ConfigurationError(f"unknown {self.what} {tag!r}")
-        return self.options[tag].dump(value)
 
 
 def _plain(*keys, kind=_number, default=_REQUIRED):
@@ -243,7 +231,7 @@ def _type_fields(obj) -> None:
             object.__setattr__(obj, name, rule.typed(value, name))
 
 
-_REFERENCE = _Union("type", "type", "reference type", {
+_REFERENCE = _Union("type", "reference type", {
     "constant": _Object(dict, _plain("type", kind=_tag) + _plain("value")),
     "smoothstep": _Object(dict, _plain("type", kind=_tag) + _plain("from", "to", "t_start", "t_end")),
 })
@@ -350,17 +338,18 @@ class ChannelSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Complete, serialisable description of one simulation run."""
+    """Complete, serialisable description of one simulation run.  Made from a file or in Python, it looks its
+    plant up in ``PLANTS`` and loads the plant's parameters and each reference by the schema when it is built."""
 
     name: str = _key("name", rule=_tag)
     plant: str = _key("plant", "name", rule=_tag)
     timing: Timing = _key("timing", rule=_Object(Timing))
-    references: tuple[dict, ...] = _key("references", rule=_List(_REFERENCE))
+    references: tuple[dict, ...] = _key("references", rule=_List(_json_object))
     channels: tuple[ChannelSpec, ...] = _key("channels", rule=_List(_Object(ChannelSpec)))
     mismatch: MismatchSpec | None = _key(  # None: every output starts unscaled
         "mismatch", rule=_Object(MismatchSpec, _plain("output_scaling", kind=_List(_number))), default=None
     )
-    plant_params: dict = _key("plant", "params", rule=_instance(dict, "a JSON object"), default_factory=dict)
+    plant_params: dict = _key("plant", "params", rule=_json_object, default_factory=dict)
     control_mode: str = _key("control_mode", rule=_control_mode, default="closed-loop")
     noise_std: float = _key("noise", "std", rule=_noise_std, default=0.0)
     noise_seed: int = _key("noise", "seed", rule=_noise_seed, default=0)
@@ -368,6 +357,11 @@ class Scenario:
 
     def __post_init__(self):
         _type_fields(self)
+        if self.plant not in PLANTS:
+            raise ConfigurationError(f"plant.name: unknown plant {self.plant!r}; registered: {sorted(PLANTS)}")
+        object.__setattr__(self, "plant_params", PLANTS[self.plant][1].load(self.plant_params, "plant.params"))
+        refs = tuple(_REFERENCE.load(spec, f"references[{i}]") for i, spec in enumerate(self.references))
+        object.__setattr__(self, "references", refs)
         if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
             raise ConfigurationError(f"scenario name {self.name!r} is not a plain file name")
         try:
@@ -385,8 +379,7 @@ class Scenario:
 # registries
 
 
-def _build_reference(spec: dict, path: str) -> ReferenceTrajectory:
-    spec = _REFERENCE.load(spec, path)
+def _build_reference(spec: dict) -> ReferenceTrajectory:
     if spec["type"] == "constant":
         return make_constant(spec["value"])
     return make_smoothstep(spec["from"], spec["to"], spec["t_start"], spec["t_end"])
@@ -420,7 +413,9 @@ _BENCHMARK_INVERSIONS = (*_benchmark_inversions(), _benchmark_inversions(1.1, 0.
 
 
 #: plant name -> (factory(params) -> (model, init_state(refs, mismatch), relations, formulas,
-#: nominals), the ``params`` object, whose absent keys take the factory's defaults).
+#: nominals), the ``params`` object, whose absent keys take the factory's defaults).  A ``Scenario`` looks
+#: its plant up here when it is built and loads its ``plant_params`` by that object, so a plant registered
+#: after import is read from a file too.
 #: ``relations[j]`` is channel j's implicit relation, ``formulas[j]`` the closed form of its gain
 #: ``f(table, t, u=None)`` and ``nominals[tag]`` the feedforward ``f(table, t)`` this plant registers
 #: under ``tag``: both read the derivative table of the references at ``t``.  ``zero`` works on every plant.
@@ -484,12 +479,9 @@ def _registered(entries, key, what: str, plant: str):
 
 
 def validate_scenario(scenario: Scenario) -> _Built:
-    """Build every part of the scenario without running it; :func:`run_scenario` takes the result."""
-    if scenario.plant not in PLANTS:
-        raise ConfigurationError(f"unknown plant {scenario.plant!r}; registered: {sorted(PLANTS)}")
-    factory, params = PLANTS[scenario.plant]
-    plant_params = params.load(scenario.plant_params, "plant.params")
-    model, init_fn, relations, formulas, nominals = factory(plant_params)
+    """Build every part of the scenario without running it; :func:`run_scenario` takes the result.  The
+    scenario checked its plant, plant parameters and references when it was made: this loads none again."""
+    model, init_fn, relations, formulas, nominals = PLANTS[scenario.plant][0](scenario.plant_params)
     nominals = {**_ZERO, **nominals}
     mismatch = scenario.mismatch or MismatchSpec(output_scaling=(1.0,) * model.n_outputs)
 
@@ -508,7 +500,7 @@ def validate_scenario(scenario: Scenario) -> _Built:
         )
 
     timing = scenario.timing
-    refs = tuple(_build_reference(spec, f"references[{i}]") for i, spec in enumerate(scenario.references))
+    refs = tuple(map(_build_reference, scenario.references))
     horizon = (0.0, timing.n_steps * timing.h)
     probe = None  # the derivation's probe times and the table of refs there, which every derived channel reads
 
@@ -995,15 +987,7 @@ def export_metrics(metrics: Metrics, destination) -> Path:
 # --------------------------------------------------------------------------
 # (de)serialisation
 
-_PLANT = _Union("name", "plant", "plant", {
-    name: _Object(None, [
-        ("name", "plant", _tag, _REQUIRED),
-        ("params", "plant_params", params, None),
-    ])
-    for name, (_, params) in PLANTS.items()
-})
-
-_SCENARIO = _Object(Scenario, groups={"plant": _PLANT})
+_SCENARIO = _Object(Scenario)
 
 
 def scenario_from_dict(data: dict) -> Scenario:

@@ -57,16 +57,16 @@ class ReferenceTrajectory:
     ``t_start = t_end = inf``: its step never starts.
     """
 
-    y_from: float
-    y_to: float
-    t_start: float
-    t_end: float
+    y_from: float = field(metadata={"rule": _level})
+    y_to: float = field(metadata={"rule": _level})
+    t_start: float = field(metadata={"rule": _number})
+    t_end: float = field(metadata={"rule": _number})
     # per derivative order: (head value, step coefficients in t - t_start, tail value)
     _pieces: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        y_from, y_to = (_level.typed(getattr(self, f), f) for f in ("y_from", "y_to"))
-        t_start, t_end = (_number.typed(getattr(self, f), f) for f in ("t_start", "t_end"))
+    def __post_init__(self):  # stores each value as its rule returns it
+        y_from, y_to = _level.typed(self.y_from, "y_from"), _level.typed(self.y_to, "y_to")
+        t_start, t_end = _number.typed(self.t_start, "t_start"), _number.typed(self.t_end, "t_end")
         if y_from == y_to and t_start == t_end == math.inf:
             coeffs = ()
         elif not (math.isfinite(t_start) and math.isfinite(t_end) and t_end > t_start):
@@ -86,7 +86,8 @@ class ReferenceTrajectory:
         for _ in range(MAX_ORDER):  # a plateau's derivatives vanish
             coeffs = _polyder(coeffs)
             pieces.append((0.0, coeffs, 0.0))
-        object.__setattr__(self, "_pieces", tuple(pieces))
+        # frozen: set past __setattr__
+        vars(self).update(y_from=y_from, y_to=y_to, t_start=t_start, t_end=t_end, _pieces=tuple(pieces))
 
     def eval(self, t, order: int = 0):
         """Value of the ``order``-th derivative at ``t``: a float at a float, an array at an array.

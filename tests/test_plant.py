@@ -172,7 +172,7 @@ def test_rk4_passes_on_value_errors_raised_by_f():
         rk4_step(m, 0.0, [-1.0], [0.0], 0.1)
 
 
-@pytest.mark.parametrize("n", [0, 2.0, None])
+@pytest.mark.parametrize("n", [0, 2.0, None, True])
 def test_plant_model_rejects_non_integer_dimensions(n):
     with pytest.raises(ConfigurationError, match="integers of at least 1"):
         PlantModel(n, 1, 1, lambda t, x, u: x, lambda x: x)

@@ -172,6 +172,66 @@ def test_builtin_registry():
         builtin_scenario("no-such-scenario")
 
 
+_PLANTS_REGISTERED = "registered: ['flat-benchmark-2x2', 'ultralocal']"
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"plant": "x"}, f"plant.name: unknown plant 'x'; {_PLANTS_REGISTERED}"),
+        ({"plant_params": {"x": 1}}, "unknown key plant.params.x"),
+        ({"references": ({"type": "constant"}, {"type": "constant", "value": 1.0})},
+         "missing key references[0].value"),
+    ],
+    ids=["unknown-plant", "unknown-params-key", "reference-missing-a-key"],
+)
+def test_a_scenario_checks_its_plant_and_references_when_built_as_its_document_does(changes, message):
+    base = builtin_scenario("paper-sec4")
+    with pytest.raises(ConfigurationError) as built:
+        dataclasses.replace(base, **changes)
+    doc = scenario_to_dict(base)
+    doc["plant"] = {"name": changes.get("plant", base.plant), "params": changes.get("plant_params", {})}
+    doc["references"] = list(changes.get("references", base.references))
+    with pytest.raises(ConfigurationError) as loaded:
+        scenario_from_dict(doc)
+    assert str(built.value) == str(loaded.value) == message
+
+
+def test_a_plant_registered_after_import_loads_from_a_document(monkeypatch):
+    monkeypatch.setitem(PLANTS, "ultralocal-copy", PLANTS["ultralocal"])
+    original = ultralocal_scenario(1.0, drift=0.5)
+    doc = scenario_to_dict(original)
+    doc["plant"]["name"] = "ultralocal-copy"
+    copy = scenario_from_dict(doc)
+    assert copy.plant_params == original.plant_params == {"order": 1, "f": 0.5, "gain": 1.0}
+    assert np.array_equal(run_scenario(copy).y, run_scenario(original).y)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: builtin_scenario("paper-sec4"), lambda: ultralocal_scenario(1.0, drift=0.5)],
+    ids=["sec4", "ultralocal"],
+)
+def test_a_document_loads_each_reference_and_its_plant_params_once(monkeypatch, make):
+    doc, loads = scenario_to_dict(make()), []
+
+    def counting(rule, load):
+        def counted(value, path):
+            loads.append(rule)
+            return load(value, path)
+
+        return counted
+
+    references, params = heol_scenarios._REFERENCE, PLANTS[doc["plant"]["name"]][1]
+    for rule in (references, params):
+        monkeypatch.setattr(rule, "load", counting(rule, rule.load))
+    scenario = scenario_from_dict(doc)
+    assert loads.count(references) == len(doc["references"]) and loads.count(params) == 1
+    loads.clear()
+    validate_scenario(scenario)
+    assert loads == []
+
+
 # -------------------------------------------------------------- simulation
 
 
@@ -263,6 +323,38 @@ def test_a_sec4_sample_executes_at_most_530_opcodes():
     finally:
         sys.settrace(previous)
     assert n == 1001 and count / n <= 530
+
+
+def _opcodes(call) -> int:
+    """Opcodes executed by ``call()``, after one warm call."""
+    call()
+    count = 0
+
+    def opcodes(frame, event, arg):
+        nonlocal count
+        count += event == "opcode"
+        return opcodes
+
+    def calls(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return opcodes
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="opcode counts are those of CPython 3.11")
+def test_setting_up_sec4_executes_at_most_9000_opcodes():
+    # Loading and building paper-sec4's document: 9,608 opcodes while validate_scenario loaded its references
+    # and plant parameters a second time, 8,635 since a Scenario loads them once, as it is built.  The count is
+    # exact and repeatable; perfbench's setup_s cannot resolve a change of this size.
+    doc = scenario_to_dict(builtin_scenario("paper-sec4"))
+    assert _opcodes(lambda: validate_scenario(scenario_from_dict(doc))) <= 9000
 
 
 @settings(max_examples=25, deadline=None)
@@ -884,6 +976,19 @@ VALID_FIELDS = {
         "name": st.just("s"),
         "plant": st.just("ultralocal"),
         "timing": st.just(Timing(duration=1.0, h=0.01)),
+        # references and plant.params as valid and as malformed documents give them
+        "references": st.sampled_from([
+            ({"type": "constant", "value": 1.0},),
+            [{"type": "constant", "value": 1, "#": "a comment"}],
+            ({"type": "constant"},),
+            ({"type": "ramp", "value": 1.0},),
+            ({"type": "constant", "value": 1.0, "to": 2.0},),
+            (1.0,),
+            {"type": "constant", "value": 1.0},
+        ]),
+        "plant_params": st.sampled_from(
+            [{}, {"order": 2.0, "f": 1, "gain": np.float32(2)}, {"x": 1}, {"order": "2"}, []]
+        ),
         "channels": st.just((ChannelSpec(output=0, order=1, alpha_source="constant", alpha_value=1.0, pole=-1.0),)),
         "control_mode": st.sampled_from(["closed-loop", "feedforward"]),
         "noise_std": st.sampled_from([0.0, 1e-3]),
@@ -905,10 +1010,8 @@ VALID_FIELDS = {
 @settings(max_examples=140, deadline=None)  # 20 examples per class
 @given(st.sampled_from(sorted(VALID_FIELDS, key=lambda cls: cls.__name__)), st.data())
 def test_constructors_type_each_field_or_raise_configuration_errors(cls, data):
-    # references, plant_params and mismatch keep checks of their own and are left at valid values
+    # mismatch keeps checks of its own and is left at its default
     kwargs = {name: data.draw(valid | ODD_VALUES, label=name) for name, valid in VALID_FIELDS[cls].items()}
-    if cls is Scenario:
-        kwargs["references"] = ({"type": "constant", "value": 1.0},)
     try:
         built = cls(**kwargs)
     except ConfigurationError:
