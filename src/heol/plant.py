@@ -24,7 +24,6 @@ from typing import Callable, Sequence
 
 from .errors import ConfigurationError, DivergenceError, _number, _positive
 from .homeostat import ImplicitFlatRelation, _benchmark_inversions
-from .signals import ReferenceTrajectory
 
 __all__ = [
     "PlantModel",
@@ -32,7 +31,6 @@ __all__ = [
     "rk4_step",
     "example_plant",
     "benchmark_relations",
-    "initial_state",
 ]
 
 #: state magnitude beyond which a run is declared divergent
@@ -182,17 +180,3 @@ def benchmark_relations() -> tuple[ImplicitFlatRelation, ImplicitFlatRelation]:
     with u1 eliminated through the first relation (u1 = (y1' - y1)/y1^2): ``N - D·u`` of each flat inversion.
     """
     return tuple(relation for relation, _ in _benchmark_inversions())
-
-
-def initial_state(references: Sequence[ReferenceTrajectory], mismatch: MismatchSpec) -> list[float]:
-    """Benchmark initial state seeded from the references at t = 0.
-
-    The measured outputs start at ``scaling_i * y_i*(0)``; the hidden chain
-    states start on the reference derivatives (x3 = dy2*/dt, x4 = d2y2*/dt2),
-    so an unscaled start lies exactly on the reference trajectory.
-    """
-    y1_ref, y2_ref = references
-    s = mismatch.output_scaling
-    if len(s) != 2:
-        raise ConfigurationError(f"benchmark mismatch needs 2 scaling factors, got {len(s)}")
-    return [s[0] * y1_ref.eval(0.0, 0), s[1] * y2_ref.eval(0.0, 0), y2_ref.eval(0.0, 1), y2_ref.eval(0.0, 2)]

@@ -58,7 +58,6 @@ from .plant import (
     _kernel,
     _rated_plant,
     example_plant,
-    initial_state,
 )
 from .signals import ReferenceTrajectory, make_constant, make_smoothstep
 
@@ -357,9 +356,7 @@ class Scenario:
 
     def __post_init__(self):
         _type_fields(self)
-        if self.plant not in PLANTS:
-            raise ConfigurationError(f"plant.name: unknown plant {self.plant!r}; registered: {sorted(PLANTS)}")
-        object.__setattr__(self, "plant_params", PLANTS[self.plant][1].load(self.plant_params, "plant.params"))
+        object.__setattr__(self, "plant_params", _plant(self.plant)[1].load(self.plant_params, "plant.params"))
         refs = tuple(_REFERENCE.load(spec, f"references[{i}]") for i, spec in enumerate(self.references))
         object.__setattr__(self, "references", refs)
         if self.name in ("", ".", "..") or any(c in self.name for c in "/\\\0"):
@@ -389,15 +386,10 @@ def _ultralocal_plant(params: dict):
     order = _ultralocal_order.typed(params.get("order", 1), "order")
     drift = params.get("f", 0.0)
     gain = _ultralocal_gain.typed(params.get("gain", 1.0), "gain")
-
-    def init(refs, mismatch):
-        y0 = (mismatch.output_scaling[0] * refs[0].eval(0.0, 0), refs[0].eval(0.0, 1))
-        return np.array(y0[:order])
-
-    rates = ("x1",)[: order - 1] + ("drift + gain * u0",)  # a chain of integrators
+    rates = ("x1",)[: order - 1] + ("drift + gain * u0",)  # a chain of integrators: x = (y, y') to its order
     model = _rated_plant(rates, 1, 1, lambda x: (x[0],), drift=drift, gain=gain)
     relation, _ = _flat_inversion((order,), 0, lambda table: table[0, order], lambda table: gain)
-    return model, init, (relation,), (), {}
+    return model, ((0, 0), (0, 1))[:order], (relation,), (), {}
 
 
 def _benchmark_2x2_plant(params: dict):
@@ -405,17 +397,18 @@ def _benchmark_2x2_plant(params: dict):
     (e1, u1), (e2, u2), (_, u2_miscoeff) = _BENCHMARK_INVERSIONS
     # the flat inversions of this plant; u2 also with miscalibrated coefficients
     nominals = {"flat-u1": u1, "flat-u2": u2, "flat-u2-miscoeff": u2_miscoeff}
-    return example_plant(), initial_state, (e1, e2), formulas, nominals
+    return example_plant(), ((0, 0), (1, 0), (1, 1), (1, 2)), (e1, e2), formulas, nominals  # x = (y1, y2, y2', y2'')
 
 
 #: the benchmark's (relation, feedforward) per control, then u2's with miscalibrated coefficients
 _BENCHMARK_INVERSIONS = (*_benchmark_inversions(), _benchmark_inversions(1.1, 0.9)[1])
 
 
-#: plant name -> (factory(params) -> (model, init_state(refs, mismatch), relations, formulas,
-#: nominals), the ``params`` object, whose absent keys take the factory's defaults).  A ``Scenario`` looks
-#: its plant up here when it is built and loads its ``plant_params`` by that object, so a plant registered
-#: after import is read from a file too.
+#: plant name -> (factory(params) -> (model, state, relations, formulas, nominals), the ``params`` object,
+#: whose absent keys take the factory's defaults).  A ``Scenario`` looks its plant up here when it is built
+#: and loads its ``plant_params`` by that object, so a plant registered after import is read from a file too.
+#: ``state[i] == (l, k)`` states that state i is the k-th derivative of flat output l: a run starts it on
+#: reference l's k-th derivative at t = 0, times output l's mismatch scaling when k = 0.
 #: ``relations[j]`` is channel j's implicit relation, ``formulas[j]`` the closed form of its gain
 #: ``f(table, t, u=None)`` and ``nominals[tag]`` the feedforward ``f(table, t)`` this plant registers
 #: under ``tag``: both read the derivative table of the references at ``t``.  ``zero`` works on every plant.
@@ -426,6 +419,14 @@ PLANTS: dict[str, tuple[Callable, _Object]] = {
         _Object(dict, _plain("order", kind=_count, default=None) + _plain("f", "gain", default=None)),
     ),
 }
+
+
+def _plant(name: str) -> tuple[Callable, _Object]:
+    """``PLANTS[name]``, or ConfigurationError naming the registered plants."""
+    if name not in PLANTS:
+        raise ConfigurationError(f"plant.name: unknown plant {name!r}; registered: {sorted(PLANTS)}")
+    return PLANTS[name]
+
 
 #: the feedforward tag every plant registers, and the schema default
 _ZERO = {"zero": lambda table, t: 0.0}
@@ -481,7 +482,7 @@ def _registered(entries, key, what: str, plant: str):
 def validate_scenario(scenario: Scenario) -> _Built:
     """Build every part of the scenario without running it; :func:`run_scenario` takes the result.  The
     scenario checked its plant, plant parameters and references when it was made: this loads none again."""
-    model, init_fn, relations, formulas, nominals = PLANTS[scenario.plant][0](scenario.plant_params)
+    model, state, relations, formulas, nominals = _plant(scenario.plant)[0](scenario.plant_params)
     nominals = {**_ZERO, **nominals}
     mismatch = scenario.mismatch or MismatchSpec(output_scaling=(1.0,) * model.n_outputs)
 
@@ -543,11 +544,9 @@ def validate_scenario(scenario: Scenario) -> _Built:
         except HeolError as exc:
             raise type(exc)(f"channel {j + 1}: {exc}") from None
 
-    x0 = np.asarray(init_fn(refs, mismatch), dtype=float)
+    x0 = np.array([(mismatch.output_scaling[l] if k == 0 else 1.0) * refs[l].eval(0.0, k) for l, k in state])
     if x0.shape != (model.n_states,):
-        raise ConfigurationError(
-            f"initial state has shape {x0.shape}, plant needs ({model.n_states},)"
-        )
+        raise ConfigurationError(f"initial state has shape {x0.shape}, plant needs ({model.n_states},)")
     if not all(abs(v) <= TRUST_REGION for v in x0.tolist()):  # also rejects inf and NaN
         raise ConfigurationError(
             f"initial state {x0.tolist()} is outside the trust region |x| <= {TRUST_REGION:g}"

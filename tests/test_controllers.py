@@ -189,7 +189,7 @@ def test_controller_rejects_bad_saturation_and_order(monkeypatch):
     def triple_integrator(params):
         model = PlantModel(3, 1, 1, lambda t, x, u: (x[1], x[2], u[0]), lambda x: (x[0],))
         relation = ImplicitFlatRelation(orders=(3,), control_index=0, residual=lambda table, u: table[0, 3] - u)
-        return model, lambda refs, mismatch: np.zeros(3), (relation,), (), {}
+        return model, ((0, 0), (0, 1), (0, 2)), (relation,), (), {}
 
     monkeypatch.setitem(PLANTS, "triple", (triple_integrator, PLANTS["ultralocal"][1]))
     derived = dataclasses.replace(

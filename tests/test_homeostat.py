@@ -440,7 +440,7 @@ def test_each_time_grid_reads_one_reference_table(monkeypatch):
 @pytest.mark.parametrize("alpha, calls", [("formula", 20), ("derived", 28)])
 def test_every_reference_value_comes_from_eval(monkeypatch, alpha, calls):
     # one eval per table, reference and order: the run's two grid tables make 2 x 2 x 4 calls and
-    # initial_state 4 more; a derived channel adds the 32-probe table's 2 x 4
+    # the initial state 4 more; a derived channel adds the 32-probe table's 2 x 4
     orders = []
 
     def counted(self, t, order=0):

@@ -1,6 +1,8 @@
 """Benchmark plant, its flat relations, and the fixed-step integrator."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,11 +17,12 @@ from heol.plant import (
     _kernel,
     benchmark_relations,
     example_plant,
-    initial_state,
     rk4_step,
 )
-from heol.scenarios import PLANTS
-from heol.signals import make_constant, make_smoothstep
+from heol.scenarios import PLANTS, builtin_scenario, validate_scenario
+from heol.signals import make_smoothstep
+
+from conftest import ultralocal_scenario
 
 
 # ------------------------------------------------------------- plant model
@@ -63,31 +66,83 @@ def test_mismatch_defaults_and_validation():
 # ------------------------------------------------------------- initial state
 
 
+def _x0(references, mismatch=None, base=None):
+    """The state a run of ``base`` (``paper-sec4`` by default) starts from, on ``references`` (each a number, for a
+    constant, or a reference document) with ``mismatch`` (None: every output unscaled)."""
+    docs = tuple(r if isinstance(r, dict) else {"type": "constant", "value": r} for r in references)
+    base = base or builtin_scenario("paper-sec4")
+    return validate_scenario(dataclasses.replace(base, references=docs, mismatch=mismatch)).x0
+
+
+_MID_STEP = {"type": "smoothstep", "from": 1.0, "to": 2.0, "t_start": -5.0, "t_end": 5.0}  # mid-step at t = 0
+
+
 def test_initial_state_scales_outputs_only():
-    refs = (make_constant(1.0), make_constant(0.0))
-    x0 = initial_state(refs, MismatchSpec(output_scaling=(1.1, 1.0)))
+    x0 = _x0((1.0, 0.0), MismatchSpec(output_scaling=(1.1, 1.0)))
     np.testing.assert_array_equal(x0, [1.1, 0.0, 0.0, 0.0])
 
-    x0 = initial_state((make_constant(1.0), make_constant(1.0)), MismatchSpec())
+    x0 = _x0((1.0, 1.0), MismatchSpec())
     np.testing.assert_array_equal(x0, [1.0, 1.0, 0.0, 0.0])
 
-    x0 = initial_state(refs, MismatchSpec(output_scaling=(2.0, 1.0)))
+    x0 = _x0((1.0, 0.0), MismatchSpec(output_scaling=(2.0, 1.0)))
     assert x0[0] == 2.0
+
+    # ultralocal: x = (y, y') to its order, and only y is scaled
+    y = make_smoothstep(1.0, 2.0, -5.0, 5.0)
+    for order, k_p, k_d in ((1, 1.0, None), (2, 4.0, 4.0)):
+        base = ultralocal_scenario(k_p, order=order, k_d=k_d)
+        x0 = _x0((_MID_STEP,), MismatchSpec(output_scaling=(2.0,)), base)
+        np.testing.assert_array_equal(x0, [2.0 * y.eval(0.0, 0), y.eval(0.0, 1)][:order])
 
 
 def test_initial_state_seeds_hidden_chain_from_reference_derivatives():
     y2 = make_smoothstep(1.0, 2.0, -5.0, 5.0)  # mid-step at t = 0
-    refs = (make_constant(1.0), y2)
-    x0 = initial_state(refs, MismatchSpec())
+    x0 = _x0((1.0, _MID_STEP), MismatchSpec())
     assert x0[1] == y2.eval(0.0, 0) == pytest.approx(1.5)
     assert x0[2] == y2.eval(0.0, 1) != 0.0
     assert x0[3] == y2.eval(0.0, 2)
 
 
 def test_initial_state_needs_two_factors():
-    refs = (make_constant(1.0), make_constant(1.0))
-    with pytest.raises(ConfigurationError):
-        initial_state(refs, MismatchSpec(output_scaling=(1.0,)))
+    message = "mismatch carries 1 scaling factors for 2 outputs"
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        _x0((1.0, 1.0), MismatchSpec(output_scaling=(1.0,)))
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@pytest.mark.parametrize(
+    "plant, params",
+    [("flat-benchmark-2x2", {}), ("ultralocal", {"order": 1}), ("ultralocal", {"order": 2})],
+    ids=["benchmark", "ultralocal-order-1", "ultralocal-order-2"],
+)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_each_declared_state_is_a_derivative_of_a_flat_output(plant, params, data):
+    # state[i] == (l, k): state i is the k-th derivative of flat output l, so its rate is the state (l, k + 1)
+    model, state, *_ = PLANTS[plant][0](params)
+    x = data.draw(st.lists(_FINITE, min_size=model.n_states, max_size=model.n_states), label="x")
+    u = data.draw(st.lists(_FINITE, min_size=model.n_controls, max_size=model.n_controls), label="u")
+    assert len(state) == model.n_states
+    rates = model.f(0.0, x, u)
+    for i, (l, k) in enumerate(state):
+        if (l, k + 1) in state:
+            assert rates[i] == x[state.index((l, k + 1))]
+    assert list(model.output(x)) == [x[state.index((l, 0))] for l in range(model.n_outputs)]
+
+
+def test_a_plant_declaring_too_few_states_is_refused(monkeypatch):
+    factory, params = PLANTS["flat-benchmark-2x2"]
+
+    def short(plant_params):
+        model, state, *rest = factory(plant_params)
+        return (model, state[:3], *rest)
+
+    monkeypatch.setitem(PLANTS, "flat-benchmark-2x2", (short, params))
+    message = "initial state has shape (3,), plant needs (4,)"
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        validate_scenario(builtin_scenario("paper-sec4"))
 
 
 # ---------------------------------------------------------------- integrator

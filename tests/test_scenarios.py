@@ -144,6 +144,10 @@ def test_validate_scenario_checks_structure():
     with pytest.raises(ConfigurationError):
         validate_scenario(bad_output)
 
+    sec4 = builtin_scenario("paper-sec4")
+    with pytest.raises(ConfigurationError, match="^plant has 2 outputs but 1 references given$"):
+        validate_scenario(dataclasses.replace(sec4, references=sec4.references[:1]))
+
 
 def test_validate_scenario_checks_registry_tags():
     base = builtin_scenario("paper-sec4")
@@ -205,6 +209,15 @@ def test_a_plant_registered_after_import_loads_from_a_document(monkeypatch):
     copy = scenario_from_dict(doc)
     assert copy.plant_params == original.plant_params == {"order": 1, "f": 0.5, "gain": 1.0}
     assert np.array_equal(run_scenario(copy).y, run_scenario(original).y)
+
+
+def test_a_plant_taken_out_of_the_registry_after_a_scenario_was_built_is_a_configuration_error(monkeypatch):
+    monkeypatch.setitem(PLANTS, "copy", PLANTS["ultralocal"])
+    scenario = dataclasses.replace(ultralocal_scenario(1.0), plant="copy")
+    monkeypatch.delitem(PLANTS, "copy")
+    message = f"plant.name: unknown plant 'copy'; {_PLANTS_REGISTERED}"
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+        validate_scenario(scenario)
 
 
 @pytest.mark.parametrize(
@@ -299,32 +312,6 @@ def test_the_sample_loop_compiles_once_per_structure():
     assert loop.cache_info().currsize == 2
 
 
-@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="opcode counts are those of CPython 3.11")
-def test_a_sec4_sample_executes_at_most_530_opcodes():
-    # The count is exact and repeatable where wall time is not: 633.5 per sample before the loop was generated,
-    # 478.7 after.  It does not see numpy's C time (the dots, the chunk writes, the tables).
-    scenario = dataclasses.replace(builtin_scenario("paper-sec4"), timing=Timing(duration=10.0, h=0.01))
-    run_scenario(scenario)  # every cache warm
-    count = 0
-
-    def opcodes(frame, event, arg):
-        nonlocal count
-        count += event == "opcode"
-        return opcodes
-
-    def calls(frame, event, arg):
-        frame.f_trace_opcodes = True
-        return opcodes
-
-    previous = sys.gettrace()
-    sys.settrace(calls)
-    try:
-        n = len(run_scenario(scenario).t)
-    finally:
-        sys.settrace(previous)
-    assert n == 1001 and count / n <= 530
-
-
 def _opcodes(call) -> int:
     """Opcodes executed by ``call()``, after one warm call."""
     call()
@@ -346,6 +333,15 @@ def _opcodes(call) -> int:
     finally:
         sys.settrace(previous)
     return count
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="opcode counts are those of CPython 3.11")
+def test_a_sec4_sample_executes_at_most_530_opcodes():
+    # The count is exact and repeatable where wall time is not: 633.5 per sample before the loop was generated,
+    # 478.7 after.  It does not see numpy's C time (the dots, the chunk writes, the tables).
+    scenario = dataclasses.replace(builtin_scenario("paper-sec4"), timing=Timing(duration=10.0, h=0.01))
+    assert scenario.timing.n_steps + 1 == 1001  # samples
+    assert _opcodes(lambda: run_scenario(scenario)) / 1001 <= 530
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="opcode counts are those of CPython 3.11")
@@ -840,6 +836,9 @@ def test_metrics_file_is_flat_key_value_text(tmp_path):
     text = path.read_text()
     for key in ("n_records", "rms_tail_dy1", "max_abs_dy1", "max_abs_du1", "warmup_T1"):
         assert f"{key} = " in text
+    missing = tmp_path / "missing" / "m.txt"
+    with pytest.raises(ExportError, match=f"^failed to write {re.escape(str(missing))}: "):
+        export_metrics(compute_metrics(log), missing)
 
 
 # ------------------------------------------------------------ serialisation

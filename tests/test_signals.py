@@ -240,6 +240,10 @@ def test_window_validates_uniform_sigma():
         Window(T=1.0, sigma=np.array([0.1, 0.5, 1.0]), values=np.zeros(3))
     with pytest.raises(ConfigurationError):
         Window(T=1.0, sigma=np.array([0.0]), values=np.zeros(1))
+    with pytest.raises(ConfigurationError, match="^window sigma values must be strictly increasing$"):
+        Window(T=1.0, sigma=np.array([0.0, 0.5, 0.5, 1.0]), values=np.zeros(4))
+    with pytest.raises(ConfigurationError, match="^window sigma and values must be arrays of numbers$"):
+        Window(T=1.0, sigma=np.array([0.0, 0.5, 1.0]), values=["a", "b", "c"])
 
 
 @pytest.mark.parametrize(
