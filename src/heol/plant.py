@@ -77,8 +77,8 @@ class MismatchSpec:
 def rk4_step(model: PlantModel, t: float, x: Sequence[float], u: Sequence[float], h: float) -> list[float]:
     """One classical Runge-Kutta step of length ``h`` with ``u`` held constant, through the plant's kernel.
 
-    The kernel, ``_kernel(model)``, is the one the loop of ``run_scenario`` binds once per run.  A state,
-    control or derivative of the wrong length raises ConfigurationError; a non-finite result, DivergenceError.
+    The kernel, ``_kernel(model)``, is made of the stages (``_rk4``) that ``run_scenario``'s loop inlines if it can.
+    A state, control or derivative of the wrong length raises ConfigurationError; a non-finite result, DivergenceError.
     """
     t, h = _number.typed(t, "t"), _step.typed(h, "h")
     try:
@@ -106,31 +106,38 @@ def _block(head: str, *lines: str) -> str:
     return "\n".join([head, *lines]).replace("\n", "\n    ")
 
 
+def _names(prefix: str, count: int) -> str:
+    return ", ".join(f"{prefix}{i}" for i in range(count))
+
+
+def _rk4(rates: tuple[str, ...] | None, n: int) -> tuple[list[str], list[str]]:
+    """One RK4 step of the locals ``x0..`` under ``u0..`` held (with no rates, through ``f``) with ``h``, ``half =
+    0.5 * h`` and ``h6 = h / 6.0`` bound, as source: the lines of the stages ``ka0..kd{n-1}`` (the rates at ``x``,
+    ``x + half ka``, ``x + half kb``, ``x + h kc``) and each new ``x_i + h6 (((ka_i + 2 kb_i) + 2 kc_i) + kd_i)``.
+    The kernels of ``_compile`` and the sample loop of ``heol.scenarios`` step by it alike."""
+    lines = []
+    for k, prev, c, time in (("ka", None, None, "t"), ("kb", "ka", "half", "t + half"),
+                             ("kc", "kb", "half", "t + half"), ("kd", "kc", "h", "t + h")):
+        s = "x" + k[1] if prev else "x"
+        lines += [f"{s}{i} = x{i} + {c} * {prev}{i}" for i in range(n) if prev]
+        if rates is None:
+            lines.append(f"[{_names(k, n)}] = f({time}, {f'[{_names(s, n)}]' if prev else 'x'}, u)")
+        else:
+            lines += [f"{k}{i} = " + re.sub(r"\bx(\d+)\b", s + r"\1", rate) for i, rate in enumerate(rates)]
+    return lines, [f"x{i} + h6 * (ka{i} + 2.0 * kb{i} + 2.0 * kc{i} + kd{i})" for i in range(n)]
+
+
 @functools.cache
 def _compile(rates: tuple[str, ...] | None, n: int, m: int, params: tuple[str, ...] = ()) -> Callable:
     """``make(*params)``, compiled once per rate text: the ``f`` with ``dx_i/dt = rates[i]`` (over ``x0..``,
-    ``u0..`` and ``params``, not ``t``) and its RK4 kernel as ``f.rk4``; with no rates, ``make(f)`` is the kernel
-    calling ``f``.  The kernel holds ``u`` (zero-order hold), takes the stages at ``x + (h/2) k`` (``x + h k3``
-    last) and returns ``x + h/6 (((k1 + 2 k2) + 2 k3) + k4)``.  It unpacks ``x``, ``u`` and every stage, so a
-    wrong length raises ValueError, and steps ``(B,)`` arrays per state and control row for row.
+    ``u0..`` and ``params``, not ``t``) and its RK4 kernel (``_rk4``) as ``f.rk4``; with no rates, ``make(f)`` is
+    the kernel calling ``f``.  The kernel holds ``u`` (zero-order hold).  It unpacks ``x``, ``u`` and every
+    stage, so a wrong length raises ValueError, and steps ``(B,)`` arrays per state and control row for row.
     """
-    def names(prefix, k=n):
-        return ", ".join(f"{prefix}{i}" for i in range(k))
-
-    def stage(k, prev=None, c=None, time="t"):  # k0.. = the rates at x + c prev (at x with no prev) and time
-        s = "x" + k if prev else "x"
-        lines = [f"{s}{i} = x{i} + {c} * {prev}{i}" for i in range(n) if prev]
-        if rates is None:
-            return lines + [f"[{names(k)}] = f({time}, {f'[{names(s)}]' if prev else 'x'}, u)"]
-        return lines + [f"{k}{i} = " + re.sub(r"\bx(\d+)\b", s + r"\1", rate) for i, rate in enumerate(rates)]
-
-    unpack = [f"[{names('x')}] = x", f"[{names('u', m)}] = u"]
-    step = _block(
-        "def step(t, x, u, h):", *unpack, "half = 0.5 * h",
-        *stage("a"), *stage("b", "a", "half", "t + half"), *stage("c", "b", "half", "t + half"),
-        *stage("d", "c", "h", "t + h"), "h6 = h / 6.0",
-        f"return [{', '.join(f'x{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})' for i in range(n))}]",
-    )
+    unpack = [f"[{_names('x', n)}] = x", f"[{_names('u', m)}] = u"]
+    stages, new = _rk4(rates, n)
+    step = _block("def step(t, x, u, h):", *unpack, "half, h6 = 0.5 * h, h / 6.0",
+                  *stages, f"return [{', '.join(new)}]")
     if rates is None:
         source = _block("def make(f):", step, "return step")
     else:
@@ -141,8 +148,10 @@ def _compile(rates: tuple[str, ...] | None, n: int, m: int, params: tuple[str, .
 
 
 def _rated_plant(rates: tuple[str, ...], n_controls: int, n_outputs: int, output: Callable, **params) -> PlantModel:
-    """The plant ``dx_i/dt = rates[i]``: its ``f`` and kernel come from that text, ``params`` bound as values."""
+    """The plant ``dx_i/dt = rates[i]``: its ``f`` and kernel come from that text, ``params`` bound as values; the
+    loop of ``heol.scenarios`` reads both off ``f.rates`` and ``f.params``."""
     f = _compile(rates, len(rates), n_controls, tuple(params))(*params.values())
+    f.rates, f.params = rates, params
     return PlantModel(len(rates), n_controls, n_outputs, f, output)
 
 

@@ -11,11 +11,11 @@ singularity anywhere on the horizon fails the run before the plant moves.
 The loop then samples every ``h`` seconds: read outputs, step every channel
 (measure deviation, estimate F, apply the iP/iPD correction on top of the
 feedforward), log one record, then integrate the plant to the next sample
-under zero-order hold.  That loop is generated as source and compiled once per
-process for each structure (the output count, each channel's output, order 2 or
-not and saturation or not, feedback or not, noise or not), with its channels
-unrolled and no per-sample test of that structure; the gains, bounds, windows,
-histories and dots of a run are its arguments, so a sweep compiles one loop.
+under zero-order hold.  That loop is generated as source and compiled once per process for each
+structure (the output count, each channel's output, order 2 or not and saturation or not, feedback
+or not, noise or not, the plant's rate text), with its channels and the plant's RK4 stages unrolled
+and no per-sample test of that structure; the gains, bounds, windows, histories, dots and plant
+parameters of a run are its arguments, so a sweep compiles one loop.
 Runs are bit-deterministic: repeating a run, or truncating the horizon,
 reproduces records exactly.
 """
@@ -57,6 +57,7 @@ from .plant import (
     _finite,
     _kernel,
     _rated_plant,
+    _rk4,
     example_plant,
 )
 from .signals import ReferenceTrajectory, make_constant, make_smoothstep
@@ -408,7 +409,8 @@ _BENCHMARK_INVERSIONS = (*_benchmark_inversions(), _benchmark_inversions(1.1, 0.
 #: whose absent keys take the factory's defaults).  A ``Scenario`` looks its plant up here when it is built
 #: and loads its ``plant_params`` by that object, so a plant registered after import is read from a file too.
 #: ``state[i] == (l, k)`` states that state i is the k-th derivative of flat output l: a run starts it on
-#: reference l's k-th derivative at t = 0, times output l's mismatch scaling when k = 0.
+#: reference l's k-th derivative at t = 0, times output l's mismatch scaling when k = 0, and the loop reads
+#: output l of a plant of rate text as its ``(l, 0)`` state.
 #: ``relations[j]`` is channel j's implicit relation, ``formulas[j]`` the closed form of its gain
 #: ``f(table, t, u=None)`` and ``nominals[tag]`` the feedforward ``f(table, t)`` this plant registers
 #: under ``tag``: both read the derivative table of the references at ``t``.  ``zero`` works on every plant.
@@ -468,6 +470,7 @@ class _Built:
     references: tuple[ReferenceTrajectory, ...]
     channels: list[_Channel]
     x0: np.ndarray
+    state: tuple[tuple[int, int], ...]  # the plant's: state i is the k-th derivative of flat output l
 
 
 def _registered(entries, key, what: str, plant: str):
@@ -551,7 +554,7 @@ def validate_scenario(scenario: Scenario) -> _Built:
         raise ConfigurationError(
             f"initial state {x0.tolist()} is outside the trust region |x| <= {TRUST_REGION:g}"
         )
-    return _Built(scenario, model, refs, channels, x0)
+    return _Built(scenario, model, refs, channels, x0, state)
 
 
 # --------------------------------------------------------------------------
@@ -645,13 +648,16 @@ def _simulate(built: _Built):
 
     # Each channel's history holds dy at 2k and alpha*Du at 2k + 1, so an estimator window is one slice and one
     # dot.  The loop is generated per structure (``_loop``); the per-run values are its arguments.
-    structure, values = [], []
+    outputs = tuple(built.state.index((l, 0)) for l in range(p) if (l, 0) in built.state)
+    rated = len(outputs) == p and getattr(model.f, "rates", None)  # inlined by the loop; else it calls _kernel
+    plant = (rated, tuple(model.f.params), outputs) if rated else None
+    structure, values = [], [*model.f.params.values()] if plant else [_kernel(model)]
     for ch in channels:
         hist, saturated = np.zeros(2 * n_pts), ch.saturation != (-math.inf, math.inf)
         structure.append((ch.output, ch.order == 2, saturated))
         values += [ch.k_p, *[ch.k_d][: ch.order - 1], *ch.saturation[: 2 * saturated], 2 * ch.w, hist,
                    memoryview(hist), FusedEstimator(ch.order, ch.w * h, ch.w)._dot]
-    loop = _loop(p, tuple(structure), feedback, noise is not None)
+    loop = _loop(p, tuple(structure), feedback, noise is not None, plant)
 
     simlog = SimLog(
         channel_T=tuple(ch.w * h for ch in channels),
@@ -668,8 +674,8 @@ def _simulate(built: _Built):
     )
     yield simlog
 
-    # the plant's RK4 kernel is bound once per run; numpy is read and written once per chunk
-    for k0, k1, records, clamps in loop(h, table, noise, _kernel(model), model, built.x0.tolist(), *values):
+    # numpy is read and written once per chunk
+    for k0, k1, records, clamps in loop(h, table, noise, model, built.x0.tolist(), *values):
         log[k0:k1, :r] = np.fromiter(records, float, (k1 - k0) * r).reshape(k1 - k0, r)
         np.subtract(log[k0:k1, :p], table[k0:k1, :p], out=log[k0:k1, r:])
         if clamps:  # else no channel saturates, and the mapping's zero bytes stand
@@ -678,26 +684,40 @@ def _simulate(built: _Built):
 
 
 @functools.cache
-def _loop(p: int, channels: tuple, feedback: bool, noisy: bool) -> Callable:
-    """``loop(h, table, noise, step, model, x, *values)``, compiled once per structure: ``p`` outputs, each
-    channel's ``(output, order == 2, saturated)``, feedback or not, noise or not.  ``values`` holds per channel
-    ``k_p``, ``k_d`` at order 2, the bounds if saturated, ``2w``, the history, its memoryview and the dot.  Per
-    chunk of ``table`` rows (y_ref | u_nom | alpha) it yields ``(k0, k1, records, clamps)``: the rows' y | u | du |
-    F_est as one flat list, and their clamp flags if a channel saturates.
+def _loop(p: int, channels: tuple, feedback: bool, noisy: bool, plant: tuple | None) -> Callable:
+    """``loop(h, table, noise, model, x, *values)``, compiled once per structure: ``p`` outputs, each channel's
+    ``(output, order == 2, saturated)``, feedback or not, noise or not, and ``plant``: None for a plant stepped by
+    its RK4 kernel, else its ``(rates, parameter names, each output's state)``.  ``values`` holds that kernel or
+    those parameters, then per channel ``k_p``, ``k_d`` at order 2, the bounds if saturated, ``2w``, the history,
+    its memoryview and the dot.  Per chunk of ``table`` rows (y_ref | u_nom | alpha) it yields ``(k0, k1, records,
+    clamps)``: the rows' y | u | du | F_est as one flat list, and their clamp flags if a channel saturates.
 
     Each sample, channels unrolled: read the outputs (plus noise), filter dy's backward difference at order 2,
     estimate F once the window is full (its alpha*Du slot at k is still zero, so the estimate never reads the
     control applied at t_k), apply the iP/iPD law du = -(F_est + k_p dy [+ k_d ddy]) / alpha unchecked
-    (``_tabulate`` checked alpha), clamp, then step the plant under zero-order hold.  One check per step stands
-    for the finiteness check and the trust region: NaN and inf carry through a sum of |x_i|, which bounds the
-    largest.  A feedforward run keeps ``u = u_nom + 0.0``, so a ``-0.0`` feedforward logs ``+0.0``.
+    (``_tabulate`` checked alpha), clamp, then step the plant under zero-order hold, a plant of rate text by
+    ``_rk4``'s stages inline on the locals ``x0..``.  One check per step stands for the finiteness check and the
+    trust region: NaN and inf carry through a sum of |x_i|, which bounds the largest.  A feedforward run keeps
+    ``u = u_nom + 0.0``, so a ``-0.0`` feedforward logs ``+0.0``.
     """
     m, order2 = len(channels), [j for j, (_, second, _) in enumerate(channels) if second]
 
     def names(pattern, count=m):
         return ", ".join(pattern.format(j) for j in range(count))
 
-    params, measure, control, flags = "", [f"y{o} = y{o} + z{o}" for o in range(p) if noisy], [], []
+    u, control, flags = f"[{names('u{}')}]", [], []
+    if plant is None:  # stepped by a call of its kernel
+        params, head, x, size = ", step", ["output = model.output"], "x", "sum(map(abs, x))"
+        measure = [f"[{names('y{}', p)}] = output(x)", *[f"y{o} = y{o} + z{o}" for o in range(p) if noisy]]
+        step = [_block("try:", f"x = step(t, x, {u}, h)"),
+                _block("except ValueError:", f"_check_lengths(model, t, x, {u}, h)", "raise")]
+    else:  # by its RK4 stages inline, on the locals x0..
+        rates, parameters, outputs = plant
+        stages, new = _rk4(rates, n := len(rates))
+        params, x = "".join(", " + name for name in parameters), f"[{names('x{}', n)}]"
+        head, size = ["half, h6 = 0.5 * h, h / 6.0", f"{x} = x"], " + ".join(f"abs(x{i})" for i in range(n))
+        measure = [f"y{o} = x{i}" + f" + z{o}" * noisy for o, i in enumerate(outputs)]
+        step = [*stages, *[f"x{i} = {value}" for i, value in enumerate(new)]]
     for j, (out, second, saturated) in enumerate(channels):
         params += f", k_p{j}" + f", k_d{j}" * second + f", lo{j}, hi{j}" * saturated + f", w{j}, hist{j}, hv{j}, dot{j}"
         measure += [f"dy{j} = y{out} - ref{out}", f"hv{j}[i] = dy{j}"]
@@ -717,21 +737,16 @@ def _loop(p: int, channels: tuple, feedback: bool, noisy: bool) -> Callable:
     rows, tables = f"[{names('ref{}', p)}, {names('un{}')}, {names('a{}')}]", "table[k0:k1].tolist()"
     if noisy:
         rows, tables = rows + f", [{names('z{}', p)}]", tables + ", noise[k0:k1].tolist()"
-    u = f"[{names('u{}')}]"
-    step = _block(
-        "if k < n_pts - 1:", _block("try:", f"x = step(t, x, {u}, h)"),
-        _block("except ValueError:", f"_check_lengths(model, t, x, {u}, h)", "raise"),
-        _block("if not sum(map(abs, x)) <= TRUST_REGION and max(map(abs, _finite(x, t))) > TRUST_REGION:",
-               'raise DivergenceError("state left the trust region (|x| > %g) by t=%.6g" % '
-               "(TRUST_REGION, (k + 1) * h))"),
-    )
+    step.append(_block(f"if not {size} <= TRUST_REGION and max(map(abs, _finite({x}, t))) > TRUST_REGION:",
+                       'raise DivergenceError("state left the trust region (|x| > %g) by t=%.6g" % '
+                       "(TRUST_REGION, (k + 1) * h))"))
     source = _block(
-        f"def loop(h, table, noise, step, model, x{params}):",
-        "output, n_pts, tau_f = model.output, len(table), 5.0 * h",
+        f"def loop(h, table, noise, model, x{params}):",
+        *head, "n_pts, tau_f = len(table), 5.0 * h",
         *[f"ddy{j} = last{j} = 0.0" for j in order2],
         _block("for k0 in range(0, n_pts, _CSV_CHUNK):", "k1, records, clamps = min(k0 + _CSV_CHUNK, n_pts), [], []",
                _block(f"for k, {rows} in zip(range(k0, k1), {tables}):",
-                      "t, i = k * h, 2 * k", f"[{names('y{}', p)}] = output(x)", *measure, *control, step),
+                      "t, i = k * h, 2 * k", *measure, *control, _block("if k < n_pts - 1:", *step)),
                "yield k0, k1, records, clamps"),
     )
     namespace = {"_CSV_CHUNK": _CSV_CHUNK, "_check_lengths": _check_lengths, "_finite": _finite,

@@ -488,26 +488,27 @@ def test_a_short_run_forks_no_helper(tmp_path, monkeypatch):
 @pytest.mark.parametrize("error", [DivergenceError, SingularChannelError])
 def test_a_failing_streamed_run_exits_4_and_keeps_the_old_csv(tmp_path, monkeypatch, capsys, error):
     helpers, forks = _two_cpus(monkeypatch), _count_forks(monkeypatch)
-    announced, kernel = _announced(monkeypatch, forks), heol.scenarios._kernel
+    announced = _announced(monkeypatch, forks)
+    factory, params = heol.scenarios.PLANTS["flat-benchmark-2x2"]
 
-    def failing_at_6s(model):
-        step = kernel(model)
+    def failing_at_6s(plant_params):  # the benchmark with an f of its own, so the loop steps it by its kernel
+        model, *declared = factory(plant_params)
 
-        def failing(t, x, u, h):
+        def failing(t, x, u):
             if t >= 6.0:
                 raise error(f"injected at t={t:.6g}")
-            return step(t, x, u, h)
+            return model.f(t, x, u)
 
-        return failing
+        return (dataclasses.replace(model, f=failing), *declared)
 
-    monkeypatch.setattr(heol.scenarios, "_kernel", failing_at_6s)
+    monkeypatch.setitem(heol.scenarios.PLANTS, "flat-benchmark-2x2", (failing_at_6s, params))
     config, out = write_config(tmp_path, _sec4_20s()), tmp_path / "out"
     out.mkdir()
     (out / "paper-sec4.csv").write_text("an earlier run\n")
     open_fds = len(os.listdir("/dev/fd"))
     assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 4
     assert "heol: run failed: injected at t=6\n" == capsys.readouterr().err
-    assert len(forks) == helpers and len(announced) == 2  # rows 0-511 announced, the run fails at row 600
+    assert len(forks) == helpers and len(announced) == 2  # rows 0-511 announced; the step to row 600 fails (f at t=6)
     assert [p.name for p in out.iterdir()] == ["paper-sec4.csv"]
     assert (out / "paper-sec4.csv").read_text() == "an earlier run\n"
     _assert_nothing_left(open_fds)

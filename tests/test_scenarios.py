@@ -26,7 +26,7 @@ from heol.errors import (
     SingularChannelError,
 )
 from heol.homeostat import ImplicitFlatRelation, build_reference_table, derive_channel
-from heol.plant import MismatchSpec, PlantModel, benchmark_relations, example_plant, rk4_step
+from heol.plant import MismatchSpec, PlantModel, _rated_plant, benchmark_relations, example_plant, rk4_step
 from heol.scenarios import (
     PLANTS,
     ChannelSpec,
@@ -295,7 +295,8 @@ def test_each_chunk_a_run_yields_is_final():
 
 
 def test_the_sample_loop_compiles_once_per_structure():
-    # the per-run values a sweep varies (window, noise seed, pole, bounds) share one loop; saturation is structure
+    # the per-run values a sweep varies (window, noise seed, pole, bounds, the plant's drift and gain) share one
+    # loop; saturation is structure, and so is the plant's rate text, which its order sets
     loop = heol_scenarios._loop
     loop.cache_clear()
     runs = [
@@ -308,8 +309,13 @@ def test_the_sample_loop_compiles_once_per_structure():
     for scenario in runs:
         run_scenario(scenario)
     assert loop.cache_info().currsize == 1
+    for params in ({"f": 2.0}, {"gain": -3.0}, {"order": 1, "f": -1.0, "gain": 0.5}):
+        run_scenario(dataclasses.replace(runs[0], plant_params={**runs[0].plant_params, **params}))
+    assert loop.cache_info().currsize == 1
     run_scenario(dataclasses.replace(runs[0], channels=(dataclasses.replace(runs[0].channels[0], saturation=None),)))
     assert loop.cache_info().currsize == 2
+    run_scenario(dataclasses.replace(runs[0], plant_params={**runs[0].plant_params, "order": 2}))
+    assert loop.cache_info().currsize == 3
 
 
 def _opcodes(call) -> int:
@@ -336,12 +342,20 @@ def _opcodes(call) -> int:
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="opcode counts are those of CPython 3.11")
-def test_a_sec4_sample_executes_at_most_530_opcodes():
+def test_a_sec4_sample_executes_at_most_460_opcodes():
     # The count is exact and repeatable where wall time is not: 633.5 per sample before the loop was generated,
-    # 478.7 after.  It does not see numpy's C time (the dots, the chunk writes, the tables).
+    # 478.7 after, 448.1 since the loop steps the plant by its inline RK4 stages.  It does not see numpy's C
+    # time (the dots, the chunk writes, the tables).
     scenario = dataclasses.replace(builtin_scenario("paper-sec4"), timing=Timing(duration=10.0, h=0.01))
     assert scenario.timing.n_steps + 1 == 1001  # samples
-    assert _opcodes(lambda: run_scenario(scenario)) / 1001 <= 530
+    assert _opcodes(lambda: run_scenario(scenario)) / 1001 <= 460
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="opcode counts are those of CPython 3.11")
+def test_an_order_2_ultralocal_sample_executes_at_most_245_opcodes():
+    # 271.4 per sample through a call of the plant's RK4 kernel, 235.5 by its inline stages
+    scenario = ultralocal_scenario(4.0, order=2, k_d=4.0, duration=10.0)
+    assert _opcodes(lambda: run_scenario(scenario)) / 1001 <= 245
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="opcode counts are those of CPython 3.11")
@@ -499,6 +513,91 @@ def test_a_late_stage_returning_too_many_rates_is_named(monkeypatch, through):
         else:
             run_scenario(built)
     assert str(err.value) == "plant has n_states=2, but f returned 3 entries at t=0.51"
+
+
+def _kernel_calls(monkeypatch) -> list:
+    """Spy on the loop's ``_kernel``: the list of the models it is called on."""
+    calls, kernel = [], heol_scenarios._kernel
+    monkeypatch.setattr(heol_scenarios, "_kernel", lambda model: calls.append(model) or kernel(model))
+    return calls
+
+
+def _stepped_by_a_call(monkeypatch, plant: str) -> None:
+    """Register ``plant`` anew with its generated ``f`` wrapped in a plain function, so that the loop steps it
+    through the kernel that calls ``f`` at each stage, not by its inline stages."""
+    factory, params = PLANTS[plant]
+
+    def wrapped(plant_params):
+        model, *rest = factory(plant_params)
+        return (dataclasses.replace(model, f=lambda t, x, u: model.f(t, x, u)), *rest)
+
+    monkeypatch.setitem(PLANTS, plant, (wrapped, params))
+
+
+def test_a_sec4_run_steps_its_plant_inline(monkeypatch):
+    # a silent fall-back to the kernel's call would keep every log bit-identical and lose the inline stages' gain
+    calls = _kernel_calls(monkeypatch)
+    run_scenario(builtin_scenario("paper-sec4"))
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: builtin_scenario("paper-sec4"),
+        sec4_noisy_saturated,
+        lambda: ultralocal_scenario(2.0, drift=1.5, duration=5.0, noise_std=1e-3, noise_seed=4),
+        lambda: ultralocal_scenario(4.0, order=2, k_d=4.0, drift=0.5, duration=5.0, saturation=(-1.0, 0.4)),
+    ],
+    ids=["sec4", "sec4-noisy-saturated", "ultralocal-order-1-noisy", "ultralocal-order-2-saturated"],
+)
+def test_the_inline_rk4_stages_log_what_a_call_of_the_plants_f_logs(monkeypatch, make):
+    calls = _kernel_calls(monkeypatch)
+    inline = run_scenario(make())
+    _stepped_by_a_call(monkeypatch, make().plant)
+    called = run_scenario(make())
+    assert len(calls) == 1
+    for name in LOG_FIELDS:
+        np.testing.assert_array_equal(getattr(inline, name), getattr(called, name))
+    assert called.clamped.any() == any(ch.saturation is not None for ch in make().channels)
+
+
+def test_a_rated_plant_whose_outputs_are_no_states_is_stepped_by_its_kernel(monkeypatch):
+    # the inline stages read output l as the declared (l, 0) state; a plant declaring none keeps the kernel's call
+    factory, params = PLANTS["ultralocal"]
+    monkeypatch.setitem(PLANTS, "ultralocal", (lambda p: (factory(p)[0], ((0, 1),), *factory(p)[2:]), params))
+    calls = _kernel_calls(monkeypatch)
+    log = run_scenario(ultralocal_scenario(1.0, drift=1.0, duration=1.0))
+    assert len(calls) == 1 and log.y[0, 0] == 0.0  # y = x0, seeded as the reference's first derivative
+
+
+def _runaway(plant_params):
+    """dx/dt = x + u, rated, whose rate turns NaN once |x| passes about 1.34: (x 1e154)^2 overflows, times 0."""
+    model = _rated_plant(("x0 + u0 + (x0 * big) * (x0 * big) * 0.0",), 1, 1, lambda x: (x[0],), big=1e154)
+    return model, ((0, 0),), (), (), {}
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: dataclasses.replace(builtin_scenario("paper-sec4"), control_mode="feedforward"),
+         "state left the trust region (|x| > 1e+09) by t=24.99"),
+        (lambda: dataclasses.replace(ultralocal_scenario(1.0, dy0=0.0, duration=1.0), plant="runaway",
+                                     plant_params={}, control_mode="feedforward"),
+         "non-finite derivative evaluation near t=0.29"),
+    ],
+    ids=["trust-region", "nan"],
+)
+def test_the_inline_rk4_stages_name_a_divergence_as_a_call_of_the_plants_f_does(monkeypatch, make, message):
+    monkeypatch.setitem(PLANTS, "runaway", (_runaway, PLANTS["flat-benchmark-2x2"][1]))
+    calls = _kernel_calls(monkeypatch)
+    with pytest.raises(DivergenceError) as inline:
+        run_scenario(make())
+    _stepped_by_a_call(monkeypatch, make().plant)
+    with pytest.raises(DivergenceError) as called:
+        run_scenario(make())
+    assert len(calls) == 1
+    assert str(inline.value) == str(called.value) == message
 
 
 def _order2_ultralocal_with_late_rates(monkeypatch, rates, after=0.507):
