@@ -71,7 +71,7 @@ def _quad_coeffs(n_intervals: int, h: float) -> np.ndarray:
     return c
 
 
-def _kernel_scale(order: int, T: float) -> float:
+def _window_scale(order: int, T: float) -> float:
     """``T**(2*order + 1)``, which divides the order's kernel constant (6 or 60).  ConfigurationError
     if it, or the constant over it, leaves the float range; ``validate_scenario`` checks each window."""
     try:
@@ -133,7 +133,7 @@ class FusedEstimator:
             raise ConfigurationError(
                 f"estimator window needs at least 3 samples, got {n_intervals + 1}"
             )
-        scale = _kernel_scale(order, T)
+        scale = _window_scale(order, T)
         h = T / n_intervals
         s = h * np.arange(n_intervals + 1)
         c = _quad_coeffs(n_intervals, h)

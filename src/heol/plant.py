@@ -1,7 +1,7 @@
-"""Plant models, their fixed-step RK4 kernels, and the bundled benchmark system.
+"""Plant models, their fixed-step RK4 stages, and the bundled benchmark system.
 
-A plant states its rates once, as expression text, and both its ``f`` and its RK4 kernel are
-generated from that text.  The benchmark is a two-input, two-output flat system
+A plant states its rates once, as expression text, and both its ``f`` and the RK4 stages of the
+sample loop are generated from that text.  The benchmark is a two-input, two-output flat system
 
     dx1/dt = x1 + x1^2 u1
     dx2/dt = x3
@@ -42,7 +42,7 @@ _step = _number.where(_positive, "integrator step must be positive and finite, g
 
 @dataclass(frozen=True)
 class PlantModel:
-    """Continuous-time plant ``dx/dt = f(t, x, u)``, ``y = output(x)``, on sequences of floats."""
+    """Plant ``dx/dt = f(t, x, u)``, ``y = output(x)`` on float sequences; a run reads y off its declared states."""
 
     n_states: int
     n_controls: int
@@ -75,9 +75,9 @@ class MismatchSpec:
 
 
 def rk4_step(model: PlantModel, t: float, x: Sequence[float], u: Sequence[float], h: float) -> list[float]:
-    """One classical Runge-Kutta step of length ``h`` with ``u`` held constant, through the plant's kernel.
+    """One classical Runge-Kutta step of length ``h`` with ``u`` held constant, through ``_kernel(model)``.
 
-    The kernel, ``_kernel(model)``, is made of the stages (``_rk4``) that ``run_scenario``'s loop inlines if it can.
+    The reference that the loop of ``run_scenario`` is held to: both are made of ``_rk4``'s stages, inline in the loop.
     A state, control or derivative of the wrong length raises ConfigurationError; a non-finite result, DivergenceError.
     """
     t, h = _number.typed(t, "t"), _step.typed(h, "h")
@@ -97,8 +97,8 @@ def _finite(x: list[float], t: float) -> list[float]:
 
 
 def _kernel(model: PlantModel) -> Callable:
-    """``step(t, x, u, h)``, unchecked: the kernel made with ``model.f``, else one calling ``model.f`` per stage."""
-    return getattr(model.f, "rk4", None) or _compile(None, model.n_states, model.n_controls)(model.f)
+    """``step(t, x, u, h)``, unchecked: ``_rk4``'s stages, calling ``model.f`` at each."""
+    return _compile(None, model.n_states, model.n_controls)(model.f)
 
 
 def _block(head: str, *lines: str) -> str:
@@ -111,45 +111,45 @@ def _names(prefix: str, count: int) -> str:
 
 
 def _rk4(rates: tuple[str, ...] | None, n: int) -> tuple[list[str], list[str]]:
-    """One RK4 step of the locals ``x0..`` under ``u0..`` held (with no rates, through ``f``) with ``h``, ``half =
-    0.5 * h`` and ``h6 = h / 6.0`` bound, as source: the lines of the stages ``ka0..kd{n-1}`` (the rates at ``x``,
-    ``x + half ka``, ``x + half kb``, ``x + h kc``) and each new ``x_i + h6 (((ka_i + 2 kb_i) + 2 kc_i) + kd_i)``.
-    The kernels of ``_compile`` and the sample loop of ``heol.scenarios`` step by it alike."""
-    lines = []
-    for k, prev, c, time in (("ka", None, None, "t"), ("kb", "ka", "half", "t + half"),
-                             ("kc", "kb", "half", "t + half"), ("kd", "kc", "h", "t + h")):
-        s = "x" + k[1] if prev else "x"
-        lines += [f"{s}{i} = x{i} + {c} * {prev}{i}" for i in range(n) if prev]
+    """One RK4 step of the locals ``x0..`` under ``u0..`` held (with no rates, through ``f`` and ``u``), with ``h``,
+    ``half = 0.5 * h`` and ``h6 = h / 6.0`` bound, as source: the lines of the stages ``ka..kd`` (the rates at ``x``,
+    ``x + half ka``, ``x + half kb`` and ``x + h kc``, each at its time; a bare name is read as itself) and each new
+    ``x_i + h6 (((ka_i + 2 kb_i) + 2 kc_i) + kd_i)``, assigned at once.  The kernel and the loop step by it."""
+    lines, k = [], {}  # k[stage][i]: the name that stage's rate i is read as
+    for stage, prev, c, time in (("ka", None, None, "t"), ("kb", "ka", "half", "t + half"),
+                                 ("kc", "kb", "half", "t + half"), ("kd", "kc", "h", "t + h")):
+        s = "x" + stage[1] if prev else "x"
+        lines += [f"{s}{i} = x{i} + {c} * {k[prev][i]}" for i in range(n) if prev]
         if rates is None:
-            lines.append(f"[{_names(k, n)}] = f({time}, {f'[{_names(s, n)}]' if prev else 'x'}, u)")
-        else:
-            lines += [f"{k}{i} = " + re.sub(r"\bx(\d+)\b", s + r"\1", rate) for i, rate in enumerate(rates)]
-    return lines, [f"x{i} + h6 * (ka{i} + 2.0 * kb{i} + 2.0 * kc{i} + kd{i})" for i in range(n)]
+            lines.append(f"[{_names(stage, n)}] = f({time}, [{_names(s, n)}], u)")
+        named = [re.sub(r"\bx(\d+)\b", s + r"\1", re.sub(r"\bt\b", f"({time})", rate)) for rate in rates or [""] * n]
+        lines += [f"{stage}{i} = {rate}" for i, rate in enumerate(named) if rate and not rate.isidentifier()]
+        k[stage] = [rate if rate.isidentifier() else f"{stage}{i}" for i, rate in enumerate(named)]
+    return lines, [f"x{i} + h6 * ({a} + 2.0 * {b} + 2.0 * {c} + {d})" for i, a, b, c, d in zip(range(n), *k.values())]
 
 
 @functools.cache
 def _compile(rates: tuple[str, ...] | None, n: int, m: int, params: tuple[str, ...] = ()) -> Callable:
-    """``make(*params)``, compiled once per rate text: the ``f`` with ``dx_i/dt = rates[i]`` (over ``x0..``,
-    ``u0..`` and ``params``, not ``t``) and its RK4 kernel (``_rk4``) as ``f.rk4``; with no rates, ``make(f)`` is
-    the kernel calling ``f``.  The kernel holds ``u`` (zero-order hold).  It unpacks ``x``, ``u`` and every
-    stage, so a wrong length raises ValueError, and steps ``(B,)`` arrays per state and control row for row.
-    """
+    """``make(*params)``, compiled once per rate text: the ``f`` with ``dx_i/dt = rates[i]`` (over ``t``, ``x0..``,
+    ``u0..`` and ``params``); with no rates, ``make(f)`` is the RK4 kernel (``_rk4``) calling ``f``, which holds ``u``
+    (zero-order hold).  Both unpack ``x`` and ``u``, and the kernel every stage, so a wrong length raises ValueError;
+    both step ``(B,)`` arrays per state and control row for row."""
     unpack = [f"[{_names('x', n)}] = x", f"[{_names('u', m)}] = u"]
-    stages, new = _rk4(rates, n)
-    step = _block("def step(t, x, u, h):", *unpack, "half, h6 = 0.5 * h, h / 6.0",
-                  *stages, f"return [{', '.join(new)}]")
     if rates is None:
+        stages, new = _rk4(None, n)
+        step = _block("def step(t, x, u, h):", *unpack, "half, h6 = 0.5 * h, h / 6.0",
+                      *stages, f"return [{', '.join(new)}]")
         source = _block("def make(f):", step, "return step")
     else:
         f = _block("def f(t, x, u):", *unpack, f"return ({', '.join(rates)},)")
-        source = _block(f"def make({', '.join(params)}):", f, step, "f.rk4 = step", "return f")
-    exec(compile(source, f"<rk4 kernel, {n} states>", "exec"), namespace := {})
+        source = _block(f"def make({', '.join(params)}):", f, "return f")
+    exec(compile(source, f"<plant of {n} states>", "exec"), namespace := {})
     return namespace["make"]
 
 
 def _rated_plant(rates: tuple[str, ...], n_controls: int, n_outputs: int, output: Callable, **params) -> PlantModel:
-    """The plant ``dx_i/dt = rates[i]``: its ``f`` and kernel come from that text, ``params`` bound as values; the
-    loop of ``heol.scenarios`` reads both off ``f.rates`` and ``f.params``."""
+    """The plant ``dx_i/dt = rates[i]``, ``params`` bound as values: its ``f`` comes from that text, and the loop of
+    ``heol.scenarios`` writes the text into its RK4 stages, reading both off ``f.rates`` and ``f.params``."""
     f = _compile(rates, len(rates), n_controls, tuple(params))(*params.values())
     f.rates, f.params = rates, params
     return PlantModel(len(rates), n_controls, n_outputs, f, output)

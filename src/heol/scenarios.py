@@ -13,9 +13,9 @@ The loop then samples every ``h`` seconds: read outputs, step every channel
 feedforward), log one record, then integrate the plant to the next sample
 under zero-order hold.  That loop is generated as source and compiled once per process for each
 structure (the output count, each channel's output, order 2 or not and saturation or not, feedback
-or not, noise or not, the plant's rate text), with its channels and the plant's RK4 stages unrolled
-and no per-sample test of that structure; the gains, bounds, windows, histories, dots and plant
-parameters of a run are its arguments, so a sweep compiles one loop.
+or not, noise or not, the plant's rate text or Python ``f``), with channels and RK4 stages unrolled,
+outputs read as their declared states and no per-sample test of that structure; a run's gains, bounds,
+windows, histories, dots and plant parameters are its arguments, so a sweep compiles one loop.
 Runs are bit-deterministic: repeating a run, or truncating the horizon,
 reproduces records exactly.
 """
@@ -37,7 +37,7 @@ import numpy as np
 
 from .controllers import _pole, gains_from_poles
 from .errors import ConfigurationError, DivergenceError, ExportError, HeolError, _count, _number, _positive, _Rule
-from .estimators import FusedEstimator, _kernel_scale
+from .estimators import FusedEstimator, _window_scale
 from .homeostat import (
     ZERO_THRESHOLD,
     _at_first_failure,
@@ -55,7 +55,6 @@ from .plant import (
     _block,
     _check_lengths,
     _finite,
-    _kernel,
     _rated_plant,
     _rk4,
     example_plant,
@@ -410,7 +409,7 @@ _BENCHMARK_INVERSIONS = (*_benchmark_inversions(), _benchmark_inversions(1.1, 0.
 #: and loads its ``plant_params`` by that object, so a plant registered after import is read from a file too.
 #: ``state[i] == (l, k)`` states that state i is the k-th derivative of flat output l: a run starts it on
 #: reference l's k-th derivative at t = 0, times output l's mismatch scaling when k = 0, and the loop reads
-#: output l of a plant of rate text as its ``(l, 0)`` state.
+#: output l as its ``(l, 0)`` state, which every output must have and the model's ``output`` must read.
 #: ``relations[j]`` is channel j's implicit relation, ``formulas[j]`` the closed form of its gain
 #: ``f(table, t, u=None)`` and ``nominals[tag]`` the feedforward ``f(table, t)`` this plant registers
 #: under ``tag``: both read the derivative table of the references at ``t``.  ``zero`` works on every plant.
@@ -470,7 +469,7 @@ class _Built:
     references: tuple[ReferenceTrajectory, ...]
     channels: list[_Channel]
     x0: np.ndarray
-    state: tuple[tuple[int, int], ...]  # the plant's: state i is the k-th derivative of flat output l
+    outputs: tuple[int, ...]  # the plant's state that output l is, its declared (l, 0)
 
 
 def _registered(entries, key, what: str, plant: str):
@@ -541,7 +540,7 @@ def validate_scenario(scenario: Scenario) -> _Built:
             w = _grid_steps(T, h, "estimator window T={span}", misfit)
             if w + 1 < 5:
                 raise ConfigurationError(f"estimator window T={T} at h={h} holds {w + 1} samples; need at least 5")
-            _kernel_scale(order, w * h)
+            _window_scale(order, w * h)
             sat = spec.saturation or (-math.inf, math.inf)
             channels.append(_Channel(spec.output, order, alpha, nominal, gains.k_p, gains.k_d, sat, w))
         except HeolError as exc:
@@ -554,7 +553,13 @@ def validate_scenario(scenario: Scenario) -> _Built:
         raise ConfigurationError(
             f"initial state {x0.tolist()} is outside the trust region |x| <= {TRUST_REGION:g}"
         )
-    return _Built(scenario, model, refs, channels, x0, state)
+    at = [float(i) for i in range(1, model.n_states + 1)]  # distinct, so each output shows the state it reads
+    read = list(model.output(at))
+    for l in range(max(model.n_outputs, len(read))):
+        if (l, 0) not in state or read[l : l + 1] != [at[state.index((l, 0))]]:
+            raise ConfigurationError(f"plant {scenario.plant!r}: output {l} is not its declared state (l, k) = "
+                                     f"({l}, 0) in {state}: at x = {at}, its output reads {read}")
+    return _Built(scenario, model, refs, channels, x0, tuple(state.index((l, 0)) for l in range(model.n_outputs)))
 
 
 # --------------------------------------------------------------------------
@@ -648,10 +653,9 @@ def _simulate(built: _Built):
 
     # Each channel's history holds dy at 2k and alpha*Du at 2k + 1, so an estimator window is one slice and one
     # dot.  The loop is generated per structure (``_loop``); the per-run values are its arguments.
-    outputs = tuple(built.state.index((l, 0)) for l in range(p) if (l, 0) in built.state)
-    rated = len(outputs) == p and getattr(model.f, "rates", None)  # inlined by the loop; else it calls _kernel
-    plant = (rated, tuple(model.f.params), outputs) if rated else None
-    structure, values = [], [*model.f.params.values()] if plant else [_kernel(model)]
+    rates = getattr(model.f, "rates", None)
+    params = model.f.params if rates else {"f": model.f}  # a Python f is called at each stage
+    plant, structure, values = (rates, tuple(params), built.outputs, model.n_states), [], [*params.values()]
     for ch in channels:
         hist, saturated = np.zeros(2 * n_pts), ch.saturation != (-math.inf, math.inf)
         structure.append((ch.output, ch.order == 2, saturated))
@@ -684,19 +688,19 @@ def _simulate(built: _Built):
 
 
 @functools.cache
-def _loop(p: int, channels: tuple, feedback: bool, noisy: bool, plant: tuple | None) -> Callable:
+def _loop(p: int, channels: tuple, feedback: bool, noisy: bool, plant: tuple) -> Callable:
     """``loop(h, table, noise, model, x, *values)``, compiled once per structure: ``p`` outputs, each channel's
-    ``(output, order == 2, saturated)``, feedback or not, noise or not, and ``plant``: None for a plant stepped by
-    its RK4 kernel, else its ``(rates, parameter names, each output's state)``.  ``values`` holds that kernel or
-    those parameters, then per channel ``k_p``, ``k_d`` at order 2, the bounds if saturated, ``2w``, the history,
-    its memoryview and the dot.  Per chunk of ``table`` rows (y_ref | u_nom | alpha) it yields ``(k0, k1, records,
+    ``(output, order == 2, saturated)``, feedback or not, noise or not, and ``plant``: its ``(rates, parameter names,
+    each output's state, n_states)``, whose one parameter is ``f`` if it has no rates.  ``values`` holds those
+    parameters, then per channel ``k_p``, ``k_d`` at order 2, the bounds if saturated, ``2w``, the history, its
+    memoryview and the dot.  Per chunk of ``table`` rows (y_ref | u_nom | alpha) it yields ``(k0, k1, records,
     clamps)``: the rows' y | u | du | F_est as one flat list, and their clamp flags if a channel saturates.
 
-    Each sample, channels unrolled: read the outputs (plus noise), filter dy's backward difference at order 2,
-    estimate F once the window is full (its alpha*Du slot at k is still zero, so the estimate never reads the
-    control applied at t_k), apply the iP/iPD law du = -(F_est + k_p dy [+ k_d ddy]) / alpha unchecked
-    (``_tabulate`` checked alpha), clamp, then step the plant under zero-order hold, a plant of rate text by
-    ``_rk4``'s stages inline on the locals ``x0..``.  One check per step stands for the finiteness check and the
+    Each sample, channels unrolled: read the outputs (plus noise), filter dy's backward difference at order 2, estimate
+    F once the window is full (its alpha*Du slot at k is still zero, so the estimate never reads the control applied at
+    t_k), apply the iP/iPD law du = -(F_est + k_p dy [+ k_d ddy]) / alpha unchecked (``_tabulate`` checked alpha),
+    clamp, then step the plant under zero-order hold by ``_rk4``'s stages inline on the locals ``x0..``
+    (``_check_lengths`` names a Python ``f``'s wrong count).  One check per step stands for the finiteness check and the
     trust region: NaN and inf carry through a sum of |x_i|, which bounds the largest.  A feedforward run keeps
     ``u = u_nom + 0.0``, so a ``-0.0`` feedforward logs ``+0.0``.
     """
@@ -705,22 +709,17 @@ def _loop(p: int, channels: tuple, feedback: bool, noisy: bool, plant: tuple | N
     def names(pattern, count=m):
         return ", ".join(pattern.format(j) for j in range(count))
 
-    u, control, flags = f"[{names('u{}')}]", [], []
-    if plant is None:  # stepped by a call of its kernel
-        params, head, x, size = ", step", ["output = model.output"], "x", "sum(map(abs, x))"
-        measure = [f"[{names('y{}', p)}] = output(x)", *[f"y{o} = y{o} + z{o}" for o in range(p) if noisy]]
-        step = [_block("try:", f"x = step(t, x, {u}, h)"),
-                _block("except ValueError:", f"_check_lengths(model, t, x, {u}, h)", "raise")]
-    else:  # by its RK4 stages inline, on the locals x0..
-        rates, parameters, outputs = plant
-        stages, new = _rk4(rates, n := len(rates))
-        params, x = "".join(", " + name for name in parameters), f"[{names('x{}', n)}]"
-        head, size = ["half, h6 = 0.5 * h, h / 6.0", f"{x} = x"], " + ".join(f"abs(x{i})" for i in range(n))
-        measure = [f"y{o} = x{i}" + f" + z{o}" * noisy for o, i in enumerate(outputs)]
-        step = [*stages, *[f"x{i} = {value}" for i, value in enumerate(new)]]
+    (rates, parameters, outputs, n), control, flags = plant, [], []
+    stages, new = _rk4(rates, n)
+    params, x = "".join(", " + name for name in parameters), f"[{names('x{}', n)}]"
+    measure, y = [], [f"x{i}" + f" + z{o}" * noisy for o, i in enumerate(outputs)]  # output o, off its state
+    if rates is None:  # a Python f may return the wrong count of rates
+        stages = [_block("try:", f"u = [{names('u{}')}]", *stages),
+                  _block("except ValueError:", f"_check_lengths(model, t, {x}, u, h)", "raise")]
+    step = [*stages, f"{names('x{}', n)} = {', '.join(new)}"]
     for j, (out, second, saturated) in enumerate(channels):
         params += f", k_p{j}" + f", k_d{j}" * second + f", lo{j}, hi{j}" * saturated + f", w{j}, hist{j}, hv{j}, dot{j}"
-        measure += [f"dy{j} = y{out} - ref{out}", f"hv{j}[i] = dy{j}"]
+        measure += [f"dy{j} = {y[out]} - ref{out}", f"hv{j}[i] = dy{j}"]
         law = f"-(f{j} + k_p{j} * dy{j}" + f" + k_d{j} * ddy{j}" * second + f") / a{j}" if feedback else "0.0"
         control += [f"f{j} = float(dot{j}(hist{j}[i - w{j} : i + 2])) if i >= w{j} else 0.0", f"u{j} = un{j} + {law}"]
         if saturated:
@@ -731,18 +730,19 @@ def _loop(p: int, channels: tuple, feedback: bool, noisy: bool, plant: tuple | N
         measure += [_block("if k:", "dt = t - (k - 1) * h", "lp = dt / (tau_f + dt)",
                            *[f"ddy{j} += lp * ((dy{j} - last{j}) / dt - ddy{j})" for j in order2])]
         measure += [f"last{j} = dy{j}" for j in order2]
-    control.append(f"records += ({names('y{}', p)}, {names('u{}')}, {names('du{}')}, {names('f{}')})")
+    control.append(f"records += ({', '.join(y)}, {names('u{}')}, {names('du{}')}, {names('f{}')})")
     if flags != ["False"] * m:
         control.append(f"clamps += ({', '.join(flags)},)")
     rows, tables = f"[{names('ref{}', p)}, {names('un{}')}, {names('a{}')}]", "table[k0:k1].tolist()"
     if noisy:
         rows, tables = rows + f", [{names('z{}', p)}]", tables + ", noise[k0:k1].tolist()"
+    size = " + ".join(f"abs(x{i})" for i in range(n))
     step.append(_block(f"if not {size} <= TRUST_REGION and max(map(abs, _finite({x}, t))) > TRUST_REGION:",
                        'raise DivergenceError("state left the trust region (|x| > %g) by t=%.6g" % '
                        "(TRUST_REGION, (k + 1) * h))"))
     source = _block(
         f"def loop(h, table, noise, model, x{params}):",
-        *head, "n_pts, tau_f = len(table), 5.0 * h",
+        "half, h6 = 0.5 * h, h / 6.0", f"{x} = x", "n_pts, tau_f = len(table), 5.0 * h",
         *[f"ddy{j} = last{j} = 0.0" for j in order2],
         _block("for k0 in range(0, n_pts, _CSV_CHUNK):", "k1, records, clamps = min(k0 + _CSV_CHUNK, n_pts), [], []",
                _block(f"for k, {rows} in zip(range(k0, k1), {tables}):",

@@ -338,7 +338,7 @@ def test_rk4_step_on_ultralocal_plant_equals_numpy_array_step(order, x, u, t, h)
 def test_rk4_body_steps_a_batch_of_arrays_row_for_row():
     # one (B,) array per state and per control: each row is its own float step, because
     # the finiteness check lives in rk4_step and the loop, outside the kernel's arithmetic;
-    # the benchmark plant's wrapped f steps through the kernel that calls f at each stage
+    # the kernel calls f at each stage, the generated one and a wrapped one alike
     bench = example_plant()
     called = PlantModel(4, 2, 2, lambda t, x, u: bench.f(t, x, u), bench.output)
     rng = np.random.default_rng(12)

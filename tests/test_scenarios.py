@@ -342,27 +342,30 @@ def _opcodes(call) -> int:
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="opcode counts are those of CPython 3.11")
-def test_a_sec4_sample_executes_at_most_460_opcodes():
+def test_a_sec4_sample_executes_at_most_445_opcodes():
     # The count is exact and repeatable where wall time is not: 633.5 per sample before the loop was generated,
-    # 478.7 after, 448.1 since the loop steps the plant by its inline RK4 stages.  It does not see numpy's C
-    # time (the dots, the chunk writes, the tables).
+    # 478.7 after, 448.1 since the loop steps the plant by its inline RK4 stages, 430.2 since a rate that is a bare
+    # state, and a noise-free output, is read as that state.  It does not see numpy's C time (the dots, the chunk
+    # writes, the tables).
     scenario = dataclasses.replace(builtin_scenario("paper-sec4"), timing=Timing(duration=10.0, h=0.01))
     assert scenario.timing.n_steps + 1 == 1001  # samples
-    assert _opcodes(lambda: run_scenario(scenario)) / 1001 <= 460
+    assert _opcodes(lambda: run_scenario(scenario)) / 1001 <= 445
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="opcode counts are those of CPython 3.11")
-def test_an_order_2_ultralocal_sample_executes_at_most_245_opcodes():
-    # 271.4 per sample through a call of the plant's RK4 kernel, 235.5 by its inline stages
+def test_an_order_2_ultralocal_sample_executes_at_most_235_opcodes():
+    # 271.4 per sample through a call of the plant's RK4 kernel, 235.5 by its inline stages, 225.6 since its bare
+    # rate x1 is read as the stage's x1 and its output as x0
     scenario = ultralocal_scenario(4.0, order=2, k_d=4.0, duration=10.0)
-    assert _opcodes(lambda: run_scenario(scenario)) / 1001 <= 245
+    assert _opcodes(lambda: run_scenario(scenario)) / 1001 <= 235
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="opcode counts are those of CPython 3.11")
 def test_setting_up_sec4_executes_at_most_9000_opcodes():
     # Loading and building paper-sec4's document: 9,608 opcodes while validate_scenario loaded its references
-    # and plant parameters a second time, 8,635 since a Scenario loads them once, as it is built.  The count is
-    # exact and repeatable; perfbench's setup_s cannot resolve a change of this size.
+    # and plant parameters a second time, 8,635 since a Scenario loads them once, as it is built, 8,878 since
+    # validate_scenario checks once that the plant's output reads its declared states.  The count is exact and
+    # repeatable; perfbench's setup_s cannot resolve a change of this size.
     doc = scenario_to_dict(builtin_scenario("paper-sec4"))
     assert _opcodes(lambda: validate_scenario(scenario_from_dict(doc))) <= 9000
 
@@ -515,16 +518,9 @@ def test_a_late_stage_returning_too_many_rates_is_named(monkeypatch, through):
     assert str(err.value) == "plant has n_states=2, but f returned 3 entries at t=0.51"
 
 
-def _kernel_calls(monkeypatch) -> list:
-    """Spy on the loop's ``_kernel``: the list of the models it is called on."""
-    calls, kernel = [], heol_scenarios._kernel
-    monkeypatch.setattr(heol_scenarios, "_kernel", lambda model: calls.append(model) or kernel(model))
-    return calls
-
-
-def _stepped_by_a_call(monkeypatch, plant: str) -> None:
-    """Register ``plant`` anew with its generated ``f`` wrapped in a plain function, so that the loop steps it
-    through the kernel that calls ``f`` at each stage, not by its inline stages."""
+def _with_a_plain_f(monkeypatch, plant: str) -> None:
+    """Register ``plant`` anew with its generated ``f`` wrapped in a plain Python function, which carries no rate
+    text, so that the loop's RK4 stages call ``f`` instead of evaluating the rates inline."""
     factory, params = PLANTS[plant]
 
     def wrapped(plant_params):
@@ -535,8 +531,17 @@ def _stepped_by_a_call(monkeypatch, plant: str) -> None:
 
 
 def test_a_sec4_run_steps_its_plant_inline(monkeypatch):
-    # a silent fall-back to the kernel's call would keep every log bit-identical and lose the inline stages' gain
-    calls = _kernel_calls(monkeypatch)
+    # a call of the plant's f at each stage would keep every log bit-identical and lose the inline stages' gain
+    factory, params = PLANTS["flat-benchmark-2x2"]
+    calls = []
+
+    def spied(plant_params):
+        model, *rest = factory(plant_params)
+        f = lambda t, x, u: calls.append(t) or model.f(t, x, u)  # noqa: E731
+        f.rates, f.params = model.f.rates, model.f.params
+        return (dataclasses.replace(model, f=f), *rest)
+
+    monkeypatch.setitem(PLANTS, "flat-benchmark-2x2", (spied, params))
     run_scenario(builtin_scenario("paper-sec4"))
     assert calls == []
 
@@ -548,27 +553,67 @@ def test_a_sec4_run_steps_its_plant_inline(monkeypatch):
         sec4_noisy_saturated,
         lambda: ultralocal_scenario(2.0, drift=1.5, duration=5.0, noise_std=1e-3, noise_seed=4),
         lambda: ultralocal_scenario(4.0, order=2, k_d=4.0, drift=0.5, duration=5.0, saturation=(-1.0, 0.4)),
+        lambda: dataclasses.replace(ultralocal_scenario(2.0, duration=2.0), plant="timed", plant_params={}),
     ],
-    ids=["sec4", "sec4-noisy-saturated", "ultralocal-order-1-noisy", "ultralocal-order-2-saturated"],
+    ids=["sec4", "sec4-noisy-saturated", "ultralocal-order-1-noisy", "ultralocal-order-2-saturated", "rate-reads-t"],
 )
 def test_the_inline_rk4_stages_log_what_a_call_of_the_plants_f_logs(monkeypatch, make):
-    calls = _kernel_calls(monkeypatch)
+    monkeypatch.setitem(PLANTS, "timed", (_timed, PLANTS["flat-benchmark-2x2"][1]))
     inline = run_scenario(make())
-    _stepped_by_a_call(monkeypatch, make().plant)
+    _with_a_plain_f(monkeypatch, make().plant)
     called = run_scenario(make())
-    assert len(calls) == 1
     for name in LOG_FIELDS:
         np.testing.assert_array_equal(getattr(inline, name), getattr(called, name))
     assert called.clamped.any() == any(ch.saturation is not None for ch in make().channels)
 
 
-def test_a_rated_plant_whose_outputs_are_no_states_is_stepped_by_its_kernel(monkeypatch):
-    # the inline stages read output l as the declared (l, 0) state; a plant declaring none keeps the kernel's call
+def _timed(plant_params):
+    """dx/dt = t x + u, rated: each stage reads t at its own time, as a call of f at that time does."""
+    return _rated_plant(("t * x0 + u0",), 1, 1, lambda x: (x[0],)), ((0, 0),), (), (), {}
+
+
+def _downward(plant_params):
+    """The order-2 ultralocal plant with its chain run downward, x = (y', y): output 0 is state 1, whose rate is the
+    bare state x0, read at each stage as that stage's x0."""
+    rates = ("drift + gain * u0", "x0")
+    model = _rated_plant(rates, 1, 1, lambda x: (x[1],), drift=plant_params["f"], gain=plant_params["gain"])
+    return model, ((0, 1), (0, 0)), (), (), {}
+
+
+def test_a_chain_run_downward_logs_what_its_plain_f_and_the_upward_chain_log(monkeypatch):
+    # the new x1 reads the old x0: assigned one by one in state order, it would read the new one
+    make = lambda: ultralocal_scenario(4.0, order=2, k_d=4.0, drift=0.5, duration=5.0, saturation=(-1, 0.4))  # noqa
+    upward = run_scenario(make())
+    monkeypatch.setitem(PLANTS, "ultralocal", (_downward, PLANTS["ultralocal"][1]))
+    inline = run_scenario(make())
+    _with_a_plain_f(monkeypatch, "ultralocal")
+    called = run_scenario(make())
+    for name in LOG_FIELDS:
+        np.testing.assert_array_equal(getattr(inline, name), getattr(called, name))
+        np.testing.assert_array_equal(getattr(inline, name), getattr(upward, name))
+
+
+@pytest.mark.parametrize(
+    "state, output, message",
+    [
+        (((0, 1),), lambda x: (x[0],), "output 0 is not its declared state (l, k) = (0, 0) in ((0, 1),): "
+                                       "at x = [1.0], its output reads [1.0]"),
+        (((0, 0), (0, 1)), lambda x: (x[1],), "output 0 is not its declared state (l, k) = (0, 0) in ((0, 0), (0, 1)): "
+                                              "at x = [1.0, 2.0], its output reads [2.0]"),
+        (((0, 0), (0, 1)), lambda x: x, "output 1 is not its declared state (l, k) = (1, 0) in ((0, 0), (0, 1)): "
+                                        "at x = [1.0, 2.0], its output reads [1.0, 2.0]"),
+    ],
+    ids=["no-output-state", "output-reads-x1", "output-reads-every-state"],
+)
+def test_a_plant_whose_outputs_are_not_its_declared_states_is_refused(monkeypatch, state, output, message):
+    # the loop reads output l as the declared (l, 0) state and never calls the model's output
     factory, params = PLANTS["ultralocal"]
-    monkeypatch.setitem(PLANTS, "ultralocal", (lambda p: (factory(p)[0], ((0, 1),), *factory(p)[2:]), params))
-    calls = _kernel_calls(monkeypatch)
-    log = run_scenario(ultralocal_scenario(1.0, drift=1.0, duration=1.0))
-    assert len(calls) == 1 and log.y[0, 0] == 0.0  # y = x0, seeded as the reference's first derivative
+    declared = lambda p: (dataclasses.replace(factory(p)[0], output=output), state, *factory(p)[2:])  # noqa: E731
+    monkeypatch.setitem(PLANTS, "ultralocal", (declared, params))
+    order = len(state)
+    with pytest.raises(ConfigurationError) as err:
+        validate_scenario(ultralocal_scenario(4.0, order=order, k_d=[None, 4.0][order - 1], duration=1.0))
+    assert str(err.value) == "plant 'ultralocal': " + message
 
 
 def _runaway(plant_params):
@@ -590,13 +635,11 @@ def _runaway(plant_params):
 )
 def test_the_inline_rk4_stages_name_a_divergence_as_a_call_of_the_plants_f_does(monkeypatch, make, message):
     monkeypatch.setitem(PLANTS, "runaway", (_runaway, PLANTS["flat-benchmark-2x2"][1]))
-    calls = _kernel_calls(monkeypatch)
     with pytest.raises(DivergenceError) as inline:
         run_scenario(make())
-    _stepped_by_a_call(monkeypatch, make().plant)
+    _with_a_plain_f(monkeypatch, make().plant)
     with pytest.raises(DivergenceError) as called:
         run_scenario(make())
-    assert len(calls) == 1
     assert str(inline.value) == str(called.value) == message
 
 
