@@ -113,19 +113,38 @@ def _names(prefix: str, count: int) -> str:
 def _rk4(rates: tuple[str, ...] | None, n: int) -> tuple[list[str], list[str]]:
     """One RK4 step of the locals ``x0..`` under ``u0..`` held (with no rates, through ``f`` and ``u``), with ``h``,
     ``half = 0.5 * h`` and ``h6 = h / 6.0`` bound, as source: the lines of the stages ``ka..kd`` (the rates at ``x``,
-    ``x + half ka``, ``x + half kb`` and ``x + h kc``, each at its time; a bare name is read as itself) and each new
-    ``x_i + h6 (((ka_i + 2 kb_i) + 2 kc_i) + kd_i)``, assigned at once.  The kernel and the loop step by it."""
-    lines, k = [], {}  # k[stage][i]: the name that stage's rate i is read as
+    ``x + half ka``, ``x + half kb`` and ``x + h kc``, each at its time) and each new
+    ``x_i + h6 (((ka_i + 2 kb_i) + 2 kc_i) + kd_i)``, assigned at once.  The kernel and the loop step by it.
+
+    Each distinct expression gets one line, and a repeat of its text is read by that line's name: every line is a
+    pure expression of locals assigned once per step, so equal text is equal bits (a bare name is read as itself).
+    ``f`` is called once per stage.  A line that neither a later line nor a new state reads is dropped."""
+    lines, first, k = [], {}, {}  # first[text]: the name its line assigns; k[stage][i]: the name rate i is read as
+
+    def read(name: str, text: str) -> str:
+        if not text.isidentifier() and text not in first:
+            first[text] = name
+            lines.append(f"{name} = {text}")
+        return first.get(text, text)
+
     for stage, prev, c, time in (("ka", None, None, "t"), ("kb", "ka", "half", "t + half"),
                                  ("kc", "kb", "half", "t + half"), ("kd", "kc", "h", "t + h")):
-        s = "x" + stage[1] if prev else "x"
-        lines += [f"{s}{i} = x{i} + {c} * {k[prev][i]}" for i in range(n) if prev]
+        s = [read(f"x{stage[1]}{i}", f"x{i} + {c} * {k[prev][i]}") if prev else f"x{i}" for i in range(n)]
         if rates is None:
-            lines.append(f"[{_names(stage, n)}] = f({time}, [{_names(s, n)}], u)")
-        named = [re.sub(r"\bx(\d+)\b", s + r"\1", re.sub(r"\bt\b", f"({time})", rate)) for rate in rates or [""] * n]
-        lines += [f"{stage}{i} = {rate}" for i, rate in enumerate(named) if rate and not rate.isidentifier()]
-        k[stage] = [rate if rate.isidentifier() else f"{stage}{i}" for i, rate in enumerate(named)]
-    return lines, [f"x{i} + h6 * ({a} + 2.0 * {b} + 2.0 * {c} + {d})" for i, a, b, c, d in zip(range(n), *k.values())]
+            lines.append(f"[{_names(stage, n)}] = f({time}, [{', '.join(s)}], u)")
+            k[stage] = [f"{stage}{i}" for i in range(n)]
+        else:
+            timed = (re.sub(r"\bt\b", f"({time})", rate) for rate in rates)
+            k[stage] = [read(f"{stage}{i}", re.sub(r"\bx(\d+)\b", lambda state: s[int(state[1])], rate))
+                        for i, rate in enumerate(timed)]
+    new = [f"x{i} + h6 * ({a} + 2.0 * {b} + 2.0 * {c} + {d})" for i, a, b, c, d in zip(range(n), *k.values())]
+    live, kept = set(re.findall(r"\w+", " ".join(new))), []
+    for line in reversed(lines):
+        target, text = line.split(" = ", 1)
+        if live.intersection(re.findall(r"\w+", target)):
+            kept.insert(0, line)
+            live.update(re.findall(r"\w+", text))
+    return kept, new
 
 
 @functools.cache

@@ -28,12 +28,14 @@ import json
 import math
 import mmap
 import os
+import re
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .controllers import _pole, gains_from_poles
 from .errors import ConfigurationError, DivergenceError, ExportError, HeolError, _count, _number, _positive, _Rule
@@ -546,19 +548,23 @@ def validate_scenario(scenario: Scenario) -> _Built:
         except HeolError as exc:
             raise type(exc)(f"channel {j + 1}: {exc}") from None
 
-    x0 = np.array([(mismatch.output_scaling[l] if k == 0 else 1.0) * refs[l].eval(0.0, k) for l, k in state])
-    if x0.shape != (model.n_states,):
-        raise ConfigurationError(f"initial state has shape {x0.shape}, plant needs ({model.n_states},)")
-    if not all(abs(v) <= TRUST_REGION for v in x0.tolist()):  # also rejects inf and NaN
-        raise ConfigurationError(
-            f"initial state {x0.tolist()} is outside the trust region |x| <= {TRUST_REGION:g}"
-        )
+    if len(state) != model.n_states:  # the declaration is checked before x0 reads reference l of each (l, k)
+        raise ConfigurationError(f"initial state has shape ({len(state)},), plant needs ({model.n_states},)")
+    for l, k in state:
+        if not 0 <= l < model.n_outputs:
+            raise ConfigurationError(f"plant {scenario.plant!r}: its state (l, k) = ({l}, {k}) in {state} names "
+                                     f"output {l}, but the plant has n_outputs={model.n_outputs}")
     at = [float(i) for i in range(1, model.n_states + 1)]  # distinct, so each output shows the state it reads
     read = list(model.output(at))
     for l in range(max(model.n_outputs, len(read))):
         if (l, 0) not in state or read[l : l + 1] != [at[state.index((l, 0))]]:
             raise ConfigurationError(f"plant {scenario.plant!r}: output {l} is not its declared state (l, k) = "
                                      f"({l}, 0) in {state}: at x = {at}, its output reads {read}")
+    x0 = np.array([(mismatch.output_scaling[l] if k == 0 else 1.0) * refs[l].eval(0.0, k) for l, k in state])
+    if not all(abs(v) <= TRUST_REGION for v in x0.tolist()):  # also rejects inf and NaN
+        raise ConfigurationError(
+            f"initial state {x0.tolist()} is outside the trust region |x| <= {TRUST_REGION:g}"
+        )
     return _Built(scenario, model, refs, channels, x0, tuple(state.index((l, 0)) for l in range(model.n_outputs)))
 
 
@@ -622,7 +628,8 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
 
 def _simulate(built: _Built):
     """``run_scenario``'s run, stepped by the caller: the log before the first sample, then each chunk's end
-    row once every row before it is final.  A process forked at the first yield reads those rows."""
+    row once every row before it is final.  A process forked at the first yield reads those rows.  The log's
+    ``y_ref`` and ``u_nom`` view ``table``; it keeps no view of ``extra``, the noise and the filter's dt and lp."""
     model, channels = built.model, built.channels
     feedback = built.scenario.control_mode == "closed-loop"
     grid = built.scenario.timing
@@ -638,12 +645,20 @@ def _simulate(built: _Built):
     _at_first_failure(lambda ts: _tabulate(channels, feedback, ts, h, tables, table[: len(ts), p:]), times)
     del tables  # before the loop's allocations
 
-    noise = None
-    if (std := built.scenario.noise_std) > 0.0:
+    # The per-sample columns the log does not keep: each output's noise, then, if a channel has order 2, its
+    # filter's step dt = t_k - t_(k-1) and gain lp = dt / (tau_f + dt), tau_f = 5h, in the loop's float operations.
+    noisy, order2 = (std := built.scenario.noise_std) > 0.0, any(ch.order == 2 for ch in channels)
+    extra = np.empty((n_pts, p * noisy + 2 * order2))
+    if noisy:
         with np.errstate(over="ignore"):
-            noise = std * np.random.default_rng(built.scenario.noise_seed).standard_normal((n_pts, p))
-        if not np.isfinite(noise).all():
+            extra[:, :p] = std * np.random.default_rng(built.scenario.noise_seed).standard_normal((n_pts, p))
+        if not np.isfinite(extra[:, :p]).all():
             raise DivergenceError(f"measurement noise with std {std:g} overflows the float range")
+    if order2:  # in place: t_(k-1) is the grid's (k - 1) * h, and the unread row 0 takes t_(-1) = -h
+        dt, lp = extra[:, -2], extra[:, -1]
+        np.subtract(times[1:], times[:-1], out=dt[1:])
+        dt[0] = h
+        np.divide(dt, np.add(dt, 5.0 * h, out=lp), out=lp)
 
     # One shared mapping holds every per-sample column, a float row y | u | du | F_est | dy per sample, then
     # the clamp flags, a byte per row and channel; the loop writes all of a chunk's rows before its yield.
@@ -651,17 +666,19 @@ def _simulate(built: _Built):
     shared = mmap.mmap(-1, at + n_pts * m)
     log = np.frombuffer(shared, dtype=float, count=at // 8).reshape(n_pts, r + p)
 
-    # Each channel's history holds dy at 2k and alpha*Du at 2k + 1, so an estimator window is one slice and one
-    # dot.  The loop is generated per structure (``_loop``); the per-run values are its arguments.
+    # Each channel's history holds dy at 2k and alpha*Du at 2k + 1, so the estimator window ending at sample k is
+    # row k - w of one strided view of it, and an estimate one dot (a window longer than the run has no view: it
+    # never estimates).  The loop is generated per structure (``_loop``); the per-run values are its arguments.
     rates = getattr(model.f, "rates", None)
     params = model.f.params if rates else {"f": model.f}  # a Python f is called at each stage
     plant, structure, values = (rates, tuple(params), built.outputs, model.n_states), [], [*params.values()]
     for ch in channels:
         hist, saturated = np.zeros(2 * n_pts), ch.saturation != (-math.inf, math.inf)
+        windows = sliding_window_view(hist, 2 * ch.w + 2)[::2] if ch.w < n_pts else None
         structure.append((ch.output, ch.order == 2, saturated))
-        values += [ch.k_p, *[ch.k_d][: ch.order - 1], *ch.saturation[: 2 * saturated], 2 * ch.w, hist,
-                   memoryview(hist), FusedEstimator(ch.order, ch.w * h, ch.w)._dot]
-    loop = _loop(p, tuple(structure), feedback, noise is not None, plant)
+        values += [ch.k_p, *[ch.k_d][: ch.order - 1], *ch.saturation[: 2 * saturated], ch.w, memoryview(hist),
+                   windows, FusedEstimator(ch.order, ch.w * h, ch.w)._dot]
+    loop = _loop(p, tuple(structure), feedback, noisy, plant)
 
     simlog = SimLog(
         channel_T=tuple(ch.w * h for ch in channels),
@@ -679,7 +696,7 @@ def _simulate(built: _Built):
     yield simlog
 
     # numpy is read and written once per chunk
-    for k0, k1, records, clamps in loop(h, table, noise, model, built.x0.tolist(), *values):
+    for k0, k1, records, clamps in loop(h, table, extra, model, built.x0.tolist(), *values):
         log[k0:k1, :r] = np.fromiter(records, float, (k1 - k0) * r).reshape(k1 - k0, r)
         np.subtract(log[k0:k1, :p], table[k0:k1, :p], out=log[k0:k1, r:])
         if clamps:  # else no channel saturates, and the mapping's zero bytes stand
@@ -689,20 +706,22 @@ def _simulate(built: _Built):
 
 @functools.cache
 def _loop(p: int, channels: tuple, feedback: bool, noisy: bool, plant: tuple) -> Callable:
-    """``loop(h, table, noise, model, x, *values)``, compiled once per structure: ``p`` outputs, each channel's
+    """``loop(h, table, extra, model, x, *values)``, compiled once per structure: ``p`` outputs, each channel's
     ``(output, order == 2, saturated)``, feedback or not, noise or not, and ``plant``: its ``(rates, parameter names,
     each output's state, n_states)``, whose one parameter is ``f`` if it has no rates.  ``values`` holds those
-    parameters, then per channel ``k_p``, ``k_d`` at order 2, the bounds if saturated, ``2w``, the history, its
-    memoryview and the dot.  Per chunk of ``table`` rows (y_ref | u_nom | alpha) it yields ``(k0, k1, records,
-    clamps)``: the rows' y | u | du | F_est as one flat list, and their clamp flags if a channel saturates.
+    parameters, then per channel ``k_p``, ``k_d`` at order 2, the bounds if saturated, ``w``, the history's
+    memoryview, its windows (row ``k - w`` ends at sample k) and the dot.  Per chunk of ``table`` rows (y_ref | u_nom
+    | alpha), beside the rows of ``extra`` (each output's noise if noisy, then the filter's dt and lp if a channel has
+    order 2), it yields ``(k0, k1, records, clamps)``: the rows' y | u | du | F_est as one flat list, and their clamp
+    flags if a channel saturates.
 
     Each sample, channels unrolled: read the outputs (plus noise), filter dy's backward difference at order 2, estimate
     F once the window is full (its alpha*Du slot at k is still zero, so the estimate never reads the control applied at
     t_k), apply the iP/iPD law du = -(F_est + k_p dy [+ k_d ddy]) / alpha unchecked (``_tabulate`` checked alpha),
     clamp, then step the plant under zero-order hold by ``_rk4``'s stages inline on the locals ``x0..``
-    (``_check_lengths`` names a Python ``f``'s wrong count).  One check per step stands for the finiteness check and the
-    trust region: NaN and inf carry through a sum of |x_i|, which bounds the largest.  A feedforward run keeps
-    ``u = u_nom + 0.0``, so a ``-0.0`` feedforward logs ``+0.0``.
+    (``_check_lengths`` names a Python ``f``'s wrong count), binding ``t = k * h`` only if a stage reads it.  One check
+    per step stands for the finiteness check and the trust region: ``-TRUST_REGION <= x_i <= TRUST_REGION`` for every
+    i, which NaN fails too.  A feedforward run keeps ``u = u_nom + 0.0``, so a ``-0.0`` feedforward logs ``+0.0``.
     """
     m, order2 = len(channels), [j for j, (_, second, _) in enumerate(channels) if second]
 
@@ -712,41 +731,42 @@ def _loop(p: int, channels: tuple, feedback: bool, noisy: bool, plant: tuple) ->
     (rates, parameters, outputs, n), control, flags = plant, [], []
     stages, new = _rk4(rates, n)
     params, x = "".join(", " + name for name in parameters), f"[{names('x{}', n)}]"
-    measure, y = [], [f"x{i}" + f" + z{o}" * noisy for o, i in enumerate(outputs)]  # output o, off its state
+    measure = [f"y{o} = x{i} + z{o}" for o, i in enumerate(outputs)] if noisy else []
+    y = [f"y{o}" if noisy else f"x{i}" for o, i in enumerate(outputs)]  # output o, off its state
     if rates is None:  # a Python f may return the wrong count of rates
         stages = [_block("try:", f"u = [{names('u{}')}]", *stages),
                   _block("except ValueError:", f"_check_lengths(model, t, {x}, u, h)", "raise")]
-    step = [*stages, f"{names('x{}', n)} = {', '.join(new)}"]
+    timed = any(re.search(r"\bt\b", line) for line in stages)  # a Python f, or a rate reading t
+    step = ["t = k * h"] * timed + [*stages, f"{names('x{}', n)} = {', '.join(new)}"]
     for j, (out, second, saturated) in enumerate(channels):
-        params += f", k_p{j}" + f", k_d{j}" * second + f", lo{j}, hi{j}" * saturated + f", w{j}, hist{j}, hv{j}, dot{j}"
+        params += f", k_p{j}" + f", k_d{j}" * second + f", lo{j}, hi{j}" * saturated + f", w{j}, hv{j}, win{j}, dot{j}"
         measure += [f"dy{j} = {y[out]} - ref{out}", f"hv{j}[i] = dy{j}"]
         law = f"-(f{j} + k_p{j} * dy{j}" + f" + k_d{j} * ddy{j}" * second + f") / a{j}" if feedback else "0.0"
-        control += [f"f{j} = float(dot{j}(hist{j}[i - w{j} : i + 2])) if i >= w{j} else 0.0", f"u{j} = un{j} + {law}"]
+        control += [f"f{j} = float(dot{j}(win{j}[k - w{j}])) if k >= w{j} else 0.0", f"u{j} = un{j} + {law}"]
         if saturated:
             control += [f"c{j} = u{j} < lo{j} or u{j} > hi{j}", f"if c{j}: u{j} = lo{j} if u{j} < lo{j} else hi{j}"]
         control += [f"du{j} = u{j} - un{j}", f"hv{j}[i + 1] = a{j} * du{j}"]
         flags.append(f"c{j}" if saturated else "False")
     if order2:  # dy's backward difference over the last step, low-pass-filtered with time constant tau_f = 5h
-        measure += [_block("if k:", "dt = t - (k - 1) * h", "lp = dt / (tau_f + dt)",
-                           *[f"ddy{j} += lp * ((dy{j} - last{j}) / dt - ddy{j})" for j in order2])]
+        measure += [_block("if k:", *[f"ddy{j} += lp * ((dy{j} - last{j}) / dt - ddy{j})" for j in order2])]
         measure += [f"last{j} = dy{j}" for j in order2]
     control.append(f"records += ({', '.join(y)}, {names('u{}')}, {names('du{}')}, {names('f{}')})")
     if flags != ["False"] * m:
         control.append(f"clamps += ({', '.join(flags)},)")
     rows, tables = f"[{names('ref{}', p)}, {names('un{}')}, {names('a{}')}]", "table[k0:k1].tolist()"
-    if noisy:
-        rows, tables = rows + f", [{names('z{}', p)}]", tables + ", noise[k0:k1].tolist()"
-    size = " + ".join(f"abs(x{i})" for i in range(n))
-    step.append(_block(f"if not {size} <= TRUST_REGION and max(map(abs, _finite({x}, t))) > TRUST_REGION:",
+    if columns := [f"z{o}" for o in range(p * noisy)] + ["dt", "lp"] * bool(order2):
+        rows, tables = rows + f", [{', '.join(columns)}]", tables + ", extra[k0:k1].tolist()"
+    inside = " and ".join(f"{-TRUST_REGION!r} <= x{i} <= {TRUST_REGION!r}" for i in range(n))
+    step.append(_block(f"if not ({inside}):", f"_finite({x}, k * h)",
                        'raise DivergenceError("state left the trust region (|x| > %g) by t=%.6g" % '
                        "(TRUST_REGION, (k + 1) * h))"))
     source = _block(
-        f"def loop(h, table, noise, model, x{params}):",
-        "half, h6 = 0.5 * h, h / 6.0", f"{x} = x", "n_pts, tau_f = len(table), 5.0 * h",
+        f"def loop(h, table, extra, model, x{params}):",
+        "half, h6 = 0.5 * h, h / 6.0", f"{x} = x", "n_pts = len(table)", "k_last = n_pts - 1",
         *[f"ddy{j} = last{j} = 0.0" for j in order2],
         _block("for k0 in range(0, n_pts, _CSV_CHUNK):", "k1, records, clamps = min(k0 + _CSV_CHUNK, n_pts), [], []",
                _block(f"for k, {rows} in zip(range(k0, k1), {tables}):",
-                      "t, i = k * h, 2 * k", *measure, *control, _block("if k < n_pts - 1:", *step)),
+                      "i = 2 * k", *measure, *control, _block("if k < k_last:", *step)),
                "yield k0, k1, records, clamps"),
     )
     namespace = {"_CSV_CHUNK": _CSV_CHUNK, "_check_lengths": _check_lengths, "_finite": _finite,
@@ -785,13 +805,15 @@ def compute_metrics(log: SimLog, rms_fraction: float = 0.01) -> Metrics:
         raise ConfigurationError("cannot compute metrics of an empty log")
     tail = max(1, int(round(0.2 * n)))
     dy_tail = log.dy[n - tail :]
+    # Per column: max and ptp of a strided (N, p) view along axis 0 cost ten times as much, for the same values.
+    # The mean stays an axis-0 reduction, because the bits of its pairwise sum can depend on the layout.
     return Metrics(
         n_records=n,
         tail_records=tail,
         rms_tail_dy=tuple(np.sqrt(np.mean(dy_tail**2, axis=0))),
-        max_abs_dy=tuple(np.max(np.abs(log.dy), axis=0)),
-        max_abs_du=tuple(np.max(np.abs(log.du), axis=0)),
-        ref_range=tuple(np.ptp(log.y_ref, axis=0)),
+        max_abs_dy=tuple(np.max(np.abs(column)) for column in log.dy.T),
+        max_abs_du=tuple(np.max(np.abs(column)) for column in log.du.T),
+        ref_range=tuple(np.ptp(column) for column in log.y_ref.T),
         warmup_T=log.channel_T,
         rms_fraction=_rms_fraction.typed(rms_fraction, "rms_fraction"),
     )
@@ -801,7 +823,8 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-#: rows converted and written at once; bounds the export's extra memory
+#: rows the loop writes at once, and ``export_csv`` formats and writes at once, which bounds its extra memory;
+#: ``heol run``'s helper holds every chunk's text until the loop ends (3.6 MB on paper-sec4)
 _CSV_CHUNK = 256
 
 

@@ -15,6 +15,7 @@ from heol.plant import (
     MismatchSpec,
     PlantModel,
     _kernel,
+    _rk4,
     benchmark_relations,
     example_plant,
     rk4_step,
@@ -348,6 +349,19 @@ def test_rk4_body_steps_a_batch_of_arrays_row_for_row():
         got = _kernel(plant)(1.5, list(x), list(u), 0.01)
         want = [rk4_step(plant, 1.5, x[:, b].tolist(), u[:, b].tolist(), 0.01) for b in range(x.shape[1])]
         assert np.array_equal(np.array(got), np.array(want).T)
+
+
+def test_the_rk4_stages_compute_each_expression_once_and_drop_unread_states():
+    # ultralocal order 2: x0' = x1, x1' = drift + gain u0.  The rate reads no state, so it is one line for all four
+    # stages, xc1 = x1 + half * kb1 repeats xb1's text, and no rate reads x0, so no stage state of it is kept
+    stages, new = _rk4(("x1", "drift + gain * u0"), 2)
+    assert stages == ["ka1 = drift + gain * u0", "xb1 = x1 + half * ka1", "xd1 = x1 + h * ka1"]
+    assert new == ["x0 + h6 * (x1 + 2.0 * xb1 + 2.0 * xb1 + xd1)", "x1 + h6 * (ka1 + 2.0 * ka1 + 2.0 * ka1 + ka1)"]
+    # a Python f is still called once per stage, on every stage state
+    stages, _ = _rk4(None, 2)
+    assert [line for line in stages if "= f(" in line] == [
+        "[ka0, ka1] = f(t, [x0, x1], u)", "[kb0, kb1] = f(t + half, [xb0, xb1], u)",
+        "[kc0, kc1] = f(t + half, [xc0, xc1], u)", "[kd0, kd1] = f(t + h, [xd0, xd1], u)"]
 
 
 @pytest.mark.parametrize(
