@@ -75,18 +75,30 @@ class MismatchSpec:
 
 
 def rk4_step(model: PlantModel, t: float, x: Sequence[float], u: Sequence[float], h: float) -> list[float]:
-    """One classical Runge-Kutta step of length ``h`` with ``u`` held constant, through ``_kernel(model)``.
+    """One classical Runge-Kutta step of length ``h`` with ``u`` held constant, calling ``model.f`` at each stage.
 
-    The reference that the loop of ``run_scenario`` is held to: both are made of ``_rk4``'s stages, inline in the loop.
-    A state, control or derivative of the wrong length raises ConfigurationError; a non-finite result, DivergenceError.
+    The reference that the loop of ``run_scenario`` is held to, bit for bit: the same operations in the same order as
+    ``_rk4``'s stages, which the loop inlines.  A state, control or derivative of the wrong length raises
+    ConfigurationError, naming the stage's time; a non-finite result, DivergenceError.
     """
     t, h = _number.typed(t, "t"), _step.typed(h, "h")
-    try:
-        x_new = _kernel(model)(t, x, u, h)
-    except ValueError:
-        _check_lengths(model, t, x, u, h)
-        raise
-    return _finite(x_new, t)
+    n, m = model.n_states, model.n_controls
+    if len(x) != n:
+        raise ConfigurationError(f"plant has n_states={n}, but the state has {len(x)} entries")
+    if len(u) != m:
+        raise ConfigurationError(f"plant has n_controls={m}, but the control has {len(u)} entries")
+
+    def f(s: float, xs: list) -> Sequence[float]:
+        if (k := len(rates := model.f(s, xs, u))) != n:
+            raise ConfigurationError(f"plant has n_states={n}, but f returned {k} entries at t={s:.6g}") from None
+        return rates
+
+    half, h6 = 0.5 * h, h / 6.0
+    ka = f(t, list(x))
+    kb = f(t + half, [xi + half * k for xi, k in zip(x, ka)])
+    kc = f(t + half, [xi + half * k for xi, k in zip(x, kb)])
+    kd = f(t + h, [xi + h * k for xi, k in zip(x, kc)])
+    return _finite([xi + h6 * (a + 2.0 * b + 2.0 * c + d) for xi, a, b, c, d in zip(x, ka, kb, kc, kd)], t)
 
 
 def _finite(x: list[float], t: float) -> list[float]:
@@ -96,13 +108,8 @@ def _finite(x: list[float], t: float) -> list[float]:
     return x
 
 
-def _kernel(model: PlantModel) -> Callable:
-    """``step(t, x, u, h)``, unchecked: ``_rk4``'s stages, calling ``model.f`` at each."""
-    return _compile(None, model.n_states, model.n_controls)(model.f)
-
-
 def _block(head: str, *lines: str) -> str:
-    """Source of ``head`` over its indented body ``lines``, for the generated kernels and loops."""
+    """Source of ``head`` over its indented body ``lines``, for the generated plant ``f`` and sample loops."""
     return "\n".join([head, *lines]).replace("\n", "\n    ")
 
 
@@ -114,7 +121,8 @@ def _rk4(rates: tuple[str, ...] | None, n: int) -> tuple[list[str], list[str]]:
     """One RK4 step of the locals ``x0..`` under ``u0..`` held (with no rates, through ``f`` and ``u``), with ``h``,
     ``half = 0.5 * h`` and ``h6 = h / 6.0`` bound, as source: the lines of the stages ``ka..kd`` (the rates at ``x``,
     ``x + half ka``, ``x + half kb`` and ``x + h kc``, each at its time) and each new
-    ``x_i + h6 (((ka_i + 2 kb_i) + 2 kc_i) + kd_i)``, assigned at once.  The kernel and the loop step by it.
+    ``x_i + h6 (((ka_i + 2 kb_i) + 2 kc_i) + kd_i)``, assigned at once.  The sample loop steps by it, inline;
+    ``rk4_step`` does the same operations in plain Python.
 
     Each distinct expression gets one line, and a repeat of its text is read by that line's name: every line is a
     pure expression of locals assigned once per step, so equal text is equal bits (a bare name is read as itself).
@@ -148,20 +156,12 @@ def _rk4(rates: tuple[str, ...] | None, n: int) -> tuple[list[str], list[str]]:
 
 
 @functools.cache
-def _compile(rates: tuple[str, ...] | None, n: int, m: int, params: tuple[str, ...] = ()) -> Callable:
+def _compile(rates: tuple[str, ...], n: int, m: int, params: tuple[str, ...] = ()) -> Callable:
     """``make(*params)``, compiled once per rate text: the ``f`` with ``dx_i/dt = rates[i]`` (over ``t``, ``x0..``,
-    ``u0..`` and ``params``); with no rates, ``make(f)`` is the RK4 kernel (``_rk4``) calling ``f``, which holds ``u``
-    (zero-order hold).  Both unpack ``x`` and ``u``, and the kernel every stage, so a wrong length raises ValueError;
-    both step ``(B,)`` arrays per state and control row for row."""
+    ``u0..`` and ``params``).  It unpacks ``x`` and ``u``, so a wrong length raises ValueError."""
     unpack = [f"[{_names('x', n)}] = x", f"[{_names('u', m)}] = u"]
-    if rates is None:
-        stages, new = _rk4(None, n)
-        step = _block("def step(t, x, u, h):", *unpack, "half, h6 = 0.5 * h, h / 6.0",
-                      *stages, f"return [{', '.join(new)}]")
-        source = _block("def make(f):", step, "return step")
-    else:
-        f = _block("def f(t, x, u):", *unpack, f"return ({', '.join(rates)},)")
-        source = _block(f"def make({', '.join(params)}):", f, "return f")
+    f = _block("def f(t, x, u):", *unpack, f"return ({', '.join(rates)},)")
+    source = _block(f"def make({', '.join(params)}):", f, "return f")
     exec(compile(source, f"<plant of {n} states>", "exec"), namespace := {})
     return namespace["make"]
 
@@ -172,26 +172,6 @@ def _rated_plant(rates: tuple[str, ...], n_controls: int, n_outputs: int, output
     f = _compile(rates, len(rates), n_controls, tuple(params))(*params.values())
     f.rates, f.params = rates, params
     return PlantModel(len(rates), n_controls, n_outputs, f, output)
-
-
-def _check_lengths(model: PlantModel, t: float, x: Sequence[float], u: Sequence[float], h: float) -> None:
-    """Raise ConfigurationError if ``x``, ``u`` or ``f`` at some RK4 stage of the step from ``t`` by ``h`` does not
-    hold the plant's count of entries, naming that stage's time: the step is retaken through a kernel calling ``f``."""
-    n, m = model.n_states, model.n_controls
-    if len(x) != n:
-        raise ConfigurationError(f"plant has n_states={n}, but the state has {len(x)} entries") from None
-    if len(u) != m:
-        raise ConfigurationError(f"plant has n_controls={m}, but the control has {len(u)} entries") from None
-
-    def checked(s, xs, us):
-        if (k := len(rates := model.f(s, xs, us))) != n:
-            raise ConfigurationError(f"plant has n_states={n}, but f returned {k} entries at t={s:.6g}") from None
-        return rates
-
-    try:
-        _compile(None, n, m)(checked)(t, x, u, h)
-    except ValueError:
-        return
 
 
 def example_plant() -> PlantModel:

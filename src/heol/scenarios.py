@@ -55,11 +55,12 @@ from .plant import (
     PlantModel,
     TRUST_REGION,
     _block,
-    _check_lengths,
     _finite,
+    _names,
     _rated_plant,
     _rk4,
     example_plant,
+    rk4_step,
 )
 from .signals import ReferenceTrajectory, make_constant, make_smoothstep
 
@@ -718,26 +719,23 @@ def _loop(p: int, channels: tuple, feedback: bool, noisy: bool, plant: tuple) ->
     Each sample, channels unrolled: read the outputs (plus noise), filter dy's backward difference at order 2, estimate
     F once the window is full (its alpha*Du slot at k is still zero, so the estimate never reads the control applied at
     t_k), apply the iP/iPD law du = -(F_est + k_p dy [+ k_d ddy]) / alpha unchecked (``_tabulate`` checked alpha),
-    clamp, then step the plant under zero-order hold by ``_rk4``'s stages inline on the locals ``x0..``
-    (``_check_lengths`` names a Python ``f``'s wrong count), binding ``t = k * h`` only if a stage reads it.  One check
-    per step stands for the finiteness check and the trust region: ``-TRUST_REGION <= x_i <= TRUST_REGION`` for every
-    i, which NaN fails too.  A feedforward run keeps ``u = u_nom + 0.0``, so a ``-0.0`` feedforward logs ``+0.0``.
+    clamp, then step the plant under zero-order hold by ``_rk4``'s stages inline on the locals ``x0..`` (retaking
+    the step by ``rk4_step`` names a Python ``f``'s wrong count), binding ``t = k * h`` only if a stage reads it.  One
+    check per step stands for the finiteness check and the trust region: ``-TRUST_REGION <= x_i <= TRUST_REGION`` for
+    every i, which NaN fails too.  A feedforward run keeps ``u = u_nom + 0.0``, so a ``-0.0`` feedforward logs ``+0.0``.
     """
     m, order2 = len(channels), [j for j, (_, second, _) in enumerate(channels) if second]
 
-    def names(pattern, count=m):
-        return ", ".join(pattern.format(j) for j in range(count))
-
     (rates, parameters, outputs, n), control, flags = plant, [], []
     stages, new = _rk4(rates, n)
-    params, x = "".join(", " + name for name in parameters), f"[{names('x{}', n)}]"
+    params, x = "".join(", " + name for name in parameters), f"[{_names('x', n)}]"
     measure = [f"y{o} = x{i} + z{o}" for o, i in enumerate(outputs)] if noisy else []
     y = [f"y{o}" if noisy else f"x{i}" for o, i in enumerate(outputs)]  # output o, off its state
     if rates is None:  # a Python f may return the wrong count of rates
-        stages = [_block("try:", f"u = [{names('u{}')}]", *stages),
-                  _block("except ValueError:", f"_check_lengths(model, t, {x}, u, h)", "raise")]
+        stages = [_block("try:", f"u = [{_names('u', m)}]", *stages),
+                  _block("except ValueError:", f"rk4_step(model, t, {x}, u, h)", "raise")]
     timed = any(re.search(r"\bt\b", line) for line in stages)  # a Python f, or a rate reading t
-    step = ["t = k * h"] * timed + [*stages, f"{names('x{}', n)} = {', '.join(new)}"]
+    step = ["t = k * h"] * timed + [*stages, f"{_names('x', n)} = {', '.join(new)}"]
     for j, (out, second, saturated) in enumerate(channels):
         params += f", k_p{j}" + f", k_d{j}" * second + f", lo{j}, hi{j}" * saturated + f", w{j}, hv{j}, win{j}, dot{j}"
         measure += [f"dy{j} = {y[out]} - ref{out}", f"hv{j}[i] = dy{j}"]
@@ -750,10 +748,10 @@ def _loop(p: int, channels: tuple, feedback: bool, noisy: bool, plant: tuple) ->
     if order2:  # dy's backward difference over the last step, low-pass-filtered with time constant tau_f = 5h
         measure += [_block("if k:", *[f"ddy{j} += lp * ((dy{j} - last{j}) / dt - ddy{j})" for j in order2])]
         measure += [f"last{j} = dy{j}" for j in order2]
-    control.append(f"records += ({', '.join(y)}, {names('u{}')}, {names('du{}')}, {names('f{}')})")
+    control.append(f"records += ({', '.join(y)}, {_names('u', m)}, {_names('du', m)}, {_names('f', m)})")
     if flags != ["False"] * m:
         control.append(f"clamps += ({', '.join(flags)},)")
-    rows, tables = f"[{names('ref{}', p)}, {names('un{}')}, {names('a{}')}]", "table[k0:k1].tolist()"
+    rows, tables = f"[{_names('ref', p)}, {_names('un', m)}, {_names('a', m)}]", "table[k0:k1].tolist()"
     if columns := [f"z{o}" for o in range(p * noisy)] + ["dt", "lp"] * bool(order2):
         rows, tables = rows + f", [{', '.join(columns)}]", tables + ", extra[k0:k1].tolist()"
     inside = " and ".join(f"{-TRUST_REGION!r} <= x{i} <= {TRUST_REGION!r}" for i in range(n))
@@ -769,7 +767,7 @@ def _loop(p: int, channels: tuple, feedback: bool, noisy: bool, plant: tuple) ->
                       "i = 2 * k", *measure, *control, _block("if k < k_last:", *step)),
                "yield k0, k1, records, clamps"),
     )
-    namespace = {"_CSV_CHUNK": _CSV_CHUNK, "_check_lengths": _check_lengths, "_finite": _finite,
+    namespace = {"_CSV_CHUNK": _CSV_CHUNK, "rk4_step": rk4_step, "_finite": _finite,
                  "TRUST_REGION": TRUST_REGION, "DivergenceError": DivergenceError}
     exec(compile(source, f"<sample loop, {m} channels>", "exec"), namespace)
     return namespace["loop"]

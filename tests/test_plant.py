@@ -14,7 +14,9 @@ from heol.plant import (
     TRUST_REGION,
     MismatchSpec,
     PlantModel,
-    _kernel,
+    _block,
+    _compile,
+    _names,
     _rk4,
     benchmark_relations,
     example_plant,
@@ -336,19 +338,46 @@ def test_rk4_step_on_ultralocal_plant_equals_numpy_array_step(order, x, u, t, h)
     _assert_float_step_equals_numpy_step(_ultralocal(order), t, x[:order], [u], h)
 
 
+def _inline_step(plant: PlantModel):
+    """``step(t, x, u, h)`` made of ``_rk4``'s stages as the sample loop inlines them: the rate text with the plant's
+    parameters bound, or calls of ``f`` for a plant without rate text."""
+    rates, n, m = getattr(plant.f, "rates", None), plant.n_states, plant.n_controls
+    stages, new = _rk4(rates, n)
+    source = _block("def step(t, x, u, h):", f"[{_names('x', n)}] = x", f"[{_names('u', m)}] = u",
+                    "half, h6 = 0.5 * h, h / 6.0", *stages, f"return [{', '.join(new)}]")
+    exec(source, namespace := {"f": plant.f, **getattr(plant.f, "params", {})})
+    return namespace["step"]
+
+
 def test_rk4_body_steps_a_batch_of_arrays_row_for_row():
-    # one (B,) array per state and per control: each row is its own float step, because
-    # the finiteness check lives in rk4_step and the loop, outside the kernel's arithmetic;
-    # the kernel calls f at each stage, the generated one and a wrapped one alike
+    # one (B,) array per state and per control: each row is its own float step, because the finiteness
+    # check lives in rk4_step and the loop, outside the stages' arithmetic; the stages call f at each
+    # stage for a wrapped f, and inline the rate text for a generated one
     bench = example_plant()
     called = PlantModel(4, 2, 2, lambda t, x, u: bench.f(t, x, u), bench.output)
     rng = np.random.default_rng(12)
     for plant in (bench, called, _ultralocal(1), _ultralocal(2)):
         x = rng.uniform(-10.0, 10.0, size=(plant.n_states, 5000))
         u = rng.uniform(-5.0, 5.0, size=(plant.n_controls, 5000))
-        got = _kernel(plant)(1.5, list(x), list(u), 0.01)
+        got = _inline_step(plant)(1.5, list(x), list(u), 0.01)
         want = [rk4_step(plant, 1.5, x[:, b].tolist(), u[:, b].tolist(), 0.01) for b in range(x.shape[1])]
         assert np.array_equal(np.array(got), np.array(want).T)
+
+
+def test_rk4_step_does_not_generate_its_stages(monkeypatch):
+    # rk4_step is the reference the loop's stages are held to, so it must not be made of them
+    bench = example_plant()
+    called = PlantModel(4, 2, 2, lambda t, x, u: bench.f(t, x, u), bench.output)
+    x, u = [0.3, -1.2, 0.7, 2.5], [0.4, -0.9]
+    want = rk4_step(bench, 1.5, x, u, 0.01)
+
+    def refuse(*args):
+        raise AssertionError("_rk4 was called")
+
+    monkeypatch.setattr("heol.plant._rk4", refuse)
+    _compile.cache_clear()
+    for plant in (bench, called):
+        assert rk4_step(plant, 1.5, x, u, 0.01) == want
 
 
 def test_the_rk4_stages_compute_each_expression_once_and_drop_unread_states():
