@@ -668,8 +668,8 @@ def _simulate(built: _Built):
     log = np.frombuffer(shared, dtype=float, count=at // 8).reshape(n_pts, r + p)
 
     # Each channel's history holds dy at 2k and alpha*Du at 2k + 1, so the estimator window ending at sample k is
-    # row k - w of one strided view of it, and an estimate one dot (a window longer than the run has no view: it
-    # never estimates).  The loop is generated per structure (``_loop``); the per-run values are its arguments.
+    # row k - w of one strided view of it, and an estimate one dot (a window longer than the run has neither view
+    # nor weights: it never estimates).  ``_loop`` compiles the loop per structure; per-run values are its arguments.
     rates = getattr(model.f, "rates", None)
     params = model.f.params if rates else {"f": model.f}  # a Python f is called at each stage
     plant, structure, values = (rates, tuple(params), built.outputs, model.n_states), [], [*params.values()]
@@ -678,7 +678,7 @@ def _simulate(built: _Built):
         windows = sliding_window_view(hist, 2 * ch.w + 2)[::2] if ch.w < n_pts else None
         structure.append((ch.output, ch.order == 2, saturated))
         values += [ch.k_p, *[ch.k_d][: ch.order - 1], *ch.saturation[: 2 * saturated], ch.w, memoryview(hist),
-                   windows, FusedEstimator(ch.order, ch.w * h, ch.w)._dot]
+                   windows, FusedEstimator(ch.order, ch.w * h, ch.w)._dot if ch.w < n_pts else None]
     loop = _loop(p, tuple(structure), feedback, noisy, plant)
 
     simlog = SimLog(
@@ -779,22 +779,23 @@ def _loop(p: int, channels: tuple, feedback: bool, noisy: bool, plant: tuple) ->
 
 @dataclass(frozen=True)
 class Metrics:
-    """Headline numbers of one run.
+    """Headline numbers of one run, declared in the order ``export_metrics`` writes them.
 
     ``rms_tail_dy`` is the RMS tracking error per output over the final 20 %
     of the records — the settled portion of the bundled scenarios.
     ``ref_range`` (max - min of each reference over the horizon) provides the
-    scale against which that RMS is judged.
+    scale against which that RMS is judged.  A tuple holds one number per
+    output, or per channel for ``warmup_T``.
     """
 
     n_records: int
     tail_records: int
+    rms_fraction: float
     rms_tail_dy: tuple[float, ...]
     max_abs_dy: tuple[float, ...]
     max_abs_du: tuple[float, ...]
     ref_range: tuple[float, ...]
     warmup_T: tuple[float, ...]
-    rms_fraction: float
 
 
 def compute_metrics(log: SimLog, rms_fraction: float = 0.01) -> Metrics:
@@ -815,10 +816,6 @@ def compute_metrics(log: SimLog, rms_fraction: float = 0.01) -> Metrics:
         warmup_T=log.channel_T,
         rms_fraction=_rms_fraction.typed(rms_fraction, "rms_fraction"),
     )
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 #: rows the loop writes at once, and ``export_csv`` formats and writes at once, which bounds its extra memory;
@@ -1003,15 +1000,16 @@ def _write_csv(log: SimLog, path: Path, steps=None) -> Path:
 
 
 def export_metrics(metrics: Metrics, destination) -> Path:
-    """Write metrics as a flat ``key = value`` text file."""
+    """Write metrics as a flat text file: one ``key = value`` line per number, in ``Metrics``' field order, a tuple
+    field's numbers keyed ``key1``, ``key2``, …, each number with 17 significant digits as in the CSV."""
     path = Path(destination)
-    lines = [
-        f"n_records = {metrics.n_records}",
-        f"tail_records = {metrics.tail_records}",
-        f"rms_fraction = {_fmt(metrics.rms_fraction)}",
-    ]
-    for key in ("rms_tail_dy", "max_abs_dy", "max_abs_du", "ref_range", "warmup_T"):
-        lines += [f"{key}{i + 1} = {_fmt(v)}" for i, v in enumerate(getattr(metrics, key))]
+    lines = []
+    for f in fields(metrics):
+        value = getattr(metrics, f.name)
+        if isinstance(value, tuple):
+            lines += ["%s%d = %.17g" % (f.name, i, v) for i, v in enumerate(value, 1)]
+        else:
+            lines.append("%s = %.17g" % (f.name, value))
     try:
         path.write_text("\n".join(lines) + "\n")
     except OSError as exc:

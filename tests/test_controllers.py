@@ -10,6 +10,7 @@ replaying the documented arithmetic bit for bit where the loop is exact.
 
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -381,3 +382,17 @@ def test_shorter_run_is_bit_exact_prefix_of_longer_run(order, w, seed, n_short, 
     short, long = run(n_short), run(n_short + n_extra)
     for name in LOG_FIELDS:
         np.testing.assert_array_equal(getattr(long, name)[: n_short + 1], getattr(short, name))
+
+
+def test_window_the_run_never_fills_builds_no_weights():
+    # a 10^6-interval window on a 101-sample run: its 2 * 10^6 weights would take 16 MB, and the loop never
+    # reads them, since the window never fills
+    scenario = ultralocal_scenario(4.0, order=2, k_d=4.0, drift=0.5, duration=0.1, h=1e-3, estimator_T=1000.0)
+    tracemalloc.start()
+    try:
+        log = run_scenario(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert len(log.t) == 101 and not log.f_valid.any() and not log.f_est.any()
