@@ -116,7 +116,7 @@ _ONE_THREAD_DOT = 10_000
 
 
 class FusedEstimator:
-    """Estimator for a fixed window geometry (order, T, n): one dot product.
+    """Estimator for a fixed window geometry (order, T, n): one dot product.  Each caller checks ``order`` is 1 or 2.
 
     A window is one flat array of ``2*(n + 1)`` samples, the ``dy`` and ``alpha*Du``
     histories interleaved oldest first, ``[dy_0, adu_0, dy_1, adu_1, ...]``; the read-only
@@ -127,8 +127,6 @@ class FusedEstimator:
     """
 
     def __init__(self, order: int, T: float, n_intervals: int):
-        if order not in (1, 2):
-            raise ConfigurationError(f"estimator order must be 1 or 2, got {order}")
         if n_intervals < 2:
             raise ConfigurationError(
                 f"estimator window needs at least 3 samples, got {n_intervals + 1}"

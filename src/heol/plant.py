@@ -16,6 +16,7 @@ makes the closed-loop scenarios interesting.
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
 import re
@@ -166,11 +167,37 @@ def _compile(rates: tuple[str, ...], n: int, m: int, params: tuple[str, ...] = (
     return namespace["make"]
 
 
+@functools.cache
+def _bound(rates: tuple[str, ...], m: int, params: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """``rates`` with each parameter read as ``p_<name>``, a prefix that no other name of the plant ``f`` or the
+    sample loop has, and those names, checked once per text.  A rate reads only ``t``, ``x0..``, ``u0..u{m-1}`` and
+    ``params``: ConfigurationError names a parameter that is not an identifier or reads as ``t``, ``x<i>`` or ``u<j>``,
+    and a rate that does not parse or reads another name."""
+    for name in params:
+        if not name.isidentifier() or re.fullmatch(r"t|[xu]\d+", name):
+            raise ConfigurationError(f"plant parameter {name!r} must be an identifier other than t, x<i> and u<j>")
+    n = len(rates)
+    known = {"t", *(f"x{i}" for i in range(n)), *(f"u{j}" for j in range(m)), *params}
+    for rate in rates:
+        try:
+            read = {node.id for node in ast.walk(ast.parse(rate, mode="eval")) if isinstance(node, ast.Name)}
+        except SyntaxError as err:
+            raise ConfigurationError(f"plant rate {rate!r} does not parse: {err.msg}") from None
+        if stray := sorted(read - known):
+            raise ConfigurationError(f"plant rate {rate!r} reads {stray[0]!r}, not t, x0..x{n - 1}, u0..u{m - 1} "
+                                     "or a parameter")
+    own = re.compile(rf"(?<![.\w])({'|'.join(params)})\b")
+    bound = tuple(own.sub(r"p_\1", rate) for rate in rates) if params else rates
+    return bound, tuple(f"p_{name}" for name in params)
+
+
 def _rated_plant(rates: tuple[str, ...], n_controls: int, n_outputs: int, output: Callable, **params) -> PlantModel:
     """The plant ``dx_i/dt = rates[i]``, ``params`` bound as values: its ``f`` comes from that text, and the loop of
-    ``heol.scenarios`` writes the text into its RK4 stages, reading both off ``f.rates`` and ``f.params``."""
-    f = _compile(rates, len(rates), n_controls, tuple(params))(*params.values())
-    f.rates, f.params = rates, params
+    ``heol.scenarios`` writes the text into its RK4 stages, reading both off ``f.rates`` and ``f.params``, where each
+    parameter is named ``p_<name>`` (``_bound`` checks the text)."""
+    rates, names = _bound(rates, n_controls, tuple(params))
+    f = _compile(rates, len(rates), n_controls, names)(*params.values())
+    f.rates, f.params = rates, dict(zip(names, params.values()))
     return PlantModel(len(rates), n_controls, n_outputs, f, output)
 
 

@@ -12,7 +12,8 @@ from hypothesis import settings
 
 import heol
 import heol.scenarios
-from heol import ChannelSpec, MismatchSpec, Scenario, Timing
+from heol.plant import MismatchSpec
+from heol.scenarios import ChannelSpec, Scenario, Timing
 
 # Property tests draw the same examples on every run, so the suite is repeatable.
 settings.register_profile("repeatable", derandomize=True, database=None)

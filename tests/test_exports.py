@@ -1,9 +1,11 @@
-"""The public surface: module ``__all__`` lists, the package imports, and the README's list of them."""
+"""The public surface: module ``__all__`` lists, the bare package, and the README's imports."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import re
+import textwrap
 from pathlib import Path
 
 import heol
@@ -33,8 +35,14 @@ def test_all_lists_own_names_and_package_imports_only_public_names():
         assert name in exported or is_error, f"heol.{name} is in no module's __all__"
 
 
-def test_package_imports_the_names_the_readme_lists():
-    # the Library tour spells the top level out as one ``from heol import (...)`` block
-    tour = README.read_text(encoding="utf-8").split("## Library tour", 1)[1].split("\n## ", 1)[0]
-    block = tour.split("```python\n", 1)[1].split("```", 1)[0]
-    assert sorted(imported_names(Path(heol.__file__).read_text())) == sorted(imported_names(block))
+def test_package_imports_nothing_and_the_readme_imports_each_name_from_its_module():
+    # one import path per name: the package re-exports nothing, and a README import names its module's __all__ only
+    assert not [node for node in ast.walk(ast.parse(Path(heol.__file__).read_text()))
+                if isinstance(node, (ast.Import, ast.ImportFrom))]
+    blocks = re.findall(r"^( *)```python\n(.*?)^\1```", README.read_text(encoding="utf-8"), re.M | re.S)
+    imports = [node for _, block in blocks for node in ast.walk(ast.parse(textwrap.dedent(block)))
+               if isinstance(node, ast.ImportFrom)]
+    assert len(imports) >= 7  # the Quick start's and one per module of the Library tour
+    for node in imports:
+        public = getattr(importlib.import_module(node.module), "__all__", ())
+        assert [a.name for a in node.names if a.name not in public] == [], f"README: from {node.module} import ..."

@@ -17,6 +17,7 @@ from heol.plant import (
     _block,
     _compile,
     _names,
+    _rated_plant,
     _rk4,
     benchmark_relations,
     example_plant,
@@ -391,6 +392,27 @@ def test_the_rk4_stages_compute_each_expression_once_and_drop_unread_states():
     assert [line for line in stages if "= f(" in line] == [
         "[ka0, ka1] = f(t, [x0, x1], u)", "[kb0, kb1] = f(t + half, [xb0, xb1], u)",
         "[kc0, kc1] = f(t + half, [xc0, xc1], u)", "[kd0, kd1] = f(t + h, [xd0, xd1], u)"]
+
+
+@pytest.mark.parametrize(
+    "rates, params, message",
+    [
+        (("k + u0",), {}, "plant rate 'k + u0' reads 'k', not t, x0..x0, u0..u0 or a parameter"),
+        (("x1 + u0",), {}, "plant rate 'x1 + u0' reads 'x1', not t, x0..x0, u0..u0 or a parameter"),
+        (("u1",), {}, "plant rate 'u1' reads 'u1', not t, x0..x0, u0..u0 or a parameter"),
+        (("x0 +",), {}, "plant rate 'x0 +' does not parse: invalid syntax"),
+        (("x0 + u0",), {"x0": 1.0}, "plant parameter 'x0' must be an identifier other than t, x<i> and u<j>"),
+        (("x0 + u0",), {"t": 1.0}, "plant parameter 't' must be an identifier other than t, x<i> and u<j>"),
+        (("x0 + u0",), {"2a": 1.0}, "plant parameter '2a' must be an identifier other than t, x<i> and u<j>"),
+    ],
+    ids=["reads-the-loops-k", "reads-no-such-state", "reads-no-such-control", "does-not-parse", "parameter-x0",
+         "parameter-t", "parameter-not-an-identifier"],
+)
+def test_rate_text_that_reads_a_name_not_its_own_is_refused(rates, params, message):
+    # inline in the loop, a free name would read the loop's local of that name (k, the sample index)
+    with pytest.raises(ConfigurationError) as err:
+        _rated_plant(rates, 1, 1, lambda x: (x[0],), **params)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(

@@ -661,6 +661,29 @@ def test_the_inline_rk4_stages_name_a_divergence_as_a_call_of_the_plants_f_does(
     assert str(inline.value) == str(called.value) == message
 
 
+def _drifting(name):
+    """The order-1 ultralocal plant y' = drift + u with its drift of 0.5 as a parameter called ``name``."""
+    factory, params = PLANTS["ultralocal"]
+
+    def drifting(plant_params):
+        model, *rest = factory(plant_params)
+        return (_rated_plant((f"{name} + u0",), 1, 1, lambda x: (x[0],), **{name: 0.5}), *rest)
+
+    return drifting, params
+
+
+@pytest.mark.parametrize("name", ["a0", "ref0", "k", "h", "x", "table", "k_p0"])
+def test_a_parameter_named_like_a_loop_local_or_argument_logs_as_drift_does(monkeypatch, name):
+    # the loop binds a parameter as p_<name>: neither shadowed by a local (a0, ref0, k) nor a repeated argument (h, x)
+    make = lambda: ultralocal_scenario(1.0, duration=2.0)  # noqa: E731
+    monkeypatch.setitem(PLANTS, "ultralocal", _drifting("drift"))
+    want = run_scenario(make())
+    monkeypatch.setitem(PLANTS, "ultralocal", _drifting(name))
+    got = run_scenario(make())
+    for field in LOG_FIELDS:
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+
+
 def _order2_ultralocal_with_late_rates(monkeypatch, rates, after=0.507):
     """An order-2 ultralocal run whose plant ``f``, a Python function, is ``rates(x, u)`` beyond t = ``after``."""
     factory, params = PLANTS["ultralocal"]
