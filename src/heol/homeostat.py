@@ -110,8 +110,8 @@ def build_reference_table(
 ) -> np.ndarray:
     """Derivative table of the references at ``t``, a float or an array of times.
 
-    Entry ``[l, k]`` is ``references[l].eval(t, k)`` for ``k <= orders[l]`` (every
-    order by default), of ``t``'s shape; unused entries stay zero.
+    Entry ``[l, k]`` is ``references[l].eval(t, k)`` for ``k <= orders[l]`` (every order
+    by default), of ``t``'s shape, in one pass per reference; unused entries stay zero.
     """
     orders = (MAX_ORDER,) * len(references) if orders is None else orders
     if len(orders) != len(references):
@@ -119,8 +119,7 @@ def build_reference_table(
     orders = [_order.typed(k, f"orders[{l}]") for l, k in enumerate(orders)]
     table = np.zeros((len(references), max(orders) + 1) + np.shape(t))
     for l, ref in enumerate(references):
-        for k in range(orders[l] + 1):
-            table[l, k] = ref.eval(t, k)
+        ref._rows(t, range(orders[l] + 1), table[l])
     return table
 
 
@@ -158,10 +157,9 @@ def finite_diff_partial(
 
 
 def _partial(relation, which, table, u, t):
-    """Partial ``which`` at times ``t``, evaluated quietly; a non-finite value (a 0/0 in
-    the relation, say) makes the channel singular there, naming the first such time."""
-    with np.errstate(all="ignore"):
-        d = finite_diff_partial(relation, which, table, u)
+    """Partial ``which`` at times ``t``, taken where the caller silences numpy's float errors; a non-finite
+    value (a 0/0 in the relation, say) makes the channel singular there, naming the first such time."""
+    d = finite_diff_partial(relation, which, table, u)
     slot = "u" if which == "u" else f"y{which[0] + 1}^({which[1]})"
     return _refuse(~np.isfinite(d), d, t, f"dE/d{slot} is not finite at t={{t:.6g}}; channel degenerated there")
 
@@ -214,13 +212,13 @@ def derive_channel(
     # a nominal_control given here may read other references: it is called with times alone
     nominal = (lambda table, t: nominal_control(t)) if nominal_control is not None else (lambda table, t: 0.0)
     out, order, alpha, _ = _derive(relation, refs, horizon, order_override, output_index, nominal)
-    return HomeostatChannel(out, order, lambda t: alpha(build_reference_table(refs, t), t))
+    return HomeostatChannel(out, order, lambda t: alpha(build_reference_table(refs, t, relation.orders), t))
 
 
-def _derive(relation, refs, horizon, order_override, output_index, nominal, probe=None):
+def _derive(relation, refs, horizon, order_override, output_index, nominal, probe=None, relations=()):
     """:func:`derive_channel` on the feedforward ``nominal(table, t)``: the output index, the order, the alpha
-    ``alpha(table, t[, u])`` with u the feedforward at t (read off the table unless given) and ``probe``, the 32
-    probe times along ``horizon`` and the table of ``refs`` there, built unless given."""
+    ``alpha(table, t[, u])`` with u the feedforward at t (read off the table unless given) and ``probe``, the 32 probe
+    times and the table there of ``refs`` to the orders ``relation`` and ``relations`` read, built unless given."""
     try:
         t_lo, t_hi = (_number.typed(t, f"horizon[{i}]") for i, t in enumerate(horizon))
     except (TypeError, ValueError):  # not a pair
@@ -234,42 +232,42 @@ def _derive(relation, refs, horizon, order_override, output_index, nominal, prob
         raise ConfigurationError(f"output index {out} out of range")
     if probe is None:
         probes = np.linspace(t_lo, t_hi, 32)
-        probe = probes, build_reference_table(refs, probes)
+        depth = [max(ks) for ks in zip(relation.orders, *(other.orders for other in relations))]
+        probe = probes, build_reference_table(refs, probes, depth)
     probes, table = probe
-
-    u = np.broadcast_to(_at_first_failure(lambda t: nominal(table[..., : len(t)], t), probes), probes.shape)
-    d_u = _partial(relation, "u", table, u, probes)  # before any table partial: a 0/0 names dE/du
-
-    if order_override is not None:
-        order = _count.typed(order_override, "order_override")
-        if not 1 <= order <= relation.orders[out]:
-            raise ConfigurationError(
-                f"order override {order_override} outside 1..{relation.orders[out]} "
-                f"for output {out}"
-            )
-    else:
-        ks = range(1, relation.orders[out] + 1)
-        mags = (np.max(np.abs(_partial(relation, (out, k), table, u, probes))) for k in ks)
-        order = next((k for k, mag in zip(ks, mags) if mag > ZERO_THRESHOLD), 0)
-        if order == 0:
-            raise ConfigurationError(
-                f"residual does not depend on any derivative of output {out} "
-                f"up to order {relation.orders[out]} along the reference"
-            )
 
     def gain(table, u, d_u, t):
         den = _partial(relation, (out, order), table, u, t)
         _nonzero(den, t, f"dE/dy{out + 1}^({order}) vanishes at t={{t:.6g}}; channel degenerated there")
         return _nonzero(-d_u / den, t, "channel gain alpha is zero at t={t:.6g}; control does not act there")
 
-    # fail at derivation time, naming the first bad probe: the probe table's prefixes stand
-    # in for the probe times
-    _at_first_failure(lambda t: gain(table[..., : len(t)], u[: len(t)], d_u[: len(t)], t), probes)
-
     def alpha(table, t, u=None):
         u = nominal(table, t) if u is None else u
-        return gain(table, u, _partial(relation, "u", table, u, t), t)
+        with np.errstate(all="ignore"):
+            return gain(table, u, _partial(relation, "u", table, u, t), t)
 
+    u = np.broadcast_to(_at_first_failure(lambda t: nominal(table[..., : len(t)], t), probes), probes.shape)
+    with np.errstate(all="ignore"):
+        d_u = _partial(relation, "u", table, u, probes)  # before any table partial: a 0/0 names dE/du
+        if order_override is not None:
+            order = _count.typed(order_override, "order_override")
+            if not 1 <= order <= relation.orders[out]:
+                raise ConfigurationError(
+                    f"order override {order_override} outside 1..{relation.orders[out]} "
+                    f"for output {out}"
+                )
+        else:
+            ks = range(1, relation.orders[out] + 1)
+            mags = (np.max(np.abs(_partial(relation, (out, k), table, u, probes))) for k in ks)
+            order = next((k for k, mag in zip(ks, mags) if mag > ZERO_THRESHOLD), 0)
+            if order == 0:
+                raise ConfigurationError(
+                    f"residual does not depend on any derivative of output {out} "
+                    f"up to order {relation.orders[out]} along the reference"
+                )
+        # fail at derivation time, naming the first bad probe: the probe table's prefixes stand
+        # in for the probe times
+        _at_first_failure(lambda t: gain(table[..., : len(t)], u[: len(t)], d_u[: len(t)], t), probes)
     return out, order, alpha, probe
 
 

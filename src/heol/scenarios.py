@@ -508,7 +508,7 @@ def validate_scenario(scenario: Scenario) -> _Built:
     timing = scenario.timing
     refs = tuple(map(_build_reference, scenario.references))
     horizon = (0.0, timing.n_steps * timing.h)
-    probe = None  # the derivation's probe times and the table of refs there, which every derived channel reads
+    probe = None  # every derived channel's probe times and table of refs, as deep as the plant's relations read
 
     channels, seen_outputs = [], set()
     for j, spec in enumerate(scenario.channels):
@@ -523,7 +523,8 @@ def validate_scenario(scenario: Scenario) -> _Built:
             order = spec.order
             if spec.alpha_source == "derived":
                 relation = _registered(relations, j, "relation", scenario.plant)
-                _, order, alpha, probe = _derive(relation, refs, horizon, spec.order, spec.output, nominal, probe)
+                derived = _derive(relation, refs, horizon, spec.order, spec.output, nominal, probe, relations)
+                _, order, alpha, probe = derived
             elif spec.alpha_source == "formula":
                 alpha = _registered(formulas, j, "formula alpha", scenario.plant)
             else:

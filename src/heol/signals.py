@@ -44,6 +44,18 @@ def _horner(coeffs: tuple[float, ...], x):  # x a float or an array
     return acc
 
 
+def _times(t) -> np.ndarray:
+    """``t`` as an array of floats, or ConfigurationError if it is not numbers or holds a NaN."""
+    try:
+        tt = np.asarray(t, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"cannot evaluate a reference at t={t!r}: times must be numbers") from None
+    if math.isnan(tt.min(initial=math.inf) if tt.ndim else tt):  # min propagates NaN: one reduction finds any
+        at = f" (time {int(np.flatnonzero(np.isnan(tt))[0])} of {tt.size})" if tt.ndim else ""
+        raise ConfigurationError(f"cannot evaluate a reference at t=nan{at}")
+    return tt
+
+
 ## Degree-7 step profile s(tau) = 35 tau^4 - 84 tau^5 + 70 tau^6 - 20 tau^7:
 ## s(0)=0, s(1)=1, and s', s'', s''' vanish at both ends.
 _SMOOTHSTEP7 = (0.0, 0.0, 0.0, 0.0, 35.0, -84.0, 70.0, -20.0)
@@ -96,25 +108,24 @@ class ReferenceTrajectory:
         """
         if isinstance(order, (bool, np.bool_)) or order not in range(MAX_ORDER + 1):  # a bool is no order
             raise ConfigurationError(f"derivative order {order} not available (max_order={MAX_ORDER})")
-        head, step, tail = self._pieces[int(order)]  # int: 1.0 is in the range too
-        try:
-            tt = np.asarray(t, dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"cannot evaluate a reference at t={t!r}: times must be numbers") from None
-        if tt.ndim == 0:
-            t = float(tt)
-            if math.isnan(t):
-                raise ConfigurationError("cannot evaluate a reference at t=nan")
-            if t < self.t_start:
-                return head
-            return float(_horner(step, t - self.t_start)) if t < self.t_end else tail
-        if math.isnan(tt.min(initial=math.inf)):  # min propagates NaN: one reduction finds any
-            i = int(np.flatnonzero(np.isnan(tt))[0])
-            raise ConfigurationError(f"cannot evaluate a reference at t=nan (time {i} of {tt.size})")
-        out = np.full(tt.shape, tail)
-        out[tt < self.t_start] = head
-        on = (tt >= self.t_start) & (tt < self.t_end)  # Horner only inside the step: no overflow far out
-        out[on] = _horner(step, tt[on] - self.t_start)
+        if (tt := _times(t)).ndim:
+            return self._rows(tt, (int(order),), np.empty((1,) + tt.shape))[0]  # int: 1.0 is in the range too
+        head, step, tail = self._pieces[int(order)]
+        if (t := float(tt)) < self.t_start:
+            return head
+        return float(_horner(step, t - self.t_start)) if t < self.t_end else tail
+
+    def _rows(self, t, orders, out: np.ndarray) -> np.ndarray:
+        """Row i of ``out`` := ``eval(t, orders[i])``, from one NaN scan, plateau mask and local time for all."""
+        tt = _times(t)
+        before, on = tt < self.t_start, (tt >= self.t_start) & (tt < self.t_end)
+        x = tt[on] - self.t_start  # Horner only inside the step: no overflow far out
+        for i, k in enumerate(orders):
+            head, step, tail = self._pieces[k]
+            row = out[i, ...]  # a view, also of a float t's one value
+            row[...] = tail
+            row[before] = head
+            row[on] = _horner(step, x)
         return out
 
 

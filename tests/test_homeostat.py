@@ -30,7 +30,7 @@ from heol.scenarios import (
     scenario_to_dict,
     validate_scenario,
 )
-from heol.signals import ReferenceTrajectory, make_constant, make_smoothstep
+from heol.signals import MAX_ORDER, ReferenceTrajectory, make_constant, make_smoothstep
 
 HORIZON = (0.0, 10.0)
 
@@ -266,17 +266,68 @@ def test_build_reference_table_layout():
     assert table[1, 0] == 0.5  # smoothstep midpoint
 
 
+_LEVELS = st.sampled_from((0.0, -0.0, 1.0, -2.5)) | st.floats(-1e3, 1e3)
+
+
+@st.composite
+def _reference(draw):
+    y_from = draw(_LEVELS)
+    if draw(st.booleans()):
+        return make_constant(y_from)
+    t_start = draw(st.floats(-50.0, 50.0))  # a step from 0.0 to -0.0 too
+    return ReferenceTrajectory(y_from, draw(_LEVELS), t_start, t_start + draw(st.floats(1e-3, 100.0)))
+
+
+def _bits(values):
+    return np.ravel(np.asarray(values, dtype=float)).view(np.uint64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_one_pass_table_is_eval_bit_for_bit(data):
+    # each reference fills its orders in one pass: every entry is eval's, at an array and at each time of it
+    refs = data.draw(st.lists(_reference(), min_size=1, max_size=2))
+    orders = data.draw(st.tuples(*(st.integers(0, MAX_ORDER) for _ in refs)))
+    edges = [math.inf, -math.inf] + [end for ref in refs for end in (ref.t_start, ref.t_end)]
+    time = st.sampled_from(edges) | st.floats(-100.0, 200.0)  # on t_start and t_end, before, inside and after
+    t = data.draw(time | st.lists(time, max_size=8).map(np.array))
+    table = build_reference_table(refs, t, orders)
+    assert table.shape == (len(refs), max(orders) + 1) + np.shape(t)
+    for l, ref in enumerate(refs):
+        for k in range(orders[l] + 1):
+            assert np.array_equal(_bits(table[l, k]), _bits(ref.eval(t, k)))
+            assert np.array_equal(_bits(table[l, k]), _bits([ref.eval(float(s), k) for s in np.ravel(t)]))
+        assert not table[l, orders[l] + 1 :].any()
+
+    # a NaN anywhere is refused as eval refuses it, naming its place in an array
+    if np.ndim(t):
+        i = data.draw(st.integers(0, np.size(t)))
+        bad, where = np.insert(t, i, math.nan), f" (time {i} of {np.size(t) + 1})"
+    else:
+        bad, where = math.nan, ""
+    for ref in refs:
+        for evaluate in (lambda: ref.eval(bad, MAX_ORDER), lambda: build_reference_table((ref,), bad, (MAX_ORDER,))):
+            with pytest.raises(ConfigurationError) as err:
+                evaluate()
+            assert str(err.value) == f"cannot evaluate a reference at t=nan{where}"
+
+
 # --------------------------------------------------------- nominal controls
 
 
 class PolynomialReference:
-    """A reference polynomial in t with ascending ``coeffs``: the ``eval`` the nominal controls read."""
+    """A reference polynomial in t with ascending ``coeffs``: the ``eval`` and ``_rows`` the nominal controls read."""
 
     def __init__(self, *coeffs):
         self.poly = np.polynomial.Polynomial(coeffs)
 
     def eval(self, t, order=0):
         return float(self.poly.deriv(order)(t))
+
+    def _rows(self, t, orders, out):  # a reference table's one call per reference, read off eval
+        for i, k in enumerate(orders):
+            out[i] = self.eval(t, k)
+        return out
 
 
 def test_nominal_u1_constant_reference():
@@ -437,23 +488,44 @@ def test_each_time_grid_reads_one_reference_table(monkeypatch):
         assert sizes[probe_tables:] == [101, 101]
 
 
-@pytest.mark.parametrize("alpha, calls", [("formula", 20), ("derived", 28)])
-def test_every_reference_value_comes_from_eval(monkeypatch, alpha, calls):
-    # one eval per table, reference and order: the run's two grid tables make 2 x 2 x 4 calls and
-    # the initial state 4 more; a derived channel adds the 32-probe table's 2 x 4
-    orders = []
+def test_the_probe_table_holds_every_order_a_feedforward_reads():
+    # channel 1 alone is derived, on the feedforward that inverts control 2, which reads y2 to order 3: the probe
+    # table holds the orders of all the plant's relations, (1, 3), not the derived relation's (1, 0) alone
+    doc = scenario_to_dict(builtin_scenario("paper-sec4"))
+    doc["channels"][0] = {**doc["channels"][0], "alpha": {"source": "derived"}, "nominal": "flat-u2"}
+    built = validate_scenario(scenario_from_dict(doc))
+    assert [ch.order for ch in built.channels] == [1, 2]
 
-    def counted(self, t, order=0):
-        orders.append(order)
+
+@pytest.mark.parametrize("alpha, calls", [("formula", 8), ("derived", 10)])
+def test_every_reference_value_comes_from_eval(monkeypatch, alpha, calls):
+    # every value comes through the trajectory's one evaluator, once per table and reference: a derived channel's
+    # 32-probe table of the orders the relations read, y1 to 1 and y2 to 3; the initial state's four values, read
+    # one at a time; the run's tables at the grid times and at mid-hold, of every order of both references
+    passes, reads = [], []
+
+    def counted_rows(self, t, orders, out):
+        passes.append((refs.index(self), np.size(t), tuple(orders)))
+        return rows(self, t, orders, out)
+
+    def counted_eval(self, t, order=0):
+        reads.append((refs.index(self), order))
         return evaluate(self, t, order)
 
-    evaluate = ReferenceTrajectory.eval
-    monkeypatch.setattr(ReferenceTrajectory, "eval", counted)
+    rows, evaluate = ReferenceTrajectory._rows, ReferenceTrajectory.eval
+    monkeypatch.setattr(ReferenceTrajectory, "_rows", counted_rows)
+    monkeypatch.setattr(ReferenceTrajectory, "eval", counted_eval)
     sec4 = scenario_to_dict(builtin_scenario("paper-sec4"))
     sec4["timing"]["duration"] = 5.0
     sec4["channels"] = [{**ch, "alpha": {"source": alpha}} for ch in sec4["channels"]]
-    run_scenario(scenario_from_dict(sec4))
-    assert len(orders) == calls
+    scenario = scenario_from_dict(sec4)
+    refs = [make_smoothstep(r["from"], r["to"], r["t_start"], r["t_end"]) for r in sec4["references"]]
+    run_scenario(scenario)
+    probes = [(0, 32, (0, 1)), (1, 32, (0, 1, 2, 3))] if alpha == "derived" else []
+    grid = [(l, scenario.timing.n_points, (0, 1, 2, 3)) for l in range(2)]
+    assert passes == probes + 2 * grid
+    assert reads == [(0, 0), (1, 0), (1, 1), (1, 2)]
+    assert len(passes) + len(reads) == calls
 
 
 # ----------------------------------------------------- residual consistency

@@ -374,6 +374,17 @@ def test_setting_up_sec4_executes_at_most_9000_opcodes():
     assert _opcodes(lambda: validate_scenario(scenario_from_dict(doc))) <= 9000
 
 
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="opcode counts are those of CPython 3.11")
+def test_setting_up_sec4_derived_executes_at_most_12727_opcodes():
+    # paper-sec4's document with both alphas derived: 13,809 opcodes while a reference table took one eval per
+    # reference and order, the 32-probe table held every order and each partial entered np.errstate on its own,
+    # 12,727 since a table is one pass per reference, the probe table holds the orders the plant's relations read
+    # (y1 to 1, y2 to 3) and a derivation enters np.errstate once
+    doc = scenario_to_dict(builtin_scenario("paper-sec4"))
+    doc["channels"] = [{**ch, "alpha": {"source": "derived"}} for ch in doc["channels"]]
+    assert _opcodes(lambda: validate_scenario(scenario_from_dict(doc))) <= 12727
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     order=st.sampled_from((1, 2)),
