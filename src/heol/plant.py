@@ -167,12 +167,20 @@ def _compile(rates: tuple[str, ...], n: int, m: int, params: tuple[str, ...] = (
     return namespace["make"]
 
 
+def _arithmetic(node: ast.expr) -> bool:
+    """Whether ``node`` is a name, an int or float constant, ``+ - * / **`` or unary minus or plus."""
+    if isinstance(node, (ast.BinOp, ast.UnaryOp)):
+        return isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub, ast.UAdd))
+    return isinstance(node, ast.Name) or isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
 @functools.cache
 def _bound(rates: tuple[str, ...], m: int, params: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """``rates`` with each parameter read as ``p_<name>``, a prefix that no other name of the plant ``f`` or the
-    sample loop has, and those names, checked once per text.  A rate reads only ``t``, ``x0..``, ``u0..u{m-1}`` and
+    sample loop has, and those names, checked once per text.  A rate is arithmetic, int and float constants and
+    names under ``+ - * / **`` and unary minus or plus, and reads only ``t``, ``x0..``, ``u0..u{m-1}`` and
     ``params``: ConfigurationError names a parameter that is not an identifier or reads as ``t``, ``x<i>`` or ``u<j>``,
-    and a rate that does not parse or reads another name."""
+    and a rate that does not parse, holds another expression or reads another name."""
     for name in params:
         if not name.isidentifier() or re.fullmatch(r"t|[xu]\d+", name):
             raise ConfigurationError(f"plant parameter {name!r} must be an identifier other than t, x<i> and u<j>")
@@ -180,9 +188,13 @@ def _bound(rates: tuple[str, ...], m: int, params: tuple[str, ...]) -> tuple[tup
     known = {"t", *(f"x{i}" for i in range(n)), *(f"u{j}" for j in range(m)), *params}
     for rate in rates:
         try:
-            read = {node.id for node in ast.walk(ast.parse(rate, mode="eval")) if isinstance(node, ast.Name)}
+            nodes = [node for node in ast.walk(ast.parse(rate, mode="eval").body) if isinstance(node, ast.expr)]
         except SyntaxError as err:
             raise ConfigurationError(f"plant rate {rate!r} does not parse: {err.msg}") from None
+        if other := next((node for node in nodes if not _arithmetic(node)), None):  # the outermost, walked first
+            raise ConfigurationError(f"plant rate {rate!r} is not arithmetic at {ast.get_source_segment(rate, other)!r}"
+                                     ": a rate holds int and float constants and names under + - * / ** and unary -, +")
+        read = {node.id for node in nodes if isinstance(node, ast.Name)}
         if stray := sorted(read - known):
             raise ConfigurationError(f"plant rate {rate!r} reads {stray[0]!r}, not t, x0..x{n - 1}, u0..u{m - 1} "
                                      "or a parameter")

@@ -576,7 +576,8 @@ def validate_scenario(scenario: Scenario) -> _Built:
 
 @dataclass
 class SimLog:
-    """Per-grid-point record arrays of one run."""
+    """Per-grid-point record arrays of one run; ``dy`` and ``du`` are not stored but subtracted on each read, the
+    same IEEE subtraction of the same doubles as the loop's."""
 
     channel_T: tuple[float, ...]
     t: np.ndarray
@@ -584,11 +585,12 @@ class SimLog:
     y_ref: np.ndarray    # (N, p)
     u: np.ndarray        # (N, m) applied controls
     u_nom: np.ndarray    # (N, m) applied feedforward samples
-    dy: np.ndarray       # (N, p) y - y_ref
-    du: np.ndarray       # (N, m) applied feedback corrections
     f_est: np.ndarray    # (N, m)
     f_valid: np.ndarray  # (N, m) bool
     clamped: np.ndarray  # (N, m) bool
+
+    dy = property(lambda self: _difference(self.y, self.y_ref), doc="(N, p) y - y_ref, computed on each read")
+    du = property(lambda self: _difference(self.u, self.u_nom), doc="(N, m) applied feedback corrections u - u_nom")
 
     @property
     def n_outputs(self) -> int:
@@ -597,6 +599,12 @@ class SimLog:
     @property
     def n_controls(self) -> int:
         return self.u.shape[1]
+
+
+def _difference(a, b):
+    """``a - b`` elementwise, silent as the loop's Python floats are where it overflows or meets ``inf - inf``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return a - b
 
 
 def _tabulate(channels: list[_Channel], feedback: bool, times: np.ndarray, h: float, tables, out: np.ndarray):
@@ -631,7 +639,8 @@ def run_scenario(scenario: Scenario | _Built) -> SimLog:
 def _simulate(built: _Built):
     """``run_scenario``'s run, stepped by the caller: the log before the first sample, then each chunk's end
     row once every row before it is final.  A process forked at the first yield reads those rows.  The log's
-    ``y_ref`` and ``u_nom`` view ``table``; it keeps no view of ``extra``, the noise and the filter's dt and lp."""
+    ``y_ref`` and ``u_nom`` view ``table`` and its other floats the shared mapping (``dy`` and ``du`` are read off
+    both); it keeps no view of ``extra``, the noise and the filter's dt and lp."""
     model, channels = built.model, built.channels
     feedback = built.scenario.control_mode == "closed-loop"
     grid = built.scenario.timing
@@ -662,11 +671,11 @@ def _simulate(built: _Built):
         dt[0] = h
         np.divide(dt, np.add(dt, 5.0 * h, out=lp), out=lp)
 
-    # One shared mapping holds every per-sample column, a float row y | u | du | F_est | dy per sample, then
-    # the clamp flags, a byte per row and channel; the loop writes all of a chunk's rows before its yield.
-    r, at = p + 3 * m, n_pts * (2 * p + 3 * m) * 8  # dy's first column, the flags' first byte
+    # One shared mapping holds every per-sample column, a float row y | u | F_est per sample, then the clamp
+    # flags, a byte per row and channel; the loop writes all of a chunk's rows before its yield.
+    r, at = p + 2 * m, n_pts * (p + 2 * m) * 8  # the floats per row, the flags' first byte
     shared = mmap.mmap(-1, at + n_pts * m)
-    log = np.frombuffer(shared, dtype=float, count=at // 8).reshape(n_pts, r + p)
+    log = np.frombuffer(shared, dtype=float, count=at // 8).reshape(n_pts, r)
 
     # Each channel's history holds dy at 2k and alpha*Du at 2k + 1, so the estimator window ending at sample k is
     # row k - w of one strided view of it, and an estimate one dot (a window longer than the run has neither view
@@ -689,9 +698,7 @@ def _simulate(built: _Built):
         y_ref=table[:, :p],
         u=log[:, p : p + m],
         u_nom=table[:, p : p + m],
-        dy=log[:, r:],
-        du=log[:, p + m : p + 2 * m],
-        f_est=log[:, p + 2 * m : r],
+        f_est=log[:, p + m :],
         f_valid=np.arange(n_pts)[:, None] >= np.array([ch.w for ch in channels]),
         clamped=np.frombuffer(shared, dtype=bool, offset=at).reshape(n_pts, m),
     )
@@ -699,8 +706,7 @@ def _simulate(built: _Built):
 
     # numpy is read and written once per chunk
     for k0, k1, records, clamps in loop(h, table, extra, model, built.x0.tolist(), *values):
-        log[k0:k1, :r] = np.fromiter(records, float, (k1 - k0) * r).reshape(k1 - k0, r)
-        np.subtract(log[k0:k1, :p], table[k0:k1, :p], out=log[k0:k1, r:])
+        log[k0:k1] = np.fromiter(records, float, (k1 - k0) * r).reshape(k1 - k0, r)
         if clamps:  # else no channel saturates, and the mapping's zero bytes stand
             shared[at + k0 * m : at + k1 * m] = bytes(clamps)
         yield k1
@@ -714,8 +720,8 @@ def _loop(p: int, channels: tuple, feedback: bool, noisy: bool, plant: tuple) ->
     parameters, then per channel ``k_p``, ``k_d`` at order 2, the bounds if saturated, ``w``, the history's
     memoryview, its windows (row ``k - w`` ends at sample k) and the dot.  Per chunk of ``table`` rows (y_ref | u_nom
     | alpha), beside the rows of ``extra`` (each output's noise if noisy, then the filter's dt and lp if a channel has
-    order 2), it yields ``(k0, k1, records, clamps)``: the rows' y | u | du | F_est as one flat list, and their clamp
-    flags if a channel saturates.
+    order 2), it yields ``(k0, k1, records, clamps)``: the rows' y | u | F_est as one flat list (the log reads dy and
+    du off y and u), and their clamp flags if a channel saturates.
 
     Each sample, channels unrolled: read the outputs (plus noise), filter dy's backward difference at order 2, estimate
     F once the window is full (its alpha*Du slot at k is still zero, so the estimate never reads the control applied at
@@ -744,12 +750,12 @@ def _loop(p: int, channels: tuple, feedback: bool, noisy: bool, plant: tuple) ->
         control += [f"f{j} = float(dot{j}(win{j}[k - w{j}])) if k >= w{j} else 0.0", f"u{j} = un{j} + {law}"]
         if saturated:
             control += [f"c{j} = u{j} < lo{j} or u{j} > hi{j}", f"if c{j}: u{j} = lo{j} if u{j} < lo{j} else hi{j}"]
-        control += [f"du{j} = u{j} - un{j}", f"hv{j}[i + 1] = a{j} * du{j}"]
+        control.append(f"hv{j}[i + 1] = a{j} * (u{j} - un{j})")
         flags.append(f"c{j}" if saturated else "False")
     if order2:  # dy's backward difference over the last step, low-pass-filtered with time constant tau_f = 5h
         measure += [_block("if k:", *[f"ddy{j} += lp * ((dy{j} - last{j}) / dt - ddy{j})" for j in order2])]
         measure += [f"last{j} = dy{j}" for j in order2]
-    control.append(f"records += ({', '.join(y)}, {_names('u', m)}, {_names('du', m)}, {_names('f', m)})")
+    control.append(f"records += ({', '.join(y)}, {_names('u', m)}, {_names('f', m)})")
     if flags != ["False"] * m:
         control.append(f"clamps += ({', '.join(flags)},)")
     rows, tables = f"[{_names('ref', p)}, {_names('un', m)}, {_names('a', m)}]", "table[k0:k1].tolist()"
@@ -804,14 +810,14 @@ def compute_metrics(log: SimLog, rms_fraction: float = 0.01) -> Metrics:
     if n == 0:
         raise ConfigurationError("cannot compute metrics of an empty log")
     tail = max(1, int(round(0.2 * n)))
-    dy_tail = log.dy[n - tail :]
+    dy = log.dy
     # Per column: max and ptp of a strided (N, p) view along axis 0 cost ten times as much, for the same values.
     # The mean stays an axis-0 reduction, because the bits of its pairwise sum can depend on the layout.
     return Metrics(
         n_records=n,
         tail_records=tail,
-        rms_tail_dy=tuple(np.sqrt(np.mean(dy_tail**2, axis=0))),
-        max_abs_dy=tuple(np.max(np.abs(column)) for column in log.dy.T),
+        rms_tail_dy=tuple(np.sqrt(np.mean(dy[n - tail :] ** 2, axis=0))),
+        max_abs_dy=tuple(np.max(np.abs(column)) for column in dy.T),
         max_abs_du=tuple(np.max(np.abs(column)) for column in log.du.T),
         ref_range=tuple(np.ptp(column) for column in log.y_ref.T),
         warmup_T=log.channel_T,
@@ -824,8 +830,9 @@ def compute_metrics(log: SimLog, rms_fraction: float = 0.01) -> Metrics:
 _CSV_CHUNK = 256
 
 
-def _csv_layout(log: SimLog) -> tuple[list[np.ndarray], str, bytes]:
-    """The CSV columns of ``log`` in file order, the format of one row and the header line."""
+def _csv_layout(log: SimLog) -> tuple[list[tuple[np.ndarray, ...]], str, bytes]:
+    """The CSV columns of ``log`` in file order, the format of one row and the header line.  A column is a tuple:
+    a stored column or, for ``dy`` and ``du``, the two that ``_csv_chunk`` subtracts per chunk."""
 
     def block(n, *fields):  # (log field, name pattern) pairs, interleaved per index
         return [(name.format(i + 1), f, i) for i in range(n) for f, name in fields]
@@ -840,8 +847,10 @@ def _csv_layout(log: SimLog) -> tuple[list[np.ndarray], str, bytes]:
         + block(log.n_controls, ("f_valid", "F{}_valid"))
         + block(log.n_controls, ("clamped", "clamp{}"))
     )
-    columns = [getattr(log, f) if i is None else getattr(log, f)[:, i] for _, f, i in layout]
-    row = ",".join("%d" if c.dtype == bool else "%.17g" for c in columns) + "\n"
+    stored = {"dy": ("y", "y_ref"), "du": ("u", "u_nom")}
+    columns = [tuple(getattr(log, g) if i is None else getattr(log, g)[:, i] for g in stored.get(f, (f,)))
+               for _, f, i in layout]
+    row = ",".join("%d" if c.dtype == bool else "%.17g" for c, *_ in columns) + "\n"
     return columns, row, (",".join(name for name, _, _ in layout) + "\n").encode()
 
 
@@ -873,14 +882,17 @@ _CSV_BITS = {np.dtype(np.float64): np.uint64, np.dtype(bool): np.uint8}
 def _csv_chunk(columns, row: str, k: int) -> bytes:
     """The CSV text of the rows ``k .. k + _CSV_CHUNK - 1``.
 
-    A float64 or bool column whose rows here hold one bit pattern is formatted once, into the chunk's
-    copy of ``row``; only the other columns are stacked and formatted per row.  Equal bits give equal
-    text (``-0.0`` never joins a run of ``0.0``), so the bytes are those of formatting every field.
+    A ``dy`` or ``du`` column is subtracted here, so a helper forked before the run reads it once the loop wrote the
+    chunk.  A float64 or bool column whose rows here hold one bit pattern is formatted once, into the chunk's copy of
+    ``row``; only the other columns are stacked and formatted per row.  Equal bits give equal text (``-0.0`` never
+    joins a run of ``0.0``), so the bytes are those of formatting every field.
     """
     fields, varying = row[:-1].split(","), []
-    for i, c in enumerate(columns):
+    for i, (c, *minus) in enumerate(columns):
         seg = c[k : k + _CSV_CHUNK]
-        if (view := _CSV_BITS.get(c.dtype)) is not None:
+        if minus:  # a dy or du column
+            seg = _difference(seg, minus[0][k : k + _CSV_CHUNK])
+        if (view := _CSV_BITS.get(seg.dtype)) is not None:
             bits = seg.view(view)
             if bits[-1] == bits[0] and (bits == bits[0]).all():
                 fields[i] %= seg[0].item()

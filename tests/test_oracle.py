@@ -101,7 +101,11 @@ def oracle_run(scenario) -> SimLog:
                 raise DivergenceError(f"state left the trust region by t={(k + 1) * h:.6g}")
     arrays = {key: np.array([row[key] for row in rows], dtype=bool if key in ("f_valid", "clamped") else float)
               for key in LOG_FIELDS[1:]}
-    return SimLog(channel_T=tuple(ch.w * h for ch in chans), t=np.array([k * h for k in range(n)]), **arrays)
+    own = {key: arrays.pop(key) for key in ("dy", "du")}
+    log = SimLog(channel_T=tuple(ch.w * h for ch in chans), t=np.array([k * h for k in range(n)]), **arrays)
+    for key, column in own.items():  # the log's derived deviations are the oracle's own, bit for bit
+        assert getattr(log, key).tobytes() == column.tobytes(), key
+    return log
 
 
 # ------------------------------------------------------------- the property

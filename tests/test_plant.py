@@ -416,6 +416,31 @@ def test_rate_text_that_reads_a_name_not_its_own_is_refused(rates, params, messa
 
 
 @pytest.mark.parametrize(
+    "rate, part",
+    [
+        ("x0[0]", "x0[0]"),
+        ("(x0, u0)", "(x0, u0)"),
+        ("x0 @ u0", "x0 @ u0"),
+        ("x0 < 1.0", "x0 < 1.0"),
+        ("not x0", "not x0"),
+        ("x0 and u0", "x0 and u0"),
+        ("x0 if u0 else 1.0", "x0 if u0 else 1.0"),
+        ("x0.real + u0", "x0.real"),
+        ("x0 // 2.0 + u0", "x0 // 2.0"),
+        ("x0 % 2.0 + u0", "x0 % 2.0"),
+    ],
+    ids=["subscript", "tuple", "matmul", "comparison", "not", "and", "conditional", "attribute", "floor-division",
+         "modulo"],
+)
+def test_rate_text_that_is_not_arithmetic_is_refused(rate, part):
+    # the first three raised a bare TypeError in the run, the others ran on a value no plant rate means
+    with pytest.raises(ConfigurationError) as err:
+        _rated_plant((rate,), 1, 1, lambda x: (x[0],))
+    assert str(err.value) == (f"plant rate {rate!r} is not arithmetic at {part!r}: a rate holds int and float "
+                              "constants and names under + - * / ** and unary -, +")
+
+
+@pytest.mark.parametrize(
     "plant, u, wrong",
     [
         (example_plant(), [1.0], "n_controls=2, but the control has 1 entries"),

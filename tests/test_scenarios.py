@@ -53,21 +53,18 @@ REPO = Path(__file__).resolve().parents[1]
 
 
 def make_log(dy_column):
-    """Synthetic single-channel SimLog with the given deviation column."""
+    """Synthetic single-channel SimLog with the given deviation column: y over y_ref = 0, so dy is it bit for bit."""
     dy = np.asarray(dy_column, dtype=float).reshape(-1, 1)
     n = len(dy)
     grid = Timing(duration=0.01 * max(n - 1, 1), h=0.01)
-    y_ref = np.ones((n, 1))
     zeros = np.zeros((n, 1))
     return SimLog(
         channel_T=(0.3,),
         t=grid.times()[:n],
-        y=y_ref + dy,
-        y_ref=y_ref,
+        y=dy,
+        y_ref=zeros.copy(),
         u=zeros.copy(),
         u_nom=zeros.copy(),
-        dy=dy,
-        du=zeros.copy(),
         f_est=zeros.copy(),
         f_valid=np.zeros((n, 1), dtype=bool),
         clamped=np.zeros((n, 1), dtype=bool),
@@ -294,6 +291,15 @@ def test_each_chunk_a_run_yields_is_final():
     assert ends[-1] == len(final.t) and final.clamped.sum() == 1764
 
 
+def test_a_run_log_stores_each_number_once():
+    # dy and du are y - y_ref and u - u_nom, read off the stored columns; the shared mapping holds y | u | F_est
+    # per row, then a clamp byte per row and channel
+    assert not {"dy", "du"} & {f.name for f in dataclasses.fields(SimLog)}
+    log = run_scenario(builtin_scenario("paper-sec4"))
+    n, p, m = len(log.t), log.n_outputs, log.n_controls
+    assert len(log.y.base.base.obj) == n * (p + 2 * m) * 8 + n * m == 750_050
+
+
 def test_the_sample_loop_compiles_once_per_structure():
     # the per-run values a sweep varies (window, noise seed, pole, bounds, the plant's drift and gain) share one
     # loop; saturation is structure, and so is the plant's rate text, which its order sets
@@ -342,25 +348,28 @@ def _opcodes(call) -> int:
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="opcode counts are those of CPython 3.11")
-def test_a_sec4_sample_executes_at_most_425_opcodes():
+def test_a_sec4_sample_executes_at_most_416_opcodes():
     # The count is exact and repeatable where wall time is not: 633.5 per sample before the loop was generated,
     # 478.7 after, 448.1 since the loop steps the plant by its inline RK4 stages, 430.2 since a rate that is a bare
     # state, and a noise-free output, is read as that state, 423.3 since the trust check compares each state with
-    # constants, an estimate reads one row of its window view and the filter's dt and lp are read off the grid.  It
-    # does not see numpy's C time (the dots, the chunk writes, the tables).
+    # constants, an estimate reads one row of its window view and the filter's dt and lp are read off the grid,
+    # 421.7 since a reference table is one pass per reference, 415.5 since the loop records no du and keeps no du
+    # local and the log reads dy and du off the stored columns.  It does not see numpy's C time (the dots, the
+    # chunk writes, the tables).
     scenario = dataclasses.replace(builtin_scenario("paper-sec4"), timing=Timing(duration=10.0, h=0.01))
     assert scenario.timing.n_steps + 1 == 1001  # samples
-    assert _opcodes(lambda: run_scenario(scenario)) / 1001 <= 425
+    assert _opcodes(lambda: run_scenario(scenario)) <= 415_931  # 415.5 per sample
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="opcode counts are those of CPython 3.11")
-def test_an_order_2_ultralocal_sample_executes_at_most_175_opcodes():
+def test_an_order_2_ultralocal_sample_executes_at_most_167_opcodes():
     # 271.4 per sample through a call of the plant's RK4 kernel, 235.5 by its inline stages, 225.6 since its bare
     # rate x1 is read as the stage's x1 and its output as x0, 170.2 since its rate drift + gain * u0 is computed once
-    # for all four stages and the stage states that nothing reads are dropped (3 stage lines of 10), on top of the
-    # loop changes that the sec4 guard lists
+    # for all four stages and the stage states that nothing reads are dropped (3 stage lines of 10), 169.4 at the
+    # one-pass reference table, 166.2 since the loop records no du, on top of the loop changes that the sec4 guard
+    # lists
     scenario = ultralocal_scenario(4.0, order=2, k_d=4.0, duration=10.0)
-    assert _opcodes(lambda: run_scenario(scenario)) / 1001 <= 175
+    assert _opcodes(lambda: run_scenario(scenario)) <= 166_409  # 166.2 per sample
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="opcode counts are those of CPython 3.11")
@@ -837,8 +846,6 @@ def test_csv_bytes_equal_per_field_oracle(tmp_path_factory, p, m, n, drawn, seed
         y_ref=floats(p),
         u=floats(m),
         u_nom=floats(m),
-        dy=floats(p),
-        du=floats(m),
         f_est=floats(m),
         f_valid=rng.random((n, m)) < 0.5,
         clamped=rng.random((n, m)) < 0.5,
@@ -882,8 +889,6 @@ def _piecewise_constant_log(rng, n: int, p: int, m: int) -> SimLog:
         y_ref=runs(p, _RUN_VALUES, whole_log=True),
         u=runs(m, _RUN_VALUES),
         u_nom=runs(m, _RUN_VALUES),
-        dy=runs(p, _RUN_VALUES),
-        du=runs(m, _RUN_VALUES),
         f_est=runs(m, _RUN_VALUES),
         f_valid=runs(m, flags),
         clamped=runs(m, flags, whole_log=True),
@@ -951,8 +956,6 @@ def _awkward_log(n: int) -> SimLog:
         y_ref=floats(2),
         u=floats(2),
         u_nom=floats(2),
-        dy=floats(2),
-        du=floats(2),
         f_est=floats(2),
         f_valid=rng.random((n, 2)) < 0.5,
         clamped=rng.random((n, 2)) < 0.5,
