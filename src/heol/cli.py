@@ -1,7 +1,7 @@
 """Command-line interface: run, validate, and list simulation scenarios.
 
 Exit codes: 0 success, 2 usage, 3 invalid configuration, 4 runtime failure
-(divergence or a singularity hit during the run).
+(divergence, a singularity hit during the run, or memory running out).
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def cli_main(argv: list[str] | None = None) -> int:
     except (ExportError, OSError) as exc:
         print(f"heol: export failed: {exc}", file=sys.stderr)
         return 1
-    except HeolError as exc:
+    except (HeolError, MemoryError) as exc:
         print(f"heol: run failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     print(csv_path)

@@ -14,8 +14,8 @@ relation E(y, dy/dt, ..., u) = 0:
     alpha = - (dE/du) / (dE/dy^(order))   evaluated on the reference.
 
 ``derive_channel`` automates both steps with central finite differences,
-the one way a partial is taken, on one table of the references at 32 probe
-times.
+the one way a partial is taken (by the private ``_partial``), on one table of
+the references at 32 probe times.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "ImplicitFlatRelation",
     "HomeostatChannel",
     "build_reference_table",
-    "finite_diff_partial",
     "derive_channel",
     "nominal_u1",
     "nominal_u2",
@@ -70,8 +69,8 @@ class ImplicitFlatRelation:
         Which control enters this relation.
     residual : callable(table, u) -> float
         ``table[l][k]`` is the k-th derivative of output l.  Derivation
-        passes all times at once, as a trailing axis of ``table`` and ``u``;
-        its partials are taken by :func:`finite_diff_partial`.
+        passes all times at once, as a trailing axis of ``table`` and ``u``,
+        and takes its partials by central differences.
     """
 
     orders: tuple[int, ...]
@@ -123,44 +122,27 @@ def build_reference_table(
     return table
 
 
-def finite_diff_partial(
-    relation: ImplicitFlatRelation,
-    which: str | tuple[int, int],
-    table: np.ndarray,
-    u,
-):
-    """Central-difference partial of the residual at ``(table, u)``.
-
-    ``which`` is ``"u"`` for the control slot or a pair ``(output, order)``
-    for a derivative-table slot, with step ``max(1e-6, 1e-6 * |x|)`` around
-    the current coordinate value ``x``.  A table with a trailing time axis gives
-    the partial at every time; the slot is shifted in place and restored, not copied.
-    """
-    if which == "u":
-        d = np.maximum(1e-6, 1e-6 * np.abs(u))
-        return (relation.residual(table, u + d) - relation.residual(table, u - d)) / (2.0 * d)
-    l, k = which
-    if not (0 <= l < relation.n_outputs and 0 <= k <= relation.orders[l]):
-        raise ConfigurationError(
-            f"partial ({l}, {k}) outside the relation's table of orders {relation.orders}"
-        )
-    x = np.copy(table[l, k])
-    d = np.maximum(1e-6, 1e-6 * np.abs(x))
-    try:
-        table[l, k] = x + d
-        hi = np.copy(relation.residual(table, u))  # a residual may return a view of the table
-        table[l, k] = x - d
-        diff = hi - relation.residual(table, u)  # before the slot is restored under a view
-    finally:
-        table[l, k] = x
-    return diff / (2.0 * d)
-
-
 def _partial(relation, which, table, u, t):
-    """Partial ``which`` at times ``t``, taken where the caller silences numpy's float errors; a non-finite
-    value (a 0/0 in the relation, say) makes the channel singular there, naming the first such time."""
-    d = finite_diff_partial(relation, which, table, u)
-    slot = "u" if which == "u" else f"y{which[0] + 1}^({which[1]})"
+    """Central-difference partial ``which`` of the residual at ``(table, u)``: ``"u"`` for the control slot or a pair
+    ``(output, order)`` for a table slot, with step ``max(1e-6, 1e-6 * |x|)`` around the slot's value ``x``.  A table
+    with a trailing time axis gives the partial at every time; the slot is shifted in place and restored, not copied.
+    Taken where the caller silences numpy's float errors; a non-finite value (a 0/0 in the relation, say) makes the
+    channel singular there, naming the first such of the times ``t``."""
+    if which == "u":
+        h = np.maximum(1e-6, 1e-6 * np.abs(u))
+        diff, slot = relation.residual(table, u + h) - relation.residual(table, u - h), "u"
+    else:
+        l, k = which
+        x = np.copy(table[l, k])
+        h, slot = np.maximum(1e-6, 1e-6 * np.abs(x)), f"y{l + 1}^({k})"
+        try:
+            table[l, k] = x + h
+            hi = np.copy(relation.residual(table, u))  # a residual may return a view of the table
+            table[l, k] = x - h
+            diff = hi - relation.residual(table, u)  # before the slot is restored under a view
+        finally:
+            table[l, k] = x
+    d = diff / (2.0 * h)
     return _refuse(~np.isfinite(d), d, t, f"dE/d{slot} is not finite at t={{t:.6g}}; channel degenerated there")
 
 
@@ -209,29 +191,30 @@ def derive_channel(
         at a probe time, naming the first such time.
     """
     refs = tuple(references)
-    # a nominal_control given here may read other references: it is called with times alone
-    nominal = (lambda table, t: nominal_control(t)) if nominal_control is not None else (lambda table, t: 0.0)
-    out, order, alpha, _ = _derive(relation, refs, horizon, order_override, output_index, nominal)
-    return HomeostatChannel(out, order, lambda t: alpha(build_reference_table(refs, t, relation.orders), t))
-
-
-def _derive(relation, refs, horizon, order_override, output_index, nominal, probe=None, relations=()):
-    """:func:`derive_channel` on the feedforward ``nominal(table, t)``: the output index, the order, the alpha
-    ``alpha(table, t[, u])`` with u the feedforward at t (read off the table unless given) and ``probe``, the 32 probe
-    times and the table there of ``refs`` to the orders ``relation`` and ``relations`` read, built unless given."""
     try:
         t_lo, t_hi = (_number.typed(t, f"horizon[{i}]") for i, t in enumerate(horizon))
     except (TypeError, ValueError):  # not a pair
         raise ConfigurationError(f"horizon needs a pair (t_lo, t_hi), got {horizon!r}") from None
     if not (t_hi > t_lo and math.isfinite(t_hi - t_lo)):  # also rejects inf and NaN ends
         raise ConfigurationError(f"horizon needs finite t_lo < t_hi, got [{t_lo}, {t_hi}]")
+    # a nominal_control given here may read other references: it is called with times alone
+    nominal = (lambda table, t: nominal_control(t)) if nominal_control is not None else (lambda table, t: 0.0)
+    out, order, alpha, _ = _derive(relation, refs, (t_lo, t_hi), order_override, output_index, nominal)
+    return HomeostatChannel(out, order, lambda t: alpha(build_reference_table(refs, t, relation.orders), t))
+
+
+def _derive(relation, refs, horizon, order_override, output_index, nominal, probe=None, relations=()):
+    """:func:`derive_channel` on a typed ``horizon`` and the feedforward ``nominal(table, t)``: the output index,
+    the order, the alpha ``alpha(table, t[, u])`` with u the feedforward at t (read off the table unless given) and
+    ``probe``, the 32 probe times and the table there of ``refs`` to the orders ``relation`` and ``relations`` read,
+    built unless given."""
     if len(refs) != relation.n_outputs:
         raise ConfigurationError(f"relation expects {relation.n_outputs} references, got {len(refs)}")
     out = relation.control_index if output_index is None else _count.typed(output_index, "output_index")
     if not 0 <= out < relation.n_outputs:
         raise ConfigurationError(f"output index {out} out of range")
     if probe is None:
-        probes = np.linspace(t_lo, t_hi, 32)
+        probes = np.linspace(*horizon, 32)
         depth = [max(ks) for ks in zip(relation.orders, *(other.orders for other in relations))]
         probe = probes, build_reference_table(refs, probes, depth)
     probes, table = probe

@@ -194,9 +194,7 @@ class _Union(_Rule):
     def __init__(self, key: str, what: str, options: dict):
         self.key, self.what, self.options = key, what, options
 
-    def load(self, value, path: str):
-        if not isinstance(value, dict):
-            raise ConfigurationError(f"{path} must be a JSON object, got {value!r}")
+    def load(self, value, path: str):  # value is a dict: Scenario types references as JSON objects first
         if self.key not in value:
             raise ConfigurationError(f"missing key {_at(path, self.key)}")
         tag = value[self.key]
@@ -242,8 +240,9 @@ _REFERENCE = _Union("type", "reference type", {
 # --------------------------------------------------------------------------
 # configuration types
 
-#: Most points a run's grid or an estimator window may span: both are preallocated, so 10**7
-#: points already take about a gigabyte; more is almost surely a mistyped ``h`` or ``T``.
+#: Most points a run's grid or an estimator window may span: both are preallocated, and a run keeps
+#: about 235 bytes per point, so 10**7 points take about 2.3 GB (``heol run``'s CSV helper holds about
+#: 2.4 GB of text more); more is almost surely a mistyped ``h`` or ``T``.
 MAX_GRID_POINTS = 10**7
 
 

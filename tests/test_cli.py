@@ -376,6 +376,24 @@ def test_overflowing_noise_exits_4_without_a_warning(tmp_path):
     assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_running_out_of_memory_exits_4_without_a_traceback(tmp_path):
+    # a 10^7-point paper-sec4 run passes validate; in a process of its own, under a 1 GiB address-space
+    # limit, its reference tables do not fit
+    config = scenario_to_dict(builtin_scenario("paper-sec4"))
+    config["timing"]["duration"] = 99_999.99
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(config))
+    assert cli_main(["validate", "--config", str(path)]) == 0
+    limited = (
+        "import resource, runpy; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "runpy.run_module('heol.cli', run_name='__main__')"
+    )
+    proc = run_python("-c", limited, "run", "--config", str(path), "--out", str(tmp_path), OPENBLAS_NUM_THREADS="1")
+    assert proc.returncode == 4, proc.stderr
+    assert "run failed" in proc.stderr and "Unable to allocate" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_run_builds_the_scenario_once(tmp_path, monkeypatch):
     derived = scenario_to_dict(builtin_scenario("paper-sec4"))
     derived["timing"]["duration"] = 1.0

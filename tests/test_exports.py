@@ -23,6 +23,13 @@ def test_all_lists_own_names_and_package_imports_only_public_names():
                 assert obj.__module__ == mod.__name__, f"{mod.__name__}.{name} is a re-export"
 
 
+def test_the_modules_export_at_most_34_names():
+    # the public surface only shrinks: 35 names while heol.homeostat exported its finite-difference partial
+    names = [name for info in pkgutil.iter_modules(heol.__path__)
+             for name in getattr(importlib.import_module(f"heol.{info.name}"), "__all__", ())]
+    assert len(names) <= 34, f"{len(names)} public names; a change that raises the bound states why in CHANGES.md"
+
+
 def test_package_imports_nothing_and_the_readme_imports_each_name_from_its_module():
     # one import path per name: the package re-exports nothing, and a README import names its module's __all__ only
     assert not [node for node in ast.walk(ast.parse(Path(heol.__file__).read_text()))

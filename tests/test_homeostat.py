@@ -15,8 +15,8 @@ from heol.errors import ConfigurationError, HeolError, SingularChannelError
 from heol.homeostat import (
     ImplicitFlatRelation,
     build_reference_table,
+    _partial,
     derive_channel,
-    finite_diff_partial,
     nominal_u1,
     nominal_u2,
 )
@@ -55,13 +55,13 @@ def test_finite_diff_control_partial_of_first_relation():
     e1, _ = benchmark_relations()
     table = np.array([[2.0, 0.0], [0.0, 0.0]])
     # dE1/du = -y1^2 = -4 at y1 = 2
-    assert finite_diff_partial(e1, "u", table, 0.0) == pytest.approx(-4.0, abs=1e-6)
+    assert _partial(e1, "u", table, 0.0, t=0.0) == pytest.approx(-4.0, abs=1e-6)
 
 
 def test_finite_diff_derivative_partial_of_integrator():
     rel = integrator_relation()
     table = np.array([[0.3, -1.2]])
-    assert finite_diff_partial(rel, (0, 1), table, 0.7) == pytest.approx(1.0, abs=1e-9)
+    assert _partial(rel, (0, 1), table, 0.7, t=0.0) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_finite_diff_partial_of_residual_returning_a_view_of_the_table():
@@ -69,7 +69,7 @@ def test_finite_diff_partial_of_residual_returning_a_view_of_the_table():
     rel = ImplicitFlatRelation(orders=(1,), control_index=0, residual=lambda tb, u: tb[0, 1])
     table = np.zeros((1, 2, 5))
     table[0, 1] = [-3.0, -0.5, 0.0, 0.5, 3.0]
-    np.testing.assert_allclose(finite_diff_partial(rel, (0, 1), table, np.zeros(5)), 1.0, rtol=1e-9)
+    np.testing.assert_allclose(_partial(rel, (0, 1), table, np.zeros(5), t=0.0), 1.0, rtol=1e-9)
     np.testing.assert_array_equal(table[0, 1], [-3.0, -0.5, 0.0, 0.5, 3.0])  # restored
 
 
@@ -78,15 +78,7 @@ def test_finite_diff_control_partial_of_second_relation():
     # y1 = 1, dy1 = 0 makes u1 = (0 - 1)/1 = -1; dE2/du2 = -y1 u1 = 1
     table = np.zeros((2, 4))
     table[0, 0] = 1.0
-    assert finite_diff_partial(e2, "u", table, 0.0) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_finite_diff_rejects_slot_outside_table():
-    rel = integrator_relation()
-    with pytest.raises(ConfigurationError):
-        finite_diff_partial(rel, (0, 2), np.zeros((1, 2)), 0.0)
-    with pytest.raises(ConfigurationError):
-        finite_diff_partial(rel, (1, 0), np.zeros((1, 2)), 0.0)
+    assert _partial(e2, "u", table, 0.0, t=0.0) == pytest.approx(1.0, abs=1e-6)
 
 
 # ---------------------------------------------------------- derive_channel
@@ -565,10 +557,10 @@ def test_finite_difference_partials_match_analytic(rng):
         table[1, :] = rng.standard_normal(4)
         u = rng.standard_normal()
         for rel, (d_an, du_an) in zip(benchmark_relations(), benchmark_partials(table, u)):
-            assert finite_diff_partial(rel, "u", table, u) == pytest.approx(
+            assert _partial(rel, "u", table, u, t=0.0) == pytest.approx(
                 du_an, rel=1e-6, abs=1e-6
             )
             for l in range(2):
                 for k in range(rel.orders[l] + 1):
-                    got = finite_diff_partial(rel, (l, k), table, u)
+                    got = _partial(rel, (l, k), table, u, t=0.0)
                     assert got == pytest.approx(d_an[l, k], rel=1e-6, abs=1e-6)

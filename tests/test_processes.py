@@ -23,6 +23,9 @@ LAUNCHERS = {
     ),
     "test_cli.py::test_unrunnable_windows_and_starts_exit_3_at_validate": "the 10^8-sample window row",
     "test_cli.py::test_overflowing_noise_exits_4_without_a_warning": "PYTHONWARNINGS is read at start-up",
+    "test_cli.py::test_running_out_of_memory_exits_4_without_a_traceback": (
+        "the address-space limit holds for the process it is set in"
+    ),
     "test_estimators.py::test_long_window_estimate_does_not_depend_on_the_blas_thread_count": (
         "OPENBLAS_NUM_THREADS is read at start-up"
     ),

@@ -373,25 +373,28 @@ def test_an_order_2_ultralocal_sample_executes_at_most_167_opcodes():
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="opcode counts are those of CPython 3.11")
-def test_setting_up_sec4_executes_at_most_9000_opcodes():
+def test_setting_up_sec4_executes_at_most_8981_opcodes():
     # Loading and building paper-sec4's document: 9,608 opcodes while validate_scenario loaded its references
     # and plant parameters a second time, 8,635 since a Scenario loads them once, as it is built, 8,878 since
     # validate_scenario checks once that the plant's output reads its declared states, 8,942 since it checks first
-    # that each declared state names an output.  The count is exact and repeatable; perfbench's setup_s cannot
-    # resolve a change of this size.
+    # that each declared state names an output, 8,993 with a one-pass reference table (bounded by 9,000), 8,981
+    # since a reference's schema no longer re-checks that the Scenario's typed entry is a JSON object.  The count
+    # is exact and repeatable; perfbench's setup_s cannot resolve a change of this size.
     doc = scenario_to_dict(builtin_scenario("paper-sec4"))
-    assert _opcodes(lambda: validate_scenario(scenario_from_dict(doc))) <= 9000
+    assert _opcodes(lambda: validate_scenario(scenario_from_dict(doc))) <= 8981
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="opcode counts are those of CPython 3.11")
-def test_setting_up_sec4_derived_executes_at_most_12727_opcodes():
+def test_setting_up_sec4_derived_executes_at_most_12411_opcodes():
     # paper-sec4's document with both alphas derived: 13,809 opcodes while a reference table took one eval per
     # reference and order, the 32-probe table held every order and each partial entered np.errstate on its own,
     # 12,727 since a table is one pass per reference, the probe table holds the orders the plant's relations read
-    # (y1 to 1, y2 to 3) and a derivation enters np.errstate once
+    # (y1 to 1, y2 to 3) and a derivation enters np.errstate once, 12,411 since one function takes every partial,
+    # with no slot range check, a derivation reads the horizon that validate_scenario built without typing it
+    # again, and a reference's schema no longer re-checks that its entry is a JSON object
     doc = scenario_to_dict(builtin_scenario("paper-sec4"))
     doc["channels"] = [{**ch, "alpha": {"source": "derived"}} for ch in doc["channels"]]
-    assert _opcodes(lambda: validate_scenario(scenario_from_dict(doc))) <= 12727
+    assert _opcodes(lambda: validate_scenario(scenario_from_dict(doc))) <= 12411
 
 
 @settings(max_examples=25, deadline=None)
@@ -925,8 +928,8 @@ def test_csv_bytes_of_other_dtypes_equal_per_field_oracle(tmp_path, y_dtype):
     # float32, int64 and object columns go row by row, whichever columns beside them are constant
     n, rng = 700, np.random.default_rng(7)
     log = _piecewise_constant_log(rng, n, 2, 1)
-    for field in ("u", "u_nom", "dy", "du", "f_est", "f_valid", "clamped"):
-        getattr(log, field)[:_CHUNK] = getattr(log, field)[0]  # the first chunk stacks only t, y and y_ref
+    for field in ("u", "u_nom", "f_est", "f_valid", "clamped"):
+        getattr(log, field)[:_CHUNK] = getattr(log, field)[0]  # the first chunk stacks only t, y, y_ref and dy
     ints = np.repeat(rng.choice([0, -3, 2**53 + 1, -(2**62)], 7), 100)
     y = np.full((n, 2), 0.1, dtype=y_dtype)
     if y_dtype is object:
