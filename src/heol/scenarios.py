@@ -25,6 +25,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import json
+import linecache
 import math
 import mmap
 import os
@@ -576,7 +577,8 @@ def validate_scenario(scenario: Scenario) -> _Built:
 @dataclass
 class SimLog:
     """Per-grid-point record arrays of one run; ``dy`` and ``du`` are not stored but subtracted on each read, the
-    same IEEE subtraction of the same doubles as the loop's."""
+    same IEEE subtraction of the same doubles as the loop's.  ``y_ref`` and ``u_nom`` view one ``(N, p + m)`` table
+    that holds nothing else."""
 
     channel_T: tuple[float, ...]
     t: np.ndarray
@@ -606,18 +608,18 @@ def _difference(a, b):
         return a - b
 
 
-def _tabulate(channels: list[_Channel], feedback: bool, times: np.ndarray, h: float, tables, out: np.ndarray):
-    """Column j of ``out``: channel j's feedforward at ``times + h/2`` (mid-hold, removing the hold's phase bias);
-    column m + j: its alpha at ``times``; both off ``tables``, the reference tables at those times (or longer).  The
-    feedforward is probed at ``times`` first, so a flatness singularity at t surfaces as such, not as a zero gain,
-    and a derived alpha takes that probe as its u.  Errors name ``times[-1]``."""
-    m = len(channels)
+def _tabulate(channels: list[_Channel], feedback: bool, times: np.ndarray, h: float, tables, nominals, alphas):
+    """Column j of ``nominals``: channel j's feedforward at ``times + h/2`` (mid-hold, removing the hold's phase
+    bias); column j of ``alphas``: its alpha at ``times``; both in their first ``len(times)`` rows, off ``tables``,
+    the reference tables at those times (or longer).  The feedforward is probed at ``times`` first, so a flatness
+    singularity at t surfaces as such, not as a zero gain, and a derived alpha takes that probe as its u.  Errors
+    name ``times[-1]``."""
     at, mid = (table[..., : len(times)] for table in tables)
     for j, ch in enumerate(channels):
         try:
             u = ch.nominal(at, times)
-            out[:, j] = ch.nominal(mid, times + 0.5 * h)
-            out[:, m + j] = a = ch.alpha(at, times, u)
+            nominals[: len(times), j] = ch.nominal(mid, times + 0.5 * h)
+            alphas[: len(times), j] = a = ch.alpha(at, times, u)
             if feedback:  # the run's one check of alpha; the loop applies the law unchecked
                 singular = ~np.isfinite(a) | (np.abs(a) <= ZERO_THRESHOLD)
                 _refuse(singular, a, times, "cannot divide by channel gain alpha={value!r}")
@@ -639,30 +641,33 @@ def _simulate(built: _Built):
     """``run_scenario``'s run, stepped by the caller: the log before the first sample, then each chunk's end
     row once every row before it is final.  A process forked at the first yield reads those rows.  The log's
     ``y_ref`` and ``u_nom`` view ``table`` and its other floats the shared mapping (``dy`` and ``du`` are read off
-    both); it keeps no view of ``extra``, the noise and the filter's dt and lp."""
+    both); it keeps no view of ``extra``, the columns the loop reads and the log does not: alpha, the noise and the
+    filter's dt and lp."""
     model, channels = built.model, built.channels
     feedback = built.scenario.control_mode == "closed-loop"
     grid = built.scenario.timing
     n_pts, p, m = grid.n_points, model.n_outputs, model.n_controls
     h = grid.h
 
-    # One time-only table on the whole grid, y_ref | u_nom | alpha, read off a reference table at
-    # the grid times and one at mid-hold; the lowest channel at the first bad t fails the run.
+    # y_ref | u_nom (the table the log keeps) and each channel's alpha on the whole grid, read off a reference table
+    # at the grid times and one at mid-hold; the lowest channel at the first bad t fails the run.
     times = grid.times()
-    table = np.empty((n_pts, p + 2 * m))
+    table, alphas = np.empty((n_pts, p + m)), np.empty((n_pts, m))
     tables = [build_reference_table(built.references, ts) for ts in (times, times + 0.5 * h)]
     table[:, :p] = tables[0][:, 0].T
-    _at_first_failure(lambda ts: _tabulate(channels, feedback, ts, h, tables, table[: len(ts), p:]), times)
+    _at_first_failure(lambda ts: _tabulate(channels, feedback, ts, h, tables, table[:, p:], alphas), times)
     del tables  # before the loop's allocations
 
-    # The per-sample columns the log does not keep: each output's noise, then, if a channel has order 2, its
-    # filter's step dt = t_k - t_(k-1) and gain lp = dt / (tau_f + dt), tau_f = 5h, in the loop's float operations.
+    # Every per-sample column the log drops, in one array: alpha, each output's noise, then, if a channel has order 2,
+    # its filter's step dt = t_k - t_(k-1) and gain lp = dt / (tau_f + dt), tau_f = 5h, in the loop's float operations.
     noisy, order2 = (std := built.scenario.noise_std) > 0.0, any(ch.order == 2 for ch in channels)
-    extra = np.empty((n_pts, p * noisy + 2 * order2))
+    extra = np.empty((n_pts, m + p * noisy + 2 * order2))
+    extra[:, :m] = alphas
+    del alphas
     if noisy:
         with np.errstate(over="ignore"):
-            extra[:, :p] = std * np.random.default_rng(built.scenario.noise_seed).standard_normal((n_pts, p))
-        if not np.isfinite(extra[:, :p]).all():
+            extra[:, m : m + p] = std * np.random.default_rng(built.scenario.noise_seed).standard_normal((n_pts, p))
+        if not np.isfinite(extra[:, m : m + p]).all():
             raise DivergenceError(f"measurement noise with std {std:g} overflows the float range")
     if order2:  # in place: t_(k-1) is the grid's (k - 1) * h, and the unread row 0 takes t_(-1) = -h
         dt, lp = extra[:, -2], extra[:, -1]
@@ -717,10 +722,12 @@ def _loop(p: int, channels: tuple, feedback: bool, noisy: bool, plant: tuple) ->
     ``(output, order == 2, saturated)``, feedback or not, noise or not, and ``plant``: its ``(rates, parameter names,
     each output's state, n_states)``, whose one parameter is ``f`` if it has no rates.  ``values`` holds those
     parameters, then per channel ``k_p``, ``k_d`` at order 2, the bounds if saturated, ``w``, the history's
-    memoryview, its windows (row ``k - w`` ends at sample k) and the dot.  Per chunk of ``table`` rows (y_ref | u_nom
-    | alpha), beside the rows of ``extra`` (each output's noise if noisy, then the filter's dt and lp if a channel has
-    order 2), it yields ``(k0, k1, records, clamps)``: the rows' y | u | F_est as one flat list (the log reads dy and
-    du off y and u), and their clamp flags if a channel saturates.
+    memoryview, its windows (row ``k - w`` ends at sample k) and the dot.  Per chunk it reads the rows of ``table``
+    (y_ref | u_nom) and of ``extra`` (alpha, each output's noise if noisy, then the filter's dt and lp if a channel has
+    order 2) as one list, and yields ``(k0, k1, records, clamps)``: the rows' y | u | F_est as one flat list (the log
+    reads dy and du off y and u), and their clamp flags if a channel saturates.  Each line of the source ends with
+    its layer's tag (rows, measure, estimate, law, clamp, history, record, step or trust), and linecache holds the
+    source under a file name unique to the structure, so a traceback shows the line and opcodes count per layer.
 
     Each sample, channels unrolled: read the outputs (plus noise), filter dy's backward difference at order 2, estimate
     F once the window is full (its alpha*Du slot at k is still zero, so the estimate never reads the control applied at
@@ -731,51 +738,56 @@ def _loop(p: int, channels: tuple, feedback: bool, noisy: bool, plant: tuple) ->
     every i, which NaN fails too.  A feedforward run keeps ``u = u_nom + 0.0``, so a ``-0.0`` feedforward logs ``+0.0``.
     """
     m, order2 = len(channels), [j for j, (_, second, _) in enumerate(channels) if second]
+    tag = lambda layer, lines: [f"{line}  # {layer}".replace("\n", f"  # {layer}\n") for line in lines]
 
     (rates, parameters, outputs, n), control, flags = plant, [], []
     stages, new = _rk4(rates, n)
     params, x = "".join(", " + name for name in parameters), f"[{_names('x', n)}]"
-    measure = [f"y{o} = x{i} + z{o}" for o, i in enumerate(outputs)] if noisy else []
+    measure = tag("measure", [f"y{o} = x{i} + z{o}" for o, i in enumerate(outputs)] if noisy else [])
     y = [f"y{o}" if noisy else f"x{i}" for o, i in enumerate(outputs)]  # output o, off its state
     if rates is None:  # a Python f may return the wrong count of rates
         stages = [_block("try:", f"u = [{_names('u', m)}]", *stages),
                   _block("except ValueError:", f"rk4_step(model, t, {x}, u, h)", "raise")]
     timed = any(re.search(r"\bt\b", line) for line in stages)  # a Python f, or a rate reading t
-    step = ["t = k * h"] * timed + [*stages, f"{_names('x', n)} = {', '.join(new)}"]
+    step = tag("step", ["t = k * h"] * timed + [*stages, f"{_names('x', n)} = {', '.join(new)}"])
     for j, (out, second, saturated) in enumerate(channels):
         params += f", k_p{j}" + f", k_d{j}" * second + f", lo{j}, hi{j}" * saturated + f", w{j}, hv{j}, win{j}, dot{j}"
-        measure += [f"dy{j} = {y[out]} - ref{out}", f"hv{j}[i] = dy{j}"]
+        measure += tag("measure", [f"dy{j} = {y[out]} - ref{out}"]) + tag("history", [f"hv{j}[i] = dy{j}"])
         law = f"-(f{j} + k_p{j} * dy{j}" + f" + k_d{j} * ddy{j}" * second + f") / a{j}" if feedback else "0.0"
-        control += [f"f{j} = float(dot{j}(win{j}[k - w{j}])) if k >= w{j} else 0.0", f"u{j} = un{j} + {law}"]
+        control += tag("estimate", [f"f{j} = float(dot{j}(win{j}[k - w{j}])) if k >= w{j} else 0.0"])
+        control += tag("law", [f"u{j} = un{j} + {law}"])
         if saturated:
-            control += [f"c{j} = u{j} < lo{j} or u{j} > hi{j}", f"if c{j}: u{j} = lo{j} if u{j} < lo{j} else hi{j}"]
-        control.append(f"hv{j}[i + 1] = a{j} * (u{j} - un{j})")
+            control += tag("clamp", [f"c{j} = u{j} < lo{j} or u{j} > hi{j}",
+                                     f"if c{j}: u{j} = lo{j} if u{j} < lo{j} else hi{j}"])
+        control += tag("history", [f"hv{j}[i + 1] = a{j} * (u{j} - un{j})"])
         flags.append(f"c{j}" if saturated else "False")
     if order2:  # dy's backward difference over the last step, low-pass-filtered with time constant tau_f = 5h
-        measure += [_block("if k:", *[f"ddy{j} += lp * ((dy{j} - last{j}) / dt - ddy{j})" for j in order2])]
-        measure += [f"last{j} = dy{j}" for j in order2]
-    control.append(f"records += ({', '.join(y)}, {_names('u', m)}, {_names('f', m)})")
-    if flags != ["False"] * m:
-        control.append(f"clamps += ({', '.join(flags)},)")
-    rows, tables = f"[{_names('ref', p)}, {_names('un', m)}, {_names('a', m)}]", "table[k0:k1].tolist()"
-    if columns := [f"z{o}" for o in range(p * noisy)] + ["dt", "lp"] * bool(order2):
-        rows, tables = rows + f", [{', '.join(columns)}]", tables + ", extra[k0:k1].tolist()"
+        filtered = [f"ddy{j} += lp * ((dy{j} - last{j}) / dt - ddy{j})" for j in order2]
+        measure += tag("measure", [_block("if k:", *filtered), *[f"last{j} = dy{j}" for j in order2]])
+    control += tag("record", [f"records += ({', '.join(y)}, {_names('u', m)}, {_names('f', m)})"]
+                   + [f"clamps += ({', '.join(flags)},)"] * (flags != ["False"] * m))
+    columns = [_names("ref", p), _names("un", m), _names("a", m)] + [f"z{o}" for o in range(p * noisy)]
+    rows = ", ".join(columns + ["dt", "lp"] * bool(order2))  # a row of table | extra
     inside = " and ".join(f"{-TRUST_REGION!r} <= x{i} <= {TRUST_REGION!r}" for i in range(n))
-    step.append(_block(f"if not ({inside}):", f"_finite({x}, k * h)",
-                       'raise DivergenceError("state left the trust region (|x| > %g) by t=%.6g" % '
-                       "(TRUST_REGION, (k + 1) * h))"))
+    step += tag("trust", [_block(f"if not ({inside}):", f"_finite({x}, k * h)",
+                                 'raise DivergenceError("state left the trust region (|x| > %g) by t=%.6g" % '
+                                 "(TRUST_REGION, (k + 1) * h))")])
     source = _block(
-        f"def loop(h, table, extra, model, x{params}):",
-        "half, h6 = 0.5 * h, h / 6.0", f"{x} = x", "n_pts = len(table)", "k_last = n_pts - 1",
-        *[f"ddy{j} = last{j} = 0.0" for j in order2],
-        _block("for k0 in range(0, n_pts, _CSV_CHUNK):", "k1, records, clamps = min(k0 + _CSV_CHUNK, n_pts), [], []",
-               _block(f"for k, {rows} in zip(range(k0, k1), {tables}):",
-                      "i = 2 * k", *measure, *control, _block("if k < k_last:", *step)),
-               "yield k0, k1, records, clamps"),
+        f"def loop(h, table, extra, model, x{params}):  # rows",
+        *tag("rows", ["half, h6 = 0.5 * h, h / 6.0", f"{x} = x", "n_pts = len(table)", "k_last = n_pts - 1"]),
+        *tag("measure", [f"ddy{j} = last{j} = 0.0" for j in order2]),
+        _block("for k0 in range(0, n_pts, _CSV_CHUNK):  # rows",
+               "k1, records, clamps = min(k0 + _CSV_CHUNK, n_pts), [], []  # rows",
+               _block(f"for k, [{rows}] in zip(range(k0, k1), "
+                      "np.concatenate((table[k0:k1], extra[k0:k1]), axis=1).tolist()):  # rows",
+                      "i = 2 * k  # history", *measure, *control, _block("if k < k_last:  # step", *step)),
+               "yield k0, k1, records, clamps  # rows"),
     )
-    namespace = {"_CSV_CHUNK": _CSV_CHUNK, "rk4_step": rk4_step, "_finite": _finite,
+    namespace = {"_CSV_CHUNK": _CSV_CHUNK, "rk4_step": rk4_step, "_finite": _finite, "np": np,
                  "TRUST_REGION": TRUST_REGION, "DivergenceError": DivergenceError}
-    exec(compile(source, f"<sample loop, {m} channels>", "exec"), namespace)
+    name = f"<sample loop {(p, channels, feedback, noisy, plant)}>"
+    linecache.cache[name] = len(source), None, source.splitlines(True), name
+    exec(compile(source, name, "exec"), namespace)
     return namespace["loop"]
 
 
@@ -887,16 +899,17 @@ def _csv_chunk(columns, row: str, k: int) -> bytes:
     joins a run of ``0.0``), so the bytes are those of formatting every field.
     """
     fields, varying = row[:-1].split(","), []
-    for i, (c, *minus) in enumerate(columns):
-        seg = c[k : k + _CSV_CHUNK]
-        if minus:  # a dy or du column
-            seg = _difference(seg, minus[0][k : k + _CSV_CHUNK])
-        if (view := _CSV_BITS.get(seg.dtype)) is not None:
-            bits = seg.view(view)
-            if bits[-1] == bits[0] and (bits == bits[0]).all():
-                fields[i] %= seg[0].item()
-                continue
-        varying.append(seg)
+    with np.errstate(over="ignore", invalid="ignore"):  # once per chunk, for ``_difference``'s silent subtraction
+        for i, (c, *minus) in enumerate(columns):
+            seg = c[k : k + _CSV_CHUNK]
+            if minus:  # a dy or du column
+                seg = seg - minus[0][k : k + _CSV_CHUNK]
+            if (view := _CSV_BITS.get(seg.dtype)) is not None:
+                bits = seg.view(view)
+                if bits[-1] == bits[0] and (bits == bits[0]).all():
+                    fields[i] %= seg[0].item()
+                    continue
+            varying.append(seg)
     text = (",".join(fields) + "\n") * len(seg)
     if varying:
         text %= tuple(np.column_stack(varying).ravel().tolist())

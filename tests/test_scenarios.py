@@ -1,9 +1,12 @@
 """Scenario configuration, the simulation loop, metrics, and exports."""
 
+import collections
 import dataclasses
 import errno
 import functools
+import gc
 import json
+import linecache
 import math
 import os
 import re
@@ -293,11 +296,14 @@ def test_each_chunk_a_run_yields_is_final():
 
 def test_a_run_log_stores_each_number_once():
     # dy and du are y - y_ref and u - u_nom, read off the stored columns; the shared mapping holds y | u | F_est
-    # per row, then a clamp byte per row and channel
+    # per row, then a clamp byte per row and channel; y_ref and u_nom view a time-only table that holds nothing
+    # else (alpha, the noise and the filter's dt and lp are in the columns the log drops)
     assert not {"dy", "du"} & {f.name for f in dataclasses.fields(SimLog)}
     log = run_scenario(builtin_scenario("paper-sec4"))
     n, p, m = len(log.t), log.n_outputs, log.n_controls
     assert len(log.y.base.base.obj) == n * (p + 2 * m) * 8 + n * m == 750_050
+    assert log.u_nom.base is log.y_ref.base
+    assert log.y_ref.base.nbytes == n * (p + m) * 8 == 480_032
 
 
 def test_the_sample_loop_compiles_once_per_structure():
@@ -324,52 +330,83 @@ def test_the_sample_loop_compiles_once_per_structure():
     assert loop.cache_info().currsize == 3
 
 
-def _opcodes(call) -> int:
-    """Opcodes executed by ``call()``, after one warm call."""
+def _opcode_lines(call) -> collections.Counter:
+    """Opcodes executed by ``call()`` per ``(file name, line)``, after one warm call.  The garbage collector is off
+    while it counts, so no callback that another library hooks into a collection (hypothesis times them) is counted
+    with ``call``'s own opcodes."""
     call()
-    count = 0
+    counts = collections.Counter()
 
     def opcodes(frame, event, arg):
-        nonlocal count
-        count += event == "opcode"
+        if event == "opcode":
+            counts[frame.f_code.co_filename, frame.f_lineno] += 1
         return opcodes
 
     def calls(frame, event, arg):
         frame.f_trace_opcodes = True
         return opcodes
 
-    previous = sys.gettrace()
+    previous, collecting = sys.gettrace(), gc.isenabled()
+    gc.disable()
     sys.settrace(calls)
     try:
         call()
     finally:
         sys.settrace(previous)
-    return count
+        if collecting:
+            gc.enable()
+    return counts
+
+
+def _opcodes(call) -> int:
+    """Opcodes executed by ``call()``, after one warm call."""
+    return sum(_opcode_lines(call).values())
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="opcode counts are those of CPython 3.11")
-def test_a_sec4_sample_executes_at_most_416_opcodes():
+def test_a_sec4_sample_executes_at_most_415_opcodes():
     # The count is exact and repeatable where wall time is not: 633.5 per sample before the loop was generated,
     # 478.7 after, 448.1 since the loop steps the plant by its inline RK4 stages, 430.2 since a rate that is a bare
     # state, and a noise-free output, is read as that state, 423.3 since the trust check compares each state with
     # constants, an estimate reads one row of its window view and the filter's dt and lp are read off the grid,
     # 421.7 since a reference table is one pass per reference, 415.5 since the loop records no du and keeps no du
-    # local and the log reads dy and du off the stored columns.  It does not see numpy's C time (the dots, the
-    # chunk writes, the tables).
+    # local and the log reads dy and du off the stored columns, 414.6 with alpha read from the columns the log
+    # drops, one row list per chunk.  It does not see numpy's C time (the dots, the chunk writes, the tables).
     scenario = dataclasses.replace(builtin_scenario("paper-sec4"), timing=Timing(duration=10.0, h=0.01))
     assert scenario.timing.n_steps + 1 == 1001  # samples
-    assert _opcodes(lambda: run_scenario(scenario)) <= 415_931  # 415.5 per sample
+    assert _opcodes(lambda: run_scenario(scenario)) <= 414_986  # 414.6 per sample
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="opcode counts are those of CPython 3.11")
-def test_an_order_2_ultralocal_sample_executes_at_most_167_opcodes():
+def test_an_order_2_ultralocal_sample_executes_at_most_166_opcodes():
     # 271.4 per sample through a call of the plant's RK4 kernel, 235.5 by its inline stages, 225.6 since its bare
     # rate x1 is read as the stage's x1 and its output as x0, 170.2 since its rate drift + gain * u0 is computed once
     # for all four stages and the stage states that nothing reads are dropped (3 stage lines of 10), 169.4 at the
-    # one-pass reference table, 166.2 since the loop records no du, on top of the loop changes that the sec4 guard
-    # lists
+    # one-pass reference table, 166.2 since the loop records no du, 165.3 with alpha read from the columns the log
+    # drops, one row list per chunk, on top of the loop changes that the sec4 guard lists
     scenario = ultralocal_scenario(4.0, order=2, k_d=4.0, duration=10.0)
-    assert _opcodes(lambda: run_scenario(scenario)) <= 166_409  # 166.2 per sample
+    assert _opcodes(lambda: run_scenario(scenario)) <= 165_460  # 165.3 per sample
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="opcode counts are those of CPython 3.11")
+@pytest.mark.parametrize("scenario, pins", [
+    (dataclasses.replace(builtin_scenario("paper-sec4"), timing=Timing(duration=10.0, h=0.01)),
+     {"rows": 13_254, "measure": 24_016, "estimate": 35_316, "law": 26_026, "clamp": 0, "history": 32_032,
+      "record": 10_010, "step": 226_004, "trust": 39_000}),  # 405,658 of 414,986
+    (ultralocal_scenario(4.0, order=2, k_d=4.0, duration=10.0),
+     {"rows": 10_249, "measure": 20_012, "estimate": 17_658, "law": 15_015, "clamp": 0, "history": 18_018,
+      "record": 7_007, "step": 54_004, "trust": 19_000}),  # 160,963 of 165,460
+], ids=["paper-sec4", "ultralocal-order-2"])
+def test_each_layer_of_the_sample_loop_executes_its_pinned_opcodes(scenario, pins):
+    """The opcodes of 1,001 samples per layer of the generated loop, read off the tag that ends each of its lines
+    (registered in linecache).  The pins sum to the loop's share of the whole-run count the guards above bound; the
+    rest is set-up and the chunk writes.  A change that moves a layer moves its pin.  Opcodes do not see numpy's C
+    time, which is most of the estimate (its dot) and all of a chunk's row list."""
+    lines, layers = _opcode_lines(lambda: run_scenario(scenario)), dict.fromkeys(pins, 0)
+    for (file, line), count in lines.items():
+        if file.startswith("<sample loop"):  # the jump back to the next row has no line
+            layers[re.fullmatch(r".*  # (\w+)\n?", linecache.getline(file, line))[1] if line else "rows"] += count
+    assert layers == pins
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="opcode counts are those of CPython 3.11")
